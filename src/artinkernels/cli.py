@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .flag import build_flag_complex, image_dims, reduced_homology_ranks
+from .flag import build_flag_complex, image_dims, ranks_from_image_dims
 from .graphs import (Character, LabeledGraph, ZeroCharacterError,
                      connected_components, is_fc_type, resonance_sets,
                      torsion_support, validate_graph)
@@ -211,8 +211,8 @@ def run(job: JobConfig) -> Report:
 
     fc = build_flag_complex(g)
     k_max = fc.dim if job.k_max is None else max(0, min(job.k_max, fc.dim))
-    ranks = reduced_homology_ranks(fc, fspec)
     imdims = image_dims(fc, fspec)
+    ranks = ranks_from_image_dims(fc, imdims)
     res = resonance_sets(g, character, fspec)
     connected = len(connected_components(g)) == 1
 

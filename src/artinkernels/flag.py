@@ -119,9 +119,10 @@ def reduced_homology_ranks(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
     Computed in the augmented complex, so r_k = dim ker d_k - dim im d_{k+1}
     with d_0 the augmentation.
     """
-    ranks = image_dims(fc, fspec)
-    out = []
-    for k in range(0, fc.dim + 1):
-        n_k = len(fc.simplices_of(k))
-        out.append((n_k - ranks[k]) - ranks[k + 1])
-    return out
+    return ranks_from_image_dims(fc, image_dims(fc, fspec))
+
+
+def ranks_from_image_dims(fc: FlagComplex, ims: list[int]) -> list[int]:
+    """r_k = (n_k - dim im d_k) - dim im d_{k+1} from an `image_dims` list."""
+    return [len(fc.simplices_of(k)) - ims[k] - ims[k + 1]
+            for k in range(0, fc.dim + 1)]

@@ -657,26 +657,35 @@ class CyclotomicField(Field):
         one = [Fraction(0)] * self.deg
         one[0] = Fraction(1)
         self.one = tuple(one)
-        # reduction table: z^(deg + i) mod Phi_d for i < deg - 1
-        self._red = []
-        cur = [-c for c in self.modulus[:-1]]  # z^deg
-        for _ in range(max(0, self.deg - 1)):
-            self._red.append(tuple(cur))
-            cur = [Fraction(0)] + cur
-            top = cur.pop()
-            if top:
-                for i in range(self.deg):
-                    cur[i] -= top * self.modulus[i]
         self._qq = Rationals()
+        # zeta^e for e = 0 .. d-1 as integer coordinates: z^e mod Phi_d
+        powers = []
+        cur = [1] + [0] * (self.deg - 1)
+        for _ in range(d):
+            powers.append(tuple(cur))
+            top = cur.pop()
+            cur.insert(0, 0)
+            if top:
+                cur = [x - top * c for x, c in zip(cur, ints)]
+        self._powers = powers
+        # reduction table: z^(deg + i) mod Phi_d for i < deg - 1
+        self._red = [powers[(self.deg + i) % d] for i in range(self.deg - 1)]
+
+    def root_combination(self, coeffs: dict):
+        """sum of c * zeta^e over the (e, c) in coeffs, e taken mod d."""
+        out = [0] * self.deg
+        powers = self._powers
+        for e, c in coeffs.items():
+            if c:
+                for i, x in enumerate(powers[e % self.d]):
+                    if x:
+                        out[i] += c * x
+        return tuple(Fraction(x) for x in out)
 
     @property
     def gen(self):
         """The residue class of z, a primitive d-th root of unity."""
-        if self.deg == 1:
-            return (-self.modulus[0],)
-        g = [Fraction(0)] * self.deg
-        g[1] = Fraction(1)
-        return tuple(g)
+        return tuple(Fraction(x) for x in self._powers[1 % self.d])
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -780,50 +789,31 @@ def trunc_inv(kd, a: list, order: int) -> list:
 def taylor_at_root(f: LaurentPoly, d: int, order: int) -> list:
     """Coefficients of f(zeta_d + tau) mod tau^order, in K_d.
 
-    Characteristic zero; negative t-powers expand through the inverse of
-    the unit zeta_d + tau.
+    Expanded one monomial at a time by the binomial series
+    (zeta + tau)^a = sum_i C(a, i) zeta^(a-i) tau^i with
+    C(a, i) = a (a-1) ... (a-i+1) / i!, which holds for negative a too, so
+    the unit zeta_d + tau is never inverted.  Characteristic zero.
     """
     kd = cyclotomic_field(d)
-    if f.is_zero():
-        return [kd.zero] * order
-    z = kd.gen
-    lin = ([z, kd.one] + [kd.zero] * max(0, order - 2))[:order]
-    cs, val = f.dense()
-    acc = [kd.zero] * order
-    for coeff in reversed(cs):
-        acc = trunc_mul(kd, acc, lin, order)
-        acc[0] = kd.add(acc[0], kd.embed(coeff))
-    if val > 0:
-        for _ in range(val):
-            acc = trunc_mul(kd, acc, lin, order)
-    elif val < 0:
-        inv = trunc_inv(kd, lin, order)
-        for _ in range(-val):
-            acc = trunc_mul(kd, acc, inv, order)
-    return acc
+    sums = [{} for _ in range(order)]
+    for a, c in f.coeffs.items():
+        binom = 1
+        for i in range(order):
+            if not binom:
+                break
+            s = sums[i]
+            e = (a - i) % d
+            s[e] = s.get(e, 0) + binom * c
+            binom = binom * (a - i) // (i + 1)
+    return [kd.root_combination(s) for s in sums]
 
 
 def residue_eval(f: LaurentPoly, d: int):
     """The class of f in K_d = Q[z]/(Phi_d), i.e. f(zeta_d).
 
-    t^{-1} maps to the inverse of the root; always defined since
-    Phi_d(0) != 0.  Characteristic zero only.
+    t^a maps to zeta_d^(a mod d), which covers negative a too.
+    Characteristic zero only.
     """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
-    kd = cyclotomic_field(d)
-    if f.is_zero():
-        return kd.zero
-    z = kd.gen
-    cs, val = f.dense()
-    acc = kd.zero
-    for c in reversed(cs):
-        acc = kd.add(kd.mul(acc, z), kd.embed(c))
-    if val > 0:
-        for _ in range(val):
-            acc = kd.mul(acc, z)
-    elif val < 0:
-        zi = kd.inv(z)
-        for _ in range(-val):
-            acc = kd.mul(acc, zi)
-    return acc
+    return cyclotomic_field(d).root_combination(f.coeffs)

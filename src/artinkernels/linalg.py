@@ -1,8 +1,9 @@
 """Small exact linear algebra toolkit over the scalar fields.
 
 Matrices are plain lists of rows (dense) or lists of sparse columns
-(dicts row index -> value).  Everything is exact; no pivoting heuristics
-beyond "first nonzero" are needed at this scale.
+(dicts row index -> value).  Everything is exact.  :func:`rank` is the one
+field rank kernel: it eliminates on sparse copies of the rows, because the
+boundary matrices it sees carry a few nonzeros per column.
 
 :class:`BottomEchelon` maintains a column-space basis in bottom-echelon
 form: each stored vector has a distinct bottom-most nonzero row, and
@@ -18,34 +19,42 @@ from .scalars import Field
 
 
 def rank(field: Field, rows: list[list]) -> int:
-    """Rank by Gaussian elimination; `rows` is consumed as a scratch copy."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    """Rank by sparse row elimination; `rows` is left untouched.
+
+    The rows are copied to dicts of their nonzero entries.  Each step takes
+    the sparsest remaining row as pivot row, so the fill-in a pivot spreads
+    stays small, and clears its first column from every other row.
+    """
+    is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
+    live = []
+    for row in rows:
+        sparse = {j: x for j, x in enumerate(row) if not is_zero(x)}
+        if sparse:
+            live.append(sparse)
     r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][j]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][j])
-        prow = m[r]
-        for i in range(r + 1, len(m)):
-            c = m[i][j]
-            if field.is_zero(c):
-                continue
-            factor = field.mul(c, inv)
-            row = m[i]
-            for jj in range(j, ncols):
-                row[jj] = field.sub(row[jj], field.mul(factor, prow[jj]))
+    while live:
+        p = min(range(len(live)), key=lambda i: len(live[i]))
+        prow = live[p]
+        live[p] = live[-1]
+        live.pop()
+        j = next(iter(prow))
+        inv = field.inv(prow.pop(j))
+        rest = []
+        for row in live:
+            c = row.pop(j, None)
+            if c is not None:
+                factor = mul(c, inv)
+                for k, x in prow.items():
+                    y = sub(row.get(k, zero), mul(factor, x))
+                    if is_zero(y):
+                        del row[k]
+                    else:
+                        row[k] = y
+                if not row:
+                    continue
+            rest.append(row)
+        live = rest
         r += 1
-        if r == len(m):
-            break
     return r
 
 

@@ -17,10 +17,11 @@ Two diagonalization engines live here.
 * :func:`cyclotomic_invariant_factors` exploits that every nonzero minor
   of a twisted boundary is a rational constant times t-powers and
   cyclotomics: rank comes from one exact evaluation off the unit circle,
-  and the Phi_d-exponents of the invariant factors from cokernel
-  dimensions over the truncated rings K_d[tau]/(tau^j).  Field linear
-  algebra only, so nothing ever grows; this is the engine behind every
-  characteristic-zero homology computation.
+  and the Phi_d-exponents of the invariant factors from the local Smith
+  form at zeta_d, one least-valuation elimination over K_d[tau]/(tau^N)
+  per candidate d (after Wilkening and Yu's local construction of the
+  Smith form).  Field arithmetic in K_d only, so nothing ever grows; this
+  is the engine behind every characteristic-zero homology computation.
 
 Torsion of the degree-k homology module is read off the nontrivial
 invariant factors of the degree-(k+1) boundary; the free rank comes from
@@ -35,9 +36,10 @@ from fractions import Fraction
 
 from .flag import FlagComplex
 from .graphs import Character, ResonanceSets
-from .laurent import (LaurentPoly, cyclotomic, dense_add, dense_divmod,
-                      dense_monic, dense_mul, dense_sub, factor_invariant,
-                      laurent_from_dense)
+from .laurent import (LaurentPoly, cyclotomic, cyclotomic_field, dense_add,
+                      dense_divmod, dense_monic, dense_mul, dense_sub,
+                      factor_invariant, laurent_from_dense, taylor_at_root,
+                      trunc_inv, trunc_mul)
 from .scalars import FieldSpec
 from .twisted import PolyMatrix, twisted_boundary
 
@@ -276,16 +278,23 @@ def poly_matrix_rank(m: PolyMatrix) -> int:
 # unit circle or at 0.  Two consequences drive the engine below:
 #   * the rank over K(t) equals the rank after evaluating t at any rational
 #     point away from the unit circle and zero;
-#   * the Phi_d-exponents of the invariant factors are read off cokernel
-#     dimensions over the truncated local rings K_d[tau]/(tau^j), which are
-#     plain field linear algebra (no coefficient growth at all).
+#   * Phi_d has a simple root at zeta_d, so the Phi_d-exponents of the
+#     invariant factors are the tau-valuations of the local Smith form over
+#     K_d[[tau]], t = zeta_d + tau, computed mod tau^N with arithmetic in
+#     K_d only (no coefficient growth at all).
+# `taylor_block` writes the same local ring as one K_d-matrix; the page
+# oracle in spectral.truncated_homology_dims takes ranks of it.
 # ---------------------------------------------------------------------------
 
-def specialized_rank(m: PolyMatrix, point: int = 2) -> int:
+SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
+LOCAL_ORDER_CAP = 64           # deepest truncation tau^N of the local route
+
+
+def specialized_rank(m: PolyMatrix) -> int:
     """Rank of a matrix whose nonzero minors only vanish on the unit circle
-    or at zero, via exact evaluation at `point`."""
+    or at zero, via exact evaluation at SPECIALIZATION_POINT."""
     field = m.field
-    x = field.from_int(point)
+    x = field.from_int(SPECIALIZATION_POINT)
     from .linalg import rank as field_rank
     return field_rank(field, m.evaluate(x))
 
@@ -293,7 +302,6 @@ def specialized_rank(m: PolyMatrix, point: int = 2) -> int:
 def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
     """The K_d-matrix of m acting on (K_d[tau]/(tau^order))-columns, entries
     expanded as truncated series at a primitive d-th root of unity."""
-    from .laurent import cyclotomic_field, taylor_at_root
     kd = cyclotomic_field(d)
     nr, nc = m.shape
     rows = [[kd.zero] * (nc * order) for _ in range(nr * order)]
@@ -311,30 +319,92 @@ def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
     return rows
 
 
-def _local_exponent_counts(m: PolyMatrix, d: int, rank: int, cap: int = 64) -> list:
-    """counts[j-1] = number of invariant factors with Phi_d-exponent >= j."""
-    from .laurent import cyclotomic_field
-    from .linalg import rank as field_rank
+def _valuation(kd, series: list) -> int:
+    """Index of the first nonzero coefficient; len(series) when zero."""
+    for v, x in enumerate(series):
+        if not kd.is_zero(x):
+            return v
+    return len(series)
+
+
+def _pivot_valuations(m: PolyMatrix, d: int, order: int) -> list:
+    """Pivot valuations of one elimination of m over K_d[tau]/(tau^order),
+    t = zeta_d + tau, always pivoting on an entry of least valuation.
+
+    Such a pivot divides every remaining entry, so clearing its column
+    from the other rows splits off one local invariant factor: the pivot
+    valuations are the local exponents below `order`, in increasing order.
+    Rows are dicts col -> (valuation, series) of their nonzero entries.
+    """
     kd = cyclotomic_field(d)
-    nr, _nc = m.shape
-    target = nr - rank
-    counts = []
-    c_prev = 0
-    j = 1
-    while True:
-        rows = taylor_block(m, d, j)
-        c_j = nr * j - (field_rank(kd, rows) if rows else 0)
-        delta = c_j - c_prev
-        c_prev = c_j
-        extra = delta - target
-        if extra < 0:
+    series = {}
+    live = []
+    for row in m.entries:
+        sparse = {}
+        for j, e in enumerate(row):
+            if e.is_zero():
+                continue
+            if e not in series:
+                s = taylor_at_root(e, d, order)
+                series[e] = (_valuation(kd, s), s)
+            if series[e][0] < order:
+                sparse[j] = series[e]
+        if sparse:
+            live.append(sparse)
+    vals = []
+    while live:
+        # least valuation first, then the sparsest row to limit fill-in
+        lows = [min(x[0] for x in row.values()) for row in live]
+        p = min(range(len(live)), key=lambda i: (lows[i], len(live[i])))
+        v = lows[p]
+        prow = live[p]
+        live[p] = live[-1]
+        live.pop()
+        j = next(c for c, x in prow.items() if x[0] == v)
+        width = order - v
+        # divide by tau^v: the pivot becomes a unit, the rest of the row
+        # keeps valuation >= 0
+        unit_inv = trunc_inv(kd, prow.pop(j)[1][v:], width)
+        prow = [(k, x[1][v:]) for k, x in prow.items()]
+        rest = []
+        for row in live:
+            c = row.pop(j, None)
+            if c is not None:
+                factor = trunc_mul(kd, c[1][v:], unit_inv, width)
+                for k, x in prow:
+                    prod = trunc_mul(kd, factor, x, width)
+                    old = row[k][1] if k in row else [kd.zero] * order
+                    new = old[:v] + [kd.sub(a, b) for a, b in zip(old[v:], prod)]
+                    nv = _valuation(kd, new)
+                    if nv < order:
+                        row[k] = (nv, new)
+                    else:
+                        row.pop(k, None)
+                if not row:
+                    continue
+            rest.append(row)
+        live = rest
+        vals.append(v)
+    return vals
+
+
+def _local_exponents(m: PolyMatrix, d: int, rank: int) -> list:
+    """The Phi_d-exponents of the `rank` invariant factors of m, ascending.
+
+    Phi_d has a simple root at zeta_d, so they are the exponents of the
+    local Smith form over K_d[[tau]], read off one least-valuation
+    elimination mod tau^N.  N starts at 1, where the elimination is the
+    rank at zeta_d, and doubles while fewer than `rank` pivots show.
+    """
+    order = 1
+    while order <= LOCAL_ORDER_CAP:
+        vals = _pivot_valuations(m, d, order)
+        if len(vals) > rank:
             raise ArithmeticError(f"inconsistent local ranks at Phi_{d}")
-        if extra == 0:
-            return counts
-        counts.append(extra)
-        j += 1
-        if j > cap:
-            raise ArithmeticError(f"Phi_{d}-exponents did not stabilize")
+        if len(vals) == rank:
+            return vals
+        order *= 2
+    raise ArithmeticError(f"Phi_{d}-exponents did not stabilize")
 
 
 def cyclotomic_candidates(g, c: Character) -> list:
@@ -368,14 +438,9 @@ def cyclotomic_invariant_factors(m: PolyMatrix, candidates) -> SmithForm:
         return SmithForm(invariant_factors=[], rank=0)
     slots_by_d = {}
     for d in candidates:
-        counts = _local_exponent_counts(m, d, r)
-        if not counts:
-            continue
-        slots = [0] * r
-        for j, cnt in enumerate(counts, start=1):
-            for idx in range(r - cnt, r):
-                slots[idx] = j
-        slots_by_d[d] = slots
+        slots = _local_exponents(m, d, r)
+        if slots[-1]:
+            slots_by_d[d] = slots
     from .scalars import FieldSpec
     qq = FieldSpec()
     factors = []

@@ -141,7 +141,7 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int) -> WeightedComplex:
         for X in bases[n]:
             col = {}
             if tb is not None:
-                j = tb.cols.index(X)
+                j = fc.position(X)
                 for i, Y in enumerate(tb.rows):
                     entry = tb.entries[i][j]
                     if entry.is_zero():

@@ -1,0 +1,265 @@
+"""Differential tests of the exact kernels under the characteristic-zero
+Smith route against naive reference algorithms kept in this file:
+Horner expansion of truncated series, dense Gaussian elimination, and
+Phi_d-exponents from cokernel dimensions of one dense Taylor block per
+truncation depth.
+"""
+
+import copy
+import random
+
+import pytest
+
+from artinkernels import (LaurentPoly, PolyMatrix, build_flag_complex,
+                          cyclotomic_field, residue_eval, twisted_boundary)
+from artinkernels import smith
+from artinkernels.laurent import taylor_at_root, trunc_inv, trunc_mul
+from artinkernels.linalg import rank
+from artinkernels.scalars import PrimeField
+from artinkernels.smith import (LOCAL_ORDER_CAP, cyclotomic_candidates,
+                                specialized_rank, taylor_block)
+
+from conftest import QQ, random_case
+
+Q = QQ.scalars()
+ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
+
+
+def L(coeffs):
+    return LaurentPoly(Q, {e: Q.from_int(c) for e, c in coeffs.items()})
+
+
+def pm(rows):
+    entries = [[e if isinstance(e, LaurentPoly) else L(e) for e in row] for row in rows]
+    return PolyMatrix([(f"r{i}",) for i in range(len(rows))],
+                      [(f"c{j}",) for j in range(len(rows[0]))], entries, Q)
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+def horner_taylor(f, d, order):
+    """f(zeta_d + tau) mod tau^order by Horner in K_d[tau]/(tau^order)."""
+    kd = cyclotomic_field(d)
+    if f.is_zero():
+        return [kd.zero] * order
+    lin = ([kd.gen, kd.one] + [kd.zero] * max(0, order - 2))[:order]
+    cs, val = f.dense()
+    acc = [kd.zero] * order
+    for coeff in reversed(cs):
+        acc = trunc_mul(kd, acc, lin, order)
+        acc[0] = kd.add(acc[0], kd.embed(coeff))
+    step = lin if val > 0 else trunc_inv(kd, lin, order)
+    for _ in range(abs(val)):
+        acc = trunc_mul(kd, acc, step, order)
+    return acc
+
+
+def dense_rank(field, rows):
+    """Rank by dense elimination, first nonzero pivot."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for j in range(ncols):
+        piv = next((i for i in range(r, len(m)) if not field.is_zero(m[i][j])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][j])
+        for i in range(r + 1, len(m)):
+            if not field.is_zero(m[i][j]):
+                f = field.mul(m[i][j], inv)
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def block_exponents(m, d, rank_):
+    """Phi_d-exponents from cokernel dimensions over K_d[tau]/(tau^j),
+    one dense Taylor block per j: the count of exponents >= j is the jump
+    of the cokernel dimension beyond the corank."""
+    kd = cyclotomic_field(d)
+    nr = m.shape[0]
+    exps = [0] * rank_
+    prev = 0
+    for j in range(1, LOCAL_ORDER_CAP + 1):
+        rows = taylor_block(m, d, j)
+        coker = nr * j - (dense_rank(kd, rows) if rows else 0)
+        at_least_j = coker - prev - (nr - rank_)
+        prev = coker
+        if at_least_j == 0:
+            return exps
+        for i in range(rank_ - at_least_j, rank_):
+            exps[i] = j
+    raise AssertionError("reference did not stabilize")
+
+
+def random_laurent(rng, lo=-4, hi=6, terms=4):
+    return L({rng.randint(lo, hi): rng.randint(-3, 3) for _ in range(terms)})
+
+
+# ---------------------------------------------------------------------------
+# Taylor coefficients at roots of unity
+# ---------------------------------------------------------------------------
+
+def test_binomial_taylor_matches_horner():
+    rng = random.Random(7)
+    polys = [L({}), L({0: 5}), L({-1: 1}), L({-3: 2, 4: -1}), L({1: 1, 0: -1})]
+    polys += [random_laurent(rng) for _ in range(12)]
+    for d in ORDERS_D:
+        for order in range(1, 6):
+            for f in polys:
+                assert taylor_at_root(f, d, order) == horner_taylor(f, d, order), \
+                    (str(f), d, order)
+
+
+def test_residue_eval_is_the_order_one_coefficient():
+    rng = random.Random(8)
+    for d in ORDERS_D:
+        kd = cyclotomic_field(d)
+        for _ in range(10):
+            f = random_laurent(rng, lo=-2 * d, hi=2 * d)
+            assert residue_eval(f, d) == horner_taylor(f, d, 1)[0]
+        assert residue_eval(L({-d: 1}), d) == kd.one
+
+
+def test_taylor_of_a_cyclotomic_vanishes_to_first_order():
+    from artinkernels.laurent import cyclotomic_int
+    for d in ORDERS_D:
+        kd = cyclotomic_field(d)
+        phi = L(dict(enumerate(cyclotomic_int(d))))
+        c0, c1 = taylor_at_root(phi * phi.shift(-3), d, 2)
+        assert kd.is_zero(c0) and kd.is_zero(c1)
+        c0, c1 = taylor_at_root(phi.shift(-1), d, 2)
+        assert kd.is_zero(c0) and not kd.is_zero(c1)
+
+
+# ---------------------------------------------------------------------------
+# sparse field rank
+# ---------------------------------------------------------------------------
+
+def random_matrix(rng, field, draw, nr, nc, inner, density):
+    """An nr x nc product of random nr x inner and inner x nc factors,
+    so the rank is at most `inner`; `density` thins the left factor."""
+    a = [[draw() if rng.random() < density else field.zero for _ in range(inner)]
+         for _ in range(nr)]
+    b = [[draw() for _ in range(nc)] for _ in range(inner)]
+    out = []
+    for row in a:
+        acc = [field.zero] * nc
+        for x, brow in zip(row, b):
+            if not field.is_zero(x):
+                acc = [field.add(s, field.mul(x, y)) for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(5)", "K_5", "K_12"])
+def test_sparse_rank_matches_dense_reference(field_name):
+    rng = random.Random(field_name)
+    if field_name == "Q":
+        field = Q
+        draw = lambda: Q.from_int(rng.randint(-2, 2))  # noqa: E731
+    elif field_name == "GF(5)":
+        field = PrimeField(5)
+        draw = lambda: rng.randrange(5)  # noqa: E731
+    else:
+        field = cyclotomic_field(int(field_name[2:]))
+        draw = lambda: field.add(field.from_int(rng.randint(-1, 1)),  # noqa: E731
+                                 field.mul(field.gen, field.from_int(rng.randint(-1, 1))))
+    for _ in range(12):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, field, draw, nr, nc, rng.randint(0, 5),
+                          rng.choice((0.3, 0.7, 1.0)))
+        before = copy.deepcopy(m)
+        assert rank(field, m) == dense_rank(field, m)
+        assert m == before, "rank must not mutate its input"
+
+
+def test_sparse_rank_edge_cases():
+    assert rank(Q, []) == 0
+    assert rank(Q, [[]]) == 0
+    assert rank(Q, [[Q.zero] * 3 for _ in range(4)]) == 0
+    one = Q.one
+    assert rank(Q, [[one, one], [one, one], [Q.zero, one]]) == 2
+    f5 = PrimeField(5)
+    assert rank(f5, [[1, 2], [2, 4]]) == 1
+
+
+def test_sparse_rank_of_boundaries_matches_dense_reference():
+    rng = random.Random(3)
+    for _ in range(6):
+        g, chi = random_case(rng, max_vertices=6)
+        fc = build_flag_complex(g)
+        for k in range(0, fc.dim + 2):
+            rows = twisted_boundary(fc, chi, QQ, k).evaluate(Q.from_int(2))
+            before = copy.deepcopy(rows)
+            assert rank(Q, rows) == dense_rank(Q, rows)
+            assert rows == before
+
+
+# ---------------------------------------------------------------------------
+# local exponents
+# ---------------------------------------------------------------------------
+
+def test_local_exponents_match_the_block_reference():
+    rng = random.Random(17)
+    checked = deep = 0
+    for _ in range(20):
+        g, chi = random_case(rng, max_vertices=5, labels=(2, 4))
+        fc = build_flag_complex(g)
+        for k in range(0, fc.dim + 2):
+            m = twisted_boundary(fc, chi, QQ, k)
+            r = specialized_rank(m)
+            if r == 0:
+                continue
+            for d in cyclotomic_candidates(g, chi):
+                exps = smith._local_exponents(m, d, r)
+                assert exps == block_exponents(m, d, r), (g.edge_list, k, d)
+                checked += 1
+                deep += exps[-1] >= 2
+    assert checked > 100 and deep > 0
+
+
+def test_deep_exponent_doubles_the_truncation(monkeypatch):
+    phi3 = L({0: 1, 1: 1, 2: 1})
+    tm1 = L({0: -1, 1: 1})
+    zero = L({})
+    # U * diag(Phi_3^5, Phi_3 (t-1)) * V with unimodular U, V
+    d = [[phi3 ** 5, zero], [zero, phi3 * tm1]]
+    u = [[L({0: 1}), L({1: 1})], [zero, L({0: 1})]]
+    v = [[L({0: 1}), zero], [L({-1: 1, 0: 1}), L({0: 1})]]
+
+    def mul(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(2)), zero) for j in range(2)]
+                for i in range(2)]
+
+    m = pm(mul(mul(u, d), v))
+    orders = []
+    real = smith._pivot_valuations
+
+    def spy(mat, dd, order):
+        orders.append(order)
+        return real(mat, dd, order)
+
+    monkeypatch.setattr(smith, "_pivot_valuations", spy)
+    assert smith._local_exponents(m, 3, 2) == [1, 5]
+    assert orders == [1, 2, 4, 8]
+    assert smith._local_exponents(m, 1, 2) == [0, 1]
+    assert smith._local_exponents(m, 2, 2) == [0, 0]
+
+
+def test_exponent_beyond_the_cap_raises():
+    phi2 = L({0: 1, 1: 1})
+    m = pm([[phi2 ** LOCAL_ORDER_CAP]])
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
+        smith._local_exponents(m, 2, 1)
+    m = pm([[phi2 ** (LOCAL_ORDER_CAP - 1)]])
+    assert smith._local_exponents(m, 2, 1) == [LOCAL_ORDER_CAP - 1]
+
+
+def test_more_pivots_than_the_rank_raises():
+    m = pm([[{0: 1}, {}], [{}, {0: 1}]])
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        smith._local_exponents(m, 3, 1)
