@@ -31,9 +31,9 @@ from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import (ModuleDecomposition, boundary_smith_form,
                     decompose_torsion, verify_shape)
-from .spectral import (ForestBudgetError, TorsionTable, forest_fitting_h1,
-                       jordan_bound_check, page_dims, solve_torsion,
-                       weighted_complex)
+from .spectral import (ForestBudgetError, TorsionTable, forest_budget,
+                       forest_fitting_h1, jordan_bound_check, page_dims,
+                       solve_torsion, weighted_complex)
 from .twisted import twisted_boundary
 
 SCHEMA = "artinkernels-report/1"
@@ -135,7 +135,6 @@ class JobConfig:
     cross_check: bool = True
     dump_pages: bool = False
     dump_matrices: bool = False
-    forest_budget: int | None = None
 
     def __post_init__(self):
         if not self.methods:
@@ -191,6 +190,7 @@ def _poly_list(polys) -> list:
 
 def run(job: JobConfig) -> Report:
     t0 = time.perf_counter()
+    budget = forest_budget()
     if job.text is not None:
         text = job.text
     elif job.input_path is not None:
@@ -346,7 +346,7 @@ def run(job: JobConfig) -> Report:
     want_forest = "forest" in job.methods
     if want_forest and res.is_K_nonresonant and connected:
         try:
-            factors = forest_fitting_h1(g, character, fspec, job.forest_budget)
+            factors = forest_fitting_h1(g, character, fspec, budget)
         except ForestBudgetError as exc:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
@@ -503,6 +503,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    try:
+        forest_budget()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.selfcheck:
         return self_check()
     if args.input is None:

@@ -486,6 +486,29 @@ def mult_d(f: LaurentPoly, d: int) -> int:
     return count
 
 
+def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
+    """{d: exponent of Phi_d in t^n - 1} in characteristic char, n != 0.
+
+    With |n| = p^a n', p = char not dividing n' (p^a = 1 if char is 0),
+    t^n - 1 is a unit times (t^n' - 1)^(p^a), the product of Phi_d^(p^a)
+    over d | n'.
+    """
+    if n == 0:
+        raise ZeroPolynomialError("t^0 - 1 is zero")
+    n, power = abs(n), 1
+    while char and n % char == 0:
+        n, power = n // char, power * char
+    return {d: power for d in range(1, n + 1) if n % d == 0}
+
+
+def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
+    """The product of Phi_d^k over the (d, k) in mults, over fspec."""
+    out = LaurentPoly.one(fspec.scalars())
+    for d, k in sorted(mults.items()):
+        out = out * cyclotomic(d, fspec).poly ** k
+    return out
+
+
 # ---------------------------------------------------------------------------
 # factorization of invariant factors
 # ---------------------------------------------------------------------------

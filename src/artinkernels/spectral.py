@@ -31,12 +31,20 @@ pages determines every n_(k,j).
 An independent route to the degree-0 torsion enumerates rooted spanning
 forests: the gcd of the forest weight polynomials with s trees is the
 s-th Fitting ideal of the degree-1 boundary, and successive quotients are
-its invariant factors.
+its invariant factors.  Over any field K every forest weight is a unit
+times a product of factors t^N - 1 and q-factors
+(t^(lt m_e) - 1)/(t^(m_e) - 1).  With p = char K and N = p^a N' where p
+does not divide N' (p^a = 1 in characteristic zero), t^N - 1 is the
+product of Phi_d^(p^a) over d | N'.  The Phi_d with p not dividing d are
+pairwise coprime, because they all divide a separable t^L - 1, so each
+gcd is the product of Phi_d raised to the least exponent over the
+forests, and the route needs only integer exponents per order d.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -44,8 +52,8 @@ from dataclasses import dataclass, field
 from .flag import FlagComplex
 from .graphs import Character, connected_components, resonance_sets
 from .laurent import (LaurentPoly, cyclotomic_field, cyclotomic_int,
-                      factor_invariant, laurent_gcd, normalize_unit, q_poly,
-                      residue_eval)
+                      cyclotomic_product, residue_eval,
+                      t_minus_one_multiplicities)
 from .linalg import staircase_leads
 from .scalars import FieldSpec
 from .twisted import twisted_boundary
@@ -339,46 +347,13 @@ def jordan_bound_check(tt: TorsionTable) -> bool:
 # rooted spanning forests: the independent degree-0 route
 # ---------------------------------------------------------------------------
 
-def _forest_contribution(g, c: Character, fspec: FieldSpec, chosen) -> LaurentPoly:
-    """Weight polynomial of one spanning forest, already divided by the full
-    vertex product and gcd-ed over root choices tree by tree."""
-    field = fspec.scalars()
-    comp = {v: v for v in g.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    deg = {v: 0 for v in g.vertices}
-    for (u, v) in chosen:
-        deg[u] += 1
-        deg[v] += 1
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[ru] = rv
-    trees: dict = {}
-    for v in g.vertices:
-        trees.setdefault(find(v), []).append(v)
-
-    total = LaurentPoly.one(field)
-    for members in trees.values():
-        if len(members) == 1:
-            continue
-        root_gcd = 0
-        for v in members:
-            root_gcd = math.gcd(root_gcd, abs(c.m(v)))
-        piece = LaurentPoly.t_power(field, root_gcd) - LaurentPoly.one(field)
-        # a tree vertex of degree 1 contributes exponent 0 after the division
-        for v in members:
-            if deg[v] > 1:
-                vf = LaurentPoly.t_power(field, c.m(v)) - LaurentPoly.one(field)
-                piece = piece * vf ** (deg[v] - 1)
-        total = total * piece
-    for (u, v) in chosen:
-        total = total * q_poly(g.ell_tilde(u, v), c.m_edge(u, v), field)
-    return total
+def forest_budget() -> int:
+    """The leaf budget of the forest enumeration: ARTINKERNELS_FOREST_BUDGET,
+    an integer >= 0, or the default."""
+    raw = os.environ.get(FOREST_BUDGET_ENV, str(DEFAULT_FOREST_BUDGET))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{FOREST_BUDGET_ENV} must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
@@ -387,9 +362,12 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
     spanning forests; the nontrivial ones are the torsion of H_1.
 
     Returns the full chain d_1 | d_2 | ... (trivial factors included) so
-    callers can compare against the Smith normal form directly.  The
-    q-polynomial product is accumulated along the enumeration so each
-    forest costs one polynomial product, not one per edge.
+    callers can compare against the Smith normal form directly.  Every
+    forest weight is, up to a unit, a product of Phi_d over orders d prime
+    to char K, and these are pairwise coprime (module docstring).  So a
+    forest is one integer exponent per order d, the gcd over the forests
+    with s trees is the elementwise minimum, and a polynomial is expanded
+    only once per s.
     """
     res = resonance_sets(g, c, fspec)
     if not res.is_K_nonresonant:
@@ -398,73 +376,91 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("spanning forests need a connected graph")
     if budget is None:
-        budget = int(os.environ.get(FOREST_BUDGET_ENV, DEFAULT_FOREST_BUDGET))
-    field = fspec.scalars()
+        budget = forest_budget()
+    p = fspec.char
     n = len(g.vertices)
-    verts = list(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
     edges = g.edge_list
-    edge_q = [q_poly(g.ell_tilde(u, v), c.m_edge(u, v), field) for (u, v) in edges]
-    tm1 = [LaurentPoly.t_power(field, c.m(v)) - LaurentPoly.one(field) for v in verts]
-    one = LaurentPoly.one(field)
-    f_by_s = {s: None for s in range(1, n + 1)}
+
+    def q_mults(u, v) -> dict:
+        # q_lt(t^0) = lt is a unit off resonance
+        me = c.m_edge(u, v)
+        if me == 0:
+            return {}
+        below = t_minus_one_multiplicities(me, p)
+        above = t_minus_one_multiplicities(g.ell_tilde(u, v) * me, p)
+        return {d: k - below.get(d, 0) for d, k in above.items()}
+
+    # tree gcds divide the m_v, so these are all the orders that occur
+    orders = sorted(set().union(
+        *(t_minus_one_multiplicities(c.m(v), p) for v in g.vertices),
+        *(q_mults(u, v) for (u, v) in edges)))
+
+    def vec(mults: dict) -> tuple:
+        return tuple(mults.get(d, 0) for d in orders)
+
+    @functools.cache
+    def tm1(m: int) -> tuple:
+        return vec(t_minus_one_multiplicities(m, p))
+
+    # A forest's exponent vector sums q_e over its edges, (deg v - 1) times
+    # t^(m_v) - 1 over the vertices and t^(gcd of the m_v in T) - 1 over
+    # its trees T.  A one-vertex tree contributes -1 + 1 = 0, so the empty
+    # forest has vector 0, and joining trees of gcds ga and gb by edge i
+    # adds q_e, t^(m_u) - 1 and t^(m_v) - 1 for the two degrees that grow,
+    # and the change of the tree terms.
+    @functools.cache
+    def step(i: int, ga: int, gb: int) -> tuple:
+        u, v = edges[i]
+        return tuple(q + mu + mv + m - a - b for q, mu, mv, m, a, b in zip(
+            vec(q_mults(u, v)), tm1(c.m(u)), tm1(c.m(v)),
+            tm1(math.gcd(ga, gb)), tm1(ga), tm1(gb)))
+
+    ends = [(g.index(u), g.index(v)) for (u, v) in edges]
+    parent = list(range(n))
+    root_gcd = [abs(c.m(v)) for v in g.vertices]
+    # vectors built by map are lists: tuple(map(...)) allocates for a
+    # guessed length and shrinks, so freed tuples pile up on a free list
+    best = {}   # number of trees -> least exponent vector so far
     count = 0
 
-    def leaf(acc_q, deg, parent, size, mgcd):
+    def rec(i, acc, trees):
         nonlocal count
-        count += 1
-        if count > budget:
-            raise ForestBudgetError(f"more than {budget} spanning forests; "
-                                    f"raise {FOREST_BUDGET_ENV} to proceed")
-        s = n - sum(deg) // 2
-        if f_by_s[s] == one:
-            return
-        small = one
-        for i in range(n):
-            if deg[i] > 1:
-                small = small * tm1[i] ** (deg[i] - 1)
-            if parent[i] == i and size[i] > 1:
-                root_factor = LaurentPoly.t_power(field, mgcd[i]) - one
-                small = small * root_factor
-        contrib = normalize_unit(acc_q * small)
-        prev = f_by_s[s]
-        f_by_s[s] = contrib if prev is None else laurent_gcd(prev, contrib)
-
-    def rec(i, acc_q, deg, parent, size, mgcd):
         if i == len(edges):
-            leaf(acc_q, deg, parent, size, mgcd)
+            count += 1
+            if count > budget:
+                raise ForestBudgetError(f"more than {budget} spanning forests; "
+                                        f"raise {FOREST_BUDGET_ENV} to proceed")
+            best[trees] = list(map(min, best.get(trees, acc), acc))
             return
-        rec(i + 1, acc_q, deg, parent, size, mgcd)
-        u, v = edges[i]
-        ru, rv = _find(parent, index[u]), _find(parent, index[v])
+        rec(i + 1, acc, trees)
+        ru, rv = _find(parent, ends[i][0]), _find(parent, ends[i][1])
         if ru == rv:
             return
-        parent2, size2, mgcd2, deg2 = list(parent), list(size), list(mgcd), list(deg)
-        parent2[ru] = rv
-        size2[rv] += size2[ru]
-        mgcd2[rv] = math.gcd(mgcd2[rv], mgcd2[ru])
-        deg2[index[u]] += 1
-        deg2[index[v]] += 1
-        rec(i + 1, acc_q * edge_q[i], deg2, parent2, size2, mgcd2)
+        ga, gb = root_gcd[ru], root_gcd[rv]
+        parent[ru] = rv
+        root_gcd[rv] = math.gcd(ga, gb)
+        rec(i + 1, list(map(int.__add__, acc, step(i, ga, gb))), trees - 1)
+        parent[ru] = ru
+        root_gcd[rv] = gb
 
-    rec(0, one, [0] * n, list(range(n)), [1] * n,
-        [abs(c.m(v)) for v in verts])
+    rec(0, vec({}), n)
 
     factors = []
     for s in range(n - 1, 0, -1):
-        quotient = f_by_s[s].exact_div(f_by_s[s + 1])
-        factors.append(normalize_unit(quotient))
-    if fspec.char == 0:
+        drop = {d: a - b for d, a, b in zip(orders, best[s], best[s + 1])}
+        if any(k < 0 for k in drop.values()):
+            raise ValueError(f"forest gcds with {s} and {s + 1} trees do not "
+                             "form a divisibility chain")
+        fac = cyclotomic_product(drop, fspec)
         # p_e and q_e have simple roots in characteristic zero, so removing
         # a forest edge moves any multiplicity by at most 2 and Jordan
         # blocks of the degree-0 torsion have size at most 2; mod p the
         # roots can repeat (p | m_v or p | lt(e)) and larger blocks occur
-        for fac in factors:
-            for term in factor_invariant(fac, fspec):
-                if term.exponent > 2:
-                    raise NegativeMultiplicityError(
-                        f"forest invariant factor {fac} has a cube factor; "
-                        "degree-0 Jordan blocks are bounded by 2")
+        if fspec.char == 0 and any(k > 2 for k in drop.values()):
+            raise NegativeMultiplicityError(
+                f"forest invariant factor {fac} has a cube factor; "
+                "degree-0 Jordan blocks are bounded by 2")
+        factors.append(fac)
     return factors
 
 

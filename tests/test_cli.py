@@ -203,6 +203,22 @@ def test_forest_budget_env_var(monkeypatch):
         "raise" in rep.data["methods"]["forest"]["reason"]
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_forest_budget_is_a_usage_error(value, tmp_path, monkeypatch, capsys):
+    import artinkernels.cli as cli
+    from artinkernels.spectral import FOREST_BUDGET_ENV
+    monkeypatch.setenv(FOREST_BUDGET_ENV, value)
+    # the value is checked before any computation starts
+    monkeypatch.setattr(cli, "run", lambda job: pytest.fail("run was reached"))
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert cli.main([str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: {FOREST_BUDGET_ENV} must be an integer >= 0, "
+                       f"got {value!r}\n")
+
+
 def test_main_exit_code_3_on_mismatch(tmp_path, monkeypatch, capsys):
     import artinkernels.cli as cli
 

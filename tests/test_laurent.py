@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from artinkernels import (LaurentPoly, ZeroPolynomialError, cyclotomic,
                           cyclotomic_field, factor_invariant, laurent_gcd,
                           mult_d, normalize_unit, q_poly, residue_eval)
-from artinkernels.laurent import cyclotomic_int, dense_divmod
+from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
+                                  dense_divmod, t_minus_one_multiplicities)
+from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
 
@@ -233,3 +235,33 @@ def test_cyclotomic_int_degree_is_totient():
     from artinkernels.laurent import totient
     for d in range(1, 40):
         assert len(cyclotomic_int(d)) - 1 == totient(d)
+
+
+# -- cyclotomic multiplicities of t^N - 1 ----------------------------------
+
+FIELDS = (QQ, F2, F3, FieldSpec(5))
+
+
+def test_t_minus_one_multiplicities_expand_to_t_power_minus_one():
+    for fspec in FIELDS:
+        field = fspec.scalars()
+        for n in [*range(-60, 0), *range(1, 61)]:
+            mults = t_minus_one_multiplicities(n, fspec.char)
+            want = normalize_unit(L({n: 1, 0: -1}, field))
+            assert cyclotomic_product(mults, fspec) == want, (n, fspec)
+        with pytest.raises(ZeroPolynomialError):
+            t_minus_one_multiplicities(0, fspec.char)
+
+
+def test_q_factor_multiplicities_by_difference():
+    # q_k(t^m) = (t^(km) - 1)/(t^m - 1), so its exponents are differences,
+    # including mod p where p | k makes them larger than one
+    for fspec in FIELDS:
+        field = fspec.scalars()
+        for k, m in ((3, -4), (2, 3), (6, 5), (5, 2)):
+            top = t_minus_one_multiplicities(k * m, fspec.char)
+            bottom = t_minus_one_multiplicities(m, fspec.char)
+            mults = {d: e - bottom.get(d, 0) for d, e in top.items()}
+            assert min(mults.values()) >= 0
+            assert (cyclotomic_product(mults, fspec)
+                    == normalize_unit(q_poly(k, m, field))), (k, m, fspec)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -11,9 +13,13 @@ from artinkernels import (TorsionTable, build_flag_complex, forest_fitting_h1,
 from artinkernels.spectral import (DisconnectedGraphError,
                                    ForestBudgetError, ResonantCharacterError,
                                    chi_rel)
-from artinkernels import Character, LabeledGraph
+from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
+                          normalize_unit, q_poly, resonance_sets)
+from artinkernels.scalars import FieldSpec
 
-from conftest import QQ, F2, dihedral_graph, random_case, square_graph
+from conftest import QQ, F2, F3, dihedral_graph, random_case, square_graph
+
+F5 = FieldSpec(5)
 
 Q = QQ.scalars()
 
@@ -463,11 +469,103 @@ def test_forest_guards():
         forest_fitting_h1(gs, chis, QQ, budget=3)
 
 
+def _forest_contribution(g, c, fspec, chosen) -> LaurentPoly:
+    """Weight polynomial of one spanning forest, already divided by the full
+    vertex product and gcd-ed over root choices tree by tree: the
+    polynomial reference for the forest route."""
+    field = fspec.scalars()
+    comp = {v: v for v in g.vertices}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    deg = {v: 0 for v in g.vertices}
+    for (u, v) in chosen:
+        deg[u] += 1
+        deg[v] += 1
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            comp[ru] = rv
+    trees: dict = {}
+    for v in g.vertices:
+        trees.setdefault(find(v), []).append(v)
+
+    total = LaurentPoly.one(field)
+    for members in trees.values():
+        if len(members) == 1:
+            continue
+        root_gcd = 0
+        for v in members:
+            root_gcd = math.gcd(root_gcd, abs(c.m(v)))
+        piece = LaurentPoly.t_power(field, root_gcd) - LaurentPoly.one(field)
+        # a tree vertex of degree 1 contributes exponent 0 after the division
+        for v in members:
+            if deg[v] > 1:
+                vf = LaurentPoly.t_power(field, c.m(v)) - LaurentPoly.one(field)
+                piece = piece * vf ** (deg[v] - 1)
+        total = total * piece
+    for (u, v) in chosen:
+        total = total * q_poly(g.ell_tilde(u, v), c.m_edge(u, v), field)
+    return total
+
+
+def _forest_chain_reference(g, c, fspec) -> list:
+    """Invariant factors as quotients of per-forest polynomial gcds, the
+    forests enumerated as the acyclic edge subsets."""
+    n = len(g.vertices)
+    gcds = {}
+    for r in range(n):
+        for chosen in itertools.combinations(g.edge_list, r):
+            comp = {v: v for v in g.vertices}
+            for (u, v) in chosen:
+                while comp[u] != u:
+                    u = comp[u]
+                while comp[v] != v:
+                    v = comp[v]
+                if u == v:
+                    break
+                comp[u] = v
+            else:
+                w = normalize_unit(_forest_contribution(g, c, fspec, chosen))
+                gcds[n - r] = laurent_gcd(gcds[n - r], w) if n - r in gcds else w
+    return [normalize_unit(gcds[s].exact_div(gcds[s + 1]))
+            for s in range(n - 1, 0, -1)]
+
+
+def test_forest_route_matches_per_forest_polynomial_gcds():
+    """The exponent-vector route against polynomial gcds over brute-force
+    forests, over Q and GF(p), with the cases where p repeats roots."""
+    rng = random.Random(97)
+    seen = {"p | m_v": 0, "p | lt m_e": 0, "m_e = 0, lt > 1": 0}
+    checked = 0
+    for _ in range(40):
+        g, chi = random_case(rng, max_vertices=5, require_connected=True)
+        for fspec in (QQ, F2, F3, F5):
+            if not resonance_sets(g, chi, fspec).is_K_nonresonant:
+                continue
+            p = fspec.char
+            if p and any(chi.m(v) % p == 0 for v in g.vertices):
+                seen["p | m_v"] += 1
+            for (u, v) in g.edge_list:
+                me, lt = chi.m_edge(u, v), g.ell_tilde(u, v)
+                if p and me and (lt * me) % p == 0:
+                    seen["p | lt m_e"] += 1
+                # off resonance p does not divide lt here
+                if p and me == 0 and lt > 1:
+                    seen["m_e = 0, lt > 1"] += 1
+            want = _forest_chain_reference(g, chi, fspec)
+            assert forest_fitting_h1(g, chi, fspec) == want, (
+                g.raw_edges, chi.values, fspec)
+            checked += 1
+    assert checked >= 100 and min(seen.values()) > 0, (checked, seen)
+
+
 def test_forest_multiplicity_jump_bound():
     """Removing one forest edge changes any cyclotomic multiplicity by <= 2."""
     rng = random.Random(53)
-    from artinkernels.spectral import _forest_contribution
-    from artinkernels import normalize_unit
     for _ in range(5):
         g, chi = random_case(rng, max_vertices=5, require_connected=True)
         support = torsion_support(g, chi)
