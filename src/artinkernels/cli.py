@@ -29,8 +29,7 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
                      torsion_support, validate_graph)
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
-from .smith import (ModuleDecomposition, boundary_smith_form,
-                    decompose_torsion, verify_shape)
+from .smith import boundary_smith_form, decompose_torsion, verify_shape
 from .spectral import (ForestBudgetError, TorsionTable, forest_budget,
                        forest_fitting_h1, jordan_bound_check, page_dims,
                        solve_torsion, weighted_complex)
@@ -256,16 +255,11 @@ def run(job: JobConfig) -> Report:
                   for k in range(0, k_max + 2)}
     snfs = {k: boundary_smith_form(m, fc, character, fspec)
             for k, m in boundaries.items()}
-    decs: dict[int, ModuleDecomposition] = {}
+    decs = [decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
+                              snfs[k + 1], fspec)
+            for k in range(0, k_max + 1)]
     modules = []
-    for k in range(0, k_max + 1):
-        invariant, terms, primary, t1, unknown = decompose_torsion(snfs[k + 1], fspec)
-        free = len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank
-        dec = ModuleDecomposition(k=k, fspec=fspec, free_rank=free,
-                                  invariant_factors=invariant, factor_terms=terms,
-                                  primary_parts=primary, t_minus_1_exponent=t1,
-                                  unidentified=unknown)
-        decs[k] = dec
+    for k, dec in enumerate(decs):
         entry = {
             "k": k,
             "homology_degree": k + 1,
@@ -432,6 +426,12 @@ def run(job: JobConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 FIXTURES = ("dihedral4", "square", "square_diagonal", "square_diagonal_chi2")
+SELF_CHECK = (
+    ("dihedral4", FieldSpec()), ("dihedral4", FieldSpec(2)),
+    ("square", FieldSpec()),
+    ("square_diagonal", FieldSpec(2)), ("square_diagonal", FieldSpec()),
+    ("square_diagonal_chi2", FieldSpec(2)),
+)
 
 
 def fixture_text(name: str) -> str:
@@ -440,14 +440,8 @@ def fixture_text(name: str) -> str:
 
 def self_check(out=sys.stdout) -> int:
     """Run every bundled fixture under its natural fields with all methods."""
-    combos = [
-        ("dihedral4", FieldSpec()), ("dihedral4", FieldSpec(2)),
-        ("square", FieldSpec()),
-        ("square_diagonal", FieldSpec(2)), ("square_diagonal", FieldSpec()),
-        ("square_diagonal_chi2", FieldSpec(2)),
-    ]
     bad = 0
-    for name, fspec in combos:
+    for name, fspec in SELF_CHECK:
         job = JobConfig(text=fixture_text(name), field=fspec, fmt="text")
         rep = run(job)
         verdict = "ok" if rep.ok else "MISMATCH"

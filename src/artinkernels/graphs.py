@@ -48,7 +48,7 @@ class ValidationReport:
 class LabeledGraph:
     """Finite simplicial graph with even labels and a fixed vertex order."""
 
-    __slots__ = ("vertices", "_index", "labels", "raw_edges")
+    __slots__ = ("vertices", "_index", "labels", "raw_edges", "issues")
 
     def __init__(self, vertices, edges, strict: bool = True):
         self.vertices = tuple(vertices)
@@ -77,6 +77,7 @@ class LabeledGraph:
                 continue
             labels[key] = l
         self.labels = labels
+        self.issues = tuple(problems)
         if strict and problems:
             raise GraphError("; ".join(problems))
 
@@ -115,27 +116,9 @@ class LabeledGraph:
 
 
 def validate_graph(g: LabeledGraph) -> ValidationReport:
-    """Re-check every invariant against the raw edge data (report style)."""
-    issues = []
-    seen = set()
-    for u, v, l in g.raw_edges:
-        if u not in g._index or v not in g._index:
-            issues.append(f"edge ({u},{v}): unknown endpoint")
-            continue
-        if u == v:
-            issues.append(f"edge ({u},{v}): loop")
-            continue
-        key = g._pair(u, v)
-        if key in seen:
-            issues.append(f"edge ({u},{v}): duplicate edge")
-        seen.add(key)
-        if l < 2:
-            issues.append(f"edge ({u},{v}): label {l} is < 2")
-        elif l % 2 != 0:
-            issues.append(f"edge ({u},{v}): odd label {l}")
-    if not g.vertices:
-        issues.append("empty vertex set")
-    return ValidationReport(tuple(issues))
+    """The edge problems the constructor found (report style), and an empty
+    vertex set."""
+    return ValidationReport(g.issues + (() if g.vertices else ("empty vertex set",)))
 
 
 class Character:

@@ -61,11 +61,6 @@ def dense_neg(field: Field, a: list) -> list:
 def dense_sub(field: Field, a: list, b: list) -> list:
     return dense_add(field, a, dense_neg(field, b))
 
-def dense_scale(field: Field, a: list, c) -> list:
-    if field.is_zero(c):
-        return []
-    return [field.mul(x, c) for x in a]
-
 
 def dense_mul(field: Field, a: list, b: list) -> list:
     if not a or not b:
@@ -137,18 +132,6 @@ def dense_gcd(field: Field, a: list, b: list) -> list:
     return dense_monic(field, a)
 
 
-def dense_pow(field: Field, a: list, n: int) -> list:
-    out = [field.one]
-    base = list(a)
-    while n:
-        if n & 1:
-            out = dense_mul(field, out, base)
-        n >>= 1
-        if n:
-            base = dense_mul(field, base, base)
-    return out
-
-
 def dense_powmod(field: Field, a: list, n: int, mod: list) -> list:
     out = [field.one]
     base = dense_divmod(field, a, mod)[1]
@@ -159,13 +142,6 @@ def dense_powmod(field: Field, a: list, n: int, mod: list) -> list:
         if n:
             base = dense_divmod(field, dense_mul(field, base, base), mod)[1]
     return out
-
-
-def dense_eval(field: Field, a: list, x):
-    acc = field.zero
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def dense_deriv(field: Field, a: list) -> list:
@@ -584,7 +560,6 @@ def _equal_degree_split(field: Field, f: list, dd: int, rng: random.Random) -> l
     if n == dd:
         return [f]
     p = field.char
-    t_poly = [field.zero, field.one]
     while True:
         a = [field.from_int(rng.randrange(p)) for _ in range(n)]
         a = dense_trim(field, a)
@@ -607,7 +582,6 @@ def _equal_degree_split(field: Field, f: list, dd: int, rng: random.Random) -> l
             h = dense_divmod(field, f, g)[0]
             return (_equal_degree_split(field, g, dd, rng)
                     + _equal_degree_split(field, h, dd, rng))
-        _ = t_poly  # keep rng advancing until a split lands
 
 
 def _factor_p(field: Field, cs: list) -> list[tuple[list, int]]:

@@ -164,10 +164,6 @@ class FieldSpec:
             raise ValueError(f"field characteristic {self.p} is not prime")
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime-field"
-
-    @property
     def char(self) -> int:
         return 0 if self.p is None else self.p
 

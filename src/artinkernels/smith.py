@@ -22,10 +22,13 @@ Two diagonalization engines live here.
   per candidate d (after Wilkening and Yu's local construction of the
   Smith form).  Field arithmetic in K_d only, so nothing ever grows; this
   is the engine behind every characteristic-zero homology computation.
+  It keeps those exponents in `SmithForm.exponents`.
 
-Torsion of the degree-k homology module is read off the nontrivial
-invariant factors of the degree-(k+1) boundary; the free rank comes from
-rank-nullity over the fraction field K(t).
+:func:`decompose_torsion` turns the nontrivial invariant factors of the
+degree-(k+1) boundary into the torsion of the degree-k homology module.
+Over Q it reads the primary parts straight from the Phi_d-exponents, so
+nothing is factored again; over GF(p) it factors the polynomials.  The
+free rank comes from rank-nullity over the fraction field K(t).
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from fractions import Fraction
 
 from .flag import FlagComplex
 from .graphs import Character, ResonanceSets
-from .laurent import (LaurentPoly, cyclotomic, cyclotomic_field, dense_add,
-                      dense_divmod, dense_monic, dense_mul, dense_sub,
-                      factor_invariant, laurent_from_dense, taylor_at_root,
-                      trunc_inv, trunc_mul)
-from .scalars import FieldSpec
+from .laurent import (Factor, LaurentPoly, cyclotomic, cyclotomic_field,
+                      cyclotomic_product, dense_add, dense_divmod, dense_monic,
+                      dense_mul, dense_sub, factor_invariant,
+                      laurent_from_dense, taylor_at_root, trunc_inv, trunc_mul)
+from .scalars import QQ, FieldSpec
 from .twisted import PolyMatrix, twisted_boundary
 
 
@@ -59,6 +62,9 @@ class SmithForm:
     invariant_factors: list  # unit-normalized, chain-divisible, len == rank
     rank: int
     transforms: SmithTransforms | None = None
+    # d -> ascending Phi_d-exponents of the `rank` invariant factors, for
+    # the d that occur; None when the engine does not see them (Euclidean)
+    exponents: dict | None = None
 
     @property
     def nontrivial_factors(self) -> list:
@@ -428,29 +434,24 @@ def cyclotomic_candidates(g, c: Character) -> list:
 
 
 def cyclotomic_invariant_factors(m: PolyMatrix, candidates) -> SmithForm:
-    """Invariant factors of a twisted boundary over Q[t^{+-1}], assembled
-    from their Phi_d-primary exponents for d in `candidates`."""
-    field = m.field
-    if field.char != 0:
+    """Invariant factors of a twisted boundary over Q[t^{+-1}] from their
+    Phi_d-exponents for d in `candidates`.
+
+    The exponents are kept as `SmithForm.exponents`; the polynomials are
+    multiplied out once, for the report and the cross-checks.
+    """
+    if m.field.char != 0:
         raise ValueError("the cyclotomic route needs characteristic zero")
     r = specialized_rank(m)
-    if r == 0:
-        return SmithForm(invariant_factors=[], rank=0)
-    slots_by_d = {}
-    for d in candidates:
-        slots = _local_exponents(m, d, r)
-        if slots[-1]:
-            slots_by_d[d] = slots
-    from .scalars import FieldSpec
-    qq = FieldSpec()
-    factors = []
-    for i in range(r):
-        f = LaurentPoly.one(field)
-        for d, slots in sorted(slots_by_d.items()):
-            if slots[i]:
-                f = f * cyclotomic(d, qq).poly ** slots[i]
-        factors.append(f)
-    return SmithForm(invariant_factors=factors, rank=r)
+    exponents = {}
+    if r:
+        for d in candidates:
+            slots = _local_exponents(m, d, r)
+            if slots[-1]:
+                exponents[d] = slots
+    factors = [cyclotomic_product({d: slots[i] for d, slots in exponents.items()}, QQ)
+               for i in range(r)]
+    return SmithForm(invariant_factors=factors, rank=r, exponents=exponents)
 
 
 def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
@@ -529,32 +530,36 @@ def _tm1_multiplicity(field, f: LaurentPoly) -> int:
     return count
 
 
-def decompose_torsion(snf: SmithForm, fspec: FieldSpec):
-    """Factor the nontrivial invariant factors; returns the pieces used by
-    ModuleDecomposition."""
+def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
+                      fspec: FieldSpec) -> ModuleDecomposition:
+    """The degree-k homology module, its torsion from the Smith form `snf`
+    of the degree-(k+1) boundary.
+
+    Over Q everything is read from `snf.exponents`: Phi_d for d >= 2 gives
+    the primary parts, Phi_1 = t - 1 the (t-1)-exponent, and each
+    invariant factor's terms are its Phi_d^e in ascending d.  Over GF(p)
+    the invariant factors are factored into irreducibles.
+    """
     invariant = snf.nontrivial_factors
-    terms = [factor_invariant(f, fspec) for f in invariant]
-    unidentified = []
-    t1 = 0
-    primary: dict[int, list[int]] | None
     if fspec.char == 0:
-        primary = {}
-        for fl in terms:
-            for fac in fl:
-                if fac.cyclotomic_order is None:
-                    unidentified.append(fac.poly)
-                elif fac.cyclotomic_order == 1:
-                    t1 += fac.exponent
-                else:
-                    primary.setdefault(fac.cyclotomic_order, []).append(fac.exponent)
-        for d in primary:
-            primary[d].sort()
+        if snf.exponents is None:
+            raise ValueError("decomposing over Q needs the Phi_d-exponents "
+                             "of the cyclotomic route")
+        ordered = sorted(snf.exponents.items())
+        terms = [[Factor(cyclotomic(d, fspec).poly, slots[i], d)
+                  for d, slots in ordered if slots[i]]
+                 for i in range(snf.rank - len(invariant), snf.rank)]
+        primary = {d: [e for e in slots if e] for d, slots in ordered if d >= 2}
+        t1 = sum(snf.exponents.get(1, ()))
     else:
+        terms = [factor_invariant(f, fspec) for f in invariant]
         primary = None
         field = fspec.scalars()
-        for f in invariant:
-            t1 += _tm1_multiplicity(field, f)
-    return invariant, terms, primary, t1, unidentified
+        t1 = sum(_tm1_multiplicity(field, f) for f in invariant)
+    return ModuleDecomposition(k=k, fspec=fspec, free_rank=free_rank,
+                               invariant_factors=invariant, factor_terms=terms,
+                               primary_parts=primary, t_minus_1_exponent=t1,
+                               unidentified=[])
 
 
 def homology_module(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> ModuleDecomposition:
@@ -566,17 +571,7 @@ def homology_module(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> 
     snf1 = boundary_smith_form(mk1, fc, c, fspec)
     rank_k = specialized_rank(mk) if fspec.char == 0 else smith_normal_form(mk).rank
     free = len(fc.simplices_of(k)) - rank_k - snf1.rank
-    invariant, terms, primary, t1, unknown = decompose_torsion(snf1, fspec)
-    return ModuleDecomposition(
-        k=k,
-        fspec=fspec,
-        free_rank=free,
-        invariant_factors=invariant,
-        factor_terms=terms,
-        primary_parts=primary,
-        t_minus_1_exponent=t1,
-        unidentified=unknown,
-    )
+    return decompose_torsion(k, free, snf1, fspec)
 
 
 # ---------------------------------------------------------------------------

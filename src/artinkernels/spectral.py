@@ -116,7 +116,6 @@ class WeightedComplex:
     weights: dict                     # simplex -> weight
     bases: dict                       # chain degree -> simplices sorted by (w, order)
     columns: dict                     # chain degree n -> sparse boundary columns
-    facet_units: list                 # (face, simplex, drop, unit) audit trail
     max_weight: int
 
 
@@ -142,7 +141,6 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int) -> WeightedComplex:
         positions.update({s: i for i, s in enumerate(base)})
 
     columns = {}
-    audit = []
     for n in range(-1, fc.dim + 1):
         tb = twisted_boundary(fc, c, QQ, n) if n >= 0 else None
         cols = []
@@ -162,10 +160,9 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int) -> WeightedComplex:
                     unit = residue_eval(reduced, d)
                     assert not kd.is_zero(unit), "leading unit vanished"
                     col[positions[Y]] = unit
-                    audit.append((Y, X, drop, unit))
             cols.append(col)
         columns[n] = cols
-    return WeightedComplex(fc, c, d, kd, weights, bases, columns, audit,
+    return WeightedComplex(fc, c, d, kd, weights, bases, columns,
                            max(weights.values()))
 
 

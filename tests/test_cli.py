@@ -1,11 +1,16 @@
 import io
 import json
+import random
 
 import pytest
 
-from artinkernels.cli import (InputError, JobConfig, fixture_text, main,
-                              parse_input, run, self_check, serialize_input)
+from artinkernels import build_flag_complex, homology_module
+from artinkernels.cli import (SELF_CHECK, InputError, JobConfig, fixture_text,
+                              main, parse_input, run, self_check,
+                              serialize_input)
 from artinkernels.scalars import FieldSpec
+
+from conftest import F3, QQ, random_case
 
 
 SQUARE = fixture_text("square")
@@ -150,6 +155,29 @@ def test_self_check_passes():
     assert self_check(out=buf) == 0
     lines = buf.getvalue().strip().splitlines()
     assert len(lines) == 6 and all(line.startswith("[ok]") for line in lines)
+
+
+def test_run_modules_agree_with_homology_module():
+    rng = random.Random(0xC13)
+    cases = [(fixture_text(name), fspec) for name, fspec in SELF_CHECK]
+    for fspec in (QQ, F3):
+        g, chi = random_case(rng, max_vertices=5, require_connected=True)
+        cases.append((serialize_input(g, chi, None), fspec))
+    for text, fspec in cases:
+        parsed = parse_input(text)
+        chi, _ = parsed.character.normalize()
+        fc = build_flag_complex(parsed.graph)
+        modules = run(JobConfig(text=text, field=fspec)).data["homology"]["modules"]
+        assert len(modules) == fc.dim + 1
+        for entry in modules:
+            dec = homology_module(fc, chi, fspec, entry["k"])
+            context = (text, str(fspec), entry["k"])
+            assert entry["free_rank"] == dec.free_rank, context
+            assert entry["invariant_factors"] == [str(f) for f in dec.invariant_factors], context
+            assert entry["t_minus_1_exponent"] == dec.t_minus_1_exponent, context
+            want = (None if dec.primary_parts is None else
+                    {str(d): v for d, v in sorted(dec.primary_parts.items())})
+            assert entry.get("primary_parts") == want, context
 
 
 def test_kmax_flag_caps_degrees():

@@ -1,13 +1,16 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from artinkernels import (Character, LabeledGraph, LaurentPoly, PolyMatrix,
-                          build_flag_complex, homology_module, image_dims,
+                          boundary_smith_form, build_flag_complex,
+                          factor_invariant, homology_module, image_dims,
                           laurent_gcd, normalize_unit, reduced_homology_ranks,
                           resonance_sets, smith_normal_form, torsion_support,
                           twisted_boundary, verify_shape)
-from artinkernels.laurent import dense_mul
-from artinkernels.smith import poly_det_dense
+from artinkernels.laurent import dense_mul, totient
+from artinkernels.smith import decompose_torsion, poly_det_dense
 
 from conftest import (QQ, F2, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
@@ -310,3 +313,52 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
             twisted_boundary(sub_fc, chi.restrict(sub), QQ, 1))
         pieces.extend(str(f) for f in sub_snf.nontrivial_factors)
     assert sorted(str(f) for f in whole.invariant_factors) == sorted(pieces)
+
+
+def _refactored_reference(snf, fspec):
+    """Primary parts, (t-1)-exponent and factor terms as found by factoring
+    the multiplied-out invariant factors back into cyclotomics."""
+    terms = [factor_invariant(f, fspec) for f in snf.nontrivial_factors]
+    primary, t1 = {}, 0
+    for fl in terms:
+        for fac in fl:
+            assert fac.cyclotomic_order is not None
+            if fac.cyclotomic_order == 1:
+                t1 += fac.exponent
+            else:
+                primary.setdefault(fac.cyclotomic_order, []).append(fac.exponent)
+    return {d: sorted(es) for d, es in primary.items()}, t1, terms
+
+
+def test_decompose_torsion_reads_exponents_as_factoring_would():
+    rng = random.Random(0x5EED)
+    cases = [random_case(rng, max_vertices=6, require_connected=True)
+             for _ in range(30)]
+    path = LabeledGraph(["a", "b", "c"], [("a", "b", 4), ("b", "c", 2)])
+    cases.append((path, Character(path, {"a": 60, "b": 1, "c": 1})))
+    high_exponent = large_order = False
+    for g, chi in cases:
+        fc = build_flag_complex(g)
+        for k in range(fc.dim + 1):
+            snf = boundary_smith_form(twisted_boundary(fc, chi, QQ, k + 1), fc, chi, QQ)
+            assert all(slots[-1] for slots in snf.exponents.values())
+            if snf.rank == 0:
+                assert snf.exponents == {}
+            dec = decompose_torsion(k, 0, snf, QQ)
+            primary, t1, terms = _refactored_reference(snf, QQ)
+            context = (g.raw_edges, chi.values, k)
+            assert dec.primary_parts == primary, context
+            assert dec.t_minus_1_exponent == t1, context
+            assert dec.factor_terms == terms, context
+            high_exponent |= any(max(s) >= 2 for s in snf.exponents.values())
+            large_order |= any(totient(d) >= 4 for d in snf.exponents)
+    assert high_exponent and large_order
+
+
+def test_decompose_torsion_over_q_needs_exponents():
+    g, chi = dihedral_graph()
+    fc = build_flag_complex(g)
+    snf = smith_normal_form(twisted_boundary(fc, chi, QQ, 1))
+    assert snf.exponents is None and snf.rank == 1
+    with pytest.raises(ValueError):
+        decompose_torsion(0, 0, snf, QQ)

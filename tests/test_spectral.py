@@ -229,7 +229,7 @@ def _untwisted_weighted(fc, chi, d, wc):
                 col[pos[face]] = kd.one if i % 2 == 0 else kd.neg(kd.one)
             cols.append(col)
         columns[n] = cols
-    return WeightedComplex(fc, chi, d, kd, wc.weights, wc.bases, columns, [],
+    return WeightedComplex(fc, chi, d, kd, wc.weights, wc.bases, columns,
                            wc.max_weight)
 
 
