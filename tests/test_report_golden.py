@@ -1,0 +1,64 @@
+"""Whole reports pinned by digest.
+
+Each case runs `cli.run` with every method and both dump flags on, drops
+`timing` from `Report.to_json()` and compares the sha256 of the rest with
+the digest stored in report_golden.json.  Any change to a report, however
+small, fails here.  To record the digests again after an intended change:
+
+    PYTHONPATH=src python tests/test_report_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from artinkernels import cli
+from artinkernels.scalars import FieldSpec
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_golden.json")
+
+# a triangle whose label-4 edge puts Phi_4 in the torsion support, so the
+# ss route filters every degree up to the clique dimension
+TRIANGLE = "vertex a 2\nvertex b 2\nvertex c 2\nedge a b 2\nedge b c 2\nedge a c 4\n"
+
+# (case id, input, field, k_max): every self-check entry, then k_max below
+# the clique dimension, where the dump stops at k_max + 1
+CASES = [(f"{name} over {fspec}", cli.fixture_text(name), fspec, None)
+         for name, fspec in cli.SELF_CHECK] + [
+    ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), FieldSpec(), 0),
+    ("triangle over Q, k_max=0", TRIANGLE, FieldSpec(), 0),
+]
+
+
+def report_digest(text: str, fspec: FieldSpec, k_max: int | None) -> str:
+    job = cli.JobConfig(text=text, field=fspec, k_max=k_max,
+                        dump_pages=True, dump_matrices=True)
+    payload = json.loads(cli.run(job).to_json())
+    del payload["timing"]
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, text, fspec, k_max", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden_digest(case, text, fspec, k_max):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert report_digest(text, fspec, k_max) == golden[case]
+
+
+@pytest.mark.parametrize("text", [cli.fixture_text("square_diagonal"), TRIANGLE])
+def test_dump_stops_at_k_max_plus_one(text):
+    job = cli.JobConfig(text=text, field=FieldSpec(), k_max=0, dump_matrices=True)
+    data = cli.run(job).data
+    assert data["classification"]["clique_dimension"] == 2
+    assert data["methods"]["ss"]["ran"] and data["status"]["ok"]
+    assert sorted(data["matrices"]) == ["0", "1"]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({case: report_digest(*rest) for case, *rest in CASES}, fh, indent=2)
+        fh.write("\n")
