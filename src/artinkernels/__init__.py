@@ -17,23 +17,21 @@ from .graphs import (Character, GraphError, LabeledGraph, ResonanceSets,
                      resonance_sets, torsion_support, validate_graph)
 from .laurent import (CyclotomicFactor, CyclotomicField, Factor, LaurentPoly,
                       ZeroPolynomialError, cyclotomic, cyclotomic_field,
-                      factor_invariant, laurent_gcd, mult_d, normalize_unit,
-                      q_poly, residue_eval)
+                      factor_invariant, laurent_gcd, normalize_unit, q_poly,
+                      residue_eval)
 from .resonant import (QuotientComplex, ReducedGraph, build_f2, build_gamma1,
                        h1_free_rank, h2_free_rank)
 from .scalars import FieldSpec, PrimeField, Rationals
 from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
                     boundary_smith_form, cyclotomic_candidates,
                     cyclotomic_invariant_factors, homology_module,
-                    poly_matrix_rank, smith_normal_form, specialized_rank,
+                    homology_modules, smith_normal_form, specialized_rank,
                     verify_shape)
 from .spectral import (DisconnectedGraphError, ForestBudgetError,
                        NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, TorsionTable, WeightedComplex,
                        forest_fitting_h1, jordan_bound_check, page_dims,
-                       simplex_weight, solve_torsion, truncated_homology_dims,
-                       weighted_complex)
-from .twisted import (PolyMatrix, SimplexWeights, list_weights, minor,
-                      simplex_weights, twisted_boundary)
+                       simplex_weight, solve_torsion, weighted_complex)
+from .twisted import PolyMatrix, twisted_boundary
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
                      torsion_support, validate_graph)
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
-from .smith import boundary_smith_form, decompose_torsion, verify_shape
+from .smith import boundary_smith_form, homology_modules, verify_shape
 from .spectral import (ForestBudgetError, TorsionTable, forest_budget,
                        forest_fitting_h1, jordan_bound_check, page_dims,
                        solve_torsion, weighted_complex)
@@ -130,7 +130,6 @@ class JobConfig:
     field: FieldSpec | None = None
     k_max: int | None = None
     methods: tuple = ALL_METHODS
-    fmt: str = "text"
     cross_check: bool = True
     dump_pages: bool = False
     dump_matrices: bool = False
@@ -250,16 +249,18 @@ def run(job: JobConfig) -> Report:
         "flag_homology": {"reduced_ranks": ranks, "image_dims": imdims},
     }
 
-    # Smith normal form spine: boundaries and their diagonalizations per degree
-    boundaries = {k: twisted_boundary(fc, character, fspec, k)
-                  for k in range(0, k_max + 2)}
-    snfs = {k: boundary_smith_form(m, fc, character, fspec)
-            for k, m in boundaries.items()}
-    decs = [decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
-                              snfs[k + 1], fspec)
-            for k in range(0, k_max + 1)]
+    # the multiplicity spectral sequence (characteristic zero, non-resonant)
+    # filters every degree, so it needs the boundaries through fc.dim
+    want_ss = "ss" in job.methods
+    ss_applicable = fspec.char == 0 and res.is_K_nonresonant and support is not None
+    top = max(k_max + 1, fc.dim) if want_ss and ss_applicable else k_max + 1
+
+    # Smith normal form spine: every boundary built once, diagonalized
+    # through degree k_max + 1
+    boundaries = {k: twisted_boundary(fc, character, fspec, k) for k in range(0, top + 1)}
+    snfs, decs = homology_modules(fc, character, fspec, boundaries, range(0, k_max + 1))
     modules = []
-    for k, dec in enumerate(decs):
+    for k, dec in decs.items():
         entry = {
             "k": k,
             "homology_degree": k + 1,
@@ -281,19 +282,17 @@ def run(job: JobConfig) -> Report:
         modules.append(entry)
     data["homology"] = {"k_max": k_max, "modules": modules}
     if job.dump_matrices:
-        data["matrices"] = {str(k): boundaries[k].dump() for k in boundaries}
+        data["matrices"] = {str(k): boundaries[k].dump() for k in range(0, k_max + 2)}
 
     cross_checks: list = []
     methods: dict = {"snf": {"ran": True}}
 
-    # multiplicity spectral sequence (characteristic zero, non-resonant)
-    want_ss = "ss" in job.methods
-    ss_applicable = fspec.char == 0 and res.is_K_nonresonant and support is not None
+    # multiplicity spectral sequence, on the spine's boundaries
     if want_ss and ss_applicable:
         table = TorsionTable()
         pages_out = {}
         for d in support.values:
-            wc = weighted_complex(fc, character, d)
+            wc = weighted_complex(fc, character, d, boundaries)
             pt = page_dims(wc)
             ns = solve_torsion(pt, ranks, k_max)
             for k, row in ns.items():
@@ -361,9 +360,9 @@ def run(job: JobConfig) -> Report:
     # reduced-complex free ranks (valid resonant or not)
     if "resonant" in job.methods:
         gamma1 = build_gamma1(g, character, fspec)
-        h1 = h1_free_rank(g, character, fspec)
-        qc = build_f2(g, character, fspec)
-        h2 = h2_free_rank(g, character, fspec)
+        h1 = h1_free_rank(gamma1)
+        qc = build_f2(fc, character, fspec)
+        h2 = h2_free_rank(qc, fspec)
         methods["resonant"] = {
             "ran": True,
             "h1_free_rank": h1,
@@ -425,7 +424,6 @@ def run(job: JobConfig) -> Report:
 # fixtures and self-check
 # ---------------------------------------------------------------------------
 
-FIXTURES = ("dihedral4", "square", "square_diagonal", "square_diagonal_chi2")
 SELF_CHECK = (
     ("dihedral4", FieldSpec()), ("dihedral4", FieldSpec(2)),
     ("square", FieldSpec()),
@@ -442,7 +440,7 @@ def self_check(out=sys.stdout) -> int:
     """Run every bundled fixture under its natural fields with all methods."""
     bad = 0
     for name, fspec in SELF_CHECK:
-        job = JobConfig(text=fixture_text(name), field=fspec, fmt="text")
+        job = JobConfig(text=fixture_text(name), field=fspec)
         rep = run(job)
         verdict = "ok" if rep.ok else "MISMATCH"
         summary = "; ".join(
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         job = JobConfig(input_path=args.input, field=args.field, k_max=args.kmax,
-                        methods=methods, fmt=args.fmt,
+                        methods=methods,
                         cross_check=not args.no_cross_check,
                         dump_pages=args.dump_pages,
                         dump_matrices=args.dump_matrices)
@@ -523,7 +521,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if job.fmt == "json" else report.to_text())
+    print(report.to_json() if args.fmt == "json" else report.to_text())
     if job.cross_check and not report.ok:
         return 3
     return 0

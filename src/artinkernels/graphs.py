@@ -57,6 +57,7 @@ class LabeledGraph:
         if len(self._index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
         labels = {}
+        seen = set()
         problems = []
         for u, v, l in self.raw_edges:
             if u not in self._index or v not in self._index:
@@ -66,9 +67,10 @@ class LabeledGraph:
                 problems.append(f"edge ({u},{v}): loop")
                 continue
             key = self._pair(u, v)
-            if key in labels:
+            if key in seen:
                 problems.append(f"edge ({u},{v}): duplicate edge")
                 continue
+            seen.add(key)
             if l < 2:
                 problems.append(f"edge ({u},{v}): label {l} is < 2")
                 continue

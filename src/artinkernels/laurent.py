@@ -15,7 +15,6 @@ Conventions used throughout:
 * ``Phi_d`` denotes the d-th cyclotomic polynomial.  Over Q it is the
   standard irreducible one; over GF(p) it means the mod-p reduction,
   which may be reducible.
-* ``mult_d(f)`` is the largest m with Phi_d^m | f (characteristic zero).
 * :class:`CyclotomicField` is K_d = Q[z]/(Phi_d), used as an honest
   coefficient field for the multiplicity spectral sequence.
 """
@@ -174,10 +173,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, field):
         return cls(field, {0: field.one})
-
-    @classmethod
-    def const(cls, field, value):
-        return cls(field, {0: value})
 
     @classmethod
     def from_int(cls, field, n: int):
@@ -440,26 +435,6 @@ def cyclotomic(d: int, fspec: FieldSpec) -> CyclotomicFactor:
     ints = cyclotomic_int(d)
     poly = LaurentPoly.from_int_coeffs(field, dict(enumerate(ints)))
     return CyclotomicFactor(order=d, poly=poly)
-
-
-def mult_d(f: LaurentPoly, d: int) -> int:
-    """Largest m with Phi_d^m | f.  Characteristic zero only."""
-    if f.is_zero():
-        raise ZeroPolynomialError("mult_d of the zero polynomial")
-    if f.field.char != 0:
-        raise ValueError("mult_d is defined for characteristic zero; "
-                         "use factor_invariant over GF(p)")
-    field = f.field
-    phi = [field.from_int(c) for c in cyclotomic_int(d)]
-    cs, _ = f.dense()
-    count = 0
-    while len(cs) >= len(phi):
-        q, r = dense_divmod(field, cs, phi)
-        if r:
-            break
-        cs = q
-        count += 1
-    return count
 
 
 def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:

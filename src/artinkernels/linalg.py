@@ -58,24 +58,6 @@ def rank(field: Field, rows: list[list]) -> int:
     return r
 
 
-def matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        for kk in range(k):
-            c = a[i][kk]
-            if field.is_zero(c):
-                continue
-            brow = b[kk]
-            orow = out[i]
-            for j in range(m):
-                if not field.is_zero(brow[j]):
-                    orow[j] = field.add(orow[j], field.mul(c, brow[j]))
-    return out
-
-
 class BottomEchelon:
     """Incremental column-space basis keyed by bottom-most nonzero row."""
 

@@ -6,7 +6,8 @@ The reduced graph drops the cells whose twisted boundary degenerates:
 * a resonant vertex whose link meets a non-resonant vertex is deleted
   (taking its incident edges with it); isolated resonant vertices stay.
 
-The free rank of H_1 is then the number of components minus one.
+The free rank of H_1 is then the number of components minus one;
+`h1_free_rank` reads it off the `ReducedGraph` that `build_gamma1` returns.
 
 For H_2, the quotient 2-complex starts from the 2-skeleton of the flag
 complex and
@@ -20,7 +21,9 @@ complex and
   which may create loops and parallel cells, so the result is a CW
   complex with integer boundary matrices rather than a simplicial one.
 
-The free rank of H_2 is the first reduced Betti number of that complex.
+`build_f2` works on the flag complex the caller already built, and the
+free rank of H_2 is the first reduced Betti number of the complex it
+returns, which `h2_free_rank` takes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .flag import build_flag_complex
+from .flag import FlagComplex
 from .graphs import (Character, LabeledGraph, ZeroCharacterError,
                      connected_components, resonance_sets)
 from .scalars import FieldSpec
@@ -48,6 +51,8 @@ class ReducedGraph:
 
 
 def build_gamma1(g: LabeledGraph, c: Character, fspec: FieldSpec) -> ReducedGraph:
+    if c.is_zero:
+        raise ZeroCharacterError("free ranks need a nonzero character")
     res = resonance_sets(g, c, fspec)
     vr = res.resonant_vertices
     removed_edges = []
@@ -72,10 +77,7 @@ def build_gamma1(g: LabeledGraph, c: Character, fspec: FieldSpec) -> ReducedGrap
     return ReducedGraph(reduced, c.restrict(reduced), removed_edges, removed_vertices)
 
 
-def h1_free_rank(g: LabeledGraph, c: Character, fspec: FieldSpec) -> int:
-    if c.is_zero:
-        raise ZeroCharacterError("free ranks need a nonzero character")
-    reduced = build_gamma1(g, c, fspec)
+def h1_free_rank(reduced: ReducedGraph) -> int:
     return len(connected_components(reduced.graph)) - 1
 
 
@@ -91,12 +93,12 @@ class QuotientComplex:
     identifications: list = field(default_factory=list)
 
 
-def build_f2(g: LabeledGraph, c: Character, fspec: FieldSpec) -> QuotientComplex:
+def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex:
     if c.is_zero:
         raise ZeroCharacterError("free ranks need a nonzero character")
+    g = fc.graph
     res = resonance_sets(g, c, fspec)
     vr = res.resonant_vertices
-    fc = build_flag_complex(g)
     triangles = list(fc.simplices_of(2))
     edges = list(fc.simplices_of(1))
     log = []
@@ -168,9 +170,8 @@ def build_f2(g: LabeledGraph, c: Character, fspec: FieldSpec) -> QuotientComplex
                            kept_tris, d1, d2, log, identifications)
 
 
-def h2_free_rank(g: LabeledGraph, c: Character, fspec: FieldSpec) -> int:
+def h2_free_rank(qc: QuotientComplex, fspec: FieldSpec) -> int:
     """dim of the first reduced homology of the quotient 2-complex over K."""
-    qc = build_f2(g, c, fspec)
     f = fspec.scalars()
     d1 = [[f.from_int(x) for x in row] for row in qc.d1]
     d2 = [[f.from_int(x) for x in row] for row in qc.d2]

@@ -29,6 +29,8 @@ degree-(k+1) boundary into the torsion of the degree-k homology module.
 Over Q it reads the primary parts straight from the Phi_d-exponents, so
 nothing is factored again; over GF(p) it factors the polynomials.  The
 free rank comes from rank-nullity over the fraction field K(t).
+`cli.run` and :func:`homology_module` get their modules from
+:func:`homology_modules`.
 """
 
 from __future__ import annotations
@@ -235,47 +237,6 @@ def _strip_t(field, cs: list) -> list:
     return dense_monic(field, cs[i:])
 
 
-def poly_matrix_rank(m: PolyMatrix) -> int:
-    """Rank over the fraction field K(t), by fraction-free elimination.
-
-    One-step Bareiss: every intermediate entry is a minor of the input, so
-    degrees and coefficient sizes stay polynomially bounded.
-    """
-    field = m.field
-    a = _clear_to_polys(m)
-    nr, nc = m.shape
-    r = 0
-    prev = [field.one]
-    for _ in range(min(nr, nc)):
-        piv = None
-        for i in range(r, nr):
-            for j in range(r, nc):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        a[r], a[pi] = a[pi], a[r]
-        if pj != r:
-            for row in a:
-                row[r], row[pj] = row[pj], row[r]
-        pivot = a[r][r]
-        for i in range(r + 1, nr):
-            for j in range(r + 1, nc):
-                num = dense_sub(field, dense_mul(field, a[i][j], pivot),
-                                dense_mul(field, a[i][r], a[r][j]))
-                q, rem = dense_divmod(field, num, prev) if num else ([], [])
-                assert not rem, "fraction-free step must divide exactly"
-                a[i][j] = q
-            a[i][r] = []
-        prev = pivot
-        r += 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # invariant factors in characteristic zero, one cyclotomic at a time
 #
@@ -288,8 +249,8 @@ def poly_matrix_rank(m: PolyMatrix) -> int:
 #     invariant factors are the tau-valuations of the local Smith form over
 #     K_d[[tau]], t = zeta_d + tau, computed mod tau^N with arithmetic in
 #     K_d only (no coefficient growth at all).
-# `taylor_block` writes the same local ring as one K_d-matrix; the page
-# oracle in spectral.truncated_homology_dims takes ranks of it.
+# `taylor_block` writes the same local ring as one K_d-matrix, whose ranks
+# the tests take as a page oracle.
 # ---------------------------------------------------------------------------
 
 SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
@@ -464,24 +425,6 @@ def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
     return smith_normal_form(m)
 
 
-def poly_det_dense(field, rows: list) -> list:
-    """Determinant of a dense polynomial matrix (cofactor; audit sizes only)."""
-    n = len(rows)
-    if n == 0:
-        return [field.one]
-    if n == 1:
-        return list(rows[0][0])
-    acc = []
-    for j in range(n):
-        e = rows[0][j]
-        if not e:
-            continue
-        rest = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
-        term = dense_mul(field, e, poly_det_dense(field, rest))
-        acc = dense_sub(field, acc, term) if j % 2 else dense_add(field, acc, term)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # homology modules
 # ---------------------------------------------------------------------------
@@ -502,7 +445,6 @@ class ModuleDecomposition:
     factor_terms: list
     primary_parts: dict | None
     t_minus_1_exponent: int
-    unidentified: list
 
     def exponents_for(self, d: int) -> tuple:
         if self.primary_parts is None:
@@ -558,20 +500,29 @@ def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
         t1 = sum(_tm1_multiplicity(field, f) for f in invariant)
     return ModuleDecomposition(k=k, fspec=fspec, free_rank=free_rank,
                                invariant_factors=invariant, factor_terms=terms,
-                               primary_parts=primary, t_minus_1_exponent=t1,
-                               unidentified=[])
+                               primary_parts=primary, t_minus_1_exponent=t1)
+
+
+def homology_modules(fc: FlagComplex, c: Character, fspec: FieldSpec,
+                     boundaries: dict, degrees: range) -> tuple[dict, dict]:
+    """The homology module of each chain degree k in `degrees`, and the
+    Smith forms of `boundaries[k]` for k in `degrees` and one beyond, from
+    which every rank is read: the free rank is n_k - rank d_k - rank d_{k+1}.
+    """
+    snfs = {k: boundary_smith_form(boundaries[k], fc, c, fspec)
+            for k in range(degrees.start, degrees.stop + 1)}
+    decs = {k: decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
+                                 snfs[k + 1], fspec)
+            for k in degrees}
+    return snfs, decs
 
 
 def homology_module(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> ModuleDecomposition:
     """Free rank and torsion of the degree-k homology (H_{k+1} of the kernel)."""
     if not c.is_normalized:
         raise ValueError("homology modules are computed for normalized characters")
-    mk = twisted_boundary(fc, c, fspec, k)
-    mk1 = twisted_boundary(fc, c, fspec, k + 1)
-    snf1 = boundary_smith_form(mk1, fc, c, fspec)
-    rank_k = specialized_rank(mk) if fspec.char == 0 else smith_normal_form(mk).rank
-    free = len(fc.simplices_of(k)) - rank_k - snf1.rank
-    return decompose_torsion(k, free, snf1, fspec)
+    boundaries = {j: twisted_boundary(fc, c, fspec, j) for j in (k, k + 1)}
+    return homology_modules(fc, c, fspec, boundaries, range(k, k + 1))[1][k]
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +593,7 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
 
     sup = set(support)
     if fspec.char == 0:
-        in_support = not dec.unidentified and \
-            all(d in sup for d in (dec.primary_parts or {}))
+        in_support = all(d in sup for d in dec.primary_parts)
     else:
         tm1 = laurent_from_dense(field, [field.neg(field.one), field.one])
         phis = [cyclotomic(d, fspec).poly for d in sup]

@@ -18,7 +18,8 @@ The spectral sequence of that filtered complex has page dimensions
 with Z^s_(p,q) = F_p C_(p+q) fed through the boundary into F_(p-s); all
 of these reduce to ranks of staircase submatrices of the boundary with
 rows/columns sorted by weight, which one bottom-echelon sweep per chain
-degree provides.
+degree provides.  `weighted_complex` reads the facet coefficients off the
+twisted boundaries over Q that the run already built, for every d.
 
 The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
 degree-k homology then satisfies, with r_q the reduced flag homology,
@@ -56,7 +57,6 @@ from .laurent import (LaurentPoly, cyclotomic_field, cyclotomic_int,
                       t_minus_one_multiplicities)
 from .linalg import staircase_leads
 from .scalars import FieldSpec
-from .twisted import twisted_boundary
 
 QQ = FieldSpec()
 
@@ -119,7 +119,10 @@ class WeightedComplex:
     max_weight: int
 
 
-def weighted_complex(fc: FlagComplex, c: Character, d: int) -> WeightedComplex:
+def weighted_complex(fc: FlagComplex, c: Character, d: int,
+                     boundaries: dict) -> WeightedComplex:
+    """The filtration for order d, read off `boundaries`, the twisted
+    boundaries over Q of chain degrees 0..fc.dim keyed by degree."""
     if d < 2:
         raise ValueError("the multiplicity filtration needs d >= 2")
     g = fc.graph
@@ -142,7 +145,7 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int) -> WeightedComplex:
 
     columns = {}
     for n in range(-1, fc.dim + 1):
-        tb = twisted_boundary(fc, c, QQ, n) if n >= 0 else None
+        tb = boundaries[n] if n >= 0 else None
         cols = []
         for X in bases[n]:
             col = {}
@@ -465,27 +468,3 @@ def _find(parent: list, x: int) -> int:
     while parent[x] != x:
         x = parent[x]
     return x
-
-
-# ---------------------------------------------------------------------------
-# homology over truncated coefficients: an independent page oracle
-# ---------------------------------------------------------------------------
-
-def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> dict:
-    """dim over K_d of the homology with coefficients in K_d[tau]/(tau^s),
-    the twisted boundary entries expanded as truncated series at a root of
-    Phi_d.  Equals the partial sums h^1 + ... + h^s of the page rows, which
-    is what the tests check.
-    """
-    kd = cyclotomic_field(d)
-    from .linalg import rank as field_rank
-    from .smith import taylor_block
-    dims = {}
-    big_rank = {}
-    for n in range(0, fc.dim + 2):
-        tb = twisted_boundary(fc, c, QQ, n)
-        rows = taylor_block(tb, d, s)
-        big_rank[n] = field_rank(kd, rows) if rows else 0
-    for k in range(0, fc.dim + 1):
-        dims[k] = s * len(fc.simplices_of(k)) - big_rank[k] - big_rank[k + 1]
-    return dims

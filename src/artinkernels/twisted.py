@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flag import FlagComplex
-from .graphs import Character, resonance_sets
+from .graphs import Character
 from .laurent import LaurentPoly, q_poly
 from .scalars import Field, FieldSpec
 
@@ -43,45 +43,12 @@ class PolyMatrix:
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix product self @ other (boundary-of-boundary checks)."""
-        assert len(self.cols) == len(other.rows)
-        zero = LaurentPoly.zero(self.field)
-        out = [[zero for _ in other.cols] for _ in self.rows]
-        for i in range(len(self.rows)):
-            for kk in range(len(self.cols)):
-                e = self.entries[i][kk]
-                if e.is_zero():
-                    continue
-                for j in range(len(other.cols)):
-                    o = other.entries[kk][j]
-                    if not o.is_zero():
-                        out[i][j] = out[i][j] + e * o
-        return PolyMatrix(self.rows, other.cols, out, self.field, self.k)
 
     def evaluate(self, x, field: Field | None = None) -> list[list]:
         f = field if field is not None else self.field
         return [[e.evaluate(x, f) for e in row] for row in self.entries]
-
-    def submatrix(self, row_simplices, col_simplices) -> "PolyMatrix":
-        ri = [self.rows.index(tuple(r)) for r in row_simplices]
-        ci = [self.cols.index(tuple(c)) for c in col_simplices]
-        ent = [[self.entries[i][j] for j in ci] for i in ri]
-        return PolyMatrix([self.rows[i] for i in ri], [self.cols[j] for j in ci],
-                          ent, self.field, self.k)
-
-    def det(self) -> LaurentPoly:
-        n = len(self.rows)
-        assert n == len(self.cols), "determinant of a non-square matrix"
-        if n == 0:
-            return LaurentPoly.one(self.field)
-        return _det_cofactor(self.field, self.entries, list(range(n)), list(range(n)))
 
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""
@@ -93,22 +60,6 @@ class PolyMatrix:
                     lines.append(f"  [{'.'.join(map(str, r)) or 'empty'} | "
                                  f"{'.'.join(map(str, c))}] = {e}")
         return "\n".join(lines)
-
-
-def _det_cofactor(field, entries, rows, cols) -> LaurentPoly:
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    acc = LaurentPoly.zero(field)
-    top = rows[0]
-    rest = rows[1:]
-    for idx, j in enumerate(cols):
-        e = entries[top][j]
-        if e.is_zero():
-            continue
-        minor_det = _det_cofactor(field, entries, rest, cols[:idx] + cols[idx + 1:])
-        term = e * minor_det
-        acc = acc + term if idx % 2 == 0 else acc - term
-    return acc
 
 
 def _vertex_factor(c: Character, v, field) -> LaurentPoly:
@@ -141,52 +92,3 @@ def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) ->
                 coeff = -coeff
             entries[fc.position(face)][j] = coeff
     return PolyMatrix(rows, cols, entries, field, k)
-
-
-@dataclass(frozen=True)
-class SimplexWeights:
-    p: LaurentPoly
-    q: LaurentPoly
-
-
-def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> SimplexWeights:
-    """p_X and q_X; resonant vertices and edges are excluded, so p_X q_X != 0."""
-    field = fspec.scalars()
-    g = fc.graph
-    X = g.sort_vertices(X)
-    assert X in fc, f"{X} is not a simplex of the complex"
-    res = resonance_sets(g, c, fspec)
-    p = LaurentPoly.one(field)
-    for v in X:
-        if v not in res.resonant_vertices:
-            p = p * _vertex_factor(c, v, field)
-    q = LaurentPoly.one(field)
-    for i, u in enumerate(X):
-        for v in X[i + 1:]:
-            if (u, v) not in res.resonant_edges:
-                q = q * _edge_factor(g, c, u, v, field)
-    return SimplexWeights(p, q)
-
-
-def list_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, simplices) -> SimplexWeights:
-    """Products p_{Xbar}, q_{Xbar} over a list of simplices."""
-    field = fspec.scalars()
-    p = LaurentPoly.one(field)
-    q = LaurentPoly.one(field)
-    for X in simplices:
-        w = simplex_weights(fc, c, fspec, X)
-        p = p * w.p
-        q = q * w.q
-    return SimplexWeights(p, q)
-
-
-def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
-          xbar, ybar) -> LaurentPoly:
-    """Determinant of the square submatrix of the degree-k twisted boundary
-    on columns xbar (k-simplices) and rows ybar ((k-1)-simplices)."""
-    xbar = [fc.graph.sort_vertices(x) for x in xbar]
-    ybar = [fc.graph.sort_vertices(y) for y in ybar]
-    if len(xbar) != len(ybar):
-        raise ValueError("minor needs equally many rows and columns")
-    m = twisted_boundary(fc, c, fspec, k)
-    return m.submatrix(ybar, xbar).det()

@@ -1,0 +1,247 @@
+"""Reference implementations the tests compare the package against.
+
+None of these run in the pipeline: they are slow, naive or written for
+small audit sizes, and each one checks a faster route of the package.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from artinkernels.flag import FlagComplex
+from artinkernels.graphs import Character, resonance_sets
+from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError,
+                                  cyclotomic_field, cyclotomic_int, dense_add,
+                                  dense_divmod, dense_mul, dense_sub)
+from artinkernels.linalg import rank as field_rank
+from artinkernels.scalars import Field, FieldSpec
+from artinkernels.smith import _clear_to_polys, taylor_block
+from artinkernels.twisted import (PolyMatrix, _edge_factor, _vertex_factor,
+                                  twisted_boundary)
+
+QQ = FieldSpec()
+
+
+# ---------------------------------------------------------------------------
+# scalar and polynomial matrices
+# ---------------------------------------------------------------------------
+
+def matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
+    if not a or not b:
+        return []
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[field.zero] * m for _ in range(n)]
+    for i in range(n):
+        for kk in range(k):
+            c = a[i][kk]
+            if field.is_zero(c):
+                continue
+            brow = b[kk]
+            orow = out[i]
+            for j in range(m):
+                if not field.is_zero(brow[j]):
+                    orow[j] = field.add(orow[j], field.mul(c, brow[j]))
+    return out
+
+
+def compose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Matrix product a @ b (boundary-of-boundary checks)."""
+    assert len(a.cols) == len(b.rows)
+    zero = LaurentPoly.zero(a.field)
+    out = [[zero for _ in b.cols] for _ in a.rows]
+    for i in range(len(a.rows)):
+        for kk in range(len(a.cols)):
+            e = a.entries[i][kk]
+            if e.is_zero():
+                continue
+            for j in range(len(b.cols)):
+                o = b.entries[kk][j]
+                if not o.is_zero():
+                    out[i][j] = out[i][j] + e * o
+    return PolyMatrix(a.rows, b.cols, out, a.field, a.k)
+
+
+def submatrix(m: PolyMatrix, row_simplices, col_simplices) -> PolyMatrix:
+    ri = [m.rows.index(tuple(r)) for r in row_simplices]
+    ci = [m.cols.index(tuple(c)) for c in col_simplices]
+    ent = [[m.entries[i][j] for j in ci] for i in ri]
+    return PolyMatrix([m.rows[i] for i in ri], [m.cols[j] for j in ci],
+                      ent, m.field, m.k)
+
+
+def det(m: PolyMatrix) -> LaurentPoly:
+    n = len(m.rows)
+    assert n == len(m.cols), "determinant of a non-square matrix"
+    if n == 0:
+        return LaurentPoly.one(m.field)
+    return _det_cofactor(m.field, m.entries, list(range(n)), list(range(n)))
+
+
+def _det_cofactor(field, entries, rows, cols) -> LaurentPoly:
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    acc = LaurentPoly.zero(field)
+    top = rows[0]
+    rest = rows[1:]
+    for idx, j in enumerate(cols):
+        e = entries[top][j]
+        if e.is_zero():
+            continue
+        minor_det = _det_cofactor(field, entries, rest, cols[:idx] + cols[idx + 1:])
+        term = e * minor_det
+        acc = acc + term if idx % 2 == 0 else acc - term
+    return acc
+
+
+def poly_det_dense(field, rows: list) -> list:
+    """Determinant of a dense polynomial matrix (cofactor; audit sizes only)."""
+    n = len(rows)
+    if n == 0:
+        return [field.one]
+    if n == 1:
+        return list(rows[0][0])
+    acc = []
+    for j in range(n):
+        e = rows[0][j]
+        if not e:
+            continue
+        rest = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
+        term = dense_mul(field, e, poly_det_dense(field, rest))
+        acc = dense_sub(field, acc, term) if j % 2 else dense_add(field, acc, term)
+    return acc
+
+
+def poly_matrix_rank(m: PolyMatrix) -> int:
+    """Rank over the fraction field K(t), by fraction-free elimination.
+
+    One-step Bareiss: every intermediate entry is a minor of the input, so
+    degrees and coefficient sizes stay polynomially bounded.
+    """
+    field = m.field
+    a = _clear_to_polys(m)
+    nr, nc = m.shape
+    r = 0
+    prev = [field.one]
+    for _ in range(min(nr, nc)):
+        piv = None
+        for i in range(r, nr):
+            for j in range(r, nc):
+                if a[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        a[r], a[pi] = a[pi], a[r]
+        if pj != r:
+            for row in a:
+                row[r], row[pj] = row[pj], row[r]
+        pivot = a[r][r]
+        for i in range(r + 1, nr):
+            for j in range(r + 1, nc):
+                num = dense_sub(field, dense_mul(field, a[i][j], pivot),
+                                dense_mul(field, a[i][r], a[r][j]))
+                q, rem = dense_divmod(field, num, prev) if num else ([], [])
+                assert not rem, "fraction-free step must divide exactly"
+                a[i][j] = q
+            a[i][r] = []
+        prev = pivot
+        r += 1
+    return r
+
+
+# ---------------------------------------------------------------------------
+# weight polynomials and minors of the twisted boundary
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimplexWeights:
+    p: LaurentPoly
+    q: LaurentPoly
+
+
+def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> SimplexWeights:
+    """p_X and q_X; resonant vertices and edges are excluded, so p_X q_X != 0."""
+    field = fspec.scalars()
+    g = fc.graph
+    X = g.sort_vertices(X)
+    assert X in fc, f"{X} is not a simplex of the complex"
+    res = resonance_sets(g, c, fspec)
+    p = LaurentPoly.one(field)
+    for v in X:
+        if v not in res.resonant_vertices:
+            p = p * _vertex_factor(c, v, field)
+    q = LaurentPoly.one(field)
+    for i, u in enumerate(X):
+        for v in X[i + 1:]:
+            if (u, v) not in res.resonant_edges:
+                q = q * _edge_factor(g, c, u, v, field)
+    return SimplexWeights(p, q)
+
+
+def list_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, simplices) -> SimplexWeights:
+    """Products p_{Xbar}, q_{Xbar} over a list of simplices."""
+    field = fspec.scalars()
+    p = LaurentPoly.one(field)
+    q = LaurentPoly.one(field)
+    for X in simplices:
+        w = simplex_weights(fc, c, fspec, X)
+        p = p * w.p
+        q = q * w.q
+    return SimplexWeights(p, q)
+
+
+def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
+          xbar, ybar) -> LaurentPoly:
+    """Determinant of the square submatrix of the degree-k twisted boundary
+    on columns xbar (k-simplices) and rows ybar ((k-1)-simplices)."""
+    xbar = [fc.graph.sort_vertices(x) for x in xbar]
+    ybar = [fc.graph.sort_vertices(y) for y in ybar]
+    if len(xbar) != len(ybar):
+        raise ValueError("minor needs equally many rows and columns")
+    m = twisted_boundary(fc, c, fspec, k)
+    return det(submatrix(m, ybar, xbar))
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic multiplicities and truncated homology
+# ---------------------------------------------------------------------------
+
+def mult_d(f: LaurentPoly, d: int) -> int:
+    """Largest m with Phi_d^m | f.  Characteristic zero only."""
+    if f.is_zero():
+        raise ZeroPolynomialError("mult_d of the zero polynomial")
+    if f.field.char != 0:
+        raise ValueError("mult_d is defined for characteristic zero; "
+                         "use factor_invariant over GF(p)")
+    field = f.field
+    phi = [field.from_int(c) for c in cyclotomic_int(d)]
+    cs, _ = f.dense()
+    count = 0
+    while len(cs) >= len(phi):
+        q, r = dense_divmod(field, cs, phi)
+        if r:
+            break
+        cs = q
+        count += 1
+    return count
+
+
+def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> dict:
+    """dim over K_d of the homology with coefficients in K_d[tau]/(tau^s),
+    the twisted boundary entries expanded as truncated series at a root of
+    Phi_d.  Equals the partial sums h^1 + ... + h^s of the page rows, which
+    is what the tests check.
+    """
+    kd = cyclotomic_field(d)
+    dims = {}
+    big_rank = {}
+    for n in range(0, fc.dim + 2):
+        tb = twisted_boundary(fc, c, QQ, n)
+        rows = taylor_block(tb, d, s)
+        big_rank[n] = field_rank(kd, rows) if rows else 0
+    for k in range(0, fc.dim + 1):
+        dims[k] = s * len(fc.simplices_of(k)) - big_rank[k] - big_rank[k + 1]
+    return dims

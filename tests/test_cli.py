@@ -1,12 +1,15 @@
 import io
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+import artinkernels
 from artinkernels import build_flag_complex, homology_module
-from artinkernels.cli import (SELF_CHECK, InputError, JobConfig, fixture_text,
-                              main, parse_input, run, self_check,
+from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
+                              fixture_text, main, parse_input, run, self_check,
                               serialize_input)
 from artinkernels.scalars import FieldSpec
 
@@ -84,8 +87,8 @@ def test_run_normalizes_characters():
 
 
 def test_report_json_deterministic_without_timing():
-    a = run(JobConfig(text=SQUARE, fmt="json"))
-    b = run(JobConfig(text=SQUARE, fmt="json"))
+    a = run(JobConfig(text=SQUARE))
+    b = run(JobConfig(text=SQUARE))
     assert json.dumps(a.data, indent=2) == json.dumps(b.data, indent=2)
 
 
@@ -178,6 +181,31 @@ def test_run_modules_agree_with_homology_module():
             want = (None if dec.primary_parts is None else
                     {str(d): v for d, v in sorted(dec.primary_parts.items())})
             assert entry.get("primary_parts") == want, context
+
+
+def test_run_builds_each_artefact_once(monkeypatch):
+    """The ss and resonant routes reuse the run's twisted boundaries, flag
+    complex, reduced graph and quotient complex instead of building their
+    own: every module binding of these builders is counted."""
+    counts = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name.partition(".")[0] == "artinkernels"]
+    for name in ("build_flag_complex", "twisted_boundary", "build_gamma1", "build_f2"):
+        orig = getattr(artinkernels, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            counts[(_name, args[3]) if _name == "twisted_boundary" else _name] += 1
+            return _orig(*args)
+
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    rep = run(JobConfig(text=SQUARE, field=QQ))
+    assert all(rep.data["methods"][m]["ran"] for m in ALL_METHODS)
+    k_max = rep.data["homology"]["k_max"]
+    assert counts == Counter({"build_flag_complex": 1, "build_gamma1": 1, "build_f2": 1,
+                              **{("twisted_boundary", k): 1 for k in range(k_max + 2)}})
 
 
 def test_kmax_flag_caps_degrees():

@@ -5,10 +5,9 @@ import random
 import pytest
 
 from artinkernels import (TorsionTable, build_flag_complex, forest_fitting_h1,
-                          homology_module, jordan_bound_check, mult_d,
-                          page_dims, reduced_homology_ranks, simplex_weight,
-                          simplex_weights, smith_normal_form, solve_torsion,
-                          torsion_support, truncated_homology_dims,
+                          homology_module, jordan_bound_check, page_dims,
+                          reduced_homology_ranks, simplex_weight,
+                          smith_normal_form, solve_torsion, torsion_support,
                           twisted_boundary, weighted_complex)
 from artinkernels.spectral import (DisconnectedGraphError,
                                    ForestBudgetError, ResonantCharacterError,
@@ -17,7 +16,9 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
                           normalize_unit, q_poly, resonance_sets)
 from artinkernels.scalars import FieldSpec
 
-from conftest import QQ, F2, F3, dihedral_graph, random_case, square_graph
+from conftest import (QQ, F2, F3, dihedral_graph, q_boundaries, random_case,
+                      square_graph)
+from oracles import mult_d, simplex_weights, truncated_homology_dims
 
 F5 = FieldSpec(5)
 
@@ -27,12 +28,12 @@ Q = QQ.scalars()
 def test_square_weights_match_annotations():
     g, chi = square_graph()
     fc = build_flag_complex(g)
-    wc6 = weighted_complex(fc, chi, 6)
+    wc6 = weighted_complex(fc, chi, 6, q_boundaries(fc, chi))
     assert [wc6.weights[(v,)] for v in g.vertices] == [0, 0, 0, 0]
     edge_w6 = {e: wc6.weights[e] for e in fc.simplices_of(1)}
     assert edge_w6 == {("v1", "v2"): 1, ("v2", "v3"): 1, ("v3", "v4"): 1,
                        ("v1", "v4"): 0}
-    wc2 = weighted_complex(fc, chi, 2)
+    wc2 = weighted_complex(fc, chi, 2, q_boundaries(fc, chi))
     assert [wc2.weights[(v,)] for v in g.vertices] == [0, 1, 0, 1]
     edge_w2 = {e: wc2.weights[e] for e in fc.simplices_of(1)}
     assert edge_w2 == {("v1", "v2"): 2, ("v2", "v3"): 2, ("v3", "v4"): 2,
@@ -77,7 +78,7 @@ def test_simplex_weight_bound():
 def test_square_pages_d6():
     g, chi = square_graph()
     fc = build_flag_complex(g)
-    pt = page_dims(weighted_complex(fc, chi, 6))
+    pt = page_dims(weighted_complex(fc, chi, 6, q_boundaries(fc, chi)))
     assert pt.h(1, 0, 0) == 2
     assert pt.h(1, 1, 0) == 3
     assert pt.h(2, 1, 0) == 1
@@ -92,7 +93,7 @@ def test_square_pages_d6():
 def test_square_pages_d2():
     g, chi = square_graph()
     fc = build_flag_complex(g)
-    pt = page_dims(weighted_complex(fc, chi, 2))
+    pt = page_dims(weighted_complex(fc, chi, 2, q_boundaries(fc, chi)))
     assert pt.h(1, 0, 0) == 1
     assert pt.h(1, 1, -1) == 1
     assert pt.h(2, 0, 0) == 1
@@ -106,7 +107,7 @@ def test_page_dims_nonincreasing_in_s_and_zero_page_pattern():
     g, chi = square_graph()
     fc = build_flag_complex(g)
     for d in (2, 6):
-        pt = page_dims(weighted_complex(fc, chi, d))
+        pt = page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi)))
         for (s, p, q), val in pt.nonzero().items():
             if s >= 1:
                 assert pt.h(s + 1, p, q) <= val
@@ -123,7 +124,7 @@ def test_page_dims_nonincreasing_in_s_and_zero_page_pattern():
 def test_zero_page_counts_simplices_by_weight():
     g, chi = square_graph()
     fc = build_flag_complex(g)
-    pt = page_dims(weighted_complex(fc, chi, 2))
+    pt = page_dims(weighted_complex(fc, chi, 2, q_boundaries(fc, chi)))
     assert pt.h(0, 0, -1) == 1   # the empty simplex
     assert pt.h(0, 0, 0) == 2    # v1, v3
     assert pt.h(0, 1, -1) == 2   # v2, v4
@@ -140,7 +141,7 @@ def test_stable_rows_recover_flag_homology():
         fc = build_flag_complex(g)
         r = reduced_homology_ranks(fc, QQ)
         for d in torsion_support(g, chi).values:
-            pt = page_dims(weighted_complex(fc, chi, d))
+            pt = page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi)))
             for k in range(0, fc.dim + 1):
                 assert pt.stable_row(k) == r[k]
 
@@ -149,9 +150,9 @@ def test_solve_torsion_square():
     g, chi = square_graph()
     fc = build_flag_complex(g)
     r = reduced_homology_ranks(fc, QQ)
-    pt2 = page_dims(weighted_complex(fc, chi, 2))
+    pt2 = page_dims(weighted_complex(fc, chi, 2, q_boundaries(fc, chi)))
     assert solve_torsion(pt2, r) == {0: [1, 1], 1: [0, 0, 0]}
-    pt6 = page_dims(weighted_complex(fc, chi, 6))
+    pt6 = page_dims(weighted_complex(fc, chi, 6, q_boundaries(fc, chi)))
     assert solve_torsion(pt6, r) == {0: [2, 0], 1: [0, 0, 0]}
 
 
@@ -159,11 +160,11 @@ def test_chi_rel_matches_published_values():
     g, chi = square_graph()
     fc = build_flag_complex(g)
     r = reduced_homology_ranks(fc, QQ)
-    pt2 = page_dims(weighted_complex(fc, chi, 2))
+    pt2 = page_dims(weighted_complex(fc, chi, 2, q_boundaries(fc, chi)))
     assert chi_rel(pt2, r, 0, 1) == 2
     assert chi_rel(pt2, r, 0, 2) == 1
     assert chi_rel(pt2, r, 1, 1) == 0
-    pt6 = page_dims(weighted_complex(fc, chi, 6))
+    pt6 = page_dims(weighted_complex(fc, chi, 6, q_boundaries(fc, chi)))
     assert chi_rel(pt6, r, 0, 1) == 2
     assert chi_rel(pt6, r, 0, 2) == 0
 
@@ -174,7 +175,7 @@ def test_path_graph_multiplicities_match_smith():
     fc = build_flag_complex(g)
     r = reduced_homology_ranks(fc, QQ)
     for d in torsion_support(g, chi).values:
-        pt = page_dims(weighted_complex(fc, chi, d))
+        pt = page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi)))
         ns = solve_torsion(pt, r)
         dec_parts = {k: homology_module(fc, chi, QQ, k).exponents_for(d)
                      for k in range(fc.dim + 1)}
@@ -187,7 +188,7 @@ def test_truncated_coefficient_oracle_matches_page_rows():
     g, chi = square_graph()
     fc = build_flag_complex(g)
     for d in (2, 6):
-        pt = page_dims(weighted_complex(fc, chi, d))
+        pt = page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi)))
         for s in (1, 2, 3, 4):
             dims = truncated_homology_dims(fc, chi, d, s)
             for k in range(0, fc.dim + 1):
@@ -204,7 +205,7 @@ def test_pages_match_untwisted_filtration():
     for g, chi in cases:
         fc = build_flag_complex(g)
         for d in torsion_support(g, chi).values:
-            wc = weighted_complex(fc, chi, d)
+            wc = weighted_complex(fc, chi, d, q_boundaries(fc, chi))
             plain = _untwisted_weighted(fc, chi, d, wc)
             a = page_dims(wc)
             b = pd(plain)
@@ -237,7 +238,7 @@ def test_graded_differential_squares_to_zero():
     g, chi = square_graph()
     fc = build_flag_complex(g)
     for d in (2, 6):
-        wc = weighted_complex(fc, chi, d)
+        wc = weighted_complex(fc, chi, d, q_boundaries(fc, chi))
         kd = wc.field
         for n in range(0, fc.dim + 1):
             # compose sparse columns: d_(n) after d_(n+1)
@@ -351,7 +352,7 @@ def test_page_dims_match_bruteforce_subspaces():
     for g, chi in cases:
         fc = build_flag_complex(g)
         for d in torsion_support(g, chi).values:
-            wc = weighted_complex(fc, chi, d)
+            wc = weighted_complex(fc, chi, d, q_boundaries(fc, chi))
             pt = page_dims(wc)
             brute = _brute_page_dims(wc)
             fast = {}
@@ -397,7 +398,7 @@ def test_high_degree_single_edge_all_routes():
     assert forest_fitting_h1(g, chi, QQ) == dec.invariant_factors
     r = reduced_homology_ranks(fc, QQ)
     for d in support.values:
-        ns = solve_torsion(page_dims(weighted_complex(fc, chi, d)), r)
+        ns = solve_torsion(page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi))), r)
         mult = tuple(j for j, n in enumerate(ns[0], start=1) for _ in range(n))
         assert mult == dec.exponents_for(d), d
     # the q factor contributes exactly its two cyclotomic orders
