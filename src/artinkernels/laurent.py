@@ -468,7 +468,7 @@ def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
 class Factor:
     poly: LaurentPoly
     exponent: int
-    cyclotomic_order: int | None  # None when not identified (always None mod p)
+    cyclotomic_order: int | None  # None when not identified (factor_invariant mod p)
 
 
 def _factor_cyclotomic_q(field: Field, cs: list) -> tuple[list[Factor], list | None]:
@@ -728,34 +728,6 @@ class CyclotomicField(Field):
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(d: int) -> CyclotomicField:
     return CyclotomicField(d)
-
-
-def trunc_mul(kd, a: list, b: list, order: int) -> list:
-    """Product of K_d[tau]/(tau^order) elements as coefficient lists."""
-    out = [kd.zero] * order
-    for i, x in enumerate(a):
-        if kd.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= order:
-                break
-            if not kd.is_zero(y):
-                out[i + j] = kd.add(out[i + j], kd.mul(x, y))
-    return out
-
-
-def trunc_inv(kd, a: list, order: int) -> list:
-    """Inverse of a unit in K_d[tau]/(tau^order)."""
-    inv0 = kd.inv(a[0])
-    out = [kd.zero] * order
-    out[0] = inv0
-    for i in range(1, order):
-        acc = kd.zero
-        for j in range(1, i + 1):
-            if j < len(a):
-                acc = kd.add(acc, kd.mul(a[j], out[i - j]))
-        out[i] = kd.neg(kd.mul(inv0, acc))
-    return out
 
 
 def taylor_at_root(f: LaurentPoly, d: int, order: int) -> list:

@@ -1,36 +1,42 @@
-"""Smith normal forms over K[t] and homology module decompositions.
+"""Smith normal forms over K[t^{+-1}] and homology module decompositions.
 
-K[t^{+-1}] is a PID whose units are c*t^a, so matrices of Laurent
-polynomials are first cleared to K[t] by multiplying each column with a
-suitable t-power (a unimodular operation), and invariant factors are
+K[t^{+-1}] is a PID whose units are c*t^a, so invariant factors are
 reported unit-normalized (monic, nonzero constant term).
 
-Two diagonalization engines live here.
+:func:`boundary_smith_form` diagonalizes a twisted boundary by one engine
+for every field K.  Its coefficient at (Y, X), Y = X minus a vertex v, is
++-W(X)/W(Y) with W(X) = p_X q_X, or 0 when v brings in a zero (resonant)
+factor; see `twisted`.  So the boundary is diag(W(Y))^-1 B diag(W(X)),
+where B is the signed simplicial boundary, +-1 over the prime field, kept
+only where X and Y have the same zero factors: the resonant mask.
 
-* :func:`smith_normal_form` is the classical reduction: minimal-degree
-  pivoting, Euclidean division, whole-block divisibility sweeps, optional
-  transform tracking.  Over GF(p) coefficients cannot grow and this is
-  the engine of choice; over Q it keeps every row and column primitive
-  but remains usable only while entry degrees are small (rational
-  elimination of long division chains explodes doubly exponentially).
+Let g be an irreducible factor of Phi_d over K, with char K not dividing
+d.  In the local ring K[t]_(g), every t^n - 1 is a unit times a power of
+g, so W(X) = unit * g^w(X), where w(X) = w_d(X) is the Phi_d-exponent of
+W(X), p-power included (`t_minus_one_multiplicities`).  Scaling rows and
+columns by units is unimodular, so locally the boundary is B with the
+entry at (Y, X) scaled by g^(w(X) - w(Y)).  Sort rows and columns by
+weight and reduce columns left to right, a persistence reduction
+(Zomorodian and Carlsson, "Computing persistent homology", 2005).  Adding
+an earlier column multiplies it by a power g^(>= 0), and so does clearing
+a reduced column above its lowest row by row operations.  Each pivot then
+leaves one entry g^(w(X) - w(low X)): these pivot gaps are the local
+exponents of the invariant factors, and the pivot count is the rank.
+Orders d with the same weight vector share one reduction.  Every
+irreducible factor of Phi_d gets the same exponents, so the invariant
+factors are products of Phi_d (mod p over GF(p)) and nothing is factored.
+Each call checks the weights against the entries of the real polynomial
+matrix, and over Q its rank at t = 2 against the pivot count.
 
-* :func:`cyclotomic_invariant_factors` exploits that every nonzero minor
-  of a twisted boundary is a rational constant times t-powers and
-  cyclotomics: rank comes from one exact evaluation off the unit circle,
-  and the Phi_d-exponents of the invariant factors from the local Smith
-  form at zeta_d, one least-valuation elimination over K_d[tau]/(tau^N)
-  per candidate d (after Wilkening and Yu's local construction of the
-  Smith form).  Field arithmetic in K_d only, so nothing ever grows; this
-  is the engine behind every characteristic-zero homology computation.
-  It keeps those exponents in `SmithForm.exponents`.
+:func:`smith_normal_form` (Euclidean reduction), :func:`taylor_block` and
+:func:`cyclotomic_candidates` are references the tests hold the engine
+to.
 
 :func:`decompose_torsion` turns the nontrivial invariant factors of the
-degree-(k+1) boundary into the torsion of the degree-k homology module.
-Over Q it reads the primary parts straight from the Phi_d-exponents, so
-nothing is factored again; over GF(p) it factors the polynomials.  The
-free rank comes from rank-nullity over the fraction field K(t).
-`cli.run` and :func:`homology_module` get their modules from
-:func:`homology_modules`.
+degree-(k+1) boundary into the torsion of the degree-k homology module,
+reading the Phi_d-exponents.  The free rank comes from rank-nullity over
+the fraction field K(t).  `cli.run` and :func:`homology_module` get their
+modules from :func:`homology_modules`.
 """
 
 from __future__ import annotations
@@ -41,12 +47,12 @@ from fractions import Fraction
 
 from .flag import FlagComplex
 from .graphs import Character, ResonanceSets
-from .laurent import (Factor, LaurentPoly, cyclotomic, cyclotomic_field,
-                      cyclotomic_product, dense_add, dense_divmod, dense_monic,
-                      dense_mul, dense_sub, factor_invariant,
-                      laurent_from_dense, taylor_at_root, trunc_inv, trunc_mul)
-from .scalars import QQ, FieldSpec
-from .twisted import PolyMatrix, twisted_boundary
+from .laurent import (Factor, cyclotomic, cyclotomic_field, cyclotomic_product,
+                      dense_add, dense_divmod, dense_monic, dense_mul, dense_sub,
+                      laurent_from_dense, taylor_at_root, totient)
+from .linalg import BottomEchelon
+from .scalars import FieldSpec
+from .twisted import PolyMatrix, signed_boundary, twisted_boundary
 
 
 @dataclass
@@ -238,23 +244,10 @@ def _strip_t(field, cs: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# invariant factors in characteristic zero, one cyclotomic at a time
-#
-# Every nonzero minor of a twisted boundary is a rational constant times a
-# product of cyclotomic polynomials and t-powers, so its roots lie on the
-# unit circle or at 0.  Two consequences drive the engine below:
-#   * the rank over K(t) equals the rank after evaluating t at any rational
-#     point away from the unit circle and zero;
-#   * Phi_d has a simple root at zeta_d, so the Phi_d-exponents of the
-#     invariant factors are the tau-valuations of the local Smith form over
-#     K_d[[tau]], t = zeta_d + tau, computed mod tau^N with arithmetic in
-#     K_d only (no coefficient growth at all).
-# `taylor_block` writes the same local ring as one K_d-matrix, whose ranks
-# the tests take as a page oracle.
+# invariant factors by persistence of the weight filtration
 # ---------------------------------------------------------------------------
 
 SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
-LOCAL_ORDER_CAP = 64           # deepest truncation tau^N of the local route
 
 
 def specialized_rank(m: PolyMatrix) -> int:
@@ -286,97 +279,10 @@ def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
     return rows
 
 
-def _valuation(kd, series: list) -> int:
-    """Index of the first nonzero coefficient; len(series) when zero."""
-    for v, x in enumerate(series):
-        if not kd.is_zero(x):
-            return v
-    return len(series)
-
-
-def _pivot_valuations(m: PolyMatrix, d: int, order: int) -> list:
-    """Pivot valuations of one elimination of m over K_d[tau]/(tau^order),
-    t = zeta_d + tau, always pivoting on an entry of least valuation.
-
-    Such a pivot divides every remaining entry, so clearing its column
-    from the other rows splits off one local invariant factor: the pivot
-    valuations are the local exponents below `order`, in increasing order.
-    Rows are dicts col -> (valuation, series) of their nonzero entries.
-    """
-    kd = cyclotomic_field(d)
-    series = {}
-    live = []
-    for row in m.entries:
-        sparse = {}
-        for j, e in enumerate(row):
-            if e.is_zero():
-                continue
-            if e not in series:
-                s = taylor_at_root(e, d, order)
-                series[e] = (_valuation(kd, s), s)
-            if series[e][0] < order:
-                sparse[j] = series[e]
-        if sparse:
-            live.append(sparse)
-    vals = []
-    while live:
-        # least valuation first, then the sparsest row to limit fill-in
-        lows = [min(x[0] for x in row.values()) for row in live]
-        p = min(range(len(live)), key=lambda i: (lows[i], len(live[i])))
-        v = lows[p]
-        prow = live[p]
-        live[p] = live[-1]
-        live.pop()
-        j = next(c for c, x in prow.items() if x[0] == v)
-        width = order - v
-        # divide by tau^v: the pivot becomes a unit, the rest of the row
-        # keeps valuation >= 0
-        unit_inv = trunc_inv(kd, prow.pop(j)[1][v:], width)
-        prow = [(k, x[1][v:]) for k, x in prow.items()]
-        rest = []
-        for row in live:
-            c = row.pop(j, None)
-            if c is not None:
-                factor = trunc_mul(kd, c[1][v:], unit_inv, width)
-                for k, x in prow:
-                    prod = trunc_mul(kd, factor, x, width)
-                    old = row[k][1] if k in row else [kd.zero] * order
-                    new = old[:v] + [kd.sub(a, b) for a, b in zip(old[v:], prod)]
-                    nv = _valuation(kd, new)
-                    if nv < order:
-                        row[k] = (nv, new)
-                    else:
-                        row.pop(k, None)
-                if not row:
-                    continue
-            rest.append(row)
-        live = rest
-        vals.append(v)
-    return vals
-
-
-def _local_exponents(m: PolyMatrix, d: int, rank: int) -> list:
-    """The Phi_d-exponents of the `rank` invariant factors of m, ascending.
-
-    Phi_d has a simple root at zeta_d, so they are the exponents of the
-    local Smith form over K_d[[tau]], read off one least-valuation
-    elimination mod tau^N.  N starts at 1, where the elimination is the
-    rank at zeta_d, and doubles while fewer than `rank` pivots show.
-    """
-    order = 1
-    while order <= LOCAL_ORDER_CAP:
-        vals = _pivot_valuations(m, d, order)
-        if len(vals) > rank:
-            raise ArithmeticError(f"inconsistent local ranks at Phi_{d}")
-        if len(vals) == rank:
-            return vals
-        order *= 2
-    raise ArithmeticError(f"Phi_{d}-exponents did not stabilize")
-
-
 def cyclotomic_candidates(g, c: Character) -> list:
     """Cyclotomic orders that can divide entries (hence minors) of the
-    twisted boundaries: divisors of the |m_v| and the q-factor orders."""
+    twisted boundaries over Q: divisors of the |m_v| and the q-factor
+    orders."""
     out = {1}
     for v in g.vertices:
         mv = abs(c.m(v))
@@ -394,35 +300,93 @@ def cyclotomic_candidates(g, c: Character) -> list:
     return sorted(out)
 
 
-def cyclotomic_invariant_factors(m: PolyMatrix, candidates) -> SmithForm:
-    """Invariant factors of a twisted boundary over Q[t^{+-1}] from their
-    Phi_d-exponents for d in `candidates`.
+def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple) -> list:
+    """Ascending w(X) - w(low X) over the pivots of one left-to-right
+    column reduction of `columns`, rows and columns sorted by weight."""
+    rows = sorted(range(len(row_w)), key=row_w.__getitem__)
+    slot = [0] * len(rows)
+    for s, i in enumerate(rows):
+        slot[i] = s
+    ech = BottomEchelon(field)
+    gaps = []
+    for j in sorted(range(len(col_w)), key=col_w.__getitem__):
+        low = ech.insert({slot[i]: x for i, x in columns[j].items()})
+        if low is not None:
+            gaps.append(col_w[j] - row_w[rows[low]])
+    return sorted(gaps)
 
-    The exponents are kept as `SmithForm.exponents`; the polynomials are
-    multiplied out once, for the report and the cross-checks.
+
+def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: list,
+                                 fspec: FieldSpec) -> SmithForm:
+    """The Smith form of diag(W(Y))^-1 B diag(W(X)) over K[t^{+-1}], for a
+    signed boundary B given as sparse columns and the weights {d: w_d} of
+    its rows Y and columns X.
+
+    One reduction per distinct weight vector; the orders d that share a
+    vector share its pivot gaps.  The exponents are kept as
+    `SmithForm.exponents`; the invariant factors are multiplied out once,
+    for the report and the cross-checks.
     """
-    if m.field.char != 0:
-        raise ValueError("the cyclotomic route needs characteristic zero")
-    r = specialized_rank(m)
+    runs = {}
+    for d in sorted({d for w in row_weights + col_weights for d in w}):
+        key = (tuple(w.get(d, 0) for w in row_weights),
+               tuple(w.get(d, 0) for w in col_weights))
+        runs.setdefault(key, []).append(d)
+    if not runs:
+        runs[((0,) * len(row_weights), (0,) * len(col_weights))] = []
+    field = fspec.scalars()
     exponents = {}
-    if r:
-        for d in candidates:
-            slots = _local_exponents(m, d, r)
-            if slots[-1]:
-                exponents[d] = slots
-    factors = [cyclotomic_product({d: slots[i] for d, slots in exponents.items()}, QQ)
-               for i in range(r)]
-    return SmithForm(invariant_factors=factors, rank=r, exponents=exponents)
+    for key, orders in runs.items():
+        gaps = _pivot_gaps(field, columns, *key)
+        if gaps and gaps[-1]:
+            exponents.update((d, gaps) for d in orders)
+    exponents = dict(sorted(exponents.items()))
+    rank = len(gaps)           # every run pivots once per rank of B
+    factors = [cyclotomic_product({d: slots[i] for d, slots in exponents.items() if slots[i]},
+                                  fspec)
+               for i in range(rank)]
+    return SmithForm(invariant_factors=factors, rank=rank, exponents=exponents)
+
+
+def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights: list,
+                   rank: int) -> None:
+    """Check the weights against the entries of m, as ss checks its
+    residues: m is nonzero exactly where `columns` has an entry, and each
+    entry spans (degree minus valuation) the sum of phi(d) * (w_d(X) -
+    w_d(Y)), because t^n - 1 is a unit times a product of Phi_d of total
+    degree n over every field.  Over Q the pivot count is also checked
+    against m at t = 2."""
+    def span(w):
+        return sum(totient(d) * e for d, e in w.items())
+
+    row_spans = [span(w) for w in row_weights]
+    col_spans = [span(w) for w in col_weights]
+    nonzero = 0
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if not e.coeffs:
+                continue
+            nonzero += 1
+            if i not in columns[j] or e.degree() - e.valuation() != col_spans[j] - row_spans[i]:
+                raise ArithmeticError(f"weights do not match the entry at "
+                                      f"{m.rows[i]}, {m.cols[j]}")
+    if nonzero != sum(map(len, columns)):
+        raise ArithmeticError("the signed boundary has entries where m has none")
+    if m.field.char == 0:
+        at_point = specialized_rank(m)
+        if at_point != rank:
+            raise ArithmeticError(f"{rank} pivots but rank {at_point} at "
+                                  f"t = {SPECIALIZATION_POINT}")
 
 
 def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
                         fspec: FieldSpec) -> SmithForm:
-    """Invariant factors of a twisted boundary by the engine suited to the
-    field: the cyclotomic local route over Q, Euclidean reduction over GF(p)
-    (where coefficients cannot grow)."""
-    if fspec.char == 0:
-        return cyclotomic_invariant_factors(m, cyclotomic_candidates(fc.graph, c))
-    return smith_normal_form(m)
+    """The Smith form of m = twisted_boundary(fc, c, fspec, k), every field
+    alike: the persistence of its signed boundary under the weights."""
+    columns, row_weights, col_weights = signed_boundary(fc, c, fspec, m.k)
+    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec)
+    _check_weights(m, columns, row_weights, col_weights, snf.rank)
+    return snf
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +397,9 @@ def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
 class ModuleDecomposition:
     """H_{k+1} of the kernel subgroup as free rank + invariant factors.
 
-    `primary_parts` (characteristic zero only) maps each cyclotomic order
-    d >= 2 to the sorted list of exponents j of its Phi_d^j summands; the
-    (t-1)-part is tracked separately through `t_minus_1_exponent`.
+    `cyclotomic_parts` maps each cyclotomic order d >= 2 to the sorted list
+    of exponents j of its Phi_d^j summands; the (t-1)-part is tracked
+    separately through `t_minus_1_exponent`.
     """
 
     k: int
@@ -443,33 +407,19 @@ class ModuleDecomposition:
     free_rank: int
     invariant_factors: list
     factor_terms: list
-    primary_parts: dict | None
+    cyclotomic_parts: dict
     t_minus_1_exponent: int
+
+    @property
+    def primary_parts(self) -> dict | None:
+        """The cyclotomic parts in characteristic zero, where each Phi_d is
+        irreducible; None mod p, where Phi_d splits into several primes."""
+        return self.cyclotomic_parts if self.fspec.char == 0 else None
 
     def exponents_for(self, d: int) -> tuple:
         if self.primary_parts is None:
             raise ValueError("primary parts are tabulated in characteristic zero only")
         return tuple(self.primary_parts.get(d, ()))
-
-    def summary(self) -> str:
-        parts = []
-        if self.free_rank:
-            parts.append(f"free^{self.free_rank}" if self.free_rank > 1 else "free")
-        parts.extend(f"({f})" for f in self.invariant_factors)
-        return " + ".join(parts) if parts else "0"
-
-
-def _tm1_multiplicity(field, f: LaurentPoly) -> int:
-    tm1 = [field.neg(field.one), field.one]
-    cs, _ = f.dense()
-    count = 0
-    while len(cs) >= 2:
-        q, r = dense_divmod(field, cs, tm1)
-        if r:
-            break
-        cs = q
-        count += 1
-    return count
 
 
 def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
@@ -477,30 +427,22 @@ def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
     """The degree-k homology module, its torsion from the Smith form `snf`
     of the degree-(k+1) boundary.
 
-    Over Q everything is read from `snf.exponents`: Phi_d for d >= 2 gives
-    the primary parts, Phi_1 = t - 1 the (t-1)-exponent, and each
-    invariant factor's terms are its Phi_d^e in ascending d.  Over GF(p)
-    the invariant factors are factored into irreducibles.
+    Everything is read from `snf.exponents`: Phi_d for d >= 2 gives the
+    cyclotomic parts, Phi_1 = t - 1 the (t-1)-exponent, and each invariant
+    factor's terms are its Phi_d^e in ascending d (Phi_d mod p over GF(p)).
     """
+    if snf.exponents is None:
+        raise ValueError("decomposing needs the Phi_d-exponents of boundary_smith_form")
     invariant = snf.nontrivial_factors
-    if fspec.char == 0:
-        if snf.exponents is None:
-            raise ValueError("decomposing over Q needs the Phi_d-exponents "
-                             "of the cyclotomic route")
-        ordered = sorted(snf.exponents.items())
-        terms = [[Factor(cyclotomic(d, fspec).poly, slots[i], d)
-                  for d, slots in ordered if slots[i]]
-                 for i in range(snf.rank - len(invariant), snf.rank)]
-        primary = {d: [e for e in slots if e] for d, slots in ordered if d >= 2}
-        t1 = sum(snf.exponents.get(1, ()))
-    else:
-        terms = [factor_invariant(f, fspec) for f in invariant]
-        primary = None
-        field = fspec.scalars()
-        t1 = sum(_tm1_multiplicity(field, f) for f in invariant)
-    return ModuleDecomposition(k=k, fspec=fspec, free_rank=free_rank,
-                               invariant_factors=invariant, factor_terms=terms,
-                               primary_parts=primary, t_minus_1_exponent=t1)
+    ordered = sorted(snf.exponents.items())
+    terms = [[Factor(cyclotomic(d, fspec).poly, slots[i], d)
+              for d, slots in ordered if slots[i]]
+             for i in range(snf.rank - len(invariant), snf.rank)]
+    return ModuleDecomposition(
+        k=k, fspec=fspec, free_rank=free_rank, invariant_factors=invariant,
+        factor_terms=terms,
+        cyclotomic_parts={d: [e for e in slots if e] for d, slots in ordered if d >= 2},
+        t_minus_1_exponent=sum(snf.exponents.get(1, ())))
 
 
 def homology_modules(fc: FlagComplex, c: Character, fspec: FieldSpec,
@@ -556,8 +498,8 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
         return ShapeReport(skipped="K-resonant character", checks=[])
     checks = []
     k = dec.k
-    fspec = dec.fspec
-    field = fspec.scalars()
+    p = dec.fspec.char
+    terms = [f for fl in dec.factor_terms for f in fl]
 
     ok = True
     for f, g in zip(dec.invariant_factors, dec.invariant_factors[1:]):
@@ -574,13 +516,12 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
 
     # the (t-1) clause needs every p_v, q_e to vanish simply at t = 1,
     # which fails in characteristic p when p | m_v or p | lt(e)
-    tm1_applies = fspec.char == 0
+    tm1_applies = p == 0
     if not tm1_applies and graph is not None and character is not None:
-        p = fspec.char
         tm1_applies = all(character.m(v) % p != 0 for v in graph.vertices) and \
             all(graph.ell_tilde(u, v) % p != 0 for (u, v) in graph.edge_list)
     if tm1_applies:
-        semis = all(_tm1_multiplicity(field, f) <= 1 for f in dec.invariant_factors)
+        semis = all(f.exponent <= 1 for f in terms if f.cyclotomic_order == 1)
         expect = image_dims_list[k + 1] if k + 1 < len(image_dims_list) else 0
         good = semis and dec.t_minus_1_exponent == expect
         checks.append(ShapeCheck(
@@ -591,24 +532,13 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
             "t-minus-1-part", "skip",
             "char divides a vertex weight or edge half-label"))
 
-    sup = set(support)
-    if fspec.char == 0:
-        in_support = all(d in sup for d in dec.primary_parts)
-    else:
-        tm1 = laurent_from_dense(field, [field.neg(field.one), field.one])
-        phis = [cyclotomic(d, fspec).poly for d in sup]
+    # Phi_d (p not dividing d) divides Phi_e mod p exactly when e = p^a d
+    def p_free(e):
+        while p and e % p == 0:
+            e //= p
+        return e
 
-        def explained(g: LaurentPoly) -> bool:
-            if g == tm1:
-                return True
-            gd, _ = g.dense()
-            for phi in phis:
-                pd, _ = phi.dense()
-                if len(pd) >= len(gd) and not dense_divmod(field, pd, gd)[1]:
-                    return True
-            return False
-
-        in_support = all(explained(fac.poly)
-                         for fl in dec.factor_terms for fac in fl)
+    folded = {p_free(e) for e in support}
+    in_support = all(f.cyclotomic_order in folded for f in terms if f.cyclotomic_order >= 2)
     checks.append(ShapeCheck("torsion-in-support", "pass" if in_support else "fail"))
     return ShapeReport(skipped=None, checks=checks)

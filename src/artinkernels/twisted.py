@@ -16,16 +16,23 @@ The weight polynomials of a simplex X,
 
 are never zero and control both the minors (every minor of the twisted
 matrix is the matching untwisted minor times p_X q_X ratios) and the
-multiplicity filtration.
+multiplicity filtration.  The coefficient at (X_v, X) is the sign times
+p_X q_X / p_{X_v} q_{X_v} when X and X_v have the same resonant (zero)
+factors, and 0 when v brings in one of its own: `facet_factors` lists the
+factors, `factor_poly` reads them as polynomials (twisted_boundary) and
+`factor_multiplicities` as Phi_d-exponents (signed_boundary).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .flag import FlagComplex
 from .graphs import Character
-from .laurent import LaurentPoly, q_poly
+from .laurent import LaurentPoly, q_poly, t_minus_one_multiplicities
 from .scalars import Field, FieldSpec
 
 
@@ -62,12 +69,36 @@ class PolyMatrix:
         return "\n".join(lines)
 
 
-def _vertex_factor(c: Character, v, field) -> LaurentPoly:
-    return LaurentPoly.t_power(field, c.m(v)) - LaurentPoly.one(field)
+def facet_factors(g, c: Character, v, face) -> list:
+    """The factors of the coefficient at (face, face + v), as pairs (lt, m):
+    (None, m_v) stands for t^{m_v} - 1 and (lt(vw), m_vw) for
+    q_{lt(vw)}(t^{m_vw}), one per w in face.  This is the one place that
+    says which factors make W(X) = p_X q_X: it is their product along
+    X[:1], X[:2], ..., X, so the coefficient at (X minus v, X) is
+    +-W(X)/W(X minus v)."""
+    return [(None, c.m(v))] + [(g.ell_tilde(v, w), c.m_edge(v, w)) for w in face]
 
 
-def _edge_factor(g, c: Character, u, v, field) -> LaurentPoly:
-    return q_poly(g.ell_tilde(u, v), c.m_edge(u, v), field)
+def factor_poly(factor, field) -> LaurentPoly:
+    """A `facet_factors` pair as a Laurent polynomial over `field`."""
+    lt, m = factor
+    if lt is None:
+        return LaurentPoly.t_power(field, m) - LaurentPoly.one(field)
+    return q_poly(lt, m, field)
+
+
+@functools.lru_cache(maxsize=None)
+def factor_multiplicities(factor, char: int) -> tuple | None:
+    """The pairs (d, exponent of Phi_d) of the factor over a field of
+    characteristic `char`, orders folded as in `t_minus_one_multiplicities`;
+    None when the factor is zero: t^0 - 1, or q_lt(t^0) = lt with char | lt."""
+    lt, m = factor
+    if m == 0:
+        return None if lt is None or (char and lt % char == 0) else ()
+    out = Counter(t_minus_one_multiplicities(m if lt is None else lt * m, char))
+    if lt is not None:
+        out.subtract(t_minus_one_multiplicities(m, char))
+    return tuple((d, e) for d, e in out.items() if e)
 
 
 def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> PolyMatrix:
@@ -85,10 +116,44 @@ def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) ->
     for j, simplex in enumerate(cols):
         for i, v in enumerate(simplex):
             face = simplex[:i] + simplex[i + 1:]
-            coeff = _vertex_factor(c, v, field)
-            for w in face:
-                coeff = coeff * _edge_factor(g, c, v, w, field)
+            coeff = functools.reduce(operator.mul, [factor_poly(f, field)
+                                                    for f in facet_factors(g, c, v, face)])
             if i % 2 == 1:
                 coeff = -coeff
             entries[fc.position(face)][j] = coeff
     return PolyMatrix(rows, cols, entries, field, k)
+
+
+def simplex_weights(fc: FlagComplex, c: Character, char: int, simplices) -> dict:
+    """X -> (number of zero factors, {d: w_d(X)}) for each simplex X, where
+    w_d(X) is the exponent of Phi_d in the product of the nonzero factors
+    of W(X), read off `facet_factors` along X[:1], ..., X."""
+    out = {}
+    for X in simplices:
+        mults = [factor_multiplicities(f, char) for i, v in enumerate(X)
+                 for f in facet_factors(fc.graph, c, v, X[:i])]
+        w = Counter()
+        for mult in mults:
+            for d, e in mult or ():
+                w[d] += e
+        out[X] = (mults.count(None), w)
+    return out
+
+
+def signed_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec,
+                    k: int) -> tuple[list, list, list]:
+    """The degree-k boundary as the weights see it: sparse columns
+    {row: (-1)^i} over the prime field, one entry per face X minus its i-th
+    vertex with as many zero factors as X, and the weights {d: w_d} of rows
+    and columns.  A face's factors are among X's, so equal counts mean the
+    same zero factors; otherwise the coefficient has a zero factor and is 0.
+    """
+    field = fspec.scalars()
+    rows = fc.simplices_of(k - 1)
+    cols = fc.simplices_of(k)
+    w = simplex_weights(fc, c, fspec.char, rows + cols)
+    signs = (field.one, field.neg(field.one))
+    columns = [{fc.position(X[:i] + X[i + 1:]): signs[i % 2]
+                for i in range(len(X)) if w[X[:i] + X[i + 1:]][0] == w[X][0]}
+               for X in cols]
+    return columns, [w[Y][1] for Y in rows], [w[X][1] for X in cols]

@@ -16,8 +16,7 @@ from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError,
 from artinkernels.linalg import rank as field_rank
 from artinkernels.scalars import Field, FieldSpec
 from artinkernels.smith import _clear_to_polys, taylor_block
-from artinkernels.twisted import (PolyMatrix, _edge_factor, _vertex_factor,
-                                  twisted_boundary)
+from artinkernels.twisted import PolyMatrix, factor_poly, twisted_boundary
 
 QQ = FieldSpec()
 
@@ -172,12 +171,12 @@ def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> Simpl
     p = LaurentPoly.one(field)
     for v in X:
         if v not in res.resonant_vertices:
-            p = p * _vertex_factor(c, v, field)
+            p = p * factor_poly((None, c.m(v)), field)
     q = LaurentPoly.one(field)
     for i, u in enumerate(X):
         for v in X[i + 1:]:
             if (u, v) not in res.resonant_edges:
-                q = q * _edge_factor(g, c, u, v, field)
+                q = q * factor_poly((g.ell_tilde(u, v), c.m_edge(u, v)), field)
     return SimplexWeights(p, q)
 
 

@@ -20,15 +20,16 @@ complex (H_2 free rank).
 import random
 from itertools import combinations
 
-from artinkernels import (LaurentPoly, build_f2, build_flag_complex,
-                          build_gamma1, forest_fitting_h1, h1_free_rank,
+from artinkernels import (LaurentPoly, boundary_smith_form, build_f2,
+                          build_flag_complex, build_gamma1,
+                          forest_fitting_h1, h1_free_rank,
                           h2_free_rank, homology_module, image_dims,
                           jordan_bound_check, laurent_gcd, normalize_unit,
                           page_dims, reduced_homology_ranks, resonance_sets,
                           smith_normal_form, solve_torsion, torsion_support,
                           twisted_boundary, verify_shape, weighted_complex)
-from artinkernels.smith import (cyclotomic_candidates,
-                                cyclotomic_invariant_factors)
+from artinkernels.smith import cyclotomic_invariant_factors
+from artinkernels.twisted import signed_boundary
 from artinkernels.spectral import TorsionTable
 
 from conftest import (QQ, F2, dihedral_graph, q_boundaries, random_case,
@@ -227,8 +228,7 @@ def test_acceptance_5_oracle_equivalence_sweep():
                 if got != decs[k].exponents_for(d):
                     mismatches.append((i, "ss", d, k))
         forest = forest_fitting_h1(g, chi, QQ)
-        snf1 = cyclotomic_invariant_factors(
-            twisted_boundary(fc, chi, QQ, 1), cyclotomic_candidates(g, chi))
+        snf1 = boundary_smith_form(twisted_boundary(fc, chi, QQ, 1), fc, chi, QQ)
         if forest != snf1.invariant_factors:
             mismatches.append((i, "forest"))
         for k in range(fc.dim + 1):
@@ -410,10 +410,10 @@ def test_acceptance_7_fitting_bruteforce():
             rows = m.rows[:4]
             cols = m.cols[:4]
             m = submatrix(m, rows, cols)
-            if fspec.char == 0:
-                snf = cyclotomic_invariant_factors(m, cyclotomic_candidates(g, chi))
-            else:
-                snf = smith_normal_form(m)
+            # the engine's reduction step on the same 4 x 4 corner
+            signs, row_w, col_w = signed_boundary(fc, chi, fspec, k)
+            corner = [{i: x for i, x in col.items() if i < 4} for col in signs[:4]]
+            snf = cyclotomic_invariant_factors(corner, row_w[:4], col_w[:4], fspec)
             field = m.field
             for size in range(1, min(len(rows), len(cols)) + 1):
                 gcd = LaurentPoly.zero(field)

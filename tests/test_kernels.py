@@ -1,8 +1,7 @@
-"""Differential tests of the exact kernels under the characteristic-zero
-Smith route against naive reference algorithms kept in this file:
-Horner expansion of truncated series, dense Gaussian elimination, and
-Phi_d-exponents from cokernel dimensions of one dense Taylor block per
-truncation depth.
+"""Differential tests of the exact kernels under the Smith route against
+naive reference algorithms kept in this file: Horner expansion of
+truncated series, dense Gaussian elimination, and Phi_d-exponents from
+cokernel dimensions of one dense Taylor block per truncation depth.
 """
 
 import copy
@@ -10,34 +9,57 @@ import random
 
 import pytest
 
-from artinkernels import (LaurentPoly, PolyMatrix, build_flag_complex,
+from artinkernels import (Character, LabeledGraph, LaurentPoly,
+                          boundary_smith_form, build_flag_complex,
                           cyclotomic_field, residue_eval, twisted_boundary)
 from artinkernels import smith
-from artinkernels.laurent import taylor_at_root, trunc_inv, trunc_mul
-from artinkernels.linalg import rank
+from artinkernels.laurent import taylor_at_root
+from artinkernels.linalg import BottomEchelon, rank
 from artinkernels.scalars import PrimeField
-from artinkernels.smith import (LOCAL_ORDER_CAP, cyclotomic_candidates,
-                                specialized_rank, taylor_block)
+from artinkernels.smith import cyclotomic_candidates, taylor_block
 
 from conftest import QQ, random_case
 
 Q = QQ.scalars()
 ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
+BLOCK_DEPTH_CAP = 64           # deepest truncation block_exponents builds
 
 
 def L(coeffs):
     return LaurentPoly(Q, {e: Q.from_int(c) for e, c in coeffs.items()})
 
 
-def pm(rows):
-    entries = [[e if isinstance(e, LaurentPoly) else L(e) for e in row] for row in rows]
-    return PolyMatrix([(f"r{i}",) for i in range(len(rows))],
-                      [(f"c{j}",) for j in range(len(rows[0]))], entries, Q)
-
-
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
+
+def trunc_mul(kd, a: list, b: list, order: int) -> list:
+    """Product of K_d[tau]/(tau^order) elements as coefficient lists."""
+    out = [kd.zero] * order
+    for i, x in enumerate(a):
+        if kd.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if i + j >= order:
+                break
+            if not kd.is_zero(y):
+                out[i + j] = kd.add(out[i + j], kd.mul(x, y))
+    return out
+
+
+def trunc_inv(kd, a: list, order: int) -> list:
+    """Inverse of a unit in K_d[tau]/(tau^order)."""
+    inv0 = kd.inv(a[0])
+    out = [kd.zero] * order
+    out[0] = inv0
+    for i in range(1, order):
+        acc = kd.zero
+        for j in range(1, i + 1):
+            if j < len(a):
+                acc = kd.add(acc, kd.mul(a[j], out[i - j]))
+        out[i] = kd.neg(kd.mul(inv0, acc))
+    return out
+
 
 def horner_taylor(f, d, order):
     """f(zeta_d + tau) mod tau^order by Horner in K_d[tau]/(tau^order)."""
@@ -83,7 +105,7 @@ def block_exponents(m, d, rank_):
     nr = m.shape[0]
     exps = [0] * rank_
     prev = 0
-    for j in range(1, LOCAL_ORDER_CAP + 1):
+    for j in range(1, BLOCK_DEPTH_CAP + 1):
         rows = taylor_block(m, d, j)
         coker = nr * j - (dense_rank(kd, rows) if rows else 0)
         at_least_j = coker - prev - (nr - rank_)
@@ -200,6 +222,36 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
 
 
 # ---------------------------------------------------------------------------
+# bottom-echelon staircase
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(3)"])
+def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
+    """After each insert, the leads >= r count the rank of rows >= r of the
+    columns so far: the one fact both the ss and the Smith route read."""
+    rng = random.Random(field_name)
+    field = Q if field_name == "Q" else PrimeField(3)
+    checked = 0
+    for _ in range(15):
+        nr = rng.randint(1, 8)
+        ech = BottomEchelon(field)
+        leads, dense = [], []
+        for _ in range(rng.randint(1, 10)):
+            col = {i: field.from_int(rng.randint(-2, 2)) for i in range(nr)
+                   if rng.random() < 0.4}
+            dense.append([col.get(i, field.zero) for i in range(nr)])
+            lead = ech.insert(dict(col))
+            if lead is not None:
+                leads.append(lead)
+            assert len(set(leads)) == len(leads) == ech.rank
+            for r in range(nr + 1):
+                below = [[c[i] for c in dense] for i in range(r, nr)]
+                assert sum(1 for x in leads if x >= r) == dense_rank(field, below)
+                checked += 1
+    assert checked > 200
+
+
+# ---------------------------------------------------------------------------
 # local exponents
 # ---------------------------------------------------------------------------
 
@@ -211,55 +263,23 @@ def test_local_exponents_match_the_block_reference():
         fc = build_flag_complex(g)
         for k in range(0, fc.dim + 2):
             m = twisted_boundary(fc, chi, QQ, k)
-            r = specialized_rank(m)
-            if r == 0:
+            snf = boundary_smith_form(m, fc, chi, QQ)
+            if snf.rank == 0:
                 continue
             for d in cyclotomic_candidates(g, chi):
-                exps = smith._local_exponents(m, d, r)
-                assert exps == block_exponents(m, d, r), (g.edge_list, k, d)
+                exps = snf.exponents.get(d, [0] * snf.rank)
+                assert exps == block_exponents(m, d, snf.rank), (g.edge_list, k, d)
                 checked += 1
                 deep += exps[-1] >= 2
     assert checked > 100 and deep > 0
 
 
-def test_deep_exponent_doubles_the_truncation(monkeypatch):
-    phi3 = L({0: 1, 1: 1, 2: 1})
-    tm1 = L({0: -1, 1: 1})
-    zero = L({})
-    # U * diag(Phi_3^5, Phi_3 (t-1)) * V with unimodular U, V
-    d = [[phi3 ** 5, zero], [zero, phi3 * tm1]]
-    u = [[L({0: 1}), L({1: 1})], [zero, L({0: 1})]]
-    v = [[L({0: 1}), zero], [L({-1: 1, 0: 1}), L({0: 1})]]
-
-    def mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(2)), zero) for j in range(2)]
-                for i in range(2)]
-
-    m = pm(mul(mul(u, d), v))
-    orders = []
-    real = smith._pivot_valuations
-
-    def spy(mat, dd, order):
-        orders.append(order)
-        return real(mat, dd, order)
-
-    monkeypatch.setattr(smith, "_pivot_valuations", spy)
-    assert smith._local_exponents(m, 3, 2) == [1, 5]
-    assert orders == [1, 2, 4, 8]
-    assert smith._local_exponents(m, 1, 2) == [0, 1]
-    assert smith._local_exponents(m, 2, 2) == [0, 0]
-
-
-def test_exponent_beyond_the_cap_raises():
-    phi2 = L({0: 1, 1: 1})
-    m = pm([[phi2 ** LOCAL_ORDER_CAP]])
-    with pytest.raises(ArithmeticError, match="did not stabilize"):
-        smith._local_exponents(m, 2, 1)
-    m = pm([[phi2 ** (LOCAL_ORDER_CAP - 1)]])
-    assert smith._local_exponents(m, 2, 1) == [LOCAL_ORDER_CAP - 1]
-
-
-def test_more_pivots_than_the_rank_raises():
-    m = pm([[{0: 1}, {}], [{}, {0: 1}]])
-    with pytest.raises(ArithmeticError, match="inconsistent"):
-        smith._local_exponents(m, 3, 1)
+def test_more_pivots_than_the_rank_raises(monkeypatch):
+    g = LabeledGraph(["u", "v"], [("u", "v", 4)])
+    chi = Character(g, {"u": 1, "v": 2})
+    fc = build_flag_complex(g)
+    m = twisted_boundary(fc, chi, QQ, 1)
+    assert boundary_smith_form(m, fc, chi, QQ).rank == 1
+    monkeypatch.setattr(smith, "specialized_rank", lambda mat: 0)
+    with pytest.raises(ArithmeticError, match="pivots"):
+        boundary_smith_form(m, fc, chi, QQ)

@@ -5,15 +5,17 @@ import pytest
 
 from artinkernels import (Character, LabeledGraph, LaurentPoly, PolyMatrix,
                           boundary_smith_form, build_flag_complex,
-                          factor_invariant, homology_module, image_dims,
-                          laurent_gcd, normalize_unit, reduced_homology_ranks,
+                          factor_invariant, homology_module, homology_modules,
+                          image_dims, laurent_gcd, normalize_unit,
+                          reduced_homology_ranks,
                           resonance_sets, smith_normal_form, torsion_support,
                           twisted_boundary, verify_shape)
 from artinkernels.laurent import dense_mul, totient
+from artinkernels.scalars import FieldSpec
 from artinkernels.smith import decompose_torsion
 
-from conftest import (QQ, F2, dihedral_graph, random_case,
-                      square_diagonal_graph, square_graph)
+from conftest import (QQ, F2, F3, dihedral_graph, random_case,
+                      random_even_graph, square_diagonal_graph, square_graph)
 from oracles import det, poly_det_dense, submatrix
 
 Q = QQ.scalars()
@@ -237,49 +239,71 @@ def test_free_rank_agrees_with_random_specialization():
             assert dim == dec.free_rank
 
 
+def _seeded_cases(rng, count):
+    """FC graphs on up to 5 vertices with labels 2/4/6 and weights -2..2,
+    zeros included: small enough degrees for the Euclidean reference over Q."""
+    for _ in range(count):
+        g = random_even_graph(rng, max_vertices=5, labels=(2, 4, 6))
+        yield g, Character(g, {v: rng.randint(-2, 2) for v in g.vertices})
+
+
 def test_cyclotomic_engine_agrees_with_euclidean_on_small_cases():
-    """The two characteristic-zero routes must produce identical chains
-    wherever the Euclidean one is usable (small degrees)."""
-    from artinkernels.smith import (cyclotomic_candidates,
-                                    cyclotomic_invariant_factors)
-    from conftest import random_even_graph, random_character
+    """The persistence engine and the Euclidean reference give the same
+    invariant factors over Q, GF(2), GF(3) and GF(5), resonant characters
+    and characteristic-p folding included."""
+    fields = (QQ, F2, F3, FieldSpec(5))
     rng = random.Random(61)
-    cases = [dihedral_graph(), square_graph()]
-    for _ in range(8):
-        g = random_even_graph(rng, max_vertices=4, labels=(2, 4))
-        c = random_character(rng, g, max_weight=1)
-        cases.append((g, c))
+    cases = [dihedral_graph(), square_graph()] + list(_seeded_cases(rng, 150))
+    seen = set()
+    compared = 0
     for g, chi in cases:
         fc = build_flag_complex(g)
-        cands = cyclotomic_candidates(g, chi)
-        for k in (1, 2):
-            m = twisted_boundary(fc, chi, QQ, k)
-            a = cyclotomic_invariant_factors(m, cands)
-            b = smith_normal_form(m)
-            assert a.rank == b.rank
-            assert a.invariant_factors == b.invariant_factors, \
-                (g.raw_edges, chi.values, k)
+        for fspec in fields:
+            p = fspec.char
+            for k in range(fc.dim + 2):
+                m = twisted_boundary(fc, chi, fspec, k)
+                a = boundary_smith_form(m, fc, chi, fspec)
+                b = smith_normal_form(m)
+                context = (g.raw_edges, chi.values, fspec.char, k)
+                assert a.rank == b.rank, context
+                assert a.invariant_factors == b.invariant_factors, context
+                compared += 1
+                if a.exponents and max(max(s) for s in a.exponents.values()) >= 2:
+                    seen.add("exponent >= 2")
+            if any(chi.m(v) == 0 for v in g.vertices):
+                seen.add("m_v = 0")
+            if p and any(chi.m(v) and chi.m(v) % p == 0 for v in g.vertices):
+                seen.add("p | m_v")
+            if p and any(chi.m_edge(u, v) == 0 and g.ell_tilde(u, v) % p == 0
+                         for u, v in g.edge_list):
+                seen.add("m_e = 0, p | lt")
+    assert seen == {"exponent >= 2", "m_v = 0", "p | m_v", "m_e = 0, p | lt"}
+    assert compared > 100
+
+
+def _modules(g, chi, fspec):
+    fc = build_flag_complex(g)
+    boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
+    decs = homology_modules(fc, chi, fspec, boundaries, range(fc.dim + 1))[1]
+    return {k: (dec.free_rank, [str(f) for f in dec.invariant_factors])
+            for k, dec in decs.items()}
 
 
 def test_decomposition_invariant_under_vertex_permutation():
     rng = random.Random(67)
-    g, chi, chi2 = square_diagonal_graph()
-    base = {(k, str(f)): None for k in (0, 1)
-            for f in homology_module(build_flag_complex(g), chi2, F2, k).invariant_factors}
-    for _ in range(4):
-        order = list(g.vertices)
-        rng.shuffle(order)
-        pg = LabeledGraph(order, [(u, v, g.ell(u, v)) for u, v in g.edge_list])
-        pc = Character(pg, {v: chi2.m(v) for v in order})
-        pfc = build_flag_complex(pg)
-        got = {}
-        for k in (0, 1):
-            dec = homology_module(pfc, pc, F2, k)
-            for f in dec.invariant_factors:
-                got[(k, str(f))] = None
-            assert dec.free_rank == homology_module(
-                build_flag_complex(g), chi2, F2, k).free_rank
-        assert got == base
+    g, _chi, chi2 = square_diagonal_graph()
+    names = [f"v{i}" for i in range(8)]
+    matching = {("v0", "v1"), ("v2", "v3"), ("v4", "v5"), ("v6", "v7")}
+    k8 = LabeledGraph(names, [(u, v, 4 if (u, v) in matching else 2)
+                              for i, u in enumerate(names) for v in names[i + 1:]])
+    k8_chi = Character(k8, dict(zip(names, (2, 5, 1, 3, 1, 4, 4, 4))))
+    for g, chi, fspec, shuffles in ((g, chi2, F2, 4), (k8, k8_chi, F3, 3)):
+        base = _modules(g, chi, fspec)
+        for _ in range(shuffles):
+            order = list(g.vertices)
+            rng.shuffle(order)
+            pg = LabeledGraph(order, [(u, v, g.ell(u, v)) for u, v in g.edge_list])
+            assert _modules(pg, Character(pg, {v: chi.m(v) for v in order}), fspec) == base
 
 
 def test_dihedral_label_six_characteristic_split():
