@@ -25,12 +25,17 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_golden
 # ss route filters every degree up to the clique dimension
 TRIANGLE = "vertex a 2\nvertex b 2\nvertex c 2\nedge a b 2\nedge b c 2\nedge a c 4\n"
 
+# the 3-vertex path with m_u = 210: ss works over K_d for every d | 210,
+# up to phi(210) = 48, with entries of degree 210
+PATH_M210 = "vertex u 210\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
+
 # (case id, input, field, k_max): every self-check entry, then k_max below
-# the clique dimension, where the dump stops at k_max + 1
+# the clique dimension, where the dump stops at k_max + 1, then a large weight
 CASES = [(f"{name} over {fspec}", cli.fixture_text(name), fspec, None)
          for name, fspec in cli.SELF_CHECK] + [
     ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), FieldSpec(), 0),
     ("triangle over Q, k_max=0", TRIANGLE, FieldSpec(), 0),
+    ("path m_u=210 over Q", PATH_M210, FieldSpec(), None),
 ]
 
 
