@@ -16,7 +16,11 @@ Conventions used throughout:
   standard irreducible one; over GF(p) it means the mod-p reduction,
   which may be reducible.
 * :class:`CyclotomicField` is K_d = Q[z]/(Phi_d), used as an honest
-  coefficient field for the multiplicity spectral sequence.
+  coefficient field for the multiplicity spectral sequence.  Its elements
+  are pairs (nums, den) of phi(d) integer numerators and one positive
+  common denominator in lowest terms, so arithmetic runs on Python ints.
+  :func:`quotient_residue` reads f / Phi_d^j in K_d by exact integer
+  division by the monic Phi_d.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Field, FieldSpec, Rationals
+from .scalars import Field, FieldSpec
 
 
 class ZeroPolynomialError(ValueError):
@@ -380,34 +384,109 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _int_divmod_poly(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    # exact integer division by a monic divisor
+def _int_divmod_poly(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, b monic."""
     r = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
+    terms = [(i, c) for i, c in enumerate(b[:-1]) if c]
     while len(r) >= len(b):
         c = r[-1]
         shift = len(r) - len(b)
         q[shift] = c
-        for i in range(len(b) - 1):
-            r[shift + i] -= c * b[i]
+        for i, x in terms:
+            r[shift + i] -= c * x
         r.pop()
         while r and r[-1] == 0:
             r.pop()
     return q, r
 
 
+def _int_inverse_mod(a: list[int], m: tuple[int, ...]) -> tuple[list[int], int]:
+    """(s, c) with s * a = c mod m, c a nonzero integer and deg s < deg m,
+    for a nonzero integer polynomial a coprime to m over Q.
+
+    The extended Euclidean algorithm on integer polynomials: each division
+    step scales the dividend by the lead of the divisor over their gcd, and
+    each remainder r, with its cofactor s (s * a = r mod m), is divided by
+    the content of both.
+    """
+    while a and not a[-1]:
+        a.pop()
+    r0, s0, r1, s1 = list(m), [], a, [1]
+    while len(r1) > 1:
+        lead, db = r1[-1], len(r1) - 1
+        r, q, scale = list(r0), [0] * (len(r0) - db), 1
+        while len(r) > db:
+            top, shift = r[-1], len(r) - 1 - db
+            g = math.gcd(top, lead)
+            u, v = lead // g, top // g
+            if u != 1:
+                r = [u * x for x in r]
+                q = [u * x for x in q]
+                scale *= u
+            for i, y in enumerate(r1):
+                r[shift + i] -= v * y
+            q[shift] += v
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            raise ValueError("not coprime to the modulus")
+        # s = scale * s0 - q * s1
+        s = [scale * x for x in s0] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    s[i + j] -= x * y
+        while s and not s[-1]:
+            s.pop()
+        g = math.gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
+    return s1, r1[0]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_int(d: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_d, ascending."""
+    """Integer coefficients of Phi_d, ascending.
+
+    Phi_d is the product of (t^(d/e) - 1)^mu(e) over the squarefree
+    divisors e of d, mu the Moebius function.  The binomials with mu(e) = 1
+    are multiplied in first, then those with mu(e) = -1 divided out; each
+    quotient is exact, so every step is one O(degree) pass.
+    """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = [0] * (d + 1)
-    num[0], num[d] = -1, 1
-    for dd in range(1, d):
-        if d % dd == 0:
-            num, rem = _int_divmod_poly(num, list(cyclotomic_int(dd)))
-            assert not rem
-    return tuple(num)
+    primes = _prime_factors(d)
+    ups, downs = [], []
+    for mask in range(1 << len(primes)):
+        e = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        (downs if bin(mask).count("1") % 2 else ups).append(d // e)
+    cs = [1]
+    for k in ups:
+        # times t^k - 1
+        cs = [(cs[i - k] if i >= k else 0) - (cs[i] if i < len(cs) else 0)
+              for i in range(len(cs) + k)]
+    for k in downs:
+        # divided by t^k - 1: q[i] = q[i - k] - cs[i], from the bottom up
+        q = cs[:len(cs) - k]
+        for i in range(len(q)):
+            q[i] = (q[i - k] if i >= k else 0) - cs[i]
+        cs = q
+    return tuple(cs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -616,23 +695,29 @@ def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
 # ---------------------------------------------------------------------------
 
 class CyclotomicField(Field):
-    """Q[z]/(Phi_d) as an exact field; elements are Fraction tuples."""
+    """K_d = Q[z]/(Phi_d) as an exact field, on Python integers.
+
+    An element is a pair (nums, den): the phi(d) integer coordinates of
+    its numerator in the basis 1, z, ..., z^(phi(d) - 1) and one positive
+    common denominator, in lowest terms (den and the nums have gcd 1, and
+    zero is ((0, ..., 0), 1)).  The form is canonical, so == and hash mean
+    equality in K_d.  Phi_d is monic, so z^e mod Phi_d has integer
+    coordinates; products reduce through a table of them, and every result
+    is normalized by one math.gcd.
+    """
 
     char = 0
 
     def __init__(self, d: int):
         self.d = d
         ints = cyclotomic_int(d)
-        self.deg = len(ints) - 1
-        self.modulus = tuple(Fraction(c) for c in ints)
-        self.zero = (Fraction(0),) * self.deg
-        one = [Fraction(0)] * self.deg
-        one[0] = Fraction(1)
-        self.one = tuple(one)
-        self._qq = Rationals()
+        self.deg = n = len(ints) - 1
+        self.modulus = ints
+        self.zero = ((0,) * n, 1)
+        self.one = ((1,) + (0,) * (n - 1), 1)
         # zeta^e for e = 0 .. d-1 as integer coordinates: z^e mod Phi_d
         powers = []
-        cur = [1] + [0] * (self.deg - 1)
+        cur = [1] + [0] * (n - 1)
         for _ in range(d):
             powers.append(tuple(cur))
             top = cur.pop()
@@ -640,80 +725,97 @@ class CyclotomicField(Field):
             if top:
                 cur = [x - top * c for x, c in zip(cur, ints)]
         self._powers = powers
-        # reduction table: z^(deg + i) mod Phi_d for i < deg - 1
-        self._red = [powers[(self.deg + i) % d] for i in range(self.deg - 1)]
+        # reduction table: z^(n + i) mod Phi_d for i < n - 1, as
+        # (position, coordinate) pairs of its nonzero coordinates
+        self._red = [[(j, x) for j, x in enumerate(powers[(n + i) % d]) if x]
+                     for i in range(n - 1)]
+
+    @staticmethod
+    def _normal(nums: list, den: int):
+        """nums / den in canonical form; den is a nonzero int."""
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                return tuple(x // g for x in nums), den // g
+        return tuple(nums), den
 
     def root_combination(self, coeffs: dict):
-        """sum of c * zeta^e over the (e, c) in coeffs, e taken mod d."""
+        """sum of c * zeta^e over the (e, c) in coeffs, e taken mod d; the c
+        are ints or Fractions."""
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        return self.int_combination(
+            ((e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()), den)
+
+    def int_combination(self, terms, den: int):
+        """sum of c * zeta^e over the (e, c) in terms, all ints, over den."""
+        d = self.d
+        folded = {}
+        for e, c in terms:
+            if c:
+                e %= d
+                folded[e] = folded.get(e, 0) + c
         out = [0] * self.deg
         powers = self._powers
-        for e, c in coeffs.items():
+        for e, c in folded.items():
             if c:
-                for i, x in enumerate(powers[e % self.d]):
+                for i, x in enumerate(powers[e]):
                     if x:
                         out[i] += c * x
-        return tuple(Fraction(x) for x in out)
+        return self._normal(out, den)
 
     @property
     def gen(self):
         """The residue class of z, a primitive d-th root of unity."""
-        return tuple(Fraction(x) for x in self._powers[1 % self.d])
+        return self._powers[1 % self.d], 1
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return self._normal([x + y for x, y in zip(an, bn)], ad)
+        return self._normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return self._normal([x - y for x, y in zip(an, bn)], ad)
+        return self._normal([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
 
     def mul(self, a, b):
+        (an, ad), (bn, bd) = a, b
         n = self.deg
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a):
+        prod = [0] * (2 * n - 1)
+        bterms = [(j, y) for j, y in enumerate(bn) if y]
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+                for j, y in bterms:
+                    prod[i + j] += x * y
         out = prod[:n]
-        for i in range(n, 2 * n - 1):
-            c = prod[i]
+        for c, red in zip(prod[n:], self._red):
             if c:
-                red = self._red[i - n]
-                for j in range(n):
-                    out[j] += c * red[j]
-        return tuple(out)
+                for j, x in red:
+                    out[j] += c * x
+        return self._normal(out, ad * bd)
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0 in K_d")
-        qq = self._qq
-        r0 = list(self.modulus)
-        r1 = dense_trim(qq, list(a))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = dense_divmod(qq, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, dense_sub(qq, s0, dense_mul(qq, q, s1))
-        # r0 = gcd, a constant since Phi_d is irreducible over Q
-        c = r0[0]
-        inv = [x / c for x in s0]
-        inv += [Fraction(0)] * (self.deg - len(inv))
-        return tuple(inv[: self.deg])
+        s, c = _int_inverse_mod(list(a[0]), self.modulus)
+        return self._normal([a[1] * x for x in s] + [0] * (self.deg - len(s)), c)
 
     def from_int(self, n):
-        out = [Fraction(0)] * self.deg
-        out[0] = Fraction(n)
-        return tuple(out)
+        return (n,) + (0,) * (self.deg - 1), 1
 
     def embed(self, q: Fraction):
-        out = [Fraction(0)] * self.deg
-        out[0] = Fraction(q)
-        return tuple(out)
+        q = Fraction(q)
+        return (q.numerator,) + (0,) * (self.deg - 1), q.denominator
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.d == self.d
@@ -758,6 +860,29 @@ def residue_eval(f: LaurentPoly, d: int):
     t^a maps to zeta_d^(a mod d), which covers negative a too.
     Characteristic zero only.
     """
+    return quotient_residue(f, d, 0)
+
+
+def quotient_residue(f: LaurentPoly, d: int, drop: int):
+    """The class of f / Phi_d^drop in K_d, its value at zeta_d.
+
+    The rational coefficients of f are put over one denominator, and the
+    integer numerator is divided drop times by the monic Phi_d; a nonzero
+    remainder raises ValueError.  Characteristic zero only.
+    """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
-    return cyclotomic_field(d).root_combination(f.coeffs)
+    kd = cyclotomic_field(d)
+    if not f.coeffs:
+        return kd.zero
+    val = f.valuation()
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    nums = [0] * (f.degree() - val + 1)
+    for e, c in f.coeffs.items():
+        nums[e - val] = c.numerator * (den // c.denominator)
+    phi = cyclotomic_int(d)
+    for _ in range(drop):
+        nums, rem = _int_divmod_poly(nums, phi)
+        if rem:
+            raise ValueError("division is not exact")
+    return kd.int_combination(enumerate(nums, val), den)

@@ -10,7 +10,10 @@ form: each stored vector has a distinct bottom-most nonzero row, and
 those lead rows never move once created.  Feeding columns left to right
 therefore yields, for every prefix of columns and every row cut r, the
 rank of the submatrix on rows >= r -- the "staircase ranks" that drive
-the filtered-complex page dimension formulas.
+the filtered-complex page dimension formulas.  Each vector is stored
+scaled so that its lead is one: a reduction step is then a multiply and
+a subtract, and the one inverse per basis vector is paid when it is
+stored.
 """
 
 from __future__ import annotations
@@ -66,22 +69,26 @@ class BottomEchelon:
         self.basis: dict[int, dict[int, object]] = {}
 
     def insert(self, vec: dict[int, object]) -> int | None:
-        """Reduce vec against the basis; returns the new lead row or None."""
+        """Reduce vec against the basis; returns the new lead row or None.
+        A new basis vector is stored divided by its lead."""
         f = self.field
-        vec = {r: c for r, c in vec.items() if not f.is_zero(c)}
+        is_zero, sub, mul, zero = f.is_zero, f.sub, f.mul, f.zero
+        vec = {r: c for r, c in vec.items() if not is_zero(c)}
         while vec:
             lead = max(vec)
             other = self.basis.get(lead)
             if other is None:
-                self.basis[lead] = vec
+                inv = f.inv(vec[lead])
+                self.basis[lead] = {r: mul(c, inv) for r, c in vec.items()}
                 return lead
-            factor = f.div(vec[lead], other[lead])
+            factor = vec.pop(lead)
             for r, c in other.items():
-                newc = f.sub(vec.get(r, f.zero), f.mul(factor, c))
-                if f.is_zero(newc):
-                    vec.pop(r, None)
-                else:
-                    vec[r] = newc
+                if r != lead:
+                    newc = sub(vec.get(r, zero), mul(factor, c))
+                    if is_zero(newc):
+                        vec.pop(r, None)
+                    else:
+                        vec[r] = newc
         return None
 
     @property

@@ -97,6 +97,9 @@ class Rationals(Field):
     def from_int(self, n):
         return Fraction(n)
 
+    def is_zero(self, a) -> bool:
+        return not a
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 

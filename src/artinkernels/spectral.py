@@ -19,7 +19,11 @@ with Z^s_(p,q) = F_p C_(p+q) fed through the boundary into F_(p-s); all
 of these reduce to ranks of staircase submatrices of the boundary with
 rows/columns sorted by weight, which one bottom-echelon sweep per chain
 degree provides.  `weighted_complex` reads the facet coefficients off the
-twisted boundaries over Q that the run already built, for every d.
+twisted boundaries over Q that the run already built, for every d: the
+leading unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d,
+found by exact integer division by the monic Phi_d (`quotient_residue`),
+and the elimination runs on K_d elements of integer numerators over one
+denominator.
 
 The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
 degree-k homology then satisfies, with r_q the reduced flag homology,
@@ -52,13 +56,10 @@ from dataclasses import dataclass, field
 
 from .flag import FlagComplex
 from .graphs import Character, connected_components, resonance_sets
-from .laurent import (LaurentPoly, cyclotomic_field, cyclotomic_int,
-                      cyclotomic_product, residue_eval,
+from .laurent import (cyclotomic_field, cyclotomic_product, quotient_residue,
                       t_minus_one_multiplicities)
 from .linalg import staircase_leads
 from .scalars import FieldSpec
-
-QQ = FieldSpec()
 
 
 class ResonantCharacterError(ValueError):
@@ -131,8 +132,6 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
             raise ResonantCharacterError("the multiplicity filtration needs a "
                                          "non-resonant character")
     kd = cyclotomic_field(d)
-    qq = QQ.scalars()
-    phi = LaurentPoly.from_int_coeffs(qq, dict(enumerate(cyclotomic_int(d))))
 
     weights = {s: simplex_weight(g, c, s, d) for s in fc.all_simplices()}
     bases = {}
@@ -157,10 +156,7 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
                         continue
                     drop = weights[X] - weights[Y]
                     assert drop >= 0, "weights must not increase along faces"
-                    reduced = entry
-                    for _ in range(drop):
-                        reduced = reduced.exact_div(phi)
-                    unit = residue_eval(reduced, d)
+                    unit = quotient_residue(entry, d, drop)
                     assert not kd.is_zero(unit), "leading unit vanished"
                     col[positions[Y]] = unit
             cols.append(col)

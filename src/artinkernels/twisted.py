@@ -113,13 +113,19 @@ def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) ->
     cols = fc.simplices_of(k)
     zero = LaurentPoly.zero(field)
     entries = [[zero for _ in cols] for _ in rows]
+    # many entries share their factors up to order: multiply each distinct
+    # (t^{m_v} - 1, sorted q-factors, sign) out once
+    products = {}
     for j, simplex in enumerate(cols):
         for i, v in enumerate(simplex):
             face = simplex[:i] + simplex[i + 1:]
-            coeff = functools.reduce(operator.mul, [factor_poly(f, field)
-                                                    for f in facet_factors(g, c, v, face)])
-            if i % 2 == 1:
-                coeff = -coeff
+            tm1, *qs = facet_factors(g, c, v, face)
+            key = (tm1, tuple(sorted(qs)), i % 2)
+            coeff = products.get(key)
+            if coeff is None:
+                coeff = functools.reduce(operator.mul, [factor_poly(f, field)
+                                                        for f in (tm1, *key[1])])
+                products[key] = coeff = -coeff if i % 2 else coeff
             entries[fc.position(face)][j] = coeff
     return PolyMatrix(rows, cols, entries, field, k)
 

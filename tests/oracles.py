@@ -6,7 +6,9 @@ small audit sizes, and each one checks a faster route of the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from artinkernels.flag import FlagComplex
 from artinkernels.graphs import Character, resonance_sets
@@ -14,7 +16,7 @@ from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError,
                                   cyclotomic_field, cyclotomic_int, dense_add,
                                   dense_divmod, dense_mul, dense_sub)
 from artinkernels.linalg import rank as field_rank
-from artinkernels.scalars import Field, FieldSpec
+from artinkernels.scalars import Field, FieldSpec, Rationals
 from artinkernels.smith import _clear_to_polys, taylor_block
 from artinkernels.twisted import PolyMatrix, factor_poly, twisted_boundary
 
@@ -244,3 +246,40 @@ def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> di
     for k in range(0, fc.dim + 1):
         dims[k] = s * len(fc.simplices_of(k)) - big_rank[k] - big_rank[k + 1]
     return dims
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials and the residue field K_d
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(d: int) -> tuple:
+    """Phi_d by its definition: t^d - 1 divided by every Phi_e, e | d, e < d,
+    by integer long division (each Phi_e is monic)."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = cyclotomic_by_division(e)
+            k = len(phi) - 1
+            q = [0] * (len(num) - k)
+            for top in range(len(num) - 1, k - 1, -1):
+                q[top - k] = c = num[top]
+                for i in range(k + 1):
+                    num[top - k + i] -= c * phi[i]
+            assert not any(num)
+            num = q
+    return tuple(num)
+
+
+def kd_coordinates(kd, a) -> list:
+    """An element of K_d as its phi(d) rational coordinates."""
+    nums, den = a
+    return [Fraction(x, den) for x in nums]
+
+
+def kd_reduce(kd, cs: list) -> list:
+    """A rational polynomial mod Phi_d, as phi(d) coordinates, by dense
+    division over Q."""
+    qq = Rationals()
+    rem = dense_divmod(qq, list(cs), [Fraction(c) for c in cyclotomic_by_division(kd.d)])[1]
+    return rem + [Fraction(0)] * (kd.deg - len(rem))

@@ -6,6 +6,7 @@ cokernel dimensions of one dense Taylor block per truncation depth.
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -225,20 +226,26 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
 # bottom-echelon staircase
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("field_name", ["Q", "GF(3)"])
+@pytest.mark.parametrize("field_name", ["Q", "GF(3)", "K_12", "K_105"])
 def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
     """After each insert, the leads >= r count the rank of rows >= r of the
     columns so far: the one fact both the ss and the Smith route read."""
     rng = random.Random(field_name)
-    field = Q if field_name == "Q" else PrimeField(3)
+    if field_name.startswith("K_"):
+        field = cyclotomic_field(int(field_name[2:]))
+        draw = lambda: field.root_combination(  # noqa: E731
+            {rng.randrange(field.d): Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+             for _ in range(2)})
+    else:
+        field = Q if field_name == "Q" else PrimeField(3)
+        draw = lambda: field.from_int(rng.randint(-2, 2))  # noqa: E731
     checked = 0
     for _ in range(15):
         nr = rng.randint(1, 8)
         ech = BottomEchelon(field)
         leads, dense = [], []
         for _ in range(rng.randint(1, 10)):
-            col = {i: field.from_int(rng.randint(-2, 2)) for i in range(nr)
-                   if rng.random() < 0.4}
+            col = {i: draw() for i in range(nr) if rng.random() < 0.4}
             dense.append([col.get(i, field.zero) for i in range(nr)])
             lead = ech.insert(dict(col))
             if lead is not None:

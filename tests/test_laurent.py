@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import math
+
 from artinkernels import (LaurentPoly, ZeroPolynomialError, cyclotomic,
                           cyclotomic_field, factor_invariant, laurent_gcd,
                           normalize_unit, q_poly, residue_eval)
 from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
-                                  dense_divmod, t_minus_one_multiplicities)
+                                  dense_divmod, dense_mul, quotient_residue,
+                                  t_minus_one_multiplicities)
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
-from oracles import mult_d
+from oracles import cyclotomic_by_division, kd_coordinates, kd_reduce, mult_d
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -204,6 +207,103 @@ def test_cyclotomic_field_inverse():
         kd = cyclotomic_field(d)
         x = kd.add(kd.gen, kd.from_int(2))
         assert kd.mul(x, kd.inv(x)) == kd.one
+
+
+# -- K_d on integers against dense polynomials mod Phi_d over Fraction -----
+
+KD_ORDERS = (1, 2, 3, 4, 5, 12, 60, 105, 210)
+
+
+def kd_element(draw, kd):
+    """An element of K_d with a denominator up to 12, given by rational
+    coefficients of z^e for e up to 2d, so reduction mod Phi_d is needed."""
+    terms = draw(st.dictionaries(st.integers(0, 2 * kd.d), st.integers(-9, 9),
+                                 max_size=min(2 * kd.d + 1, 8)))
+    den = draw(st.integers(1, 12))
+    return {e: Fraction(c, den) for e, c in terms.items()}
+
+
+def assert_canonical(kd, a):
+    nums, den = a
+    assert len(nums) == kd.deg and all(type(x) is int for x in nums)
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("d", KD_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_field_matches_the_dense_reference(d, data):
+    kd = cyclotomic_field(d)
+    ca, cb = kd_element(data.draw, kd), kd_element(data.draw, kd)
+    a, b = kd.root_combination(ca), kd.root_combination(cb)
+    for x, coeffs in ((a, ca), (b, cb)):
+        assert_canonical(kd, x)
+        dense = [Fraction(0)] * (2 * d + 1)
+        for e, c in coeffs.items():
+            dense[e] += c
+        assert kd_coordinates(kd, x) == kd_reduce(kd, dense)
+    ra, rb = kd_coordinates(kd, a), kd_coordinates(kd, b)
+    for got, want in ((kd.add(a, b), [x + y for x, y in zip(ra, rb)]),
+                      (kd.sub(a, b), [x - y for x, y in zip(ra, rb)]),
+                      (kd.neg(a), [-x for x in ra]),
+                      (kd.mul(a, b), kd_reduce(kd, dense_mul(Q, ra, rb)))):
+        assert_canonical(kd, got)
+        assert kd_coordinates(kd, got) == want
+    if not kd.is_zero(a):
+        inv = kd.inv(a)
+        assert_canonical(kd, inv)
+        assert kd_reduce(kd, dense_mul(Q, ra, kd_coordinates(kd, inv))) == \
+            kd_coordinates(kd, kd.one)
+
+
+@pytest.mark.parametrize("d", KD_ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_field_one_element_two_ways(d, data):
+    kd = cyclotomic_field(d)
+    a, b, c = (kd.root_combination(kd_element(data.draw, kd)) for _ in range(3))
+    pairs = [(kd.mul(kd.add(a, b), c), kd.add(kd.mul(a, c), kd.mul(b, c))),
+             (kd.sub(a, b), kd.neg(kd.sub(b, a))),
+             (kd.mul(a, b), kd.mul(b, a))]
+    if not kd.is_zero(b):
+        pairs.append((kd.mul(kd.mul(a, b), kd.inv(b)), a))
+        pairs.append((kd.inv(kd.inv(b)), b))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+
+
+def test_cyclotomic_field_constructors():
+    for d in KD_ORDERS:
+        kd = cyclotomic_field(d)
+        for x in (kd.zero, kd.one, kd.gen, kd.from_int(-6), kd.embed(Fraction(-6, 4)),
+                  kd.root_combination({}), kd.root_combination({d: Fraction(3, 9)})):
+            assert_canonical(kd, x)
+        assert kd.embed(Fraction(-6, 4)) == kd.root_combination({0: Fraction(-3, 2)})
+        assert kd.root_combination({d: Fraction(3, 9), 0: -1}) == kd.embed(Fraction(-2, 3))
+        assert kd.is_zero(kd.zero) and not kd.is_zero(kd.one)
+        assert kd.root_combination({}) == kd.zero == kd.from_int(0)
+        # zeta_d is a primitive d-th root of unity
+        powers = [kd.one]
+        for _ in range(d):
+            powers.append(kd.mul(powers[-1], kd.gen))
+        assert powers[d] == kd.one and kd.one not in powers[1:d]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lpoly_strategy(coeff_range=(-5, 5)), st.sampled_from((2, 3, 4, 5, 12, 60)),
+       st.integers(0, 3), st.integers(1, 6))
+def test_quotient_residue_divides_by_phi_powers(f, d, drop, den):
+    phi = L(dict(enumerate(cyclotomic_int(d))))
+    f = f.scale(Fraction(1, den))
+    assert quotient_residue(f * phi ** drop, d, drop) == residue_eval(f, d)
+    if not f.is_zero() and not cyclotomic_field(d).is_zero(residue_eval(f, d)):
+        with pytest.raises(ValueError, match="not exact"):
+            quotient_residue(f * phi ** drop, d, drop + 1)
+
+
+def test_cyclotomic_int_matches_the_division_definition():
+    for d in range(1, 401):
+        assert cyclotomic_int(d) == cyclotomic_by_division(d), d
 
 
 # -- ring sanity over the dense layer ---------------------------------------
