@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .scalars import FieldSpec
+from .scalars import FieldSpec, divisors
 
 
 class GraphError(ValueError):
@@ -246,13 +246,9 @@ def resonance_sets(g: LabeledGraph, c: Character, fspec: FieldSpec) -> Resonance
     return ResonanceSets(vr, frozenset(er), fspec)
 
 
-def _divisors_gt1(n: int):
-    n = abs(n)
-    out = []
-    for d in range(2, n + 1):
-        if n % d == 0:
-            out.append(d)
-    return out
+def _divisors_gt1(n: int) -> list[int]:
+    """The divisors d > 1 of n != 0."""
+    return divisors(abs(n))[1:]
 
 
 @dataclass(frozen=True)

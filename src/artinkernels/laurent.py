@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Field, FieldSpec
+from .scalars import Field, FieldSpec, divisors, prime_factors
 
 
 class ZeroPolynomialError(ValueError):
@@ -112,21 +112,17 @@ def dense_content_scale(cs: list) -> list:
     Keeping remainders primitive (a primitive remainder sequence) is what
     stops the coefficient explosion of the naive Euclidean algorithm.
     """
-    num = 0
-    den = 1
-    for c in cs:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    num = math.gcd(*(c.numerator for c in cs))
     if num == 0:
         return list(cs)
-    scale = Fraction(den, num)
-    return [c * scale for c in cs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator // num * (den // c.denominator) for c in cs]
 
 
 def dense_gcd(field: Field, a: list, b: list) -> list:
     """Monic gcd via the Euclidean algorithm (primitive remainders over Q)."""
     a, b = list(a), list(b)
-    primitive = field.char == 0 and (not a or isinstance(a[0], Fraction))
+    primitive = field.char == 0
     while b:
         r = dense_divmod(field, a, b)[1]
         if primitive and r:
@@ -444,21 +440,6 @@ def _int_inverse_mod(a: list[int], m: tuple[int, ...]) -> tuple[list[int], int]:
     return s1, r1[0]
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_int(d: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_d, ascending.
@@ -470,7 +451,7 @@ def cyclotomic_int(d: int) -> tuple[int, ...]:
     """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    primes = _prime_factors(d)
+    primes = prime_factors(d)
     ups, downs = [], []
     for mask in range(1 << len(primes)):
         e = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
@@ -491,14 +472,10 @@ def cyclotomic_int(d: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def totient(d: int) -> int:
-    count = 0
-    for k in range(1, d + 1):
-        a, b = k, d
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
+    """Euler's phi of d >= 1: d times (1 - 1/p) over the primes p | d."""
+    for p in prime_factors(d):
+        d = d // p * (p - 1)
+    return d
 
 
 @dataclass(frozen=True)
@@ -528,7 +505,7 @@ def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
     n, power = abs(n), 1
     while char and n % char == 0:
         n, power = n // char, power * char
-    return {d: power for d in range(1, n + 1) if n % d == 0}
+    return dict.fromkeys(divisors(n), power)
 
 
 def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:

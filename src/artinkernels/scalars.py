@@ -5,7 +5,8 @@ appears.  A *field* here is a small stateless object exposing a uniform
 protocol (``zero``, ``one``, ``add``, ``mul``, ``inv``, ...) over opaque
 element values:
 
-* :class:`Rationals` works on :class:`fractions.Fraction`,
+* :class:`Rationals` works on exact rationals: Python ints while a value
+  is integral, :class:`fractions.Fraction` once a non-unit is inverted,
 * :class:`PrimeField` works on ints reduced mod p,
 * ``laurent.CyclotomicField`` adds Q[z]/(Phi_d) with the same protocol.
 
@@ -34,6 +35,32 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, from its prime factors."""
+    out = [1]
+    for p in prime_factors(n):
+        powers = [1]
+        while n % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        out = [x * q for x in out for q in powers]
+    return sorted(out)
 
 
 class Field:
@@ -72,9 +99,16 @@ class Field:
 
 
 class Rationals(Field):
+    """Q.  An element is an int or a Fraction; the two are both exact
+    rationals and compare and hash alike, so 3 and Fraction(3) are one
+    element.  zero, one and from_int give ints, and add, sub, mul and neg
+    are the native operators, so integral matrices are eliminated on ints.
+    inv and div never produce a float: inv(a) is a itself for a = +-1 and
+    Fraction(1, a) otherwise, and div(a, b) is a * inv(b)."""
+
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -89,13 +123,10 @@ class Rationals(Field):
         return a * b
 
     def inv(self, a):
-        return 1 / a
-
-    def div(self, a, b):
-        return a / b
+        return a if a == 1 or a == -1 else Fraction(1, a)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def is_zero(self, a) -> bool:
         return not a

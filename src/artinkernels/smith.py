@@ -51,7 +51,7 @@ from .laurent import (Factor, cyclotomic, cyclotomic_field, cyclotomic_product,
                       dense_add, dense_divmod, dense_monic, dense_mul, dense_sub,
                       laurent_from_dense, taylor_at_root, totient)
 from .linalg import BottomEchelon
-from .scalars import FieldSpec
+from .scalars import FieldSpec, divisors
 from .twisted import PolyMatrix, signed_boundary, twisted_boundary
 
 
@@ -285,18 +285,13 @@ def cyclotomic_candidates(g, c: Character) -> list:
     orders."""
     out = {1}
     for v in g.vertices:
-        mv = abs(c.m(v))
-        for d in range(2, mv + 1):
-            if mv % d == 0:
-                out.add(d)
+        if c.m(v):
+            out.update(divisors(abs(c.m(v))))
     for (u, v) in g.edge_list:
         me = c.m_edge(u, v)
         if me == 0:
             continue
-        big = abs(g.ell_tilde(u, v) * me)
-        for d in range(2, big + 1):
-            if big % d == 0 and me % d != 0:
-                out.add(d)
+        out.update(d for d in divisors(abs(g.ell_tilde(u, v) * me)) if me % d)
     return sorted(out)
 
 

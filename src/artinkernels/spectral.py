@@ -133,7 +133,18 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
                                          "non-resonant character")
     kd = cyclotomic_field(d)
 
-    weights = {s: simplex_weight(g, c, s, d) for s in fc.all_simplices()}
+    # simplex_weight summed from tables: a simplex adds its last vertex and
+    # the edges to it onto its prefix, which comes earlier (lower degree)
+    vertex_w = {v: vertex_weight(c, v, d) for v in g.vertices}
+    edge_w = {}
+    for u, v in g.edge_list:
+        edge_w[u, v] = edge_w[v, u] = edge_weight(g, c, u, v, d)
+    weights = {(): 0}
+    for s in fc.all_simplices():
+        if s:
+            v = s[-1]
+            weights[s] = (weights[s[:-1]] + vertex_w[v]
+                          + sum(edge_w[u, v] for u in s[:-1]))
     bases = {}
     positions = {}
     for n in range(-1, fc.dim + 1):
@@ -142,6 +153,9 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
         bases[n] = base
         positions.update({s: i for i, s in enumerate(base)})
 
+    # entries with equal factors and sign are one shared object, so each
+    # (entry, drop) has its leading unit read once
+    units = {}
     columns = {}
     for n in range(-1, fc.dim + 1):
         tb = boundaries[n] if n >= 0 else None
@@ -156,8 +170,10 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
                         continue
                     drop = weights[X] - weights[Y]
                     assert drop >= 0, "weights must not increase along faces"
-                    unit = quotient_residue(entry, d, drop)
-                    assert not kd.is_zero(unit), "leading unit vanished"
+                    unit = units.get((id(entry), drop))
+                    if unit is None:
+                        unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
+                        assert not kd.is_zero(unit), "leading unit vanished"
                     col[positions[Y]] = unit
             cols.append(col)
         columns[n] = cols

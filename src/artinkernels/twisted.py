@@ -54,8 +54,12 @@ class PolyMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def evaluate(self, x, field: Field | None = None) -> list[list]:
+        """The matrix at x; entries that are one shared object (see
+        `twisted_boundary`) are evaluated once."""
         f = field if field is not None else self.field
-        return [[e.evaluate(x, f) for e in row] for row in self.entries]
+        distinct = {id(e): e for row in self.entries for e in row}
+        values = {k: e.evaluate(x, f) for k, e in distinct.items()}
+        return [[values[id(e)] for e in row] for row in self.entries]
 
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""

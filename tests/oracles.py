@@ -45,6 +45,24 @@ def matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
     return out
 
 
+def fraction_rank(rows: list[list]) -> int:
+    """Rank over Q by dense elimination on Fraction copies with the native
+    operators, so it shares no arithmetic with `scalars.Rationals`."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for j in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] / m[r][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 def compose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Matrix product a @ b (boundary-of-boundary checks)."""
     assert len(a.cols) == len(b.rows)

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
@@ -20,6 +21,7 @@ from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
 from conftest import QQ, random_case
+from oracles import fraction_rank
 
 Q = QQ.scalars()
 ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
@@ -256,6 +258,30 @@ def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
                 assert sum(1 for x in leads if x >= r) == dense_rank(field, below)
                 checked += 1
     assert checked > 200
+
+
+int_columns = st.integers(1, 7).flatmap(lambda nr: st.tuples(st.just(nr), st.lists(
+    st.dictionaries(st.integers(0, nr - 1), st.integers(-4, 4)), min_size=1, max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_columns)
+def test_int_and_fraction_elimination_agree(case):
+    """Over Q an integer matrix and its Fraction copy give the same rank and
+    the same leads, every stored value exact, and match `fraction_rank`."""
+    nr, cols = case
+    copies = (cols, [{i: Fraction(x) for i, x in col.items()} for col in cols])
+    leads = []
+    for cs in copies:
+        rows = [[col.get(i, 0) for col in cs] for i in range(nr)]
+        assert rank(Q, rows) == fraction_rank(rows)
+        ech = BottomEchelon(Q)
+        leads.append([ech.insert(dict(col)) for col in cs])
+        assert all(type(x) in (int, Fraction) for v in ech.basis.values() for x in v.values())
+        for r in range(nr + 1):
+            assert (sum(1 for x in leads[-1] if x is not None and x >= r)
+                    == fraction_rank(rows[r:]))
+    assert leads[0] == leads[1]
 
 
 # ---------------------------------------------------------------------------

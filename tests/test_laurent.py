@@ -127,6 +127,34 @@ def test_laurent_gcd_of_cyclotomic_products():
     assert laurent_gcd(a, b) == cyclotomic(2, QQ).poly
 
 
+@settings(max_examples=40, deadline=None)
+@given(lpoly_strategy(), lpoly_strategy(), lpoly_strategy(coeff_range=(-9, 9)))
+def test_laurent_gcd_on_ints_matches_fractions(f, g, h):
+    """Integer coefficients take the same primitive remainder sequence as
+    their Fraction copies, and give the same gcd."""
+    import artinkernels.laurent as lmod
+    a, b = f * h, g * h
+    frac = lambda p: LaurentPoly(Q, {e: Fraction(c) for e, c in p.coeffs.items()})  # noqa: E731
+    scale, seen = lmod.dense_content_scale, []
+
+    def recording(cs):
+        seen[-1].append(list(cs))
+        return scale(cs)
+
+    lmod.dense_content_scale = recording
+    try:
+        results = []
+        for x, y in ((a, b), (frac(a), frac(b))):
+            seen.append([])
+            results.append(laurent_gcd(x, y))
+    finally:
+        lmod.dense_content_scale = scale
+    assert results[0] == results[1]
+    assert seen[0] == seen[1]
+    if a and b and h:
+        results[0].exact_div(h)         # raises unless h divides the gcd
+
+
 # -- factoring invariant factors --------------------------------------------
 
 def test_factor_invariant_cyclotomic_product_over_q():

@@ -46,10 +46,12 @@ def test_weights_agree_with_polynomial_multiplicity():
         g, chi = random_case(rng, max_vertices=5)
         fc = build_flag_complex(g)
         support = torsion_support(g, chi)
+        boundaries = q_boundaries(fc, chi)
         for d in support.values:
+            wc = weighted_complex(fc, chi, d, boundaries)
             for s in fc.all_simplices():
                 w = simplex_weights(fc, chi, QQ, s)
-                assert simplex_weight(g, chi, s, d) == mult_d(w.p * w.q, d)
+                assert simplex_weight(g, chi, s, d) == mult_d(w.p * w.q, d) == wc.weights[s]
 
 
 def test_edge_weight_bound():
