@@ -11,14 +11,13 @@ forests), plus the reduced-complex free ranks in the resonant case.
 from .flag import (FlagComplex, IncidenceMatrix, boundary_matrix,
                    build_flag_complex, image_dims, reduced_homology_ranks)
 from .graphs import (Character, GraphError, LabeledGraph, ResonanceSets,
-                     ResonantVertexError, TorsionSupport, ValidationReport,
-                     ZeroCharacterError, connected_components, is_fc_type,
-                     is_spherical, maximal_cliques, normalize_character,
-                     resonance_sets, torsion_support, validate_graph)
-from .laurent import (CyclotomicFactor, CyclotomicField, Factor, LaurentPoly,
-                      ZeroPolynomialError, cyclotomic, cyclotomic_field,
-                      factor_invariant, laurent_gcd, normalize_unit, q_poly,
-                      residue_eval)
+                     ResonantVertexError, TorsionSupport, ZeroCharacterError,
+                     connected_components, is_fc_type, is_spherical,
+                     maximal_cliques, resonance_sets, torsion_support,
+                     validate_graph)
+from .laurent import (CyclotomicField, Factor, LaurentPoly, ZeroPolynomialError,
+                      cyclotomic, cyclotomic_field, factor_invariant,
+                      laurent_gcd, normalize_unit, q_poly, residue_eval)
 from .resonant import (QuotientComplex, ReducedGraph, build_f2, build_gamma1,
                        h1_free_rank, h2_free_rank)
 from .scalars import FieldSpec, PrimeField, Rationals

@@ -25,8 +25,9 @@ from importlib import resources
 
 from .flag import build_flag_complex, image_dims, ranks_from_image_dims
 from .graphs import (Character, LabeledGraph, ZeroCharacterError,
-                     connected_components, is_fc_type, resonance_sets,
-                     torsion_support, validate_graph)
+                     connected_components, edge_problem, is_fc_type,
+                     resonance_sets, torsion_support, validate_graph,
+                     vertex_problem)
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import boundary_smith_form, homology_modules, verify_shape
@@ -56,7 +57,7 @@ def parse_input(text: str) -> ParsedInput:
     vertices: list = []
     weights: dict = {}
     edges: list = []
-    edge_seen: set = set()
+    seen: set = set()
     fspec: FieldSpec | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,8 +76,9 @@ def parse_input(text: str) -> ParsedInput:
             if len(parts) != 3:
                 raise InputError("expected: vertex <name> <weight>", lineno)
             name = parts[1]
-            if name in weights:
-                raise InputError(f"duplicate vertex {name!r}", lineno)
+            problem = vertex_problem(weights, name)
+            if problem:
+                raise InputError(problem, lineno)
             try:
                 weights[name] = int(parts[2])
             except ValueError:
@@ -86,29 +88,20 @@ def parse_input(text: str) -> ParsedInput:
             if len(parts) != 4:
                 raise InputError("expected: edge <name> <name> <label>", lineno)
             u, v = parts[1], parts[2]
-            for name in (u, v):
-                if name not in weights:
-                    raise InputError(f"unknown vertex {name!r} in edge", lineno)
-            if u == v:
-                raise InputError("loops are not allowed", lineno)
-            key = frozenset((u, v))
-            if key in edge_seen:
-                raise InputError(f"duplicate edge {u}-{v}", lineno)
-            edge_seen.add(key)
             try:
                 label = int(parts[3])
             except ValueError:
                 raise InputError(f"bad label {parts[3]!r}", lineno)
-            if label < 2:
-                raise InputError(f"label {label} is < 2", lineno)
-            if label % 2 != 0:
-                raise InputError(f"odd label {label}", lineno)
+            problem = edge_problem(weights, seen, u, v, label)
+            if problem:
+                raise InputError(problem, lineno)
             edges.append((u, v, label))
         else:
             raise InputError(f"unknown directive {parts[0]!r}", lineno)
-    if not vertices:
-        raise InputError("empty graph: no vertices declared")
     graph = LabeledGraph(vertices, edges)
+    issues = validate_graph(graph)
+    if issues:
+        raise InputError("; ".join(issues))
     return ParsedInput(graph, Character(graph, weights), fspec)
 
 
@@ -199,9 +192,6 @@ def run(job: JobConfig) -> Report:
     parsed = parse_input(text)
     g = parsed.graph
     fspec = job.field or parsed.field or FieldSpec()
-    report_validation = validate_graph(g)
-    if not report_validation.ok:
-        raise InputError("; ".join(report_validation.issues))
     try:
         character, divisor = parsed.character.normalize()
     except ZeroCharacterError as exc:
@@ -228,8 +218,8 @@ def run(job: JobConfig) -> Report:
             "normalized_weights": {v: character.m(v) for v in g.vertices},
         },
         "classification": {
-            "valid": report_validation.ok,
-            "issues": list(report_validation.issues),
+            "valid": True,
+            "issues": [],
             "fc_type": is_fc_type(g),
             "connected": connected,
             "clique_dimension": fc.dim,
@@ -465,13 +455,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _field_arg(text: str) -> FieldSpec:
+    try:
+        return FieldSpec.parse(text)
+    except ValueError as exc:  # argparse shows only this error type's text
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="artinkernels",
                 description="Homology of Artin kernels of even FC-type Artin "
                             "groups as K[t^±1]-modules, by cross-checking "
                             "exact methods.")
     p.add_argument("input", nargs="?", help="graph file (see README for the format)")
-    p.add_argument("--field", type=FieldSpec.parse, default=None,
+    p.add_argument("--field", type=_field_arg, default=None,
                    help="q for rationals, p:<prime> for GF(p); overrides the file")
     p.add_argument("--kmax", type=int, default=None,
                    help="largest chain degree k to decompose (default: clique dimension)")

@@ -36,52 +36,55 @@ class ResonantVertexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[str, ...]
+def edge_problem(known, seen: set, u, v, label: int) -> str | None:
+    """The rule the edge (u, v, label) breaks, or None: the one statement of
+    the edge rules, for `LabeledGraph` and the input parser.  `known` holds
+    the declared vertices; `seen` collects the pairs met so far, one with a
+    bad label included, so a later edge on that pair is a duplicate."""
+    for w in (u, v):
+        if w not in known:
+            return f"edge ({u},{v}): unknown vertex {w!r}"
+    if u == v:
+        return f"edge ({u},{v}): loop"
+    pair = frozenset((u, v))
+    if pair in seen:
+        return f"edge ({u},{v}): duplicate edge"
+    seen.add(pair)
+    if label < 2:
+        return f"edge ({u},{v}): label {label} is < 2"
+    if label % 2 != 0:
+        return f"edge ({u},{v}): odd label {label}"
+    return None
 
-    @property
-    def ok(self) -> bool:
-        return not self.issues
+
+def vertex_problem(known, v) -> str | None:
+    """The rule a vertex declaration breaks given the earlier ones, or None."""
+    return f"duplicate vertex {v!r}" if v in known else None
 
 
 class LabeledGraph:
-    """Finite simplicial graph with even labels and a fixed vertex order."""
+    """Finite simplicial graph with even labels and a fixed vertex order.
 
-    __slots__ = ("vertices", "_index", "labels", "raw_edges", "issues")
+    Raises GraphError on a duplicate vertex, or listing every edge that
+    breaks a rule of `edge_problem`.
+    """
 
-    def __init__(self, vertices, edges, strict: bool = True):
+    __slots__ = ("vertices", "_index", "labels", "raw_edges")
+
+    def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._index = {}
+        for i, v in enumerate(self.vertices):
+            problem = vertex_problem(self._index, v)
+            if problem:
+                raise GraphError(problem)
+            self._index[v] = i
         self.raw_edges = tuple((u, v, int(l)) for u, v, l in edges)
-        if len(self._index) != len(self.vertices):
-            raise GraphError("duplicate vertex names")
-        labels = {}
-        seen = set()
-        problems = []
-        for u, v, l in self.raw_edges:
-            if u not in self._index or v not in self._index:
-                problems.append(f"edge ({u},{v}): unknown endpoint")
-                continue
-            if u == v:
-                problems.append(f"edge ({u},{v}): loop")
-                continue
-            key = self._pair(u, v)
-            if key in seen:
-                problems.append(f"edge ({u},{v}): duplicate edge")
-                continue
-            seen.add(key)
-            if l < 2:
-                problems.append(f"edge ({u},{v}): label {l} is < 2")
-                continue
-            if l % 2 != 0:
-                problems.append(f"edge ({u},{v}): odd label {l}")
-                continue
-            labels[key] = l
-        self.labels = labels
-        self.issues = tuple(problems)
-        if strict and problems:
-            raise GraphError("; ".join(problems))
+        seen: set = set()
+        problems = [edge_problem(self._index, seen, *e) for e in self.raw_edges]
+        if any(problems):
+            raise GraphError("; ".join(p for p in problems if p))
+        self.labels = {self._pair(u, v): l for u, v, l in self.raw_edges}
 
     def _pair(self, u, v):
         iu, iv = self._index[u], self._index[v]
@@ -117,10 +120,10 @@ class LabeledGraph:
         return f"LabeledGraph({len(self.vertices)} vertices, {len(self.labels)} edges)"
 
 
-def validate_graph(g: LabeledGraph) -> ValidationReport:
-    """The edge problems the constructor found (report style), and an empty
-    vertex set."""
-    return ValidationReport(g.issues + (() if g.vertices else ("empty vertex set",)))
+def validate_graph(g: LabeledGraph) -> tuple[str, ...]:
+    """The graph-level rules a constructed graph can still break (the
+    constructor enforces the vertex and edge rules): an empty vertex set."""
+    return () if g.vertices else ("empty graph: no vertices declared",)
 
 
 class Character:
@@ -169,10 +172,6 @@ class Character:
 
     def __repr__(self):
         return f"Character({dict(self.weights)})"
-
-
-def normalize_character(c: Character) -> tuple[Character, int]:
-    return c.normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +245,6 @@ def resonance_sets(g: LabeledGraph, c: Character, fspec: FieldSpec) -> Resonance
     return ResonanceSets(vr, frozenset(er), fspec)
 
 
-def _divisors_gt1(n: int) -> list[int]:
-    """The divisors d > 1 of n != 0."""
-    return divisors(abs(n))[1:]
-
-
 @dataclass(frozen=True)
 class TorsionSupport:
     values: tuple[int, ...]
@@ -276,13 +270,13 @@ def torsion_support(g: LabeledGraph, c: Character) -> TorsionSupport:
         raise ValueError("torsion support is only computed for normalized characters")
     prov: dict[int, set] = {}
     for v in g.vertices:
-        for d in _divisors_gt1(c.m(v)):
+        for d in divisors(abs(c.m(v)))[1:]:
             prov.setdefault(d, set()).add("vertex")
     for (u, v) in g.edge_list:
         me = c.m_edge(u, v)
         if me == 0:
             continue  # d | lt*0 always, but d | m_e too, so nothing qualifies
-        for d in _divisors_gt1(g.ell_tilde(u, v) * me):
+        for d in divisors(abs(g.ell_tilde(u, v) * me))[1:]:
             if me % d != 0:
                 prov.setdefault(d, set()).add("edge")
     values = tuple(sorted(prov))

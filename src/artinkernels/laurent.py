@@ -262,9 +262,9 @@ class LaurentPoly:
         """Multiply by the unit t^e."""
         return LaurentPoly(self.field, {k + e: v for k, v in self.coeffs.items()})
 
-    def evaluate(self, x, field: Field | None = None):
+    def evaluate(self, x):
         """Evaluate at an invertible element x (negative exponents use inv)."""
-        f = field if field is not None else self.field
+        f = self.field
         acc = f.zero
         xinv = None
         for e, c in self.coeffs.items():
@@ -478,19 +478,10 @@ def totient(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class CyclotomicFactor:
+def cyclotomic(d: int, fspec: FieldSpec) -> LaurentPoly:
     """Phi_d over the prime field of K (mod-p reduction when char K = p)."""
-
-    order: int
-    poly: LaurentPoly
-
-
-def cyclotomic(d: int, fspec: FieldSpec) -> CyclotomicFactor:
-    field = fspec.scalars()
     ints = cyclotomic_int(d)
-    poly = LaurentPoly.from_int_coeffs(field, dict(enumerate(ints)))
-    return CyclotomicFactor(order=d, poly=poly)
+    return LaurentPoly.from_int_coeffs(fspec.scalars(), dict(enumerate(ints)))
 
 
 def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
@@ -512,7 +503,7 @@ def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
     """The product of Phi_d^k over the (d, k) in mults, over fspec."""
     out = LaurentPoly.one(fspec.scalars())
     for d, k in sorted(mults.items()):
-        out = out * cyclotomic(d, fspec).poly ** k
+        out = out * cyclotomic(d, fspec) ** k
     return out
 
 

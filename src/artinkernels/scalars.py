@@ -22,18 +22,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin to the first 13 prime bases is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality of n < PRIME_LIMIT (about 3.3e24) by deterministic
+    Miller-Rabin; raises ValueError for a larger n, which it cannot certify."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primality is certified only below "
+                         f"{PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -430,7 +430,7 @@ def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
         raise ValueError("decomposing needs the Phi_d-exponents of boundary_smith_form")
     invariant = snf.nontrivial_factors
     ordered = sorted(snf.exponents.items())
-    terms = [[Factor(cyclotomic(d, fspec).poly, slots[i], d)
+    terms = [[Factor(cyclotomic(d, fspec), slots[i], d)
               for d, slots in ordered if slots[i]]
              for i in range(snf.rank - len(invariant), snf.rank)]
     return ModuleDecomposition(
@@ -484,7 +484,7 @@ class ShapeReport:
 
 
 def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
-                 resonance: ResonanceSets, graph=None, character=None) -> ShapeReport:
+                 resonance: ResonanceSets, graph, character) -> ShapeReport:
     """Check the structural shape of a decomposition against the theory:
     chain divisibility, free rank = reduced flag homology, a semisimple
     (t-1)-part of exponent dim im d_{k+1}, and torsion supported on the
@@ -511,10 +511,9 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
 
     # the (t-1) clause needs every p_v, q_e to vanish simply at t = 1,
     # which fails in characteristic p when p | m_v or p | lt(e)
-    tm1_applies = p == 0
-    if not tm1_applies and graph is not None and character is not None:
-        tm1_applies = all(character.m(v) % p != 0 for v in graph.vertices) and \
-            all(graph.ell_tilde(u, v) % p != 0 for (u, v) in graph.edge_list)
+    tm1_applies = p == 0 or (
+        all(character.m(v) % p != 0 for v in graph.vertices)
+        and all(graph.ell_tilde(u, v) % p != 0 for (u, v) in graph.edge_list))
     if tm1_applies:
         semis = all(f.exponent <= 1 for f in terms if f.cyclotomic_order == 1)
         expect = image_dims_list[k + 1] if k + 1 < len(image_dims_list) else 0

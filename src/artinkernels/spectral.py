@@ -209,19 +209,17 @@ class PageTable:
         return dict(sorted(self.dims.items()))
 
 
-def page_dims(wc: WeightedComplex, s_max: int | None = None) -> PageTable:
+def page_dims(wc: WeightedComplex) -> PageTable:
     """Dimensions of every page position, by staircase ranks.
 
-    Pages are computed through max(s_max, max_weight + 2); the last two
+    Pages are computed through max(dim + 3, max_weight + 2); the last two
     agree entrywise (the sequence has degenerated), and that limit page is
     recorded as the stable one.
     """
-    if s_max is None:
-        s_max = wc.fc.dim + 3
     kd = wc.field
     wmax = wc.max_weight
     top = wc.fc.dim
-    s_hi = max(s_max, wmax + 2)
+    s_hi = max(top + 3, wmax + 2)
 
     counts = {}     # n -> cumulative column counts per weight 0..wmax
     snaps = {}      # n -> per weight prefix, sorted lead row weights
@@ -334,10 +332,6 @@ class TorsionTable:
 
     def put(self, k: int, d: int, ns) -> None:
         self.entries[(k, d)] = tuple(ns)
-
-    def n(self, k: int, d: int, j: int) -> int:
-        row = self.entries.get((k, d), ())
-        return row[j - 1] if 1 <= j <= len(row) else 0
 
     def exponent_multiset(self, k: int, d: int) -> tuple:
         out = []

@@ -53,12 +53,11 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def evaluate(self, x, field: Field | None = None) -> list[list]:
+    def evaluate(self, x) -> list[list]:
         """The matrix at x; entries that are one shared object (see
         `twisted_boundary`) are evaluated once."""
-        f = field if field is not None else self.field
         distinct = {id(e): e for row in self.entries for e in row}
-        values = {k: e.evaluate(x, f) for k, e in distinct.items()}
+        values = {k: e.evaluate(x) for k, e in distinct.items()}
         return [[values[id(e)] for e in row] for row in self.entries]
 
     def dump(self) -> str:

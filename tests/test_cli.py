@@ -5,13 +5,14 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import artinkernels
 from artinkernels import build_flag_complex, homology_module
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
-                              fixture_text, main, parse_input, run, self_check,
-                              serialize_input)
-from artinkernels.scalars import FieldSpec
+                              ParsedInput, fixture_text, main, parse_input, run,
+                              self_check, serialize_input)
+from artinkernels.scalars import PRIME_LIMIT, FieldSpec
 
 from conftest import F3, QQ, random_case
 
@@ -55,6 +56,58 @@ def test_roundtrip_on_fixtures():
         assert again.character.weights == parsed.character.weights
         assert again.field == parsed.field
         assert serialize_input(again.graph, again.character, again.field) == out
+
+
+NAMES = ("a", "b", "c", "v10", "x_y")
+BAD_INTS = st.sampled_from(("x", "2.5", "1e3", "", "p:7"))
+FIELDS = st.sampled_from(("q", "p 2", "p:3", "7", "4", "p 10", "", "x"))
+LINES = st.one_of(
+    st.builds("vertex {} {}".format, st.sampled_from(NAMES),
+              st.integers(-9, 9).map(str) | BAD_INTS),
+    st.builds("edge {} {} {}".format, st.sampled_from(NAMES), st.sampled_from(NAMES),
+              st.integers(-1, 8).map(str) | BAD_INTS),
+    st.builds("field {}".format, FIELDS),
+    st.one_of(  # comments, blank lines, junk and lines of the wrong length
+        st.builds("# {}".format, st.text(max_size=8)),
+        st.text(max_size=12),
+        st.builds("{} {}".format, st.sampled_from(("vertex", "edge", "EDGE", "nodes")),
+                  st.lists(st.sampled_from(NAMES) | BAD_INTS, max_size=4).map(" ".join))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINES, max_size=12))
+def test_parser_accepts_or_raises_input_error(lines):
+    text = "\n".join(lines)
+    try:
+        parsed = parse_input(text)
+    except InputError as exc:
+        assert exc.line is None or 1 <= exc.line <= len(text.splitlines())
+    else:
+        assert isinstance(parsed, ParsedInput) and parsed.graph.vertices
+
+
+@st.composite
+def graph_inputs(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    weights = {v: draw(st.integers(-50, 50)) for v in names}
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, 2 * draw(st.integers(1, 5))) for u, v in chosen]
+    g = artinkernels.LabeledGraph(names, edges)
+    fspec = draw(st.sampled_from((None, FieldSpec(), FieldSpec(2), FieldSpec(7))))
+    return g, artinkernels.Character(g, weights), fspec
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_serialized_input_parses_back(case):
+    g, chi, fspec = case
+    parsed = parse_input(serialize_input(g, chi, fspec))
+    assert parsed.graph.vertices == g.vertices
+    assert parsed.graph.labels == g.labels
+    assert parsed.character.weights == chi.weights
+    assert parsed.field == fspec
 
 
 def test_run_square_report():
@@ -142,6 +195,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([]) == 1
     assert main([str(good), "--methods", "bogus"]) == 1
     assert main([str(good), "--field", "p:4"]) == 1  # 4 is not prime
+    assert "characteristic 4 is not prime" in capsys.readouterr().err
+    assert main([str(good), "--field", f"p:{PRIME_LIMIT}"]) == 1
+    assert "too large" in capsys.readouterr().err
 
 
 def test_main_missing_file_is_input_error(tmp_path):

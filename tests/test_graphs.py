@@ -4,51 +4,65 @@ import pytest
 
 from artinkernels import (Character, GraphError, LabeledGraph,
                           ResonantVertexError, ZeroCharacterError, is_fc_type,
-                          is_spherical, maximal_cliques, normalize_character,
-                          resonance_sets, torsion_support, validate_graph)
+                          is_spherical, maximal_cliques, resonance_sets,
+                          torsion_support, validate_graph)
+from artinkernels.cli import InputError, parse_input
 
 from conftest import QQ, F2, dihedral_graph, square_diagonal_graph, square_graph
 
 
 def test_validate_accepts_dihedral():
     g, _ = dihedral_graph()
-    assert validate_graph(g).ok
+    assert validate_graph(g) == ()
+    assert validate_graph(LabeledGraph([], [])) == ("empty graph: no vertices declared",)
 
 
-def test_validate_rejects_odd_label_and_loop():
-    g = LabeledGraph(["a", "b"], [("a", "b", 3), ("a", "a", 2)], strict=False)
-    report = validate_graph(g)
-    assert not report.ok
-    assert any("odd label" in issue for issue in report.issues)
-    assert any("loop" in issue for issue in report.issues)
+# (vertices, edges, line of the first bad declaration, every problem in order)
+RULE_CASES = [
+    pytest.param("ab", [("a", "z", 2)], 3, ["edge (a,z): unknown vertex 'z'"],
+                 id="unknown-vertex"),
+    pytest.param("ab", [("a", "a", 2)], 3, ["edge (a,a): loop"], id="loop"),
+    pytest.param("ab", [("a", "b", 2), ("a", "b", 4)], 4, ["edge (a,b): duplicate edge"],
+                 id="duplicate"),
+    pytest.param("ab", [("a", "b", 2), ("b", "a", 4), ("a", "b", 1)], 4,
+                 ["edge (b,a): duplicate edge", "edge (a,b): duplicate edge"],
+                 id="duplicate-reversed"),
+    pytest.param("ab", [("a", "b", 0)], 3, ["edge (a,b): label 0 is < 2"],
+                 id="label-below-2"),
+    pytest.param("ab", [("a", "b", 3)], 3, ["edge (a,b): odd label 3"], id="odd-label"),
+    # a pair is a duplicate once seen, whether or not its label was good
+    pytest.param("ab", [("a", "b", 3), ("a", "b", 2)], 3,
+                 ["edge (a,b): odd label 3", "edge (a,b): duplicate edge"],
+                 id="bad-label-then-duplicate"),
+    pytest.param("abc", [("a", "b", 2), ("b", "b", 2), ("c", "a", 3), ("c", "b", 0)], 5,
+                 ["edge (b,b): loop", "edge (c,a): odd label 3",
+                  "edge (c,b): label 0 is < 2"],
+                 id="several"),
+    pytest.param("aba", [], 3, ["duplicate vertex 'a'"], id="duplicate-vertex"),
+]
 
 
-def test_validate_rejects_duplicates_and_small_labels():
-    cases = [
-        ([("a", "b", 2), ("b", "a", 4), ("a", "b", 1)], {("a", "b"): 2},
-         ("edge (b,a): duplicate edge", "edge (a,b): duplicate edge")),
-        # a pair is a duplicate once seen, whether or not its label was kept
-        ([("a", "b", 3), ("a", "b", 2)], {},
-         ("edge (a,b): odd label 3", "edge (a,b): duplicate edge")),
-    ]
-    for edges, labels, issues in cases:
-        g = LabeledGraph(["a", "b"], edges, strict=False)
-        assert g.labels == labels
-        assert validate_graph(g).issues == issues
+@pytest.mark.parametrize("vertices, edges, line, problems", RULE_CASES)
+def test_graph_and_parser_apply_the_same_rules(vertices, edges, line, problems):
+    with pytest.raises(GraphError) as err:
+        LabeledGraph(vertices, edges)
+    assert str(err.value) == "; ".join(problems)
 
-
-def test_strict_constructor_raises():
-    with pytest.raises(GraphError):
-        LabeledGraph(["a", "b"], [("a", "b", 3)])
+    text = "".join(f"vertex {v} 1\n" for v in vertices)
+    text += "".join(f"edge {u} {v} {label}\n" for u, v, label in edges)
+    with pytest.raises(InputError) as err:
+        parse_input(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {problems[0]}"
 
 
 def test_normalize_character():
     g = LabeledGraph(["a", "b"], [("a", "b", 2)])
-    c, d = normalize_character(Character(g, {"a": 2, "b": 4}))
+    c, d = Character(g, {"a": 2, "b": 4}).normalize()
     assert (c.values, d) == ((1, 2), 2)
 
     g3 = LabeledGraph(["a", "b", "c"], [])
-    c3, d3 = normalize_character(Character(g3, {"a": 0, "b": 3, "c": 6}))
+    c3, d3 = Character(g3, {"a": 0, "b": 3, "c": 6}).normalize()
     assert (c3.values, d3) == ((0, 1, 2), 3)
 
 

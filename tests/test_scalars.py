@@ -1,5 +1,6 @@
-"""Exact arithmetic over Q on ints and Fractions, and the orders read off
-trial-division factorisations against their brute-force definitions."""
+"""Exact arithmetic over Q on ints and Fractions, the orders read off
+trial-division factorisations against their brute-force definitions, and
+Miller-Rabin primality against trial division."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from artinkernels import Character, LabeledGraph, torsion_support
 from artinkernels.laurent import t_minus_one_multiplicities, totient
-from artinkernels.scalars import Rationals, divisors, prime_factors
+import pytest
+
+from artinkernels.scalars import (PRIME_LIMIT, FieldSpec, Rationals, divisors,
+                                  is_prime, prime_factors)
 from artinkernels.smith import cyclotomic_candidates
 
 Q = Rationals()
@@ -94,3 +98,35 @@ def test_candidates_and_torsion_support_match_brute_force():
         want = sorted({1} | set(divs[n]) | edge)
         assert cyclotomic_candidates(g, c) == want, n
         assert torsion_support(g, c).values == tuple(d for d in want if d > 1), n
+
+
+# -- primality ---------------------------------------------------------------
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5 + 1):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    # a Carmichael number, and the least strong pseudoprimes to all prime
+    # bases through 7, through 31 and through 37
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    mersenne61 = 2 ** 61 - 1
+    assert is_prime(mersenne61)
+    assert not is_prime(mersenne61 * (2 ** 13 - 1))
+    assert is_prime(10 ** 16 + 61)
+    assert FieldSpec.parse(f"p:{mersenne61}").scalars().p == mersenne61
+
+
+def test_is_prime_refuses_what_it_cannot_certify():
+    assert not is_prime(PRIME_LIMIT - 1)
+    for n in (PRIME_LIMIT, PRIME_LIMIT + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            FieldSpec(n)

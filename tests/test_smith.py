@@ -200,7 +200,7 @@ def test_verify_shape_skips_resonant():
     fc = build_flag_complex(g)
     res = resonance_sets(g, chi, F2)
     dec = homology_module(fc, chi, F2, 0)
-    rep = verify_shape(dec, None, [], [], res)
+    rep = verify_shape(dec, None, [], [], res, g, chi)
     assert rep.skipped == "K-resonant character"
 
 
