@@ -34,7 +34,7 @@ from .smith import boundary_smith_form, homology_modules, verify_shape
 from .spectral import (ForestBudgetError, TorsionTable, forest_budget,
                        forest_fitting_h1, jordan_bound_check, page_dims,
                        solve_torsion, weighted_complex)
-from .twisted import twisted_boundary
+from .twisted import BoundaryTables, twisted_boundary
 
 SCHEMA = "artinkernels-report/1"
 ALL_METHODS = ("snf", "ss", "forest", "resonant")
@@ -106,6 +106,11 @@ def parse_input(text: str) -> ParsedInput:
 
 
 def serialize_input(g: LabeledGraph, c: Character, fspec: FieldSpec | None) -> str:
+    """The text `parse_input` reads back as g, c and fspec.  Raises ValueError
+    naming a vertex whose name is not a str, is empty or holds whitespace or #."""
+    for v in g.vertices:
+        if not isinstance(v, str) or not v or "#" in v or any(ch.isspace() for ch in v):
+            raise ValueError(f"vertex name {v!r} does not survive the input format")
     lines = []
     if fspec is not None:
         lines.append("field q" if fspec.p is None else f"field p {fspec.p}")
@@ -247,8 +252,9 @@ def run(job: JobConfig) -> Report:
 
     # Smith normal form spine: every boundary built once, diagonalized
     # through degree k_max + 1
-    boundaries = {k: twisted_boundary(fc, character, fspec, k) for k in range(0, top + 1)}
-    snfs, decs = homology_modules(fc, character, fspec, boundaries, range(0, k_max + 1))
+    tables = BoundaryTables(fc, character, fspec)
+    boundaries = {k: twisted_boundary(fc, character, fspec, k, tables) for k in range(top + 1)}
+    snfs, decs = homology_modules(fc, character, fspec, boundaries, range(k_max + 1), tables)
     modules = []
     for k, dec in decs.items():
         entry = {

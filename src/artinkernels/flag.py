@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .graphs import LabeledGraph, is_spherical
+from .graphs import LabeledGraph
 from .scalars import Field, FieldSpec
 
 Simplex = tuple
@@ -56,17 +56,23 @@ class FlagComplex:
 
 
 def build_flag_complex(g: LabeledGraph) -> FlagComplex:
-    """Enumerate every spherical clique once, in sorted vertex order."""
+    """Enumerate every spherical clique once, in sorted vertex order.  A
+    clique carries the vertices its label >= 4 edges cover, so extending it
+    by w checks only the edges at w against `graphs.is_spherical`'s rule."""
     n = len(g.vertices)
     by_dim: dict[int, list] = {-1: [()]}
-    stack = [((v,), i) for i, v in enumerate(g.vertices)]
+    stack = [((v,), i, frozenset()) for i, v in enumerate(g.vertices)]
     while stack:
-        simplex, last = stack.pop()
+        simplex, last, covered = stack.pop()
         by_dim.setdefault(len(simplex) - 1, []).append(simplex)
         for j in range(last + 1, n):
             w = g.vertices[j]
-            if all(g.has_edge(v, w) for v in simplex) and is_spherical(g, simplex + (w,)):
-                stack.append((simplex + (w,), j))
+            if all(g.has_edge(v, w) for v in simplex):
+                wide = [v for v in simplex if g.ell(v, w) >= 4]
+                if not wide:
+                    stack.append((simplex + (w,), j, covered))
+                elif len(wide) == 1 and wide[0] not in covered:
+                    stack.append((simplex + (w,), j, covered | {wide[0], w}))
     for sims in by_dim.values():
         sims.sort(key=lambda s: tuple(g.index(v) for v in s))
     return FlagComplex(g, by_dim)
@@ -74,14 +80,12 @@ def build_flag_complex(g: LabeledGraph) -> FlagComplex:
 
 @dataclass
 class IncidenceMatrix:
+    """Sparse columns {row index: sign} with simplex-labeled axes."""
+
     rows: list
     cols: list
-    entries: list
+    columns: list
     field: Field
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.cols))
 
 
 def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatrix:
@@ -91,16 +95,10 @@ def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatri
     the augmentation: every vertex maps to the empty simplex with sign +1.
     """
     field = fspec.scalars()
-    rows = fc.simplices_of(k - 1)
-    cols = fc.simplices_of(k)
-    entries = [[field.zero] * len(cols) for _ in rows]
-    if rows and cols:
-        sign_plus, sign_minus = field.one, field.neg(field.one)
-        for j, simplex in enumerate(cols):
-            for i, _v in enumerate(simplex):
-                face = simplex[:i] + simplex[i + 1:]
-                entries[fc.position(face)][j] = sign_plus if i % 2 == 0 else sign_minus
-    return IncidenceMatrix(rows, cols, entries, field)
+    signs = (field.one, field.neg(field.one))
+    columns = [{fc.position(X[:i] + X[i + 1:]): signs[i % 2] for i in range(len(X))}
+               for X in fc.simplices_of(k)]
+    return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, field)
 
 
 def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
@@ -109,7 +107,7 @@ def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
     out = []
     for k in range(0, fc.dim + 2):
         m = boundary_matrix(fc, k, fspec)
-        out.append(linalg.rank(field, m.entries))
+        out.append(linalg.rank(field, m.columns))
     return out
 
 

@@ -1,9 +1,9 @@
 """Small exact linear algebra toolkit over the scalar fields.
 
-Matrices are plain lists of rows (dense) or lists of sparse columns
-(dicts row index -> value).  Everything is exact.  :func:`rank` is the one
-field rank kernel: it eliminates on sparse copies of the rows, because the
-boundary matrices it sees carry a few nonzeros per column.
+Matrices are lists of sparse rows or columns (dicts index -> value).
+Everything is exact.  :func:`rank` is the one field rank kernel: it
+eliminates on copies of the sparse rows (or columns: the rank is the
+same), because the boundary matrices it sees are sparse.
 
 :class:`BottomEchelon` maintains a column-space basis in bottom-echelon
 form: each stored vector has a distinct bottom-most nonzero row, and
@@ -13,7 +13,9 @@ rank of the submatrix on rows >= r -- the "staircase ranks" that drive
 the filtered-complex page dimension formulas.  Each vector is stored
 scaled so that its lead is one: a reduction step is then a multiply and
 a subtract, and the one inverse per basis vector is paid when it is
-stored.
+stored.  :func:`staircase_leads` skips the `cleared` columns, which the
+caller knows to be combinations of the columns before them (clearing, see
+`spectral`): they would reduce to zero and change no lead.
 """
 
 from __future__ import annotations
@@ -21,17 +23,18 @@ from __future__ import annotations
 from .scalars import Field
 
 
-def rank(field: Field, rows: list[list]) -> int:
-    """Rank by sparse row elimination; `rows` is left untouched.
+def rank(field: Field, rows: list[dict]) -> int:
+    """Rank by sparse row elimination; `rows`, dicts {column: value}, are
+    left untouched.
 
-    The rows are copied to dicts of their nonzero entries.  Each step takes
+    The rows are copied without their zero entries.  Each step takes
     the sparsest remaining row as pivot row, so the fill-in a pivot spreads
     stays small, and clears its first column from every other row.
     """
     is_zero, sub, mul, zero = field.is_zero, field.sub, field.mul, field.zero
     live = []
     for row in rows:
-        sparse = {j: x for j, x in enumerate(row) if not is_zero(x)}
+        sparse = {j: x for j, x in row.items() if not is_zero(x)}
         if sparse:
             live.append(sparse)
     r = 0
@@ -97,9 +100,10 @@ class BottomEchelon:
 
 
 def staircase_leads(field: Field, columns: list[dict[int, object]],
-                    snapshot_after: list[int]) -> list[list[int]]:
-    """Feed columns in order; after the first `n` columns for each n in
-    `snapshot_after` (nondecreasing), record the sorted list of lead rows.
+                    snapshot_after: list[int], cleared=frozenset()) -> list[list[int]]:
+    """Feed columns in order, skipping the indices in `cleared`; after the
+    first `n` columns for each n in `snapshot_after` (nondecreasing),
+    record the sorted list of lead rows.  A cleared column counts toward n.
 
     rank of (rows >= r, first n columns) = #leads in that snapshot >= r.
     """
@@ -112,8 +116,8 @@ def staircase_leads(field: Field, columns: list[dict[int, object]],
     while wi < len(want) and want[wi] == 0:
         snaps.append([])
         wi += 1
-    for col in columns:
-        lead = ech.insert(dict(col))
+    for j, col in enumerate(columns):
+        lead = None if j in cleared else ech.insert(col)
         if lead is not None:
             leads.append(lead)
         done += 1

@@ -173,8 +173,6 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
 def h2_free_rank(qc: QuotientComplex, fspec: FieldSpec) -> int:
     """dim of the first reduced homology of the quotient 2-complex over K."""
     f = fspec.scalars()
-    d1 = [[f.from_int(x) for x in row] for row in qc.d1]
-    d2 = [[f.from_int(x) for x in row] for row in qc.d2]
-    r1 = linalg.rank(f, d1)
-    r2 = linalg.rank(f, d2)
+    r1, r2 = (linalg.rank(f, [{j: f.from_int(x) for j, x in enumerate(row) if x}
+                              for row in d]) for d in (qc.d1, qc.d2))
     return (len(qc.cells1) - r1) - r2

@@ -22,7 +22,18 @@ an earlier column multiplies it by a power g^(>= 0), and so does clearing
 a reduced column above its lowest row by row operations.  Each pivot then
 leaves one entry g^(w(X) - w(low X)): these pivot gaps are the local
 exponents of the invariant factors, and the pivot count is the rank.
-Orders d with the same weight vector share one reduction.  Every
+Orders d with the same weight vector share one reduction.
+
+Clearing (Chen and Kerber, "Persistent homology computation with a twist",
+2011): the masked signed boundary S_k has B_k = D'^-1 S_k D', D' the
+nonzero part of W, so S_k S_(k+1) = 0.  A reduced column S_(k+1) v with
+lowest row sigma then writes column sigma of S_k as a combination of the
+columns before it, when the k-simplices stand in one order in both.  So
+:func:`homology_modules` reduces from the top degree down and hands each
+reduction's pivot rows, keyed by the weight tuple that orders them, to the
+degree below, which skips them only under an equal column weight tuple;
+they would reduce to zero.  The rank at t = 2 stays a full elimination.
+Every
 irreducible factor of Phi_d gets the same exponents, so the invariant
 factors are products of Phi_d (mod p over GF(p)) and nothing is factored.
 Each call checks the weights against the entries of the real polynomial
@@ -52,7 +63,7 @@ from .laurent import (Factor, cyclotomic, cyclotomic_field, cyclotomic_product,
                       laurent_from_dense, taylor_at_root, totient)
 from .linalg import BottomEchelon
 from .scalars import FieldSpec, divisors
-from .twisted import PolyMatrix, signed_boundary, twisted_boundary
+from .twisted import BoundaryTables, PolyMatrix, signed_boundary, twisted_boundary
 
 
 @dataclass
@@ -73,6 +84,8 @@ class SmithForm:
     # d -> ascending Phi_d-exponents of the `rank` invariant factors, for
     # the d that occur; None when the engine does not see them (Euclidean)
     exponents: dict | None = None
+    # row weight tuple -> pivot rows of the reduction in that row order
+    pivot_rows: dict | None = None
 
     @property
     def nontrivial_factors(self) -> list:
@@ -83,16 +96,13 @@ def _clear_to_polys(m: PolyMatrix) -> list:
     """Multiply each column by a t-power so all entries land in K[t]."""
     field = m.field
     nr, nc = m.shape
-    dense = [[None] * nc for _ in range(nr)]
-    for j in range(nc):
-        vals = [m.entries[i][j].valuation() for i in range(nr)
-                if not m.entries[i][j].is_zero()]
-        shift = -min(vals) if vals else 0
-        for i in range(nr):
-            e = m.entries[i][j]
-            cs, v = e.shift(shift).dense() if not e.is_zero() else ([], 0)
-            assert v >= 0 or not cs
-            dense[i][j] = ([field.zero] * v + cs) if cs else []
+    dense = [[[] for _ in range(nc)] for _ in range(nr)]
+    for j, col in enumerate(m.columns):
+        shift = -min((e.valuation() for e in col.values()), default=0)
+        for i, e in col.items():
+            cs, v = e.shift(shift).dense()
+            assert v >= 0
+            dense[i][j] = [field.zero] * v + cs
     return dense
 
 
@@ -265,11 +275,8 @@ def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
     kd = cyclotomic_field(d)
     nr, nc = m.shape
     rows = [[kd.zero] * (nc * order) for _ in range(nr * order)]
-    for i in range(nr):
-        for j in range(nc):
-            e = m.entries[i][j]
-            if e.is_zero():
-                continue
+    for j, col in enumerate(m.columns):
+        for i, e in col.items():
             coeffs = taylor_at_root(e, d, order)
             for a, ca in enumerate(coeffs):
                 if kd.is_zero(ca):
@@ -295,24 +302,30 @@ def cyclotomic_candidates(g, c: Character) -> list:
     return sorted(out)
 
 
-def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple) -> list:
+def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
+                cleared) -> tuple[list, set]:
     """Ascending w(X) - w(low X) over the pivots of one left-to-right
-    column reduction of `columns`, rows and columns sorted by weight."""
+    column reduction of `columns` but `cleared`, rows and columns sorted by
+    weight, and the pivot rows."""
     rows = sorted(range(len(row_w)), key=row_w.__getitem__)
     slot = [0] * len(rows)
     for s, i in enumerate(rows):
         slot[i] = s
     ech = BottomEchelon(field)
     gaps = []
+    lows = set()
     for j in sorted(range(len(col_w)), key=col_w.__getitem__):
+        if j in cleared:
+            continue
         low = ech.insert({slot[i]: x for i, x in columns[j].items()})
         if low is not None:
             gaps.append(col_w[j] - row_w[rows[low]])
-    return sorted(gaps)
+            lows.add(rows[low])
+    return sorted(gaps), lows
 
 
 def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: list,
-                                 fspec: FieldSpec) -> SmithForm:
+                                 fspec: FieldSpec, cleared: dict | None = None) -> SmithForm:
     """The Smith form of diag(W(Y))^-1 B diag(W(X)) over K[t^{+-1}], for a
     signed boundary B given as sparse columns and the weights {d: w_d} of
     its rows Y and columns X.
@@ -320,7 +333,8 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
     One reduction per distinct weight vector; the orders d that share a
     vector share its pivot gaps.  The exponents are kept as
     `SmithForm.exponents`; the invariant factors are multiplied out once,
-    for the report and the cross-checks.
+    for the report and the cross-checks.  Each reduction skips the columns
+    `cleared` holds under its column weight tuple (module docstring).
     """
     runs = {}
     for d in sorted({d for w in row_weights + col_weights for d in w}):
@@ -331,8 +345,10 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
         runs[((0,) * len(row_weights), (0,) * len(col_weights))] = []
     field = fspec.scalars()
     exponents = {}
-    for key, orders in runs.items():
-        gaps = _pivot_gaps(field, columns, *key)
+    pivot_rows = {}
+    for (row_w, col_w), orders in runs.items():
+        gaps, pivot_rows[row_w] = _pivot_gaps(field, columns, row_w, col_w,
+                                              (cleared or {}).get(col_w, frozenset()))
         if gaps and gaps[-1]:
             exponents.update((d, gaps) for d in orders)
     exponents = dict(sorted(exponents.items()))
@@ -340,7 +356,8 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
     factors = [cyclotomic_product({d: slots[i] for d, slots in exponents.items() if slots[i]},
                                   fspec)
                for i in range(rank)]
-    return SmithForm(invariant_factors=factors, rank=rank, exponents=exponents)
+    return SmithForm(invariant_factors=factors, rank=rank, exponents=exponents,
+                     pivot_rows=pivot_rows)
 
 
 def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights: list,
@@ -355,18 +372,15 @@ def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights:
         return sum(totient(d) * e for d, e in w.items())
 
     row_spans = [span(w) for w in row_weights]
-    col_spans = [span(w) for w in col_weights]
-    nonzero = 0
-    for i, row in enumerate(m.entries):
-        for j, e in enumerate(row):
-            if not e.coeffs:
-                continue
-            nonzero += 1
-            if i not in columns[j] or e.degree() - e.valuation() != col_spans[j] - row_spans[i]:
+    for j, col in enumerate(m.columns):
+        if col.keys() != columns[j].keys():
+            raise ArithmeticError(f"the signed boundary and m have entries in "
+                                  f"different rows of column {m.cols[j]}")
+        col_span = span(col_weights[j])
+        for i, e in col.items():
+            if e.degree() - e.valuation() != col_span - row_spans[i]:
                 raise ArithmeticError(f"weights do not match the entry at "
                                       f"{m.rows[i]}, {m.cols[j]}")
-    if nonzero != sum(map(len, columns)):
-        raise ArithmeticError("the signed boundary has entries where m has none")
     if m.field.char == 0:
         at_point = specialized_rank(m)
         if at_point != rank:
@@ -375,11 +389,13 @@ def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights:
 
 
 def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
-                        fspec: FieldSpec) -> SmithForm:
+                        fspec: FieldSpec, tables: BoundaryTables | None = None,
+                        cleared: dict | None = None) -> SmithForm:
     """The Smith form of m = twisted_boundary(fc, c, fspec, k), every field
-    alike: the persistence of its signed boundary under the weights."""
-    columns, row_weights, col_weights = signed_boundary(fc, c, fspec, m.k)
-    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec)
+    alike: the persistence of its signed boundary under the weights, read
+    from `tables` when given, skipping the columns `cleared` names."""
+    columns, row_weights, col_weights = signed_boundary(fc, c, fspec, m.k, tables)
+    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec, cleared)
     _check_weights(m, columns, row_weights, col_weights, snf.rank)
     return snf
 
@@ -441,13 +457,18 @@ def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
 
 
 def homology_modules(fc: FlagComplex, c: Character, fspec: FieldSpec,
-                     boundaries: dict, degrees: range) -> tuple[dict, dict]:
+                     boundaries: dict, degrees: range,
+                     tables: BoundaryTables | None = None) -> tuple[dict, dict]:
     """The homology module of each chain degree k in `degrees`, and the
     Smith forms of `boundaries[k]` for k in `degrees` and one beyond, from
     which every rank is read: the free rank is n_k - rank d_k - rank d_{k+1}.
+    The boundaries are reduced from the top down, each clearing with the
+    pivot rows of the one above (module docstring).
     """
-    snfs = {k: boundary_smith_form(boundaries[k], fc, c, fspec)
-            for k in range(degrees.start, degrees.stop + 1)}
+    snfs, cleared = {}, {}
+    for k in range(degrees.stop, degrees.start - 1, -1):
+        snfs[k] = boundary_smith_form(boundaries[k], fc, c, fspec, tables, cleared)
+        cleared = snfs[k].pivot_rows
     decs = {k: decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
                                  snfs[k + 1], fspec)
             for k in degrees}
@@ -458,8 +479,9 @@ def homology_module(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> 
     """Free rank and torsion of the degree-k homology (H_{k+1} of the kernel)."""
     if not c.is_normalized:
         raise ValueError("homology modules are computed for normalized characters")
-    boundaries = {j: twisted_boundary(fc, c, fspec, j) for j in (k, k + 1)}
-    return homology_modules(fc, c, fspec, boundaries, range(k, k + 1))[1][k]
+    tables = BoundaryTables(fc, c, fspec)
+    boundaries = {j: twisted_boundary(fc, c, fspec, j, tables) for j in (k, k + 1)}
+    return homology_modules(fc, c, fspec, boundaries, range(k, k + 1), tables)[1][k]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ found by exact integer division by the monic Phi_d (`quotient_residue`),
 and the elimination runs on K_d elements of integer numerators over one
 denominator.
 
+Clearing (Chen and Kerber, "Persistent homology computation with a twist",
+2011): the unit at (Y, X) is +-W'(X)/W'(Y) at zeta_d, W' the part of W
+prime to Phi_d, so the unit matrices are E^-1 S_n E for the signed
+boundaries S_n and compose to zero.  A lead row sigma of the sweep of
+degree n+1 thus makes column sigma of degree n a combination of the
+columns before it in `bases[n]`, which orders both: `page_dims` sweeps
+from the top degree down and skips those columns.
+
 The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
 degree-k homology then satisfies, with r_q the reduced flag homology,
 
@@ -156,25 +164,21 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
     # entries with equal factors and sign are one shared object, so each
     # (entry, drop) has its leading unit read once
     units = {}
-    columns = {}
-    for n in range(-1, fc.dim + 1):
-        tb = boundaries[n] if n >= 0 else None
+    columns = {-1: [{}]}
+    for n in range(0, fc.dim + 1):
+        tb = boundaries[n]
         cols = []
         for X in bases[n]:
             col = {}
-            if tb is not None:
-                j = fc.position(X)
-                for i, Y in enumerate(tb.rows):
-                    entry = tb.entries[i][j]
-                    if entry.is_zero():
-                        continue
-                    drop = weights[X] - weights[Y]
-                    assert drop >= 0, "weights must not increase along faces"
-                    unit = units.get((id(entry), drop))
-                    if unit is None:
-                        unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
-                        assert not kd.is_zero(unit), "leading unit vanished"
-                    col[positions[Y]] = unit
+            for i, entry in tb.columns[fc.position(X)].items():
+                Y = tb.rows[i]
+                drop = weights[X] - weights[Y]
+                assert drop >= 0, "weights must not increase along faces"
+                unit = units.get((id(entry), drop))
+                if unit is None:
+                    unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
+                    assert not kd.is_zero(unit), "leading unit vanished"
+                col[positions[Y]] = unit
             cols.append(col)
         columns[n] = cols
     return WeightedComplex(fc, c, d, kd, weights, bases, columns,
@@ -214,28 +218,25 @@ def page_dims(wc: WeightedComplex) -> PageTable:
 
     Pages are computed through max(dim + 3, max_weight + 2); the last two
     agree entrywise (the sequence has degenerated), and that limit page is
-    recorded as the stable one.
+    recorded as the stable one.  The sweeps run from the top degree down,
+    each clearing the columns that lead the sweep above (module docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
     top = wc.fc.dim
     s_hi = max(top + 3, wmax + 2)
 
-    counts = {}     # n -> cumulative column counts per weight 0..wmax
+    wlists = {n: [wc.weights[s] for s in wc.bases[n]] for n in range(-1, top + 1)}
+    # n -> cumulative column counts per weight 0..wmax
+    counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
+              for n, ws in wlists.items()}
     snaps = {}      # n -> per weight prefix, sorted lead row weights
-    wlists = {}
-    for n in range(-1, top + 1):
-        ws = [wc.weights[s] for s in wc.bases[n]]
-        wlists[n] = ws
-        cum = []
-        for p in range(wmax + 1):
-            cum.append(sum(1 for w in ws if w <= p))
-        counts[n] = cum
-        row_ws = wlists.get(n - 1)
-        lead_snaps = staircase_leads(kd, wc.columns[n], cum)
-        if row_ws is None:
-            row_ws = []
+    cleared = frozenset()
+    for n in range(top, -2, -1):
+        lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
+        row_ws = wlists.get(n - 1, [])
         snaps[n] = [sorted(row_ws[i] for i in leads) for leads in lead_snaps]
+        cleared = frozenset(lead_snaps[-1])
 
     def sub_rank(n: int, p: int, a: int) -> int:
         # rank of the boundary of degree n restricted to columns of weight

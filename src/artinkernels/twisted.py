@@ -18,15 +18,14 @@ are never zero and control both the minors (every minor of the twisted
 matrix is the matching untwisted minor times p_X q_X ratios) and the
 multiplicity filtration.  The coefficient at (X_v, X) is the sign times
 p_X q_X / p_{X_v} q_{X_v} when X and X_v have the same resonant (zero)
-factors, and 0 when v brings in one of its own: `facet_factors` lists the
-factors, `factor_poly` reads them as polynomials (twisted_boundary) and
+factors, and 0 when v brings in one of its own: `BoundaryTables` lists
+the factors, `factor_poly` reads them as polynomials (twisted_boundary) and
 `factor_multiplicities` as Phi_d-exponents (signed_boundary).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,11 +37,12 @@ from .scalars import Field, FieldSpec
 
 @dataclass
 class PolyMatrix:
-    """Dense matrix of Laurent polynomials with simplex-labeled axes."""
+    """Sparse matrix of Laurent polynomials with simplex-labeled axes:
+    columns[j] maps a row index to the nonzero entry there."""
 
     rows: list
     cols: list
-    entries: list
+    columns: list
     field: Field
     k: int = 0
 
@@ -50,36 +50,33 @@ class PolyMatrix:
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+    @property
+    def entries(self) -> tuple:
+        """The dense view: a tuple of row tuples, zeros filled in."""
+        grid = [[LaurentPoly.zero(self.field)] * len(self.cols) for _ in self.rows]
+        for j, col in enumerate(self.columns):
+            for i, e in col.items():
+                grid[i][j] = e
+        return tuple(map(tuple, grid))
 
-    def evaluate(self, x) -> list[list]:
-        """The matrix at x; entries that are one shared object (see
-        `twisted_boundary`) are evaluated once."""
-        distinct = {id(e): e for row in self.entries for e in row}
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+    def evaluate(self, x) -> list[dict]:
+        """The matrix at x as sparse columns; entries that are one shared
+        object (see `BoundaryTables.entry`) are evaluated once."""
+        distinct = {id(e): e for col in self.columns for e in col.values()}
         values = {k: e.evaluate(x) for k, e in distinct.items()}
-        return [[values[id(e)] for e in row] for row in self.entries]
+        return [{i: values[id(e)] for i, e in col.items()} for col in self.columns]
 
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""
         lines = [f"degree {self.k}: {len(self.rows)} x {len(self.cols)}"]
-        for i, r in enumerate(self.rows):
-            for j, c in enumerate(self.cols):
-                e = self.entries[i][j]
-                if not e.is_zero():
-                    lines.append(f"  [{'.'.join(map(str, r)) or 'empty'} | "
-                                 f"{'.'.join(map(str, c))}] = {e}")
+        for i, j, e in sorted((i, j, e) for j, col in enumerate(self.columns)
+                              for i, e in col.items()):
+            lines.append(f"  [{'.'.join(map(str, self.rows[i])) or 'empty'} | "
+                         f"{'.'.join(map(str, self.cols[j]))}] = {e}")
         return "\n".join(lines)
-
-
-def facet_factors(g, c: Character, v, face) -> list:
-    """The factors of the coefficient at (face, face + v), as pairs (lt, m):
-    (None, m_v) stands for t^{m_v} - 1 and (lt(vw), m_vw) for
-    q_{lt(vw)}(t^{m_vw}), one per w in face.  This is the one place that
-    says which factors make W(X) = p_X q_X: it is their product along
-    X[:1], X[:2], ..., X, so the coefficient at (X minus v, X) is
-    +-W(X)/W(X minus v)."""
-    return [(None, c.m(v))] + [(g.ell_tilde(v, w), c.m_edge(v, w)) for w in face]
 
 
 def factor_poly(factor, field) -> LaurentPoly:
@@ -104,65 +101,87 @@ def factor_multiplicities(factor, char: int) -> tuple | None:
     return tuple((d, e) for d, e in out.items() if e)
 
 
-def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> PolyMatrix:
-    """The matrix of the equivariant boundary in chain degree k.
+class BoundaryTables:
+    """What the boundaries of c over one field are made of, each computed
+    once for every degree: the factor pair of each edge, the weights of
+    each simplex and each entry polynomial.  A run keeps one."""
+
+    def __init__(self, fc: FlagComplex, c: Character, fspec: FieldSpec):
+        g = fc.graph
+        self.c, self.char, self.field = c, fspec.char, fspec.scalars()
+        self.pairs = {}
+        for u, v in g.edge_list:
+            self.pairs[u, v] = self.pairs[v, u] = (g.ell_tilde(u, v), c.m_edge(u, v))
+        self._weights = {(): (0, Counter())}
+        one = LaurentPoly.one(self.field)
+        self._products = {(0,): one, (1,): -one}
+
+    def facet_factors(self, v, face) -> list:
+        """The factors of the coefficient at (face, face + v), as pairs
+        (lt, m): (None, m_v) stands for t^{m_v} - 1 and (lt(vw), m_vw) for
+        q_{lt(vw)}(t^{m_vw}), one per w in face.  This is the one place that
+        says which factors make W(X) = p_X q_X: it is their product along
+        X[:1], X[:2], ..., X, so the coefficient at (X minus v, X) is
+        +-W(X)/W(X minus v)."""
+        return [(None, self.c.m(v))] + [self.pairs[v, w] for w in face]
+
+    def weights(self, X) -> tuple:
+        """(number of zero factors, {d: w_d(X)}), where w_d(X) is the
+        exponent of Phi_d in the product of the nonzero factors of W(X),
+        summed along X[:1], ..., X."""
+        w = self._weights.get(X)
+        if w is None:
+            zeros, ws = self.weights(X[:-1])
+            mults = [factor_multiplicities(f, self.char)
+                     for f in self.facet_factors(X[-1], X[:-1])]
+            ws = Counter(ws)
+            for mult in mults:
+                ws.update(dict(mult or ()))
+            w = self._weights[X] = (zeros + mults.count(None), ws)
+        return w
+
+    def entry(self, X, i: int) -> LaurentPoly:
+        """The coefficient at (X minus its i-th vertex, X).  Entries with the
+        same sign and factors, up to order, are one object."""
+        tm1, *qs = self.facet_factors(X[i], X[:i] + X[i + 1:])
+        return self._product((i % 2, tm1, *sorted(qs)))
+
+    def _product(self, key: tuple) -> LaurentPoly:
+        """(-1)^key[0] times the factors key[1:], one multiply onto the
+        memoised product of the key's prefix."""
+        p = self._products.get(key)
+        if p is None:
+            p = self._products[key] = self._product(key[:-1]) * factor_poly(key[-1], self.field)
+        return p
+
+
+def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
+                     tables: BoundaryTables | None = None) -> PolyMatrix:
+    """The matrix of the equivariant boundary in chain degree k, built from
+    `tables` (made for fc, c and fspec) when given.
 
     Columns are the k-simplices, rows the (k-1)-simplices; degree 0 is the
     augmentation column map sigma_v -> (t^{m_v} - 1) sigma_empty.
     """
-    field = fspec.scalars()
-    g = fc.graph
-    rows = fc.simplices_of(k - 1)
-    cols = fc.simplices_of(k)
-    zero = LaurentPoly.zero(field)
-    entries = [[zero for _ in cols] for _ in rows]
-    # many entries share their factors up to order: multiply each distinct
-    # (t^{m_v} - 1, sorted q-factors, sign) out once
-    products = {}
-    for j, simplex in enumerate(cols):
-        for i, v in enumerate(simplex):
-            face = simplex[:i] + simplex[i + 1:]
-            tm1, *qs = facet_factors(g, c, v, face)
-            key = (tm1, tuple(sorted(qs)), i % 2)
-            coeff = products.get(key)
-            if coeff is None:
-                coeff = functools.reduce(operator.mul, [factor_poly(f, field)
-                                                        for f in (tm1, *key[1])])
-                products[key] = coeff = -coeff if i % 2 else coeff
-            entries[fc.position(face)][j] = coeff
-    return PolyMatrix(rows, cols, entries, field, k)
+    t = BoundaryTables(fc, c, fspec) if tables is None else tables
+    columns = [{fc.position(X[:i] + X[i + 1:]): e for i in range(len(X)) if (e := t.entry(X, i))}
+               for X in fc.simplices_of(k)]
+    return PolyMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, t.field, k)
 
 
-def simplex_weights(fc: FlagComplex, c: Character, char: int, simplices) -> dict:
-    """X -> (number of zero factors, {d: w_d(X)}) for each simplex X, where
-    w_d(X) is the exponent of Phi_d in the product of the nonzero factors
-    of W(X), read off `facet_factors` along X[:1], ..., X."""
-    out = {}
-    for X in simplices:
-        mults = [factor_multiplicities(f, char) for i, v in enumerate(X)
-                 for f in facet_factors(fc.graph, c, v, X[:i])]
-        w = Counter()
-        for mult in mults:
-            for d, e in mult or ():
-                w[d] += e
-        out[X] = (mults.count(None), w)
-    return out
-
-
-def signed_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec,
-                    k: int) -> tuple[list, list, list]:
+def signed_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
+                    tables: BoundaryTables | None = None) -> tuple[list, list, list]:
     """The degree-k boundary as the weights see it: sparse columns
     {row: (-1)^i} over the prime field, one entry per face X minus its i-th
     vertex with as many zero factors as X, and the weights {d: w_d} of rows
     and columns.  A face's factors are among X's, so equal counts mean the
     same zero factors; otherwise the coefficient has a zero factor and is 0.
     """
-    field = fspec.scalars()
-    rows = fc.simplices_of(k - 1)
-    cols = fc.simplices_of(k)
-    w = simplex_weights(fc, c, fspec.char, rows + cols)
-    signs = (field.one, field.neg(field.one))
+    t = BoundaryTables(fc, c, fspec) if tables is None else tables
+    w = t.weights
+    signs = (t.field.one, t.field.neg(t.field.one))
     columns = [{fc.position(X[:i] + X[i + 1:]): signs[i % 2]
-                for i in range(len(X)) if w[X[:i] + X[i + 1:]][0] == w[X][0]}
-               for X in cols]
-    return columns, [w[Y][1] for Y in rows], [w[X][1] for X in cols]
+                for i in range(len(X)) if w(X[:i] + X[i + 1:])[0] == w(X)[0]}
+               for X in fc.simplices_of(k)]
+    return (columns, [w(Y)[1] for Y in fc.simplices_of(k - 1)],
+            [w(X)[1] for X in fc.simplices_of(k)])

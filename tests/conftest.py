@@ -76,6 +76,22 @@ def random_even_graph(rng: random.Random, max_vertices=6, labels=(2, 4, 6),
         return g
 
 
+def random_matching_graph(rng: random.Random, max_vertices=7, edge_prob=0.8,
+                          heavy=(4, 6, 10)):
+    """An FC-type graph with large cliques: label-2 edges drawn with
+    `edge_prob`, then labels from `heavy` on a random matching of them."""
+    n = rng.randint(3, max_vertices)
+    names = [f"a{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
+    labels = dict.fromkeys(pairs, 2)
+    covered = set()
+    for i, j in rng.sample(pairs, len(pairs)):
+        if i not in covered and j not in covered and rng.random() < 0.5:
+            labels[i, j] = rng.choice(heavy)
+            covered.update((i, j))
+    return LabeledGraph(names, [(names[i], names[j], lab) for (i, j), lab in labels.items()])
+
+
 def random_character(rng: random.Random, g: LabeledGraph, max_weight=3,
                      allow_zero=False):
     while True:

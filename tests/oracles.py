@@ -63,29 +63,52 @@ def fraction_rank(rows: list[list]) -> int:
     return r
 
 
+def dense(m) -> list[list]:
+    """The rows of a matrix of sparse columns (`flag.IncidenceMatrix`),
+    zeros filled in."""
+    rows = [[m.field.zero] * len(m.cols) for _ in m.rows]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def sparse(rows: list[list]) -> list[dict]:
+    """Dense rows as the sparse rows `linalg.rank` takes."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def poly_matrix(rows, cols, entries, field, k: int = 0) -> PolyMatrix:
+    """The `PolyMatrix` with dense rows `entries` (LaurentPoly, zeros
+    included); every test that builds one densely goes through here."""
+    return PolyMatrix(rows, cols, [{i: row[j] for i, row in enumerate(entries) if row[j]}
+                                   for j in range(len(cols))], field, k)
+
+
 def compose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Matrix product a @ b (boundary-of-boundary checks)."""
     assert len(a.cols) == len(b.rows)
+    a_entries, b_entries = a.entries, b.entries
     zero = LaurentPoly.zero(a.field)
     out = [[zero for _ in b.cols] for _ in a.rows]
     for i in range(len(a.rows)):
         for kk in range(len(a.cols)):
-            e = a.entries[i][kk]
+            e = a_entries[i][kk]
             if e.is_zero():
                 continue
             for j in range(len(b.cols)):
-                o = b.entries[kk][j]
+                o = b_entries[kk][j]
                 if not o.is_zero():
                     out[i][j] = out[i][j] + e * o
-    return PolyMatrix(a.rows, b.cols, out, a.field, a.k)
+    return poly_matrix(a.rows, b.cols, out, a.field, a.k)
 
 
 def submatrix(m: PolyMatrix, row_simplices, col_simplices) -> PolyMatrix:
     ri = [m.rows.index(tuple(r)) for r in row_simplices]
     ci = [m.cols.index(tuple(c)) for c in col_simplices]
-    ent = [[m.entries[i][j] for j in ci] for i in ri]
-    return PolyMatrix([m.rows[i] for i in ri], [m.cols[j] for j in ci],
-                      ent, m.field, m.k)
+    entries = m.entries
+    ent = [[entries[i][j] for j in ci] for i in ri]
+    return poly_matrix([m.rows[i] for i in ri], [m.cols[j] for j in ci], ent, m.field, m.k)
 
 
 def det(m: PolyMatrix) -> LaurentPoly:
@@ -260,7 +283,7 @@ def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> di
     for n in range(0, fc.dim + 2):
         tb = twisted_boundary(fc, c, QQ, n)
         rows = taylor_block(tb, d, s)
-        big_rank[n] = field_rank(kd, rows) if rows else 0
+        big_rank[n] = field_rank(kd, sparse(rows))
     for k in range(0, fc.dim + 1):
         dims[k] = s * len(fc.simplices_of(k)) - big_rank[k] - big_rank[k + 1]
     return dims

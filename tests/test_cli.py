@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import sys
 from collections import Counter
 
@@ -87,9 +88,17 @@ def test_parser_accepts_or_raises_input_error(lines):
         assert isinstance(parsed, ParsedInput) and parsed.graph.vertices
 
 
+# names serialize_input must refuse, since they would not parse back as they are
+UNWRITABLE = (7, ("a", 1), "", "a b", "a#1", "x\ty", "y\n", "z\u2028")
+
+
 @st.composite
-def graph_inputs(draw):
+def graph_inputs(draw, unwritable=False):
+    """A graph on names from NAMES; with `unwritable`, maybe one more vertex
+    named from UNWRITABLE, at a drawn place in the vertex order."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    if unwritable and draw(st.booleans()):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(UNWRITABLE)))
     weights = {v: draw(st.integers(-50, 50)) for v in names}
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -100,9 +109,14 @@ def graph_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graph_inputs())
+@given(graph_inputs(unwritable=True))
 def test_serialized_input_parses_back(case):
     g, chi, fspec = case
+    bad = [v for v in g.vertices if v in UNWRITABLE]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
+            serialize_input(g, chi, fspec)
+        return
     parsed = parse_input(serialize_input(g, chi, fspec))
     assert parsed.graph.vertices == g.vertices
     assert parsed.graph.labels == g.labels

@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 from artinkernels import (LabeledGraph, boundary_matrix,
-                          build_flag_complex, image_dims,
+                          build_flag_complex, image_dims, is_spherical,
                           reduced_homology_ranks)
 
-from conftest import QQ, F2, dihedral_graph, square_diagonal_graph, square_graph
-from oracles import matmul
+from conftest import (QQ, F2, dihedral_graph, random_even_graph, square_diagonal_graph,
+                      square_graph)
+from oracles import dense, matmul
 
 
 def test_square_complex_counts():
@@ -40,7 +42,7 @@ def test_edge_boundary_signs():
     g, _ = dihedral_graph()
     fc = build_flag_complex(g)
     m = boundary_matrix(fc, 1, QQ)
-    col = [m.entries[i][0] for i in range(2)]
+    col = [dense(m)[i][0] for i in range(2)]
     # dropping the first vertex u gives +sigma_v, dropping v gives -sigma_u
     assert m.rows == [("u",), ("v",)]
     assert col == [QQ.scalars().from_int(-1), QQ.scalars().from_int(1)]
@@ -51,7 +53,7 @@ def test_augmentation_row():
     fc = build_flag_complex(g)
     m = boundary_matrix(fc, 0, QQ)
     assert m.rows == [()]
-    assert all(e == QQ.scalars().one for e in m.entries[0])
+    assert all(e == QQ.scalars().one for e in dense(m)[0])
 
 
 def test_boundary_squared_is_zero():
@@ -61,7 +63,7 @@ def test_boundary_squared_is_zero():
     for k in range(0, fc.dim + 1):
         a = boundary_matrix(fc, k, QQ)
         b = boundary_matrix(fc, k + 1, QQ)
-        prod = matmul(f, a.entries, b.entries)
+        prod = matmul(f, dense(a), dense(b))
         assert all(f.is_zero(x) for row in prod for x in row)
 
 
@@ -114,3 +116,22 @@ def test_homology_ranks_invariant_under_vertex_permutation():
         rng.shuffle(order)
         permuted = LabeledGraph(order, [(u, v, g.ell(u, v)) for u, v in g.edge_list])
         assert reduced_homology_ranks(build_flag_complex(permuted), QQ) == base
+
+
+def test_flag_complex_is_the_spherical_cliques_in_order():
+    """`build_flag_complex` checks sphericity one new vertex at a time; its
+    simplices must be the cliques `is_spherical` accepts, in index order."""
+    rng = random.Random(83)
+    rejected = 0
+    for _ in range(80):
+        g = random_even_graph(rng, max_vertices=7, labels=(2, 2, 4, 6), edge_prob=0.75,
+                              require_fc=False)
+        want = {-1: [()]}
+        for size in range(1, len(g.vertices) + 1):
+            for clique in combinations(g.vertices, size):
+                if is_spherical(g, clique):
+                    want.setdefault(size - 1, []).append(clique)
+                elif g.is_complete(clique):
+                    rejected += 1
+        assert build_flag_complex(g).by_dim == want, g.raw_edges
+    assert rejected > 50

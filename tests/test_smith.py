@@ -3,20 +3,24 @@ from itertools import combinations
 
 import pytest
 
-from artinkernels import (Character, LabeledGraph, LaurentPoly, PolyMatrix,
+from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
                           factor_invariant, homology_module, homology_modules,
                           image_dims, laurent_gcd, normalize_unit,
                           reduced_homology_ranks,
                           resonance_sets, smith_normal_form, torsion_support,
                           twisted_boundary, verify_shape)
+from artinkernels import smith
+from artinkernels.cli import JobConfig, run, serialize_input
 from artinkernels.laurent import dense_mul, totient
+from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import FieldSpec
 from artinkernels.smith import decompose_torsion
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
-                      random_even_graph, square_diagonal_graph, square_graph)
-from oracles import det, poly_det_dense, submatrix
+                      random_even_graph, random_matching_graph,
+                      square_diagonal_graph, square_graph)
+from oracles import det, poly_det_dense, poly_matrix, submatrix
 
 Q = QQ.scalars()
 
@@ -30,7 +34,7 @@ def pm(rows, field=Q):
     entries = [[L(e, field) if isinstance(e, dict) else e for e in row] for row in rows]
     rlab = [(f"r{i}",) for i in range(len(rows))]
     clab = [(f"c{j}",) for j in range(len(rows[0]))] if rows else []
-    return PolyMatrix(rlab, clab, entries, field)
+    return poly_matrix(rlab, clab, entries, field)
 
 
 def test_snf_already_diagonal():
@@ -71,7 +75,7 @@ def _random_poly_matrix(rng, field, nr, nc, deg=2):
         rows.append(row)
     rlab = [(f"r{i}",) for i in range(nr)]
     clab = [(f"c{j}",) for j in range(nc)]
-    return PolyMatrix(rlab, clab, rows, field)
+    return poly_matrix(rlab, clab, rows, field)
 
 
 def test_snf_transform_reconstruction_and_divisibility():
@@ -386,3 +390,98 @@ def test_decompose_torsion_over_q_needs_exponents():
     assert snf.exponents is None and snf.rank == 1
     with pytest.raises(ValueError):
         decompose_torsion(0, 0, snf, QQ)
+
+
+# ---------------------------------------------------------------------------
+# clearing
+# ---------------------------------------------------------------------------
+
+F5 = FieldSpec(5)
+
+
+def _clearing_cases(rng, count):
+    """FC graphs on up to 7 vertices, labels 4, 6, 10 on a matching and 2
+    elsewhere, weights -5..5, zeros included, so that m_v = 0, p | m_v and
+    p | lt all occur for p = 2, 3, 5."""
+    for _ in range(count):
+        g = random_matching_graph(rng)
+        chi = Character(g, {v: rng.randint(-5, 5) for v in g.vertices})
+        if not chi.is_zero:
+            yield g, chi
+
+
+def _smith_without_clearing(fc, chi, fspec, boundaries, degrees):
+    """`homology_modules` with every column reduced: each boundary alone."""
+    snfs = {k: boundary_smith_form(boundaries[k], fc, chi, fspec)
+            for k in range(degrees.start, degrees.stop + 1)}
+    decs = {k: decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
+                                 snfs[k + 1], fspec)
+            for k in degrees}
+    return snfs, decs
+
+
+def test_clearing_leaves_smith_forms_and_modules_unchanged(monkeypatch):
+    """Each reduction of `homology_modules` skips the columns the degree
+    above cleared; reducing every column must give equal Smith forms (pivot
+    rows included) and modules, while inserting fewer columns."""
+    inserts = {True: 0, False: 0}
+    clearing = [True]
+
+    class CountingEchelon(BottomEchelon):
+        def insert(self, vec):
+            inserts[clearing[0]] += 1
+            return super().insert(vec)
+
+    monkeypatch.setattr(smith, "BottomEchelon", CountingEchelon)
+    rng = random.Random(71)
+    seen = set()
+    for g, chi in _clearing_cases(rng, 60):
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F2, F3, F5):
+            p = fspec.char
+            boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
+            for k_max in sorted({fc.dim, rng.randint(0, fc.dim)}):
+                degrees = range(k_max + 1)
+                clearing[0] = True
+                got = homology_modules(fc, chi, fspec, boundaries, degrees)
+                clearing[0] = False
+                want = _smith_without_clearing(fc, chi, fspec, boundaries, degrees)
+                assert got == want, (g.raw_edges, chi.values, p, k_max)
+                if k_max < fc.dim:
+                    seen.add("k_max < dim")
+            if any(chi.m(v) == 0 for v in g.vertices):
+                seen.add("m_v = 0")
+            if p and any(chi.m(v) and chi.m(v) % p == 0 for v in g.vertices):
+                seen.add("p | m_v")
+            if p and any(g.ell_tilde(u, v) % p == 0 for u, v in g.edge_list):
+                seen.add("p | lt")
+    assert seen == {"k_max < dim", "m_v = 0", "p | m_v", "p | lt"}
+    assert inserts[True] < 0.8 * inserts[False], inserts
+
+
+def _module_report(g, chi, fspec):
+    """The modules, ss multiplicities and forest factors a run reports,
+    which name no vertex."""
+    rep = run(JobConfig(text=serialize_input(g, chi, fspec),
+                        methods=("snf", "ss", "forest")))
+    assert rep.ok
+    methods = rep.data["methods"]
+    return rep.data["homology"], methods.get("ss"), methods.get("forest")
+
+
+def test_modules_unchanged_under_vertex_relabelling_and_reordering():
+    """Clearing depends on the order of the simplices; the modules must not."""
+    rng = random.Random(79)
+    fields = (QQ, F2, F3, F5)
+    for trial, (g, chi) in enumerate(_clearing_cases(rng, 16)):
+        fspec = fields[trial % 4]
+        base = _module_report(g, chi, fspec)
+        for _ in range(2):
+            order = list(g.vertices)
+            rng.shuffle(order)
+            new = dict(zip(order, rng.sample(range(100, 1000), len(order))))
+            new = {v: f"x{n}" for v, n in new.items()}
+            pg = LabeledGraph([new[v] for v in order],
+                              [(new[u], new[v], g.ell(u, v)) for u, v in g.edge_list])
+            pchi = Character(pg, {new[v]: chi.m(v) for v in order})
+            assert _module_report(pg, pchi, fspec) == base, (g.raw_edges, chi.values, order)

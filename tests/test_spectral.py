@@ -14,11 +14,13 @@ from artinkernels.spectral import (DisconnectedGraphError,
                                    chi_rel)
 from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
                           normalize_unit, q_poly, resonance_sets)
+from artinkernels import spectral
+from artinkernels.linalg import staircase_leads
 from artinkernels.scalars import FieldSpec
 
 from conftest import (QQ, F2, F3, dihedral_graph, q_boundaries, random_case,
-                      square_graph)
-from oracles import mult_d, simplex_weights, truncated_homology_dims
+                      random_character, random_matching_graph, square_graph)
+from oracles import mult_d, simplex_weights, sparse, truncated_homology_dims
 
 F5 = FieldSpec(5)
 
@@ -307,8 +309,8 @@ def _brute_page_dims(wc):
                 den = z_basis(s - 1, p - 1, n)
                 den += [apply_boundary(v, n + 1)
                         for v in z_basis(s - 1, p + s - 1, n + 1)]
-                stacked_den = frank(kd, den) if den else 0
-                stacked_all = frank(kd, den + znum) if den + znum else 0
+                stacked_den = frank(kd, sparse(den))
+                stacked_all = frank(kd, sparse(den + znum))
                 val = stacked_all - stacked_den
                 if val:
                     dims[(s, p, n - p)] = val
@@ -605,3 +607,32 @@ def test_jordan_bound_check():
     bad.put(0, 2, [0, 0, 1])  # n_{0,3} = 1 violates j <= k+2
     assert not jordan_bound_check(bad)
     assert jordan_bound_check(TorsionTable())
+
+
+def test_clearing_leaves_page_tables_unchanged(monkeypatch):
+    """`page_dims` clears each degree's sweep with the leads of the degree
+    above; sweeping every column must give equal page tables."""
+    skipped = []
+
+    def spy(field, columns, snapshot_after, cleared=frozenset()):
+        skipped.append(len(cleared))
+        return staircase_leads(field, columns, snapshot_after, cleared)
+
+    def full(field, columns, snapshot_after, cleared=frozenset()):
+        return staircase_leads(field, columns, snapshot_after)
+
+    rng = random.Random(73)
+    tables = 0
+    for _ in range(40):
+        g = random_matching_graph(rng, max_vertices=6)
+        chi = random_character(rng, g, max_weight=5)
+        fc = build_flag_complex(g)
+        boundaries = q_boundaries(fc, chi)
+        for d in torsion_support(g, chi).values:
+            wc = weighted_complex(fc, chi, d, boundaries)
+            monkeypatch.setattr(spectral, "staircase_leads", full)
+            want = page_dims(wc)
+            monkeypatch.setattr(spectral, "staircase_leads", spy)
+            assert page_dims(wc) == want, (g.raw_edges, chi.values, d)
+            tables += 1
+    assert tables > 50 and sum(skipped) > 0
