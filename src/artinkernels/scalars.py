@@ -230,7 +230,7 @@ class FieldSpec:
             return FieldSpec()
         if t.startswith("p:") or t.startswith("p "):
             t = t[2:]
-        if not t.isdigit():
+        if not t.isdecimal():
             raise ValueError(f"cannot parse field selector {text!r}")
         return FieldSpec(int(t))
 

@@ -56,12 +56,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .flag import FlagComplex
 from .graphs import Character, ResonanceSets
 from .laurent import (Factor, cyclotomic, cyclotomic_field, cyclotomic_product,
                       dense_add, dense_divmod, dense_monic, dense_mul, dense_sub,
                       laurent_from_dense, taylor_at_root, totient)
-from .linalg import BottomEchelon
 from .scalars import FieldSpec, divisors
 from .twisted import BoundaryTables, PolyMatrix, signed_boundary, twisted_boundary
 
@@ -264,9 +264,7 @@ def specialized_rank(m: PolyMatrix) -> int:
     """Rank of a matrix whose nonzero minors only vanish on the unit circle
     or at zero, via exact evaluation at SPECIALIZATION_POINT."""
     field = m.field
-    x = field.from_int(SPECIALIZATION_POINT)
-    from .linalg import rank as field_rank
-    return field_rank(field, m.evaluate(x))
+    return linalg.rank(field, m.evaluate(field.from_int(SPECIALIZATION_POINT)))
 
 
 def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
@@ -311,17 +309,11 @@ def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
     slot = [0] * len(rows)
     for s, i in enumerate(rows):
         slot[i] = s
-    ech = BottomEchelon(field)
-    gaps = []
-    lows = set()
-    for j in sorted(range(len(col_w)), key=col_w.__getitem__):
-        if j in cleared:
-            continue
-        low = ech.insert({slot[i]: x for i, x in columns[j].items()})
-        if low is not None:
-            gaps.append(col_w[j] - row_w[rows[low]])
-            lows.add(rows[low])
-    return sorted(gaps), lows
+    order = [j for j in sorted(range(len(col_w)), key=col_w.__getitem__) if j not in cleared]
+    lows = linalg.column_leads(field, ({slot[i]: x for i, x in columns[j].items()}
+                                       for j in order))
+    pivots = [(j, rows[low]) for j, low in zip(order, lows) if low is not None]
+    return sorted(col_w[j] - row_w[i] for j, i in pivots), {i for _, i in pivots}
 
 
 def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: list,

@@ -16,7 +16,7 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           cyclotomic_field, residue_eval, twisted_boundary)
 from artinkernels import smith
 from artinkernels.laurent import taylor_at_root
-from artinkernels.linalg import BottomEchelon, rank
+from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_leads
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
@@ -248,19 +248,73 @@ def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
     for _ in range(15):
         nr = rng.randint(1, 8)
         ech = BottomEchelon(field)
-        leads, dense = [], []
+        leads, dense, cols = [], [], []
         for _ in range(rng.randint(1, 10)):
             col = {i: draw() for i in range(nr) if rng.random() < 0.4}
+            cols.append(col)
             dense.append([col.get(i, field.zero) for i in range(nr)])
             lead = ech.insert(dict(col))
             if lead is not None:
                 leads.append(lead)
-            assert len(set(leads)) == len(leads) == ech.rank
+            assert len(set(leads)) == len(leads) == len(ech.basis)
             for r in range(nr + 1):
                 below = [[c[i] for c in dense] for i in range(r, nr)]
                 assert sum(1 for x in leads if x >= r) == dense_rank(field, below)
                 checked += 1
+        # column_leads with `skip`: the leads of the columns not skipped
+        skip = {j for j in range(len(cols)) if rng.random() < 0.3}
+        got = column_leads(field, cols, skip)
+        assert all(got[j] is None for j in skip)
+        kept = [c for j, c in enumerate(dense) if j not in skip]
+        assert [x for j, x in enumerate(got) if j not in skip] == column_leads(
+            field, [c for j, c in enumerate(cols) if j not in skip])
+        for r in range(nr + 1):
+            below = [[c[i] for c in kept] for i in range(r, nr)]
+            assert sum(1 for x in got if x is not None and x >= r) == dense_rank(field, below)
     assert checked > 200
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])
+def test_staircase_leads_snapshots_count_the_staircase_ranks(field_name):
+    """Each snapshot n holds the leads of the first n columns: #leads >= r
+    is the rank of rows >= r over those columns.  Cleared columns are
+    combinations of the columns before them, so skipping them changes no
+    snapshot."""
+    rng = random.Random(f"staircase {field_name}")
+    field = Q if field_name == "Q" else PrimeField(int(field_name[3]))
+    seen = set()
+    for _ in range(25):
+        nr, nc = rng.randint(1, 7), rng.randint(0, 9)
+        cols, cleared = [], set()
+        for j in range(nc):
+            if j and rng.random() < 0.3:
+                col = {}
+                for c in rng.sample(cols, rng.randint(1, j)):
+                    a = field.from_int(rng.randint(-2, 2))
+                    for i, x in c.items():
+                        col[i] = field.add(col.get(i, field.zero), field.mul(a, x))
+                cleared.add(j)
+            else:
+                col = {i: field.from_int(rng.randint(-2, 2)) for i in range(nr)
+                       if rng.random() < 0.5}
+            cols.append(col)
+        snapshot_after = sorted(rng.choice(range(nc + 3)) for _ in range(rng.randint(1, 6)))
+        if rng.random() < 0.3:
+            snapshot_after.insert(0, 0)
+        dense = [[c.get(i, field.zero) for i in range(nr)] for c in cols]
+        for skip in (frozenset(), frozenset(cleared)):
+            snaps = staircase_leads(field, cols, snapshot_after, skip)
+            assert len(snaps) == len(snapshot_after)
+            for n, leads in zip(snapshot_after, snaps):
+                assert leads == sorted(leads)
+                for r in range(nr + 1):
+                    below = [[c[i] for c in dense[:n]] for i in range(r, nr)]
+                    assert sum(1 for x in leads if x >= r) == dense_rank(field, below)
+        seen.update(k for k, hit in (
+            ("n = 0", 0 in snapshot_after), ("n past the end", snapshot_after[-1] > nc),
+            ("repeated n", len(set(snapshot_after)) < len(snapshot_after)),
+            ("cleared", bool(cleared))) if hit)
+    assert seen == {"n = 0", "n past the end", "repeated n", "cleared"}
 
 
 int_columns = st.integers(1, 7).flatmap(lambda nr: st.tuples(st.just(nr), st.lists(

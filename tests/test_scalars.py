@@ -130,3 +130,11 @@ def test_is_prime_refuses_what_it_cannot_certify():
             is_prime(n)
         with pytest.raises(ValueError):
             FieldSpec(n)
+
+
+@pytest.mark.parametrize("text", ["p ²", "²", "p:7²", "p:", "", "p -3", "GF(3)"])
+def test_field_selector_parse_refuses_what_names_no_field(text):
+    """Each selector fails with the parser's own message.  Superscripts are
+    digits but not decimal, so `int` would refuse them with its message."""
+    with pytest.raises(ValueError, match="cannot parse field selector"):
+        FieldSpec.parse(text)

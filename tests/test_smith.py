@@ -10,7 +10,7 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           reduced_homology_ranks,
                           resonance_sets, smith_normal_form, torsion_support,
                           twisted_boundary, verify_shape)
-from artinkernels import smith
+from artinkernels import linalg
 from artinkernels.cli import JobConfig, run, serialize_input
 from artinkernels.laurent import dense_mul, totient
 from artinkernels.linalg import BottomEchelon
@@ -432,7 +432,7 @@ def test_clearing_leaves_smith_forms_and_modules_unchanged(monkeypatch):
             inserts[clearing[0]] += 1
             return super().insert(vec)
 
-    monkeypatch.setattr(smith, "BottomEchelon", CountingEchelon)
+    monkeypatch.setattr(linalg, "BottomEchelon", CountingEchelon)
     rng = random.Random(71)
     seen = set()
     for g, chi in _clearing_cases(rng, 60):
@@ -485,3 +485,25 @@ def test_modules_unchanged_under_vertex_relabelling_and_reordering():
                               [(new[u], new[v], g.ell(u, v)) for u, v in g.edge_list])
             pchi = Character(pg, {new[v]: chi.m(v) for v in order})
             assert _module_report(pg, pchi, fspec) == base, (g.raw_edges, chi.values, order)
+
+
+def test_negated_character_gives_the_same_report_blocks():
+    """chi -> -chi gives the module under t -> t^-1.  All torsion is
+    cyclotomic, and Phi_d is self-reciprocal, so the modules, the method
+    results and the cross-checks are the same for chi and -chi."""
+    rng = random.Random(83)
+    seen = set()
+    for g, chi in _clearing_cases(rng, 40):
+        neg = Character(g, {v: -chi.m(v) for v in g.vertices})
+        for fspec in (QQ, F2, F3):
+            blocks = []
+            for c in (chi, neg):
+                rep = run(JobConfig(text=serialize_input(g, c, fspec),
+                                    methods=("snf", "ss", "forest")))
+                assert rep.ok
+                blocks.append([rep.data[k] for k in ("homology", "methods", "cross_checks")])
+            assert blocks[0] == blocks[1], (g.raw_edges, chi.values, fspec)
+            seen.add("non-resonant" if rep.data["resonance"]["k_nonresonant"] else "resonant")
+            if any(m["invariant_factors"] for m in rep.data["homology"]["modules"]):
+                seen.add("torsion")
+    assert seen == {"resonant", "non-resonant", "torsion"}
