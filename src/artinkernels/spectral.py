@@ -41,7 +41,7 @@ degree-k homology then satisfies, with r_q the reduced flag homology,
 and Jordan blocks are bounded by j <= k+2, so differencing consecutive
 pages determines every n_(k,j).
 
-An independent route to the degree-0 torsion enumerates rooted spanning
+An independent route to the degree-0 torsion uses rooted spanning
 forests: the gcd of the forest weight polynomials with s trees is the
 s-th Fitting ideal of the degree-1 boundary, and successive quotients are
 its invariant factors.  Over any field K every forest weight is a unit
@@ -52,6 +52,21 @@ product of Phi_d^(p^a) over d | N'.  The Phi_d with p not dividing d are
 pairwise coprime, because they all divide a separable t^L - 1, so each
 gcd is the product of Phi_d raised to the least exponent over the
 forests, and the route needs only integer exponents per order d.
+
+Those least exponents come from one sweep over the edges, not from a list
+of the forests (the frontier method that Sekine, Imai and Tani use for
+the Tutte polynomial, "Computing the Tutte polynomial of a graph of
+moderate size", ISAAC 1995).  A forest's exponent vector is a sum of one
+step per edge, and the step of an edge depends only on the gcds of the
+|m_v| over the two trees it joins.  After the first i edges, group the
+forests on them by their state: the partition they induce on the frontier
+(the vertices with an edge still to come), the gcd of each block and the
+tree count.  Forests in one group have the same completions by the
+remaining edges, with the same steps, so only the least vector of each
+group, taken order by order, is kept.  That is exact: for each order d,
+the least sum over a product of two sets is the sum of their least terms.
+The work grows with the number of states, not of forests: K_8 has
+561 948 spanning forests, and the sweep visits 5 744 states.
 """
 
 from __future__ import annotations
@@ -355,8 +370,8 @@ def jordan_bound_check(tt: TorsionTable) -> bool:
 # ---------------------------------------------------------------------------
 
 def forest_budget() -> int:
-    """The leaf budget of the forest enumeration: ARTINKERNELS_FOREST_BUDGET,
-    an integer >= 0, or the default."""
+    """The most states the forest sweep may visit before it gives up:
+    ARTINKERNELS_FOREST_BUDGET, an integer >= 0, or the default."""
     raw = os.environ.get(FOREST_BUDGET_ENV, str(DEFAULT_FOREST_BUDGET))
     if not raw.strip().isdecimal():
         raise ValueError(f"{FOREST_BUDGET_ENV} must be an integer >= 0, got {raw!r}")
@@ -375,6 +390,12 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
     forest is one integer exponent per order d, the gcd over the forests
     with s trees is the elementwise minimum, and a polynomial is expanded
     only once per s.
+
+    The minima come from a sweep over the edges in breadth-first order
+    that keeps the least vector per connectivity state (module docstring);
+    the result depends on neither that order nor the declaration order.
+    Raises ForestBudgetError once the sweep has visited more than `budget`
+    states (default: `forest_budget()`).
     """
     res = resonance_sets(g, c, fspec)
     if not res.is_K_nonresonant:
@@ -422,35 +443,85 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
             vec(q_mults(u, v)), tm1(c.m(u)), tm1(c.m(v)),
             tm1(math.gcd(ga, gb)), tm1(ga), tm1(gb)))
 
-    ends = [(g.index(u), g.index(v)) for (u, v) in edges]
-    parent = list(range(n))
-    root_gcd = [abs(c.m(v)) for v in g.vertices]
-    # vectors built by map are lists: tuple(map(...)) allocates for a
-    # guessed length and shrinks, so freed tuples pile up on a free list
-    best = {}   # number of trees -> least exponent vector so far
-    count = 0
+    # The sweep (module docstring) takes the edges in lexicographic order
+    # of their ends' breadth-first ranks, which keeps the frontier narrow
+    # whatever the declaration order: a cycle's holds at most three
+    # vertices, while declaration order can keep half the cycle on it.
+    nbrs = {v: [] for v in g.vertices}
+    for (u, v) in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    bfs = [g.vertices[0]]
+    rank = {bfs[0]: 0}
+    for v in bfs:
+        for w in nbrs[v]:
+            if w not in rank:
+                rank[w] = len(bfs)
+                bfs.append(w)
+    sweep = sorted(range(len(edges)), key=lambda i: sorted(rank[x] for x in edges[i]))
+    last = {}
+    for pos, i in enumerate(sweep):
+        for x in edges[i]:
+            last[x] = pos
 
-    def rec(i, acc, trees):
-        nonlocal count
-        if i == len(edges):
-            count += 1
-            if count > budget:
-                raise ForestBudgetError(f"more than {budget} spanning forests; "
-                                        f"raise {FOREST_BUDGET_ENV} to proceed")
-            best[trees] = list(map(min, best.get(trees, acc), acc))
-            return
-        rec(i + 1, acc, trees)
-        ru, rv = _find(parent, ends[i][0]), _find(parent, ends[i][1])
-        if ru == rv:
-            return
-        ga, gb = root_gcd[ru], root_gcd[rv]
-        parent[ru] = rv
-        root_gcd[rv] = math.gcd(ga, gb)
-        rec(i + 1, list(map(int.__add__, acc, step(i, ga, gb))), trees - 1)
-        parent[ru] = ru
-        root_gcd[rv] = gb
+    # A state is the block label of each frontier vertex, numbered by first
+    # appearance, the gcd of the |m_v| of each block, dropped vertices
+    # included, and the tree count; it maps to the least exponent vector of
+    # the forests on the edges so far that reach it.  A vertex joins the
+    # frontier as its own block at its first edge and leaves after its last.
+    # Vectors built by map are lists: tuple(map(...)) allocates for a
+    # guessed length and shrinks, so freed tuples pile up on a free list.
+    frontier = []
+    states = {((), (), n): vec({})}
+    visited = 0
+    for pos, i in enumerate(sweep):
+        a, b = edges[i]
+        for x in (a, b):
+            if x not in frontier:
+                frontier.append(x)
+                states = {(labels + (len(gcds),), gcds + (abs(c.m(x)),), trees): acc
+                          for (labels, gcds, trees), acc in states.items()}
+        pa, pb = frontier.index(a), frontier.index(b)
+        kept = [j for j, x in enumerate(frontier) if last[x] != pos]
+        shrinks = len(kept) < len(frontier)
+        frontier = [frontier[j] for j in kept]
+        restricted = {}
+        nxt = {}
 
-    rec(0, vec({}), n)
+        def put(labels, gcds, trees, acc):
+            nonlocal visited
+            if shrinks:
+                r = restricted.get(labels)
+                if r is None:
+                    r = restricted[labels] = _restrict(labels, kept)
+                labels, blocks = r
+                gcds = tuple(gcds[k] for k in blocks)
+            key = (labels, gcds, trees)
+            old = nxt.get(key)
+            if old is not None:
+                nxt[key] = list(map(min, old, acc))
+                return
+            visited += 1
+            if visited > budget:
+                raise ForestBudgetError(
+                    f"more than {budget} forest states; "
+                    f"raise {FOREST_BUDGET_ENV} to proceed")
+            nxt[key] = acc
+
+        for (labels, gcds, trees), acc in states.items():
+            put(labels, gcds, trees, acc)
+            la, lb = labels[pa], labels[pb]
+            if la != lb:
+                if la > lb:
+                    la, lb = lb, la
+                ga, gb = gcds[la], gcds[lb]
+                # block lb joins la and the labels above lb move down one,
+                # which keeps the numbering by first appearance
+                put(tuple(la if k == lb else k - (k > lb) for k in labels),
+                    gcds[:la] + (math.gcd(ga, gb),) + gcds[la + 1:lb] + gcds[lb + 1:],
+                    trees - 1, list(map(int.__add__, acc, step(i, ga, gb))))
+        states = nxt
+    best = {trees: acc for (_, _, trees), acc in states.items()}
 
     factors = []
     for s in range(n - 1, 0, -1):
@@ -471,7 +542,8 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
     return factors
 
 
-def _find(parent: list, x: int) -> int:
-    while parent[x] != x:
-        x = parent[x]
-    return x
+def _restrict(labels: tuple, kept: list) -> tuple:
+    """The block labels at the positions `kept`, renumbered by first
+    appearance, and the old label of each block that remains, in order."""
+    blocks: dict = {}
+    return tuple(blocks.setdefault(labels[j], len(blocks)) for j in kept), tuple(blocks)

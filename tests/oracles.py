@@ -7,17 +7,23 @@ small audit sizes, and each one checks a faster route of the package.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from artinkernels.flag import FlagComplex
-from artinkernels.graphs import Character, resonance_sets
+from artinkernels.graphs import Character, connected_components, resonance_sets
 from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError,
-                                  cyclotomic_field, cyclotomic_int, dense_add,
-                                  dense_divmod, dense_mul, dense_sub)
+                                  cyclotomic_field, cyclotomic_int,
+                                  cyclotomic_product, dense_add, dense_divmod,
+                                  dense_mul, dense_sub,
+                                  t_minus_one_multiplicities)
 from artinkernels.linalg import rank as field_rank
 from artinkernels.scalars import Field, FieldSpec, Rationals
 from artinkernels.smith import _clear_to_polys, taylor_block
+from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
+                                   ForestBudgetError, NegativeMultiplicityError,
+                                   ResonantCharacterError, forest_budget)
 from artinkernels.twisted import PolyMatrix, factor_poly, twisted_boundary
 
 QQ = FieldSpec()
@@ -324,3 +330,126 @@ def kd_reduce(kd, cs: list) -> list:
     qq = Rationals()
     rem = dense_divmod(qq, list(cs), [Fraction(c) for c in cyclotomic_by_division(kd.d)])[1]
     return rem + [Fraction(0)] * (kd.deg - len(rem))
+
+
+# ---------------------------------------------------------------------------
+# rooted spanning forests, listed one by one
+# ---------------------------------------------------------------------------
+
+# The reference for `spectral.forest_fitting_h1`, which sweeps connectivity
+# states instead: here every spanning forest is built by recursion over the
+# edges, and its exponent vector is folded into the per-tree-count minimum
+# at its leaf, so the work grows with the number of forests.
+
+def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
+                                 budget: int | None = None) -> list:
+    """Invariant factors of the degree-1 twisted boundary from rooted
+    spanning forests; the nontrivial ones are the torsion of H_1.
+
+    Returns the full chain d_1 | d_2 | ... (trivial factors included) so
+    callers can compare against the Smith normal form directly.  Every
+    forest weight is, up to a unit, a product of Phi_d over orders d prime
+    to char K, and these are pairwise coprime (`spectral` module
+    docstring).  So a forest is one integer exponent per order d, the gcd
+    over the forests with s trees is the elementwise minimum, and a
+    polynomial is expanded only once per s.
+    """
+    res = resonance_sets(g, c, fspec)
+    if not res.is_K_nonresonant:
+        raise ResonantCharacterError("forest Fitting ideals need a K non-resonant "
+                                     "character")
+    if len(connected_components(g)) != 1:
+        raise DisconnectedGraphError("spanning forests need a connected graph")
+    if budget is None:
+        budget = forest_budget()
+    p = fspec.char
+    n = len(g.vertices)
+    edges = g.edge_list
+
+    def q_mults(u, v) -> dict:
+        # q_lt(t^0) = lt is a unit off resonance
+        me = c.m_edge(u, v)
+        if me == 0:
+            return {}
+        below = t_minus_one_multiplicities(me, p)
+        above = t_minus_one_multiplicities(g.ell_tilde(u, v) * me, p)
+        return {d: k - below.get(d, 0) for d, k in above.items()}
+
+    # tree gcds divide the m_v, so these are all the orders that occur
+    orders = sorted(set().union(
+        *(t_minus_one_multiplicities(c.m(v), p) for v in g.vertices),
+        *(q_mults(u, v) for (u, v) in edges)))
+
+    def vec(mults: dict) -> tuple:
+        return tuple(mults.get(d, 0) for d in orders)
+
+    @functools.cache
+    def tm1(m: int) -> tuple:
+        return vec(t_minus_one_multiplicities(m, p))
+
+    # A forest's exponent vector sums q_e over its edges, (deg v - 1) times
+    # t^(m_v) - 1 over the vertices and t^(gcd of the m_v in T) - 1 over
+    # its trees T.  A one-vertex tree contributes -1 + 1 = 0, so the empty
+    # forest has vector 0, and joining trees of gcds ga and gb by edge i
+    # adds q_e, t^(m_u) - 1 and t^(m_v) - 1 for the two degrees that grow,
+    # and the change of the tree terms.
+    @functools.cache
+    def step(i: int, ga: int, gb: int) -> tuple:
+        u, v = edges[i]
+        return tuple(q + mu + mv + m - a - b for q, mu, mv, m, a, b in zip(
+            vec(q_mults(u, v)), tm1(c.m(u)), tm1(c.m(v)),
+            tm1(math.gcd(ga, gb)), tm1(ga), tm1(gb)))
+
+    ends = [(g.index(u), g.index(v)) for (u, v) in edges]
+    parent = list(range(n))
+    root_gcd = [abs(c.m(v)) for v in g.vertices]
+    # vectors built by map are lists: tuple(map(...)) allocates for a
+    # guessed length and shrinks, so freed tuples pile up on a free list
+    best = {}   # number of trees -> least exponent vector so far
+    count = 0
+
+    def rec(i, acc, trees):
+        nonlocal count
+        if i == len(edges):
+            count += 1
+            if count > budget:
+                raise ForestBudgetError(f"more than {budget} spanning forests; "
+                                        f"raise {FOREST_BUDGET_ENV} to proceed")
+            best[trees] = list(map(min, best.get(trees, acc), acc))
+            return
+        rec(i + 1, acc, trees)
+        ru, rv = _find(parent, ends[i][0]), _find(parent, ends[i][1])
+        if ru == rv:
+            return
+        ga, gb = root_gcd[ru], root_gcd[rv]
+        parent[ru] = rv
+        root_gcd[rv] = math.gcd(ga, gb)
+        rec(i + 1, list(map(int.__add__, acc, step(i, ga, gb))), trees - 1)
+        parent[ru] = ru
+        root_gcd[rv] = gb
+
+    rec(0, vec({}), n)
+
+    factors = []
+    for s in range(n - 1, 0, -1):
+        drop = {d: a - b for d, a, b in zip(orders, best[s], best[s + 1])}
+        if any(k < 0 for k in drop.values()):
+            raise ValueError(f"forest gcds with {s} and {s + 1} trees do not "
+                             "form a divisibility chain")
+        fac = cyclotomic_product(drop, fspec)
+        # p_e and q_e have simple roots in characteristic zero, so removing
+        # a forest edge moves any multiplicity by at most 2 and Jordan
+        # blocks of the degree-0 torsion have size at most 2; mod p the
+        # roots can repeat (p | m_v or p | lt(e)) and larger blocks occur
+        if fspec.char == 0 and any(k > 2 for k in drop.values()):
+            raise NegativeMultiplicityError(
+                f"forest invariant factor {fac} has a cube factor; "
+                "degree-0 Jordan blocks are bounded by 2")
+        factors.append(fac)
+    return factors
+
+
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x

@@ -329,6 +329,27 @@ def test_forest_budget_env_var(monkeypatch):
         "raise" in rep.data["methods"]["forest"]["reason"]
 
 
+def _graph_text(n: int, edges, label: int) -> str:
+    """n vertices with weights 1, 2, 3, 1, ... and one label on `edges`."""
+    return "\n".join([f"vertex v{i} {1 + i % 3}" for i in range(n)]
+                     + [f"edge v{i} v{j} {label}" for i, j in edges])
+
+
+@pytest.mark.parametrize("text", [
+    _graph_text(8, [(i, j) for i in range(8) for j in range(i + 1, 8)], 2),
+    _graph_text(10, [(i, j) for i in range(10) for j in range(i + 1, 10)
+                     if not (j == i + 1 and i % 2 == 0)], 2),
+    _graph_text(30, [(i, (i + 1) % 30) for i in range(30)], 4),
+], ids=["K8", "K10-minus-matching", "C30"])
+def test_forest_route_runs_on_dense_and_long_graphs(text):
+    """Inputs whose forests outnumber the default budget many times over:
+    the sweep visits few enough states to run, and agrees with snf."""
+    rep = run(JobConfig(text=text, methods=("snf", "forest")))
+    assert rep.ok and rep.data["methods"]["forest"]["ran"] is True
+    checks = [c for c in rep.data["cross_checks"] if c["methods"] == ["snf", "forest"]]
+    assert len(checks) == 1 and checks[0]["agree"], checks
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_bad_forest_budget_is_a_usage_error(value, tmp_path, monkeypatch, capsys):
     import artinkernels.cli as cli

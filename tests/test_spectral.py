@@ -20,7 +20,8 @@ from artinkernels.scalars import FieldSpec
 
 from conftest import (QQ, F2, F3, dihedral_graph, q_boundaries, random_case,
                       random_character, random_matching_graph, square_graph)
-from oracles import mult_d, simplex_weights, sparse, truncated_homology_dims
+from oracles import (forest_fitting_h1_enumerated, mult_d, simplex_weights,
+                     sparse, truncated_homology_dims)
 
 F5 = FieldSpec(5)
 
@@ -566,6 +567,92 @@ def test_forest_route_matches_per_forest_polynomial_gcds():
                 g.raw_edges, chi.values, fspec)
             checked += 1
     assert checked >= 100 and min(seen.values()) > 0, (checked, seen)
+
+
+class _ShuffledEdges(LabeledGraph):
+    """The same graph with `edge_list` in a fixed shuffled order, so the
+    forest sweep meets the edges in an order other than the sorted one."""
+
+    def __init__(self, g, rng):
+        super().__init__(g.vertices, g.raw_edges)
+        edges = super().edge_list
+        self.order = rng.sample(edges, len(edges))
+
+    @property
+    def edge_list(self):
+        return self.order
+
+
+def test_forest_sweep_matches_forest_listing():
+    """The sweep over connectivity states against the listing of every
+    forest, over Q and GF(p) with the cases where p repeats roots, and with
+    the edges fed in a shuffled order."""
+    rng = random.Random(113)
+    seen = {"p | m_v": 0, "p | lt": 0}
+    checked = 0
+    for _ in range(120):
+        g, chi = random_case(rng, max_vertices=7, require_connected=True,
+                             max_weight=6)
+        shuffled = _ShuffledEdges(g, rng)
+        chi_shuffled = Character(shuffled, chi.weights)
+        for fspec in (QQ, F2, F3, F5):
+            if not resonance_sets(g, chi, fspec).is_K_nonresonant:
+                continue
+            p = fspec.char
+            seen["p | m_v"] += bool(p) and any(chi.m(v) % p == 0 for v in g.vertices)
+            seen["p | lt"] += bool(p) and any(g.ell_tilde(u, v) % p == 0
+                                              for (u, v) in g.edge_list)
+            want = forest_fitting_h1_enumerated(g, chi, fspec)
+            assert forest_fitting_h1(g, chi, fspec) == want, (
+                g.raw_edges, chi.values, fspec)
+            assert forest_fitting_h1(shuffled, chi_shuffled, fspec) == want, (
+                shuffled.edge_list, chi.values, fspec)
+            checked += 1
+    assert checked >= 400 and min(seen.values()) > 0, (checked, seen)
+
+
+def _complete(n: int):
+    """K_n with label 2 and weights 1, 2, 3, 1, ..."""
+    names = [f"v{i}" for i in range(n)]
+    g = LabeledGraph(names, [(names[i], names[j], 2)
+                             for i in range(n) for j in range(i + 1, n)])
+    return g, Character(g, {v: 1 + i % 3 for i, v in enumerate(names)})
+
+
+def _cycle(n: int, label: int):
+    """C_n with one label and weights 1, 2, 3, 1, ..."""
+    names = [f"v{i}" for i in range(n)]
+    g = LabeledGraph(names, [(names[i], names[(i + 1) % n], label)
+                             for i in range(n)])
+    return g, Character(g, {v: 1 + i % 3 for i, v in enumerate(names)})
+
+
+@pytest.mark.parametrize("case, states", [(_complete(8), 5744),
+                                          (_cycle(30, 4), 1234)],
+                         ids=["K8", "C30"])
+def test_forest_budget_counts_states(case, states):
+    """The budget caps the states the sweep visits: K_8 and C_30 each have
+    more than the default 200 000 spanning forests, but few states."""
+    g, chi = case
+    assert forest_fitting_h1(g, chi, QQ, budget=states)
+    with pytest.raises(ForestBudgetError, match=f"more than {states - 1} forest states"):
+        forest_fitting_h1(g, chi, QQ, budget=states - 1)
+
+
+
+def test_forest_sweep_cost_ignores_declaration_order():
+    """The sweep takes the edges in breadth-first order, so C_30 declared
+    in a shuffled vertex order visits about as few states as in cycle
+    order; in declaration order such a sweep can keep half the cycle on
+    the frontier and visit hundreds of thousands."""
+    g, chi = _cycle(30, 4)
+    want = forest_fitting_h1(g, chi, QQ, budget=1234)
+    rng = random.Random(7)
+    for _ in range(3):
+        shuffled = LabeledGraph(rng.sample(g.vertices, len(g.vertices)), g.raw_edges)
+        got = forest_fitting_h1(shuffled, Character(shuffled, chi.weights), QQ,
+                                budget=1500)
+        assert got == want, shuffled.vertices
 
 
 def test_forest_multiplicity_jump_bound():
