@@ -28,7 +28,7 @@ from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
                     verify_shape)
 from .spectral import (DisconnectedGraphError, ForestBudgetError,
                        NegativeMultiplicityError, PageTable,
-                       ResonantCharacterError, TorsionTable, WeightedComplex,
+                       ResonantCharacterError, WeightedComplex,
                        forest_fitting_h1, jordan_bound_check, page_dims,
                        simplex_weight, solve_torsion, weighted_complex)
 from .twisted import PolyMatrix, twisted_boundary

@@ -31,9 +31,9 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import boundary_smith_form, homology_modules, verify_shape
-from .spectral import (ForestBudgetError, TorsionTable, forest_budget,
-                       forest_fitting_h1, jordan_bound_check, page_dims,
-                       solve_torsion, weighted_complex)
+from .spectral import (ForestBudgetError, forest_budget, forest_fitting_h1,
+                       jordan_bound_check, page_dims, solve_torsion,
+                       weighted_complex)
 from .twisted import BoundaryTables, twisted_boundary
 
 SCHEMA = "artinkernels-report/1"
@@ -133,6 +133,8 @@ class JobConfig:
     dump_matrices: bool = False
 
     def __post_init__(self):
+        if self.k_max is not None and self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if not self.methods:
             raise ValueError("at least one method is required")
         bad = [m for m in self.methods if m not in ALL_METHODS]
@@ -186,7 +188,6 @@ def _poly_list(polys) -> list:
 
 def run(job: JobConfig) -> Report:
     t0 = time.perf_counter()
-    budget = forest_budget()
     if job.text is not None:
         text = job.text
     elif job.input_path is not None:
@@ -203,14 +204,13 @@ def run(job: JobConfig) -> Report:
         raise InputError(str(exc))
 
     fc = build_flag_complex(g)
-    k_max = fc.dim if job.k_max is None else max(0, min(job.k_max, fc.dim))
+    k_max = fc.dim if job.k_max is None else min(job.k_max, fc.dim)
     imdims = image_dims(fc, fspec)
     ranks = ranks_from_image_dims(fc, imdims)
     res = resonance_sets(g, character, fspec)
     connected = len(connected_components(g)) == 1
 
-    ts_avail = all(character.m(v) != 0 for v in g.vertices)
-    support = torsion_support(g, character) if ts_avail else None
+    support = None if res.resonant_vertices else torsion_support(g, character)
 
     data: dict = {
         "schema": SCHEMA,
@@ -283,16 +283,19 @@ def run(job: JobConfig) -> Report:
     cross_checks: list = []
     methods: dict = {"snf": {"ran": True}}
 
+    def check(subject: str, method: str, agree: bool, detail: str) -> None:
+        cross_checks.append({"subject": subject, "methods": ["snf", method],
+                             "agree": agree, "detail": detail})
+
     # multiplicity spectral sequence, on the spine's boundaries
     if want_ss and ss_applicable:
-        table = TorsionTable()
+        rows = {}
         pages_out = {}
         for d in support.values:
             wc = weighted_complex(fc, character, d, boundaries)
             pt = page_dims(wc)
-            ns = solve_torsion(pt, ranks, k_max)
-            for k, row in ns.items():
-                table.put(k, d, row)
+            for k, row in solve_torsion(pt, ranks, k_max).items():
+                rows[k, d] = row
             if job.dump_pages:
                 pages_out[str(d)] = {
                     "max_weight": pt.max_weight,
@@ -303,29 +306,20 @@ def run(job: JobConfig) -> Report:
                 }
         methods["ss"] = {
             "ran": True,
-            "jordan_bound_ok": jordan_bound_check(table),
-            "multiplicities": {f"k={k} d={d}": list(row)
-                               for (k, d), row in sorted(table.entries.items())},
+            "jordan_bound_ok": jordan_bound_check(rows),
+            "multiplicities": {f"k={k} d={d}": row for (k, d), row in sorted(rows.items())},
         }
         if job.dump_pages:
             methods["ss"]["pages"] = pages_out
         if job.cross_check:
             for k in range(0, k_max + 1):
                 for d in support.values:
-                    got = table.exponent_multiset(k, d)
-                    want = decs[k].exponents_for(d)
-                    cross_checks.append({
-                        "subject": f"Phi_{d} exponents in degree {k + 1}",
-                        "methods": ["snf", "ss"],
-                        "agree": got == want,
-                        "detail": f"ss={list(got)} snf={list(want)}",
-                    })
-                cross_checks.append({
-                    "subject": f"free rank in degree {k + 1}",
-                    "methods": ["snf", "ss"],
-                    "agree": decs[k].free_rank == ranks[k],
-                    "detail": f"snf={decs[k].free_rank} stable-page={ranks[k]}",
-                })
+                    got = [j for j, n in enumerate(rows[k, d], start=1) for _ in range(n)]
+                    want = list(decs[k].exponents_for(d))
+                    check(f"Phi_{d} exponents in degree {k + 1}", "ss", got == want,
+                          f"ss={got} snf={want}")
+                check(f"free rank in degree {k + 1}", "ss", decs[k].free_rank == ranks[k],
+                      f"snf={decs[k].free_rank} stable-page={ranks[k]}")
     elif want_ss:
         methods["ss"] = {"ran": False, "reason": (
             "needs characteristic zero" if fspec.char != 0
@@ -335,19 +329,15 @@ def run(job: JobConfig) -> Report:
     want_forest = "forest" in job.methods
     if want_forest and res.is_K_nonresonant and connected:
         try:
-            factors = forest_fitting_h1(g, character, fspec, budget)
+            factors = forest_fitting_h1(g, character, fspec)
         except ForestBudgetError as exc:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
             methods["forest"] = {"ran": True, "invariant_factors": _poly_list(factors)}
             if job.cross_check:
                 snf_facts = snfs[1].invariant_factors
-                cross_checks.append({
-                    "subject": "H_1 invariant factors",
-                    "methods": ["snf", "forest"],
-                    "agree": factors == snf_facts,
-                    "detail": f"forest={_poly_list(factors)} snf={_poly_list(snf_facts)}",
-                })
+                check("H_1 invariant factors", "forest", factors == snf_facts,
+                      f"forest={_poly_list(factors)} snf={_poly_list(snf_facts)}")
     elif want_forest:
         methods["forest"] = {"ran": False, "reason": (
             "needs a connected graph" if res.is_K_nonresonant
@@ -375,19 +365,11 @@ def run(job: JobConfig) -> Report:
             },
         }
         if job.cross_check:
-            cross_checks.append({
-                "subject": "H_1 free rank",
-                "methods": ["snf", "resonant"],
-                "agree": decs[0].free_rank == h1,
-                "detail": f"snf={decs[0].free_rank} reduced-graph={h1}",
-            })
+            check("H_1 free rank", "resonant", decs[0].free_rank == h1,
+                  f"snf={decs[0].free_rank} reduced-graph={h1}")
             if k_max >= 1:
-                cross_checks.append({
-                    "subject": "H_2 free rank",
-                    "methods": ["snf", "resonant"],
-                    "agree": decs[1].free_rank == h2,
-                    "detail": f"snf={decs[1].free_rank} quotient-complex={h2}",
-                })
+                check("H_2 free rank", "resonant", decs[1].free_rank == h2,
+                      f"snf={decs[1].free_rank} quotient-complex={h2}")
 
     # disconnected graphs: degree-0 torsion splits over the components
     if job.cross_check and not connected:
@@ -401,12 +383,8 @@ def run(job: JobConfig) -> Report:
             sub_snf = boundary_smith_form(
                 twisted_boundary(sub_fc, sub_chi, fspec, 1), sub_fc, sub_chi, fspec)
             pieces.extend(_poly_list(sub_snf.nontrivial_factors))
-        cross_checks.append({
-            "subject": "H_1 torsion splits over components",
-            "methods": ["snf", "snf-per-component"],
-            "agree": whole == sorted(pieces),
-            "detail": f"whole={whole} pieces={sorted(pieces)}",
-        })
+        check("H_1 torsion splits over components", "snf-per-component",
+              whole == sorted(pieces), f"whole={whole} pieces={sorted(pieces)}")
 
     data["methods"] = methods
     data["cross_checks"] = cross_checks

@@ -283,8 +283,11 @@ def torsion_support(g: LabeledGraph, c: Character) -> TorsionSupport:
     return TorsionSupport(values, {d: frozenset(s) for d, s in prov.items()})
 
 
-def connected_components(g: LabeledGraph) -> list[tuple]:
-    parent = {v: v for v in g.vertices}
+def components(vertices, pairs) -> list[tuple]:
+    """The classes of the equivalence on `vertices` that `pairs` generates,
+    by union-find: each lists its members in the order of `vertices`, and
+    the classes stand in the order of their first members."""
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -292,11 +295,15 @@ def connected_components(g: LabeledGraph) -> list[tuple]:
             x = parent[x]
         return x
 
-    for (u, v) in g.edge_list:
+    for (u, v) in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    comps: dict = {}
-    for v in g.vertices:
-        comps.setdefault(find(v), []).append(v)
-    return [g.sort_vertices(vs) for vs in comps.values()]
+    classes: dict = {}
+    for v in vertices:
+        classes.setdefault(find(v), []).append(v)
+    return [tuple(vs) for vs in classes.values()]
+
+
+def connected_components(g: LabeledGraph) -> list[tuple]:
+    return components(g.vertices, g.edge_list)

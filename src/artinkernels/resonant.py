@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .flag import FlagComplex
-from .graphs import (Character, LabeledGraph, ZeroCharacterError,
+from .graphs import (Character, LabeledGraph, ZeroCharacterError, components,
                      connected_components, resonance_sets)
 from .scalars import FieldSpec
 
@@ -87,8 +87,8 @@ class QuotientComplex:
     cells0: list                       # class ids
     cells1: list                       # surviving edges (u, v)
     cells2: list                       # surviving triangles (a, b, c)
-    d1: list = field(default_factory=list)  # integer matrix cells0 x cells1
-    d2: list = field(default_factory=list)  # integer matrix cells1 x cells2
+    d1: list = field(default_factory=list)  # sparse columns: per 1-cell, {0-cell: +-1}
+    d2: list = field(default_factory=list)  # sparse columns: per 2-cell, {1-cell: +-1}
     removal_log: list = field(default_factory=list)
     identifications: list = field(default_factory=list)
 
@@ -137,35 +137,14 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
     kept_tris = [t for t in triangles if t not in removed_tris]
 
     # identify endpoints of the surviving resonant 1-cells
-    parent = {v: v for v in g.vertices}
+    identifications = [(u, v) for (u, v) in kept_edges if edge_resonant(u, v)]
+    classes = components(g.vertices, identifications)
+    vertex_class = {v: i for i, cl in enumerate(classes) for v in cl}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    identifications = []
-    for (u, v) in kept_edges:
-        if edge_resonant(u, v):
-            identifications.append((u, v))
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    classes = sorted({find(v) for v in g.vertices}, key=g.index)
-    class_pos = {cl: i for i, cl in enumerate(classes)}
-    vertex_class = {v: class_pos[find(v)] for v in g.vertices}
-
-    d1 = [[0] * len(kept_edges) for _ in classes]
-    for j, (u, v) in enumerate(kept_edges):
-        d1[vertex_class[v]][j] += 1
-        d1[vertex_class[u]][j] -= 1
+    ends = [(vertex_class[u], vertex_class[v]) for (u, v) in kept_edges]
+    d1 = [{} if a == b else {a: -1, b: 1} for a, b in ends]     # a loop's column is empty
     edge_pos = {e: j for j, e in enumerate(kept_edges)}
-    d2 = [[0] * len(kept_tris) for _ in kept_edges]
-    for j, tri in enumerate(kept_tris):
-        for i in range(3):
-            face = tri[:i] + tri[i + 1:]
-            d2[edge_pos[face]][j] += 1 if i % 2 == 0 else -1
+    d2 = [{edge_pos[tri[:i] + tri[i + 1:]]: (-1) ** i for i in range(3)} for tri in kept_tris]
     return QuotientComplex(vertex_class, list(range(len(classes))), kept_edges,
                            kept_tris, d1, d2, log, identifications)
 
@@ -173,6 +152,6 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
 def h2_free_rank(qc: QuotientComplex, fspec: FieldSpec) -> int:
     """dim of the first reduced homology of the quotient 2-complex over K."""
     f = fspec.scalars()
-    r1, r2 = (linalg.rank(f, [{j: f.from_int(x) for j, x in enumerate(row) if x}
-                              for row in d]) for d in (qc.d1, qc.d2))
+    r1, r2 = (linalg.rank(f, [{i: f.from_int(x) for i, x in col.items()} for col in d])
+              for d in (qc.d1, qc.d2))
     return (len(qc.cells1) - r1) - r2

@@ -59,9 +59,9 @@ from fractions import Fraction
 from . import linalg
 from .flag import FlagComplex
 from .graphs import Character, ResonanceSets
-from .laurent import (Factor, cyclotomic, cyclotomic_field, cyclotomic_product,
-                      dense_add, dense_divmod, dense_monic, dense_mul, dense_sub,
-                      laurent_from_dense, taylor_at_root, totient)
+from .laurent import (cyclotomic_field, cyclotomic_product, dense_add, dense_divmod,
+                      dense_monic, dense_mul, dense_sub, laurent_from_dense,
+                      taylor_at_root, totient)
 from .scalars import FieldSpec, divisors
 from .twisted import BoundaryTables, PolyMatrix, signed_boundary, twisted_boundary
 
@@ -400,18 +400,25 @@ def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
 class ModuleDecomposition:
     """H_{k+1} of the kernel subgroup as free rank + invariant factors.
 
-    `cyclotomic_parts` maps each cyclotomic order d >= 2 to the sorted list
-    of exponents j of its Phi_d^j summands; the (t-1)-part is tracked
-    separately through `t_minus_1_exponent`.
+    `exponents` maps each order d to the ascending Phi_d-exponents of the
+    nontrivial invariant factors (slot i belongs to factor i); it holds the
+    orders that occur, and everything else is read from it.
     """
 
     k: int
     fspec: FieldSpec
     free_rank: int
     invariant_factors: list
-    factor_terms: list
-    cyclotomic_parts: dict
-    t_minus_1_exponent: int
+    exponents: dict
+
+    @property
+    def cyclotomic_parts(self) -> dict:
+        """d >= 2 -> the sorted exponents j of the Phi_d^j summands."""
+        return {d: [e for e in slots if e] for d, slots in self.exponents.items() if d >= 2}
+
+    @property
+    def t_minus_1_exponent(self) -> int:
+        return sum(self.exponents.get(1, ()))
 
     @property
     def primary_parts(self) -> dict | None:
@@ -428,24 +435,15 @@ class ModuleDecomposition:
 def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
                       fspec: FieldSpec) -> ModuleDecomposition:
     """The degree-k homology module, its torsion from the Smith form `snf`
-    of the degree-(k+1) boundary.
-
-    Everything is read from `snf.exponents`: Phi_d for d >= 2 gives the
-    cyclotomic parts, Phi_1 = t - 1 the (t-1)-exponent, and each invariant
-    factor's terms are its Phi_d^e in ascending d (Phi_d mod p over GF(p)).
-    """
+    of the degree-(k+1) boundary: the nontrivial invariant factors and the
+    tail of `snf.exponents` that belongs to them."""
     if snf.exponents is None:
         raise ValueError("decomposing needs the Phi_d-exponents of boundary_smith_form")
     invariant = snf.nontrivial_factors
-    ordered = sorted(snf.exponents.items())
-    terms = [[Factor(cyclotomic(d, fspec), slots[i], d)
-              for d, slots in ordered if slots[i]]
-             for i in range(snf.rank - len(invariant), snf.rank)]
+    first = snf.rank - len(invariant)
     return ModuleDecomposition(
         k=k, fspec=fspec, free_rank=free_rank, invariant_factors=invariant,
-        factor_terms=terms,
-        cyclotomic_parts={d: [e for e in slots if e] for d, slots in ordered if d >= 2},
-        t_minus_1_exponent=sum(snf.exponents.get(1, ())))
+        exponents={d: slots[first:] for d, slots in snf.exponents.items()})
 
 
 def homology_modules(fc: FlagComplex, c: Character, fspec: FieldSpec,
@@ -508,7 +506,6 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
     checks = []
     k = dec.k
     p = dec.fspec.char
-    terms = [f for fl in dec.factor_terms for f in fl]
 
     ok = True
     for f, g in zip(dec.invariant_factors, dec.invariant_factors[1:]):
@@ -529,7 +526,7 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
         all(character.m(v) % p != 0 for v in graph.vertices)
         and all(graph.ell_tilde(u, v) % p != 0 for (u, v) in graph.edge_list))
     if tm1_applies:
-        semis = all(f.exponent <= 1 for f in terms if f.cyclotomic_order == 1)
+        semis = all(e <= 1 for e in dec.exponents.get(1, ()))
         expect = image_dims_list[k + 1] if k + 1 < len(image_dims_list) else 0
         good = semis and dec.t_minus_1_exponent == expect
         checks.append(ShapeCheck(
@@ -547,6 +544,6 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
         return e
 
     folded = {p_free(e) for e in support}
-    in_support = all(f.cyclotomic_order in folded for f in terms if f.cyclotomic_order >= 2)
+    in_support = all(d in folded for d in dec.exponents if d >= 2)
     checks.append(ShapeCheck("torsion-in-support", "pass" if in_support else "fail"))
     return ShapeReport(skipped=None, checks=checks)

@@ -75,7 +75,7 @@ import bisect
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .flag import FlagComplex
 from .graphs import Character, connected_components, resonance_sets
@@ -282,18 +282,13 @@ def page_dims(wc: WeightedComplex) -> PageTable:
                 if val:
                     dims[(s, p, q)] = val
 
-    stable = {}
-    for (s, p, q), val in dims.items():
-        if s == s_hi + 1:
-            stable[(p, q)] = val
-    for (p, q), val in list(stable.items()):
-        if dims.get((s_hi, p, q), 0) != val:
-            raise NegativeMultiplicityError(
-                f"pages failed to stabilize at ({p},{q}) for d={wc.d}")
-    for (s, p, q), val in list(dims.items()):
-        if s == s_hi and dims.get((s_hi + 1, p, q), 0) != val:
-            raise NegativeMultiplicityError(
-                f"pages failed to stabilize at ({p},{q}) for d={wc.d}")
+    def page(s: int) -> dict:
+        return {(p, q): val for (t, p, q), val in dims.items() if t == s}
+
+    stable = page(s_hi + 1)
+    if page(s_hi) != stable:
+        raise NegativeMultiplicityError(
+            f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
     dims = {k: v for k, v in dims.items() if k[0] <= s_hi}
     return PageTable(wc.d, s_hi, dims, stable, wmax, top)
 
@@ -340,29 +335,10 @@ def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
     return out
 
 
-@dataclass
-class TorsionTable:
-    """n_(k,j)(d) for all computed degrees and orders."""
-
-    entries: dict = field(default_factory=dict)  # (k, d) -> tuple of n_(k,j)
-
-    def put(self, k: int, d: int, ns) -> None:
-        self.entries[(k, d)] = tuple(ns)
-
-    def exponent_multiset(self, k: int, d: int) -> tuple:
-        out = []
-        for j, n in enumerate(self.entries.get((k, d), ()), start=1):
-            out.extend([j] * n)
-        return tuple(out)
-
-
-def jordan_bound_check(tt: TorsionTable) -> bool:
-    """True iff n_(k,j)(d) = 0 whenever j > k + 2."""
-    for (k, _d), row in tt.entries.items():
-        for j, n in enumerate(row, start=1):
-            if j > k + 2 and n != 0:
-                return False
-    return True
+def jordan_bound_check(rows: dict) -> bool:
+    """True iff n_(k,j)(d) = 0 whenever j > k + 2, over rows {(k, d): row}
+    of n_(k,1), n_(k,2), ... as `solve_torsion` gives them."""
+    return not any(n for (k, _d), row in rows.items() for n in row[k + 2:])
 
 
 # ---------------------------------------------------------------------------

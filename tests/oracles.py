@@ -33,6 +33,42 @@ QQ = FieldSpec()
 # scalar and polynomial matrices
 # ---------------------------------------------------------------------------
 
+def components_by_bfs(vertices, pairs) -> list[tuple]:
+    """The classes `graphs.components` should return, by breadth-first
+    search from each vertex not yet reached, in the order of `vertices`."""
+    nbrs = {v: [] for v in vertices}
+    for (u, v) in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen: set = set()
+    out = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        reached = [start]
+        for x in reached:
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+        out.append(tuple(v for v in vertices if v in set(reached)))
+    return out
+
+
+def compose_int_columns(a: list[dict], b: list[dict]) -> list[dict]:
+    """a * b over Z for matrices given as sparse integer columns, where
+    b's row i is a's column i."""
+    out = []
+    for col in b:
+        acc: dict = {}
+        for mid, x in col.items():
+            for row, y in a[mid].items():
+                acc[row] = acc.get(row, 0) + x * y
+        out.append(acc)
+    return out
+
+
 def matmul(field: Field, a: list[list], b: list[list]) -> list[list]:
     if not a or not b:
         return []

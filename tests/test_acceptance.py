@@ -30,11 +30,10 @@ from artinkernels import (LaurentPoly, boundary_smith_form, build_f2,
                           twisted_boundary, verify_shape, weighted_complex)
 from artinkernels.smith import cyclotomic_invariant_factors
 from artinkernels.twisted import signed_boundary
-from artinkernels.spectral import TorsionTable
 
 from conftest import (QQ, F2, dihedral_graph, q_boundaries, random_case,
                       square_diagonal_graph, square_graph)
-from oracles import compose, dense, det, matmul, submatrix
+from oracles import compose, compose_int_columns, dense, det, matmul, submatrix
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -285,10 +284,7 @@ def test_acceptance_6_structural_invariants():
             if not compose(ta, tb).is_zero():
                 failures.append((idx, "twisted dd", k))
         qc = build_f2(fc, chi, fspec)
-        d1 = [[field.from_int(x) for x in row] for row in qc.d1]
-        d2 = [[field.from_int(x) for x in row] for row in qc.d2]
-        if d1 and d2 and qc.cells2 and any(
-                not field.is_zero(x) for row in matmul(field, d1, d2) for x in row):
+        if any(x for col in compose_int_columns(qc.d1, qc.d2) for x in col.values()):
             failures.append((idx, "quotient dd"))
 
         # graded differential squares to zero, weights within bounds,
@@ -313,12 +309,12 @@ def test_acceptance_6_structural_invariants():
                         if any(not kd.is_zero(v) for v in acc.values()):
                             failures.append((idx, "graded dd", d, n))
                 pt = page_dims(wc)
-                table = TorsionTable()
+                rows = {}
                 for k, row in solve_torsion(pt, ranks).items():
-                    table.put(k, d, row)
+                    rows[k, d] = row
                     if pt.stable_row(k) != ranks[k]:
                         failures.append((idx, "stable page", d, k))
-                if not jordan_bound_check(table):
+                if not jordan_bound_check(rows):
                     failures.append((idx, "jordan", d))
 
         # Smith forms: divisibility chain, reconstruction, shape checks

@@ -283,6 +283,24 @@ def test_kmax_flag_caps_degrees():
     assert [m["k"] for m in rep.data["homology"]["modules"]] == [0]
 
 
+@pytest.mark.parametrize("k_max", [-1, -7])
+def test_negative_kmax_is_rejected(k_max):
+    with pytest.raises(ValueError, match=f"k_max must be >= 0, got {k_max}"):
+        JobConfig(text=fixture_text("square_diagonal"), k_max=k_max)
+    assert JobConfig(text=fixture_text("square_diagonal"), k_max=0).k_max == 0
+
+
+def test_negative_kmax_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    import artinkernels.cli as cli
+    monkeypatch.setattr(cli, "run", lambda job: pytest.fail("run was reached"))
+    path = tmp_path / "g.graph"
+    path.write_text(fixture_text("square_diagonal"))
+    assert cli.main([str(path), "--kmax", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: k_max must be >= 0, got -1\n"
+
+
 def test_single_vertex_graph_run():
     rep = run(JobConfig(text="vertex a 2\n"))
     assert rep.ok

@@ -3,12 +3,16 @@ import random
 import pytest
 
 from artinkernels import (Character, GraphError, LabeledGraph,
-                          ResonantVertexError, ZeroCharacterError, is_fc_type,
-                          is_spherical, maximal_cliques, resonance_sets,
-                          torsion_support, validate_graph)
+                          ResonantVertexError, ZeroCharacterError,
+                          connected_components, is_fc_type, is_spherical,
+                          maximal_cliques, resonance_sets, torsion_support,
+                          validate_graph)
 from artinkernels.cli import InputError, parse_input
+from artinkernels.graphs import components
 
-from conftest import QQ, F2, dihedral_graph, square_diagonal_graph, square_graph
+from conftest import (QQ, F2, dihedral_graph, random_even_graph,
+                      square_diagonal_graph, square_graph)
+from oracles import components_by_bfs
 
 
 def test_validate_accepts_dihedral():
@@ -207,3 +211,39 @@ def test_torsion_support_values_divide_their_sources():
                 for (u, v) in g.edge_list)
             assert from_vertex or from_edge
             assert ts.provenance[d] <= {"vertex", "edge"}
+
+
+def test_components_partition_the_vertices_in_order():
+    rng = random.Random(0xC1A55)
+    merged = 0
+    for _ in range(300):
+        vertices = rng.sample(range(50), rng.randint(0, 9))   # not in sorted order
+        pairs = [(rng.choice(vertices), rng.choice(vertices))
+                 for _ in range(rng.randint(0, len(vertices)))] if vertices else []
+        classes = components(vertices, pairs)
+        pos = {v: i for i, v in enumerate(vertices)}
+        context = (vertices, pairs, classes)
+        # a partition of the vertices into nonempty classes
+        assert sorted(v for cl in classes for v in cl) == sorted(vertices), context
+        assert all(classes), context
+        which = {v: i for i, cl in enumerate(classes) for v in cl}
+        # each pair inside one class
+        assert all(which[u] == which[v] for u, v in pairs), context
+        # members in vertex order, classes ordered by their first member
+        assert all(list(cl) == sorted(cl, key=pos.get) for cl in classes), context
+        assert [pos[cl[0]] for cl in classes] == sorted(pos[cl[0]] for cl in classes), context
+        # and no coarser than the pairs make it
+        assert classes == components_by_bfs(vertices, pairs), context
+        merged += len(classes) < len(vertices) - 1
+    assert merged > 50
+
+
+def test_connected_components_match_breadth_first_search():
+    rng = random.Random(0xBF5)
+    sizes = set()
+    for _ in range(120):
+        g = random_even_graph(rng, max_vertices=8, edge_prob=0.25, require_fc=False)
+        comps = connected_components(g)
+        assert comps == components_by_bfs(g.vertices, g.edge_list), g.raw_edges
+        sizes.add(len(comps))
+    assert {1, 2, 3} <= sizes

@@ -12,10 +12,10 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           twisted_boundary, verify_shape)
 from artinkernels import linalg
 from artinkernels.cli import JobConfig, run, serialize_input
-from artinkernels.laurent import dense_mul, totient
+from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, totient
 from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import FieldSpec
-from artinkernels.smith import decompose_torsion
+from artinkernels.smith import cyclotomic_invariant_factors, decompose_torsion
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
@@ -344,18 +344,28 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
 
 
 def _refactored_reference(snf, fspec):
-    """Primary parts, (t-1)-exponent and factor terms as found by factoring
-    the multiplied-out invariant factors back into cyclotomics."""
+    """Primary parts, (t-1)-exponent and each factor's {order: exponent} as
+    found by factoring the multiplied-out invariant factors back into
+    cyclotomics."""
     terms = [factor_invariant(f, fspec) for f in snf.nontrivial_factors]
     primary, t1 = {}, 0
     for fl in terms:
         for fac in fl:
             assert fac.cyclotomic_order is not None
+            assert fac.poly == cyclotomic(fac.cyclotomic_order, fspec)
             if fac.cyclotomic_order == 1:
                 t1 += fac.exponent
             else:
                 primary.setdefault(fac.cyclotomic_order, []).append(fac.exponent)
-    return {d: sorted(es) for d, es in primary.items()}, t1, terms
+    per_factor = [{fac.cyclotomic_order: fac.exponent for fac in fl} for fl in terms]
+    return {d: sorted(es) for d, es in primary.items()}, t1, per_factor
+
+
+def _slots(dec) -> list:
+    """Invariant factor i of `dec` as {d: its Phi_d-exponent}, read from
+    slot i of `dec.exponents`."""
+    return [{d: slots[i] for d, slots in dec.exponents.items() if slots[i]}
+            for i in range(len(dec.invariant_factors))]
 
 
 def test_decompose_torsion_reads_exponents_as_factoring_would():
@@ -373,14 +383,58 @@ def test_decompose_torsion_reads_exponents_as_factoring_would():
             if snf.rank == 0:
                 assert snf.exponents == {}
             dec = decompose_torsion(k, 0, snf, QQ)
-            primary, t1, terms = _refactored_reference(snf, QQ)
+            primary, t1, per_factor = _refactored_reference(snf, QQ)
             context = (g.raw_edges, chi.values, k)
             assert dec.primary_parts == primary, context
             assert dec.t_minus_1_exponent == t1, context
-            assert dec.factor_terms == terms, context
+            assert _slots(dec) == per_factor, context
             high_exponent |= any(max(s) >= 2 for s in snf.exponents.values())
             large_order |= any(totient(d) >= 4 for d in snf.exponents)
     assert high_exponent and large_order
+
+
+def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
+    """Over Q, GF(2) and GF(3), slot i of `dec.exponents` multiplies out to
+    invariant factor i, and the (t-1)-exponent and the cyclotomic parts read
+    those same slots.  Mod p the slots hold the folded weights, so p | m_v
+    cases are drawn on purpose, and so are zero weights."""
+    rng = random.Random(0xE9F0)
+    cases = [random_case(rng, max_vertices=5, max_weight=6, require_connected=True,
+                         allow_zero=i % 2 == 1)
+             for i in range(24)]
+    cases.append(square_graph())
+    torsion = dict.fromkeys((0, 2, 3), 0)
+    p_divides = dict.fromkeys((2, 3), 0)
+    for g, chi in cases:
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F2, F3):
+            boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
+            _, decs = homology_modules(fc, chi, fspec, boundaries, range(fc.dim + 1))
+            for k, dec in decs.items():
+                context = (g.raw_edges, chi.values, str(fspec), k)
+                slots = _slots(dec)
+                assert all(len(s) == len(slots) for s in dec.exponents.values()), context
+                assert all(slots), context          # each factor is nontrivial
+                assert dec.invariant_factors == [cyclotomic_product(s, fspec)
+                                                 for s in slots], context
+                assert dec.t_minus_1_exponent == sum(s.get(1, 0) for s in slots), context
+                assert dec.cyclotomic_parts == {
+                    d: [s[d] for s in slots if d in s]
+                    for d in sorted({d for s in slots for d in s}) if d >= 2}, context
+                torsion[fspec.char] += len(slots)
+                if fspec.char and any(chi.m(v) % fspec.char == 0 for v in g.vertices):
+                    p_divides[fspec.char] += len(slots)
+    assert all(torsion.values()) and all(p_divides.values()), (torsion, p_divides)
+
+    # every pivot of a twisted boundary carries t - 1, so no invariant
+    # factor above is trivial; a bare signed boundary whose first pivot
+    # has no gap gives one, and its slot stays out of the module
+    snf = cyclotomic_invariant_factors([{0: 1}, {1: 1}], [{2: 0}, {2: 0}],
+                                       [{2: 0}, {2: 1}], QQ)
+    dec = decompose_torsion(0, 0, snf, QQ)
+    assert snf.exponents == {2: [0, 1]} and dec.exponents == {2: [1]}
+    assert dec.invariant_factors == [cyclotomic(2, QQ)]
+    assert dec.cyclotomic_parts == {2: [1]} and dec.t_minus_1_exponent == 0
 
 
 def test_decompose_torsion_over_q_needs_exponents():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from artinkernels import (TorsionTable, build_flag_complex, forest_fitting_h1,
+from artinkernels import (build_flag_complex, forest_fitting_h1,
                           homology_module, jordan_bound_check, page_dims,
                           reduced_homology_ranks, simplex_weight,
                           smith_normal_form, solve_torsion, torsion_support,
@@ -686,14 +686,12 @@ def test_forest_multiplicity_jump_bound():
 
 
 def test_jordan_bound_check():
-    tt = TorsionTable()
-    tt.put(0, 6, [2, 0])
-    tt.put(1, 2, [0, 0, 0])
-    assert jordan_bound_check(tt)
-    bad = TorsionTable()
-    bad.put(0, 2, [0, 0, 1])  # n_{0,3} = 1 violates j <= k+2
-    assert not jordan_bound_check(bad)
-    assert jordan_bound_check(TorsionTable())
+    assert jordan_bound_check({(0, 6): [2, 0], (1, 2): [0, 0, 0]})
+    # n_{0,3} = 1 violates j <= k+2
+    assert not jordan_bound_check({(0, 2): [0, 0, 1]})
+    assert not jordan_bound_check({(0, 6): [1, 0], (1, 3): [0, 0, 0, 2]})
+    assert jordan_bound_check({(1, 3): [0, 0, 4, 0]})
+    assert jordan_bound_check({})
 
 
 def test_clearing_leaves_page_tables_unchanged(monkeypatch):
