@@ -19,8 +19,9 @@ Conventions used throughout:
   coefficient field for the multiplicity spectral sequence.  Its elements
   are pairs (nums, den) of phi(d) integer numerators and one positive
   common denominator in lowest terms, so arithmetic runs on Python ints.
-  :func:`quotient_residue` reads f / Phi_d^j in K_d by exact integer
-  division by the monic Phi_d.
+  :func:`quotient_residue` reads f / Phi_d^j in K_d in one fold of the
+  terms of f into the rows of z^e mod Phi_d, after exact integer division
+  by the monic Phi_d when j >= 1.
 """
 
 from __future__ import annotations
@@ -683,20 +684,19 @@ class CyclotomicField(Field):
         self.modulus = ints
         self.zero = ((0,) * n, 1)
         self.one = ((1,) + (0,) * (n - 1), 1)
-        # zeta^e for e = 0 .. d-1 as integer coordinates: z^e mod Phi_d
-        powers = []
+        # zeta^e for e = 0 .. d-1: z^e mod Phi_d, as (position, coordinate)
+        # pairs of its nonzero integer coordinates
+        rows = []
         cur = [1] + [0] * (n - 1)
         for _ in range(d):
-            powers.append(tuple(cur))
+            rows.append([(j, x) for j, x in enumerate(cur) if x])
             top = cur.pop()
             cur.insert(0, 0)
             if top:
                 cur = [x - top * c for x, c in zip(cur, ints)]
-        self._powers = powers
-        # reduction table: z^(n + i) mod Phi_d for i < n - 1, as
-        # (position, coordinate) pairs of its nonzero coordinates
-        self._red = [[(j, x) for j, x in enumerate(powers[(n + i) % d]) if x]
-                     for i in range(n - 1)]
+        self._rows = rows
+        # reduction table: z^(n + i) mod Phi_d for i < n - 1
+        self._red = [rows[(n + i) % d] for i in range(n - 1)]
 
     @staticmethod
     def _normal(nums: list, den: int):
@@ -717,26 +717,20 @@ class CyclotomicField(Field):
             ((e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()), den)
 
     def int_combination(self, terms, den: int):
-        """sum of c * zeta^e over the (e, c) in terms, all ints, over den."""
-        d = self.d
-        folded = {}
+        """sum of c * zeta^e over the (e, c) in terms, all ints, over den:
+        one fold of the rows of z^(e mod d)."""
+        d, rows = self.d, self._rows
+        out = [0] * self.deg
         for e, c in terms:
             if c:
-                e %= d
-                folded[e] = folded.get(e, 0) + c
-        out = [0] * self.deg
-        powers = self._powers
-        for e, c in folded.items():
-            if c:
-                for i, x in enumerate(powers[e]):
-                    if x:
-                        out[i] += c * x
+                for i, x in rows[e % d]:
+                    out[i] += c * x
         return self._normal(out, den)
 
     @property
     def gen(self):
         """The residue class of z, a primitive d-th root of unity."""
-        return self._powers[1 % self.d], 1
+        return self.int_combination(((1, 1),), 1)
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
@@ -834,23 +828,30 @@ def residue_eval(f: LaurentPoly, d: int):
 def quotient_residue(f: LaurentPoly, d: int, drop: int):
     """The class of f / Phi_d^drop in K_d, its value at zeta_d.
 
-    The rational coefficients of f are put over one denominator, and the
-    integer numerator is divided drop times by the monic Phi_d; a nonzero
-    remainder raises ValueError.  Characteristic zero only.
+    Each term c t^e adds c times the row of z^(e mod d), in one fold of
+    the coefficients, which `Fraction`s first put over one denominator.
+    For drop >= 1 the integer numerator is first divided drop times by the
+    monic Phi_d; a nonzero remainder raises ValueError.  Characteristic
+    zero only.
     """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
     kd = cyclotomic_field(d)
     if not f.coeffs:
         return kd.zero
-    val = f.valuation()
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
-    nums = [0] * (f.degree() - val + 1)
-    for e, c in f.coeffs.items():
-        nums[e - val] = c.numerator * (den // c.denominator)
-    phi = cyclotomic_int(d)
-    for _ in range(drop):
-        nums, rem = _int_divmod_poly(nums, phi)
-        if rem:
-            raise ValueError("division is not exact")
-    return kd.int_combination(enumerate(nums, val), den)
+    terms, den = f.coeffs.items(), 1
+    if not all(type(c) is int for _, c in terms):
+        den = math.lcm(*(c.denominator for _, c in terms))
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+    if drop:
+        val = min(f.coeffs)
+        nums = [0] * (max(f.coeffs) - val + 1)
+        for e, c in terms:
+            nums[e - val] = c
+        phi = cyclotomic_int(d)
+        for _ in range(drop):
+            nums, rem = _int_divmod_poly(nums, phi)
+            if rem:
+                raise ValueError("division is not exact")
+        terms = enumerate(nums, val)
+    return kd.int_combination(terms, den)

@@ -8,10 +8,12 @@ form: each stored vector has a distinct bottom-most nonzero row, and
 those lead rows never move once created.  Feeding columns left to right
 therefore yields, for every prefix of columns and every row cut r, the
 rank of the submatrix on rows >= r -- the "staircase ranks" that drive
-the filtered-complex page dimension formulas.  Each vector is stored
-scaled so that its lead is one: a reduction step is then a multiply and
-a subtract, and the one inverse per basis vector is paid when it is
-stored.
+the filtered-complex page dimension formulas.  Leads, ranks and
+snapshots depend only on spans, so a new vector is stored as it reduced,
+unscaled.  Most stored vectors never reduce another (clearing leaves few
+columns that do), so a lead's inverse is computed and cached the first
+time its vector reduces one; a reduction step is then a multiply per
+entry and one for the factor.
 
 :func:`column_leads` feeds columns in order to one `BottomEchelon` and
 returns the lead row each adds.  :func:`rank` counts those leads (fed
@@ -30,26 +32,34 @@ from .scalars import Field
 
 
 class BottomEchelon:
-    """Incremental column-space basis keyed by bottom-most nonzero row."""
+    """Incremental column-space basis keyed by bottom-most nonzero row.
+
+    `basis` maps a lead row to its vector, stored as it reduced;
+    `inverses` maps a lead row to the inverse of that vector's lead entry,
+    once the vector has reduced another."""
 
     def __init__(self, field: Field):
         self.field = field
         self.basis: dict[int, dict[int, object]] = {}
+        self.inverses: dict[int, object] = {}
 
     def insert(self, vec: dict[int, object]) -> int | None:
         """Reduce vec against the basis; returns the new lead row or None.
-        A new basis vector is stored divided by its lead."""
+        A new basis vector is stored as it reduced."""
         f = self.field
         is_zero, sub, mul, zero = f.is_zero, f.sub, f.mul, f.zero
+        basis, inverses = self.basis, self.inverses
         vec = {r: c for r, c in vec.items() if not is_zero(c)}
         while vec:
             lead = max(vec)
-            other = self.basis.get(lead)
+            other = basis.get(lead)
             if other is None:
-                inv = f.inv(vec[lead])
-                self.basis[lead] = {r: mul(c, inv) for r, c in vec.items()}
+                basis[lead] = vec
                 return lead
-            factor = vec.pop(lead)
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = f.inv(other[lead])
+            factor = mul(vec.pop(lead), inv)
             for r, c in other.items():
                 if r != lead:
                     newc = sub(vec.get(r, zero), mul(factor, c))

@@ -20,10 +20,9 @@ of these reduce to ranks of staircase submatrices of the boundary with
 rows/columns sorted by weight, which one bottom-echelon sweep per chain
 degree provides.  `weighted_complex` reads the facet coefficients off the
 twisted boundaries over Q that the run already built, for every d: the
-leading unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d,
-found by exact integer division by the monic Phi_d (`quotient_residue`),
-and the elimination runs on K_d elements of integer numerators over one
-denominator.
+leading unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d
+(`quotient_residue`), and the elimination runs on K_d elements of integer
+numerators over one denominator.
 
 Clearing (Chen and Kerber, "Persistent homology computation with a twist",
 2011): the unit at (Y, X) is +-W'(X)/W'(Y) at zeta_d, W' the part of W
@@ -31,7 +30,9 @@ prime to Phi_d, so the unit matrices are E^-1 S_n E for the signed
 boundaries S_n and compose to zero.  A lead row sigma of the sweep of
 degree n+1 thus makes column sigma of degree n a combination of the
 columns before it in `bases[n]`, which orders both: `page_dims` sweeps
-from the top degree down and skips those columns.
+from the top degree down and skips those columns.  Almost every column
+left becomes a new pivot, so `BottomEchelon` inverts a lead in K_d only
+when its vector reduces another column.
 
 The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
 degree-k homology then satisfies, with r_q the reduced flag homology,
@@ -71,11 +72,12 @@ The work grows with the number of states, not of forests: K_8 has
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .flag import FlagComplex
 from .graphs import Character, connected_components, resonance_sets
@@ -188,11 +190,13 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
             for i, entry in tb.columns[fc.position(X)].items():
                 Y = tb.rows[i]
                 drop = weights[X] - weights[Y]
-                assert drop >= 0, "weights must not increase along faces"
+                if drop < 0:
+                    raise ArithmeticError(f"weights must not increase along faces: {Y}, {X}")
                 unit = units.get((id(entry), drop))
                 if unit is None:
                     unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
-                    assert not kd.is_zero(unit), "leading unit vanished"
+                    if kd.is_zero(unit):
+                        raise ArithmeticError(f"leading unit vanished at {Y}, {X}")
                 col[positions[Y]] = unit
             cols.append(col)
         columns[n] = cols
@@ -218,11 +222,24 @@ class PageTable:
             return self.stable.get((p, q), 0)
         return self.dims.get((s, p, q), 0)
 
+    @functools.cached_property
+    def _row_sums(self) -> tuple[Counter, Counter]:
+        # (s, k) -> the sum over p of h(s, p, k - p) for s <= s_max, and
+        # k -> the same on the stable page
+        rows, stable = Counter(), Counter()
+        for (s, p, q), v in self.dims.items():
+            rows[s, p + q] += v
+        for (p, q), v in self.stable.items():
+            stable[p + q] += v
+        return rows, stable
+
     def h_row(self, s: int, k: int) -> int:
-        return sum(self.h(s, p, k - p) for p in range(0, self.max_weight + 1))
+        if s > self.s_max:
+            return self.stable_row(k)
+        return self._row_sums[0][s, k]
 
     def stable_row(self, k: int) -> int:
-        return sum(self.stable.get((p, k - p), 0) for p in range(0, self.max_weight + 1))
+        return self._row_sums[1][k]
 
     def nonzero(self) -> dict:
         return dict(sorted(self.dims.items()))
@@ -245,35 +262,34 @@ def page_dims(wc: WeightedComplex) -> PageTable:
     # n -> cumulative column counts per weight 0..wmax
     counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
               for n, ws in wlists.items()}
-    snaps = {}      # n -> per weight prefix, sorted lead row weights
+    # n -> per column weight p, per a = -1 .. wmax: the rank of the boundary
+    # of degree n on columns of weight <= p and rows of weight > a, which is
+    # the number of leads of the snapshot p whose row weight exceeds a
+    above = {}
     cleared = frozenset()
     for n in range(top, -2, -1):
         lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
         row_ws = wlists.get(n - 1, [])
-        snaps[n] = [sorted(row_ws[i] for i in leads) for leads in lead_snaps]
+        above[n] = []
+        for leads in lead_snaps:
+            per_weight = [0] * (wmax + 2)
+            for i in leads:
+                per_weight[row_ws[i]] += 1
+            above[n].append(list(accumulate(reversed(per_weight)))[::-1])
         cleared = frozenset(lead_snaps[-1])
-
-    def sub_rank(n: int, p: int, a: int) -> int:
-        # rank of the boundary of degree n restricted to columns of weight
-        # <= p and rows of weight > a
-        if n < -1 or n > top or p < 0:
-            return 0
-        leads = snaps[n][min(p, wmax)]
-        if a < 0:
-            return len(leads)
-        return len(leads) - bisect.bisect_right(leads, a)
 
     def z_dim(s: int, p: int, n: int) -> int:
         if p < 0 or n < -1 or n > top:
             return 0
-        total = counts[n][min(p, wmax)]
-        return total - sub_rank(n, p, p - s)
+        a = min(max(p - s, -1), wmax)
+        p = min(p, wmax)
+        return counts[n][p] - above[n][p][a + 1]
 
     dims = {}
     for n in range(-1, top + 1):
         for p in range(0, wmax + 1):
             q = n - p
-            e0 = sum(1 for w in wlists[n] if w == p)
+            e0 = counts[n][p] - (counts[n][p - 1] if p else 0)
             if e0:
                 dims[(0, p, q)] = e0
             for s in range(1, s_hi + 2):

@@ -120,6 +120,45 @@ def sparse(rows: list[list]) -> list[dict]:
     return [dict(enumerate(row)) for row in rows]
 
 
+class NormalizedEchelon:
+    """`linalg.BottomEchelon` with every basis vector stored divided by its
+    lead, so each one pays its inverse when it is stored.  `reducers` holds
+    the leads whose vectors reduced another vector."""
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.basis: dict = {}
+        self.reducers: set = set()
+
+    def insert(self, vec: dict):
+        f = self.field
+        vec = {r: c for r, c in vec.items() if not f.is_zero(c)}
+        while vec:
+            lead = max(vec)
+            other = self.basis.get(lead)
+            if other is None:
+                inv = f.inv(vec[lead])
+                self.basis[lead] = {r: f.mul(c, inv) for r, c in vec.items()}
+                return lead
+            self.reducers.add(lead)
+            factor = vec.pop(lead)
+            for r, c in other.items():
+                if r != lead:
+                    newc = f.sub(vec.get(r, f.zero), f.mul(factor, c))
+                    if f.is_zero(newc):
+                        vec.pop(r, None)
+                    else:
+                        vec[r] = newc
+        return None
+
+
+def normalized_column_leads(field: Field, columns, skip=frozenset()):
+    """`linalg.column_leads` on `NormalizedEchelon`: the leads, and the
+    echelon for its `reducers`."""
+    ech = NormalizedEchelon(field)
+    return [None if j in skip else ech.insert(col) for j, col in enumerate(columns)], ech
+
+
 def poly_matrix(rows, cols, entries, field, k: int = 0) -> PolyMatrix:
     """The `PolyMatrix` with dense rows `entries` (LaurentPoly, zeros
     included); every test that builds one densely goes through here."""
@@ -366,6 +405,51 @@ def kd_reduce(kd, cs: list) -> list:
     qq = Rationals()
     rem = dense_divmod(qq, list(cs), [Fraction(c) for c in cyclotomic_by_division(kd.d)])[1]
     return rem + [Fraction(0)] * (kd.deg - len(rem))
+
+
+def trunc_mul(kd, a: list, b: list, order: int) -> list:
+    """Product of K_d[tau]/(tau^order) elements as coefficient lists."""
+    out = [kd.zero] * order
+    for i, x in enumerate(a):
+        if kd.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if i + j >= order:
+                break
+            if not kd.is_zero(y):
+                out[i + j] = kd.add(out[i + j], kd.mul(x, y))
+    return out
+
+
+def trunc_inv(kd, a: list, order: int) -> list:
+    """Inverse of a unit in K_d[tau]/(tau^order)."""
+    inv0 = kd.inv(a[0])
+    out = [kd.zero] * order
+    out[0] = inv0
+    for i in range(1, order):
+        acc = kd.zero
+        for j in range(1, i + 1):
+            if j < len(a):
+                acc = kd.add(acc, kd.mul(a[j], out[i - j]))
+        out[i] = kd.neg(kd.mul(inv0, acc))
+    return out
+
+
+def horner_taylor(f, d, order):
+    """f(zeta_d + tau) mod tau^order by Horner in K_d[tau]/(tau^order)."""
+    kd = cyclotomic_field(d)
+    if f.is_zero():
+        return [kd.zero] * order
+    lin = ([kd.gen, kd.one] + [kd.zero] * max(0, order - 2))[:order]
+    cs, val = f.dense()
+    acc = [kd.zero] * order
+    for coeff in reversed(cs):
+        acc = trunc_mul(kd, acc, lin, order)
+        acc[0] = kd.add(acc[0], kd.embed(coeff))
+    step = lin if val > 0 else trunc_inv(kd, lin, order)
+    for _ in range(abs(val)):
+        acc = trunc_mul(kd, acc, step, order)
+    return acc
 
 
 # ---------------------------------------------------------------------------

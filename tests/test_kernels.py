@@ -1,27 +1,30 @@
-"""Differential tests of the exact kernels under the Smith route against
-naive reference algorithms kept in this file: Horner expansion of
-truncated series, dense Gaussian elimination, and Phi_d-exponents from
-cokernel dimensions of one dense Taylor block per truncation depth.
+"""Differential tests of the exact kernels under the Smith and ss routes
+against naive reference algorithms: Horner expansion of truncated series,
+dense Gaussian elimination, the bottom echelon that stores every vector
+divided by its lead, and Phi_d-exponents from cokernel dimensions of one
+dense Taylor block per truncation depth.
 """
 
 import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
-                          cyclotomic_field, residue_eval, twisted_boundary)
-from artinkernels import smith
-from artinkernels.laurent import taylor_at_root
+                          cyclotomic_field, page_dims, residue_eval,
+                          torsion_support, twisted_boundary, weighted_complex)
+from artinkernels import smith, spectral
+from artinkernels.laurent import CyclotomicField, taylor_at_root
 from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_leads
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
 from conftest import QQ, random_case
-from oracles import fraction_rank, sparse
+from oracles import fraction_rank, horner_taylor, normalized_column_leads, sparse
 
 Q = QQ.scalars()
 ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
@@ -35,51 +38,6 @@ def L(coeffs):
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
-
-def trunc_mul(kd, a: list, b: list, order: int) -> list:
-    """Product of K_d[tau]/(tau^order) elements as coefficient lists."""
-    out = [kd.zero] * order
-    for i, x in enumerate(a):
-        if kd.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= order:
-                break
-            if not kd.is_zero(y):
-                out[i + j] = kd.add(out[i + j], kd.mul(x, y))
-    return out
-
-
-def trunc_inv(kd, a: list, order: int) -> list:
-    """Inverse of a unit in K_d[tau]/(tau^order)."""
-    inv0 = kd.inv(a[0])
-    out = [kd.zero] * order
-    out[0] = inv0
-    for i in range(1, order):
-        acc = kd.zero
-        for j in range(1, i + 1):
-            if j < len(a):
-                acc = kd.add(acc, kd.mul(a[j], out[i - j]))
-        out[i] = kd.neg(kd.mul(inv0, acc))
-    return out
-
-
-def horner_taylor(f, d, order):
-    """f(zeta_d + tau) mod tau^order by Horner in K_d[tau]/(tau^order)."""
-    kd = cyclotomic_field(d)
-    if f.is_zero():
-        return [kd.zero] * order
-    lin = ([kd.gen, kd.one] + [kd.zero] * max(0, order - 2))[:order]
-    cs, val = f.dense()
-    acc = [kd.zero] * order
-    for coeff in reversed(cs):
-        acc = trunc_mul(kd, acc, lin, order)
-        acc[0] = kd.add(acc[0], kd.embed(coeff))
-    step = lin if val > 0 else trunc_inv(kd, lin, order)
-    for _ in range(abs(val)):
-        acc = trunc_mul(kd, acc, step, order)
-    return acc
-
 
 def dense_rank(field, rows):
     """Rank by dense elimination, first nonzero pivot."""
@@ -231,19 +189,24 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
 # bottom-echelon staircase
 # ---------------------------------------------------------------------------
 
+def field_and_draw(field_name: str, rng: random.Random):
+    """The field named Q, GF(p) or K_d, and a function drawing small
+    elements of it, zero included."""
+    if field_name.startswith("K_"):
+        field = cyclotomic_field(int(field_name[2:]))
+        return field, lambda: field.root_combination(
+            {rng.randrange(field.d): Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+             for _ in range(2)})
+    field = Q if field_name == "Q" else PrimeField(int(field_name[3:-1]))
+    return field, lambda: field.from_int(rng.randint(-2, 2))
+
+
 @pytest.mark.parametrize("field_name", ["Q", "GF(3)", "K_12", "K_105"])
 def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
     """After each insert, the leads >= r count the rank of rows >= r of the
     columns so far: the one fact both the ss and the Smith route read."""
     rng = random.Random(field_name)
-    if field_name.startswith("K_"):
-        field = cyclotomic_field(int(field_name[2:]))
-        draw = lambda: field.root_combination(  # noqa: E731
-            {rng.randrange(field.d): Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-             for _ in range(2)})
-    else:
-        field = Q if field_name == "Q" else PrimeField(3)
-        draw = lambda: field.from_int(rng.randint(-2, 2))  # noqa: E731
+    field, draw = field_and_draw(field_name, rng)
     checked = 0
     for _ in range(15):
         nr = rng.randint(1, 8)
@@ -272,6 +235,76 @@ def test_bottom_echelon_leads_count_the_staircase_ranks(field_name):
             below = [[c[i] for c in kept] for i in range(r, nr)]
             assert sum(1 for x in got if x is not None and x >= r) == dense_rank(field, below)
     assert checked > 200
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)", "K_12", "K_105"])
+def test_leads_match_the_store_normalized_echelon(field_name):
+    """`BottomEchelon` stores a vector as it reduced and inverts its lead
+    only once it reduces another; `NormalizedEchelon` stores every vector
+    divided by its lead.  Leads depend only on spans, so `column_leads` and
+    `staircase_leads` must give the same values on both, with the columns
+    that are combinations of earlier ones skipped or fed."""
+    rng = random.Random(f"normalized {field_name}")
+    field, draw = field_and_draw(field_name, rng)
+    reducers = 0
+    for _ in range(30):
+        nr, nc = rng.randint(1, 9), rng.randint(0, 12)
+        cols, cleared = [], set()
+        for j in range(nc):
+            if j and rng.random() < 0.3:
+                col = {}
+                for c in rng.sample(cols, rng.randint(1, j)):
+                    a = draw()
+                    for i, x in c.items():
+                        col[i] = field.add(col.get(i, field.zero), field.mul(a, x))
+                cleared.add(j)
+            else:
+                col = {i: draw() for i in range(nr) if rng.random() < 0.4}
+            cols.append(col)
+        snapshot_after = sorted(rng.randrange(nc + 2) for _ in range(3))
+        for skip in (frozenset(), frozenset(cleared)):
+            want, ech = normalized_column_leads(field, cols, skip)
+            assert column_leads(field, cols, skip) == want
+            assert staircase_leads(field, cols, snapshot_after, skip) == [
+                sorted(x for x in want[:n] if x is not None) for n in snapshot_after]
+            reducers += len(ech.reducers)
+    assert reducers > 20
+
+
+def test_ss_sweeps_invert_only_the_leads_that_reduce(monkeypatch):
+    """Over the ss sweeps of K_6 with the label-4 matching ab, cd, ef,
+    `CyclotomicField.inv` runs once per basis vector that reduces another
+    column, never when a vector is stored: the reducers are counted by
+    replaying every sweep on `NormalizedEchelon`."""
+    matching = {("a", "b"), ("c", "d"), ("e", "f")}
+    g = LabeledGraph(list("abcdef"), [(u, v, 4 if (u, v) in matching else 2)
+                                      for u, v in combinations("abcdef", 2)])
+    chi = Character(g, dict(zip("abcdef", (2, 5, 1, 3, 1, 4))))
+    fc = build_flag_complex(g)
+    boundaries = {n: twisted_boundary(fc, chi, QQ, n) for n in range(fc.dim + 1)}
+    wcs = [weighted_complex(fc, chi, d, boundaries) for d in torsion_support(g, chi)]
+    sweeps, inverted = [], []
+
+    def spy(field, columns, snapshot_after, cleared=frozenset()):
+        sweeps.append((field, columns, cleared))
+        return staircase_leads(field, columns, snapshot_after, cleared)
+
+    def counted_inv(self, a, _inv=CyclotomicField.inv):
+        inverted.append(self.d)
+        return _inv(self, a)
+
+    monkeypatch.setattr(spectral, "staircase_leads", spy)
+    monkeypatch.setattr(CyclotomicField, "inv", counted_inv)
+    for wc in wcs:
+        page_dims(wc)
+    monkeypatch.undo()
+    reducers = stored = 0
+    for field, columns, cleared in sweeps:
+        leads, ech = normalized_column_leads(field, columns, cleared)
+        reducers += len(ech.reducers)
+        stored += sum(lead is not None for lead in leads)
+    assert len(inverted) == reducers
+    assert 0 < reducers < stored / 4, (reducers, stored)
 
 
 @pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])

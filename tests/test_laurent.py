@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import math
 
@@ -14,7 +14,8 @@ from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
-from oracles import cyclotomic_by_division, kd_coordinates, kd_reduce, mult_d
+from oracles import (cyclotomic_by_division, horner_taylor, kd_coordinates, kd_reduce,
+                     mult_d)
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -320,11 +321,17 @@ def test_cyclotomic_field_constructors():
 @settings(max_examples=40, deadline=None)
 @given(lpoly_strategy(coeff_range=(-5, 5)), st.sampled_from((2, 3, 4, 5, 12, 60)),
        st.integers(0, 3), st.integers(1, 6))
+@example(L({-3: 2, 1: -1, 4: 5}), 12, 0, 3)
+@example(L({-4: 1, 0: -3}), 60, 3, 4)
 def test_quotient_residue_divides_by_phi_powers(f, d, drop, den):
+    """f Phi_d^drop over Phi_d^drop is f at zeta_d, which the Horner oracle
+    evaluates in K_d arithmetic; Fraction coefficients, negative exponents
+    and drop 0 included."""
     phi = L(dict(enumerate(cyclotomic_int(d))))
     f = f.scale(Fraction(1, den))
-    assert quotient_residue(f * phi ** drop, d, drop) == residue_eval(f, d)
-    if not f.is_zero() and not cyclotomic_field(d).is_zero(residue_eval(f, d)):
+    at_root = horner_taylor(f, d, 1)[0]
+    assert quotient_residue(f * phi ** drop, d, drop) == at_root
+    if not f.is_zero() and not cyclotomic_field(d).is_zero(at_root):
         with pytest.raises(ValueError, match="not exact"):
             quotient_residue(f * phi ** drop, d, drop + 1)
 

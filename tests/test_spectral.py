@@ -1,6 +1,10 @@
+import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +155,29 @@ def test_stable_rows_recover_flag_homology():
                 assert pt.stable_row(k) == r[k]
 
 
+def test_cached_page_rows_are_the_sums_over_p():
+    """h_row and stable_row read row sums made once per table; they must
+    equal the sum over p of h on every page through s_max + 1, in every
+    row k, including rows outside the complex."""
+    rng = random.Random(44)
+    cases = [square_graph()] + [random_case(rng, max_vertices=6, max_weight=6)
+                                for _ in range(6)]
+    tables = 0
+    for g, chi in cases:
+        fc = build_flag_complex(g)
+        boundaries = q_boundaries(fc, chi)
+        for d in torsion_support(g, chi).values:
+            pt = page_dims(weighted_complex(fc, chi, d, boundaries))
+            for k in range(-2, fc.dim + 3):
+                for s in range(0, pt.s_max + 2):
+                    assert pt.h_row(s, k) == sum(pt.h(s, p, k - p)
+                                                 for p in range(pt.max_weight + 1)), (d, s, k)
+                assert pt.stable_row(k) == sum(pt.h(pt.s_max + 1, p, k - p)
+                                               for p in range(pt.max_weight + 1)), (d, k)
+            tables += 1
+    assert tables > 10
+
+
 def test_solve_torsion_square():
     g, chi = square_graph()
     fc = build_flag_complex(g)
@@ -255,6 +282,67 @@ def test_graded_differential_squares_to_zero():
                         # so the leading terms must cancel on their own
                         acc[out] = kd.add(acc.get(out, kd.zero), kd.mul(unit, unit2))
                 assert all(kd.is_zero(v) for v in acc.values())
+
+
+def _tampered_boundaries(kind):
+    """The inputs of `weighted_complex` for d = 2 on the path a - b - c with
+    m = (2, 1, 1), whose edge bc weighs 0 and vertex a weighs 1, with the
+    entry at (b, bc) changed: "heavier row" moves it to row a, and
+    "vanishing unit" multiplies it by Phi_2 = 1 + t, which vanishes at
+    zeta_2."""
+    g = LabeledGraph(["a", "b", "c"], [("a", "b", 2), ("b", "c", 2)])
+    chi = Character(g, {"a": 2, "b": 1, "c": 1})
+    fc = build_flag_complex(g)
+    boundaries = q_boundaries(fc, chi)
+    tb = boundaries[1]
+    j = tb.cols.index(("b", "c"))
+    col = dict(tb.columns[j])
+    entry = col.pop(tb.rows.index(("b",)))
+    if kind == "heavier row":
+        col[tb.rows.index(("a",))] = entry
+    else:
+        col[tb.rows.index(("b",))] = entry * LaurentPoly(Q, {0: 1, 1: 1})
+    columns = list(tb.columns)
+    columns[j] = col
+    boundaries[1] = dataclasses.replace(tb, columns=columns)
+    return fc, chi, 2, boundaries
+
+
+TAMPERED = {"heavier row": "weights must not increase along faces",
+            "vanishing unit": "leading unit vanished"}
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERED))
+def test_weighted_complex_rejects_a_tampered_boundary(kind):
+    fc, chi, d, boundaries = _tampered_boundaries(kind)
+    weighted_complex(fc, chi, d, q_boundaries(fc, chi))     # untampered: accepted
+    with pytest.raises(ArithmeticError, match=TAMPERED[kind]):
+        weighted_complex(fc, chi, d, boundaries)
+
+
+def test_weighted_complex_checks_survive_python_O():
+    """The checks are raises, not asserts, so `python -O` keeps them."""
+    script = "\n".join([
+        "import sys",
+        "from artinkernels import weighted_complex",
+        "from test_spectral import _tampered_boundaries",
+        "print('optimize', sys.flags.optimize)",
+        "for kind in sys.argv[1:]:",
+        "    try:",
+        "        weighted_complex(*_tampered_boundaries(kind))",
+        "    except ArithmeticError as exc:",
+        "        print(kind, 'raised', exc)",
+        "    else:",
+        "        print(kind, 'accepted')"])
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-O", "-c", script, *sorted(TAMPERED)],
+                         env=env, cwd=here, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[0] == "optimize 1" and len(out) == 1 + len(TAMPERED)
+    for kind, line in zip(sorted(TAMPERED), out[1:]):
+        assert line.startswith(f"{kind} raised {TAMPERED[kind]}"), line
 
 
 def _brute_page_dims(wc):
