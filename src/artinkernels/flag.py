@@ -7,6 +7,7 @@ vertices is k and the degree-0 boundary is the augmentation map onto the
 empty simplex.
 
 The incidence sign of dropping the i-th vertex of a simplex is (-1)^i.
+Every boundary reads the facets of a simplex by position (`facets`).
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from . import linalg
 from .graphs import LabeledGraph
 from .scalars import Field, FieldSpec
 
-Simplex = tuple
-
 
 class FlagComplex:
-    __slots__ = ("graph", "by_dim", "_pos")
+    __slots__ = ("graph", "by_dim", "_pos", "_facets")
 
     def __init__(self, graph: LabeledGraph, by_dim: dict):
         self.graph = graph
         self.by_dim = by_dim
         self._pos = {}
+        self._facets = {}
         for sims in by_dim.values():
             for i, s in enumerate(sims):
                 self._pos[s] = i
@@ -38,12 +38,15 @@ class FlagComplex:
     def simplices_of(self, k: int) -> list:
         return self.by_dim.get(k, [])
 
-    def all_simplices(self):
-        for k in sorted(self.by_dim):
-            yield from self.by_dim[k]
-
-    def position(self, simplex: Simplex) -> int:
-        return self._pos[simplex]
+    def facets(self, k: int) -> list:
+        """Per k-simplex X, the positions of X[:i] + X[i+1:], i = 0 .. k;
+        the last one is the prefix X[:-1].  Built on first use."""
+        table = self._facets.get(k)
+        if table is None:
+            pos = self._pos
+            table = self._facets[k] = [tuple(pos[X[:i] + X[i + 1:]] for i in range(len(X)))
+                                       for X in self.simplices_of(k)]
+        return table
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self._pos
@@ -56,25 +59,27 @@ class FlagComplex:
 
 
 def build_flag_complex(g: LabeledGraph) -> FlagComplex:
-    """Enumerate every spherical clique once, in sorted vertex order.  A
-    clique carries the vertices its label >= 4 edges cover, so extending it
-    by w checks only the edges at w against `graphs.is_spherical`'s rule."""
-    n = len(g.vertices)
+    """Enumerate every spherical clique once, depth first with vertices in
+    the canonical order, so that each degree comes out sorted.  A clique
+    carries the later vertices adjacent to all of it and the vertices its
+    label >= 4 edges cover, so extending it by w checks only the edges at w
+    against `graphs.is_spherical`'s rule."""
+    label = {v: {} for v in g.vertices}
+    for u, w in g.edge_list:
+        label[u][w] = label[w][u] = g.ell(u, w)
     by_dim: dict[int, list] = {-1: [()]}
-    stack = [((v,), i, frozenset()) for i, v in enumerate(g.vertices)]
+    stack = [((v,), [w for w in g.vertices[i + 1:] if w in label[v]], frozenset())
+             for i, v in reversed(list(enumerate(g.vertices)))]
     while stack:
-        simplex, last, covered = stack.pop()
+        simplex, later, covered = stack.pop()
         by_dim.setdefault(len(simplex) - 1, []).append(simplex)
-        for j in range(last + 1, n):
-            w = g.vertices[j]
-            if all(g.has_edge(v, w) for v in simplex):
-                wide = [v for v in simplex if g.ell(v, w) >= 4]
-                if not wide:
-                    stack.append((simplex + (w,), j, covered))
-                elif len(wide) == 1 and wide[0] not in covered:
-                    stack.append((simplex + (w,), j, covered | {wide[0], w}))
-    for sims in by_dim.values():
-        sims.sort(key=lambda s: tuple(g.index(v) for v in s))
+        for i in range(len(later) - 1, -1, -1):
+            w = later[i]
+            wide = [v for v in simplex if label[v][w] >= 4]
+            if len(wide) > 1 or wide and wide[0] in covered:
+                continue
+            stack.append((simplex + (w,), [x for x in later[i + 1:] if x in label[w]],
+                          covered | {wide[0], w} if wide else covered))
     return FlagComplex(g, by_dim)
 
 
@@ -96,19 +101,22 @@ def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatri
     """
     field = fspec.scalars()
     signs = (field.one, field.neg(field.one))
-    columns = [{fc.position(X[:i] + X[i + 1:]): signs[i % 2] for i in range(len(X))}
-               for X in fc.simplices_of(k)]
+    columns = [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
     return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, field)
 
 
 def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
-    """dim_K im(boundary_k) for k = 0 .. dim+1 (the last one is 0)."""
+    """dim_K im(boundary_k) for k = 0 .. dim+1 (the last one is 0), from
+    the top degree down, each skipping the lead rows of its own reduction
+    one degree up: boundary_k kills the reduced column of boundary_(k+1)
+    with lead row X, so column X adds no rank (clearing, see `linalg`)."""
     field = fspec.scalars()
-    out = []
-    for k in range(0, fc.dim + 2):
-        m = boundary_matrix(fc, k, fspec)
-        out.append(linalg.rank(field, m.columns))
-    return out
+    out, cleared = [0], frozenset()
+    for k in range(fc.dim, -1, -1):
+        leads = set()
+        out.append(linalg.rank(field, boundary_matrix(fc, k, fspec).columns, cleared, leads))
+        cleared = leads
+    return out[::-1]
 
 
 def reduced_homology_ranks(fc: FlagComplex, fspec: FieldSpec) -> list[int]:

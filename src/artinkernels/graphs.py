@@ -90,9 +90,6 @@ class LabeledGraph:
         iu, iv = self._index[u], self._index[v]
         return (u, v) if iu < iv else (v, u)
 
-    def index(self, v) -> int:
-        return self._index[v]
-
     @property
     def edge_list(self):
         return sorted(self.labels, key=lambda p: (self._index[p[0]], self._index[p[1]]))

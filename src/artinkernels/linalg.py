@@ -20,8 +20,10 @@ returns the lead row each adds.  :func:`rank` counts those leads (fed
 rows give the same count), :func:`staircase_leads` takes prefix snapshots
 of them, and the Smith route reads its pivot gaps from them.  The `skip`
 columns are ones the caller knows to be combinations of the columns
-before them (clearing, see `spectral`): they would reduce to zero and add
-no lead.
+before them, so they add no lead: each caller (`flag.image_dims`, the
+Smith route and its t = 2 check, `spectral`) skips the leads of its own
+reduction one chain degree up, in the same order, as consecutive
+boundaries compose to zero (clearing, Chen and Kerber, 2011).
 """
 
 from __future__ import annotations
@@ -79,9 +81,13 @@ def column_leads(field: Field, columns: Iterable[dict[int, object]],
     return [None if j in skip else ech.insert(col) for j, col in enumerate(columns)]
 
 
-def rank(field: Field, rows: list[dict]) -> int:
-    """Rank of sparse rows (or columns: the rank is the same)."""
-    return sum(lead is not None for lead in column_leads(field, rows))
+def rank(field: Field, rows: list[dict], skip=frozenset(), leads: set | None = None) -> int:
+    """Rank of sparse rows (or columns: the rank is the same), skipping the
+    indices in `skip`; the lead rows are added to `leads` when given."""
+    found = set(column_leads(field, rows, skip)) - {None}
+    if leads is not None:
+        leads |= found
+    return len(found)
 
 
 def staircase_leads(field: Field, columns: list[dict[int, object]],

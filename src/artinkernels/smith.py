@@ -32,12 +32,14 @@ columns before it, when the k-simplices stand in one order in both.  So
 :func:`homology_modules` reduces from the top degree down and hands each
 reduction's pivot rows, keyed by the weight tuple that orders them, to the
 degree below, which skips them only under an equal column weight tuple;
-they would reduce to zero.  The rank at t = 2 stays a full elimination.
-Every
-irreducible factor of Phi_d gets the same exponents, so the invariant
-factors are products of Phi_d (mod p over GF(p)) and nothing is factored.
+they would reduce to zero.  Every irreducible factor of Phi_d gets the
+same exponents, so the invariant factors are products of Phi_d (mod p over
+GF(p)) and nothing is factored.
 Each call checks the weights against the entries of the real polynomial
-matrix, and over Q its rank at t = 2 against the pivot count.
+matrix, and over Q the pivot count against the rank at t = 2, which
+clears with the pivots of its own t = 2 reduction one degree up in
+simplex order (the boundaries compose to zero at t = 2 too), never with
+the engine's: the check must not read the result it checks.
 
 :func:`smith_normal_form` (Euclidean reduction), :func:`taylor_block` and
 :func:`cyclotomic_candidates` are references the tests hold the engine
@@ -86,6 +88,8 @@ class SmithForm:
     exponents: dict | None = None
     # row weight tuple -> pivot rows of the reduction in that row order
     pivot_rows: dict | None = None
+    # over Q: the lead rows of the rank check's reduction at t = 2
+    point_pivots: set | None = None
 
     @property
     def nontrivial_factors(self) -> list:
@@ -260,11 +264,12 @@ def _strip_t(field, cs: list) -> list:
 SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
 
 
-def specialized_rank(m: PolyMatrix) -> int:
+def specialized_rank(m: PolyMatrix, cleared=frozenset(), leads: set | None = None) -> int:
     """Rank of a matrix whose nonzero minors only vanish on the unit circle
-    or at zero, via exact evaluation at SPECIALIZATION_POINT."""
+    or at zero, via exact evaluation at SPECIALIZATION_POINT, skipping the
+    columns `cleared`; `leads` as in `linalg.rank`."""
     field = m.field
-    return linalg.rank(field, m.evaluate(field.from_int(SPECIALIZATION_POINT)))
+    return linalg.rank(field, m.evaluate(field.from_int(SPECIALIZATION_POINT)), cleared, leads)
 
 
 def taylor_block(m: PolyMatrix, d: int, order: int) -> list:
@@ -352,43 +357,49 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
                      pivot_rows=pivot_rows)
 
 
-def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights: list,
-                   rank: int) -> None:
+def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights: list) -> None:
     """Check the weights against the entries of m, as ss checks its
     residues: m is nonzero exactly where `columns` has an entry, and each
     entry spans (degree minus valuation) the sum of phi(d) * (w_d(X) -
     w_d(Y)), because t^n - 1 is a unit times a product of Phi_d of total
-    degree n over every field.  Over Q the pivot count is also checked
-    against m at t = 2."""
+    degree n over every field."""
     def span(w):
         return sum(totient(d) * e for d, e in w.items())
 
     row_spans = [span(w) for w in row_weights]
+    entry_spans = {}            # entries that are one object are read once
     for j, col in enumerate(m.columns):
         if col.keys() != columns[j].keys():
             raise ArithmeticError(f"the signed boundary and m have entries in "
                                   f"different rows of column {m.cols[j]}")
         col_span = span(col_weights[j])
         for i, e in col.items():
-            if e.degree() - e.valuation() != col_span - row_spans[i]:
+            got = entry_spans.get(id(e))
+            if got is None:
+                got = entry_spans[id(e)] = e.degree() - e.valuation()
+            if got != col_span - row_spans[i]:
                 raise ArithmeticError(f"weights do not match the entry at "
                                       f"{m.rows[i]}, {m.cols[j]}")
-    if m.field.char == 0:
-        at_point = specialized_rank(m)
-        if at_point != rank:
-            raise ArithmeticError(f"{rank} pivots but rank {at_point} at "
-                                  f"t = {SPECIALIZATION_POINT}")
 
 
 def boundary_smith_form(m: PolyMatrix, fc: FlagComplex, c: Character,
                         fspec: FieldSpec, tables: BoundaryTables | None = None,
-                        cleared: dict | None = None) -> SmithForm:
+                        above: SmithForm | None = None) -> SmithForm:
     """The Smith form of m = twisted_boundary(fc, c, fspec, k), every field
     alike: the persistence of its signed boundary under the weights, read
-    from `tables` when given, skipping the columns `cleared` names."""
+    from `tables` when given, clearing with the pivot rows of `above`, the
+    Smith form of degree k + 1 (module docstring)."""
     columns, row_weights, col_weights = signed_boundary(fc, c, fspec, m.k, tables)
-    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec, cleared)
-    _check_weights(m, columns, row_weights, col_weights, snf.rank)
+    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec,
+                                       above and above.pivot_rows)
+    _check_weights(m, columns, row_weights, col_weights)
+    if m.field.char == 0:
+        snf.point_pivots = set()
+        at_point = specialized_rank(m, above.point_pivots if above else frozenset(),
+                                    snf.point_pivots)
+        if at_point != snf.rank:
+            raise ArithmeticError(f"{snf.rank} pivots but rank {at_point} at "
+                                  f"t = {SPECIALIZATION_POINT}")
     return snf
 
 
@@ -455,10 +466,9 @@ def homology_modules(fc: FlagComplex, c: Character, fspec: FieldSpec,
     The boundaries are reduced from the top down, each clearing with the
     pivot rows of the one above (module docstring).
     """
-    snfs, cleared = {}, {}
+    snfs, above = {}, None
     for k in range(degrees.stop, degrees.start - 1, -1):
-        snfs[k] = boundary_smith_form(boundaries[k], fc, c, fspec, tables, cleared)
-        cleared = snfs[k].pivot_rows
+        snfs[k] = above = boundary_smith_form(boundaries[k], fc, c, fspec, tables, above)
     decs = {k: decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
                                  snfs[k + 1], fspec)
             for k in degrees}

@@ -158,48 +158,46 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
                                          "non-resonant character")
     kd = cyclotomic_field(d)
 
-    # simplex_weight summed from tables: a simplex adds its last vertex and
-    # the edges to it onto its prefix, which comes earlier (lower degree)
+    # w(X) summed from tables by position: a simplex adds its last vertex
+    # and the edges to it onto its prefix, the last entry of its facets
     vertex_w = {v: vertex_weight(c, v, d) for v in g.vertices}
     edge_w = {}
     for u, v in g.edge_list:
         edge_w[u, v] = edge_w[v, u] = edge_weight(g, c, u, v, d)
-    weights = {(): 0}
-    for s in fc.all_simplices():
-        if s:
-            v = s[-1]
-            weights[s] = (weights[s[:-1]] + vertex_w[v]
-                          + sum(edge_w[u, v] for u in s[:-1]))
-    bases = {}
-    positions = {}
-    for n in range(-1, fc.dim + 1):
-        base = sorted(fc.simplices_of(n),
-                      key=lambda s: (weights[s], tuple(g.index(v) for v in s)))
-        bases[n] = base
-        positions.update({s: i for i, s in enumerate(base)})
+    by_position = {-1: [0]}
+    for n in range(0, fc.dim + 1):
+        ws = by_position[n - 1]
+        by_position[n] = [ws[fs[-1]] + vertex_w[X[-1]] + sum(edge_w[u, X[-1]] for u in X[:-1])
+                          for X, fs in zip(fc.simplices_of(n), fc.facets(n))]
+    # each degree in (weight, canonical order): a stable sort of the positions;
+    # slot[n] is the inverse permutation, position -> index in bases[n]
+    order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}
+    slot = {n: sorted(range(len(js)), key=js.__getitem__) for n, js in order.items()}
+    bases = {n: [fc.simplices_of(n)[j] for j in js] for n, js in order.items()}
+    weights = {X: w for n, ws in by_position.items() for X, w in zip(fc.simplices_of(n), ws)}
 
     # entries with equal factors and sign are one shared object, so each
     # (entry, drop) has its leading unit read once
     units = {}
     columns = {-1: [{}]}
     for n in range(0, fc.dim + 1):
-        tb = boundaries[n]
-        cols = []
-        for X in bases[n]:
+        tb, col_w, row_w = boundaries[n], by_position[n], by_position[n - 1]
+        cols = columns[n] = []
+        for j in order[n]:
             col = {}
-            for i, entry in tb.columns[fc.position(X)].items():
-                Y = tb.rows[i]
-                drop = weights[X] - weights[Y]
+            for i, entry in tb.columns[j].items():
+                drop = col_w[j] - row_w[i]
                 if drop < 0:
-                    raise ArithmeticError(f"weights must not increase along faces: {Y}, {X}")
+                    raise ArithmeticError(f"weights must not increase along faces: "
+                                          f"{tb.rows[i]}, {tb.cols[j]}")
                 unit = units.get((id(entry), drop))
                 if unit is None:
                     unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
                     if kd.is_zero(unit):
-                        raise ArithmeticError(f"leading unit vanished at {Y}, {X}")
-                col[positions[Y]] = unit
+                        raise ArithmeticError(f"leading unit vanished at "
+                                              f"{tb.rows[i]}, {tb.cols[j]}")
+                col[slot[n - 1][i]] = unit
             cols.append(col)
-        columns[n] = cols
     return WeightedComplex(fc, c, d, kd, weights, bases, columns,
                            max(weights.values()))
 

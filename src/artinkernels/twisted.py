@@ -104,15 +104,18 @@ def factor_multiplicities(factor, char: int) -> tuple | None:
 class BoundaryTables:
     """What the boundaries of c over one field are made of, each computed
     once for every degree: the factor pair of each edge, the weights of
-    each simplex and each entry polynomial.  A run keeps one."""
+    each simplex by position and each entry polynomial.  A run keeps one."""
 
     def __init__(self, fc: FlagComplex, c: Character, fspec: FieldSpec):
         g = fc.graph
-        self.c, self.char, self.field = c, fspec.char, fspec.scalars()
+        self.fc, self.c, self.char, self.field = fc, c, fspec.char, fspec.scalars()
         self.pairs = {}
+        self._wide = {v: {} for v in g.vertices}        # v -> {w: pair}, lt(vw) > 1
         for u, v in g.edge_list:
-            self.pairs[u, v] = self.pairs[v, u] = (g.ell_tilde(u, v), c.m_edge(u, v))
-        self._weights = {(): (0, Counter())}
+            self.pairs[u, v] = self.pairs[v, u] = pair = (g.ell_tilde(u, v), c.m_edge(u, v))
+            if pair[0] != 1:
+                self._wide[u][v] = self._wide[v][u] = pair
+        self._weights = {-1: ([0], [{}])}
         one = LaurentPoly.one(self.field)
         self._products = {(0,): one, (1,): -one}
 
@@ -125,26 +128,33 @@ class BoundaryTables:
         +-W(X)/W(X minus v)."""
         return [(None, self.c.m(v))] + [self.pairs[v, w] for w in face]
 
-    def weights(self, X) -> tuple:
-        """(number of zero factors, {d: w_d(X)}), where w_d(X) is the
-        exponent of Phi_d in the product of the nonzero factors of W(X),
-        summed along X[:1], ..., X."""
-        w = self._weights.get(X)
-        if w is None:
-            zeros, ws = self.weights(X[:-1])
-            mults = [factor_multiplicities(f, self.char)
-                     for f in self.facet_factors(X[-1], X[:-1])]
-            ws = Counter(ws)
-            for mult in mults:
-                ws.update(dict(mult or ()))
-            w = self._weights[X] = (zeros + mults.count(None), ws)
-        return w
+    def weights(self, k: int) -> tuple[list, list]:
+        """Per k-simplex X, by position: the number of zero factors of W(X)
+        and {d: w_d(X)}, the exponent of Phi_d in the product of its nonzero
+        factors.  A simplex adds `facet_factors(X[-1], X[:-1])` onto the
+        weights of its prefix X[:-1]."""
+        if k not in self._weights:
+            zeros, ws = self.weights(k - 1) if self.fc.simplices_of(k) else ([], [])
+            self._weights[k] = out = ([], [])
+            for X, fs in zip(self.fc.simplices_of(k), self.fc.facets(k)):
+                z, wx = zeros[fs[-1]], dict(ws[fs[-1]])
+                for f in self.facet_factors(X[-1], X[:-1]):
+                    mult = factor_multiplicities(f, self.char)
+                    z += mult is None
+                    for d, e in mult or ():
+                        wx[d] = wx.get(d, 0) + e
+                out[0].append(z)
+                out[1].append(wx)
+        return self._weights[k]
 
     def entry(self, X, i: int) -> LaurentPoly:
-        """The coefficient at (X minus its i-th vertex, X).  Entries with the
-        same sign and factors, up to order, are one object."""
-        tm1, *qs = self.facet_factors(X[i], X[:i] + X[i + 1:])
-        return self._product((i % 2, tm1, *sorted(qs)))
+        """The coefficient at (X minus its i-th vertex, X): the sign times
+        `facet_factors(X[i], X minus X[i])` without its q_1 factors, which
+        label-2 edges give and which are 1 over every field.  Entries with
+        the same sign and other factors, up to order, are one object."""
+        v, wide = X[i], self._wide[X[i]]
+        return self._product((i % 2, (None, self.c.m(v)),
+                              *sorted(wide[w] for w in X if w in wide)))
 
     def _product(self, key: tuple) -> LaurentPoly:
         """(-1)^key[0] times the factors key[1:], one multiply onto the
@@ -164,8 +174,8 @@ def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
     augmentation column map sigma_v -> (t^{m_v} - 1) sigma_empty.
     """
     t = BoundaryTables(fc, c, fspec) if tables is None else tables
-    columns = [{fc.position(X[:i] + X[i + 1:]): e for i in range(len(X)) if (e := t.entry(X, i))}
-               for X in fc.simplices_of(k)]
+    columns = [{f: e for i, f in enumerate(fs) if (e := t.entry(X, i))}
+               for X, fs in zip(fc.simplices_of(k), fc.facets(k))]
     return PolyMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, t.field, k)
 
 
@@ -178,10 +188,8 @@ def signed_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
     same zero factors; otherwise the coefficient has a zero factor and is 0.
     """
     t = BoundaryTables(fc, c, fspec) if tables is None else tables
-    w = t.weights
+    (row_zeros, row_weights), (col_zeros, col_weights) = t.weights(k - 1), t.weights(k)
     signs = (t.field.one, t.field.neg(t.field.one))
-    columns = [{fc.position(X[:i] + X[i + 1:]): signs[i % 2]
-                for i in range(len(X)) if w(X[:i] + X[i + 1:])[0] == w(X)[0]}
-               for X in fc.simplices_of(k)]
-    return (columns, [w(Y)[1] for Y in fc.simplices_of(k - 1)],
-            [w(X)[1] for X in fc.simplices_of(k)])
+    columns = [{f: signs[i % 2] for i, f in enumerate(fs) if row_zeros[f] == z}
+               for fs, z in zip(fc.facets(k), col_zeros)]
+    return columns, row_weights, col_weights

@@ -520,7 +520,7 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
             vec(q_mults(u, v)), tm1(c.m(u)), tm1(c.m(v)),
             tm1(math.gcd(ga, gb)), tm1(ga), tm1(gb)))
 
-    ends = [(g.index(u), g.index(v)) for (u, v) in edges]
+    ends = [(g.vertices.index(u), g.vertices.index(v)) for (u, v) in edges]
     parent = list(range(n))
     root_gcd = [abs(c.m(v)) for v in g.vertices]
     # vectors built by map are lists: tuple(map(...)) allocates for a

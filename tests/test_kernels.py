@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
-                          cyclotomic_field, page_dims, residue_eval,
-                          torsion_support, twisted_boundary, weighted_complex)
+                          cyclotomic_field, homology_modules, page_dims,
+                          residue_eval, torsion_support, twisted_boundary,
+                          weighted_complex)
 from artinkernels import smith, spectral
 from artinkernels.laurent import CyclotomicField, taylor_at_root
 from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_leads
@@ -403,6 +404,20 @@ def test_more_pivots_than_the_rank_raises(monkeypatch):
     fc = build_flag_complex(g)
     m = twisted_boundary(fc, chi, QQ, 1)
     assert boundary_smith_form(m, fc, chi, QQ).rank == 1
-    monkeypatch.setattr(smith, "specialized_rank", lambda mat: 0)
+    with monkeypatch.context() as mp:
+        mp.setattr(smith, "specialized_rank", lambda mat, cleared, leads: 0)
+        with pytest.raises(ArithmeticError, match="pivots"):
+            boundary_smith_form(m, fc, chi, QQ)
+    # on the run path: degree 0 clears the t = 2 lead of degree 1, and a
+    # cleared rank one short still raises
+    real, calls = smith.specialized_rank, []
+
+    def short_when_cleared(mat, cleared, leads):
+        calls.append(len(cleared))
+        return real(mat, cleared, leads) - bool(cleared)
+
+    monkeypatch.setattr(smith, "specialized_rank", short_when_cleared)
+    boundaries = {k: twisted_boundary(fc, chi, QQ, k) for k in range(3)}
     with pytest.raises(ArithmeticError, match="pivots"):
-        boundary_smith_form(m, fc, chi, QQ)
+        homology_modules(fc, chi, QQ, boundaries, range(2))
+    assert calls == [0, 0, 1]

@@ -10,7 +10,7 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly,
                           reduced_homology_ranks,
                           resonance_sets, smith_normal_form, torsion_support,
                           twisted_boundary, verify_shape)
-from artinkernels import linalg
+from artinkernels import boundary_matrix, linalg, smith
 from artinkernels.cli import JobConfig, run, serialize_input
 from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, totient
 from artinkernels.linalg import BottomEchelon
@@ -511,6 +511,64 @@ def test_clearing_leaves_smith_forms_and_modules_unchanged(monkeypatch):
                 seen.add("p | lt")
     assert seen == {"k_max < dim", "m_v = 0", "p | m_v", "p | lt"}
     assert inserts[True] < 0.8 * inserts[False], inserts
+
+
+def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
+    """On seeded random FC graphs (labels 2, 4, 6, weights with zeros):
+    `image_dims` over Q, GF(2) and GF(3) equals the full rank of every
+    `boundary_matrix`, and every cleared rank at t = 2 the Smith route
+    checks over Q equals the uncleared one.  Returns the columns each
+    elimination skipped."""
+    skipped = {"image_dims": 0, "t = 2": 0}
+    real_rank, real_point_rank = linalg.rank, smith.specialized_rank
+
+    def rank_spy(field, rows, skip=frozenset(), leads=None):
+        skipped["image_dims"] += len(skip)
+        return real_rank(field, rows, skip, leads)
+
+    def point_rank_spy(m, cleared=frozenset(), leads=None):
+        got = real_point_rank(m, cleared, leads)
+        assert got == real_point_rank(m), (m.k, sorted(cleared))
+        skipped["t = 2"] += len(cleared)
+        return got
+
+    for _ in range(count):
+        g, chi = random_case(rng, max_vertices=6, labels=(2, 2, 4, 6), edge_prob=0.8,
+                             allow_zero=True)
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F2, F3):
+            field = fspec.scalars()
+            with mp.context() as spy:
+                spy.setattr(linalg, "rank", rank_spy)
+                got = image_dims(fc, fspec)
+            assert got == [real_rank(field, boundary_matrix(fc, k, fspec).columns)
+                           for k in range(fc.dim + 2)], (g.raw_edges, fspec)
+        boundaries = {k: twisted_boundary(fc, chi, QQ, k) for k in range(fc.dim + 2)}
+        with mp.context() as spy:
+            spy.setattr(smith, "specialized_rank", point_rank_spy)
+            homology_modules(fc, chi, QQ, boundaries, range(fc.dim + 1))
+    return skipped
+
+
+def test_clearing_in_both_check_eliminations_matches_full_ones(monkeypatch):
+    skipped = _check_clearing_against_full_eliminations(monkeypatch, random.Random(97), 25)
+    assert skipped["image_dims"] > 50 and skipped["t = 2"] > 50, skipped
+
+
+def test_differential_clearing_catches_one_column_cleared_too_many(monkeypatch):
+    """A mutant that, whenever it clears, also skips the last column left
+    fails the check above."""
+    real = linalg.column_leads
+
+    def one_more(field, columns, skip=frozenset()):
+        columns = list(columns)
+        if skip:
+            skip = set(skip) | {max(set(range(len(columns))) - set(skip), default=None)}
+        return real(field, columns, skip)
+
+    monkeypatch.setattr(linalg, "column_leads", one_more)
+    with pytest.raises((AssertionError, ArithmeticError)):
+        _check_clearing_against_full_eliminations(monkeypatch, random.Random(97), 25)
 
 
 def _module_report(g, chi, fspec):

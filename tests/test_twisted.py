@@ -1,10 +1,11 @@
 import random
 
-from artinkernels import (LaurentPoly, build_flag_complex, boundary_matrix,
-                          twisted_boundary)
+from artinkernels import (Character, LabeledGraph, LaurentPoly, build_flag_complex,
+                          boundary_matrix, twisted_boundary)
 from artinkernels.linalg import rank as field_rank
+from artinkernels.twisted import BoundaryTables, factor_poly
 
-from conftest import (QQ, F2, dihedral_graph, random_case,
+from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
 from oracles import (compose, dense, list_weights, minor, poly_matrix_rank,
                      simplex_weights)
@@ -198,3 +199,55 @@ def _det(field, rows):
         term = field.mul(c, _det(field, sub))
         acc = field.add(acc, term if j % 2 == 0 else field.neg(term))
     return acc
+
+
+def _random_tables(rng, count):
+    """Seeded random FC graphs (labels 2, 4, 6, weights with zeros) with
+    one `BoundaryTables` per field."""
+    for _ in range(count):
+        g, chi = random_case(rng, max_vertices=6, labels=(2, 2, 4, 6), edge_prob=0.8,
+                             allow_zero=True)
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F2, F3):
+            yield fc, chi, fspec, BoundaryTables(fc, chi, fspec)
+
+
+def test_facet_table_lists_the_facet_positions():
+    rng = random.Random(83)
+    for fc, _chi, _fspec, _t in _random_tables(rng, 10):
+        for k in range(-1, fc.dim + 2):
+            faces = fc.simplices_of(k - 1)
+            assert fc.facets(k) == [tuple(faces.index(X[:i] + X[i + 1:]) for i in range(len(X)))
+                                    for X in fc.simplices_of(k)]
+
+
+def test_every_entry_is_the_product_of_its_facet_factors():
+    """q_1 factors are left out of the sharing key, not out of the value."""
+    rng = random.Random(89)
+    seen = set()
+    for fc, chi, fspec, t in _random_tables(rng, 12):
+        field = fspec.scalars()
+        for k in range(0, fc.dim + 1):
+            m = twisted_boundary(fc, chi, fspec, k, t)
+            for j, X in enumerate(fc.simplices_of(k)):
+                for i, row in enumerate(fc.facets(k)[j]):
+                    factors = t.facet_factors(X[i], X[:i] + X[i + 1:])
+                    want = LaurentPoly.one(field) if i % 2 == 0 else -LaurentPoly.one(field)
+                    for f in factors:
+                        want = want * factor_poly(f, field)
+                    assert m.columns[j].get(row, LaurentPoly.zero(field)) == want
+                    seen.update(("q_1" if f[0] == 1 else "wide") for f in factors[1:])
+                    seen.add("zero" if want.is_zero() else "nonzero")
+    assert seen == {"q_1", "wide", "zero", "nonzero"}
+
+
+def test_label_two_complete_graph_has_two_entries_per_vertex_weight():
+    names = [f"v{i}" for i in range(6)]
+    g = LabeledGraph(names, [(u, v, 2) for i, u in enumerate(names) for v in names[i + 1:]])
+    chi = Character(g, dict(zip(names, (1, 1, 2, 3, 3, -2))))
+    fc = build_flag_complex(g)
+    for fspec in (QQ, F3):
+        t = BoundaryTables(fc, chi, fspec)
+        objects = {id(e) for k in range(fc.dim + 1)
+                   for col in twisted_boundary(fc, chi, fspec, k, t).columns for e in col.values()}
+        assert len(objects) == 2 * len({chi.m(v) for v in names})
