@@ -31,6 +31,6 @@ from .spectral import (DisconnectedGraphError, ForestBudgetError,
                        ResonantCharacterError, WeightedComplex,
                        forest_fitting_h1, jordan_bound_check, page_dims,
                        simplex_weight, solve_torsion, weighted_complex)
-from .twisted import PolyMatrix, twisted_boundary
+from .twisted import BoundaryTables, PolyMatrix, twisted_boundary
 
 __version__ = "0.1.0"

@@ -191,8 +191,11 @@ def run(job: JobConfig) -> Report:
     if job.text is not None:
         text = job.text
     elif job.input_path is not None:
-        with open(job.input_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(job.input_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{job.input_path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     else:
         raise InputError("no input given")
     parsed = parse_input(text)
@@ -244,17 +247,10 @@ def run(job: JobConfig) -> Report:
         "flag_homology": {"reduced_ranks": ranks, "image_dims": imdims},
     }
 
-    # the multiplicity spectral sequence (characteristic zero, non-resonant)
-    # filters every degree, so it needs the boundaries through fc.dim
-    want_ss = "ss" in job.methods
-    ss_applicable = fspec.char == 0 and res.is_K_nonresonant and support is not None
-    top = max(k_max + 1, fc.dim) if want_ss and ss_applicable else k_max + 1
-
-    # Smith normal form spine: every boundary built once, diagonalized
-    # through degree k_max + 1
-    tables = BoundaryTables(fc, character, fspec)
-    boundaries = {k: twisted_boundary(fc, character, fspec, k, tables) for k in range(top + 1)}
-    snfs, decs = homology_modules(fc, character, fspec, boundaries, range(k_max + 1), tables)
+    # Smith normal form spine: one twisted complex, each boundary built
+    # once when first asked for, diagonalized through degree k_max + 1
+    tc = BoundaryTables(fc, character, fspec)
+    snfs, decs = homology_modules(tc, range(k_max + 1))
     modules = []
     for k, dec in decs.items():
         entry = {
@@ -278,7 +274,7 @@ def run(job: JobConfig) -> Report:
         modules.append(entry)
     data["homology"] = {"k_max": k_max, "modules": modules}
     if job.dump_matrices:
-        data["matrices"] = {str(k): boundaries[k].dump() for k in range(0, k_max + 2)}
+        data["matrices"] = {str(k): twisted_boundary(tc, k).dump() for k in range(0, k_max + 2)}
 
     cross_checks: list = []
     methods: dict = {"snf": {"ran": True}}
@@ -287,10 +283,13 @@ def run(job: JobConfig) -> Report:
         cross_checks.append({"subject": subject, "methods": ["snf", method],
                              "agree": agree, "detail": detail})
 
-    # multiplicity spectral sequence, on the spine's boundaries
-    if want_ss and ss_applicable:
+    # multiplicity spectral sequence (characteristic zero, non-resonant), on
+    # the spine's boundaries: it filters every degree through fc.dim
+    want_ss = "ss" in job.methods
+    if want_ss and fspec.char == 0 and res.is_K_nonresonant and support is not None:
         rows = {}
         pages_out = {}
+        boundaries = {n: twisted_boundary(tc, n) for n in range(fc.dim + 1)}
         for d in support.values:
             wc = weighted_complex(fc, character, d, boundaries)
             pt = page_dims(wc)
@@ -378,10 +377,8 @@ def run(job: JobConfig) -> Report:
         for comp in connected_components(g):
             sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list
                                       if u in comp and v in comp])
-            sub_chi = character.restrict(sub)
-            sub_fc = build_flag_complex(sub)
-            sub_snf = boundary_smith_form(
-                twisted_boundary(sub_fc, sub_chi, fspec, 1), sub_fc, sub_chi, fspec)
+            sub_tc = BoundaryTables(build_flag_complex(sub), character.restrict(sub), fspec)
+            sub_snf = boundary_smith_form(sub_tc, 1)
             pieces.extend(_poly_list(sub_snf.nontrivial_factors))
         check("H_1 torsion splits over components", "snf-per-component",
               whole == sorted(pieces), f"whole={whole} pieces={sorted(pieces)}")

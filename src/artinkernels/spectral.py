@@ -368,8 +368,7 @@ def forest_budget() -> int:
     return int(raw)
 
 
-def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
-                      budget: int | None = None) -> list:
+def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     """Invariant factors of the degree-1 twisted boundary from rooted
     spanning forests; the nontrivial ones are the torsion of H_1.
 
@@ -384,8 +383,8 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
     The minima come from a sweep over the edges in breadth-first order
     that keeps the least vector per connectivity state (module docstring);
     the result depends on neither that order nor the declaration order.
-    Raises ForestBudgetError once the sweep has visited more than `budget`
-    states (default: `forest_budget()`).
+    Raises ForestBudgetError once the sweep has visited more than
+    `forest_budget()` states.
     """
     res = resonance_sets(g, c, fspec)
     if not res.is_K_nonresonant:
@@ -393,8 +392,7 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec,
                                      "character")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("spanning forests need a connected graph")
-    if budget is None:
-        budget = forest_budget()
+    budget = forest_budget()
     p = fspec.char
     n = len(g.vertices)
     edges = g.edge_list

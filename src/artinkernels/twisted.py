@@ -18,9 +18,10 @@ are never zero and control both the minors (every minor of the twisted
 matrix is the matching untwisted minor times p_X q_X ratios) and the
 multiplicity filtration.  The coefficient at (X_v, X) is the sign times
 p_X q_X / p_{X_v} q_{X_v} when X and X_v have the same resonant (zero)
-factors, and 0 when v brings in one of its own: `BoundaryTables` lists
-the factors, `factor_poly` reads them as polynomials (twisted_boundary) and
-`factor_multiplicities` as Phi_d-exponents (signed_boundary).
+factors, and 0 when v brings in one of its own.  `BoundaryTables`, the
+twisted complex every boundary is read from, lists the factors;
+`factor_poly` reads them as polynomials (twisted_boundary, built once per
+degree) and `factor_multiplicities` as Phi_d-exponents (signed_boundary).
 """
 
 from __future__ import annotations
@@ -102,13 +103,14 @@ def factor_multiplicities(factor, char: int) -> tuple | None:
 
 
 class BoundaryTables:
-    """What the boundaries of c over one field are made of, each computed
-    once for every degree: the factor pair of each edge, the weights of
-    each simplex by position and each entry polynomial.  A run keeps one."""
+    """The twisted complex of c on fc over one field and what its boundaries
+    are made of, each computed once: edge factor pairs, simplex weights by
+    position, entry polynomials and the `boundaries` asked for.  A run keeps one."""
 
     def __init__(self, fc: FlagComplex, c: Character, fspec: FieldSpec):
         g = fc.graph
-        self.fc, self.c, self.char, self.field = fc, c, fspec.char, fspec.scalars()
+        self.fc, self.c, self.fspec, self.field = fc, c, fspec, fspec.scalars()
+        self.boundaries = {}
         self.pairs = {}
         self._wide = {v: {} for v in g.vertices}        # v -> {w: pair}, lt(vw) > 1
         for u, v in g.edge_list:
@@ -139,7 +141,7 @@ class BoundaryTables:
             for X, fs in zip(self.fc.simplices_of(k), self.fc.facets(k)):
                 z, wx = zeros[fs[-1]], dict(ws[fs[-1]])
                 for f in self.facet_factors(X[-1], X[:-1]):
-                    mult = factor_multiplicities(f, self.char)
+                    mult = factor_multiplicities(f, self.fspec.char)
                     z += mult is None
                     for d, e in mult or ():
                         wx[d] = wx.get(d, 0) + e
@@ -165,31 +167,30 @@ class BoundaryTables:
         return p
 
 
-def twisted_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
-                     tables: BoundaryTables | None = None) -> PolyMatrix:
-    """The matrix of the equivariant boundary in chain degree k, built from
-    `tables` (made for fc, c and fspec) when given.
+def twisted_boundary(t: BoundaryTables, k: int) -> PolyMatrix:
+    """The matrix of the equivariant boundary in chain degree k of the
+    twisted complex `t`, built on the first request and kept by `t`.
 
     Columns are the k-simplices, rows the (k-1)-simplices; degree 0 is the
     augmentation column map sigma_v -> (t^{m_v} - 1) sigma_empty.
     """
-    t = BoundaryTables(fc, c, fspec) if tables is None else tables
-    columns = [{f: e for i, f in enumerate(fs) if (e := t.entry(X, i))}
-               for X, fs in zip(fc.simplices_of(k), fc.facets(k))]
-    return PolyMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, t.field, k)
+    if k not in t.boundaries:
+        columns = [{f: e for i, f in enumerate(fs) if (e := t.entry(X, i))}
+                   for X, fs in zip(t.fc.simplices_of(k), t.fc.facets(k))]
+        t.boundaries[k] = PolyMatrix(t.fc.simplices_of(k - 1), t.fc.simplices_of(k),
+                                     columns, t.field, k)
+    return t.boundaries[k]
 
 
-def signed_boundary(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
-                    tables: BoundaryTables | None = None) -> tuple[list, list, list]:
-    """The degree-k boundary as the weights see it: sparse columns
+def signed_boundary(t: BoundaryTables, k: int) -> tuple[list, list, list]:
+    """The degree-k boundary of t as the weights see it: sparse columns
     {row: (-1)^i} over the prime field, one entry per face X minus its i-th
     vertex with as many zero factors as X, and the weights {d: w_d} of rows
     and columns.  A face's factors are among X's, so equal counts mean the
     same zero factors; otherwise the coefficient has a zero factor and is 0.
     """
-    t = BoundaryTables(fc, c, fspec) if tables is None else tables
     (row_zeros, row_weights), (col_zeros, col_weights) = t.weights(k - 1), t.weights(k)
     signs = (t.field.one, t.field.neg(t.field.one))
     columns = [{f: signs[i % 2] for i, f in enumerate(fs) if row_zeros[f] == z}
-               for fs, z in zip(fc.facets(k), col_zeros)]
+               for fs, z in zip(t.fc.facets(k), col_zeros)]
     return columns, row_weights, col_weights

@@ -24,7 +24,7 @@ from artinkernels.smith import _clear_to_polys, taylor_block
 from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
                                    ForestBudgetError, NegativeMultiplicityError,
                                    ResonantCharacterError, forest_budget)
-from artinkernels.twisted import PolyMatrix, factor_poly, twisted_boundary
+from artinkernels.twisted import BoundaryTables, PolyMatrix, factor_poly, twisted_boundary
 
 QQ = FieldSpec()
 
@@ -324,7 +324,7 @@ def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
     ybar = [fc.graph.sort_vertices(y) for y in ybar]
     if len(xbar) != len(ybar):
         raise ValueError("minor needs equally many rows and columns")
-    m = twisted_boundary(fc, c, fspec, k)
+    m = twisted_boundary(BoundaryTables(fc, c, fspec), k)
     return det(submatrix(m, ybar, xbar))
 
 
@@ -361,8 +361,9 @@ def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> di
     kd = cyclotomic_field(d)
     dims = {}
     big_rank = {}
+    t = BoundaryTables(fc, c, QQ)
     for n in range(0, fc.dim + 2):
-        tb = twisted_boundary(fc, c, QQ, n)
+        tb = twisted_boundary(t, n)
         rows = taylor_block(tb, d, s)
         big_rank[n] = field_rank(kd, sparse(rows))
     for k in range(0, fc.dim + 1):

@@ -20,7 +20,7 @@ complex (H_2 free rank).
 import random
 from itertools import chain, combinations
 
-from artinkernels import (LaurentPoly, boundary_smith_form, build_f2,
+from artinkernels import (BoundaryTables, LaurentPoly, boundary_smith_form, build_f2,
                           build_flag_complex, build_gamma1,
                           forest_fitting_h1, h1_free_rank,
                           h2_free_rank, homology_module, image_dims,
@@ -227,7 +227,7 @@ def test_acceptance_5_oracle_equivalence_sweep():
                 if got != decs[k].exponents_for(d):
                     mismatches.append((i, "ss", d, k))
         forest = forest_fitting_h1(g, chi, QQ)
-        snf1 = boundary_smith_form(twisted_boundary(fc, chi, QQ, 1), fc, chi, QQ)
+        snf1 = boundary_smith_form(BoundaryTables(fc, chi, QQ), 1)
         if forest != snf1.invariant_factors:
             mismatches.append((i, "forest"))
         for k in range(fc.dim + 1):
@@ -273,15 +273,14 @@ def test_acceptance_6_structural_invariants():
 
         # boundary-of-boundary vanishes: untwisted, twisted, quotient complex
         from artinkernels import boundary_matrix
+        t = BoundaryTables(fc, chi, fspec)
         for k in range(0, fc.dim + 1):
             a = boundary_matrix(fc, k, fspec)
             b = boundary_matrix(fc, k + 1, fspec)
             if any(not field.is_zero(x)
                    for row in matmul(field, dense(a), dense(b)) for x in row):
                 failures.append((idx, "untwisted dd", k))
-            ta = twisted_boundary(fc, chi, fspec, k)
-            tb = twisted_boundary(fc, chi, fspec, k + 1)
-            if not compose(ta, tb).is_zero():
+            if not compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero():
                 failures.append((idx, "twisted dd", k))
         qc = build_f2(fc, chi, fspec)
         if any(x for col in compose_int_columns(qc.d1, qc.d2) for x in col.values()):
@@ -336,7 +335,7 @@ def test_acceptance_6_structural_invariants():
                 # U * cleared * V reconstruction over Q on the fixture cases,
                 # whose entry degrees keep Euclidean reduction well behaved
                 for k in (1, 2):
-                    m = twisted_boundary(fc, normalized, fspec, k)
+                    m = twisted_boundary(BoundaryTables(fc, normalized, fspec), k)
                     if not m.cols:
                         continue
                     s = smith_normal_form(m, keep_transforms=True)
@@ -350,7 +349,7 @@ def test_acceptance_6_structural_invariants():
                                 failures.append((idx, "umv-q", k))
         else:
             for k in range(0, fc.dim + 1):
-                m = twisted_boundary(fc, normalized, fspec, k + 1)
+                m = twisted_boundary(BoundaryTables(fc, normalized, fspec), k + 1)
                 s = smith_normal_form(m, keep_transforms=True)
                 for f, h in zip(s.invariant_factors, s.invariant_factors[1:]):
                     try:
@@ -399,15 +398,16 @@ def test_acceptance_7_fitting_bruteforce():
         g, chi = random_case(rng, max_vertices=4)
         fc = build_flag_complex(g)
         fspec = QQ if trial % 3 else F2
+        t = BoundaryTables(fc, chi, fspec)
         for k in (1, 2):
-            m = twisted_boundary(fc, chi, fspec, k)
+            m = twisted_boundary(t, k)
             if not m.rows or not m.cols:
                 continue
             rows = m.rows[:4]
             cols = m.cols[:4]
             m = submatrix(m, rows, cols)
             # the engine's reduction step on the same 4 x 4 corner
-            signs, row_w, col_w = signed_boundary(fc, chi, fspec, k)
+            signs, row_w, col_w = signed_boundary(t, k)
             corner = [{i: x for i, x in col.items() if i < 4} for col in signs[:4]]
             snf = cyclotomic_invariant_factors(corner, row_w[:4], col_w[:4], fspec)
             field = m.field

@@ -4,12 +4,13 @@ import random
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinkernels
-from artinkernels import build_flag_complex, homology_module
+from artinkernels import build_flag_complex, homology_module, twisted
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
@@ -19,6 +20,9 @@ from conftest import F3, QQ, random_case
 
 
 SQUARE = fixture_text("square")
+# a triangle and an edge, non-resonant over Q
+TWO_COMPONENTS = ("vertex a 1\nvertex b 2\nvertex c 1\nvertex x 1\nvertex y 3\n"
+                  "edge a b 4\nedge b c 2\nedge a c 2\nedge x y 6\n")
 
 
 def test_parse_square_fixture():
@@ -218,6 +222,28 @@ def test_main_missing_file_is_input_error(tmp_path):
     assert main([str(tmp_path / "nope.graph")]) == 2
 
 
+def test_main_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"vertex a 1\nvertex \xff 2\n")
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {path}: not UTF-8 text (invalid start byte at byte 18)\n"
+
+
+def test_readme_library_snippet_runs():
+    """The README's library example runs as written, and each line that
+    ends in a `# <integer>` comment evaluates to that integer."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(snippet, namespace)
+    claims = re.findall(r"^(\S.*?)\s+# (\d+)$", snippet, re.MULTILINE)
+    assert claims
+    for expr, value in claims:
+        assert eval(expr, namespace) == int(value), expr
+
+
 def test_zero_character_is_input_error():
     with pytest.raises(InputError):
         run(JobConfig(text="vertex a 0\nvertex b 0\n"))
@@ -253,29 +279,64 @@ def test_run_modules_agree_with_homology_module():
             assert entry.get("primary_parts") == want, context
 
 
-def test_run_builds_each_artefact_once(monkeypatch):
-    """The ss and resonant routes reuse the run's twisted boundaries, flag
-    complex, reduced graph and quotient complex instead of building their
-    own: every module binding of these builders is counted."""
+def _count_builds(monkeypatch) -> Counter:
+    """Count every build of the run's artefacts: calls through each module
+    binding of the builders, and each twisted boundary matrix by degree."""
     counts = Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name.partition(".")[0] == "artinkernels"]
-    for name in ("build_flag_complex", "twisted_boundary", "build_gamma1", "build_f2"):
+    for name in ("build_flag_complex", "BoundaryTables", "build_gamma1", "build_f2"):
         orig = getattr(artinkernels, name)
 
         def counted(*args, _name=name, _orig=orig):
-            counts[(_name, args[3]) if _name == "twisted_boundary" else _name] += 1
+            counts[_name] += 1
             return _orig(*args)
 
         for mod in modules:
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
+    matrix = twisted.PolyMatrix
+
+    def counted_matrix(*args):
+        m = matrix(*args)
+        counts["PolyMatrix", m.k] += 1
+        return m
+
+    monkeypatch.setattr(twisted, "PolyMatrix", counted_matrix)
+    return counts
+
+
+def test_run_builds_each_artefact_once(monkeypatch):
+    """The Smith, ss and resonant routes share the run's flag complex,
+    twisted complex, reduced graph and quotient complex, and each boundary
+    is built once however many routes read it.  On a disconnected input
+    the per-component check adds one flag and twisted complex per
+    component, and one degree-1 boundary each; `homology_module` builds
+    one twisted complex."""
+    counts = _count_builds(monkeypatch)
     rep = run(JobConfig(text=SQUARE, field=QQ))
     assert all(rep.data["methods"][m]["ran"] for m in ALL_METHODS)
     k_max = rep.data["homology"]["k_max"]
-    assert counts == Counter({"build_flag_complex": 1, "build_gamma1": 1, "build_f2": 1,
-                              **{("twisted_boundary", k): 1 for k in range(k_max + 2)}})
+    assert counts == Counter({"build_flag_complex": 1, "BoundaryTables": 1,
+                              "build_gamma1": 1, "build_f2": 1,
+                              **{("PolyMatrix", k): 1 for k in range(k_max + 2)}})
+
+    counts.clear()
+    rep = run(JobConfig(text=TWO_COMPONENTS, field=QQ))
+    assert rep.ok and rep.data["methods"]["ss"]["ran"]
+    assert any("components" in c["subject"] for c in rep.data["cross_checks"])
+    k_max = rep.data["homology"]["k_max"]
+    assert counts == Counter({"build_flag_complex": 3, "BoundaryTables": 3,
+                              "build_gamma1": 1, "build_f2": 1,
+                              **{("PolyMatrix", k): 1 for k in range(k_max + 2)},
+                              ("PolyMatrix", 1): 3})
+
+    parsed = parse_input(SQUARE)
+    fc = build_flag_complex(parsed.graph)
+    counts.clear()
+    homology_module(fc, parsed.character, QQ, 1)
+    assert counts == Counter({"BoundaryTables": 1, ("PolyMatrix", 1): 1, ("PolyMatrix", 2): 1})
 
 
 def test_kmax_flag_caps_degrees():

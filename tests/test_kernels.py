@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artinkernels import (Character, LabeledGraph, LaurentPoly,
+from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
                           cyclotomic_field, homology_modules, page_dims,
                           residue_eval, torsion_support, twisted_boundary,
@@ -24,7 +24,7 @@ from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_lea
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
-from conftest import QQ, random_case
+from conftest import QQ, q_boundaries, random_case
 from oracles import fraction_rank, horner_taylor, normalized_column_leads, sparse
 
 Q = QQ.scalars()
@@ -176,9 +176,9 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
     rng = random.Random(3)
     for _ in range(6):
         g, chi = random_case(rng, max_vertices=6)
-        fc = build_flag_complex(g)
-        for k in range(0, fc.dim + 2):
-            m = twisted_boundary(fc, chi, QQ, k)
+        t = BoundaryTables(build_flag_complex(g), chi, QQ)
+        for k in range(0, t.fc.dim + 2):
+            m = twisted_boundary(t, k)
             rows = m.evaluate(Q.from_int(2))
             before = copy.deepcopy(rows)
             assert rank(Q, rows) == dense_rank(Q, [[e.evaluate(Q.from_int(2)) for e in row]
@@ -282,8 +282,7 @@ def test_ss_sweeps_invert_only_the_leads_that_reduce(monkeypatch):
                                       for u, v in combinations("abcdef", 2)])
     chi = Character(g, dict(zip("abcdef", (2, 5, 1, 3, 1, 4))))
     fc = build_flag_complex(g)
-    boundaries = {n: twisted_boundary(fc, chi, QQ, n) for n in range(fc.dim + 1)}
-    wcs = [weighted_complex(fc, chi, d, boundaries) for d in torsion_support(g, chi)]
+    wcs = [weighted_complex(fc, chi, d, q_boundaries(fc, chi)) for d in torsion_support(g, chi)]
     sweeps, inverted = [], []
 
     def spy(field, columns, snapshot_after, cleared=frozenset()):
@@ -384,10 +383,10 @@ def test_local_exponents_match_the_block_reference():
     checked = deep = 0
     for _ in range(20):
         g, chi = random_case(rng, max_vertices=5, labels=(2, 4))
-        fc = build_flag_complex(g)
-        for k in range(0, fc.dim + 2):
-            m = twisted_boundary(fc, chi, QQ, k)
-            snf = boundary_smith_form(m, fc, chi, QQ)
+        t = BoundaryTables(build_flag_complex(g), chi, QQ)
+        for k in range(0, t.fc.dim + 2):
+            m = twisted_boundary(t, k)
+            snf = boundary_smith_form(t, k)
             if snf.rank == 0:
                 continue
             for d in cyclotomic_candidates(g, chi):
@@ -401,13 +400,12 @@ def test_local_exponents_match_the_block_reference():
 def test_more_pivots_than_the_rank_raises(monkeypatch):
     g = LabeledGraph(["u", "v"], [("u", "v", 4)])
     chi = Character(g, {"u": 1, "v": 2})
-    fc = build_flag_complex(g)
-    m = twisted_boundary(fc, chi, QQ, 1)
-    assert boundary_smith_form(m, fc, chi, QQ).rank == 1
+    t = BoundaryTables(build_flag_complex(g), chi, QQ)
+    assert boundary_smith_form(t, 1).rank == 1
     with monkeypatch.context() as mp:
         mp.setattr(smith, "specialized_rank", lambda mat, cleared, leads: 0)
         with pytest.raises(ArithmeticError, match="pivots"):
-            boundary_smith_form(m, fc, chi, QQ)
+            boundary_smith_form(t, 1)
     # on the run path: degree 0 clears the t = 2 lead of degree 1, and a
     # cleared rank one short still raises
     real, calls = smith.specialized_rank, []
@@ -417,7 +415,6 @@ def test_more_pivots_than_the_rank_raises(monkeypatch):
         return real(mat, cleared, leads) - bool(cleared)
 
     monkeypatch.setattr(smith, "specialized_rank", short_when_cleared)
-    boundaries = {k: twisted_boundary(fc, chi, QQ, k) for k in range(3)}
     with pytest.raises(ArithmeticError, match="pivots"):
-        homology_modules(fc, chi, QQ, boundaries, range(2))
+        homology_modules(t, range(2))
     assert calls == [0, 0, 1]

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from artinkernels import (Character, LabeledGraph, LaurentPoly,
-                          boundary_smith_form, build_flag_complex,
+from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
+                          ModuleDecomposition, boundary_smith_form, build_flag_complex,
                           factor_invariant, homology_module, homology_modules,
                           image_dims, laurent_gcd, normalize_unit,
                           reduced_homology_ranks,
@@ -16,6 +16,7 @@ from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, toti
 from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import FieldSpec
 from artinkernels.smith import cyclotomic_invariant_factors, decompose_torsion
+from artinkernels.twisted import signed_boundary
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
@@ -231,13 +232,14 @@ def test_free_rank_agrees_with_random_specialization():
     for _ in range(6):
         g, chi = random_case(rng, max_vertices=5)
         fc = build_flag_complex(g)
+        t = BoundaryTables(fc, chi, QQ)
         for k in range(0, fc.dim + 1):
             dec = homology_module(fc, chi, QQ, k)
             # specialize t to a value that is not a root of any torsion
             # factor or of t; a large prime argument is safely generic
             x = Q.from_int(9973)
-            mk = twisted_boundary(fc, chi, QQ, k).evaluate(x)
-            mk1 = twisted_boundary(fc, chi, QQ, k + 1).evaluate(x)
+            mk = twisted_boundary(t, k).evaluate(x)
+            mk1 = twisted_boundary(t, k + 1).evaluate(x)
             from artinkernels.linalg import rank as frank
             dim = len(fc.simplices_of(k)) - frank(Q, mk) - frank(Q, mk1)
             assert dim == dec.free_rank
@@ -264,10 +266,10 @@ def test_cyclotomic_engine_agrees_with_euclidean_on_small_cases():
         fc = build_flag_complex(g)
         for fspec in fields:
             p = fspec.char
+            t = BoundaryTables(fc, chi, fspec)
             for k in range(fc.dim + 2):
-                m = twisted_boundary(fc, chi, fspec, k)
-                a = boundary_smith_form(m, fc, chi, fspec)
-                b = smith_normal_form(m)
+                a = boundary_smith_form(t, k)
+                b = smith_normal_form(twisted_boundary(t, k))
                 context = (g.raw_edges, chi.values, fspec.char, k)
                 assert a.rank == b.rank, context
                 assert a.invariant_factors == b.invariant_factors, context
@@ -287,8 +289,7 @@ def test_cyclotomic_engine_agrees_with_euclidean_on_small_cases():
 
 def _modules(g, chi, fspec):
     fc = build_flag_complex(g)
-    boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
-    decs = homology_modules(fc, chi, fspec, boundaries, range(fc.dim + 1))[1]
+    decs = homology_modules(BoundaryTables(fc, chi, fspec), range(fc.dim + 1))[1]
     return {k: (dec.free_rank, [str(f) for f in dec.invariant_factors])
             for k, dec in decs.items()}
 
@@ -336,9 +337,8 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
     for comp in (("a", "b", "c"), ("x", "y")):
         sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list
                                   if u in comp and v in comp])
-        sub_fc = build_flag_complex(sub)
-        sub_snf = smith_normal_form(
-            twisted_boundary(sub_fc, chi.restrict(sub), QQ, 1))
+        sub_t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), QQ)
+        sub_snf = smith_normal_form(twisted_boundary(sub_t, 1))
         pieces.extend(str(f) for f in sub_snf.nontrivial_factors)
     assert sorted(str(f) for f in whole.invariant_factors) == sorted(pieces)
 
@@ -376,9 +376,9 @@ def test_decompose_torsion_reads_exponents_as_factoring_would():
     cases.append((path, Character(path, {"a": 60, "b": 1, "c": 1})))
     high_exponent = large_order = False
     for g, chi in cases:
-        fc = build_flag_complex(g)
-        for k in range(fc.dim + 1):
-            snf = boundary_smith_form(twisted_boundary(fc, chi, QQ, k + 1), fc, chi, QQ)
+        t = BoundaryTables(build_flag_complex(g), chi, QQ)
+        for k in range(t.fc.dim + 1):
+            snf = boundary_smith_form(t, k + 1)
             assert all(slots[-1] for slots in snf.exponents.values())
             if snf.rank == 0:
                 assert snf.exponents == {}
@@ -391,6 +391,59 @@ def test_decompose_torsion_reads_exponents_as_factoring_would():
             high_exponent |= any(max(s) >= 2 for s in snf.exponents.values())
             large_order |= any(totient(d) >= 4 for d in snf.exponents)
     assert high_exponent and large_order
+
+
+def test_verify_shape_divisibility_chain_verdicts(monkeypatch):
+    """`divisibility-chain` fails on distinct factors where the first does
+    not divide the second, and passes on equal factors, dividing only when
+    they are not one object."""
+    g, chi = square_graph()
+    fc = build_flag_complex(g)
+    res, support = resonance_sets(g, chi, QQ), torsion_support(g, chi)
+    ranks, ims = reduced_homology_ranks(fc, QQ), image_dims(fc, QQ)
+    divisions = []
+    real_div = LaurentPoly.exact_div
+
+    def counted_div(self, other):
+        divisions.append(1)
+        return real_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counted_div)
+
+    def chain(factors, exponents):
+        divisions.clear()
+        dec = ModuleDecomposition(0, QQ, ranks[0], factors, exponents)
+        checks = verify_shape(dec, support, ims, ranks, res, g, chi).checks
+        return {c.name: c.status for c in checks}["divisibility-chain"], len(divisions)
+
+    phi1, phi2 = cyclotomic(1, QQ), cyclotomic(2, QQ)
+    assert chain([phi1, phi2], {1: [1, 0], 2: [0, 1]}) == ("fail", 1)
+    assert chain([phi1, phi1], {1: [1, 1]}) == ("pass", 0)
+    assert chain([phi1, phi1 * LaurentPoly.one(Q)], {1: [1, 1]}) == ("pass", 1)
+
+
+def test_invariant_factors_are_one_object_per_exponent_vector():
+    """Over Q and GF(3), `cyclotomic_invariant_factors` multiplies out each
+    distinct slot exponent vector once: equal vectors share one object,
+    which equals its own `cyclotomic_product`."""
+    rng = random.Random(0x5A3E)
+    shared = 0
+    for _ in range(20):
+        g, chi = random_case(rng, max_vertices=6, labels=(2, 4), edge_prob=0.8,
+                             allow_zero=True)
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F3):
+            t = BoundaryTables(fc, chi, fspec)
+            for k in range(fc.dim + 2):
+                snf = cyclotomic_invariant_factors(*signed_boundary(t, k), fspec)
+                by_vector = {}
+                for i, f in enumerate(snf.invariant_factors):
+                    vector = {d: slots[i] for d, slots in snf.exponents.items() if slots[i]}
+                    assert by_vector.setdefault(tuple(vector.items()), f) is f
+                    assert f == cyclotomic_product(vector, fspec), (g.raw_edges, fspec, k)
+                assert len({id(f) for f in snf.invariant_factors}) == len(by_vector)
+                shared += snf.rank - len(by_vector)
+    assert shared > 0
 
 
 def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
@@ -408,8 +461,7 @@ def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
     for g, chi in cases:
         fc = build_flag_complex(g)
         for fspec in (QQ, F2, F3):
-            boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
-            _, decs = homology_modules(fc, chi, fspec, boundaries, range(fc.dim + 1))
+            _, decs = homology_modules(BoundaryTables(fc, chi, fspec), range(fc.dim + 1))
             for k, dec in decs.items():
                 context = (g.raw_edges, chi.values, str(fspec), k)
                 slots = _slots(dec)
@@ -440,7 +492,7 @@ def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
 def test_decompose_torsion_over_q_needs_exponents():
     g, chi = dihedral_graph()
     fc = build_flag_complex(g)
-    snf = smith_normal_form(twisted_boundary(fc, chi, QQ, 1))
+    snf = smith_normal_form(twisted_boundary(BoundaryTables(fc, chi, QQ), 1))
     assert snf.exponents is None and snf.rank == 1
     with pytest.raises(ValueError):
         decompose_torsion(0, 0, snf, QQ)
@@ -464,12 +516,11 @@ def _clearing_cases(rng, count):
             yield g, chi
 
 
-def _smith_without_clearing(fc, chi, fspec, boundaries, degrees):
+def _smith_without_clearing(t, degrees):
     """`homology_modules` with every column reduced: each boundary alone."""
-    snfs = {k: boundary_smith_form(boundaries[k], fc, chi, fspec)
-            for k in range(degrees.start, degrees.stop + 1)}
-    decs = {k: decompose_torsion(k, len(fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
-                                 snfs[k + 1], fspec)
+    snfs = {k: boundary_smith_form(t, k) for k in range(degrees.start, degrees.stop + 1)}
+    decs = {k: decompose_torsion(k, len(t.fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
+                                 snfs[k + 1], t.fspec)
             for k in degrees}
     return snfs, decs
 
@@ -493,13 +544,13 @@ def test_clearing_leaves_smith_forms_and_modules_unchanged(monkeypatch):
         fc = build_flag_complex(g)
         for fspec in (QQ, F2, F3, F5):
             p = fspec.char
-            boundaries = {k: twisted_boundary(fc, chi, fspec, k) for k in range(fc.dim + 2)}
+            t = BoundaryTables(fc, chi, fspec)
             for k_max in sorted({fc.dim, rng.randint(0, fc.dim)}):
                 degrees = range(k_max + 1)
                 clearing[0] = True
-                got = homology_modules(fc, chi, fspec, boundaries, degrees)
+                got = homology_modules(t, degrees)
                 clearing[0] = False
-                want = _smith_without_clearing(fc, chi, fspec, boundaries, degrees)
+                want = _smith_without_clearing(t, degrees)
                 assert got == want, (g.raw_edges, chi.values, p, k_max)
                 if k_max < fc.dim:
                     seen.add("k_max < dim")
@@ -543,10 +594,9 @@ def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
                 got = image_dims(fc, fspec)
             assert got == [real_rank(field, boundary_matrix(fc, k, fspec).columns)
                            for k in range(fc.dim + 2)], (g.raw_edges, fspec)
-        boundaries = {k: twisted_boundary(fc, chi, QQ, k) for k in range(fc.dim + 2)}
         with mp.context() as spy:
             spy.setattr(smith, "specialized_rank", point_rank_spy)
-            homology_modules(fc, chi, QQ, boundaries, range(fc.dim + 1))
+            homology_modules(BoundaryTables(fc, chi, QQ), range(fc.dim + 1))
     return skipped
 
 

@@ -8,12 +8,12 @@ import sys
 
 import pytest
 
-from artinkernels import (build_flag_complex, forest_fitting_h1,
+from artinkernels import (BoundaryTables, build_flag_complex, forest_fitting_h1,
                           homology_module, jordan_bound_check, page_dims,
                           reduced_homology_ranks, simplex_weight,
                           smith_normal_form, solve_torsion, torsion_support,
                           twisted_boundary, weighted_complex)
-from artinkernels.spectral import (DisconnectedGraphError,
+from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
                                    ForestBudgetError, ResonantCharacterError,
                                    chi_rel)
 from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
@@ -501,7 +501,7 @@ def test_high_degree_single_edge_all_routes():
 def test_forest_factors_match_smith_on_fixtures():
     for g, chi in (dihedral_graph(), square_graph()):
         fc = build_flag_complex(g)
-        snf = smith_normal_form(twisted_boundary(fc, chi, QQ, 1))
+        snf = smith_normal_form(twisted_boundary(BoundaryTables(fc, chi, QQ), 1))
         assert forest_fitting_h1(g, chi, QQ) == snf.invariant_factors
 
 
@@ -528,7 +528,7 @@ def test_forest_route_works_in_prime_characteristic():
     g = LabeledGraph(["u", "v"], [("u", "v", 8)])
     chi = Character(g, {"u": 2, "v": 1})
     fc = build_flag_complex(g)
-    snf = smith_normal_form(twisted_boundary(fc, chi, F2, 1))
+    snf = smith_normal_form(twisted_boundary(BoundaryTables(fc, chi, F2), 1))
     forest = forest_fitting_h1(g, chi, F2)
     assert forest == snf.invariant_factors
     # (t+1)^4 (t^2+t+1)^3 over GF(2): a single size-4 block at t+1
@@ -546,11 +546,11 @@ def test_forest_route_works_in_prime_characteristic():
                 continue
             got = forest_fitting_h1(gg, cc, fspec)
             want = smith_normal_form(
-                twisted_boundary(build_flag_complex(gg), cc, fspec, 1))
+                twisted_boundary(BoundaryTables(build_flag_complex(gg), cc, fspec), 1))
             assert got == want.invariant_factors, (gg.raw_edges, cc.values, fspec)
 
 
-def test_forest_guards():
+def test_forest_guards(monkeypatch):
     g, chi = dihedral_graph()
     with pytest.raises(ResonantCharacterError):
         forest_fitting_h1(g, chi, F2)
@@ -559,8 +559,9 @@ def test_forest_guards():
     with pytest.raises(DisconnectedGraphError):
         forest_fitting_h1(g2, chi2, QQ)
     gs, chis = square_graph()
+    monkeypatch.setenv(FOREST_BUDGET_ENV, "3")
     with pytest.raises(ForestBudgetError):
-        forest_fitting_h1(gs, chis, QQ, budget=3)
+        forest_fitting_h1(gs, chis, QQ)
 
 
 def _forest_contribution(g, c, fspec, chosen) -> LaurentPoly:
@@ -718,28 +719,31 @@ def _cycle(n: int, label: int):
 @pytest.mark.parametrize("case, states", [(_complete(8), 5744),
                                           (_cycle(30, 4), 1234)],
                          ids=["K8", "C30"])
-def test_forest_budget_counts_states(case, states):
+def test_forest_budget_counts_states(case, states, monkeypatch):
     """The budget caps the states the sweep visits: K_8 and C_30 each have
     more than the default 200 000 spanning forests, but few states."""
     g, chi = case
-    assert forest_fitting_h1(g, chi, QQ, budget=states)
+    monkeypatch.setenv(FOREST_BUDGET_ENV, str(states))
+    assert forest_fitting_h1(g, chi, QQ)
+    monkeypatch.setenv(FOREST_BUDGET_ENV, str(states - 1))
     with pytest.raises(ForestBudgetError, match=f"more than {states - 1} forest states"):
-        forest_fitting_h1(g, chi, QQ, budget=states - 1)
+        forest_fitting_h1(g, chi, QQ)
 
 
 
-def test_forest_sweep_cost_ignores_declaration_order():
+def test_forest_sweep_cost_ignores_declaration_order(monkeypatch):
     """The sweep takes the edges in breadth-first order, so C_30 declared
     in a shuffled vertex order visits about as few states as in cycle
     order; in declaration order such a sweep can keep half the cycle on
     the frontier and visit hundreds of thousands."""
     g, chi = _cycle(30, 4)
-    want = forest_fitting_h1(g, chi, QQ, budget=1234)
+    monkeypatch.setenv(FOREST_BUDGET_ENV, "1234")
+    want = forest_fitting_h1(g, chi, QQ)
+    monkeypatch.setenv(FOREST_BUDGET_ENV, "1500")
     rng = random.Random(7)
     for _ in range(3):
         shuffled = LabeledGraph(rng.sample(g.vertices, len(g.vertices)), g.raw_edges)
-        got = forest_fitting_h1(shuffled, Character(shuffled, chi.weights), QQ,
-                                budget=1500)
+        got = forest_fitting_h1(shuffled, Character(shuffled, chi.weights), QQ)
         assert got == want, shuffled.vertices
 
 

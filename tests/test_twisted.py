@@ -1,9 +1,9 @@
 import random
 
-from artinkernels import (Character, LabeledGraph, LaurentPoly, build_flag_complex,
-                          boundary_matrix, twisted_boundary)
+from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
+                          build_flag_complex, boundary_matrix, twisted_boundary)
 from artinkernels.linalg import rank as field_rank
-from artinkernels.twisted import BoundaryTables, factor_poly
+from artinkernels.twisted import factor_poly
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
@@ -21,7 +21,7 @@ def L(coeffs, field=Q):
 def test_vertex_columns_are_t_power_minus_one():
     g, chi = dihedral_graph()
     fc = build_flag_complex(g)
-    m0 = twisted_boundary(fc, chi, QQ, 0)
+    m0 = twisted_boundary(BoundaryTables(fc, chi, QQ), 0)
     assert m0.rows == [()]
     assert m0.entries[0][0] == L({1: 1, 0: -1})       # u with weight 1
     assert m0.entries[0][1] == L({-1: 1, 0: -1})      # v with weight -1
@@ -30,21 +30,21 @@ def test_vertex_columns_are_t_power_minus_one():
 def test_dihedral_edge_column():
     g, chi = dihedral_graph()
     fc = build_flag_complex(g)
-    m1 = twisted_boundary(fc, chi, QQ, 1)
+    m1 = twisted_boundary(BoundaryTables(fc, chi, QQ), 1)
     by_row = {m1.rows[i]: m1.entries[i][0] for i in range(2)}
     # q_2(t^0) = 2; dropping u hits sigma_v with +2(t-1), dropping v hits
     # sigma_u with -2(t^-1 - 1)
     assert by_row[("v",)] == L({1: 2, 0: -2})
     assert by_row[("u",)] == L({-1: -2, 0: 2})
     # ... and the whole column dies over GF(2)
-    m1_2 = twisted_boundary(fc, chi, F2, 1)
+    m1_2 = twisted_boundary(BoundaryTables(fc, chi, F2), 1)
     assert m1_2.is_zero()
 
 
 def test_square_diagonal_matches_published_complex_over_f2():
     g, chi, _ = square_diagonal_graph()
-    fc = build_flag_complex(g)
-    m1 = twisted_boundary(fc, chi, F2, 1)
+    t = BoundaryTables(build_flag_complex(g), chi, F2)
+    m1 = twisted_boundary(t, 1)
 
     def col(edge):
         j = m1.cols.index(edge)
@@ -58,7 +58,7 @@ def test_square_diagonal_matches_published_complex_over_f2():
     assert col(("v0", "v1")) == {("v0",): tp1, ("v1",): L({-1: 1, 0: 1}, GF2)}
     assert col(("v0", "v3")) == {("v0",): tp1, ("v3",): L({-1: 1, 0: 1}, GF2)}
 
-    m2 = twisted_boundary(fc, chi, F2, 2)
+    m2 = twisted_boundary(t, 2)
     for j, tri in enumerate(m2.cols):
         column = {m2.rows[i]: m2.entries[i][j] for i in range(len(m2.rows))
                   if not m2.entries[i][j].is_zero()}
@@ -73,17 +73,16 @@ def test_twisted_boundary_squares_to_zero():
     for g, chi in cases:
         fc = build_flag_complex(g)
         for fspec in (QQ, F2):
+            t = BoundaryTables(fc, chi, fspec)
             for k in range(0, fc.dim + 1):
-                a = twisted_boundary(fc, chi, fspec, k)
-                b = twisted_boundary(fc, chi, fspec, k + 1)
-                assert compose(a, b).is_zero()
+                assert compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero()
 
 
 def test_every_entry_vanishes_at_t_equal_one():
     g, chi = square_graph()
-    fc = build_flag_complex(g)
-    for k in range(0, fc.dim + 2):
-        m = twisted_boundary(fc, chi, QQ, k)
+    t = BoundaryTables(build_flag_complex(g), chi, QQ)
+    for k in range(0, t.fc.dim + 2):
+        m = twisted_boundary(t, k)
         for row in m.entries:
             for e in row:
                 assert Q.is_zero(e.evaluate(Q.one))
@@ -149,7 +148,7 @@ def test_minor_ratio_identity_on_random_small_minors():
     for _ in range(6):
         g, chi = random_case(rng, max_vertices=4, require_connected=True)
         fc = build_flag_complex(g)
-        tb = twisted_boundary(fc, chi, QQ, 1)
+        tb = twisted_boundary(BoundaryTables(fc, chi, QQ), 1)
         ub = dense(boundary_matrix(fc, 1, QQ))
         edges = fc.simplices_of(1)
         verts = fc.simplices_of(0)
@@ -178,8 +177,9 @@ def test_rank_matches_untwisted_rank_when_nonresonant():
         cases.append(random_case(rng, max_vertices=5))
     for g, chi in cases:
         fc = build_flag_complex(g)
+        t = BoundaryTables(fc, chi, QQ)
         for k in range(0, fc.dim + 2):
-            tw = twisted_boundary(fc, chi, QQ, k)
+            tw = twisted_boundary(t, k)
             un = boundary_matrix(fc, k, QQ)
             assert poly_matrix_rank(tw) == field_rank(Q, un.columns)
 
@@ -228,7 +228,7 @@ def test_every_entry_is_the_product_of_its_facet_factors():
     for fc, chi, fspec, t in _random_tables(rng, 12):
         field = fspec.scalars()
         for k in range(0, fc.dim + 1):
-            m = twisted_boundary(fc, chi, fspec, k, t)
+            m = twisted_boundary(t, k)
             for j, X in enumerate(fc.simplices_of(k)):
                 for i, row in enumerate(fc.facets(k)[j]):
                     factors = t.facet_factors(X[i], X[:i] + X[i + 1:])
@@ -249,5 +249,5 @@ def test_label_two_complete_graph_has_two_entries_per_vertex_weight():
     for fspec in (QQ, F3):
         t = BoundaryTables(fc, chi, fspec)
         objects = {id(e) for k in range(fc.dim + 1)
-                   for col in twisted_boundary(fc, chi, fspec, k, t).columns for e in col.values()}
+                   for col in twisted_boundary(t, k).columns for e in col.values()}
         assert len(objects) == 2 * len({chi.m(v) for v in names})
