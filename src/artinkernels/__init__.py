@@ -13,8 +13,7 @@ from .flag import (FlagComplex, IncidenceMatrix, boundary_matrix,
 from .graphs import (Character, GraphError, LabeledGraph, ResonanceSets,
                      ResonantVertexError, TorsionSupport, ZeroCharacterError,
                      connected_components, is_fc_type, is_spherical,
-                     maximal_cliques, resonance_sets, torsion_support,
-                     validate_graph)
+                     resonance_sets, torsion_support, validate_graph)
 from .laurent import (CyclotomicField, Factor, LaurentPoly, ZeroPolynomialError,
                       cyclotomic, cyclotomic_field, factor_invariant,
                       laurent_gcd, normalize_unit, q_poly, residue_eval)

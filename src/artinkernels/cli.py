@@ -31,9 +31,9 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import boundary_smith_form, homology_modules, verify_shape
-from .spectral import (ForestBudgetError, forest_budget, forest_fitting_h1,
-                       jordan_bound_check, page_dims, solve_torsion,
-                       weighted_complex)
+from .spectral import (DisconnectedGraphError, ForestBudgetError, ResonantCharacterError,
+                       forest_budget, forest_fitting_h1, jordan_bound_check, page_dims,
+                       solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, twisted_boundary
 
 SCHEMA = "artinkernels-report/1"
@@ -286,7 +286,7 @@ def run(job: JobConfig) -> Report:
     # multiplicity spectral sequence (characteristic zero, non-resonant), on
     # the spine's boundaries: it filters every degree through fc.dim
     want_ss = "ss" in job.methods
-    if want_ss and fspec.char == 0 and res.is_K_nonresonant and support is not None:
+    if want_ss and fspec.char == 0 and support is not None:
         rows = {}
         pages_out = {}
         boundaries = {n: twisted_boundary(tc, n) for n in range(fc.dim + 1)}
@@ -324,12 +324,12 @@ def run(job: JobConfig) -> Report:
             "needs characteristic zero" if fspec.char != 0
             else "needs a non-resonant character")}
 
-    # rooted spanning forests (degree 0 torsion)
-    want_forest = "forest" in job.methods
-    if want_forest and res.is_K_nonresonant and connected:
+    # rooted spanning forests (degree 0 torsion); the route declines by its
+    # own rules, the reason being its error's message
+    if "forest" in job.methods:
         try:
             factors = forest_fitting_h1(g, character, fspec)
-        except ForestBudgetError as exc:
+        except (ResonantCharacterError, DisconnectedGraphError, ForestBudgetError) as exc:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
             methods["forest"] = {"ran": True, "invariant_factors": _poly_list(factors)}
@@ -337,10 +337,6 @@ def run(job: JobConfig) -> Report:
                 snf_facts = snfs[1].invariant_factors
                 check("H_1 invariant factors", "forest", factors == snf_facts,
                       f"forest={_poly_list(factors)} snf={_poly_list(snf_facts)}")
-    elif want_forest:
-        methods["forest"] = {"ran": False, "reason": (
-            "needs a connected graph" if res.is_K_nonresonant
-            else "needs a K non-resonant character")}
 
     # reduced-complex free ranks (valid resonant or not)
     if "resonant" in job.methods:

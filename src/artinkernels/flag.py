@@ -64,9 +64,7 @@ def build_flag_complex(g: LabeledGraph) -> FlagComplex:
     carries the later vertices adjacent to all of it and the vertices its
     label >= 4 edges cover, so extending it by w checks only the edges at w
     against `graphs.is_spherical`'s rule."""
-    label = {v: {} for v in g.vertices}
-    for u, w in g.edge_list:
-        label[u][w] = label[w][u] = g.ell(u, w)
+    label = g.adjacency
     by_dim: dict[int, list] = {-1: [()]}
     stack = [((v,), [w for w in g.vertices[i + 1:] if w in label[v]], frozenset())
              for i, v in reversed(list(enumerate(g.vertices)))]

@@ -2,7 +2,14 @@
 
 A labeled graph Gamma = (V, E, ell) has even labels ell(e) = 2*lt(e) with
 lt(e) >= 1.  The declaration order of the vertices is the canonical total
-order; every orientation sign downstream derives from it.
+order; every orientation sign downstream derives from it.  A graph builds
+its one neighbour map, `adjacency`, and its sorted `edge_list` once; every
+module reads those.
+
+The only connected spherical Coxeter diagrams with even labels are the
+single edges I_2(2k), so a complete subgraph is spherical iff its
+label >= 4 edges form a matching, and the graph is of FC type iff no
+triangle carries two label >= 4 edges.
 
 A character assigns an integer weight m_v to each vertex; for an edge
 e = {v, w} we write m_e = m_v + m_w.  Resonance over a field K:
@@ -65,11 +72,13 @@ def vertex_problem(known, v) -> str | None:
 class LabeledGraph:
     """Finite simplicial graph with even labels and a fixed vertex order.
 
-    Raises GraphError on a duplicate vertex, or listing every edge that
-    breaks a rule of `edge_problem`.
+    Built once: `edge_list`, the pairs (u, v) with u before v, sorted in
+    the vertex order, and `adjacency`, {v: {w: label}} with each vertex's
+    neighbours in the vertex order.  Raises GraphError on a duplicate
+    vertex, or listing every edge that breaks a rule of `edge_problem`.
     """
 
-    __slots__ = ("vertices", "_index", "labels", "raw_edges")
+    __slots__ = ("vertices", "_index", "raw_edges", "edge_list", "adjacency")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -84,37 +93,33 @@ class LabeledGraph:
         problems = [edge_problem(self._index, seen, *e) for e in self.raw_edges]
         if any(problems):
             raise GraphError("; ".join(p for p in problems if p))
-        self.labels = {self._pair(u, v): l for u, v, l in self.raw_edges}
-
-    def _pair(self, u, v):
-        iu, iv = self._index[u], self._index[v]
-        return (u, v) if iu < iv else (v, u)
-
-    @property
-    def edge_list(self):
-        return sorted(self.labels, key=lambda p: (self._index[p[0]], self._index[p[1]]))
-
-    def has_edge(self, u, v) -> bool:
-        return u != v and self._pair(u, v) in self.labels
+        index = self._index
+        ordered = sorted(((u, v, l) if index[u] < index[v] else (v, u, l)
+                          for u, v, l in self.raw_edges),
+                         key=lambda e: (index[e[0]], index[e[1]]))
+        self.edge_list = [(u, v) for u, v, _ in ordered]
+        self.adjacency = {v: {} for v in self.vertices}
+        for u, v, l in ordered:
+            self.adjacency[u][v] = self.adjacency[v][u] = l
 
     def ell(self, u, v) -> int:
-        return self.labels[self._pair(u, v)]
+        return self.adjacency[u][v]
 
     def ell_tilde(self, u, v) -> int:
         return self.ell(u, v) // 2
 
     def neighbors(self, v):
-        return tuple(w for w in self.vertices if w != v and self.has_edge(v, w))
+        return tuple(self.adjacency[v])
 
     def is_complete(self, vertex_set) -> bool:
         vs = list(vertex_set)
-        return all(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
+        return all(b in self.adjacency[a] for i, a in enumerate(vs) for b in vs[i + 1:])
 
     def sort_vertices(self, vertex_set) -> tuple:
         return tuple(sorted(vertex_set, key=self._index.__getitem__))
 
     def __repr__(self):
-        return f"LabeledGraph({len(self.vertices)} vertices, {len(self.labels)} edges)"
+        return f"LabeledGraph({len(self.vertices)} vertices, {len(self.edge_list)} edges)"
 
 
 def validate_graph(g: LabeledGraph) -> tuple[str, ...]:
@@ -192,29 +197,17 @@ def is_spherical(g: LabeledGraph, vertex_set) -> bool:
     return True
 
 
-def maximal_cliques(g: LabeledGraph):
-    """Bron-Kerbosch with pivoting; fine for the graph sizes handled here."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    out = []
-
-    def expand(r, p, x):
-        if not p and not x:
-            out.append(g.sort_vertices(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(g.vertices), set())
-    return out
-
-
 def is_fc_type(g: LabeledGraph) -> bool:
-    """Every complete subgraph spherical; sphericity is hereditary, so the
-    maximal cliques suffice."""
-    return all(is_spherical(g, clique) for clique in maximal_cliques(g))
+    """Every complete subgraph spherical.  By `is_spherical` a clique fails
+    exactly when two of its label >= 4 edges meet at a vertex, so the graph
+    is FC type iff no triangle carries two label >= 4 edges: no vertex has
+    two label >= 4 neighbours adjacent to each other."""
+    adj = g.adjacency
+    for nbrs in adj.values():
+        wide = [w for w, l in nbrs.items() if l >= 4]
+        if any(b in adj[a] for i, a in enumerate(wide) for b in wide[i + 1:]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

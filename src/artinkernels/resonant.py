@@ -120,8 +120,8 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
     for (u, v) in edges:
         if not edge_resonant(u, v):
             continue
-        link = [w for w in g.vertices
-                if w not in (u, v) and g.sort_vertices((u, v, w)) in fc]
+        link = [w for w in g.adjacency[u]
+                if w in g.adjacency[v] and g.sort_vertices((u, v, w)) in fc]
         if any(w not in vr for w in link):
             removed_edges.add((u, v))
             log.append(f"1-cell {(u, v)}: resonant with non-resonant link")

@@ -266,10 +266,11 @@ SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
 
 def specialized_rank(m: PolyMatrix, cleared=frozenset(), leads: set | None = None) -> int:
     """Rank of a matrix whose nonzero minors only vanish on the unit circle
-    or at zero, via exact evaluation at SPECIALIZATION_POINT, skipping the
-    columns `cleared`; `leads` as in `linalg.rank`."""
+    or at zero, via exact evaluation at SPECIALIZATION_POINT of all but the
+    columns `cleared`, which it skips; `leads` as in `linalg.rank`."""
     field = m.field
-    return linalg.rank(field, m.evaluate(field.from_int(SPECIALIZATION_POINT)), cleared, leads)
+    at_point = m.evaluate(field.from_int(SPECIALIZATION_POINT), cleared)
+    return linalg.rank(field, at_point, cleared, leads)
 
 
 def taylor_block(m: PolyMatrix, d: int, order: int) -> list:

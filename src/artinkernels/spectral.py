@@ -388,10 +388,9 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     """
     res = resonance_sets(g, c, fspec)
     if not res.is_K_nonresonant:
-        raise ResonantCharacterError("forest Fitting ideals need a K non-resonant "
-                                     "character")
+        raise ResonantCharacterError("needs a K non-resonant character")
     if len(connected_components(g)) != 1:
-        raise DisconnectedGraphError("spanning forests need a connected graph")
+        raise DisconnectedGraphError("needs a connected graph")
     budget = forest_budget()
     p = fspec.char
     n = len(g.vertices)
@@ -435,14 +434,10 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     # of their ends' breadth-first ranks, which keeps the frontier narrow
     # whatever the declaration order: a cycle's holds at most three
     # vertices, while declaration order can keep half the cycle on it.
-    nbrs = {v: [] for v in g.vertices}
-    for (u, v) in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
     bfs = [g.vertices[0]]
     rank = {bfs[0]: 0}
     for v in bfs:
-        for w in nbrs[v]:
+        for w in g.adjacency[v]:
             if w not in rank:
                 rank[w] = len(bfs)
                 bfs.append(w)

@@ -63,12 +63,14 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
-    def evaluate(self, x) -> list[dict]:
-        """The matrix at x as sparse columns; entries that are one shared
-        object (see `BoundaryTables.entry`) are evaluated once."""
-        distinct = {id(e): e for col in self.columns for e in col.values()}
+    def evaluate(self, x, skip=frozenset()) -> list[dict]:
+        """The matrix at x as sparse columns, those in `skip` left empty;
+        entries that are one shared object (see `BoundaryTables.entry`) are
+        evaluated once."""
+        columns = [{} if j in skip else col for j, col in enumerate(self.columns)]
+        distinct = {id(e): e for col in columns for e in col.values()}
         values = {k: e.evaluate(x) for k, e in distinct.items()}
-        return [{i: values[id(e)] for i, e in col.items()} for col in self.columns]
+        return [{i: values[id(e)] for i, e in col.items()} for col in columns]
 
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""

@@ -57,7 +57,7 @@ def test_roundtrip_on_fixtures():
         out = serialize_input(parsed.graph, parsed.character, parsed.field)
         again = parse_input(out)
         assert again.graph.vertices == parsed.graph.vertices
-        assert again.graph.labels == parsed.graph.labels
+        assert again.graph.adjacency == parsed.graph.adjacency
         assert again.character.weights == parsed.character.weights
         assert again.field == parsed.field
         assert serialize_input(again.graph, again.character, again.field) == out
@@ -123,7 +123,7 @@ def test_serialized_input_parses_back(case):
         return
     parsed = parse_input(serialize_input(g, chi, fspec))
     assert parsed.graph.vertices == g.vertices
-    assert parsed.graph.labels == g.labels
+    assert parsed.graph.adjacency == g.adjacency
     assert parsed.character.weights == chi.weights
     assert parsed.field == fspec
 

@@ -1,12 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from artinkernels import (Character, GraphError, LabeledGraph,
                           ResonantVertexError, ZeroCharacterError,
                           connected_components, is_fc_type, is_spherical,
-                          maximal_cliques, resonance_sets, torsion_support,
-                          validate_graph)
+                          resonance_sets, torsion_support, validate_graph)
 from artinkernels.cli import InputError, parse_input
 from artinkernels.graphs import components
 
@@ -127,23 +127,24 @@ def test_fc_type_square_and_raag():
 
 
 def test_fc_type_matches_bruteforce_on_random_graphs():
+    """The triangle rule against the sphericity of every complete subgraph.
+    Both verdicts occur, and some FC graph holds a 4-clique with two label
+    >= 4 edges (disjoint, as it is FC), which a rule rejecting every clique
+    with two such edges gets wrong."""
     rng = random.Random(7)
-    from conftest import random_even_graph
-    from itertools import combinations
-    for _ in range(25):
-        g = random_even_graph(rng, max_vertices=6, require_fc=False)
-        brute = True
-        for r in range(2, len(g.vertices) + 1):
-            for sub in combinations(g.vertices, r):
-                if g.is_complete(sub) and not is_spherical(g, sub):
-                    brute = False
-        assert is_fc_type(g) == brute
-
-
-def test_maximal_cliques_cover_square_diagonal():
-    g, _, _ = square_diagonal_graph()
-    cliques = {tuple(c) for c in maximal_cliques(g)}
-    assert cliques == {("v0", "v1", "v2"), ("v0", "v2", "v3")}
+    verdicts = {True: 0, False: 0}
+    two_wide = 0
+    for _ in range(300):
+        g = random_even_graph(rng, max_vertices=8, labels=(2, 2, 4, 6), require_fc=False)
+        cliques = [sub for r in range(2, len(g.vertices) + 1)
+                   for sub in combinations(g.vertices, r) if g.is_complete(sub)]
+        brute = all(is_spherical(g, sub) for sub in cliques)
+        assert is_fc_type(g) == brute, g.raw_edges
+        verdicts[brute] += 1
+        two_wide += brute and any(
+            len(sub) == 4 and sum(g.ell(a, b) >= 4 for a, b in combinations(sub, 2)) == 2
+            for sub in cliques)
+    assert min(verdicts.values()) > 0 and two_wide > 0, (verdicts, two_wide)
 
 
 def test_resonance_square_diagonal():

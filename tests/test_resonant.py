@@ -6,6 +6,8 @@ from artinkernels import (Character, LabeledGraph, ZeroCharacterError,
                           build_f2, build_flag_complex, build_gamma1,
                           h1_free_rank, h2_free_rank, homology_module)
 
+from artinkernels.cli import main
+
 from conftest import (QQ, F2, F3, dihedral_graph, random_character,
                       random_even_graph, square_diagonal_graph, square_graph)
 from oracles import compose_int_columns
@@ -144,6 +146,26 @@ def test_free_ranks_agree_with_smith_on_fixtures_and_random_cases():
             h2 = homology_module(fc, cc, fspec, 1).free_rank
             assert h2 == h2_free_rank(build_f2(fc, cc, fspec), fspec), \
                 (gg.raw_edges, cc.values, str(fspec))
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (README; ROADMAP item 5): the quotient "
+                   "complex gives H_2 free rank 0 where snf gives 1")
+@pytest.mark.parametrize("field", ["q", "p:2", "p:3"])
+def test_h2_free_rank_of_a_path_through_a_zero_weight_vertex(tmp_path, field):
+    """The path a0 - a2 - a1 with labels 4 and m = 1, -3, 0.  Its twisted
+    complex has ranks 1, 3, 2, so the Euler characteristic over K(t) is 0,
+    and with H_1 free rank 1 (snf and the reduced graph agree) it forces
+    H_2 free rank 1: the run must agree and exit 0."""
+    g = LabeledGraph(["a0", "a1", "a2"], [("a0", "a2", 4), ("a2", "a1", 4)])
+    chi = Character(g, {"a0": 1, "a1": -3, "a2": 0})
+    fspec = {"q": QQ, "p:2": F2, "p:3": F3}[field]
+    fc = build_flag_complex(g)
+    assert homology_module(fc, chi, fspec, 1).free_rank == 1
+    assert h2_free_rank(build_f2(fc, chi, fspec), fspec) == 1
+    path = tmp_path / "path.graph"
+    path.write_text("vertex a0 1\nvertex a1 -3\nvertex a2 0\n"
+                    "edge a0 a2 4\nedge a2 a1 4\n")
+    assert main([str(path), "--field", field]) == 0
 
 
 def test_removal_log_mentions_reasons():

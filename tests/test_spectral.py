@@ -659,31 +659,32 @@ def test_forest_route_matches_per_forest_polynomial_gcds():
 
 
 class _ShuffledEdges(LabeledGraph):
-    """The same graph with `edge_list` in a fixed shuffled order, so the
-    forest sweep meets the edges in an order other than the sorted one."""
+    """The same graph with `edge_list` and each vertex's neighbours in
+    `adjacency` in a fixed shuffled order, so the forest sweep meets the
+    edges, and its breadth-first search the neighbours, in an order other
+    than the sorted one."""
 
     def __init__(self, g, rng):
         super().__init__(g.vertices, g.raw_edges)
-        edges = super().edge_list
-        self.order = rng.sample(edges, len(edges))
-
-    @property
-    def edge_list(self):
-        return self.order
+        self.edge_list = rng.sample(self.edge_list, len(self.edge_list))
+        self.adjacency = {v: dict(rng.sample(list(nbrs.items()), len(nbrs)))
+                          for v, nbrs in self.adjacency.items()}
 
 
 def test_forest_sweep_matches_forest_listing():
     """The sweep over connectivity states against the listing of every
     forest, over Q and GF(p) with the cases where p repeats roots, and with
-    the edges fed in a shuffled order."""
+    the edges and neighbours fed in a shuffled order."""
     rng = random.Random(113)
-    seen = {"p | m_v": 0, "p | lt": 0}
+    seen = {"p | m_v": 0, "p | lt": 0, "neighbours reordered": 0}
     checked = 0
     for _ in range(120):
         g, chi = random_case(rng, max_vertices=7, require_connected=True,
                              max_weight=6)
         shuffled = _ShuffledEdges(g, rng)
         chi_shuffled = Character(shuffled, chi.weights)
+        seen["neighbours reordered"] += any(list(shuffled.adjacency[v]) != list(g.adjacency[v])
+                                            for v in g.vertices)
         for fspec in (QQ, F2, F3, F5):
             if not resonance_sets(g, chi, fspec).is_K_nonresonant:
                 continue
