@@ -12,8 +12,8 @@ from .flag import (FlagComplex, IncidenceMatrix, boundary_matrix,
                    build_flag_complex, image_dims, reduced_homology_ranks)
 from .graphs import (Character, GraphError, LabeledGraph, ResonanceSets,
                      ResonantVertexError, TorsionSupport, ZeroCharacterError,
-                     connected_components, is_fc_type, is_spherical,
-                     resonance_sets, torsion_support, validate_graph)
+                     connected_components, is_fc_type, resonance_sets,
+                     torsion_support, validate_graph)
 from .laurent import (CyclotomicField, Factor, LaurentPoly, ZeroPolynomialError,
                       cyclotomic, cyclotomic_field, factor_invariant,
                       laurent_gcd, normalize_unit, q_poly, residue_eval)
@@ -29,7 +29,7 @@ from .spectral import (DisconnectedGraphError, ForestBudgetError,
                        NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, WeightedComplex,
                        forest_fitting_h1, jordan_bound_check, page_dims,
-                       simplex_weight, solve_torsion, weighted_complex)
+                       solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, PolyMatrix, twisted_boundary
 
 __version__ = "0.1.0"

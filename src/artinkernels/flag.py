@@ -63,7 +63,7 @@ def build_flag_complex(g: LabeledGraph) -> FlagComplex:
     the canonical order, so that each degree comes out sorted.  A clique
     carries the later vertices adjacent to all of it and the vertices its
     label >= 4 edges cover, so extending it by w checks only the edges at w
-    against `graphs.is_spherical`'s rule."""
+    (a clique is spherical iff its label >= 4 edges form a matching)."""
     label = g.adjacency
     by_dim: dict[int, list] = {-1: [()]}
     stack = [((v,), [w for w in g.vertices[i + 1:] if w in label[v]], frozenset())

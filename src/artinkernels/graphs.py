@@ -111,10 +111,6 @@ class LabeledGraph:
     def neighbors(self, v):
         return tuple(self.adjacency[v])
 
-    def is_complete(self, vertex_set) -> bool:
-        vs = list(vertex_set)
-        return all(b in self.adjacency[a] for i, a in enumerate(vs) for b in vs[i + 1:])
-
     def sort_vertices(self, vertex_set) -> tuple:
         return tuple(sorted(vertex_set, key=self._index.__getitem__))
 
@@ -180,28 +176,11 @@ class Character:
 # sphericity and FC type
 # ---------------------------------------------------------------------------
 
-def is_spherical(g: LabeledGraph, vertex_set) -> bool:
-    """A complete even subgraph is spherical iff its label >= 4 edges form a
-    matching (it is then a 2-join of vertices and dihedral edges)."""
-    vs = list(dict.fromkeys(vertex_set))
-    if not g.is_complete(vs):
-        return False
-    covered = set()
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if g.ell(a, b) >= 4:
-                if a in covered or b in covered:
-                    return False
-                covered.add(a)
-                covered.add(b)
-    return True
-
-
 def is_fc_type(g: LabeledGraph) -> bool:
-    """Every complete subgraph spherical.  By `is_spherical` a clique fails
-    exactly when two of its label >= 4 edges meet at a vertex, so the graph
-    is FC type iff no triangle carries two label >= 4 edges: no vertex has
-    two label >= 4 neighbours adjacent to each other."""
+    """Every complete subgraph spherical.  An even clique is spherical iff
+    its label >= 4 edges form a matching, so the graph is FC type iff no
+    triangle carries two label >= 4 edges: no vertex has two label >= 4
+    neighbours adjacent to each other."""
     adj = g.adjacency
     for nbrs in adj.values():
         wide = [w for w, l in nbrs.items() if l >= 4]

@@ -672,7 +672,9 @@ class CyclotomicField(Field):
     zero is ((0, ..., 0), 1)).  The form is canonical, so == and hash mean
     equality in K_d.  Phi_d is monic, so z^e mod Phi_d has integer
     coordinates; products reduce through a table of them, and every result
-    is normalized by one math.gcd.
+    is normalized by one math.gcd.  The rows of z^e are built as a prefix,
+    up to the largest exponent read so far, and the reduction table on the
+    first product: a field of large d reads few of its d rows.
     """
 
     char = 0
@@ -684,19 +686,28 @@ class CyclotomicField(Field):
         self.modulus = ints
         self.zero = ((0,) * n, 1)
         self.one = ((1,) + (0,) * (n - 1), 1)
-        # zeta^e for e = 0 .. d-1: z^e mod Phi_d, as (position, coordinate)
-        # pairs of its nonzero integer coordinates
-        rows = []
-        cur = [1] + [0] * (n - 1)
-        for _ in range(d):
-            rows.append([(j, x) for j, x in enumerate(cur) if x])
+        # z^e mod Phi_d for e < len(_rows), as (position, coordinate) pairs of
+        # its nonzero integer coordinates; _last is the last one in full
+        self._rows = [[(0, 1)]]
+        self._last = [1] + [0] * (n - 1)
+
+    def _row(self, e: int) -> list:
+        """The row of z^e for 0 <= e < d, extending the prefix up to e."""
+        rows, ints, cur = self._rows, self.modulus, self._last
+        while len(rows) <= e:
             top = cur.pop()
             cur.insert(0, 0)
             if top:
                 cur = [x - top * c for x, c in zip(cur, ints)]
-        self._rows = rows
-        # reduction table: z^(n + i) mod Phi_d for i < n - 1
-        self._red = [rows[(n + i) % d] for i in range(n - 1)]
+            rows.append([(j, x) for j, x in enumerate(cur) if x])
+        self._last = cur
+        return rows[e]
+
+    @functools.cached_property
+    def _red(self) -> list:
+        """The reduction table: z^(n + i) mod Phi_d for i < n - 1."""
+        n = self.deg
+        return [self._row((n + i) % self.d) for i in range(n - 1)]
 
     @staticmethod
     def _normal(nums: list, den: int):
@@ -723,7 +734,11 @@ class CyclotomicField(Field):
         out = [0] * self.deg
         for e, c in terms:
             if c:
-                for i, x in rows[e % d]:
+                try:
+                    row = rows[e % d]
+                except IndexError:
+                    row = self._row(e % d)
+                for i, x in row:
                     out[i] += c * x
         return self._normal(out, den)
 

@@ -18,9 +18,13 @@ The spectral sequence of that filtered complex has page dimensions
 with Z^s_(p,q) = F_p C_(p+q) fed through the boundary into F_(p-s); all
 of these reduce to ranks of staircase submatrices of the boundary with
 rows/columns sorted by weight, which one bottom-echelon sweep per chain
-degree provides.  `weighted_complex` reads the facet coefficients off the
-twisted boundaries over Q that the run already built, for every d: the
-leading unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d
+degree provides.  Weights lie in 0..w_max, so F_(p-s) is 0 once s > p and
+F_(p+s-1) is the whole complex once s > w_max - p: every term is constant
+in s from s = w_max + 1 on, and the sequence degenerates at that page.
+
+`weighted_complex` reads the facet coefficients off the twisted
+boundaries over Q that the run already built, for every d: the leading
+unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d
 (`quotient_residue`), and the elimination runs on K_d elements of integer
 numerators over one denominator.
 
@@ -123,14 +127,6 @@ def edge_weight(g, c: Character, u, v, d: int) -> int:
     return q_mult
 
 
-def simplex_weight(g, c: Character, X, d: int) -> int:
-    w = sum(vertex_weight(c, v, d) for v in X)
-    for i, u in enumerate(X):
-        for v in X[i + 1:]:
-            w += edge_weight(g, c, u, v, d)
-    return w
-
-
 @dataclass
 class WeightedComplex:
     """The flag complex with weights, facet drops and leading units for one d."""
@@ -159,15 +155,20 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
     kd = cyclotomic_field(d)
 
     # w(X) summed from tables by position: a simplex adds its last vertex
-    # and the edges to it onto its prefix, the last entry of its facets
+    # and the edges to it onto its prefix, the last entry of its facets.
+    # Only an edge of label >= 4 can weigh 1 (a label-2 edge has q = 1), so
+    # `heavy` keeps, per endpoint, the other ends of the edges that do
     vertex_w = {v: vertex_weight(c, v, d) for v in g.vertices}
-    edge_w = {}
+    heavy = {}
     for u, v in g.edge_list:
-        edge_w[u, v] = edge_w[v, u] = edge_weight(g, c, u, v, d)
+        if g.ell(u, v) > 2 and edge_weight(g, c, u, v, d):
+            heavy.setdefault(u, set()).add(v)
+            heavy.setdefault(v, set()).add(u)
     by_position = {-1: [0]}
     for n in range(0, fc.dim + 1):
         ws = by_position[n - 1]
-        by_position[n] = [ws[fs[-1]] + vertex_w[X[-1]] + sum(edge_w[u, X[-1]] for u in X[:-1])
+        by_position[n] = [ws[fs[-1]] + vertex_w[X[-1]]
+                          + (len(heavy[X[-1]].intersection(X)) if X[-1] in heavy else 0)
                           for X, fs in zip(fc.simplices_of(n), fc.facets(n))]
     # each degree in (weight, canonical order): a stable sort of the positions;
     # slot[n] is the inverse permutation, position -> index in bases[n]
@@ -177,27 +178,26 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
     weights = {X: w for n, ws in by_position.items() for X, w in zip(fc.simplices_of(n), ws)}
 
     # entries with equal factors and sign are one shared object, so each
-    # (entry, drop) has its leading unit read once
+    # (entry, drop) has its leading unit read, and checked, once: a unit is a
+    # nonempty tuple, so `or` calls new_unit on a miss only, and a negative
+    # drop is never stored, so every entry that has one is checked
     units = {}
+
+    def new_unit(entry, drop, tb, i, j):
+        if drop < 0:
+            raise ArithmeticError(f"weights must not increase along faces: "
+                                  f"{tb.rows[i]}, {tb.cols[j]}")
+        unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
+        if kd.is_zero(unit):
+            raise ArithmeticError(f"leading unit vanished at {tb.rows[i]}, {tb.cols[j]}")
+        return unit
+
     columns = {-1: [{}]}
     for n in range(0, fc.dim + 1):
-        tb, col_w, row_w = boundaries[n], by_position[n], by_position[n - 1]
-        cols = columns[n] = []
-        for j in order[n]:
-            col = {}
-            for i, entry in tb.columns[j].items():
-                drop = col_w[j] - row_w[i]
-                if drop < 0:
-                    raise ArithmeticError(f"weights must not increase along faces: "
-                                          f"{tb.rows[i]}, {tb.cols[j]}")
-                unit = units.get((id(entry), drop))
-                if unit is None:
-                    unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
-                    if kd.is_zero(unit):
-                        raise ArithmeticError(f"leading unit vanished at "
-                                              f"{tb.rows[i]}, {tb.cols[j]}")
-                col[slot[n - 1][i]] = unit
-            cols.append(col)
+        tb, col_w, row_w, row_slot = boundaries[n], by_position[n], by_position[n - 1], slot[n - 1]
+        columns[n] = [{row_slot[i]: units.get((id(entry), col_w[j] - row_w[i]))
+                       or new_unit(entry, col_w[j] - row_w[i], tb, i, j)
+                       for i, entry in tb.columns[j].items()} for j in order[n]]
     return WeightedComplex(fc, c, d, kd, weights, bases, columns,
                            max(weights.values()))
 
@@ -246,10 +246,12 @@ class PageTable:
 def page_dims(wc: WeightedComplex) -> PageTable:
     """Dimensions of every page position, by staircase ranks.
 
-    Pages are computed through max(dim + 3, max_weight + 2); the last two
-    agree entrywise (the sequence has degenerated), and that limit page is
-    recorded as the stable one.  The sweeps run from the top degree down,
-    each clearing the columns that lead the sweep above (module docstring).
+    The table runs through page s_max = max(dim + 3, max_weight + 2).  The
+    sequence degenerates at page max_weight + 1 (module docstring), so
+    pages 0 .. max_weight + 1 are computed, the later ones copy the last,
+    which is the stable page, and the formula's own page s_max + 1 must
+    equal it.  The sweeps run from the top degree down, each clearing the
+    columns that lead the sweep above (module docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
@@ -260,51 +262,46 @@ def page_dims(wc: WeightedComplex) -> PageTable:
     # n -> cumulative column counts per weight 0..wmax
     counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
               for n, ws in wlists.items()}
-    # n -> per column weight p, per a = -1 .. wmax: the rank of the boundary
-    # of degree n on columns of weight <= p and rows of weight > a, which is
-    # the number of leads of the snapshot p whose row weight exceeds a
-    above = {}
+    # z[n][p + 1][a + 1] = dim Z_(p, n - p) with its boundary in rows of
+    # weight <= a, for p = -1 .. wmax and a = -1 .. wmax: the columns of
+    # weight <= p less the leads of the snapshot p in rows of weight > a.
+    # Row p = -1 and degree top + 1 are zero.
+    zero = [0] * (wmax + 2)
+    z = {top + 1: [zero] * (wmax + 2)}
     cleared = frozenset()
     for n in range(top, -2, -1):
         lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
         row_ws = wlists.get(n - 1, [])
-        above[n] = []
-        for leads in lead_snaps:
+        z[n] = [zero]
+        for count, leads in zip(counts[n], lead_snaps):
             per_weight = [0] * (wmax + 2)
             for i in leads:
                 per_weight[row_ws[i]] += 1
-            above[n].append(list(accumulate(reversed(per_weight)))[::-1])
+            z[n].append([count - r for r in list(accumulate(reversed(per_weight)))[::-1]])
         cleared = frozenset(lead_snaps[-1])
 
-    def z_dim(s: int, p: int, n: int) -> int:
-        if p < 0 or n < -1 or n > top:
-            return 0
-        a = min(max(p - s, -1), wmax)
-        p = min(p, wmax)
-        return counts[n][p] - above[n][p][a + 1]
-
-    dims = {}
-    for n in range(-1, top + 1):
-        for p in range(0, wmax + 1):
-            q = n - p
-            e0 = counts[n][p] - (counts[n][p - 1] if p else 0)
-            if e0:
-                dims[(0, p, q)] = e0
-            for s in range(1, s_hi + 2):
-                val = (z_dim(s, p, n) - z_dim(s - 1, p - 1, n)
-                       - z_dim(s - 1, p + s - 1, n + 1) + z_dim(s, p + s - 1, n + 1))
-                if val:
-                    dims[(s, p, q)] = val
-
     def page(s: int) -> dict:
-        return {(p, q): val for (t, p, q), val in dims.items() if t == s}
+        # the four terms of h^s_(p, n - p): Z^s_p and Z^(s-1)_(p-1) in degree
+        # n, Z^(s-1) and Z^s at column weight p + s - 1 in degree n + 1; at
+        # s = 0 they give F_p C_n / F_(p-1) C_n, as no face has more weight
+        out = {}
+        for n in range(-1, top + 1):
+            zn, up = z[n], z[n + 1]
+            for p in range(wmax + 1):
+                a = max(p - s + 1, 0)
+                col = up[min(p + s, wmax + 1)]
+                val = zn[p + 1][a] - zn[p][a] - col[p + 1] + col[p]
+                if val:
+                    out[p, n - p] = val
+        return out
 
-    stable = page(s_hi + 1)
-    if page(s_hi) != stable:
+    pages = [page(s) for s in range(wmax + 2)]
+    if page(s_hi + 1) != pages[-1]:
         raise NegativeMultiplicityError(
-            f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    dims = {k: v for k, v in dims.items() if k[0] <= s_hi}
-    return PageTable(wc.d, s_hi, dims, stable, wmax, top)
+            f"pages {wmax + 1} and {s_hi + 1} differ for d={wc.d}: not stabilized")
+    pages += [pages[-1]] * (s_hi - wmax - 1)
+    dims = {(s, p, q): v for s, pg in enumerate(pages) for (p, q), v in pg.items()}
+    return PageTable(wc.d, s_hi, dims, pages[-1], wmax, top)
 
 
 # ---------------------------------------------------------------------------

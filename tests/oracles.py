@@ -10,23 +10,53 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from artinkernels.flag import FlagComplex
-from artinkernels.graphs import Character, connected_components, resonance_sets
-from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError,
+from artinkernels.graphs import (Character, LabeledGraph, connected_components,
+                                 resonance_sets)
+from artinkernels.laurent import (CyclotomicField, LaurentPoly, ZeroPolynomialError,
                                   cyclotomic_field, cyclotomic_int,
                                   cyclotomic_product, dense_add, dense_divmod,
                                   dense_mul, dense_sub,
                                   t_minus_one_multiplicities)
-from artinkernels.linalg import rank as field_rank
+from artinkernels.linalg import rank as field_rank, staircase_leads
 from artinkernels.scalars import Field, FieldSpec, Rationals
 from artinkernels.smith import _clear_to_polys, taylor_block
 from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
                                    ForestBudgetError, NegativeMultiplicityError,
-                                   ResonantCharacterError, forest_budget)
+                                   PageTable, ResonantCharacterError,
+                                   WeightedComplex, edge_weight, forest_budget,
+                                   vertex_weight)
 from artinkernels.twisted import BoundaryTables, PolyMatrix, factor_poly, twisted_boundary
 
 QQ = FieldSpec()
+
+
+# ---------------------------------------------------------------------------
+# cliques and sphericity
+# ---------------------------------------------------------------------------
+
+def is_complete(g: LabeledGraph, vertex_set) -> bool:
+    vs = list(vertex_set)
+    return all(b in g.adjacency[a] for i, a in enumerate(vs) for b in vs[i + 1:])
+
+
+def is_spherical(g: LabeledGraph, vertex_set) -> bool:
+    """A complete even subgraph is spherical iff its label >= 4 edges form a
+    matching (it is then a 2-join of vertices and dihedral edges)."""
+    vs = list(dict.fromkeys(vertex_set))
+    if not is_complete(g, vs):
+        return False
+    covered = set()
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if g.ell(a, b) >= 4:
+                if a in covered or b in covered:
+                    return False
+                covered.add(a)
+                covered.add(b)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +358,15 @@ def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
     return det(submatrix(m, ybar, xbar))
 
 
+def simplex_weight(g, c: Character, X, d: int) -> int:
+    """mult_d(p_X q_X), summed over the vertices and edges of X."""
+    w = sum(vertex_weight(c, v, d) for v in X)
+    for i, u in enumerate(X):
+        for v in X[i + 1:]:
+            w += edge_weight(g, c, u, v, d)
+    return w
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic multiplicities and truncated homology
 # ---------------------------------------------------------------------------
@@ -372,6 +411,79 @@ def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> di
 
 
 # ---------------------------------------------------------------------------
+# page tables with every page computed
+# ---------------------------------------------------------------------------
+
+# The reference for `spectral.page_dims`, which computes pages only up to
+# max_weight + 1, where the sequence degenerates, and copies the rest.
+
+def page_dims_every_page(wc: WeightedComplex) -> PageTable:
+    """Dimensions of every page position, by staircase ranks, with the page
+    formula evaluated on every page through s_max + 1.
+
+    Pages are computed through max(dim + 3, max_weight + 2); the last two
+    agree entrywise (the sequence has degenerated), and that limit page is
+    recorded as the stable one.  The sweeps run from the top degree down,
+    each clearing the columns that lead the sweep above (`spectral` module
+    docstring).
+    """
+    kd = wc.field
+    wmax = wc.max_weight
+    top = wc.fc.dim
+    s_hi = max(top + 3, wmax + 2)
+
+    wlists = {n: [wc.weights[s] for s in wc.bases[n]] for n in range(-1, top + 1)}
+    # n -> cumulative column counts per weight 0..wmax
+    counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
+              for n, ws in wlists.items()}
+    # n -> per column weight p, per a = -1 .. wmax: the rank of the boundary
+    # of degree n on columns of weight <= p and rows of weight > a, which is
+    # the number of leads of the snapshot p whose row weight exceeds a
+    above = {}
+    cleared = frozenset()
+    for n in range(top, -2, -1):
+        lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
+        row_ws = wlists.get(n - 1, [])
+        above[n] = []
+        for leads in lead_snaps:
+            per_weight = [0] * (wmax + 2)
+            for i in leads:
+                per_weight[row_ws[i]] += 1
+            above[n].append(list(accumulate(reversed(per_weight)))[::-1])
+        cleared = frozenset(lead_snaps[-1])
+
+    def z_dim(s: int, p: int, n: int) -> int:
+        if p < 0 or n < -1 or n > top:
+            return 0
+        a = min(max(p - s, -1), wmax)
+        p = min(p, wmax)
+        return counts[n][p] - above[n][p][a + 1]
+
+    dims = {}
+    for n in range(-1, top + 1):
+        for p in range(0, wmax + 1):
+            q = n - p
+            e0 = counts[n][p] - (counts[n][p - 1] if p else 0)
+            if e0:
+                dims[(0, p, q)] = e0
+            for s in range(1, s_hi + 2):
+                val = (z_dim(s, p, n) - z_dim(s - 1, p - 1, n)
+                       - z_dim(s - 1, p + s - 1, n + 1) + z_dim(s, p + s - 1, n + 1))
+                if val:
+                    dims[(s, p, q)] = val
+
+    def page(s: int) -> dict:
+        return {(p, q): val for (t, p, q), val in dims.items() if t == s}
+
+    stable = page(s_hi + 1)
+    if page(s_hi) != stable:
+        raise NegativeMultiplicityError(
+            f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
+    dims = {k: v for k, v in dims.items() if k[0] <= s_hi}
+    return PageTable(wc.d, s_hi, dims, stable, wmax, top)
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic polynomials and the residue field K_d
 # ---------------------------------------------------------------------------
 
@@ -406,6 +518,25 @@ def kd_reduce(kd, cs: list) -> list:
     qq = Rationals()
     rem = dense_divmod(qq, list(cs), [Fraction(c) for c in cyclotomic_by_division(kd.d)])[1]
     return rem + [Fraction(0)] * (kd.deg - len(rem))
+
+
+class EagerCyclotomicField(CyclotomicField):
+    """K_d with all d rows of z^e mod Phi_d and the reduction table built up
+    front, the reference for the prefix that `CyclotomicField` builds."""
+
+    def __init__(self, d: int):
+        super().__init__(d)
+        n, ints = self.deg, self.modulus
+        rows = []
+        cur = [1] + [0] * (n - 1)
+        for _ in range(d):
+            rows.append([(j, x) for j, x in enumerate(cur) if x])
+            top = cur.pop()
+            cur.insert(0, 0)
+            if top:
+                cur = [x - top * c for x, c in zip(cur, ints)]
+        self._rows = rows
+        self._red = [rows[(n + i) % d] for i in range(n - 1)]
 
 
 def trunc_mul(kd, a: list, b: list, order: int) -> list:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,17 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import math
 
-from artinkernels import (LaurentPoly, ZeroPolynomialError, cyclotomic,
-                          cyclotomic_field, factor_invariant, laurent_gcd,
-                          normalize_unit, q_poly, residue_eval)
+from artinkernels import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cli,
+                          cyclotomic, cyclotomic_field, factor_invariant,
+                          laurent_gcd, normalize_unit, q_poly, residue_eval)
 from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
                                   dense_divmod, dense_mul, quotient_residue,
                                   t_minus_one_multiplicities)
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
-from oracles import (cyclotomic_by_division, horner_taylor, kd_coordinates, kd_reduce,
-                     mult_d)
+from oracles import (EagerCyclotomicField, cyclotomic_by_division, horner_taylor,
+                     kd_coordinates, kd_reduce, mult_d)
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -401,3 +402,37 @@ def test_q_factor_multiplicities_by_difference():
             assert min(mults.values()) >= 0
             assert (cyclotomic_product(mults, fspec)
                     == normalize_unit(q_poly(k, m, field))), (k, m, fspec)
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 105, 122, 212])
+def test_cyclotomic_field_rows_on_demand_match_an_eager_table(d):
+    """`CyclotomicField` builds the rows of z^e up to the largest exponent
+    read so far and its reduction table on the first product; a field with
+    every row and the table built up front must give equal results."""
+    rng = random.Random(d)
+    lazy, eager = CyclotomicField(d), EagerCyclotomicField(d)
+    elements = []
+    for _ in range(6):
+        terms = [(rng.randrange(-2 * d, 2 * d), rng.randint(-9, 9))
+                 for _ in range(rng.randint(1, 5))]
+        den = rng.randint(1, 12)
+        a = lazy.int_combination(terms, den)
+        assert a == eager.int_combination(terms, den)
+        elements.append(a)
+    for a, b in zip(elements, elements[1:]):
+        assert lazy.mul(a, b) == eager.mul(a, b)
+        if not lazy.is_zero(a):
+            assert lazy.inv(a) == eager.inv(a)
+    assert len(lazy._rows) <= d
+
+
+def test_path_m105_leaves_most_of_k212_unbuilt():
+    """The 3-vertex path with m_u = 105 and a label-4 edge works over K_212
+    (edge q-factor, 212 = 2 (105 + 1)), whose entries read few powers of z
+    and which never multiplies."""
+    cyclotomic_field.cache_clear()
+    text = "vertex u 105\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
+    data = cli.run(cli.JobConfig(text=text, field=QQ)).data
+    assert 212 in data["torsion_support"]["values"] and data["methods"]["ss"]["ran"]
+    kd = cyclotomic_field(212)
+    assert 1 < len(kd._rows) < 212 and "_red" not in vars(kd)

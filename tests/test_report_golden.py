@@ -29,6 +29,14 @@ TRIANGLE = "vertex a 2\nvertex b 2\nvertex c 2\nedge a b 2\nedge b c 2\nedge a c
 # up to phi(210) = 48, with entries of degree 210
 PATH_M210 = "vertex u 210\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
 
+# K_7 with a label-4 matching {01, 23, 45}: its d = 2 filtration reaches
+# weight 5 in clique dimension 6, so pages 7 .. s_max repeat page 6 and the
+# dump pins those repeated pages too
+K7_MATCHING = "".join(
+    [f"vertex v{i} {m}\n" for i, m in enumerate((2, 5, 1, 3, 1, 4, 6))]
+    + [f"edge v{i} v{j} {4 if (i, j) in {(0, 1), (2, 3), (4, 5)} else 2}\n"
+       for i in range(7) for j in range(i + 1, 7)])
+
 # (case id, input, field, k_max): every self-check entry, then k_max below
 # the clique dimension, where the dump stops at k_max + 1, then a large weight
 CASES = [(f"{name} over {fspec}", cli.fixture_text(name), fspec, None)
@@ -36,6 +44,7 @@ CASES = [(f"{name} over {fspec}", cli.fixture_text(name), fspec, None)
     ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), FieldSpec(), 0),
     ("triangle over Q, k_max=0", TRIANGLE, FieldSpec(), 0),
     ("path m_u=210 over Q", PATH_M210, FieldSpec(), None),
+    ("K7 label-4 matching over Q", K7_MATCHING, FieldSpec(), None),
 ]
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from artinkernels import (BoundaryTables, build_flag_complex, forest_fitting_h1,
                           homology_module, jordan_bound_check, page_dims,
-                          reduced_homology_ranks, simplex_weight,
-                          smith_normal_form, solve_torsion, torsion_support,
-                          twisted_boundary, weighted_complex)
+                          reduced_homology_ranks, smith_normal_form,
+                          solve_torsion, torsion_support, twisted_boundary,
+                          weighted_complex)
 from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
                                    ForestBudgetError, ResonantCharacterError,
                                    chi_rel)
@@ -23,9 +23,11 @@ from artinkernels.linalg import staircase_leads
 from artinkernels.scalars import FieldSpec
 
 from conftest import (QQ, F2, F3, dihedral_graph, q_boundaries, random_case,
-                      random_character, random_matching_graph, square_graph)
-from oracles import (forest_fitting_h1_enumerated, mult_d, simplex_weights,
-                     sparse, truncated_homology_dims)
+                      random_character, random_even_graph, random_matching_graph,
+                      square_graph)
+from oracles import (forest_fitting_h1_enumerated, mult_d, page_dims_every_page,
+                     simplex_weight, simplex_weights, sparse,
+                     truncated_homology_dims)
 
 F5 = FieldSpec(5)
 
@@ -814,3 +816,28 @@ def test_clearing_leaves_page_tables_unchanged(monkeypatch):
             assert page_dims(wc) == want, (g.raw_edges, chi.values, d)
             tables += 1
     assert tables > 50 and sum(skipped) > 0
+
+
+def test_pages_up_to_degeneration_match_every_page():
+    """`page_dims` computes pages 0 .. max_weight + 1 and copies the last;
+    the reference evaluates the page formula on every page through s_max + 1.
+    The cases include weights of 3 and more, and tables whose copied pages
+    run past max_weight + 2."""
+    rng = random.Random(29)
+    deep = long = 0
+    for i in range(60):
+        if i % 2:
+            g = random_matching_graph(rng, max_vertices=6, heavy=(4, 6))
+        else:
+            g = random_even_graph(rng, max_vertices=6, labels=(2, 4, 6), edge_prob=0.7)
+        chi = random_character(rng, g, max_weight=6)
+        fc = build_flag_complex(g)
+        boundaries = q_boundaries(fc, chi)
+        for d in torsion_support(g, chi).values:
+            wc = weighted_complex(fc, chi, d, boundaries)
+            got, want = page_dims(wc), page_dims_every_page(wc)
+            assert (got.dims, got.stable, got.s_max) == (want.dims, want.stable, want.s_max), \
+                (g.raw_edges, chi.weights, d)
+            deep += wc.max_weight >= 3
+            long += got.s_max >= wc.max_weight + 3
+    assert deep and long
