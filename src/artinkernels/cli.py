@@ -11,7 +11,8 @@ homology modules by Smith normal form, and, where applicable, re-derives
 the same answers by the multiplicity spectral sequence, rooted spanning
 forests, and the resonant reduced complexes, cross-checking everything.
 
-Exit codes: 0 ok, 1 usage, 2 bad input, 3 cross-check mismatch.
+Exit codes: 0 ok, 1 usage, 2 bad input, 3 cross-check mismatch, 4 out of
+memory.
 """
 
 from __future__ import annotations
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
+        return 4
     print(report.to_json() if args.fmt == "json" else report.to_text())
     if job.cross_check and not report.ok:
         return 3

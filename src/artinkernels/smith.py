@@ -24,6 +24,18 @@ leaves one entry g^(w(X) - w(low X)): these pivot gaps are the local
 exponents of the invariant factors, and the pivot count is the rank.
 Orders d with the same weight vector share one reduction.
 
+Most weight vectors need no reduction at all.  A reduction's pivots
+(C, R) make B[R, C] nonsingular over the prime field: the reduced columns
+of C are the columns of B[:, C] times a unitriangular matrix, with
+distinct lowest rows R, and clearing keeps this, as a cleared column lies
+in the span of the columns before it.  So under every weight vector w,
+the twisted minor on (R, C), +-det B[R, C] * prod W(C) / prod W(R), has
+valuation delta = Sum_C w - Sum_R w at g.  The pivot gaps are >= 0 and sum to the
+valuation of the r-th determinantal divisor, which divides that minor,
+so delta = 0 forces every gap to be 0.  A vector is therefore reduced
+only when no pivot set kept from an earlier reduction has delta = 0
+under it; the first reduction gives the rank.
+
 Clearing (Chen and Kerber, "Persistent homology computation with a twist",
 2011): the masked signed boundary S_k has B_k = D'^-1 S_k D', D' the
 nonzero part of W, so S_k S_(k+1) = 0.  A reduced column S_(k+1) v with
@@ -32,9 +44,10 @@ columns before it, when the k-simplices stand in one order in both.  So
 :func:`homology_modules` reduces from the top degree down and hands each
 reduction's pivot rows, keyed by the weight tuple that orders them, to the
 degree below, which skips them only under an equal column weight tuple;
-they would reduce to zero.  Every irreducible factor of Phi_d gets the
-same exponents, so the invariant factors are products of Phi_d (mod p over
-GF(p)) and nothing is factored.
+they would reduce to zero.  A vector left unreduced hands down no pivot
+rows.  Every irreducible factor of Phi_d gets the same exponents, so the
+invariant factors are products of Phi_d (mod p over GF(p)) and nothing is
+factored.
 Each call checks the weights against the entries of the real polynomial
 matrix, and over Q the pivot count against the rank at t = 2, which
 clears with the pivots of its own t = 2 reduction one degree up in
@@ -86,7 +99,8 @@ class SmithForm:
     # d -> ascending Phi_d-exponents of the `rank` invariant factors, for
     # the d that occur; None when the engine does not see them (Euclidean)
     exponents: dict | None = None
-    # row weight tuple -> pivot rows of the reduction in that row order
+    # row weight tuple -> pivot rows of a reduction in that row order, for
+    # the row orders that were reduced only (certified vectors are not)
     pivot_rows: dict | None = None
     # over Q: the lead rows of the rank check's reduction at t = 2
     point_pivots: set | None = None
@@ -307,10 +321,10 @@ def cyclotomic_candidates(g, c: Character) -> list:
 
 
 def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
-                cleared) -> tuple[list, set]:
+                cleared) -> tuple[list, list]:
     """Ascending w(X) - w(low X) over the pivots of one left-to-right
     column reduction of `columns` but `cleared`, rows and columns sorted by
-    weight, and the pivot rows."""
+    weight, and the pivots (column, low row)."""
     rows = sorted(range(len(row_w)), key=row_w.__getitem__)
     slot = [0] * len(rows)
     for s, i in enumerate(rows):
@@ -319,7 +333,7 @@ def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
     lows = linalg.column_leads(field, ({slot[i]: x for i, x in columns[j].items()}
                                        for j in order))
     pivots = [(j, rows[low]) for j, low in zip(order, lows) if low is not None]
-    return sorted(col_w[j] - row_w[i] for j, i in pivots), {i for _, i in pivots}
+    return sorted(col_w[j] - row_w[i] for j, i in pivots), pivots
 
 
 def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: list,
@@ -328,11 +342,14 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
     signed boundary B given as sparse columns and the weights {d: w_d} of
     its rows Y and columns X.
 
-    One reduction per distinct weight vector; the orders d that share a
-    vector share its pivot gaps.  The exponents are kept as
+    The orders d that share a weight vector share its pivot gaps.  A vector
+    is reduced only when no pivot set (C, R) kept from an earlier reduction
+    has Sum_C w - Sum_R w = 0 under it; otherwise its gaps are all 0
+    (module docstring), and it is skipped.  The rank is the first
+    reduction's pivot count.  The exponents are kept as
     `SmithForm.exponents`; equal invariant factors are multiplied out once,
     one object, for the report and the cross-checks.  Each reduction skips
-    the columns `cleared` holds under its column weight tuple (module docstring).
+    the columns `cleared` holds under its column weight tuple.
     """
     runs = {}
     for d in sorted({d for w in row_weights + col_weights for d in w}):
@@ -342,15 +359,20 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
     if not runs:
         runs[((0,) * len(row_weights), (0,) * len(col_weights))] = []
     field = fspec.scalars()
-    exponents = {}
-    pivot_rows = {}
+    exponents, pivot_rows, minors = {}, {}, []
     for (row_w, col_w), orders in runs.items():
-        gaps, pivot_rows[row_w] = _pivot_gaps(field, columns, row_w, col_w,
-                                              (cleared or {}).get(col_w, frozenset()))
+        if any(sum(map(col_w.__getitem__, cols)) == sum(map(row_w.__getitem__, rows))
+               for cols, rows in minors):
+            continue
+        gaps, pivots = _pivot_gaps(field, columns, row_w, col_w,
+                                   (cleared or {}).get(col_w, frozenset()))
+        cols, rows = zip(*pivots) if pivots else ((), ())
+        minors.append((cols, rows))
+        pivot_rows[row_w] = set(rows)
         if gaps and gaps[-1]:
             exponents.update((d, gaps) for d in orders)
     exponents = dict(sorted(exponents.items()))
-    rank = len(gaps)           # every run pivots once per rank of B
+    rank = len(minors[0][0])    # every reduction pivots once per rank of B
     keys = [tuple((d, slots[i]) for d, slots in exponents.items() if slots[i])
             for i in range(rank)]
     expanded = {key: cyclotomic_product(dict(key), fspec) for key in set(keys)}

@@ -113,12 +113,10 @@ class BoundaryTables:
         g = fc.graph
         self.fc, self.c, self.fspec, self.field = fc, c, fspec, fspec.scalars()
         self.boundaries = {}
-        self.pairs = {}
-        self._wide = {v: {} for v in g.vertices}        # v -> {w: pair}, lt(vw) > 1
+        self._wide = {v: {} for v in g.vertices}        # v -> {w: (lt(vw), m_vw)}, lt(vw) > 1
         for u, v in g.edge_list:
-            self.pairs[u, v] = self.pairs[v, u] = pair = (g.ell_tilde(u, v), c.m_edge(u, v))
-            if pair[0] != 1:
-                self._wide[u][v] = self._wide[v][u] = pair
+            if (lt := g.ell_tilde(u, v)) != 1:
+                self._wide[u][v] = self._wide[v][u] = (lt, c.m_edge(u, v))
         self._weights = {-1: ([0], [{}])}
         one = LaurentPoly.one(self.field)
         self._products = {(0,): one, (1,): -one}
@@ -126,11 +124,14 @@ class BoundaryTables:
     def facet_factors(self, v, face) -> list:
         """The factors of the coefficient at (face, face + v), as pairs
         (lt, m): (None, m_v) stands for t^{m_v} - 1 and (lt(vw), m_vw) for
-        q_{lt(vw)}(t^{m_vw}), one per w in face.  This is the one place that
+        q_{lt(vw)}(t^{m_vw}), one per w in face with label >= 4.  A label-2
+        edge gives q_1 = 1, which is never zero and has no Phi_d-exponent
+        over any field, so it is not listed.  This is the one place that
         says which factors make W(X) = p_X q_X: it is their product along
         X[:1], X[:2], ..., X, so the coefficient at (X minus v, X) is
         +-W(X)/W(X minus v)."""
-        return [(None, self.c.m(v))] + [self.pairs[v, w] for w in face]
+        wide = self._wide[v]
+        return [(None, self.c.m(v))] + [wide[w] for w in face if w in wide]
 
     def weights(self, k: int) -> tuple[list, list]:
         """Per k-simplex X, by position: the number of zero factors of W(X)
@@ -153,10 +154,12 @@ class BoundaryTables:
 
     def entry(self, X, i: int) -> LaurentPoly:
         """The coefficient at (X minus its i-th vertex, X): the sign times
-        `facet_factors(X[i], X minus X[i])` without its q_1 factors, which
-        label-2 edges give and which are 1 over every field.  Entries with
-        the same sign and other factors, up to order, are one object."""
+        `facet_factors(X[i], X minus X[i])`.  Entries with the same sign and
+        factors, up to order, are one object, so a vertex with no label >= 4
+        edge gives two entries per weight m_v."""
         v, wide = X[i], self._wide[X[i]]
+        if not wide:
+            return self._product((i % 2, (None, self.c.m(v))))
         return self._product((i % 2, (None, self.c.m(v)),
                               *sorted(wide[w] for w in X if w in wide)))
 

@@ -368,6 +368,41 @@ def simplex_weight(g, c: Character, X, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Phi_d-exponents with every weight vector reduced
+# ---------------------------------------------------------------------------
+
+def exponents_every_vector(columns: list, row_weights: list, col_weights: list,
+                           fspec: FieldSpec, cleared: dict | None = None) -> tuple:
+    """`smith.cyclotomic_invariant_factors` as it was before its pivot-minor
+    certificate: one reduction for every distinct weight vector, none
+    skipped, on `NormalizedEchelon`.  Returns the rank, the ascending gaps
+    of the orders d with a nonzero gap, and the pivot rows per row weight
+    tuple, for the degree below to clear with; each reduction skips the
+    columns `cleared` holds under its column weight tuple."""
+    field = fspec.scalars()
+    ranks, exponents, pivot_rows, gaps_of = set(), {}, {}, {}
+    for d in sorted({d for w in row_weights + col_weights for d in w}) or [None]:
+        row_w = tuple(w.get(d, 0) for w in row_weights)
+        col_w = tuple(w.get(d, 0) for w in col_weights)
+        if (row_w, col_w) not in gaps_of:
+            skip = (cleared or {}).get(col_w, ())
+            rows = sorted(range(len(row_w)), key=lambda i: row_w[i])
+            slot = {i: s for s, i in enumerate(rows)}
+            order = [j for j in sorted(range(len(col_w)), key=lambda j: col_w[j])
+                     if j not in skip]
+            leads, _ = normalized_column_leads(
+                field, [{slot[i]: x for i, x in columns[j].items()} for j in order])
+            pivots = [(j, rows[low]) for j, low in zip(order, leads) if low is not None]
+            gaps_of[row_w, col_w] = sorted(col_w[j] - row_w[i] for j, i in pivots)
+            pivot_rows[row_w] = {i for _, i in pivots}
+            ranks.add(len(pivots))
+        if any(gaps_of[row_w, col_w]):
+            exponents[d] = gaps_of[row_w, col_w]
+    assert len(ranks) == 1, f"reductions disagree on the rank: {sorted(ranks)}"
+    return ranks.pop(), exponents, pivot_rows
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic multiplicities and truncated homology
 # ---------------------------------------------------------------------------
 

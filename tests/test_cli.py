@@ -1,7 +1,9 @@
 import io
 import json
 import random
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -161,6 +163,27 @@ def test_report_json_deterministic_without_timing():
     a = run(JobConfig(text=SQUARE))
     b = run(JobConfig(text=SQUARE))
     assert json.dumps(a.data, indent=2) == json.dumps(b.data, indent=2)
+
+
+@pytest.mark.parametrize("fixture", ["square_diagonal", "dihedral4"])
+def test_report_json_does_not_depend_on_the_hash_seed(fixture, tmp_path):
+    """Two interpreters with different string hash seeds print the same
+    report, matrices and pages included, apart from `timing`."""
+    path = tmp_path / f"{fixture}.graph"
+    path.write_text(fixture_text(fixture))
+    src = str(Path(artinkernels.__file__).resolve().parents[1])
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-m", "artinkernels", str(path), "--format", "json",
+                              "--dump-pages", "--dump-matrices"],
+                             capture_output=True, text=True, env=env, check=True).stdout
+        payload = json.loads(out)
+        del payload["timing"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert "matrices" in reports[0]
 
 
 def test_field_override_and_methods_subset():
@@ -469,3 +492,18 @@ def test_main_exit_code_3_on_mismatch(tmp_path, monkeypatch, capsys):
     # ... but not when cross-checking is switched off
     monkeypatch.setattr(cli, "run", fake_run)
     assert cli.main([str(path), "--no-cross-check"]) == 0
+
+
+def test_main_exit_code_4_when_memory_runs_out(tmp_path, monkeypatch, capsys):
+    import artinkernels.cli as cli
+
+    def exhausted(job):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert cli.main([str(path)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("resource error: ") and out.err.count("\n") == 1

@@ -21,7 +21,8 @@ from artinkernels.twisted import signed_boundary
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
                       square_diagonal_graph, square_graph)
-from oracles import det, poly_det_dense, poly_matrix, submatrix
+from oracles import (det, exponents_every_vector, mult_d, poly_det_dense, poly_matrix,
+                     submatrix)
 
 Q = QQ.scalars()
 
@@ -619,6 +620,73 @@ def test_differential_clearing_catches_one_column_cleared_too_many(monkeypatch):
     monkeypatch.setattr(linalg, "column_leads", one_more)
     with pytest.raises((AssertionError, ArithmeticError)):
         _check_clearing_against_full_eliminations(monkeypatch, random.Random(97), 25)
+
+
+def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatch):
+    """On seeded matching graphs (up to 7 vertices, weights -6..6, zeros
+    included) over Q, GF(2), GF(3) and GF(5), each degree reduced from the
+    top down with clearing: `cyclotomic_invariant_factors`, which skips the
+    weight vectors a kept pivot minor certifies, gives the rank and
+    exponents of `oracles.exponents_every_vector`.  Every skipped vector
+    has a kept pivot set (C, R) with Sum_C w - Sum_R w = 0; over Q, on
+    small minors, the twisted minor on (R, C) is checked to have
+    Phi_d-valuation 0 for each order d of the vector."""
+    kept = []
+    real = smith._pivot_gaps
+
+    def spy(field, columns, row_w, col_w, cleared):
+        out = real(field, columns, row_w, col_w, cleared)
+        kept.append((row_w, col_w, out[1]))
+        return out
+
+    monkeypatch.setattr(smith, "_pivot_gaps", spy)
+    rng = random.Random(0xCE27)
+    seen = dict.fromkeys(("degrees", "reduced", "skipped", "minors", "nonzero exponents",
+                          "masked"), 0)
+    for _ in range(120):
+        g = random_matching_graph(rng)
+        chi = Character(g, {v: rng.randint(-6, 6) for v in g.vertices})
+        if chi.is_zero:
+            continue
+        fc = build_flag_complex(g)
+        for fspec in (QQ, F2, F3, F5):
+            t = BoundaryTables(fc, chi, fspec)
+            above, ref_above = None, None
+            for k in range(fc.dim + 1, -1, -1):
+                columns, row_weights, col_weights = signed_boundary(t, k)
+                kept.clear()
+                snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec,
+                                                   above and above.pivot_rows)
+                rank, exponents, ref_above = exponents_every_vector(
+                    columns, row_weights, col_weights, fspec, ref_above)
+                context = (g.raw_edges, chi.values, str(fspec), k)
+                assert (snf.rank, snf.exponents) == (rank, exponents), context
+                above = snf
+                vectors = {}
+                for d in sorted({d for w in row_weights + col_weights for d in w}):
+                    vectors.setdefault((tuple(w.get(d, 0) for w in row_weights),
+                                        tuple(w.get(d, 0) for w in col_weights)), []).append(d)
+                reduced = {(row_w, col_w) for row_w, col_w, _ in kept}
+                seen["degrees"] += 1
+                seen["reduced"] += len(kept)
+                seen["nonzero exponents"] += bool(exponents)
+                seen["masked"] += sum(map(len, columns)) < sum(map(len, fc.facets(k)))
+                for (row_w, col_w), orders in vectors.items():
+                    if (row_w, col_w) in reduced:
+                        continue
+                    seen["skipped"] += 1
+                    certificates = [pivots for _, _, pivots in kept
+                                    if sum(col_w[j] - row_w[i] for j, i in pivots) == 0]
+                    assert certificates, context
+                    pivots = certificates[0]
+                    if fspec.char == 0 and len(pivots) <= 5:
+                        m = twisted_boundary(t, k)
+                        minor_det = det(submatrix(m, [m.rows[i] for _, i in pivots],
+                                                  [m.cols[j] for j, _ in pivots]))
+                        assert all(mult_d(minor_det, d) == 0 for d in orders), context
+                        seen["minors"] += 1
+    assert all(seen.values()), seen
+    assert seen["skipped"] > seen["degrees"], seen
 
 
 def _module_report(g, chi, fspec):

@@ -3,7 +3,7 @@ import random
 from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
                           build_flag_complex, boundary_matrix, twisted_boundary)
 from artinkernels.linalg import rank as field_rank
-from artinkernels.twisted import factor_poly
+from artinkernels.laurent import q_poly
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
@@ -222,21 +222,26 @@ def test_facet_table_lists_the_facet_positions():
 
 
 def test_every_entry_is_the_product_of_its_facet_factors():
-    """q_1 factors are left out of the sharing key, not out of the value."""
+    """Each entry is the sign times (t^{m_v} - 1) times q_lt(vw)(t^{m_v + m_w})
+    for every w in the face, read from the graph itself, label-2 edges
+    included: leaving their q_1 = 1 out of `facet_factors` changes no entry."""
     rng = random.Random(89)
     seen = set()
     for fc, chi, fspec, t in _random_tables(rng, 12):
         field = fspec.scalars()
+        g = fc.graph
         for k in range(0, fc.dim + 1):
             m = twisted_boundary(t, k)
             for j, X in enumerate(fc.simplices_of(k)):
                 for i, row in enumerate(fc.facets(k)[j]):
-                    factors = t.facet_factors(X[i], X[:i] + X[i + 1:])
-                    want = LaurentPoly.one(field) if i % 2 == 0 else -LaurentPoly.one(field)
-                    for f in factors:
-                        want = want * factor_poly(f, field)
+                    v = X[i]
+                    want = LaurentPoly.t_power(field, chi.m(v)) - LaurentPoly.one(field)
+                    if i % 2:
+                        want = -want
+                    for w in X[:i] + X[i + 1:]:
+                        want = want * q_poly(g.ell_tilde(v, w), chi.m(v) + chi.m(w), field)
+                        seen.add("q_1" if g.ell_tilde(v, w) == 1 else "wide")
                     assert m.columns[j].get(row, LaurentPoly.zero(field)) == want
-                    seen.update(("q_1" if f[0] == 1 else "wide") for f in factors[1:])
                     seen.add("zero" if want.is_zero() else "nonzero")
     assert seen == {"q_1", "wide", "zero", "nonzero"}
 
