@@ -184,7 +184,9 @@ class Report:
 
 
 def _poly_list(polys) -> list:
-    return [str(p) for p in polys]
+    """The factors as text; equal factors are one object, formatted once."""
+    text = {id(p): str(p) for p in {id(p): p for p in polys}.values()}
+    return [text[id(p)] for p in polys]
 
 
 def run(job: JobConfig) -> Report:

@@ -48,11 +48,13 @@ they would reduce to zero.  A vector left unreduced hands down no pivot
 rows.  Every irreducible factor of Phi_d gets the same exponents, so the
 invariant factors are products of Phi_d (mod p over GF(p)) and nothing is
 factored.
-Each call checks the weights against the entries of the real polynomial
-matrix, and over Q the pivot count against the rank at t = 2, which
-clears with the pivots of its own t = 2 reduction one degree up in
-simplex order (the boundaries compose to zero at t = 2 too), never with
-the engine's: the check must not read the result it checks.
+Each call walks the boundary's cells once, building no polynomial matrix
+(the implicit boundary of Bauer's Ripser, 2021): it checks the weights
+against the real entries, neither read from the other, and over Q the
+pivot count against the rank at t = 2, which clears with the pivots of
+its own t = 2 reduction one degree up in simplex order (the boundaries
+compose to zero at t = 2 too), never with the engine's: the check must
+not read the result it checks.
 
 :func:`smith_normal_form` (Euclidean reduction), :func:`taylor_block` and
 :func:`cyclotomic_candidates` are references the tests hold the engine
@@ -78,7 +80,8 @@ from .laurent import (cyclotomic_field, cyclotomic_product, dense_add, dense_div
                       dense_monic, dense_mul, dense_sub, laurent_from_dense,
                       taylor_at_root, totient)
 from .scalars import FieldSpec, divisors
-from .twisted import BoundaryTables, PolyMatrix, signed_boundary, twisted_boundary
+# twisted_boundary is not called here; callers also reach it as smith.twisted_boundary
+from .twisted import BoundaryTables, PolyMatrix, twisted_boundary  # noqa: F401
 
 
 @dataclass
@@ -278,12 +281,11 @@ def _strip_t(field, cs: list) -> list:
 SPECIALIZATION_POINT = 2       # t = 2 is neither zero nor on the unit circle
 
 
-def specialized_rank(m: PolyMatrix, cleared=frozenset(), leads: set | None = None) -> int:
+def specialized_rank(field, at_point: list, cleared=frozenset(), leads: set | None = None) -> int:
     """Rank of a matrix whose nonzero minors only vanish on the unit circle
-    or at zero, via exact evaluation at SPECIALIZATION_POINT of all but the
-    columns `cleared`, which it skips; `leads` as in `linalg.rank`."""
-    field = m.field
-    at_point = m.evaluate(field.from_int(SPECIALIZATION_POINT), cleared)
+    or at zero, from its sparse columns `at_point` evaluated exactly at
+    SPECIALIZATION_POINT, skipping the columns `cleared` (which
+    `signed_boundary` leaves empty); `leads` as in `linalg.rank`."""
     return linalg.rank(field, at_point, cleared, leads)
 
 
@@ -336,11 +338,12 @@ def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
     return sorted(col_w[j] - row_w[i] for j, i in pivots), pivots
 
 
-def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: list,
+def cyclotomic_invariant_factors(columns: list, row_weights: tuple, col_weights: tuple,
                                  fspec: FieldSpec, cleared: dict | None = None) -> SmithForm:
     """The Smith form of diag(W(Y))^-1 B diag(W(X)) over K[t^{+-1}], for a
-    signed boundary B given as sparse columns and the weights {d: w_d} of
-    its rows Y and columns X.
+    signed boundary B given as sparse columns and the weights of its rows Y
+    and columns X as `BoundaryTables.weights` gives them: zero counts and
+    {d: [w_d by position]}, whose arrays are the run keys.
 
     The orders d that share a weight vector share its pivot gaps.  A vector
     is reduced only when no pivot set (C, R) kept from an earlier reduction
@@ -351,13 +354,13 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
     one object, for the report and the cross-checks.  Each reduction skips
     the columns `cleared` holds under its column weight tuple.
     """
+    (row_zeros, rows), (col_zeros, cols) = row_weights, col_weights
     runs = {}
-    for d in sorted({d for w in row_weights + col_weights for d in w}):
-        key = (tuple(w.get(d, 0) for w in row_weights),
-               tuple(w.get(d, 0) for w in col_weights))
+    for d in sorted(rows.keys() | cols.keys()):
+        key = (tuple(rows.get(d, [0] * len(row_zeros))), tuple(cols.get(d, [0] * len(col_zeros))))
         runs.setdefault(key, []).append(d)
     if not runs:
-        runs[((0,) * len(row_weights), (0,) * len(col_weights))] = []
+        runs[((0,) * len(row_zeros), (0,) * len(col_zeros))] = []
     field = fspec.scalars()
     exponents, pivot_rows, minors = {}, {}, []
     for (row_w, col_w), orders in runs.items():
@@ -381,46 +384,68 @@ def cyclotomic_invariant_factors(columns: list, row_weights: list, col_weights: 
                      pivot_rows=pivot_rows)
 
 
-def _check_weights(m: PolyMatrix, columns: list, row_weights: list, col_weights: list) -> None:
-    """Check the weights against the entries of m, as ss checks its
-    residues: m is nonzero exactly where `columns` has an entry, and each
-    entry spans (degree minus valuation) the sum of phi(d) * (w_d(X) -
-    w_d(Y)), because t^n - 1 is a unit times a product of Phi_d of total
-    degree n over every field."""
-    def span(w):
-        return sum(totient(d) * e for d, e in w.items())
+def _spans(weights: tuple) -> list:
+    """Per position, the span (degree minus valuation) of the nonzero part
+    of W: t^n - 1 is a unit times Phi_d's of total degree n over any field."""
+    spans = [0] * len(weights[0])
+    for d, ws in weights[1].items():
+        phi = totient(d)
+        spans = [s + phi * w for s, w in zip(spans, ws)]
+    return spans
 
-    row_spans = [span(w) for w in row_weights]
-    entry_spans = {}            # entries that are one object are read once
-    for j, col in enumerate(m.columns):
-        if col.keys() != columns[j].keys():
-            raise ArithmeticError(f"the signed boundary and m have entries in "
-                                  f"different rows of column {m.cols[j]}")
-        col_span = span(col_weights[j])
-        for i, e in col.items():
-            got = entry_spans.get(id(e))
+
+def signed_boundary(t: BoundaryTables, k: int, skip=frozenset()) -> tuple[list, list | None]:
+    """The degree-k boundary of t as the weights see it, in one walk over
+    its cells: columns {row: (-1)^i} over the prime field where the face has
+    as many zero factors as X (it has X's then, as its factors are among
+    X's; else the entry is 0), and over Q the entries' values at t = 2 but
+    in the columns `skip` (None mod p).  Each entry `t.entry`, a product of
+    `factor_poly`, must be nonzero exactly at a kept cell and span there the
+    difference of the weights, sums of `factor_multiplicities`."""
+    rows, cols = t.weights(k - 1), t.weights(k)
+    row_zeros, row_spans, col_spans = rows[0], _spans(rows), _spans(cols)
+    field = t.field
+    signs = (field.one, field.neg(field.one))
+    x = field.from_int(SPECIALIZATION_POINT) if field.char == 0 else None
+    entry, faces = t.entry, t.fc.simplices_of(k - 1)
+    read = {}           # id(entry) -> (entry, its span or None if zero, its value at x)
+    columns, at_point = [], [] if x is not None else None
+    for j, (X, fs, z, span) in enumerate(zip(t.fc.simplices_of(k), t.fc.facets(k),
+                                             cols[0], col_spans)):
+        col, point = {}, None if x is None or j in skip else {}
+        for i, f in enumerate(fs):
+            e = entry(X, i)
+            got = read.get(id(e))
             if got is None:
-                got = entry_spans[id(e)] = e.degree() - e.valuation()
-            if got != col_span - row_spans[i]:
-                raise ArithmeticError(f"weights do not match the entry at "
-                                      f"{m.rows[i]}, {m.cols[j]}")
+                got = read[id(e)] = (e, e.degree() - e.valuation() if e else None,
+                                     e.evaluate(x) if e and x is not None else None)
+            want = span - row_spans[f] if row_zeros[f] == z else None
+            if got[1] != want:
+                raise ArithmeticError(f"weights do not match the entry at {faces[f]}, {X}")
+            if want is not None:
+                col[f] = signs[i % 2]
+                if point is not None:
+                    point[f] = got[2]
+        columns.append(col)
+        if at_point is not None:
+            at_point.append(point or {})
+    return columns, at_point
 
 
 def boundary_smith_form(t: BoundaryTables, k: int, above: SmithForm | None = None) -> SmithForm:
-    """The Smith form of m = twisted_boundary(t, k), every field alike: the
+    """The Smith form of the degree-k boundary of t, every field alike: the
     persistence of its signed boundary under the weights, clearing with the
-    pivot rows of `above`, the Smith form of degree k + 1 (module docstring)."""
-    m = twisted_boundary(t, k)
-    columns, row_weights, col_weights = signed_boundary(t, k)
-    snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, t.fspec,
+    pivot rows of `above`, the Smith form of degree k + 1 (module
+    docstring), checked as the module docstring says."""
+    cleared = (above and above.point_pivots) or frozenset()
+    columns, at_point = signed_boundary(t, k, cleared)
+    snf = cyclotomic_invariant_factors(columns, t.weights(k - 1), t.weights(k), t.fspec,
                                        above and above.pivot_rows)
-    _check_weights(m, columns, row_weights, col_weights)
-    if m.field.char == 0:
+    if at_point is not None:
         snf.point_pivots = set()
-        at_point = specialized_rank(m, above.point_pivots if above else frozenset(),
-                                    snf.point_pivots)
-        if at_point != snf.rank:
-            raise ArithmeticError(f"{snf.rank} pivots but rank {at_point} at "
+        rank = specialized_rank(t.field, at_point, cleared, snf.point_pivots)
+        if rank != snf.rank:
+            raise ArithmeticError(f"{snf.rank} pivots but rank {rank} at "
                                   f"t = {SPECIALIZATION_POINT}")
     return snf
 

@@ -19,9 +19,11 @@ matrix is the matching untwisted minor times p_X q_X ratios) and the
 multiplicity filtration.  The coefficient at (X_v, X) is the sign times
 p_X q_X / p_{X_v} q_{X_v} when X and X_v have the same resonant (zero)
 factors, and 0 when v brings in one of its own.  `BoundaryTables`, the
-twisted complex every boundary is read from, lists the factors;
-`factor_poly` reads them as polynomials (twisted_boundary, built once per
-degree) and `factor_multiplicities` as Phi_d-exponents (signed_boundary).
+twisted complex every boundary is read from, lists the factors; its
+`entry` reads them as polynomials (`factor_poly`) and its `weights` as
+Phi_d-exponents (`factor_multiplicities`), one integer array per order d.
+The Smith route walks the cells of each boundary once, reading both; a
+`PolyMatrix` is built (`twisted_boundary`) only for ss and matrix dumps.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.columns)
-
-    def evaluate(self, x, skip=frozenset()) -> list[dict]:
-        """The matrix at x as sparse columns, those in `skip` left empty;
-        entries that are one shared object (see `BoundaryTables.entry`) are
-        evaluated once."""
-        columns = [{} if j in skip else col for j, col in enumerate(self.columns)]
-        distinct = {id(e): e for col in columns for e in col.values()}
-        values = {k: e.evaluate(x) for k, e in distinct.items()}
-        return [{i: values[id(e)] for i, e in col.items()} for col in columns]
 
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""
@@ -117,7 +110,8 @@ class BoundaryTables:
         for u, v in g.edge_list:
             if (lt := g.ell_tilde(u, v)) != 1:
                 self._wide[u][v] = self._wide[v][u] = (lt, c.m_edge(u, v))
-        self._weights = {-1: ([0], [{}])}
+        self._weights = {-1: ([0], {})}
+        self._adds, self._entries = {}, {}
         one = LaurentPoly.one(self.field)
         self._products = {(0,): one, (1,): -one}
 
@@ -133,35 +127,51 @@ class BoundaryTables:
         wide = self._wide[v]
         return [(None, self.c.m(v))] + [wide[w] for w in face if w in wide]
 
-    def weights(self, k: int) -> tuple[list, list]:
-        """Per k-simplex X, by position: the number of zero factors of W(X)
-        and {d: w_d(X)}, the exponent of Phi_d in the product of its nonzero
-        factors.  A simplex adds `facet_factors(X[-1], X[:-1])` onto the
-        weights of its prefix X[:-1]."""
+    def weights(self, k: int) -> tuple[list, dict]:
+        """The k-simplices' weights by position: the number of zero factors
+        of each W(X), and {d: [w_d(X) per X]}, the exponent of Phi_d in the
+        product of the nonzero factors, for the d with a nonzero w_d.  A
+        simplex adds `facet_factors(X[-1], X[:-1])` onto the weights of its
+        prefix X[:-1]; what those factors add is worked out once per last
+        vertex and its label >= 4 neighbours in X."""
         if k not in self._weights:
-            zeros, ws = self.weights(k - 1) if self.fc.simplices_of(k) else ([], [])
-            self._weights[k] = out = ([], [])
-            for X, fs in zip(self.fc.simplices_of(k), self.fc.facets(k)):
-                z, wx = zeros[fs[-1]], dict(ws[fs[-1]])
-                for f in self.facet_factors(X[-1], X[:-1]):
-                    mult = factor_multiplicities(f, self.fspec.char)
-                    z += mult is None
-                    for d, e in mult or ():
-                        wx[d] = wx.get(d, 0) + e
-                out[0].append(z)
-                out[1].append(wx)
+            zeros, below = self.weights(k - 1) if self.fc.simplices_of(k) else ([], {})
+            prefixes = [fs[-1] for fs in self.fc.facets(k)]
+            adds = [self._added(X) for X in self.fc.simplices_of(k)]
+            arrays = {}
+            for d in sorted(set(below).union(*{id(a): a for _, a in adds}.values())):
+                ws = below.get(d, [0] * len(zeros))
+                ws = [ws[i] + a.get(d, 0) for i, (_, a) in zip(prefixes, adds)]
+                if any(ws):
+                    arrays[d] = ws
+            self._weights[k] = ([zeros[i] + z for i, (z, _) in zip(prefixes, adds)], arrays)
         return self._weights[k]
+
+    def _added(self, X) -> tuple:
+        """(zero factors, {d: exponent}) of `facet_factors(X[-1], X[:-1])`."""
+        v, wide = X[-1], self._wide[X[-1]]
+        key = (v, *[w for w in X if w in wide]) if wide else v
+        if key not in self._adds:
+            mults = [factor_multiplicities(f, self.fspec.char) for f in self.facet_factors(v, X[:-1])]
+            added = Counter()
+            for mult in mults:
+                added.update(dict(mult or ()))
+            self._adds[key] = (mults.count(None), dict(added))
+        return self._adds[key]
 
     def entry(self, X, i: int) -> LaurentPoly:
         """The coefficient at (X minus its i-th vertex, X): the sign times
-        `facet_factors(X[i], X minus X[i])`.  Entries with the same sign and
-        factors, up to order, are one object, so a vertex with no label >= 4
-        edge gives two entries per weight m_v."""
+        `facet_factors(X[i], X minus X[i])`, looked up by X[i], the parity
+        of i and X[i]'s label >= 4 neighbours in X.  Entries with the same
+        sign and factors, up to order, are one object, so a vertex with no
+        label >= 4 edge gives two entries per weight m_v."""
         v, wide = X[i], self._wide[X[i]]
-        if not wide:
-            return self._product((i % 2, (None, self.c.m(v))))
-        return self._product((i % 2, (None, self.c.m(v)),
-                              *sorted(wide[w] for w in X if w in wide)))
+        key = (i % 2, v, *[w for w in X if w in wide]) if wide else (i % 2, v)
+        e = self._entries.get(key)
+        if e is None:
+            e = self._entries[key] = self._product(
+                (i % 2, (None, self.c.m(v)), *sorted(wide[w] for w in key[2:])))
+        return e
 
     def _product(self, key: tuple) -> LaurentPoly:
         """(-1)^key[0] times the factors key[1:], one multiply onto the
@@ -186,16 +196,3 @@ def twisted_boundary(t: BoundaryTables, k: int) -> PolyMatrix:
                                      columns, t.field, k)
     return t.boundaries[k]
 
-
-def signed_boundary(t: BoundaryTables, k: int) -> tuple[list, list, list]:
-    """The degree-k boundary of t as the weights see it: sparse columns
-    {row: (-1)^i} over the prime field, one entry per face X minus its i-th
-    vertex with as many zero factors as X, and the weights {d: w_d} of rows
-    and columns.  A face's factors are among X's, so equal counts mean the
-    same zero factors; otherwise the coefficient has a zero factor and is 0.
-    """
-    (row_zeros, row_weights), (col_zeros, col_weights) = t.weights(k - 1), t.weights(k)
-    signs = (t.field.one, t.field.neg(t.field.one))
-    columns = [{f: signs[i % 2] for i, f in enumerate(fs) if row_zeros[f] == z}
-               for fs, z in zip(t.fc.facets(k), col_zeros)]
-    return columns, row_weights, col_weights

@@ -16,7 +16,7 @@ from artinkernels.flag import FlagComplex
 from artinkernels.graphs import (Character, LabeledGraph, connected_components,
                                  resonance_sets)
 from artinkernels.laurent import (CyclotomicField, LaurentPoly, ZeroPolynomialError,
-                                  cyclotomic_field, cyclotomic_int,
+                                  cyclotomic, cyclotomic_field, cyclotomic_int,
                                   cyclotomic_product, dense_add, dense_divmod,
                                   dense_mul, dense_sub,
                                   t_minus_one_multiplicities)
@@ -196,6 +196,11 @@ def poly_matrix(rows, cols, entries, field, k: int = 0) -> PolyMatrix:
                                    for j in range(len(cols))], field, k)
 
 
+def evaluate(m: PolyMatrix, x) -> list[dict]:
+    """The matrix m at x as sparse columns, each entry evaluated in full."""
+    return [{i: e.evaluate(x) for i, e in col.items()} for col in m.columns]
+
+
 def compose(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Matrix product a @ b (boundary-of-boundary checks)."""
     assert len(a.cols) == len(b.rows)
@@ -371,19 +376,21 @@ def simplex_weight(g, c: Character, X, d: int) -> int:
 # Phi_d-exponents with every weight vector reduced
 # ---------------------------------------------------------------------------
 
-def exponents_every_vector(columns: list, row_weights: list, col_weights: list,
+def exponents_every_vector(columns: list, row_weights: tuple, col_weights: tuple,
                            fspec: FieldSpec, cleared: dict | None = None) -> tuple:
     """`smith.cyclotomic_invariant_factors` as it was before its pivot-minor
     certificate: one reduction for every distinct weight vector, none
-    skipped, on `NormalizedEchelon`.  Returns the rank, the ascending gaps
-    of the orders d with a nonzero gap, and the pivot rows per row weight
-    tuple, for the degree below to clear with; each reduction skips the
-    columns `cleared` holds under its column weight tuple."""
+    skipped, on `NormalizedEchelon`.  The weights are as
+    `BoundaryTables.weights` gives them.  Returns the rank, the ascending
+    gaps of the orders d with a nonzero gap, and the pivot rows per row
+    weight tuple, for the degree below to clear with; each reduction skips
+    the columns `cleared` holds under its column weight tuple."""
     field = fspec.scalars()
+    (row_zeros, row_arrays), (col_zeros, col_arrays) = row_weights, col_weights
     ranks, exponents, pivot_rows, gaps_of = set(), {}, {}, {}
-    for d in sorted({d for w in row_weights + col_weights for d in w}) or [None]:
-        row_w = tuple(w.get(d, 0) for w in row_weights)
-        col_w = tuple(w.get(d, 0) for w in col_weights)
+    for d in sorted(set(row_arrays) | set(col_arrays)) or [None]:
+        row_w = tuple(row_arrays.get(d, [0] * len(row_zeros)))
+        col_w = tuple(col_arrays.get(d, [0] * len(col_zeros)))
         if (row_w, col_w) not in gaps_of:
             skip = (cleared or {}).get(col_w, ())
             rows = sorted(range(len(row_w)), key=lambda i: row_w[i])
@@ -424,6 +431,19 @@ def mult_d(f: LaurentPoly, d: int) -> int:
         cs = q
         count += 1
     return count
+
+
+def cyclotomic_exponent(f: LaurentPoly, d: int, fspec: FieldSpec) -> int:
+    """Largest a with Phi_d^a | f over fspec, by exact division: the
+    Phi_d-exponent when char K does not divide d, as Phi_d is then
+    squarefree over K."""
+    phi, a = cyclotomic(d, fspec), 0
+    while True:
+        try:
+            f = f.exact_div(phi)
+        except ValueError:
+            return a
+        a += 1
 
 
 def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> dict:

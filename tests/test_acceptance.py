@@ -28,8 +28,7 @@ from artinkernels import (BoundaryTables, LaurentPoly, boundary_smith_form, buil
                           page_dims, reduced_homology_ranks, resonance_sets,
                           smith_normal_form, solve_torsion, torsion_support,
                           twisted_boundary, verify_shape, weighted_complex)
-from artinkernels.smith import cyclotomic_invariant_factors
-from artinkernels.twisted import signed_boundary
+from artinkernels.smith import cyclotomic_invariant_factors, signed_boundary
 
 from conftest import (QQ, F2, dihedral_graph, q_boundaries, random_case,
                       square_diagonal_graph, square_graph)
@@ -389,6 +388,12 @@ def _poly_matmul(field, a, b):
 # criterion 7: brute-force Fitting ideals against the Smith engines
 # ---------------------------------------------------------------------------
 
+def _first(weights, n):
+    """`BoundaryTables.weights` cut to its first n positions."""
+    zeros, arrays = weights
+    return zeros[:n], {d: ws[:n] for d, ws in arrays.items() if any(ws[:n])}
+
+
 def test_acceptance_7_fitting_bruteforce():
     rng = random.Random(0xF17)
     bad = []
@@ -407,9 +412,10 @@ def test_acceptance_7_fitting_bruteforce():
             cols = m.cols[:4]
             m = submatrix(m, rows, cols)
             # the engine's reduction step on the same 4 x 4 corner
-            signs, row_w, col_w = signed_boundary(t, k)
+            signs, _ = signed_boundary(t, k)
             corner = [{i: x for i, x in col.items() if i < 4} for col in signs[:4]]
-            snf = cyclotomic_invariant_factors(corner, row_w[:4], col_w[:4], fspec)
+            snf = cyclotomic_invariant_factors(corner, _first(t.weights(k - 1), 4),
+                                               _first(t.weights(k), 4), fspec)
             field = m.field
             for size in range(1, min(len(rows), len(cols)) + 1):
                 gcd = LaurentPoly.zero(field)

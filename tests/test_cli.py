@@ -332,34 +332,49 @@ def _count_builds(monkeypatch) -> Counter:
 
 def test_run_builds_each_artefact_once(monkeypatch):
     """The Smith, ss and resonant routes share the run's flag complex,
-    twisted complex, reduced graph and quotient complex, and each boundary
-    is built once however many routes read it.  On a disconnected input
-    the per-component check adds one flag and twisted complex per
-    component, and one degree-1 boundary each; `homology_module` builds
-    one twisted complex."""
+    twisted complex, reduced graph and quotient complex.  The Smith route
+    walks its boundaries without building a polynomial matrix: an
+    `snf`-only run builds none, ss builds one per degree 0 .. fc.dim and
+    `--dump-matrices` one per degree 0 .. k_max + 1, each once however
+    many of them read it.  On a disconnected input the per-component check
+    adds one flag and twisted complex per component; `homology_module`
+    builds one twisted complex and no matrix."""
     counts = _count_builds(monkeypatch)
+    shared = {"build_flag_complex": 1, "BoundaryTables": 1, "build_gamma1": 1, "build_f2": 1}
+    rep = run(JobConfig(text=SQUARE, field=QQ, methods=("snf", "resonant")))
+    assert rep.ok and counts == Counter(shared)
+
+    counts.clear()
     rep = run(JobConfig(text=SQUARE, field=QQ))
     assert all(rep.data["methods"][m]["ran"] for m in ALL_METHODS)
+    dim = rep.data["classification"]["clique_dimension"]
+    assert counts == Counter({**shared, **{("PolyMatrix", k): 1 for k in range(dim + 1)}})
+
+    counts.clear()
+    rep = run(JobConfig(text=SQUARE, field=QQ, methods=("snf",), dump_matrices=True))
     k_max = rep.data["homology"]["k_max"]
+    assert k_max + 1 > dim and len(rep.data["matrices"]) == k_max + 2
     assert counts == Counter({"build_flag_complex": 1, "BoundaryTables": 1,
-                              "build_gamma1": 1, "build_f2": 1,
                               **{("PolyMatrix", k): 1 for k in range(k_max + 2)}})
+
+    counts.clear()
+    rep = run(JobConfig(text=SQUARE, field=QQ, dump_matrices=True))
+    assert counts == Counter({**shared, **{("PolyMatrix", k): 1 for k in range(k_max + 2)}})
 
     counts.clear()
     rep = run(JobConfig(text=TWO_COMPONENTS, field=QQ))
     assert rep.ok and rep.data["methods"]["ss"]["ran"]
     assert any("components" in c["subject"] for c in rep.data["cross_checks"])
-    k_max = rep.data["homology"]["k_max"]
+    dim = rep.data["classification"]["clique_dimension"]
     assert counts == Counter({"build_flag_complex": 3, "BoundaryTables": 3,
                               "build_gamma1": 1, "build_f2": 1,
-                              **{("PolyMatrix", k): 1 for k in range(k_max + 2)},
-                              ("PolyMatrix", 1): 3})
+                              **{("PolyMatrix", k): 1 for k in range(dim + 1)}})
 
     parsed = parse_input(SQUARE)
     fc = build_flag_complex(parsed.graph)
     counts.clear()
     homology_module(fc, parsed.character, QQ, 1)
-    assert counts == Counter({"BoundaryTables": 1, ("PolyMatrix", 1): 1, ("PolyMatrix", 2): 1})
+    assert counts == Counter({"BoundaryTables": 1})
 
 
 def test_kmax_flag_caps_degrees():

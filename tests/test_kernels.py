@@ -25,7 +25,7 @@ from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
 from conftest import QQ, q_boundaries, random_case
-from oracles import fraction_rank, horner_taylor, normalized_column_leads, sparse
+from oracles import evaluate, fraction_rank, horner_taylor, normalized_column_leads, sparse
 
 Q = QQ.scalars()
 ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
@@ -179,7 +179,7 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
         t = BoundaryTables(build_flag_complex(g), chi, QQ)
         for k in range(0, t.fc.dim + 2):
             m = twisted_boundary(t, k)
-            rows = m.evaluate(Q.from_int(2))
+            rows = evaluate(m, Q.from_int(2))
             before = copy.deepcopy(rows)
             assert rank(Q, rows) == dense_rank(Q, [[e.evaluate(Q.from_int(2)) for e in row]
                                                    for row in m.entries])
@@ -403,16 +403,16 @@ def test_more_pivots_than_the_rank_raises(monkeypatch):
     t = BoundaryTables(build_flag_complex(g), chi, QQ)
     assert boundary_smith_form(t, 1).rank == 1
     with monkeypatch.context() as mp:
-        mp.setattr(smith, "specialized_rank", lambda mat, cleared, leads: 0)
+        mp.setattr(smith, "specialized_rank", lambda field, at_point, cleared, leads: 0)
         with pytest.raises(ArithmeticError, match="pivots"):
             boundary_smith_form(t, 1)
     # on the run path: degree 0 clears the t = 2 lead of degree 1, and a
     # cleared rank one short still raises
     real, calls = smith.specialized_rank, []
 
-    def short_when_cleared(mat, cleared, leads):
+    def short_when_cleared(field, at_point, cleared, leads):
         calls.append(len(cleared))
-        return real(mat, cleared, leads) - bool(cleared)
+        return real(field, at_point, cleared, leads) - bool(cleared)
 
     monkeypatch.setattr(smith, "specialized_rank", short_when_cleared)
     with pytest.raises(ArithmeticError, match="pivots"):

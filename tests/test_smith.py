@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,14 +16,14 @@ from artinkernels.cli import JobConfig, run, serialize_input
 from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, totient
 from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import FieldSpec
-from artinkernels.smith import cyclotomic_invariant_factors, decompose_torsion
-from artinkernels.twisted import signed_boundary
+from artinkernels.smith import (cyclotomic_invariant_factors, decompose_torsion,
+                                signed_boundary)
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
                       square_diagonal_graph, square_graph)
-from oracles import (det, exponents_every_vector, mult_d, poly_det_dense, poly_matrix,
-                     submatrix)
+from oracles import (det, evaluate, exponents_every_vector, mult_d, poly_det_dense,
+                     poly_matrix, submatrix)
 
 Q = QQ.scalars()
 
@@ -239,8 +240,8 @@ def test_free_rank_agrees_with_random_specialization():
             # specialize t to a value that is not a root of any torsion
             # factor or of t; a large prime argument is safely generic
             x = Q.from_int(9973)
-            mk = twisted_boundary(t, k).evaluate(x)
-            mk1 = twisted_boundary(t, k + 1).evaluate(x)
+            mk = evaluate(twisted_boundary(t, k), x)
+            mk1 = evaluate(twisted_boundary(t, k + 1), x)
             from artinkernels.linalg import rank as frank
             dim = len(fc.simplices_of(k)) - frank(Q, mk) - frank(Q, mk1)
             assert dim == dec.free_rank
@@ -436,7 +437,8 @@ def test_invariant_factors_are_one_object_per_exponent_vector():
         for fspec in (QQ, F3):
             t = BoundaryTables(fc, chi, fspec)
             for k in range(fc.dim + 2):
-                snf = cyclotomic_invariant_factors(*signed_boundary(t, k), fspec)
+                snf = cyclotomic_invariant_factors(signed_boundary(t, k)[0], t.weights(k - 1),
+                                                   t.weights(k), fspec)
                 by_vector = {}
                 for i, f in enumerate(snf.invariant_factors):
                     vector = {d: slots[i] for d, slots in snf.exponents.items() if slots[i]}
@@ -482,12 +484,56 @@ def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
     # every pivot of a twisted boundary carries t - 1, so no invariant
     # factor above is trivial; a bare signed boundary whose first pivot
     # has no gap gives one, and its slot stays out of the module
-    snf = cyclotomic_invariant_factors([{0: 1}, {1: 1}], [{2: 0}, {2: 0}],
-                                       [{2: 0}, {2: 1}], QQ)
+    snf = cyclotomic_invariant_factors([{0: 1}, {1: 1}], ([0, 0], {}),
+                                       ([0, 0], {2: [0, 1]}), QQ)
     dec = decompose_torsion(0, 0, snf, QQ)
     assert snf.exponents == {2: [0, 1]} and dec.exponents == {2: [1]}
     assert dec.invariant_factors == [cyclotomic(2, QQ)]
     assert dec.cyclotomic_parts == {2: [1]} and dec.t_minus_1_exponent == 0
+
+
+# the top simplex's column holds a masked cell at i = 0 and a kept one at
+# i = k: over Q the vertex a of weight 0 is a zero factor that the face (b)
+# lacks; over GF(3) so is the label-6 edge ab with m_a + m_b = 0, which the
+# face (b, c) lacks
+FAULT_CASES = {
+    "Q": (QQ, LabeledGraph(["a", "b"], [("a", "b", 4)]), {"a": 0, "b": 1}),
+    "GF(3)": (F3, LabeledGraph(["a", "b", "c"], [("a", "b", 6), ("a", "c", 2), ("b", "c", 2)]),
+              {"a": 1, "b": -1, "c": 1}),
+}
+
+
+@pytest.mark.parametrize("fault", ["moved into a masked cell", "zeroed", "times t - 1"])
+@pytest.mark.parametrize("field", list(FAULT_CASES))
+def test_the_walk_rejects_a_doctored_entry(monkeypatch, field, fault):
+    """One entry of the top boundary doctored through `BoundaryTables.entry`
+    makes `boundary_smith_form` raise at the doctored cell: moved from its
+    cell into a masked one (met first, so the masked cell must raise), set
+    to zero, or multiplied by t - 1 so that its span is one too many."""
+    fspec, g, weights = FAULT_CASES[field]
+    t = BoundaryTables(build_flag_complex(g), Character(g, weights), fspec)
+    k = t.fc.dim
+    X, fs = t.fc.simplices_of(k)[0], t.fc.facets(k)[0]
+    columns, _ = signed_boundary(t, k)
+    assert fs[0] not in columns[0] and fs[k] in columns[0]
+    boundary_smith_form(t, k)
+    real, zero = BoundaryTables.entry, LaurentPoly.zero(t.field)
+    t_minus_1 = LaurentPoly.t_power(t.field, 1) - LaurentPoly.one(t.field)
+
+    def doctored(self, Y, i):
+        e = real(self, Y, i)
+        if Y != X:
+            return e
+        if fault == "moved into a masked cell":
+            return real(self, Y, k) if i == 0 else zero if i == k else e
+        if i != k:
+            return e
+        return zero if fault == "zeroed" else e * t_minus_1
+
+    monkeypatch.setattr(BoundaryTables, "entry", doctored)
+    cell = t.fc.simplices_of(k - 1)[fs[0] if fault.startswith("moved") else fs[k]]
+    with pytest.raises(ArithmeticError, match=re.escape(f"do not match the entry at {cell}")):
+        boundary_smith_form(BoundaryTables(t.fc, t.c, fspec), k)
 
 
 def test_decompose_torsion_over_q_needs_exponents():
@@ -569,18 +615,20 @@ def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
     """On seeded random FC graphs (labels 2, 4, 6, weights with zeros):
     `image_dims` over Q, GF(2) and GF(3) equals the full rank of every
     `boundary_matrix`, and every cleared rank at t = 2 the Smith route
-    checks over Q equals the uncleared one.  Returns the columns each
-    elimination skipped."""
+    checks over Q equals the full rank of its `twisted_boundary` evaluated
+    at t = 2.  Returns the columns each elimination skipped."""
     skipped = {"image_dims": 0, "t = 2": 0}
     real_rank, real_point_rank = linalg.rank, smith.specialized_rank
+    point_ranks = []
+    two = Q.from_int(2)
 
     def rank_spy(field, rows, skip=frozenset(), leads=None):
         skipped["image_dims"] += len(skip)
         return real_rank(field, rows, skip, leads)
 
-    def point_rank_spy(m, cleared=frozenset(), leads=None):
-        got = real_point_rank(m, cleared, leads)
-        assert got == real_point_rank(m), (m.k, sorted(cleared))
+    def point_rank_spy(field, at_point, cleared=frozenset(), leads=None):
+        got = real_point_rank(field, at_point, cleared, leads)
+        point_ranks.append(got)
         skipped["t = 2"] += len(cleared)
         return got
 
@@ -595,9 +643,13 @@ def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
                 got = image_dims(fc, fspec)
             assert got == [real_rank(field, boundary_matrix(fc, k, fspec).columns)
                            for k in range(fc.dim + 2)], (g.raw_edges, fspec)
+        t = BoundaryTables(fc, chi, QQ)
+        point_ranks.clear()
         with mp.context() as spy:
             spy.setattr(smith, "specialized_rank", point_rank_spy)
-            homology_modules(BoundaryTables(fc, chi, QQ), range(fc.dim + 1))
+            homology_modules(t, range(fc.dim + 1))
+        assert point_ranks == [real_rank(Q, evaluate(twisted_boundary(t, k), two))
+                               for k in range(fc.dim + 1, -1, -1)], (g.raw_edges, point_ranks)
     return skipped
 
 
@@ -653,7 +705,8 @@ def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatc
             t = BoundaryTables(fc, chi, fspec)
             above, ref_above = None, None
             for k in range(fc.dim + 1, -1, -1):
-                columns, row_weights, col_weights = signed_boundary(t, k)
+                columns, _ = signed_boundary(t, k)
+                row_weights, col_weights = t.weights(k - 1), t.weights(k)
                 kept.clear()
                 snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec,
                                                    above and above.pivot_rows)
@@ -663,9 +716,11 @@ def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatc
                 assert (snf.rank, snf.exponents) == (rank, exponents), context
                 above = snf
                 vectors = {}
-                for d in sorted({d for w in row_weights + col_weights for d in w}):
-                    vectors.setdefault((tuple(w.get(d, 0) for w in row_weights),
-                                        tuple(w.get(d, 0) for w in col_weights)), []).append(d)
+                (row_zeros, row_arrays), (col_zeros, col_arrays) = row_weights, col_weights
+                for d in sorted(set(row_arrays) | set(col_arrays)):
+                    vectors.setdefault((tuple(row_arrays.get(d, [0] * len(row_zeros))),
+                                        tuple(col_arrays.get(d, [0] * len(col_zeros)))),
+                                       []).append(d)
                 reduced = {(row_w, col_w) for row_w, col_w, _ in kept}
                 seen["degrees"] += 1
                 seen["reduced"] += len(kept)

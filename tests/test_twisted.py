@@ -1,14 +1,18 @@
 import random
+from collections import Counter
 
 from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
-                          build_flag_complex, boundary_matrix, twisted_boundary)
+                          build_flag_complex, boundary_matrix, resonance_sets,
+                          twisted_boundary)
 from artinkernels.linalg import rank as field_rank
 from artinkernels.laurent import q_poly
+from artinkernels.scalars import divisors
+from artinkernels.smith import signed_boundary
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
-from oracles import (compose, dense, list_weights, minor, poly_matrix_rank,
-                     simplex_weights)
+from oracles import (compose, cyclotomic_exponent, dense, evaluate, list_weights, minor,
+                     poly_matrix_rank, simplex_weights)
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -256,3 +260,62 @@ def test_label_two_complete_graph_has_two_entries_per_vertex_weight():
         objects = {id(e) for k in range(fc.dim + 1)
                    for col in twisted_boundary(t, k).columns for e in col.values()}
         assert len(objects) == 2 * len({chi.m(v) for v in names})
+
+
+def test_the_smith_walk_matches_reference_weights_masks_and_values():
+    """On seeded random FC graphs (labels 2, 4, 6, weights with zeros) over
+    Q, GF(2) and GF(3), `BoundaryTables.weights` and the Smith route's walk
+    (`smith.signed_boundary`) agree with references built apart from them:
+    the zero counts are the resonant vertices and edges of each simplex,
+    w_d is the Phi_d-exponent of `oracles.list_weights` by exact division,
+    the signed columns are those of `boundary_matrix` kept where face and
+    simplex have equal zero counts, and over Q the values at t = 2 are the
+    `twisted_boundary` entries evaluated one by one.
+
+    Within a simplex a vertex has 0 or 1 label >= 4 neighbours, since a
+    spherical clique's label >= 4 edges form a matching; a vertex with two
+    label >= 4 neighbours in the graph meets each of them in some simplex,
+    so the memos keyed by the neighbours present must tell them apart."""
+    rng = random.Random(0x3A1C)
+    seen = Counter()
+    for fc, chi, fspec, t in _random_tables(rng, 16):
+        g, p = fc.graph, fspec.char
+        res = resonance_sets(g, chi, fspec)
+        orders = sorted({d for n in [chi.m(v) for v in g.vertices]
+                         + [g.ell_tilde(u, v) * chi.m_edge(u, v) for u, v in g.edge_list]
+                         if n for d in divisors(abs(n)) if not p or d % p})
+
+        def zeros(X):
+            return (sum(v in res.resonant_vertices for v in X)
+                    + sum((u, v) in res.resonant_edges for i, u in enumerate(X) for v in X[i + 1:]))
+
+        for k in range(-1, fc.dim + 2):
+            context = (g.raw_edges, chi.values, str(fspec), k)
+            simplices = fc.simplices_of(k)
+            products = [w.p * w.q for w in (list_weights(fc, chi, fspec, [X]) for X in simplices)]
+            arrays = {d: ws for d in orders
+                      if any(ws := [cyclotomic_exponent(w, d, fspec) for w in products])}
+            assert t.weights(k) == ([zeros(X) for X in simplices], arrays), context
+            if k < 0:
+                continue
+            faces = fc.simplices_of(k - 1)
+            full = boundary_matrix(fc, k, fspec).columns
+            columns, at_point = signed_boundary(t, k)
+            assert columns == [{f: sign for f, sign in col.items() if zeros(faces[f]) == zeros(X)}
+                               for X, col in zip(simplices, full)], context
+            seen["masked"] += sum(map(len, full)) - sum(map(len, columns))
+            if p:
+                assert at_point is None
+            else:
+                assert at_point == evaluate(twisted_boundary(t, k), Q.from_int(2)), context
+                seen["values"] += sum(map(len, at_point))
+        if p:
+            continue
+        met = {v: set() for v in g.vertices}       # v -> its label >= 4 neighbours per simplex
+        for X in (X for k in range(fc.dim + 1) for X in fc.simplices_of(k)):
+            for v in X:
+                wide = tuple(w for w in X if w != v and g.adjacency[v][w] >= 4)
+                seen[f"{len(wide)} inside"] += 1
+                met[v].add(wide)
+        seen["two met"] += sum(len(met[v] - {()}) >= 2 for v in met)
+    assert {"masked", "values", "0 inside", "1 inside", "two met"} <= set(seen), seen
