@@ -1,10 +1,11 @@
 """The finite type flag complex and its incidence boundary.
 
-Simplices are the spherical cliques of the graph, stored as vertex tuples
-sorted by the canonical order.  The complex is kept augmented: the empty
-simplex sits in dimension -1, so the chain degree of a simplex on k+1
-vertices is k and the degree-0 boundary is the augmentation map onto the
-empty simplex.
+Simplices are the spherical cliques of the graph, stored as int masks, bit
+i for the i-th vertex in the canonical order, so a facet is a bit cleared;
+their vertex tuples are decoded only where a simplex is named.  The
+complex is kept augmented: the empty simplex (mask 0) sits in dimension
+-1, so the chain degree of a simplex on k+1 vertices is k and the degree-0
+boundary is the augmentation map onto the empty simplex.
 
 The incidence sign of dropping the i-th vertex of a simplex is (-1)^i.
 Every boundary reads the facets of a simplex by position (`facets`).
@@ -19,40 +20,53 @@ from .graphs import LabeledGraph
 from .scalars import Field, FieldSpec
 
 
-class FlagComplex:
-    __slots__ = ("graph", "by_dim", "_pos", "_facets")
+def bits(m: int) -> list:
+    """The set bits of m, ascending: the vertex indices of a simplex mask."""
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
 
-    def __init__(self, graph: LabeledGraph, by_dim: dict):
-        self.graph = graph
-        self.by_dim = by_dim
-        self._pos = {}
-        self._facets = {}
-        for sims in by_dim.values():
-            for i, s in enumerate(sims):
-                self._pos[s] = i
+
+class FlagComplex:
+    __slots__ = ("graph", "masks", "_pos", "_facets", "_tuples")
+
+    def __init__(self, graph: LabeledGraph, masks: dict):
+        self.graph, self.masks = graph, masks
+        self._pos = {m: i for ms in masks.values() for i, m in enumerate(ms)}
+        self._facets, self._tuples = {}, {}
 
     @property
     def dim(self) -> int:
-        return max(k for k, sims in self.by_dim.items() if sims)
+        return max(k for k, ms in self.masks.items() if ms)
 
     def simplices_of(self, k: int) -> list:
-        return self.by_dim.get(k, [])
+        if k not in self._tuples:
+            vs = self.graph.vertices
+            self._tuples[k] = [tuple(map(vs.__getitem__, bits(m))) for m in self.masks.get(k, ())]
+        return self._tuples[k]
 
     def facets(self, k: int) -> list:
-        """Per k-simplex X, the positions of X[:i] + X[i+1:], i = 0 .. k;
-        the last one is the prefix X[:-1].  Built on first use."""
-        table = self._facets.get(k)
-        if table is None:
-            pos = self._pos
-            table = self._facets[k] = [tuple(pos[X[:i] + X[i + 1:]] for i in range(len(X)))
-                                       for X in self.simplices_of(k)]
-        return table
+        """Per k-simplex X, the positions of X minus its i-th vertex,
+        i = 0 .. k; the last one is the prefix X[:-1].  Built on first use."""
+        if k not in self._facets:
+            pos, table = self._pos, self._facets.setdefault(k, [])
+            for m in self.masks.get(k, ()):
+                fs, rest = [], m
+                while rest:
+                    fs.append(pos[m ^ (rest & -rest)])
+                    rest &= rest - 1
+                table.append(tuple(fs))
+        return self._facets[k]
 
     def __contains__(self, simplex) -> bool:
-        return tuple(simplex) in self._pos
+        """Whether the vertices of `simplex`, distinct and known, span one."""
+        found = {self.graph.index.get(v, len(self.graph.vertices)) for v in simplex}
+        return len(found) == len(simplex) and sum(1 << b for b in found) in self._pos
 
     def counts(self) -> dict:
-        return {k: len(v) for k, v in sorted(self.by_dim.items())}
+        return {k: len(v) for k, v in sorted(self.masks.items())}
 
     def __repr__(self):
         return f"FlagComplex({self.counts()})"
@@ -62,23 +76,26 @@ def build_flag_complex(g: LabeledGraph) -> FlagComplex:
     """Enumerate every spherical clique once, depth first with vertices in
     the canonical order, so that each degree comes out sorted.  A clique
     carries the later vertices adjacent to all of it and the vertices its
-    label >= 4 edges cover, so extending it by w checks only the edges at w
-    (a clique is spherical iff its label >= 4 edges form a matching)."""
-    label = g.adjacency
-    by_dim: dict[int, list] = {-1: [()]}
-    stack = [((v,), [w for w in g.vertices[i + 1:] if w in label[v]], frozenset())
-             for i, v in reversed(list(enumerate(g.vertices)))]
+    label >= 4 edges cover, all as masks, so extending it by w checks only
+    the edges at w (a clique is spherical iff its label >= 4 edges form a
+    matching): w may have one label >= 4 neighbour in it, not yet covered."""
+    adj = [sum(1 << g.index[w] for w in g.adjacency[v]) for v in g.vertices]
+    heavy = [sum(1 << g.index[w] for w, label in g.adjacency[v].items() if label >= 4)
+             for v in g.vertices]
+    masks: dict[int, list] = {-1: [0]}
+    stack = [(1 << i, adj[i] >> i + 1 << i + 1, 0) for i in reversed(range(len(adj)))]
     while stack:
-        simplex, later, covered = stack.pop()
-        by_dim.setdefault(len(simplex) - 1, []).append(simplex)
-        for i in range(len(later) - 1, -1, -1):
-            w = later[i]
-            wide = [v for v in simplex if label[v][w] >= 4]
-            if len(wide) > 1 or wide and wide[0] in covered:
-                continue
-            stack.append((simplex + (w,), [x for x in later[i + 1:] if x in label[w]],
-                          covered | {wide[0], w} if wide else covered))
-    return FlagComplex(g, by_dim)
+        m, later, covered = stack.pop()
+        masks.setdefault(m.bit_count() - 1, []).append(m)
+        above = 0                       # the candidates after w, as a mask
+        while later:
+            w = later.bit_length() - 1
+            later ^= 1 << w
+            wm = m & heavy[w]
+            if not (wm & (wm - 1) or wm & covered):
+                stack.append((m | 1 << w, above & adj[w], covered | wm | 1 << w if wm else covered))
+            above |= 1 << w
+    return FlagComplex(g, masks)
 
 
 @dataclass
@@ -98,9 +115,13 @@ def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatri
     the augmentation: every vertex maps to the empty simplex with sign +1.
     """
     field = fspec.scalars()
+    return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k),
+                           _signed_columns(fc, k, field), field)
+
+
+def _signed_columns(fc: FlagComplex, k: int, field: Field) -> list:
     signs = (field.one, field.neg(field.one))
-    columns = [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
-    return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, field)
+    return [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
 
 
 def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
@@ -112,7 +133,7 @@ def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
     out, cleared = [0], frozenset()
     for k in range(fc.dim, -1, -1):
         leads = set()
-        out.append(linalg.rank(field, boundary_matrix(fc, k, fspec).columns, cleared, leads))
+        out.append(linalg.rank(field, _signed_columns(fc, k, field), cleared, leads))
         cleared = leads
     return out[::-1]
 
@@ -128,5 +149,5 @@ def reduced_homology_ranks(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
 
 def ranks_from_image_dims(fc: FlagComplex, ims: list[int]) -> list[int]:
     """r_k = (n_k - dim im d_k) - dim im d_{k+1} from an `image_dims` list."""
-    return [len(fc.simplices_of(k)) - ims[k] - ims[k + 1]
+    return [len(fc.masks[k]) - ims[k] - ims[k + 1]
             for k in range(0, fc.dim + 1)]

@@ -72,28 +72,27 @@ def vertex_problem(known, v) -> str | None:
 class LabeledGraph:
     """Finite simplicial graph with even labels and a fixed vertex order.
 
-    Built once: `edge_list`, the pairs (u, v) with u before v, sorted in
-    the vertex order, and `adjacency`, {v: {w: label}} with each vertex's
-    neighbours in the vertex order.  Raises GraphError on a duplicate
+    Built once: `index`, {v: position}; `edge_list`, the pairs (u, v) with
+    u before v, sorted in the vertex order; and `adjacency`, {v: {w: label}}
+    with neighbours in the vertex order.  Raises GraphError on a duplicate
     vertex, or listing every edge that breaks a rule of `edge_problem`.
     """
 
-    __slots__ = ("vertices", "_index", "raw_edges", "edge_list", "adjacency")
+    __slots__ = ("vertices", "index", "raw_edges", "edge_list", "adjacency")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        self._index = {}
+        self.index = index = {}
         for i, v in enumerate(self.vertices):
-            problem = vertex_problem(self._index, v)
+            problem = vertex_problem(index, v)
             if problem:
                 raise GraphError(problem)
-            self._index[v] = i
+            index[v] = i
         self.raw_edges = tuple((u, v, int(l)) for u, v, l in edges)
         seen: set = set()
-        problems = [edge_problem(self._index, seen, *e) for e in self.raw_edges]
+        problems = [edge_problem(index, seen, *e) for e in self.raw_edges]
         if any(problems):
             raise GraphError("; ".join(p for p in problems if p))
-        index = self._index
         ordered = sorted(((u, v, l) if index[u] < index[v] else (v, u, l)
                           for u, v, l in self.raw_edges),
                          key=lambda e: (index[e[0]], index[e[1]]))
@@ -110,9 +109,6 @@ class LabeledGraph:
 
     def neighbors(self, v):
         return tuple(self.adjacency[v])
-
-    def sort_vertices(self, vertex_set) -> tuple:
-        return tuple(sorted(vertex_set, key=self._index.__getitem__))
 
     def __repr__(self):
         return f"LabeledGraph({len(self.vertices)} vertices, {len(self.edge_list)} edges)"
@@ -131,7 +127,7 @@ class Character:
 
     def __init__(self, graph: LabeledGraph, weights: dict):
         missing = [v for v in graph.vertices if v not in weights]
-        extra = [v for v in weights if v not in graph._index]
+        extra = [v for v in weights if v not in graph.index]
         if missing or extra:
             raise GraphError(f"character domain mismatch: missing={missing} extra={extra}")
         self.graph = graph

@@ -121,7 +121,7 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
         if not edge_resonant(u, v):
             continue
         link = [w for w in g.adjacency[u]
-                if w in g.adjacency[v] and g.sort_vertices((u, v, w)) in fc]
+                if w in g.adjacency[v] and (u, v, w) in fc]
         if any(w not in vr for w in link):
             removed_edges.add((u, v))
             log.append(f"1-cell {(u, v)}: resonant with non-resonant link")

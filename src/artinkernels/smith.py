@@ -399,29 +399,33 @@ def signed_boundary(t: BoundaryTables, k: int, skip=frozenset()) -> tuple[list, 
     its cells: columns {row: (-1)^i} over the prime field where the face has
     as many zero factors as X (it has X's then, as its factors are among
     X's; else the entry is 0), and over Q the entries' values at t = 2 but
-    in the columns `skip` (None mod p).  Each entry `t.entry`, a product of
-    `factor_poly`, must be nonzero exactly at a kept cell and span there the
-    difference of the weights, sums of `factor_multiplicities`."""
+    in the columns `skip` (None mod p).  Each entry `t.entry(X, i, v)`, v
+    the i-th set bit of the mask X, a product of `factor_poly`, must be
+    nonzero exactly at a kept cell and span there the difference of the
+    weights, sums of `factor_multiplicities`."""
     rows, cols = t.weights(k - 1), t.weights(k)
     row_zeros, row_spans, col_spans = rows[0], _spans(rows), _spans(cols)
     field = t.field
     signs = (field.one, field.neg(field.one))
     x = field.from_int(SPECIALIZATION_POINT) if field.char == 0 else None
-    entry, faces = t.entry, t.fc.simplices_of(k - 1)
+    entry, faces = t.entry, t.fc.simplices_of
     read = {}           # id(entry) -> (entry, its span or None if zero, its value at x)
     columns, at_point = [], [] if x is not None else None
-    for j, (X, fs, z, span) in enumerate(zip(t.fc.simplices_of(k), t.fc.facets(k),
+    for j, (m, fs, z, span) in enumerate(zip(t.fc.masks.get(k, ()), t.fc.facets(k),
                                              cols[0], col_spans)):
         col, point = {}, None if x is None or j in skip else {}
+        rest = m
         for i, f in enumerate(fs):
-            e = entry(X, i)
+            e = entry(m, i, (rest & -rest).bit_length() - 1)
+            rest &= rest - 1
             got = read.get(id(e))
             if got is None:
                 got = read[id(e)] = (e, e.degree() - e.valuation() if e else None,
                                      e.evaluate(x) if e and x is not None else None)
             want = span - row_spans[f] if row_zeros[f] == z else None
             if got[1] != want:
-                raise ArithmeticError(f"weights do not match the entry at {faces[f]}, {X}")
+                raise ArithmeticError(
+                    f"weights do not match the entry at {faces(k - 1)[f]}, {faces(k)[j]}")
             if want is not None:
                 col[f] = signs[i % 2]
                 if point is not None:
@@ -514,7 +518,7 @@ def homology_modules(t: BoundaryTables, degrees: range) -> tuple[dict, dict]:
     snfs, above = {}, None
     for k in range(degrees.stop, degrees.start - 1, -1):
         snfs[k] = above = boundary_smith_form(t, k, above)
-    decs = {k: decompose_torsion(k, len(t.fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
+    decs = {k: decompose_torsion(k, len(t.fc.masks[k]) - snfs[k].rank - snfs[k + 1].rank,
                                  snfs[k + 1], t.fspec)
             for k in degrees}
     return snfs, decs

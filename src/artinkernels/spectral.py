@@ -157,19 +157,16 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
     # w(X) summed from tables by position: a simplex adds its last vertex
     # and the edges to it onto its prefix, the last entry of its facets.
     # Only an edge of label >= 4 can weigh 1 (a label-2 edge has q = 1), so
-    # `heavy` keeps, per endpoint, the other ends of the edges that do
-    vertex_w = {v: vertex_weight(c, v, d) for v in g.vertices}
-    heavy = {}
-    for u, v in g.edge_list:
-        if g.ell(u, v) > 2 and edge_weight(g, c, u, v, d):
-            heavy.setdefault(u, set()).add(v)
-            heavy.setdefault(v, set()).add(u)
+    # `heavy[v]` masks, per vertex index v, the other ends of the edges that do
+    vertex_w = [vertex_weight(c, v, d) for v in g.vertices]
+    heavy = [sum(1 << g.index[w] for w, label in g.adjacency[v].items()
+                 if label > 2 and edge_weight(g, c, v, w, d)) for v in g.vertices]
     by_position = {-1: [0]}
     for n in range(0, fc.dim + 1):
         ws = by_position[n - 1]
-        by_position[n] = [ws[fs[-1]] + vertex_w[X[-1]]
-                          + (len(heavy[X[-1]].intersection(X)) if X[-1] in heavy else 0)
-                          for X, fs in zip(fc.simplices_of(n), fc.facets(n))]
+        by_position[n] = [ws[fs[-1]] + vertex_w[v := m.bit_length() - 1]
+                          + (m & heavy[v]).bit_count()
+                          for m, fs in zip(fc.masks[n], fc.facets(n))]
     # each degree in (weight, canonical order): a stable sort of the positions;
     # slot[n] is the inverse permutation, position -> index in bases[n]
     order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}

@@ -22,6 +22,8 @@ factors, and 0 when v brings in one of its own.  `BoundaryTables`, the
 twisted complex every boundary is read from, lists the factors; its
 `entry` reads them as polynomials (`factor_poly`) and its `weights` as
 Phi_d-exponents (`factor_multiplicities`), one integer array per order d.
+Each is memoised on (v, X & wide[v]) for a simplex mask X, wide[v] the
+mask of v's label >= 4 neighbours (an entry also on its sign's parity).
 The Smith route walks the cells of each boundary once, reading both; a
 `PolyMatrix` is built (`twisted_boundary`) only for ss and matrix dumps.
 """
@@ -32,7 +34,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .flag import FlagComplex
+from .flag import FlagComplex, bits
 from .graphs import Character
 from .laurent import LaurentPoly, q_poly, t_minus_one_multiplicities
 from .scalars import Field, FieldSpec
@@ -100,44 +102,45 @@ def factor_multiplicities(factor, char: int) -> tuple | None:
 class BoundaryTables:
     """The twisted complex of c on fc over one field and what its boundaries
     are made of, each computed once: edge factor pairs, simplex weights by
-    position, entry polynomials and the `boundaries` asked for.  A run keeps one."""
+    position, entry polynomials and the `boundaries` asked for, all read
+    off fc's simplex masks.  A run keeps one."""
 
     def __init__(self, fc: FlagComplex, c: Character, fspec: FieldSpec):
         g = fc.graph
         self.fc, self.c, self.fspec, self.field = fc, c, fspec, fspec.scalars()
         self.boundaries = {}
-        self._wide = {v: {} for v in g.vertices}        # v -> {w: (lt(vw), m_vw)}, lt(vw) > 1
-        for u, v in g.edge_list:
-            if (lt := g.ell_tilde(u, v)) != 1:
-                self._wide[u][v] = self._wide[v][u] = (lt, c.m_edge(u, v))
+        # by vertex index v: {w: (lt(vw), m_vw)} for lt(vw) > 1, and the mask of those w
+        self._wide = [{g.index[w]: (g.ell_tilde(v, w), c.m_edge(v, w))
+                       for w, label in g.adjacency[v].items() if label >= 4} for v in g.vertices]
+        self._wide_mask = [sum(1 << w for w in wide) for wide in self._wide]
         self._weights = {-1: ([0], {})}
         self._adds, self._entries = {}, {}
         one = LaurentPoly.one(self.field)
         self._products = {(0,): one, (1,): -one}
 
-    def facet_factors(self, v, face) -> list:
-        """The factors of the coefficient at (face, face + v), as pairs
-        (lt, m): (None, m_v) stands for t^{m_v} - 1 and (lt(vw), m_vw) for
-        q_{lt(vw)}(t^{m_vw}), one per w in face with label >= 4.  A label-2
-        edge gives q_1 = 1, which is never zero and has no Phi_d-exponent
-        over any field, so it is not listed.  This is the one place that
-        says which factors make W(X) = p_X q_X: it is their product along
-        X[:1], X[:2], ..., X, so the coefficient at (X minus v, X) is
-        +-W(X)/W(X minus v)."""
-        wide = self._wide[v]
-        return [(None, self.c.m(v))] + [wide[w] for w in face if w in wide]
+    def facet_factors(self, v: int, face: int) -> list:
+        """The factors of the coefficient at (face, face + v), v a vertex
+        index and face a mask, as pairs (lt, m): (None, m_v) stands for
+        t^{m_v} - 1 and (lt(vw), m_vw) for q_{lt(vw)}(t^{m_vw}), one per w
+        in face with label >= 4.  A label-2 edge gives q_1 = 1, which is
+        never zero and has no Phi_d-exponent over any field, so it is not
+        listed.  This is the one place that says which factors make
+        W(X) = p_X q_X: it is their product along X[:1], X[:2], ..., X, so
+        the coefficient at (X minus v, X) is +-W(X)/W(X minus v)."""
+        wide, m_v = self._wide[v], self.c.m(self.fc.graph.vertices[v])
+        return [(None, m_v)] + [wide[w] for w in bits(face & self._wide_mask[v])]
 
     def weights(self, k: int) -> tuple[list, dict]:
         """The k-simplices' weights by position: the number of zero factors
         of each W(X), and {d: [w_d(X) per X]}, the exponent of Phi_d in the
         product of the nonzero factors, for the d with a nonzero w_d.  A
-        simplex adds `facet_factors(X[-1], X[:-1])` onto the weights of its
-        prefix X[:-1]; what those factors add is worked out once per last
-        vertex and its label >= 4 neighbours in X."""
+        simplex adds `facet_factors` of its last vertex v onto the weights
+        of its prefix X[:-1]; what those factors add is worked out once per
+        key (v, X & wide[v]), wide[v] the mask of v's label >= 4 neighbours."""
         if k not in self._weights:
-            zeros, below = self.weights(k - 1) if self.fc.simplices_of(k) else ([], {})
+            zeros, below = self.weights(k - 1) if self.fc.masks.get(k) else ([], {})
             prefixes = [fs[-1] for fs in self.fc.facets(k)]
-            adds = [self._added(X) for X in self.fc.simplices_of(k)]
+            adds = [self._added(m) for m in self.fc.masks.get(k, ())]
             arrays = {}
             for d in sorted(set(below).union(*{id(a): a for _, a in adds}.values())):
                 ws = below.get(d, [0] * len(zeros))
@@ -147,30 +150,29 @@ class BoundaryTables:
             self._weights[k] = ([zeros[i] + z for i, (z, _) in zip(prefixes, adds)], arrays)
         return self._weights[k]
 
-    def _added(self, X) -> tuple:
-        """(zero factors, {d: exponent}) of `facet_factors(X[-1], X[:-1])`."""
-        v, wide = X[-1], self._wide[X[-1]]
-        key = (v, *[w for w in X if w in wide]) if wide else v
+    def _added(self, m: int) -> tuple:
+        """(zero factors, {d: exponent}) of what m's last vertex v adds, keyed (v, m & wide[v])."""
+        v = m.bit_length() - 1
+        key = (v, m & self._wide_mask[v])
         if key not in self._adds:
-            mults = [factor_multiplicities(f, self.fspec.char) for f in self.facet_factors(v, X[:-1])]
+            mults = [factor_multiplicities(f, self.fspec.char) for f in self.facet_factors(*key)]
             added = Counter()
             for mult in mults:
                 added.update(dict(mult or ()))
             self._adds[key] = (mults.count(None), dict(added))
         return self._adds[key]
 
-    def entry(self, X, i: int) -> LaurentPoly:
-        """The coefficient at (X minus its i-th vertex, X): the sign times
-        `facet_factors(X[i], X minus X[i])`, looked up by X[i], the parity
-        of i and X[i]'s label >= 4 neighbours in X.  Entries with the same
-        sign and factors, up to order, are one object, so a vertex with no
-        label >= 4 edge gives two entries per weight m_v."""
-        v, wide = X[i], self._wide[X[i]]
-        key = (i % 2, v, *[w for w in X if w in wide]) if wide else (i % 2, v)
+    def entry(self, m: int, i: int, v: int) -> LaurentPoly:
+        """The coefficient at (m minus v, m), v the index of the i-th vertex
+        of the simplex mask m: (-1)^i times `facet_factors(v, m)`, looked up
+        by (i % 2, v, m & wide[v]).  Entries with the same sign and factors,
+        up to order, are one object, so a vertex with no label >= 4 edge
+        gives two entries per weight m_v."""
+        key = (i & 1, v, m & self._wide_mask[v])
         e = self._entries.get(key)
         if e is None:
-            e = self._entries[key] = self._product(
-                (i % 2, (None, self.c.m(v)), *sorted(wide[w] for w in key[2:])))
+            first, *rest = self.facet_factors(v, m)
+            e = self._entries[key] = self._product((i & 1, first, *sorted(rest)))
         return e
 
     def _product(self, key: tuple) -> LaurentPoly:
@@ -190,8 +192,8 @@ def twisted_boundary(t: BoundaryTables, k: int) -> PolyMatrix:
     augmentation column map sigma_v -> (t^{m_v} - 1) sigma_empty.
     """
     if k not in t.boundaries:
-        columns = [{f: e for i, f in enumerate(fs) if (e := t.entry(X, i))}
-                   for X, fs in zip(t.fc.simplices_of(k), t.fc.facets(k))]
+        columns = [{f: e for i, (f, v) in enumerate(zip(fs, bits(m))) if (e := t.entry(m, i, v))}
+                   for m, fs in zip(t.fc.masks.get(k, ()), t.fc.facets(k))]
         t.boundaries[k] = PolyMatrix(t.fc.simplices_of(k - 1), t.fc.simplices_of(k),
                                      columns, t.field, k)
     return t.boundaries[k]

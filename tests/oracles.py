@@ -324,7 +324,7 @@ def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> Simpl
     """p_X and q_X; resonant vertices and edges are excluded, so p_X q_X != 0."""
     field = fspec.scalars()
     g = fc.graph
-    X = g.sort_vertices(X)
+    X = tuple(sorted(X, key=g.index.__getitem__))
     assert X in fc, f"{X} is not a simplex of the complex"
     res = resonance_sets(g, c, fspec)
     p = LaurentPoly.one(field)
@@ -355,8 +355,8 @@ def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
           xbar, ybar) -> LaurentPoly:
     """Determinant of the square submatrix of the degree-k twisted boundary
     on columns xbar (k-simplices) and rows ybar ((k-1)-simplices)."""
-    xbar = [fc.graph.sort_vertices(x) for x in xbar]
-    ybar = [fc.graph.sort_vertices(y) for y in ybar]
+    xbar = [tuple(sorted(x, key=fc.graph.index.__getitem__)) for x in xbar]
+    ybar = [tuple(sorted(y, key=fc.graph.index.__getitem__)) for y in ybar]
     if len(xbar) != len(ybar):
         raise ValueError("minor needs equally many rows and columns")
     m = twisted_boundary(BoundaryTables(fc, c, fspec), k)

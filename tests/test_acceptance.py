@@ -294,7 +294,7 @@ def test_acceptance_6_structural_invariants():
             for d in support.values:
                 wc = weighted_complex(fc, normalized, d, q_boundaries(fc, normalized))
                 kd = wc.field
-                for s in chain(*fc.by_dim.values()):
+                for s in chain(*map(fc.simplices_of, fc.masks)):
                     if wc.weights[s] > len(s) + 1:
                         failures.append((idx, "weight bound", d, s))
                 for n in range(0, fc.dim + 1):

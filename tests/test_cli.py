@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinkernels
-from artinkernels import build_flag_complex, homology_module, twisted
+from artinkernels import FlagComplex, build_flag_complex, homology_module, twisted
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
@@ -338,7 +338,26 @@ def test_run_builds_each_artefact_once(monkeypatch):
     `--dump-matrices` one per degree 0 .. k_max + 1, each once however
     many of them read it.  On a disconnected input the per-component check
     adds one flag and twisted complex per component; `homology_module`
-    builds one twisted complex and no matrix."""
+    builds one twisted complex and no matrix.  Vertex tuples are decoded
+    only where read: an `snf`-only run reads none of a nonempty degree, and
+    `resonant` adds the degrees 1 and 2 that the F2 scan reads, once each."""
+    reads = Counter()
+    real_simplices_of = FlagComplex.simplices_of
+
+    def counted_simplices_of(self, k):
+        if self.masks.get(k):
+            reads[k] += 1
+        return real_simplices_of(self, k)
+
+    monkeypatch.setattr(FlagComplex, "simplices_of", counted_simplices_of)
+    for field in (QQ, F3):
+        rep = run(JobConfig(text=fixture_text("square_diagonal"), field=field, methods=("snf",)))
+        assert rep.ok and rep.data["classification"]["clique_dimension"] == 2 and not reads
+        rep = run(JobConfig(text=fixture_text("square_diagonal"), field=field,
+                            methods=("snf", "resonant")))
+        assert rep.data["methods"]["resonant"]["ran"] and reads == Counter({1: 1, 2: 1})
+        reads.clear()
+
     counts = _count_builds(monkeypatch)
     shared = {"build_flag_complex": 1, "BoundaryTables": 1, "build_gamma1": 1, "build_f2": 1}
     rep = run(JobConfig(text=SQUARE, field=QQ, methods=("snf", "resonant")))

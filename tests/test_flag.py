@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from artinkernels import (LabeledGraph, boundary_matrix,
+from artinkernels import (LabeledGraph, boundary_matrix, is_fc_type,
                           build_flag_complex, image_dims, reduced_homology_ranks)
 
 from conftest import (QQ, F2, dihedral_graph, random_even_graph, square_diagonal_graph,
@@ -132,5 +132,44 @@ def test_flag_complex_is_the_spherical_cliques_in_order():
                     want.setdefault(size - 1, []).append(clique)
                 elif is_complete(g, clique):
                     rejected += 1
-        assert build_flag_complex(g).by_dim == want, g.raw_edges
+        fc = build_flag_complex(g)
+        assert {k: fc.simplices_of(k) for k in fc.masks} == want, g.raw_edges
     assert rejected > 50
+
+
+def test_simplex_masks_decode_to_the_spherical_cliques_with_their_facets():
+    """Each degree decodes to the spherical cliques found by brute force, in
+    lexicographic order; `facets(k)[j][i]` is the position of X minus X[i];
+    and `in` accepts every simplex, in any vertex order, but no non-clique,
+    repeated vertex or unknown name."""
+    rng = random.Random(2022)
+    seen = {"non-FC": 0, "two heavy neighbours": 0, "non-clique": 0}
+    for case in range(60):
+        g = random_even_graph(rng, max_vertices=9, labels=(2, 4, 6),
+                              edge_prob=rng.choice((0.5, 0.8)), require_fc=case % 2 == 0)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        g = LabeledGraph(order, [(u, v, g.ell(u, v)) for u, v in g.edge_list])
+        seen["non-FC"] += not is_fc_type(g)
+        seen["two heavy neighbours"] += any(
+            sum(label >= 4 for label in g.adjacency[v].values()) >= 2 for v in g.vertices)
+        fc = build_flag_complex(g)
+        want = {-1: [()]}
+        for size in range(1, len(g.vertices) + 1):
+            for clique in combinations(g.vertices, size):
+                if is_spherical(g, clique):
+                    want.setdefault(size - 1, []).append(clique)
+                else:
+                    assert clique not in fc, (g.raw_edges, clique)
+                    seen["non-clique"] += not is_complete(g, clique)
+        assert fc.counts() == {k: len(sims) for k, sims in want.items()}, g.raw_edges
+        for k, sims in want.items():
+            assert fc.simplices_of(k) == sims, (g.raw_edges, k)
+            below = {X: i for i, X in enumerate(want.get(k - 1, []))}
+            for X, fs in zip(sims, fc.facets(k)):
+                assert list(fs) == [below[X[:i] + X[i + 1:]] for i in range(len(X))], X
+                assert X in fc and X[::-1] in fc
+                if X:
+                    assert X + X[:1] not in fc and (X[0], X[0]) not in fc
+                    assert X + ("unknown",) not in fc and ("unknown",) + X[1:] not in fc
+    assert all(seen.values()), seen

@@ -513,19 +513,20 @@ def test_the_walk_rejects_a_doctored_entry(monkeypatch, field, fault):
     fspec, g, weights = FAULT_CASES[field]
     t = BoundaryTables(build_flag_complex(g), Character(g, weights), fspec)
     k = t.fc.dim
-    X, fs = t.fc.simplices_of(k)[0], t.fc.facets(k)[0]
+    X, fs = t.fc.masks[k][0], t.fc.facets(k)[0]
+    top = X.bit_length() - 1
     columns, _ = signed_boundary(t, k)
     assert fs[0] not in columns[0] and fs[k] in columns[0]
     boundary_smith_form(t, k)
     real, zero = BoundaryTables.entry, LaurentPoly.zero(t.field)
     t_minus_1 = LaurentPoly.t_power(t.field, 1) - LaurentPoly.one(t.field)
 
-    def doctored(self, Y, i):
-        e = real(self, Y, i)
+    def doctored(self, Y, i, v):
+        e = real(self, Y, i, v)
         if Y != X:
             return e
         if fault == "moved into a masked cell":
-            return real(self, Y, k) if i == 0 else zero if i == k else e
+            return real(self, Y, k, top) if i == 0 else zero if i == k else e
         if i != k:
             return e
         return zero if fault == "zeroed" else e * t_minus_1

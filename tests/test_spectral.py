@@ -58,7 +58,7 @@ def test_weights_agree_with_polynomial_multiplicity():
         boundaries = q_boundaries(fc, chi)
         for d in support.values:
             wc = weighted_complex(fc, chi, d, boundaries)
-            for s in itertools.chain(*fc.by_dim.values()):
+            for s in itertools.chain(*map(fc.simplices_of, fc.masks)):
                 w = simplex_weights(fc, chi, QQ, s)
                 assert simplex_weight(g, chi, s, d) == mult_d(w.p * w.q, d) == wc.weights[s]
 
@@ -82,7 +82,7 @@ def test_simplex_weight_bound():
         g, chi = random_case(rng, max_vertices=6)
         fc = build_flag_complex(g)
         for d in torsion_support(g, chi).values:
-            for s in itertools.chain(*fc.by_dim.values()):
+            for s in itertools.chain(*map(fc.simplices_of, fc.masks)):
                 assert simplex_weight(g, chi, s, d) <= len(s) + 1
 
 
