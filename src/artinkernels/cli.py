@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -54,6 +55,10 @@ class ParsedInput:
     field: FieldSpec | None
 
 
+# weights and labels; int() alone also takes "1_0" and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_input(text: str) -> ParsedInput:
     vertices: list = []
     weights: dict = {}
@@ -80,19 +85,17 @@ def parse_input(text: str) -> ParsedInput:
             problem = vertex_problem(weights, name)
             if problem:
                 raise InputError(problem, lineno)
-            try:
-                weights[name] = int(parts[2])
-            except ValueError:
+            if not _INTEGER.fullmatch(parts[2]):
                 raise InputError(f"bad weight {parts[2]!r}", lineno)
+            weights[name] = int(parts[2])
             vertices.append(name)
         elif kw == "edge":
             if len(parts) != 4:
                 raise InputError("expected: edge <name> <name> <label>", lineno)
             u, v = parts[1], parts[2]
-            try:
-                label = int(parts[3])
-            except ValueError:
+            if not _INTEGER.fullmatch(parts[3]):
                 raise InputError(f"bad label {parts[3]!r}", lineno)
+            label = int(parts[3])
             problem = edge_problem(weights, seen, u, v, label)
             if problem:
                 raise InputError(problem, lineno)
@@ -195,7 +198,7 @@ def run(job: JobConfig) -> Report:
         text = job.text
     elif job.input_path is not None:
         try:
-            with open(job.input_path, "r", encoding="utf-8") as fh:
+            with open(job.input_path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{job.input_path}: not UTF-8 text ({exc.reason} at byte {exc.start})")

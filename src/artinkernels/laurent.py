@@ -19,9 +19,10 @@ Conventions used throughout:
   coefficient field for the multiplicity spectral sequence.  Its elements
   are pairs (nums, den) of phi(d) integer numerators and one positive
   common denominator in lowest terms, so arithmetic runs on Python ints.
-  :func:`quotient_residue` reads f / Phi_d^j in K_d in one fold of the
-  terms of f into the rows of z^e mod Phi_d, after exact integer division
-  by the monic Phi_d when j >= 1.
+  Products, z itself and combinations of powers of z are reduced by one
+  rule: fold the exponents mod d (z^d = 1), then take the remainder by the
+  monic Phi_d.  :func:`quotient_residue` reads f / Phi_d^j in K_d by that
+  rule, after exact integer division by Phi_d when j >= 1.
 """
 
 from __future__ import annotations
@@ -670,11 +671,12 @@ class CyclotomicField(Field):
     its numerator in the basis 1, z, ..., z^(phi(d) - 1) and one positive
     common denominator, in lowest terms (den and the nums have gcd 1, and
     zero is ((0, ..., 0), 1)).  The form is canonical, so == and hash mean
-    equality in K_d.  Phi_d is monic, so z^e mod Phi_d has integer
-    coordinates; products reduce through a table of them, and every result
-    is normalized by one math.gcd.  The rows of z^e are built as a prefix,
-    up to the largest exponent read so far, and the reduction table on the
-    first product: a field of large d reads few of its d rows.
+    equality in K_d.  Sums and differences work coordinatewise and `inv`
+    by an integer extended Euclid; every other element (a product, z, a
+    combination of powers of z) is made by one rule, `_reduce`: fold the
+    exponents mod d, since z^d = 1, then take the remainder by the monic
+    Phi_d, which keeps the coordinates integral, and normalize by one
+    math.gcd.  No power of z is tabulated.
     """
 
     char = 0
@@ -686,28 +688,6 @@ class CyclotomicField(Field):
         self.modulus = ints
         self.zero = ((0,) * n, 1)
         self.one = ((1,) + (0,) * (n - 1), 1)
-        # z^e mod Phi_d for e < len(_rows), as (position, coordinate) pairs of
-        # its nonzero integer coordinates; _last is the last one in full
-        self._rows = [[(0, 1)]]
-        self._last = [1] + [0] * (n - 1)
-
-    def _row(self, e: int) -> list:
-        """The row of z^e for 0 <= e < d, extending the prefix up to e."""
-        rows, ints, cur = self._rows, self.modulus, self._last
-        while len(rows) <= e:
-            top = cur.pop()
-            cur.insert(0, 0)
-            if top:
-                cur = [x - top * c for x, c in zip(cur, ints)]
-            rows.append([(j, x) for j, x in enumerate(cur) if x])
-        self._last = cur
-        return rows[e]
-
-    @functools.cached_property
-    def _red(self) -> list:
-        """The reduction table: z^(n + i) mod Phi_d for i < n - 1."""
-        n = self.deg
-        return [self._row((n + i) % self.d) for i in range(n - 1)]
 
     @staticmethod
     def _normal(nums: list, den: int):
@@ -720,32 +700,31 @@ class CyclotomicField(Field):
                 return tuple(x // g for x in nums), den // g
         return tuple(nums), den
 
+    def _reduce(self, terms, den: int):
+        """sum of c * z^e over the (e, c) in terms, all ints, over den: the
+        exponents folded mod d, then the remainder by Phi_d."""
+        d = self.d
+        folded = [0] * d
+        for e, c in terms:
+            if c:
+                folded[e % d] += c
+        while folded and not folded[-1]:
+            folded.pop()
+        if len(folded) > self.deg:
+            folded = _int_divmod_poly(folded, self.modulus)[1]
+        return self._normal(folded + [0] * (self.deg - len(folded)), den)
+
     def root_combination(self, coeffs: dict):
         """sum of c * zeta^e over the (e, c) in coeffs, e taken mod d; the c
         are ints or Fractions."""
         den = math.lcm(*(c.denominator for c in coeffs.values()))
-        return self.int_combination(
+        return self._reduce(
             ((e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()), den)
-
-    def int_combination(self, terms, den: int):
-        """sum of c * zeta^e over the (e, c) in terms, all ints, over den:
-        one fold of the rows of z^(e mod d)."""
-        d, rows = self.d, self._rows
-        out = [0] * self.deg
-        for e, c in terms:
-            if c:
-                try:
-                    row = rows[e % d]
-                except IndexError:
-                    row = self._row(e % d)
-                for i, x in row:
-                    out[i] += c * x
-        return self._normal(out, den)
 
     @property
     def gen(self):
         """The residue class of z, a primitive d-th root of unity."""
-        return self.int_combination(((1, 1),), 1)
+        return self._reduce(((1, 1),), 1)
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
@@ -764,19 +743,13 @@ class CyclotomicField(Field):
 
     def mul(self, a, b):
         (an, ad), (bn, bd) = a, b
-        n = self.deg
-        prod = [0] * (2 * n - 1)
+        prod = [0] * (2 * self.deg - 1)
         bterms = [(j, y) for j, y in enumerate(bn) if y]
         for i, x in enumerate(an):
             if x:
                 for j, y in bterms:
                     prod[i + j] += x * y
-        out = prod[:n]
-        for c, red in zip(prod[n:], self._red):
-            if c:
-                for j, x in red:
-                    out[j] += c * x
-        return self._normal(out, ad * bd)
+        return self._reduce(enumerate(prod), ad * bd)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -843,11 +816,10 @@ def residue_eval(f: LaurentPoly, d: int):
 def quotient_residue(f: LaurentPoly, d: int, drop: int):
     """The class of f / Phi_d^drop in K_d, its value at zeta_d.
 
-    Each term c t^e adds c times the row of z^(e mod d), in one fold of
-    the coefficients, which `Fraction`s first put over one denominator.
-    For drop >= 1 the integer numerator is first divided drop times by the
-    monic Phi_d; a nonzero remainder raises ValueError.  Characteristic
-    zero only.
+    The coefficients, which `Fraction`s first put over one denominator,
+    are reduced into K_d by `CyclotomicField._reduce`.  For drop >= 1 the
+    integer numerator is first divided drop times by the monic Phi_d; a
+    nonzero remainder raises ValueError.  Characteristic zero only.
     """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
@@ -869,4 +841,4 @@ def quotient_residue(f: LaurentPoly, d: int, drop: int):
             if rem:
                 raise ValueError("division is not exact")
         terms = enumerate(nums, val)
-    return kd.int_combination(terms, den)
+    return kd._reduce(terms, den)

@@ -224,13 +224,14 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Accepts "q"/"Q" for the rationals and "p:7", "p 7" or "7" for GF(7)."""
+        """Accepts "q"/"Q" for the rationals and "p:7", "p 7" or "7" for GF(7),
+        the digits ASCII."""
         t = text.strip().lower()
         if t in ("q", "rationals", "0"):
             return FieldSpec()
         if t.startswith("p:") or t.startswith("p "):
             t = t[2:]
-        if not t.isdecimal():
+        if not (t.isascii() and t.isdecimal()):
             raise ValueError(f"cannot parse field selector {text!r}")
         return FieldSpec(int(t))
 

@@ -15,8 +15,8 @@ from itertools import accumulate
 from artinkernels.flag import FlagComplex
 from artinkernels.graphs import (Character, LabeledGraph, connected_components,
                                  resonance_sets)
-from artinkernels.laurent import (CyclotomicField, LaurentPoly, ZeroPolynomialError,
-                                  cyclotomic, cyclotomic_field, cyclotomic_int,
+from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError, cyclotomic,
+                                  cyclotomic_field, cyclotomic_int,
                                   cyclotomic_product, dense_add, dense_divmod,
                                   dense_mul, dense_sub,
                                   t_minus_one_multiplicities)
@@ -573,25 +573,6 @@ def kd_reduce(kd, cs: list) -> list:
     qq = Rationals()
     rem = dense_divmod(qq, list(cs), [Fraction(c) for c in cyclotomic_by_division(kd.d)])[1]
     return rem + [Fraction(0)] * (kd.deg - len(rem))
-
-
-class EagerCyclotomicField(CyclotomicField):
-    """K_d with all d rows of z^e mod Phi_d and the reduction table built up
-    front, the reference for the prefix that `CyclotomicField` builds."""
-
-    def __init__(self, d: int):
-        super().__init__(d)
-        n, ints = self.deg, self.modulus
-        rows = []
-        cur = [1] + [0] * (n - 1)
-        for _ in range(d):
-            rows.append([(j, x) for j, x in enumerate(cur) if x])
-            top = cur.pop()
-            cur.insert(0, 0)
-            if top:
-                cur = [x - top * c for x, c in zip(cur, ints)]
-        self._rows = rows
-        self._red = [rows[(n + i) % d] for i in range(n - 1)]
 
 
 def trunc_mul(kd, a: list, b: list, order: int) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinkernels
-from artinkernels import FlagComplex, build_flag_complex, homology_module, twisted
+from artinkernels import FlagComplex, build_flag_complex, cli, homology_module, twisted
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
@@ -251,6 +252,72 @@ def test_main_non_utf8_file_is_input_error(tmp_path, capsys):
     assert main([str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"input error: {path}: not UTF-8 text (invalid start byte at byte 18)\n"
+
+
+def test_main_reads_a_utf8_byte_order_mark_as_no_text(tmp_path, capsys):
+    """A file that starts with the UTF-8 byte order mark gives the report of
+    the same file without it, not an unknown directive on line 1."""
+    reports = []
+    for name, head in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.graph"
+        path.write_bytes(head + SQUARE.encode())
+        assert main([str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing"], report["input"]["path"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("line, error", [
+    ("vertex b 1_0", "line 2: bad weight '1_0'"),
+    ("vertex b \u0663", "line 2: bad weight '\u0663'"),
+    ("vertex b \uff13", "line 2: bad weight '\uff13'"),
+    ("vertex b ++3", "line 2: bad weight '++3'"),
+    ("vertex b 1\nedge a b 2_0", "line 3: bad label '2_0'"),
+    ("vertex b 1\nedge a b \u0664", "line 3: bad label '\u0664'"),
+    ("field p \u0663", "line 2: cannot parse field selector 'p \u0663'"),
+    ("field p 1_1", "line 2: cannot parse field selector 'p 1_1'"),
+], ids=["weight-underscore", "weight-arabic-indic", "weight-fullwidth", "weight-two-signs",
+        "label-underscore", "label-arabic-indic", "field-arabic-indic", "field-underscore"])
+def test_main_takes_only_ascii_decimal_integers(tmp_path, capsys, line, error):
+    """Weights, labels and the `field p` line are ASCII [+-]?[0-9]+:
+    int() alone would read "1_0" as 10 and Arabic-Indic digits as 3."""
+    path = tmp_path / "g.graph"
+    path.write_text(f"vertex a 1\n{line}\n", encoding="utf-8")
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {error}"), err
+
+
+def test_main_takes_signed_ascii_weights(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text("vertex a +1\nvertex b -3\nedge a b +4\nfield p 3\n", encoding="utf-8")
+    assert main([str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [v["weight"] for v in data["input"]["vertices"]] == [1, -3]
+    assert data["input"]["edges"][0]["label"] == 4 and data["input"]["field"] == "F3"
+
+
+def test_a_doctored_snf_free_rank_fails_the_ss_cross_check(tmp_path, monkeypatch, capsys):
+    """The snf-vs-ss "free rank in degree k+1" cross-check sees a Smith
+    decomposition whose free rank was doctored: `agree` is false, every
+    other cross-check still agrees, and `main` exits 3."""
+    real = cli.homology_modules
+
+    def doctored(tc, degrees):
+        snfs, decs = real(tc, degrees)
+        decs[1] = dataclasses.replace(decs[1], free_rank=decs[1].free_rank + 1)
+        return snfs, decs
+
+    monkeypatch.setattr(cli, "homology_modules", doctored)
+    checks = run(JobConfig(text=SQUARE, methods=("snf", "ss"))).data["cross_checks"]
+    verdicts = {c["subject"]: c["agree"] for c in checks}
+    assert verdicts.pop("free rank in degree 2") is False
+    assert verdicts and all(verdicts.values())
+    path = tmp_path / "square.graph"
+    path.write_text(SQUARE, encoding="utf-8")
+    assert main([str(path), "--methods", "snf,ss"]) == 3
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_readme_library_snippet_runs():

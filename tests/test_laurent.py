@@ -15,8 +15,8 @@ from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
-from oracles import (EagerCyclotomicField, cyclotomic_by_division, horner_taylor,
-                     kd_coordinates, kd_reduce, mult_d)
+from oracles import (cyclotomic_by_division, horner_taylor, kd_coordinates, kd_reduce,
+                     mult_d)
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -406,33 +406,44 @@ def test_q_factor_multiplicities_by_difference():
 
 @pytest.mark.parametrize("d", [*range(1, 41), 105, 122, 212])
 def test_cyclotomic_field_rows_on_demand_match_an_eager_table(d):
-    """`CyclotomicField` builds the rows of z^e up to the largest exponent
-    read so far and its reduction table on the first product; a field with
-    every row and the table built up front must give equal results."""
+    """`CyclotomicField` reduces each power of z as a term reaches it
+    (exponent folded mod d, remainder by Phi_d).  The rows of z^e mod Phi_d
+    for every e < d, built up front by dense division over Q
+    (`oracles.kd_reduce`), must give equal elements, products and inverses,
+    for exponents in [-2d, 2d) and far beyond."""
     rng = random.Random(d)
-    lazy, eager = CyclotomicField(d), EagerCyclotomicField(d)
+    kd = CyclotomicField(d)
+    table = [kd_reduce(kd, [1])]
+    for _ in range(d - 1):
+        table.append(kd_reduce(kd, [0] + table[-1]))
+    assert kd_coordinates(kd, kd.gen) == table[1 % d]
     elements = []
-    for _ in range(6):
-        terms = [(rng.randrange(-2 * d, 2 * d), rng.randint(-9, 9))
-                 for _ in range(rng.randint(1, 5))]
+    for i in range(8):
+        reach = 2 * d if i < 6 else 10 ** 6
+        coeffs = {rng.randrange(-reach, reach): rng.randint(-9, 9)
+                  for _ in range(rng.randint(1, 5))}
         den = rng.randint(1, 12)
-        a = lazy.int_combination(terms, den)
-        assert a == eager.int_combination(terms, den)
+        a = kd.root_combination({e: Fraction(c, den) for e, c in coeffs.items()})
+        assert_canonical(kd, a)
+        want = [Fraction(0)] * kd.deg
+        for e, c in coeffs.items():
+            for j, x in enumerate(table[e % d]):
+                want[j] += Fraction(c, den) * x
+        assert kd_coordinates(kd, a) == want, coeffs
         elements.append(a)
     for a, b in zip(elements, elements[1:]):
-        assert lazy.mul(a, b) == eager.mul(a, b)
-        if not lazy.is_zero(a):
-            assert lazy.inv(a) == eager.inv(a)
-    assert len(lazy._rows) <= d
+        ra, rb = kd_coordinates(kd, a), kd_coordinates(kd, b)
+        assert kd_coordinates(kd, kd.mul(a, b)) == kd_reduce(kd, dense_mul(Q, ra, rb))
+        if not kd.is_zero(a):
+            assert kd_reduce(kd, dense_mul(Q, ra, kd_coordinates(kd, kd.inv(a)))) == \
+                kd_coordinates(kd, kd.one)
 
 
-def test_path_m105_leaves_most_of_k212_unbuilt():
+def test_path_m105_runs_ss_over_k212():
     """The 3-vertex path with m_u = 105 and a label-4 edge works over K_212
-    (edge q-factor, 212 = 2 (105 + 1)), whose entries read few powers of z
-    and which never multiplies."""
-    cyclotomic_field.cache_clear()
+    (edge q-factor, 212 = 2 (105 + 1)), whose entries reach powers of z
+    past phi(212) = 104."""
     text = "vertex u 105\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
     data = cli.run(cli.JobConfig(text=text, field=QQ)).data
     assert 212 in data["torsion_support"]["values"] and data["methods"]["ss"]["ran"]
-    kd = cyclotomic_field(212)
-    assert 1 < len(kd._rows) < 212 and "_red" not in vars(kd)
+    assert data["status"]["ok"]

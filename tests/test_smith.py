@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -422,6 +423,38 @@ def test_verify_shape_divisibility_chain_verdicts(monkeypatch):
     assert chain([phi1, phi2], {1: [1, 0], 2: [0, 1]}) == ("fail", 1)
     assert chain([phi1, phi1], {1: [1, 1]}) == ("pass", 0)
     assert chain([phi1, phi1 * LaurentPoly.one(Q)], {1: [1, 1]}) == ("pass", 1)
+
+
+def test_verify_shape_fails_each_doctored_decomposition():
+    """On the square fixture over Q, H_1 has free rank 0 and Phi_1-exponents
+    [1, 1, 1].  A wrong free rank fails `free-rank`; a Phi_1 exponent 2 at
+    the same total fails `t-minus-1-part` by its semisimplicity clause; an
+    order outside the torsion support fails `torsion-in-support`.  Each
+    doctored copy fails that check alone."""
+    g, chi = square_graph()
+    fc = build_flag_complex(g)
+    res, support = resonance_sets(g, chi, QQ), torsion_support(g, chi)
+    ranks, ims = reduced_homology_ranks(fc, QQ), image_dims(fc, QQ)
+    dec = homology_module(fc, chi, QQ, 0)
+    assert dec.free_rank == 0 and dec.exponents[1] == [1, 1, 1]
+    outside = 5
+    assert outside not in support.values
+
+    def verdicts(doctored):
+        rep = verify_shape(doctored, support, ims, ranks, res, g, chi)
+        return {c.name: (c.status, c.detail) for c in rep.checks}
+
+    assert {name: v[0] for name, v in verdicts(dec).items()} == dict.fromkeys(
+        ("divisibility-chain", "free-rank", "t-minus-1-part", "torsion-in-support"), "pass")
+    for name, doctored, detail in (
+            ("free-rank", replace(dec, free_rank=1), "free=1 reduced-homology=0"),
+            ("t-minus-1-part", replace(dec, exponents={**dec.exponents, 1: [0, 1, 2]}),
+             "semisimple=False exponent=3 im-dim=3"),
+            ("torsion-in-support", replace(dec, exponents={**dec.exponents, outside: [0, 0, 1]}),
+             "")):
+        got = verdicts(doctored)
+        assert got[name] == ("fail", detail), name
+        assert all(status == "pass" for other, (status, _) in got.items() if other != name)
 
 
 def test_invariant_factors_are_one_object_per_exponent_vector():
