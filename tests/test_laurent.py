@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import math
 
+import artinkernels
 from artinkernels import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cli,
                           cyclotomic, cyclotomic_field, factor_invariant,
                           laurent_gcd, normalize_unit, q_poly, residue_eval)
 from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
                                   dense_divmod, dense_mul, quotient_residue,
-                                  t_minus_one_multiplicities)
+                                  t_minus_one_multiplicities, totient)
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
@@ -177,21 +181,63 @@ def test_factor_invariant_unit_is_empty():
     assert factor_invariant(L({0: 1}), QQ) == []
 
 
-def test_factor_invariant_splits_equal_degree_factors():
-    # two distinct irreducible cubics over GF(2): the distinct-degree stage
-    # cannot separate them, the equal-degree stage must
+def test_factor_invariant_reports_phi_d_mod_p_whole():
+    # (t^3+t+1)(t^3+t^2+1) is Phi_7 mod 2: two irreducible cubics, one order
     a = L({0: 1, 1: 1, 3: 1}, GF2)       # t^3 + t + 1
     b = L({0: 1, 2: 1, 3: 1}, GF2)       # t^3 + t^2 + 1
     facs = factor_invariant(a * b, F2)
-    assert sorted((str(f.poly), f.exponent) for f in facs) == \
-        [("1 + t + t^3", 1), ("1 + t^2 + t^3", 1)]
-    # same, squared, over GF(3) with distinct quadratics
+    assert [(f.poly, f.exponent, f.cyclotomic_order) for f in facs] == \
+        [(cyclotomic(7, F2), 1, 7)]
+    # over GF(3), (t^2+1)^2 (t^2+t+2): Phi_4^2 and a leftover no Phi_d divides
+    # (t^2+t+2 is one of the two factors of Phi_8 mod 3)
     GF3 = F3.scalars()
     c = LaurentPoly(GF3, {0: 1, 2: 1})               # t^2 + 1
     d = LaurentPoly(GF3, {0: 2, 1: 1, 2: 1})         # t^2 + t + 2
     facs3 = factor_invariant(c * c * d, F3)
-    assert sorted((str(f.poly), f.exponent) for f in facs3) == \
-        [("1 + t^2", 2), ("2 + t + t^2", 1)]
+    assert [(f.poly, f.exponent, f.cyclotomic_order) for f in facs3] == \
+        [(cyclotomic(4, F3), 2, 4), (d, 1, None)]
+
+
+def test_factor_invariant_folds_orders_divisible_by_p():
+    """Seeded products of Phi_e over Q, GF(2), GF(3) and GF(5), with at
+    least one e divisible by p: the factors are the Phi_d, p not dividing d,
+    they multiply back to the monic input, and each carries the folded
+    exponent, Phi_(p^a d) = Phi_d^phi(p^a) mod p."""
+    rng = random.Random(0xF01D)
+    for p in (0, 2, 3, 5):
+        fspec = FieldSpec(p) if p else QQ
+        field = fspec.scalars()
+        for _ in range(25):
+            orders = [rng.randint(1, 36) for _ in range(rng.randint(0, 3))]
+            if p:
+                orders.append(p * rng.randint(1, 12))
+            f, want = LaurentPoly.one(field), {}
+            for e in orders:
+                f = f * cyclotomic(e, fspec)
+                d, pa = e, 1
+                while p and d % p == 0:
+                    d, pa = d // p, pa * p
+                want[d] = want.get(d, 0) + totient(pa)
+            # a unit multiple: the factors are those of the monic associate
+            facs = factor_invariant(f.shift(-2).scale(field.from_int(-1)), fspec)
+            assert {fac.cyclotomic_order: fac.exponent for fac in facs} == want, (p, orders)
+            assert len(facs) == len(want)
+            prod = LaurentPoly.one(field)
+            for fac in facs:
+                assert fac.poly == cyclotomic(fac.cyclotomic_order, fspec)
+                prod = prod * fac.poly ** fac.exponent
+            assert prod == normalize_unit(f)
+
+
+def test_importing_the_package_loads_no_random():
+    """Every answer is deterministic: importing artinkernels, with
+    site-packages off, does not load the `random` module."""
+    src = os.path.dirname(os.path.dirname(artinkernels.__file__))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, artinkernels; print(sorted({'random', 'artinkernels'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['artinkernels']"
 
 
 def test_factor_invariant_gf2_mixed():
@@ -333,7 +379,7 @@ def test_quotient_residue_divides_by_phi_powers(f, d, drop, den):
     at_root = horner_taylor(f, d, 1)[0]
     assert quotient_residue(f * phi ** drop, d, drop) == at_root
     if not f.is_zero() and not cyclotomic_field(d).is_zero(at_root):
-        with pytest.raises(ValueError, match="not exact"):
+        with pytest.raises(ArithmeticError, match="not exact"):
             quotient_residue(f * phi ** drop, d, drop + 1)
 
 

@@ -372,28 +372,48 @@ def _slots(dec) -> list:
 
 
 def test_decompose_torsion_reads_exponents_as_factoring_would():
+    """Over Q and over GF(2), GF(3) and GF(5), the Phi_d-exponents of each
+    invariant factor are what `factor_invariant` peels off it; mod p they
+    sit on folded orders d, p not dividing d, and some Q order p^a d with
+    a >= 1 folds onto an order that occurs."""
     rng = random.Random(0x5EED)
     cases = [random_case(rng, max_vertices=6, require_connected=True)
              for _ in range(30)]
     path = LabeledGraph(["a", "b", "c"], [("a", "b", 4), ("b", "c", 2)])
     cases.append((path, Character(path, {"a": 60, "b": 1, "c": 1})))
     high_exponent = large_order = False
+    folded = set()
     for g, chi in cases:
-        t = BoundaryTables(build_flag_complex(g), chi, QQ)
-        for k in range(t.fc.dim + 1):
-            snf = boundary_smith_form(t, k + 1)
-            assert all(slots[-1] for slots in snf.exponents.values())
-            if snf.rank == 0:
-                assert snf.exponents == {}
-            dec = decompose_torsion(k, 0, snf, QQ)
-            primary, t1, per_factor = _refactored_reference(snf, QQ)
-            context = (g.raw_edges, chi.values, k)
-            assert dec.primary_parts == primary, context
-            assert dec.t_minus_1_exponent == t1, context
-            assert _slots(dec) == per_factor, context
-            high_exponent |= any(max(s) >= 2 for s in snf.exponents.values())
-            large_order |= any(totient(d) >= 4 for d in snf.exponents)
+        fc = build_flag_complex(g)
+        q_orders = {}
+        for fspec in (QQ, F2, F3, FieldSpec(5)):
+            p = fspec.char
+            t = BoundaryTables(fc, chi, fspec)
+            for k in range(t.fc.dim + 1):
+                snf = boundary_smith_form(t, k + 1)
+                assert all(slots[-1] for slots in snf.exponents.values())
+                if snf.rank == 0:
+                    assert snf.exponents == {}
+                dec = decompose_torsion(k, 0, snf, fspec)
+                primary, t1, per_factor = _refactored_reference(snf, fspec)
+                context = (g.raw_edges, chi.values, k, p)
+                if p == 0:
+                    assert dec.primary_parts == primary, context
+                    q_orders[k] = set(snf.exponents)
+                    high_exponent |= any(max(s) >= 2 for s in snf.exponents.values())
+                    large_order |= any(totient(d) >= 4 for d in snf.exponents)
+                else:
+                    assert all(d % p for d in snf.exponents), context
+                    for e in q_orders[k]:
+                        d = e
+                        while d % p == 0:
+                            d //= p
+                        if d != e and d in snf.exponents:
+                            folded.add(p)
+                assert dec.t_minus_1_exponent == t1, context
+                assert _slots(dec) == per_factor, context
     assert high_exponent and large_order
+    assert folded == {2, 3, 5}
 
 
 def test_verify_shape_divisibility_chain_verdicts(monkeypatch):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from artinkernels import (BoundaryTables, build_flag_complex, forest_fitting_h1,
-                          homology_module, jordan_bound_check, page_dims,
+                          homology_module, page_dims,
                           reduced_homology_ranks, smith_normal_form,
                           solve_torsion, torsion_support, twisted_boundary,
                           weighted_complex)
@@ -778,15 +778,6 @@ def test_forest_multiplicity_jump_bound():
             for d in support.values:
                 assert mult_d(bigger, d) <= mult_d(smaller, d) + 2
             chosen.pop()
-
-
-def test_jordan_bound_check():
-    assert jordan_bound_check({(0, 6): [2, 0], (1, 2): [0, 0, 0]})
-    # n_{0,3} = 1 violates j <= k+2
-    assert not jordan_bound_check({(0, 2): [0, 0, 1]})
-    assert not jordan_bound_check({(0, 6): [1, 0], (1, 3): [0, 0, 0, 2]})
-    assert jordan_bound_check({(1, 3): [0, 0, 4, 0]})
-    assert jordan_bound_check({})
 
 
 def test_clearing_leaves_page_tables_unchanged(monkeypatch):
