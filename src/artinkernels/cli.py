@@ -197,6 +197,11 @@ def _poly_list(polys) -> list:
     return [text[id(p)] for p in polys]
 
 
+def _elementary_divisors(snf) -> list:
+    """The pairs (d, e) of the Phi_d^e in the invariant factors of `snf`, sorted."""
+    return sorted((d, e) for d, slots in snf.exponents.items() for e in slots if e)
+
+
 def run(job: JobConfig) -> Report:
     t0 = time.perf_counter()
     if job.text is not None:
@@ -222,7 +227,8 @@ def run(job: JobConfig) -> Report:
     imdims = image_dims(fc, fspec)
     ranks = ranks_from_image_dims(fc, imdims)
     res = resonance_sets(g, character, fspec)
-    connected = len(connected_components(g)) == 1
+    components = connected_components(g)
+    connected = len(components) == 1
 
     support = None if res.resonant_vertices else torsion_support(g, character)
 
@@ -297,17 +303,13 @@ def run(job: JobConfig) -> Report:
                              "agree": agree, "detail": detail})
 
     # multiplicity spectral sequence (characteristic zero, non-resonant), on
-    # the spine's boundaries: it filters every degree through fc.dim
+    # the spine's twisted complex: it filters every degree through fc.dim
     want_ss = "ss" in job.methods
     if want_ss and fspec.char == 0 and support is not None:
-        rows = {}
-        pages_out = {}
-        boundaries = {n: twisted_boundary(tc, n) for n in range(fc.dim + 1)}
+        rows, pages_out = {}, {}
         for d in support.values:
-            wc = weighted_complex(fc, character, d, boundaries)
-            pt = page_dims(wc)
-            for k, row in solve_torsion(pt, ranks, k_max).items():
-                rows[k, d] = row
+            pt = page_dims(weighted_complex(tc, d))
+            rows.update(((k, d), row) for k, row in solve_torsion(pt, ranks, k_max).items())
             if job.dump_pages:
                 pages_out[str(d)] = {
                     "max_weight": pt.max_weight,
@@ -379,18 +381,17 @@ def run(job: JobConfig) -> Report:
                 check("H_2 free rank", "resonant", decs[1].free_rank == h2,
                       f"snf={decs[1].free_rank} quotient-complex={h2}")
 
-    # disconnected graphs: degree-0 torsion splits over the components
+    # disconnected graphs: degree-0 torsion splits over the components, and
+    # so do its elementary divisors; its invariant factors in general do not
     if job.cross_check and not connected:
-        whole = sorted(_poly_list(snfs[1].nontrivial_factors))
         pieces = []
-        for comp in connected_components(g):
-            sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list
-                                      if u in comp and v in comp])
+        for comp in components:
+            sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list if u in comp])
             sub_tc = BoundaryTables(build_flag_complex(sub), character.restrict(sub), fspec)
-            sub_snf = boundary_smith_form(sub_tc, 1)
-            pieces.extend(_poly_list(sub_snf.nontrivial_factors))
-        check("H_1 torsion splits over components", "snf-per-component",
-              whole == sorted(pieces), f"whole={whole} pieces={sorted(pieces)}")
+            pieces += _elementary_divisors(boundary_smith_form(sub_tc, 1))
+        whole, pieces = _elementary_divisors(snfs[1]), sorted(pieces)
+        check("H_1 torsion splits over components", "snf-per-component", whole == pieces,
+              f"(d, e) of Phi_d^e: whole={whole} pieces={pieces}")
 
     data["methods"] = methods
     data["cross_checks"] = cross_checks
@@ -409,6 +410,7 @@ SELF_CHECK = (
     ("square", FieldSpec()),
     ("square_diagonal", FieldSpec(2)), ("square_diagonal", FieldSpec()),
     ("square_diagonal_chi2", FieldSpec(2)),
+    ("two_edges", FieldSpec()), ("two_edges", FieldSpec(2)),
 )
 
 

@@ -22,18 +22,19 @@ degree provides.  Weights lie in 0..w_max, so F_(p-s) is 0 once s > p and
 F_(p+s-1) is the whole complex once s > w_max - p: every term is constant
 in s from s = w_max + 1 on, and the sequence degenerates at that page.
 
-`weighted_complex` reads the facet coefficients off the twisted
-boundaries over Q that the run already built, for every d: the leading
-unit of an entry is its quotient by Phi_d^(weight drop) at zeta_d
-(`quotient_residue`), and the elimination runs on K_d elements of integer
-numerators over one denominator.
+`weighted_complex` reads the facet coefficients off the boundaries of the
+run's twisted complex over Q (`twisted_boundary`, built once for every d)
+and its weights from the rule above, not from the Smith route's tables:
+the leading unit of an entry is its quotient by Phi_d^(weight drop) at
+zeta_d (`quotient_residue`), and the elimination runs on K_d elements of
+integer numerators over one denominator.
 
 Clearing (Chen and Kerber, "Persistent homology computation with a twist",
 2011): the unit at (Y, X) is +-W'(X)/W'(Y) at zeta_d, W' the part of W
 prime to Phi_d, so the unit matrices are E^-1 S_n E for the signed
 boundaries S_n and compose to zero.  A lead row sigma of the sweep of
 degree n+1 thus makes column sigma of degree n a combination of the
-columns before it in `bases[n]`, which orders both: `page_dims` sweeps
+columns before it in `order[n]`, which orders both: `page_dims` sweeps
 from the top degree down and skips those columns.  Almost every column
 left becomes a new pivot, so `BottomEchelon` inverts a lead in K_d only
 when its vector reduces another column.
@@ -79,16 +80,16 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .flag import FlagComplex
 from .graphs import Character, connected_components, resonance_sets
 from .laurent import (cyclotomic_field, cyclotomic_product, quotient_residue,
                       t_minus_one_multiplicities)
 from .linalg import staircase_leads
 from .scalars import FieldSpec
+from .twisted import BoundaryTables, twisted_boundary
 
 
 class ResonantCharacterError(ValueError):
@@ -129,29 +130,27 @@ def edge_weight(g, c: Character, u, v, d: int) -> int:
 
 @dataclass
 class WeightedComplex:
-    """The flag complex with weights, facet drops and leading units for one d."""
+    """The twisted complex `t` over Q filtered by weight for one d, each chain
+    degree's simplices, boundary rows and columns in (weight, position) order."""
 
-    fc: FlagComplex
-    character: Character
+    t: BoundaryTables
     d: int
     field: object                     # CyclotomicField(d)
-    weights: dict                     # simplex -> weight
-    bases: dict                       # chain degree -> simplices sorted by (w, order)
-    columns: dict                     # chain degree n -> sparse boundary columns
+    order: dict                       # n -> positions sorted by (weight, position)
+    weights: dict                     # n -> the weights of order[n], ascending
+    columns: dict                     # n -> sparse boundary columns
     max_weight: int
 
 
-def weighted_complex(fc: FlagComplex, c: Character, d: int,
-                     boundaries: dict) -> WeightedComplex:
-    """The filtration for order d, read off `boundaries`, the twisted
-    boundaries over Q of chain degrees 0..fc.dim keyed by degree."""
+def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
+    """The filtration for order d, read off the twisted boundaries of t over
+    Q in chain degrees 0 .. t.fc.dim."""
     if d < 2:
         raise ValueError("the multiplicity filtration needs d >= 2")
-    g = fc.graph
-    for v in g.vertices:
-        if c.m(v) == 0:
-            raise ResonantCharacterError("the multiplicity filtration needs a "
-                                         "non-resonant character")
+    fc, c, g = t.fc, t.c, t.fc.graph
+    if any(c.m(v) == 0 for v in g.vertices):
+        raise ResonantCharacterError("the multiplicity filtration needs a "
+                                     "non-resonant character")
     kd = cyclotomic_field(d)
 
     # w(X) summed from tables by position: a simplex adds its last vertex
@@ -167,12 +166,10 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
         by_position[n] = [ws[fs[-1]] + vertex_w[v := m.bit_length() - 1]
                           + (m & heavy[v]).bit_count()
                           for m, fs in zip(fc.masks[n], fc.facets(n))]
-    # each degree in (weight, canonical order): a stable sort of the positions;
-    # slot[n] is the inverse permutation, position -> index in bases[n]
+    # each degree in (weight, position) order: a stable sort of the positions;
+    # slot[n] is the inverse permutation, position -> index in order[n]
     order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}
     slot = {n: sorted(range(len(js)), key=js.__getitem__) for n, js in order.items()}
-    bases = {n: [fc.simplices_of(n)[j] for j in js] for n, js in order.items()}
-    weights = {X: w for n, ws in by_position.items() for X, w in zip(fc.simplices_of(n), ws)}
 
     # entries with equal factors and sign are one shared object, so each
     # (entry, drop) has its leading unit read, and checked, once: a unit is a
@@ -191,12 +188,13 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
 
     columns = {-1: [{}]}
     for n in range(0, fc.dim + 1):
-        tb, col_w, row_w, row_slot = boundaries[n], by_position[n], by_position[n - 1], slot[n - 1]
+        tb, col_w, row_w, row_slot = (twisted_boundary(t, n), by_position[n],
+                                      by_position[n - 1], slot[n - 1])
         columns[n] = [{row_slot[i]: units.get((id(entry), col_w[j] - row_w[i]))
                        or new_unit(entry, col_w[j] - row_w[i], tb, i, j)
                        for i, entry in tb.columns[j].items()} for j in order[n]]
-    return WeightedComplex(fc, c, d, kd, weights, bases, columns,
-                           max(weights.values()))
+    weights = {n: [by_position[n][j] for j in js] for n, js in order.items()}
+    return WeightedComplex(t, d, kd, order, weights, columns, max(w[-1] for w in weights.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +205,29 @@ def weighted_complex(fc: FlagComplex, c: Character, d: int,
 class PageTable:
     d: int
     s_max: int
-    dims: dict                       # (s, p, q) -> dim, nonzero entries only
-    stable: dict                     # (p, q) -> dim at the limit page
+    pages: list                      # pages[s]: (p, q) -> dim, nonzero only; s > last reads last
     max_weight: int
     top_degree: int
 
-    def h(self, s: int, p: int, q: int) -> int:
-        if s > self.s_max:
-            return self.stable.get((p, q), 0)
-        return self.dims.get((s, p, q), 0)
+    @property
+    def stable(self) -> dict:
+        return self.pages[-1]
 
-    @functools.cached_property
-    def _row_sums(self) -> tuple[Counter, Counter]:
-        # (s, k) -> the sum over p of h(s, p, k - p) for s <= s_max, and
-        # k -> the same on the stable page
-        rows, stable = Counter(), Counter()
-        for (s, p, q), v in self.dims.items():
-            rows[s, p + q] += v
-        for (p, q), v in self.stable.items():
-            stable[p + q] += v
-        return rows, stable
+    def page(self, s: int) -> dict:
+        return self.pages[min(s, len(self.pages) - 1)]
+
+    def h(self, s: int, p: int, q: int) -> int:
+        return self.page(s).get((p, q), 0)
 
     def h_row(self, s: int, k: int) -> int:
-        if s > self.s_max:
-            return self.stable_row(k)
-        return self._row_sums[0][s, k]
+        return sum(v for (p, q), v in self.page(s).items() if p + q == k)
 
     def stable_row(self, k: int) -> int:
-        return self._row_sums[1][k]
+        return self.h_row(self.s_max, k)
 
     def nonzero(self) -> dict:
-        return dict(sorted(self.dims.items()))
+        return {(s, p, q): v for s in range(self.s_max + 1)
+                for (p, q), v in sorted(self.page(s).items())}
 
 
 def page_dims(wc: WeightedComplex) -> PageTable:
@@ -245,20 +235,18 @@ def page_dims(wc: WeightedComplex) -> PageTable:
 
     The table runs through page s_max = max(dim + 3, max_weight + 2).  The
     sequence degenerates at page max_weight + 1 (module docstring), so
-    pages 0 .. max_weight + 1 are computed, the later ones copy the last,
-    which is the stable page, and the formula's own page s_max + 1 must
-    equal it.  The sweeps run from the top degree down, each clearing the
-    columns that lead the sweep above (module docstring).
+    pages 0 .. max_weight + 1 are computed, the last is the stable page,
+    and the formula's own page s_max + 1 must equal it.  The sweeps run
+    from the top degree down, each clearing the columns that lead the sweep
+    above (module docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
-    top = wc.fc.dim
+    top = wc.t.fc.dim
     s_hi = max(top + 3, wmax + 2)
 
-    wlists = {n: [wc.weights[s] for s in wc.bases[n]] for n in range(-1, top + 1)}
     # n -> cumulative column counts per weight 0..wmax
-    counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
-              for n, ws in wlists.items()}
+    counts = {n: [bisect_right(ws, p) for p in range(wmax + 1)] for n, ws in wc.weights.items()}
     # z[n][p + 1][a + 1] = dim Z_(p, n - p) with its boundary in rows of
     # weight <= a, for p = -1 .. wmax and a = -1 .. wmax: the columns of
     # weight <= p less the leads of the snapshot p in rows of weight > a.
@@ -268,7 +256,7 @@ def page_dims(wc: WeightedComplex) -> PageTable:
     cleared = frozenset()
     for n in range(top, -2, -1):
         lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
-        row_ws = wlists.get(n - 1, [])
+        row_ws = wc.weights.get(n - 1, [])
         z[n] = [zero]
         for count, leads in zip(counts[n], lead_snaps):
             per_weight = [0] * (wmax + 2)
@@ -296,22 +284,23 @@ def page_dims(wc: WeightedComplex) -> PageTable:
     if page(s_hi + 1) != pages[-1]:
         raise NegativeMultiplicityError(
             f"pages {wmax + 1} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    pages += [pages[-1]] * (s_hi - wmax - 1)
-    dims = {(s, p, q): v for s, pg in enumerate(pages) for (p, q), v in pg.items()}
-    return PageTable(wc.d, s_hi, dims, pages[-1], wmax, top)
+    return PageTable(wc.d, s_hi, pages, wmax, top)
 
 
 # ---------------------------------------------------------------------------
 # solving for the torsion multiplicities
 # ---------------------------------------------------------------------------
 
-def chi_rel(pt: PageTable, r_list, k: int, s: int) -> int:
-    """Relative Euler characteristic of page s through row k."""
-    total = 0
-    for q in range(0, k + 1):
-        r_q = r_list[q] if 0 <= q < len(r_list) else 0
-        total += (-1) ** (k - q) * (pt.h_row(s, q) - r_q)
-    return total
+def chi_rel(pt: PageTable, r_list, k_max: int) -> dict:
+    """(s, k) -> the relative Euler characteristic of page s through row k,
+    for s <= k_max + 3 and k <= k_max, by one running sum per page."""
+    out = {}
+    for s in range(1, k_max + 4):
+        prev = 0
+        for k in range(0, k_max + 1):
+            r_k = r_list[k] if k < len(r_list) else 0
+            out[s, k] = prev = pt.h_row(s, k) - r_k - prev
+    return out
 
 
 def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
@@ -324,13 +313,14 @@ def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
     if k_max is None:
         k_max = pt.top_degree
     for k in range(0, k_max + 1):
-        r_k = r_list[k] if 0 <= k < len(r_list) else 0
+        r_k = r_list[k] if k < len(r_list) else 0
         if pt.stable_row(k) != r_k:
             raise NegativeMultiplicityError(
                 f"stable page row {k} is {pt.stable_row(k)}, expected r_{k}={r_k}")
+    chi = chi_rel(pt, r_list, k_max)
     out = {}
     for k in range(0, k_max + 1):
-        vals = [chi_rel(pt, r_list, k, s) for s in range(1, k + 4)]
+        vals = [chi[s, k] for s in range(1, k + 4)]
         if vals[k + 2] != 0:
             raise NegativeMultiplicityError(
                 f"chi_rel at page {k + 3} for k={k}, d={pt.d} is {vals[k + 2]}, "

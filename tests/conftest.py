@@ -6,20 +6,12 @@ import random
 
 import pytest
 
-from artinkernels import (BoundaryTables, Character, LabeledGraph,
-                          connected_components, is_fc_type, twisted_boundary)
+from artinkernels import Character, LabeledGraph, connected_components, is_fc_type
 from artinkernels.scalars import FieldSpec
 
 QQ = FieldSpec()
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
-
-
-def q_boundaries(fc, c):
-    """The twisted boundaries over Q of chain degrees 0..fc.dim, as a run
-    hands them to `weighted_complex`."""
-    t = BoundaryTables(fc, c, QQ)
-    return {n: twisted_boundary(t, n) for n in range(fc.dim + 1)}
 
 
 def dihedral_graph():

@@ -466,31 +466,40 @@ def truncated_homology_dims(fc: FlagComplex, c: Character, d: int, s: int) -> di
 
 
 # ---------------------------------------------------------------------------
-# page tables with every page computed
+# weighted complexes decoded, and page tables with every page computed
 # ---------------------------------------------------------------------------
 
+def wc_basis(wc: WeightedComplex, n: int) -> list:
+    """The n-simplices of `wc` as vertex tuples, in its (weight, position) order."""
+    return [wc.t.fc.simplices_of(n)[j] for j in wc.order[n]]
+
+
+def wc_weights(wc: WeightedComplex) -> dict:
+    """{simplex: weight} over every chain degree of `wc`, decoded from positions."""
+    return {X: w for n in wc.order for X, w in zip(wc_basis(wc, n), wc.weights[n])}
+
+
 # The reference for `spectral.page_dims`, which computes pages only up to
-# max_weight + 1, where the sequence degenerates, and copies the rest.
+# max_weight + 1, where the sequence degenerates, and keeps no later page.
 
 def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     """Dimensions of every page position, by staircase ranks, with the page
     formula evaluated on every page through s_max + 1.
 
     Pages are computed through max(dim + 3, max_weight + 2); the last two
-    agree entrywise (the sequence has degenerated), and that limit page is
-    recorded as the stable one.  The sweeps run from the top degree down,
-    each clearing the columns that lead the sweep above (`spectral` module
-    docstring).
+    agree entrywise (the sequence has degenerated), and the table keeps
+    every page through s_max, the last of them the stable one.  The sweeps
+    run from the top degree down, each clearing the columns that lead the
+    sweep above (`spectral` module docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
-    top = wc.fc.dim
+    top = wc.t.fc.dim
     s_hi = max(top + 3, wmax + 2)
 
-    wlists = {n: [wc.weights[s] for s in wc.bases[n]] for n in range(-1, top + 1)}
     # n -> cumulative column counts per weight 0..wmax
     counts = {n: [sum(1 for w in ws if w <= p) for p in range(wmax + 1)]
-              for n, ws in wlists.items()}
+              for n, ws in wc.weights.items()}
     # n -> per column weight p, per a = -1 .. wmax: the rank of the boundary
     # of degree n on columns of weight <= p and rows of weight > a, which is
     # the number of leads of the snapshot p whose row weight exceeds a
@@ -498,7 +507,7 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     cleared = frozenset()
     for n in range(top, -2, -1):
         lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
-        row_ws = wlists.get(n - 1, [])
+        row_ws = wc.weights.get(n - 1, [])
         above[n] = []
         for leads in lead_snaps:
             per_weight = [0] * (wmax + 2)
@@ -527,15 +536,12 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
                 if val:
                     dims[(s, p, q)] = val
 
-    def page(s: int) -> dict:
-        return {(p, q): val for (t, p, q), val in dims.items() if t == s}
-
-    stable = page(s_hi + 1)
-    if page(s_hi) != stable:
+    pages = [{(p, q): val for (t, p, q), val in dims.items() if t == s}
+             for s in range(s_hi + 2)]
+    if pages[s_hi] != pages[s_hi + 1]:
         raise NegativeMultiplicityError(
             f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    dims = {k: v for k, v in dims.items() if k[0] <= s_hi}
-    return PageTable(wc.d, s_hi, dims, stable, wmax, top)
+    return PageTable(wc.d, s_hi, pages[:s_hi + 1], wmax, top)
 
 
 # ---------------------------------------------------------------------------

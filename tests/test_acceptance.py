@@ -30,9 +30,9 @@ from artinkernels import (BoundaryTables, LaurentPoly, boundary_smith_form, buil
                           twisted_boundary, verify_shape, weighted_complex)
 from artinkernels.smith import cyclotomic_invariant_factors, signed_boundary
 
-from conftest import (QQ, F2, dihedral_graph, q_boundaries, random_case,
+from conftest import (QQ, F2, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
-from oracles import compose, compose_int_columns, dense, det, matmul, submatrix
+from oracles import compose, compose_int_columns, dense, det, matmul, submatrix, wc_weights
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -92,8 +92,9 @@ def test_acceptance_2_square_homology():
     # the spectral route reproduces the same primary multiplicities
     r = reduced_homology_ranks(fc, QQ)
     ss = {}
+    tc = BoundaryTables(fc, chi, QQ)
     for d in torsion_support(g, chi).values:
-        ss[d] = solve_torsion(page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi))), r)
+        ss[d] = solve_torsion(page_dims(weighted_complex(tc, d)), r)
     ok = ok and ss[2][0] == [1, 1] and ss[6][0] == [2, 0]
     ok = ok and ss[2][1] == [0, 0, 0] and ss[6][1] == [0, 0, 0]
     assert _report(2, ok, "H_1 = (t-1)^3 + (t+1) + (t+1)^2 + (t^2-t+1)^2, "
@@ -107,11 +108,12 @@ def test_acceptance_2_square_homology():
 def test_acceptance_3_square_pages():
     g, chi = square_graph()
     fc = build_flag_complex(g)
-    pt2 = page_dims(weighted_complex(fc, chi, 2, q_boundaries(fc, chi)))
+    tc = BoundaryTables(fc, chi, QQ)
+    pt2 = page_dims(weighted_complex(tc, 2))
     ok = (pt2.h(1, 0, 0), pt2.h(1, 1, -1), pt2.h(2, 0, 0)) == (1, 1, 1)
     ok = ok and (pt2.h(1, 2, -1), pt2.h(2, 2, -1), pt2.h(3, 2, -1)) == (3, 2, 1)
 
-    pt6 = page_dims(weighted_complex(fc, chi, 6, q_boundaries(fc, chi)))
+    pt6 = page_dims(weighted_complex(tc, 6))
     ok = ok and pt6.h(1, 0, 0) == 2
     # ... and that is the only excess over the limit page in the k = 0 row:
     for p in range(0, pt6.max_weight + 1):
@@ -219,8 +221,9 @@ def test_acceptance_5_oracle_equivalence_sweep():
         r = reduced_homology_ranks(fc, QQ)
         support = torsion_support(g, chi)
         decs = {k: homology_module(fc, chi, QQ, k) for k in range(fc.dim + 1)}
+        tc = BoundaryTables(fc, chi, QQ)
         for d in support.values:
-            ns = solve_torsion(page_dims(weighted_complex(fc, chi, d, q_boundaries(fc, chi))), r)
+            ns = solve_torsion(page_dims(weighted_complex(tc, d)), r)
             for k, row in ns.items():
                 got = tuple(j for j, n in enumerate(row, start=1) for _ in range(n))
                 if got != decs[k].exponents_for(d):
@@ -291,11 +294,13 @@ def test_acceptance_6_structural_invariants():
         nonres_q = fspec.char == 0 and all(normalized.m(v) != 0 for v in g.vertices)
         if nonres_q:
             support = torsion_support(g, normalized)
+            tc = BoundaryTables(fc, normalized, QQ)
             for d in support.values:
-                wc = weighted_complex(fc, normalized, d, q_boundaries(fc, normalized))
+                wc = weighted_complex(tc, d)
                 kd = wc.field
+                weights = wc_weights(wc)
                 for s in chain(*map(fc.simplices_of, fc.masks)):
-                    if wc.weights[s] > len(s) + 1:
+                    if weights[s] > len(s) + 1:
                         failures.append((idx, "weight bound", d, s))
                 for n in range(0, fc.dim + 1):
                     for col in wc.columns.get(n + 1, []):

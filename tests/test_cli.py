@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinkernels
-from artinkernels import FlagComplex, build_flag_complex, cli, homology_module, twisted
+from artinkernels import (BoundaryTables, FlagComplex, LabeledGraph, boundary_smith_form,
+                          build_flag_complex, cli, connected_components, homology_module,
+                          twisted)
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
 from artinkernels.scalars import PRIME_LIMIT, FieldSpec
 
-from conftest import F3, QQ, random_case
+from conftest import F2, F3, QQ, random_case
 
 
 SQUARE = fixture_text("square")
@@ -54,7 +56,7 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_roundtrip_on_fixtures():
-    for name in ("dihedral4", "square", "square_diagonal", "square_diagonal_chi2"):
+    for name in ("dihedral4", "square", "square_diagonal", "square_diagonal_chi2", "two_edges"):
         text = fixture_text(name)
         parsed = parse_input(text)
         out = serialize_input(parsed.graph, parsed.character, parsed.field)
@@ -200,6 +202,40 @@ def test_ss_skipped_over_prime_fields_with_reason():
     rep = run(JobConfig(text=fixture_text("square_diagonal")))
     assert rep.data["methods"]["ss"]["ran"] is False
     assert "characteristic zero" in rep.data["methods"]["ss"]["reason"]
+
+
+def test_components_check_compares_elementary_divisors():
+    """The invariant factors of a direct sum are not the union of its parts'
+    (diag((t-1)Phi_2) + diag((t-1)Phi_3) has (t-1) and (t-1)Phi_2Phi_3), its
+    elementary divisors are.  On seeded pairs of paths the check must agree,
+    also where the lists of invariant factors differ."""
+    rng = random.Random(0xC0C0)
+    weights = (-2, -1, 1, 2, 3, 4, 5, 6)
+    differ = Counter()
+    for fspec in (QQ, F2, F3):
+        for _ in range(40):
+            lines = []
+            for comp in "uv":
+                names = [f"{comp}{j}" for j in range(rng.randint(1, 3))]
+                lines += [f"vertex {v} {rng.choice(weights)}" for v in names]
+                lines += [f"edge {a} {b} {rng.choice((2, 4, 6))}" for a, b in zip(names, names[1:])]
+            text = "\n".join(lines) + "\n"
+            rep = run(JobConfig(text=text, field=fspec, methods=("snf",)))
+            chk, = [c for c in rep.data["cross_checks"] if "components" in c["subject"]]
+            assert chk["agree"] and rep.ok, (fspec, text, chk["detail"])
+            assert chk["detail"].startswith("(d, e) of Phi_d^e: whole=")
+
+            parsed = parse_input(text)
+            g, (chi, _) = parsed.graph, parsed.character.normalize()
+            pieces = []
+            for comp in connected_components(g):
+                sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list
+                                          if u in comp])
+                t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), fspec)
+                pieces += [str(f) for f in boundary_smith_form(t, 1).nontrivial_factors]
+            whole = rep.data["homology"]["modules"][0]["invariant_factors"]
+            differ[str(fspec)] += sorted(whole) != sorted(pieces)
+    assert all(differ[str(f)] > 0 for f in (QQ, F2, F3)), differ
 
 
 def test_forest_skipped_on_disconnected_input():
@@ -370,7 +406,7 @@ def test_self_check_passes():
     buf = io.StringIO()
     assert self_check(out=buf) == 0
     lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 6 and all(line.startswith("[ok]") for line in lines)
+    assert len(lines) == 8 and all(line.startswith("[ok]") for line in lines)
 
 
 def test_run_modules_agree_with_homology_module():
@@ -428,7 +464,8 @@ def test_run_builds_each_artefact_once(monkeypatch):
     """The Smith, ss and resonant routes share the run's flag complex,
     twisted complex, reduced graph and quotient complex.  The Smith route
     walks its boundaries without building a polynomial matrix: an
-    `snf`-only run builds none, ss builds one per degree 0 .. fc.dim and
+    `snf`-only run builds none, ss builds one per degree 0 .. fc.dim, read
+    by every order d, and
     `--dump-matrices` one per degree 0 .. k_max + 1, each once however
     many of them read it.  On a disconnected input the per-component check
     adds one flag and twisted complex per component; `homology_module`
@@ -462,6 +499,13 @@ def test_run_builds_each_artefact_once(monkeypatch):
     assert all(rep.data["methods"][m]["ran"] for m in ALL_METHODS)
     dim = rep.data["classification"]["clique_dimension"]
     assert counts == Counter({**shared, **{("PolyMatrix", k): 1 for k in range(dim + 1)}})
+
+    # ss reads the spine's boundaries for every order d: one build per degree
+    counts.clear()
+    rep = run(JobConfig(text=SQUARE, field=QQ, methods=("snf", "ss")))
+    assert rep.data["methods"]["ss"]["ran"] and len(rep.data["torsion_support"]["values"]) > 1
+    assert counts == Counter({"build_flag_complex": 1, "BoundaryTables": 1,
+                              **{("PolyMatrix", k): 1 for k in range(dim + 1)}})
 
     counts.clear()
     rep = run(JobConfig(text=SQUARE, field=QQ, methods=("snf",), dump_matrices=True))

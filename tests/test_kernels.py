@@ -24,7 +24,7 @@ from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_lea
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import cyclotomic_candidates, taylor_block
 
-from conftest import QQ, q_boundaries, random_case
+from conftest import QQ, random_case
 from oracles import evaluate, fraction_rank, horner_taylor, normalized_column_leads, sparse
 
 Q = QQ.scalars()
@@ -282,7 +282,8 @@ def test_ss_sweeps_invert_only_the_leads_that_reduce(monkeypatch):
                                       for u, v in combinations("abcdef", 2)])
     chi = Character(g, dict(zip("abcdef", (2, 5, 1, 3, 1, 4))))
     fc = build_flag_complex(g)
-    wcs = [weighted_complex(fc, chi, d, q_boundaries(fc, chi)) for d in torsion_support(g, chi)]
+    tc = BoundaryTables(fc, chi, QQ)
+    wcs = [weighted_complex(tc, d) for d in torsion_support(g, chi)]
     sweeps, inverted = [], []
 
     def spy(field, columns, snapshot_after, cleared=frozenset()):

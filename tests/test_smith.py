@@ -342,8 +342,12 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
                                   if u in comp and v in comp])
         sub_t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), QQ)
         sub_snf = smith_normal_form(twisted_boundary(sub_t, 1))
-        pieces.extend(str(f) for f in sub_snf.nontrivial_factors)
-    assert sorted(str(f) for f in whole.invariant_factors) == sorted(pieces)
+        pieces += [(f.cyclotomic_order, f.exponent) for inv in sub_snf.nontrivial_factors
+                   for f in factor_invariant(inv, QQ)]
+    # the elementary divisors Phi_d^e of a direct sum are the union of its
+    # parts'; its invariant factors in general are not
+    assert sorted((d, e) for d, slots in whole.exponents.items() for e in slots if e) \
+        == sorted(pieces)
 
 
 def _refactored_reference(snf, fspec):
