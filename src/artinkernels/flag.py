@@ -115,25 +115,25 @@ def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatri
     the augmentation: every vertex maps to the empty simplex with sign +1.
     """
     field = fspec.scalars()
-    return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k),
-                           _signed_columns(fc, k, field), field)
-
-
-def _signed_columns(fc: FlagComplex, k: int, field: Field) -> list:
     signs = (field.one, field.neg(field.one))
-    return [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
+    columns = [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
+    return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, field)
 
 
 def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
     """dim_K im(boundary_k) for k = 0 .. dim+1 (the last one is 0), from
     the top degree down, each skipping the lead rows of its own reduction
     one degree up: boundary_k kills the reduced column of boundary_(k+1)
-    with lead row X, so column X adds no rank (clearing, see `linalg`)."""
+    with lead row X, so column X adds no rank (clearing, see `linalg`).
+    A column goes in as a pair (lead, build), built if a reduction reads it."""
     field = fspec.scalars()
+    signs = (field.one, field.neg(field.one))
     out, cleared = [0], frozenset()
     for k in range(fc.dim, -1, -1):
         leads = set()
-        out.append(linalg.rank(field, _signed_columns(fc, k, field), cleared, leads))
+        columns = [(max(fs), lambda fs=fs: {f: signs[i % 2] for i, f in enumerate(fs)})
+                   for fs in fc.facets(k)]
+        out.append(linalg.rank(field, columns, cleared, leads))
         cleared = leads
     return out[::-1]
 

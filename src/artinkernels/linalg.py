@@ -9,11 +9,16 @@ those lead rows never move once created.  Feeding columns left to right
 therefore yields, for every prefix of columns and every row cut r, the
 rank of the submatrix on rows >= r -- the "staircase ranks" that drive
 the filtered-complex page dimension formulas.  Leads, ranks and
-snapshots depend only on spans, so a new vector is stored as it reduced,
-unscaled.  Most stored vectors never reduce another (clearing leaves few
-columns that do), so a lead's inverse is computed and cached the first
-time its vector reduces one; a reduction step is then a multiply per
-entry and one for the factor.
+snapshots depend only on spans, so a new vector is stored unscaled.
+
+A column is a dict or a pair (lead, build): its bottom-most row and a
+function returning it as a new dict with no zero entry.  A column that
+adds a lead is stored as given, by reference, and never mutated: a dict
+with no zero entry is not copied, and a pair is built only when it
+reduces another (the implicit columns of Bauer's Ripser, 2021), then
+checked (a wrong lead or a zero entry raises ArithmeticError).  Clearing
+leaves few stored vectors that reduce another, so a lead's inverse is
+computed and cached the first time its vector reduces one.
 
 :func:`column_leads` feeds columns in order to one `BottomEchelon` and
 returns the lead row each adds.  :func:`rank` counts those leads (fed
@@ -36,28 +41,41 @@ from .scalars import Field
 class BottomEchelon:
     """Incremental column-space basis keyed by bottom-most nonzero row.
 
-    `basis` maps a lead row to its vector, stored as it reduced;
-    `inverses` maps a lead row to the inverse of that vector's lead entry,
-    once the vector has reduced another."""
+    `basis` maps a lead row to its vector, stored as it was given (a dict
+    or a pair) or as it reduced; `inverses` maps a lead row to the inverse
+    of that vector's lead entry, once the vector has reduced another."""
 
     def __init__(self, field: Field):
         self.field = field
-        self.basis: dict[int, dict[int, object]] = {}
+        self.basis: dict[int, dict | tuple] = {}
         self.inverses: dict[int, object] = {}
 
-    def insert(self, vec: dict[int, object]) -> int | None:
-        """Reduce vec against the basis; returns the new lead row or None.
-        A new basis vector is stored as it reduced."""
+    def insert(self, col) -> int | None:
+        """Reduce col against the basis; returns the new lead row or None.
+        A column that adds a lead is stored as given, any other as reduced."""
         f = self.field
         is_zero, sub, mul, zero = f.is_zero, f.sub, f.mul, f.zero
         basis, inverses = self.basis, self.inverses
-        vec = {r: c for r, c in vec.items() if not is_zero(c)}
+        if type(col) is tuple:
+            if col[0] not in basis:
+                basis[col[0]] = col
+                return col[0]
+            col = col[1]()
+        zero_free = not any(map(is_zero, col.values()))
+        vec = col if zero_free else {r: c for r, c in col.items() if not is_zero(c)}
         while vec:
             lead = max(vec)
             other = basis.get(lead)
             if other is None:
                 basis[lead] = vec
                 return lead
+            if type(other) is tuple:
+                other = basis[lead] = other[1]()
+                if max(other, default=None) != lead or any(map(is_zero, other.values())):
+                    raise ArithmeticError(f"the column stored under lead row {lead} "
+                                          "has another lead or a zero entry")
+            if vec is col:
+                vec = dict(col)
             inv = inverses.get(lead)
             if inv is None:
                 inv = inverses[lead] = f.inv(other[lead])
@@ -72,11 +90,10 @@ class BottomEchelon:
         return None
 
 
-def column_leads(field: Field, columns: Iterable[dict[int, object]],
-                 skip=frozenset()) -> list[int | None]:
-    """Per column, in order, the lead row it adds to the echelon of the
-    columns before it; None if it is in their span or its index is in
-    `skip`.  `columns` are left untouched."""
+def column_leads(field: Field, columns: Iterable, skip=frozenset()) -> list[int | None]:
+    """Per column (a dict or a pair, module docstring), in order, the lead
+    row it adds to the echelon of the columns before it; None if it is in
+    their span or its index is in `skip`."""
     ech = BottomEchelon(field)
     return [None if j in skip else ech.insert(col) for j, col in enumerate(columns)]
 
@@ -90,7 +107,7 @@ def rank(field: Field, rows: list[dict], skip=frozenset(), leads: set | None = N
     return len(found)
 
 
-def staircase_leads(field: Field, columns: list[dict[int, object]],
+def staircase_leads(field: Field, columns: list,
                     snapshot_after: list[int], cleared=frozenset()) -> list[list[int]]:
     """For each n in `snapshot_after`, the sorted lead rows of the first n
     columns, skipping the indices in `cleared`; a cleared column counts

@@ -49,12 +49,15 @@ rows.  Every irreducible factor of Phi_d gets the same exponents, so the
 invariant factors are products of Phi_d (mod p over GF(p)) and nothing is
 factored.
 Each call walks the boundary's cells once, building no polynomial matrix
-(the implicit boundary of Bauer's Ripser, 2021): it checks the weights
-against the real entries, neither read from the other, and over Q the
-pivot count against the rank at t = 2, which clears with the pivots of
-its own t = 2 reduction one degree up in simplex order (the boundaries
-compose to zero at t = 2 too), never with the engine's: the check must
-not read the result it checks.
+(the implicit boundary of Bauer's Ripser, 2021), and each reduction takes
+the walk's columns as lazy pairs, re-keying one by weight only when it
+reduces another (`linalg`).  The walk reads each entry once per key of
+`BoundaryTables.entry_keys` and checks the weights against the real
+entries, neither read from the other, and over Q the pivot count against
+the rank at t = 2, which clears with the pivots of its own t = 2
+reduction one degree up in simplex order (the boundaries compose to zero
+at t = 2 too), never with the engine's: the check must not read the
+result it checks.
 
 :func:`smith_normal_form` (Euclidean reduction), :func:`taylor_block` and
 :func:`cyclotomic_candidates` are references the tests hold the engine
@@ -326,14 +329,16 @@ def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
                 cleared) -> tuple[list, list]:
     """Ascending w(X) - w(low X) over the pivots of one left-to-right
     column reduction of `columns` but `cleared`, rows and columns sorted by
-    weight, and the pivots (column, low row)."""
+    weight, and the pivots (column, low row).  A column goes in as a pair
+    (lead slot, build), re-keyed by slot only when a reduction reads it."""
     rows = sorted(range(len(row_w)), key=row_w.__getitem__)
     slot = [0] * len(rows)
     for s, i in enumerate(rows):
         slot[i] = s
     order = [j for j in sorted(range(len(col_w)), key=col_w.__getitem__) if j not in cleared]
-    lows = linalg.column_leads(field, ({slot[i]: x for i, x in columns[j].items()}
-                                       for j in order))
+    lows = linalg.column_leads(field, [
+        (max(map(slot.__getitem__, col)), lambda col=col: {slot[i]: x for i, x in col.items()})
+        if col else col for col in map(columns.__getitem__, order)])
     pivots = [(j, rows[low]) for j, low in zip(order, lows) if low is not None]
     return sorted(col_w[j] - row_w[i] for j, i in pivots), pivots
 
@@ -400,36 +405,35 @@ def signed_boundary(t: BoundaryTables, k: int, skip=frozenset()) -> tuple[list, 
     as many zero factors as X (it has X's then, as its factors are among
     X's; else the entry is 0), and over Q the entries' values at t = 2 but
     in the columns `skip` (None mod p).  Each entry `t.entry(X, i, v)`, v
-    the i-th set bit of the mask X, a product of `factor_poly`, must be
-    nonzero exactly at a kept cell and span there the difference of the
-    weights, sums of `factor_multiplicities`."""
+    the i-th set bit of the mask X, a product of `factor_poly`, read once
+    per key of `t.entry_keys`, must be nonzero exactly at a kept cell and
+    span there the difference of the weights, sums of
+    `factor_multiplicities`."""
     rows, cols = t.weights(k - 1), t.weights(k)
     row_zeros, row_spans, col_spans = rows[0], _spans(rows), _spans(cols)
     field = t.field
     signs = (field.one, field.neg(field.one))
     x = field.from_int(SPECIALIZATION_POINT) if field.char == 0 else None
-    entry, faces = t.entry, t.fc.simplices_of
-    read = {}           # id(entry) -> (entry, its span or None if zero, its value at x)
+    entry, keys, faces = t.entry, t.entry_keys, t.fc.simplices_of
+    read = {}           # entry key -> (its span or None if zero, its value at x)
     columns, at_point = [], [] if x is not None else None
     for j, (m, fs, z, span) in enumerate(zip(t.fc.masks.get(k, ()), t.fc.facets(k),
                                              cols[0], col_spans)):
         col, point = {}, None if x is None or j in skip else {}
-        rest = m
-        for i, f in enumerate(fs):
-            e = entry(m, i, (rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-            got = read.get(id(e))
+        for f, key in zip(fs, keys(m)):
+            got = read.get(key)
             if got is None:
-                got = read[id(e)] = (e, e.degree() - e.valuation() if e else None,
-                                     e.evaluate(x) if e and x is not None else None)
+                e = entry(m, fs.index(f), key[1])
+                got = read[key] = (e.degree() - e.valuation() if e else None,
+                                   e.evaluate(x) if e and x is not None else None)
             want = span - row_spans[f] if row_zeros[f] == z else None
-            if got[1] != want:
+            if got[0] != want:
                 raise ArithmeticError(
                     f"weights do not match the entry at {faces(k - 1)[f]}, {faces(k)[j]}")
             if want is not None:
-                col[f] = signs[i % 2]
+                col[f] = signs[key[0]]
                 if point is not None:
-                    point[f] = got[2]
+                    point[f] = got[1]
         columns.append(col)
         if at_point is not None:
             at_point.append(point or {})

@@ -162,12 +162,21 @@ class BoundaryTables:
             self._adds[key] = (mults.count(None), dict(added))
         return self._adds[key]
 
+    def entry_keys(self, m: int) -> list:
+        """`entry`'s memo keys (i % 2, v, m & wide[v]), v the i-th vertex of m."""
+        wide, keys, rest = self._wide_mask, [], m
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            keys.append((len(keys) & 1, v, m & wide[v]))
+            rest &= rest - 1
+        return keys
+
     def entry(self, m: int, i: int, v: int) -> LaurentPoly:
         """The coefficient at (m minus v, m), v the index of the i-th vertex
-        of the simplex mask m: (-1)^i times `facet_factors(v, m)`, looked up
-        by (i % 2, v, m & wide[v]).  Entries with the same sign and factors,
-        up to order, are one object, so a vertex with no label >= 4 edge
-        gives two entries per weight m_v."""
+        of the simplex mask m: (-1)^i times `facet_factors(v, m)`, memoised
+        on its key from `entry_keys`.  Entries with the same sign and
+        factors, up to order, are one object, so a vertex with no label >= 4
+        edge gives two entries per weight m_v."""
         key = (i & 1, v, m & self._wide_mask[v])
         e = self._entries.get(key)
         if e is None:

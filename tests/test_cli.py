@@ -701,6 +701,40 @@ def test_main_exit_code_3_when_an_internal_check_fails(tmp_path, monkeypatch, ca
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fault", ["lead off by one", "zero entry"])
+@pytest.mark.parametrize("caller", ["image_dims", "_pivot_gaps"])
+def test_main_exit_code_3_when_a_lazy_column_is_doctored(tmp_path, monkeypatch, capsys,
+                                                          caller, fault):
+    """Each column that `flag.image_dims` or the Smith route's
+    `_pivot_gaps` hands the elimination kernel as a pair (lead, build),
+    doctored to declare the row above its lead or to build with a zero
+    entry, stops the run with the kernel's ArithmeticError: `main` exits 3
+    with one `check failed:` line."""
+    from artinkernels import linalg
+
+    real = linalg.column_leads
+
+    def doctor(field, col):
+        if type(col) is not tuple or not col[1].__qualname__.startswith(caller):
+            return col
+        lead, build = col
+        if fault == "lead off by one":
+            return lead + 1, build
+        return lead, lambda: {**build(), min(build()) - 1: field.zero}
+
+    def doctored(field, columns, skip=frozenset()):
+        return real(field, [doctor(field, col) for col in columns], skip)
+
+    monkeypatch.setattr(linalg, "column_leads", doctored)
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert main([str(path), "--methods", "snf"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("check failed: the column stored under lead row ")
+    assert out.err.count("\n") == 1
+
+
 def test_main_exit_code_3_when_the_forest_chain_check_fails(tmp_path, monkeypatch, capsys):
     """Forest gcds that break the divisibility chain raise
     NegativeMultiplicityError, which `main` reports as one failed check."""

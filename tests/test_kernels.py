@@ -7,6 +7,7 @@ dense Taylor block per truncation depth.
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -270,6 +271,105 @@ def test_leads_match_the_store_normalized_echelon(field_name):
                 sorted(x for x in want[:n] if x is not None) for n in snapshot_after]
             reducers += len(ech.reducers)
     assert reducers > 20
+
+
+def _as_pairs(field, cols, current, builds):
+    """Each column with a nonzero entry as a pair (lead, build) whose build
+    logs (its index, the index being inserted) and returns the nonzero
+    part; a column with none stays a dict."""
+    def pair(j, col):
+        kept = {i: x for i, x in col.items() if not field.is_zero(x)}
+
+        def build():
+            builds.append((j, current[0]))
+            return dict(kept)
+        return (max(kept), build) if kept else col
+    return [pair(j, col) for j, col in enumerate(cols)]
+
+
+def _fed(columns, current):
+    """The columns in order, `current[0]` set to the index of the one fed."""
+    for j, col in enumerate(columns):
+        current[0] = j
+        yield col
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)", "GF(5)", "K_12"])
+def test_implicit_pairs_match_dict_columns(field_name):
+    """Columns given as pairs (lead, build) and as dicts, zero entries
+    included, give the same `column_leads`, `rank` (with `leads`) and
+    `staircase_leads`, with and without `skip`.  A pair whose lead is new
+    when it is fed is stored unbuilt: it is built once if a later reduction
+    reads it (its lead is a reducer of `NormalizedEchelon`), else never; a
+    pair whose lead is taken is built once, when it is fed."""
+    rng = random.Random(f"pairs {field_name}")
+    field, draw = field_and_draw(field_name, rng)
+    seen = dict.fromkeys(("zero entry", "stored unbuilt", "built when read",
+                          "built when fed"), 0)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 9), rng.randint(0, 12)
+        cols, cleared = [], set()
+        for j in range(nc):
+            if j and rng.random() < 0.3:
+                col = {}
+                for c in rng.sample(cols, rng.randint(1, j)):
+                    a = draw()
+                    for i, x in c.items():
+                        col[i] = field.add(col.get(i, field.zero), field.mul(a, x))
+                cleared.add(j)
+            else:
+                col = {i: draw() for i in range(nr) if rng.random() < 0.4}
+            cols.append(col)
+            seen["zero entry"] += any(map(field.is_zero, col.values()))
+        snapshot_after = sorted(rng.randrange(nc + 2) for _ in range(3))
+        for skip in (frozenset(), frozenset(cleared)):
+            current, builds = [None], []
+            pairs = _as_pairs(field, cols, current, builds)
+            want = column_leads(field, cols, skip)
+            assert column_leads(field, _fed(pairs, current), skip) == want
+            got = list(builds)
+            assert want == normalized_column_leads(field, cols, skip)[0]
+            want_leads, got_leads = set(), set()
+            assert (rank(field, cols, skip, want_leads)
+                    == rank(field, pairs, skip, got_leads) == len(got_leads))
+            assert got_leads == want_leads
+            assert (staircase_leads(field, pairs, snapshot_after, skip)
+                    == staircase_leads(field, cols, snapshot_after, skip))
+            # replay the leads: (j, True) for a pair built when fed, (j, False) when read
+            reducers = normalized_column_leads(field, cols, skip)[1].reducers
+            taken, want_builds = set(), Counter()
+            for j, (pair, lead) in enumerate(zip(pairs, want)):
+                if j not in skip and type(pair) is tuple:
+                    if pair[0] in taken:
+                        want_builds[j, True] += 1
+                    elif lead in reducers:
+                        want_builds[j, False] += 1
+                    else:
+                        seen["stored unbuilt"] += 1
+                taken.add(lead)
+            assert Counter((j, at == j) for j, at in got) == want_builds
+            seen["built when fed"] += sum(fed for _, fed in want_builds)
+            seen["built when read"] += sum(not fed for _, fed in want_builds)
+    assert all(n > 10 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("fault", ["lead off by one", "zero entry"])
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])
+def test_a_stored_pair_is_checked_when_a_reduction_builds_it(field_name, fault):
+    """A pair stored under a lead row that is not its column's bottom-most
+    row, or built with a zero entry, raises ArithmeticError as soon as a
+    reduction reads it, and not before: the kernel trusts a pair's lead
+    only until it builds the pair."""
+    field = Q if field_name == "Q" else PrimeField(int(field_name[3]))
+    one = field.one
+    col = {0: one, 2: one}
+    doctored = ((3, lambda: dict(col)) if fault == "lead off by one"
+                else (2, lambda: {**col, 1: field.zero}))
+    ech = BottomEchelon(field)
+    assert ech.insert(doctored) == doctored[0]
+    assert ech.insert({1: one}) == 1
+    with pytest.raises(ArithmeticError, match=f"lead row {doctored[0]} "):
+        ech.insert({0: one, doctored[0]: one})
 
 
 def test_ss_sweeps_invert_only_the_leads_that_reduce(monkeypatch):
