@@ -24,12 +24,17 @@ Conventions used throughout:
   Products, z itself and combinations of powers of z are reduced by one
   rule: fold the exponents mod d (z^d = 1), then take the remainder by the
   monic Phi_d.  :func:`quotient_residue` reads f / Phi_d^j in K_d by that
-  rule, after exact integer division by Phi_d when j >= 1.
+  rule, after exact integer division by Phi_d when j >= 1.  Before that
+  division it folds the numerator mod the sparse (t^d - 1)^(j+1), which
+  Phi_d^(j+1) divides, so the numerator has degree below d (j+1) however
+  long f is, while the exactness of the division and the class of the
+  quotient mod Phi_d stay those of f.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,23 +255,21 @@ class LaurentPoly:
         return LaurentPoly(self.field, {k + e: v for k, v in self.coeffs.items()})
 
     def evaluate(self, x):
-        """Evaluate at an invertible element x (negative exponents use inv)."""
+        """Evaluate at an invertible element x (negative exponents use inv);
+        each power by repeated squaring."""
         f = self.field
         acc = f.zero
         xinv = None
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                p = x
-                term = c
-                k = e
-            else:
-                if xinv is None:
-                    xinv = f.inv(x)
-                p = xinv
-                term = c
-                k = -e
-            for _ in range(k):
-                term = f.mul(term, p)
+        for e, term in self.coeffs.items():
+            if e < 0 and xinv is None:
+                xinv = f.inv(x)
+            p, k = (x, e) if e >= 0 else (xinv, -e)
+            while k:
+                if k & 1:
+                    term = f.mul(term, p)
+                k >>= 1
+                if k:
+                    p = f.mul(p, p)
             acc = f.add(acc, term)
         return acc
 
@@ -368,19 +371,21 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def _int_divmod_poly(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials, b monic."""
+    """Quotient and remainder of integer polynomials, b monic, untrimmed:
+    the remainder is the low len(b) - 1 coefficients (all of a if shorter).
+
+    One pass from the top down, which skips a zero leading coefficient, as
+    sparse dividends have many; the cancelled top is cut off at the end."""
+    n = len(b) - 1
     r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(r) - n)
     terms = [(i, c) for i, c in enumerate(b[:-1]) if c]
-    while len(r) >= len(b):
-        c = r[-1]
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, x in terms:
-            r[shift + i] -= c * x
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
+    for shift in reversed(range(len(q))):
+        c = q[shift] = r[shift + n]
+        if c:
+            for i, x in terms:
+                r[shift + i] -= c * x
+    del r[n:]
     return q, r
 
 
@@ -487,11 +492,17 @@ def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
 
 
 def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
-    """The product of Phi_d^k over the (d, k) in mults, over fspec."""
-    out = LaurentPoly.one(fspec.scalars())
+    """The product of Phi_d^k over the (d, k) in mults, over fspec: taken
+    over the integers, then mapped into the field once."""
+    cs = [1]
     for d, k in sorted(mults.items()):
-        out = out * cyclotomic(d, fspec) ** k
-    return out
+        phi = [(i, c) for i, c in enumerate(cyclotomic_int(d)) if c]
+        for _ in range(k):
+            out, n = [0] * (len(cs) + phi[-1][0]), len(cs)
+            for i, c in phi:
+                out[i:i + n] = [y + c * x for y, x in zip(out[i:i + n], cs)]
+            cs = out
+    return LaurentPoly.from_int_coeffs(fspec.scalars(), dict(enumerate(cs)))
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +715,14 @@ def quotient_residue(f: LaurentPoly, d: int, drop: int):
     are reduced into K_d by `CyclotomicField._reduce`.  For drop >= 1 the
     integer numerator is first divided drop times by the monic Phi_d; a
     nonzero remainder raises ArithmeticError, as a failed check of the ss
-    route.  Characteristic zero only.
+    route.  A numerator longer than d (drop + 1) is folded first: with
+    e - val = q d + r (val its lowest exponent), t^(e - val) = t^r (1 +
+    (t^d - 1))^q is congruent to t^r sum_{j <= drop} C(q, j) (t^d - 1)^j
+    mod (t^d - 1)^(drop + 1), which has degree below d (drop + 1).  As
+    Phi_d^(drop + 1) divides (t^d - 1)^(drop + 1), each division by Phi_d
+    is exact exactly when it is for the unfolded numerator, and the
+    quotient keeps its class mod Phi_d, so the check and the class are
+    those of f.  Characteristic zero only.
     """
     if f.field.char != 0:
         raise ValueError("residue fields are only used in characteristic zero")
@@ -716,14 +734,27 @@ def quotient_residue(f: LaurentPoly, d: int, drop: int):
         den = math.lcm(*(c.denominator for _, c in terms))
         terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
     if drop:
-        val = min(f.coeffs)
-        nums = [0] * (max(f.coeffs) - val + 1)
-        for e, c in terms:
-            nums[e - val] = c
+        val, top = min(f.coeffs), max(f.coeffs)
+        if top - val >= d * (drop + 1):
+            # blocks[j][r]: the coefficient of t^r (t^d - 1)^j
+            blocks = [[0] * d for _ in range(drop + 1)]
+            for e, c in terms:
+                q, r = divmod(e - val, d)
+                for j in range(min(q, drop) + 1):
+                    blocks[j][r] += c
+                    c = c * (q - j) // (j + 1)
+            nums = []
+            for block in reversed(blocks):
+                # nums (t^d - 1) + block, by Horner's rule in t^d - 1
+                nums = [x - y for x, y in itertools.zip_longest(block + nums, nums, fillvalue=0)]
+        else:
+            nums = [0] * (top - val + 1)
+            for e, c in terms:
+                nums[e - val] = c
         phi = cyclotomic_int(d)
         for _ in range(drop):
             nums, rem = _int_divmod_poly(nums, phi)
-            if rem:
+            if any(rem):
                 raise ArithmeticError("division by Phi_d is not exact")
         terms = enumerate(nums, val)
     return kd._reduce(terms, den)

@@ -609,6 +609,77 @@ def trunc_inv(kd, a: list, order: int) -> list:
     return out
 
 
+def int_divmod_popping(a: list[int], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, b monic: the former
+    `laurent._int_divmod_poly`, which pops the cancelled top after every
+    step and trims the remainder (when a is at least as long as b)."""
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    terms = [(i, c) for i, c in enumerate(b[:-1]) if c]
+    while len(r) >= len(b):
+        c = r[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, x in terms:
+            r[shift + i] -= c * x
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def quotient_residue_unfolded(f: LaurentPoly, d: int, drop: int):
+    """The class of f / Phi_d^drop in K_d: the former `laurent.quotient_residue`,
+    which divides the whole numerator, of degree about deg f, drop times by
+    Phi_d, with no fold mod (t^d - 1)^(drop + 1) first."""
+    if f.field.char != 0:
+        raise ValueError("residue fields are only used in characteristic zero")
+    kd = cyclotomic_field(d)
+    if not f.coeffs:
+        return kd.zero
+    terms, den = f.coeffs.items(), 1
+    if not all(type(c) is int for _, c in terms):
+        den = math.lcm(*(c.denominator for _, c in terms))
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+    if drop:
+        val = min(f.coeffs)
+        nums = [0] * (max(f.coeffs) - val + 1)
+        for e, c in terms:
+            nums[e - val] = c
+        phi = cyclotomic_int(d)
+        for _ in range(drop):
+            nums, rem = int_divmod_popping(nums, phi)
+            if rem:
+                raise ArithmeticError("division by Phi_d is not exact")
+        terms = enumerate(nums, val)
+    return kd._reduce(terms, den)
+
+
+def cyclotomic_product_by_powers(mults: dict, fspec: FieldSpec) -> LaurentPoly:
+    """The product of Phi_d^k over the (d, k) in mults, as products of
+    `LaurentPoly` powers over the field (the former
+    `laurent.cyclotomic_product`)."""
+    out = LaurentPoly.one(fspec.scalars())
+    for d, k in sorted(mults.items()):
+        out = out * cyclotomic(d, fspec) ** k
+    return out
+
+
+def evaluate_by_multiplication(f: LaurentPoly, x):
+    """f at an invertible x, each term c t^e as e multiplications of c by x
+    (by x^-1 when e < 0): the former `LaurentPoly.evaluate`."""
+    field = f.field
+    acc, xinv = field.zero, None
+    for e, c in f.coeffs.items():
+        if e < 0 and xinv is None:
+            xinv = field.inv(x)
+        p, term = (x if e >= 0 else xinv), c
+        for _ in range(abs(e)):
+            term = field.mul(term, p)
+        acc = field.add(acc, term)
+    return acc
+
+
 def horner_taylor(f, d, order):
     """f(zeta_d + tau) mod tau^order by Horner in K_d[tau]/(tau^order)."""
     kd = cyclotomic_field(d)

@@ -11,16 +11,17 @@ import math
 
 import artinkernels
 from artinkernels import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cli,
-                          cyclotomic, cyclotomic_field, factor_invariant,
-                          laurent_gcd, normalize_unit, q_poly, residue_eval)
-from artinkernels.laurent import (cyclotomic_int, cyclotomic_product,
-                                  dense_divmod, dense_mul, quotient_residue,
+                          cyclotomic, cyclotomic_field, factor_invariant, laurent,
+                          laurent_gcd, normalize_unit, q_poly, residue_eval, spectral)
+from artinkernels.laurent import (_int_divmod_poly, cyclotomic_int, cyclotomic_product,
+                                  dense_divmod, dense_mul, dense_trim, quotient_residue,
                                   t_minus_one_multiplicities, totient)
 from artinkernels.scalars import FieldSpec
 
 from conftest import QQ, F2, F3
-from oracles import (cyclotomic_by_division, horner_taylor, kd_coordinates, kd_reduce,
-                     mult_d)
+from oracles import (cyclotomic_by_division, cyclotomic_product_by_powers,
+                     evaluate_by_multiplication, horner_taylor, kd_coordinates, kd_reduce,
+                     mult_d, quotient_residue_unfolded)
 
 Q = QQ.scalars()
 GF2 = F2.scalars()
@@ -370,6 +371,7 @@ def test_cyclotomic_field_constructors():
        st.integers(0, 3), st.integers(1, 6))
 @example(L({-3: 2, 1: -1, 4: 5}), 12, 0, 3)
 @example(L({-4: 1, 0: -3}), 60, 3, 4)
+@example(L({-250: 3, 7: -1, 430: 2}), 60, 2, 5)
 def test_quotient_residue_divides_by_phi_powers(f, d, drop, den):
     """f Phi_d^drop over Phi_d^drop is f at zeta_d, which the Horner oracle
     evaluates in K_d arithmetic; Fraction coefficients, negative exponents
@@ -381,6 +383,100 @@ def test_quotient_residue_divides_by_phi_powers(f, d, drop, den):
     if not f.is_zero() and not cyclotomic_field(d).is_zero(at_root):
         with pytest.raises(ArithmeticError, match="not exact"):
             quotient_residue(f * phi ** drop, d, drop + 1)
+
+
+FOLD_ORDERS = (*range(1, 61), 105, 122, 210, 212, 330)
+
+
+def test_quotient_residue_fold_matches_the_unfolded_division(monkeypatch):
+    """Numerators f Phi_d^drop whose spans run from below d (drop + 1), where
+    nothing is folded, to three times it, with negative exponents and
+    Fraction coefficients: `quotient_residue`, which folds the numerator mod
+    (t^d - 1)^(drop + 1) before it divides, equals the division of the
+    whole numerator (`oracles.quotient_residue_unfolded`), and at drop + 1
+    both raise "not exact" exactly when f(zeta_d) != 0.  f Phi_d, which
+    vanishes at zeta_d, is divided once more without a raise."""
+    first = []      # the dividends `quotient_residue` hands the division
+    divide = laurent._int_divmod_poly
+    monkeypatch.setattr(laurent, "_int_divmod_poly",
+                        lambda a, b: first.append(len(a)) or divide(a, b))
+
+    def outcome(residue, g, d, k):
+        first.clear()
+        try:
+            return residue(g, d, k)
+        except ArithmeticError as err:
+            return str(err)
+
+    rng = random.Random(7)
+    folded = unfolded = 0
+    for d in FOLD_ORDERS:
+        phi = L(dict(enumerate(cyclotomic_int(d))))
+        powers = [L({0: 1})]
+        for _ in range(3):
+            powers.append(powers[-1] * phi)
+        kd = cyclotomic_field(d)
+        for drop in range(4):
+            width = d * (drop + 1)
+            for span in (rng.randint(1, width - drop * totient(d)),
+                         rng.randint(width + 1, 3 * width)):
+                lo = rng.randint(-span, span)
+                exps = {lo, lo + span - 1, *(rng.randint(lo, lo + span - 1) for _ in range(3))}
+                f = L({e: rng.choice((-1, 1)) * rng.randint(1, 9) for e in exps})
+                den = Fraction(1, rng.randint(2, 6))
+                for g in (f, f * phi):
+                    num = (g * powers[drop]).scale(den)
+                    span_num = num.degree() - num.valuation() + 1
+                    vanishes = kd.is_zero(quotient_residue_unfolded(g, d, 0))
+                    for k in (drop, drop + 1):
+                        got = outcome(quotient_residue, num, d, k)
+                        if k:
+                            folded += first[0] < span_num
+                            unfolded += first[0] == span_num
+                        assert got == outcome(quotient_residue_unfolded, num, d, k), (d, k, g)
+                        raised = got == "division by Phi_d is not exact"
+                        assert raised == (k > drop and not vanishes), (d, k, g)
+    assert folded and unfolded
+
+
+def test_int_divmod_poly_matches_dense_division():
+    """`_int_divmod_poly` against `dense_divmod` over Fractions, for monic
+    Phi_d and random monic divisors: dividends shorter than the divisor,
+    with runs of zero leading coefficients, and with zeros at either end.
+    The quotient has len(a) - len(b) + 1 places and the remainder the low
+    len(b) - 1 (all of a if shorter), neither trimmed."""
+    rng = random.Random(3)
+    divisors_ = [cyclotomic_int(d) for d in (1, 2, 3, 12, 60, 105)]
+    divisors_ += [tuple(rng.randint(-3, 3) for _ in range(n)) + (1,) for n in range(6)]
+    for b in divisors_:
+        for _ in range(25):
+            a = [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(0, 3 * len(b)))]
+            a = [0] * rng.randint(0, 2) + a + [0] * rng.randint(0, 3)
+            q, r = _int_divmod_poly(a, b)
+            want_q, want_r = dense_divmod(Q, [Fraction(x) for x in a], [Fraction(x) for x in b])
+            assert (len(q), len(r)) == (max(0, len(a) - len(b) + 1), min(len(a), len(b) - 1))
+            assert dense_trim(Q, q) == want_q and dense_trim(Q, r) == dense_trim(Q, want_r), (a, b)
+
+
+def test_evaluate_matches_the_sum_of_powers():
+    """`LaurentPoly.evaluate` (powers by squaring) against the sum of
+    c * x^e by Python's pow, and against e multiplications per term
+    (`oracles.evaluate_by_multiplication`), negative exponents included."""
+    rng = random.Random(5)
+    for p in (None, 2, 3, 5, 7):
+        field = FieldSpec(p).scalars()
+        for _ in range(40):
+            coeffs = {rng.randint(-40, 40): Fraction(rng.randint(-9, 9), 1 if p else rng.randint(1, 4))
+                      for _ in range(rng.randint(0, 5))}
+            if p:
+                x = rng.randint(1, p - 1)
+                f = LaurentPoly(field, {e: int(c) % p for e, c in coeffs.items()})
+                want = sum(c * pow(x, e, p) for e, c in f.coeffs.items()) % p
+            else:
+                x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                f = LaurentPoly(field, coeffs)
+                want = sum(c * x ** e for e, c in f.coeffs.items())
+            assert f.evaluate(x) == want == evaluate_by_multiplication(f, x), (f, x)
 
 
 def test_cyclotomic_int_matches_the_division_definition():
@@ -450,6 +546,19 @@ def test_q_factor_multiplicities_by_difference():
                     == normalize_unit(q_poly(k, m, field))), (k, m, fspec)
 
 
+@pytest.mark.parametrize("fspec", FIELDS)
+def test_cyclotomic_product_matches_products_of_powers(fspec):
+    """`cyclotomic_product`, an integer product mapped into the field once,
+    against the `LaurentPoly` product of `cyclotomic(d, fspec) ** k`:
+    orders divisible by p included, exponents up to 3, and no factors."""
+    rng = random.Random(fspec.char)
+    cases = [{}, {1: 3}, {2: 1, 4: 3, 6: 2, 30: 1, 60: 3}]
+    cases += [{d: rng.randint(1, 3) for d in rng.sample(range(1, 61), rng.randint(1, 4))}
+              for _ in range(30)]
+    for mults in cases:
+        assert cyclotomic_product(mults, fspec) == cyclotomic_product_by_powers(mults, fspec), mults
+
+
 @pytest.mark.parametrize("d", [*range(1, 41), 105, 122, 212])
 def test_cyclotomic_field_rows_on_demand_match_an_eager_table(d):
     """`CyclotomicField` reduces each power of z as a term reaches it
@@ -493,3 +602,32 @@ def test_path_m105_runs_ss_over_k212():
     data = cli.run(cli.JobConfig(text=text, field=QQ)).data
     assert 212 in data["torsion_support"]["values"] and data["methods"]["ss"]["ran"]
     assert data["status"]["ok"]
+
+
+def test_path_m105_ss_divides_no_numerator_longer_than_the_fold(monkeypatch):
+    """On the path with m_u = 105 with snf,ss, no dividend that
+    `quotient_residue` hands `_int_divmod_poly` is longer than d (drop + 1):
+    each numerator is folded mod (t^d - 1)^(drop + 1) before it is divided.
+    Unfolded, d = 3 alone divides about 212 coefficients."""
+    widths, seen = [], []
+    residue, divide = spectral.quotient_residue, laurent._int_divmod_poly
+
+    def spy_residue(f, d, drop):
+        widths.append((d, drop))
+        try:
+            return residue(f, d, drop)
+        finally:
+            widths.pop()
+
+    def spy_divide(a, b):
+        if widths:
+            seen.append((*widths[-1], len(a)))
+        return divide(a, b)
+
+    monkeypatch.setattr(spectral, "quotient_residue", spy_residue)
+    monkeypatch.setattr(laurent, "_int_divmod_poly", spy_divide)
+    text = "vertex u 105\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
+    data = cli.run(cli.JobConfig(text=text, field=QQ, methods=("snf", "ss"))).data
+    assert data["methods"]["ss"]["ran"] and data["status"]["ok"]
+    assert any(d == 3 and drop for d, drop, _ in seen)
+    assert [(d, drop, n) for d, drop, n in seen if n > d * (drop + 1)] == []
