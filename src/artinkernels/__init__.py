@@ -25,8 +25,7 @@ from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
                     cyclotomic_invariant_factors, homology_module,
                     homology_modules, smith_normal_form, specialized_rank,
                     verify_shape)
-from .spectral import (DisconnectedGraphError, ForestBudgetError,
-                       NegativeMultiplicityError, PageTable,
+from .spectral import (DisconnectedGraphError, NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, WeightedComplex,
                        forest_fitting_h1, page_dims,
                        solve_torsion, weighted_complex)

@@ -33,8 +33,8 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import FieldSpec
 from .smith import boundary_smith_form, homology_modules, verify_shape
-from .spectral import (DisconnectedGraphError, ForestBudgetError, NegativeMultiplicityError,
-                       ResonantCharacterError, forest_budget, forest_fitting_h1, page_dims,
+from .spectral import (DisconnectedGraphError, NegativeMultiplicityError,
+                       ResonantCharacterError, forest_fitting_h1, page_dims,
                        solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, twisted_boundary
 
@@ -344,7 +344,7 @@ def run(job: JobConfig) -> Report:
     if "forest" in job.methods:
         try:
             factors = forest_fitting_h1(g, character, fspec)
-        except (ResonantCharacterError, DisconnectedGraphError, ForestBudgetError) as exc:
+        except (ResonantCharacterError, DisconnectedGraphError) as exc:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
             methods["forest"] = {"ran": True, "invariant_factors": _poly_list(factors)}
@@ -484,11 +484,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        forest_budget()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     job = None
     if not args.selfcheck:
         if args.input is None:

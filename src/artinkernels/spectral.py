@@ -59,27 +59,35 @@ pairwise coprime, because they all divide a separable t^L - 1, so each
 gcd is the product of Phi_d raised to the least exponent over the
 forests, and the route needs only integer exponents per order d.
 
-Those least exponents come from one sweep over the edges, not from a list
-of the forests (the frontier method that Sekine, Imai and Tani use for
-the Tutte polynomial, "Computing the Tutte polynomial of a graph of
-moderate size", ISAAC 1995).  A forest's exponent vector is a sum of one
-step per edge, and the step of an edge depends only on the gcds of the
-|m_v| over the two trees it joins.  After the first i edges, group the
-forests on them by their state: the partition they induce on the frontier
-(the vertices with an edge still to come), the gcd of each block and the
-tree count.  Forests in one group have the same completions by the
-remaining edges, with the same steps, so only the least vector of each
-group, taken order by order, is kept.  That is exact: for each order d,
-the least sum over a product of two sets is the sum of their least terms.
-The work grows with the number of states, not of forests: K_8 has
-561 948 spanning forests, and the sweep visits 5 744 states.
+Those least exponents come from one minimum spanning tree computation per
+order d.  Write b_v for the exponent of Phi_d in t^(m_v) - 1 and a_e for
+its exponent in q_e.  A forest's exponent sums a_e over its edges,
+(deg v - 1) b_v over the vertices and, over its trees, the exponent in
+t^g - 1 for g the gcd of the tree's m_v, which is the least b_v in the
+tree: Phi_d divides t^g - 1 only if d divides the part of every m_v prime
+to p, and then to the power of the least p-part.  As the sum of
+(deg v - 1) b_v is the sum over the forest's edges uv of b_u + b_v less
+the sum of all b_v, the exponent is the cost of the forest, with edge
+costs c_e = a_e + b_u + b_v and each tree paying the least b_v of its
+vertices, less the sum of all b_v.  Join each tree to a new root at its
+cheapest vertex: a forest with s trees becomes a spanning tree of the
+graph plus the root with s root edges, the one at v costing b_v, and
+every such tree gives a forest that costs no more.  So the least cost f(s) is that
+of a least-cost base of a graphic matroid with s elements from a fixed
+set, which is convex in s (Gabow and Tarjan, "Efficient algorithms for a
+family of matroid intersection problems", J. Algorithms 1984).  With
+every root edge dearer by lam, a minimum spanning tree costs
+MST(lam) = min over s of f(s) + lam s, and convexity makes
+f(s) = max over lam of MST(lam) - lam s.  MST(lam) changes slope only
+where a root edge ties an edge of the graph, at some lam = c_e - b_v, so
+the maximum is taken over those values, one Kruskal pass each.  Nothing
+is listed and nothing grows exponentially: K_8 has 561 948 spanning
+forests, and each order d takes a handful of passes over its 28 edges
+and 8 root edges.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -102,14 +110,6 @@ class DisconnectedGraphError(ValueError):
 
 class NegativeMultiplicityError(ValueError):
     pass
-
-
-class ForestBudgetError(RuntimeError):
-    pass
-
-
-FOREST_BUDGET_ENV = "ARTINKERNELS_FOREST_BUDGET"
-DEFAULT_FOREST_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +337,33 @@ def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
 # rooted spanning forests: the independent degree-0 route
 # ---------------------------------------------------------------------------
 
-def forest_budget() -> int:
-    """The most states the forest sweep may visit before it gives up:
-    ARTINKERNELS_FOREST_BUDGET, an integer >= 0, or the default."""
-    raw = os.environ.get(FOREST_BUDGET_ENV, str(DEFAULT_FOREST_BUDGET))
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{FOREST_BUDGET_ENV} must be an integer >= 0, got {raw!r}")
-    return int(raw)
+def least_forest_costs(n: int, edges, root_costs) -> list:
+    """For s = 1 .. n, the least cost of a spanning forest with s trees of
+    the connected graph on the vertices 0 .. n - 1: the costs of its edges,
+    given as triples (u, v, cost), plus per tree the least root cost of its
+    vertices.
+
+    The greatest of MST(lam) - lam s over the tie values lam, MST(lam) being
+    a minimum spanning tree of the graph plus a root joined to each vertex v
+    at root_costs[v] + lam (module docstring).  The tie values pair every
+    edge with every vertex, not only with its ends: the root edge that a tie
+    trades for an edge can be at any vertex of the trees the edge joins.
+    """
+    graph = sorted((cost, u, v) for u, v, cost in edges)
+    msts = []
+    for lam in {cost - r for cost, _, _ in graph for r in root_costs} or {0}:
+        parent = list(range(n + 1))
+        total = 0
+        for cost, u, v in sorted(graph + [(r + lam, v, n) for v, r in enumerate(root_costs)]):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                total += cost
+        msts.append((total, lam))
+    return [max(total - lam * s for total, lam in msts) for s in range(1, n + 1)]
 
 
 def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
@@ -355,24 +375,17 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     forest weight is, up to a unit, a product of Phi_d over orders d prime
     to char K, and these are pairwise coprime (module docstring).  So a
     forest is one integer exponent per order d, the gcd over the forests
-    with s trees is the elementwise minimum, and a polynomial is expanded
-    only once per s.
-
-    The minima come from a sweep over the edges in breadth-first order
-    that keeps the least vector per connectivity state (module docstring);
-    the result depends on neither that order nor the declaration order.
-    Raises ForestBudgetError once the sweep has visited more than
-    `forest_budget()` states.
+    with s trees is the least exponent order by order, one call of
+    `least_forest_costs` per order gives it for every s, and a polynomial
+    is expanded only once per s.
     """
     res = resonance_sets(g, c, fspec)
     if not res.is_K_nonresonant:
         raise ResonantCharacterError("needs a K non-resonant character")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("needs a connected graph")
-    budget = forest_budget()
     p = fspec.char
     n = len(g.vertices)
-    edges = g.edge_list
 
     def q_mults(u, v) -> dict:
         # q_lt(t^0) = lt is a unit off resonance
@@ -383,110 +396,24 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
         above = t_minus_one_multiplicities(g.ell_tilde(u, v) * me, p)
         return {d: k - below.get(d, 0) for d, k in above.items()}
 
+    vertex_mults = [t_minus_one_multiplicities(c.m(v), p) for v in g.vertices]
+    edge_mults = [(g.index[u], g.index[v], q_mults(u, v)) for (u, v) in g.edge_list]
     # tree gcds divide the m_v, so these are all the orders that occur
-    orders = sorted(set().union(
-        *(t_minus_one_multiplicities(c.m(v), p) for v in g.vertices),
-        *(q_mults(u, v) for (u, v) in edges)))
+    orders = sorted(set().union(*vertex_mults, *(q for _, _, q in edge_mults)))
 
-    def vec(mults: dict) -> tuple:
-        return tuple(mults.get(d, 0) for d in orders)
-
-    @functools.cache
-    def tm1(m: int) -> tuple:
-        return vec(t_minus_one_multiplicities(m, p))
-
-    # A forest's exponent vector sums q_e over its edges, (deg v - 1) times
-    # t^(m_v) - 1 over the vertices and t^(gcd of the m_v in T) - 1 over
-    # its trees T.  A one-vertex tree contributes -1 + 1 = 0, so the empty
-    # forest has vector 0, and joining trees of gcds ga and gb by edge i
-    # adds q_e, t^(m_u) - 1 and t^(m_v) - 1 for the two degrees that grow,
-    # and the change of the tree terms.
-    @functools.cache
-    def step(i: int, ga: int, gb: int) -> tuple:
-        u, v = edges[i]
-        return tuple(q + mu + mv + m - a - b for q, mu, mv, m, a, b in zip(
-            vec(q_mults(u, v)), tm1(c.m(u)), tm1(c.m(v)),
-            tm1(math.gcd(ga, gb)), tm1(ga), tm1(gb)))
-
-    # The sweep (module docstring) takes the edges in lexicographic order
-    # of their ends' breadth-first ranks, which keeps the frontier narrow
-    # whatever the declaration order: a cycle's holds at most three
-    # vertices, while declaration order can keep half the cycle on it.
-    bfs = [g.vertices[0]]
-    rank = {bfs[0]: 0}
-    for v in bfs:
-        for w in g.adjacency[v]:
-            if w not in rank:
-                rank[w] = len(bfs)
-                bfs.append(w)
-    sweep = sorted(range(len(edges)), key=lambda i: sorted(rank[x] for x in edges[i]))
-    last = {}
-    for pos, i in enumerate(sweep):
-        for x in edges[i]:
-            last[x] = pos
-
-    # A state is the block label of each frontier vertex, numbered by first
-    # appearance, the gcd of the |m_v| of each block, dropped vertices
-    # included, and the tree count; it maps to the least exponent vector of
-    # the forests on the edges so far that reach it.  A vertex joins the
-    # frontier as its own block at its first edge and leaves after its last.
-    # Vectors built by map are lists: tuple(map(...)) allocates for a
-    # guessed length and shrinks, so freed tuples pile up on a free list.
-    frontier = []
-    states = {((), (), n): vec({})}
-    visited = 0
-    for pos, i in enumerate(sweep):
-        a, b = edges[i]
-        for x in (a, b):
-            if x not in frontier:
-                frontier.append(x)
-                states = {(labels + (len(gcds),), gcds + (abs(c.m(x)),), trees): acc
-                          for (labels, gcds, trees), acc in states.items()}
-        pa, pb = frontier.index(a), frontier.index(b)
-        kept = [j for j, x in enumerate(frontier) if last[x] != pos]
-        shrinks = len(kept) < len(frontier)
-        frontier = [frontier[j] for j in kept]
-        restricted = {}
-        nxt = {}
-
-        def put(labels, gcds, trees, acc):
-            nonlocal visited
-            if shrinks:
-                r = restricted.get(labels)
-                if r is None:
-                    r = restricted[labels] = _restrict(labels, kept)
-                labels, blocks = r
-                gcds = tuple(gcds[k] for k in blocks)
-            key = (labels, gcds, trees)
-            old = nxt.get(key)
-            if old is not None:
-                nxt[key] = list(map(min, old, acc))
-                return
-            visited += 1
-            if visited > budget:
-                raise ForestBudgetError(
-                    f"more than {budget} forest states; "
-                    f"raise {FOREST_BUDGET_ENV} to proceed")
-            nxt[key] = acc
-
-        for (labels, gcds, trees), acc in states.items():
-            put(labels, gcds, trees, acc)
-            la, lb = labels[pa], labels[pb]
-            if la != lb:
-                if la > lb:
-                    la, lb = lb, la
-                ga, gb = gcds[la], gcds[lb]
-                # block lb joins la and the labels above lb move down one,
-                # which keeps the numbering by first appearance
-                put(tuple(la if k == lb else k - (k > lb) for k in labels),
-                    gcds[:la] + (math.gcd(ga, gb),) + gcds[la + 1:lb] + gcds[lb + 1:],
-                    trees - 1, list(map(int.__add__, acc, step(i, ga, gb))))
-        states = nxt
-    best = {trees: acc for (_, _, trees), acc in states.items()}
+    # least[d][s - 1]: the least exponent of Phi_d over the forests with s
+    # trees, the least cost with edge costs a_e + b_u + b_v and root costs
+    # b_v less the sum of the b_v (module docstring)
+    least = {}
+    for d in orders:
+        b = [mults.get(d, 0) for mults in vertex_mults]
+        costs = [(i, j, q.get(d, 0) + b[i] + b[j]) for i, j, q in edge_mults]
+        base = sum(b)
+        least[d] = [cost - base for cost in least_forest_costs(n, costs, b)]
 
     factors = []
     for s in range(n - 1, 0, -1):
-        drop = {d: a - b for d, a, b in zip(orders, best[s], best[s + 1])}
+        drop = {d: least[d][s - 1] - least[d][s] for d in orders}
         if any(k < 0 for k in drop.values()):
             raise NegativeMultiplicityError(f"forest gcds with {s} and {s + 1} trees "
                                             "do not form a divisibility chain")
@@ -501,10 +428,3 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
                 "degree-0 Jordan blocks are bounded by 2")
         factors.append(fac)
     return factors
-
-
-def _restrict(labels: tuple, kept: list) -> tuple:
-    """The block labels at the positions `kept`, renumbered by first
-    appearance, and the old label of each block that remains, in order."""
-    blocks: dict = {}
-    return tuple(blocks.setdefault(labels[j], len(blocks)) for j in kept), tuple(blocks)

@@ -7,6 +7,7 @@ small audit sizes, and each one checks a faster route of the package.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,11 +24,9 @@ from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError, cyclotomic,
 from artinkernels.linalg import rank as field_rank, staircase_leads
 from artinkernels.scalars import Field, FieldSpec, Rationals
 from artinkernels.smith import _clear_to_polys, taylor_block
-from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
-                                   ForestBudgetError, NegativeMultiplicityError,
+from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityError,
                                    PageTable, ResonantCharacterError,
-                                   WeightedComplex, edge_weight, forest_budget,
-                                   vertex_weight)
+                                   WeightedComplex, edge_weight, vertex_weight)
 from artinkernels.twisted import BoundaryTables, PolyMatrix, factor_poly, twisted_boundary
 
 QQ = FieldSpec()
@@ -701,13 +700,18 @@ def horner_taylor(f, d, order):
 # rooted spanning forests, listed one by one
 # ---------------------------------------------------------------------------
 
-# The reference for `spectral.forest_fitting_h1`, which sweeps connectivity
-# states instead: here every spanning forest is built by recursion over the
-# edges, and its exponent vector is folded into the per-tree-count minimum
-# at its leaf, so the work grows with the number of forests.
+# The reference for `spectral.forest_fitting_h1`, which takes one minimum
+# spanning tree computation per order d instead: here every spanning forest
+# is built by recursion over the edges, and its exponent vector is folded
+# into the per-tree-count minimum at its leaf, so the work grows with the
+# number of forests and stops at `cap` of them.
+
+class TooManyForests(RuntimeError):
+    pass
+
 
 def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
-                                 budget: int | None = None) -> list:
+                                 cap: int = 200_000) -> list:
     """Invariant factors of the degree-1 twisted boundary from rooted
     spanning forests; the nontrivial ones are the torsion of H_1.
 
@@ -725,8 +729,6 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
                                      "character")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("spanning forests need a connected graph")
-    if budget is None:
-        budget = forest_budget()
     p = fspec.char
     n = len(g.vertices)
     edges = g.edge_list
@@ -777,9 +779,8 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
         nonlocal count
         if i == len(edges):
             count += 1
-            if count > budget:
-                raise ForestBudgetError(f"more than {budget} spanning forests; "
-                                        f"raise {FOREST_BUDGET_ENV} to proceed")
+            if count > cap:
+                raise TooManyForests(f"more than {cap} spanning forests")
             best[trees] = list(map(min, best.get(trees, acc), acc))
             return
         rec(i + 1, acc, trees)
@@ -812,6 +813,31 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
                 "degree-0 Jordan blocks are bounded by 2")
         factors.append(fac)
     return factors
+
+
+def least_forest_costs_listed(n: int, edges, root_costs) -> list:
+    """For s = 1 .. n, the least cost over the spanning forests with s trees,
+    each forest's n - s edges listed as a combination: the costs of its
+    edges (u, v, cost) plus, per tree, the least root cost of its vertices.
+    The reference for `spectral.least_forest_costs`."""
+    best = []
+    for s in range(1, n + 1):
+        costs = []
+        for forest in itertools.combinations(edges, n - s):
+            parent = list(range(n))
+            for u, v, _ in forest:
+                ru, rv = _find(parent, u), _find(parent, v)
+                if ru == rv:
+                    break
+                parent[ru] = rv
+            else:
+                trees = {}
+                for v, r in enumerate(root_costs):
+                    x = _find(parent, v)
+                    trees[x] = min(trees.get(x, r), r)
+                costs.append(sum(cost for _, _, cost in forest) + sum(trees.values()))
+        best.append(min(costs))
+    return best
 
 
 def _find(parent: list, x: int) -> int:

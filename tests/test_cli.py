@@ -594,50 +594,47 @@ def test_larger_sparse_graph_stays_quick():
     assert mods[0]["free_rank"] == 0  # connected reduced graph
 
 
-def test_forest_budget_env_var(monkeypatch):
-    from artinkernels.spectral import FOREST_BUDGET_ENV
-    monkeypatch.setenv(FOREST_BUDGET_ENV, "2")
-    rep = run(JobConfig(text=SQUARE))
-    assert rep.data["methods"]["forest"]["ran"] is False
-    assert "budget" in rep.data["methods"]["forest"]["reason"].lower() or \
-        "raise" in rep.data["methods"]["forest"]["reason"]
-
-
 def _graph_text(n: int, edges, label: int) -> str:
     """n vertices with weights 1, 2, 3, 1, ... and one label on `edges`."""
     return "\n".join([f"vertex v{i} {1 + i % 3}" for i in range(n)]
                      + [f"edge v{i} v{j} {label}" for i, j in edges])
 
 
+def _random_connected_text(n: int, prob: float, seed: int) -> str:
+    """A connected G(n, prob) with label 2 and weights drawn from
+    {-2, -1, 1, 2, 3}, the first connected draw of the seeded generator."""
+    rng = random.Random(seed)
+    while True:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob]
+        weights = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(n)]
+        names = [f"v{i}" for i in range(n)]
+        g = LabeledGraph(names, [(names[i], names[j], 2) for i, j in edges])
+        if len(connected_components(g)) == 1:
+            return "\n".join([f"vertex v{i} {m}" for i, m in enumerate(weights)]
+                             + [f"edge v{i} v{j} 2" for i, j in edges])
+
+
+def _complete_text(n: int) -> str:
+    return _graph_text(n, [(i, j) for i in range(n) for j in range(i + 1, n)], 2)
+
+
 @pytest.mark.parametrize("text", [
-    _graph_text(8, [(i, j) for i in range(8) for j in range(i + 1, 8)], 2),
+    _complete_text(8),
     _graph_text(10, [(i, j) for i in range(10) for j in range(i + 1, 10)
                      if not (j == i + 1 and i % 2 == 0)], 2),
     _graph_text(30, [(i, (i + 1) % 30) for i in range(30)], 4),
-], ids=["K8", "K10-minus-matching", "C30"])
+    _complete_text(11),
+    _complete_text(12),
+    _random_connected_text(80, 0.15, seed=80),
+], ids=["K8", "K10-minus-matching", "C30", "K11", "K12", "G80"])
 def test_forest_route_runs_on_dense_and_long_graphs(text):
-    """Inputs whose forests outnumber the default budget many times over:
-    the sweep visits few enough states to run, and agrees with snf."""
+    """Inputs with far more spanning forests than any listing could visit
+    (K_8 alone has 561 948): the route takes a few minimum spanning trees
+    per order d, so it runs, and it agrees with snf."""
     rep = run(JobConfig(text=text, methods=("snf", "forest")))
     assert rep.ok and rep.data["methods"]["forest"]["ran"] is True
     checks = [c for c in rep.data["cross_checks"] if c["methods"] == ["snf", "forest"]]
     assert len(checks) == 1 and checks[0]["agree"], checks
-
-
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_bad_forest_budget_is_a_usage_error(value, tmp_path, monkeypatch, capsys):
-    import artinkernels.cli as cli
-    from artinkernels.spectral import FOREST_BUDGET_ENV
-    monkeypatch.setenv(FOREST_BUDGET_ENV, value)
-    # the value is checked before any computation starts
-    monkeypatch.setattr(cli, "run", lambda job: pytest.fail("run was reached"))
-    path = tmp_path / "g.graph"
-    path.write_text(SQUARE)
-    assert cli.main([str(path)]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == (f"error: {FOREST_BUDGET_ENV} must be an integer >= 0, "
-                       f"got {value!r}\n")
 
 
 def test_main_exit_code_3_on_mismatch(tmp_path, monkeypatch, capsys):

@@ -13,9 +13,8 @@ from artinkernels import (BoundaryTables, build_flag_complex, forest_fitting_h1,
                           reduced_homology_ranks, smith_normal_form,
                           solve_torsion, torsion_support, twisted_boundary,
                           weighted_complex)
-from artinkernels.spectral import (FOREST_BUDGET_ENV, DisconnectedGraphError,
-                                   ForestBudgetError, ResonantCharacterError,
-                                   chi_rel)
+from artinkernels.spectral import (DisconnectedGraphError, ResonantCharacterError,
+                                   chi_rel, least_forest_costs)
 from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
                           normalize_unit, q_poly, resonance_sets)
 from artinkernels import smith, spectral
@@ -25,7 +24,8 @@ from artinkernels.scalars import FieldSpec
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_character, random_even_graph, random_matching_graph,
                       square_graph)
-from oracles import (forest_fitting_h1_enumerated, mult_d, page_dims_every_page,
+from oracles import (forest_fitting_h1_enumerated, least_forest_costs_listed, mult_d,
+                     page_dims_every_page,
                      simplex_weight, simplex_weights, sparse,
                      truncated_homology_dims, wc_basis, wc_weights)
 
@@ -592,7 +592,7 @@ def test_forest_route_works_in_prime_characteristic():
             assert got == want.invariant_factors, (gg.raw_edges, cc.values, fspec)
 
 
-def test_forest_guards(monkeypatch):
+def test_forest_guards():
     g, chi = dihedral_graph()
     with pytest.raises(ResonantCharacterError):
         forest_fitting_h1(g, chi, F2)
@@ -600,10 +600,6 @@ def test_forest_guards(monkeypatch):
     chi2 = Character(g2, {"a": 1, "b": 1})
     with pytest.raises(DisconnectedGraphError):
         forest_fitting_h1(g2, chi2, QQ)
-    gs, chis = square_graph()
-    monkeypatch.setenv(FOREST_BUDGET_ENV, "3")
-    with pytest.raises(ForestBudgetError):
-        forest_fitting_h1(gs, chis, QQ)
 
 
 def _forest_contribution(g, c, fspec, chosen) -> LaurentPoly:
@@ -702,9 +698,8 @@ def test_forest_route_matches_per_forest_polynomial_gcds():
 
 class _ShuffledEdges(LabeledGraph):
     """The same graph with `edge_list` and each vertex's neighbours in
-    `adjacency` in a fixed shuffled order, so the forest sweep meets the
-    edges, and its breadth-first search the neighbours, in an order other
-    than the sorted one."""
+    `adjacency` in a fixed shuffled order, so the forest route meets the
+    edges in an order other than the sorted one."""
 
     def __init__(self, g, rng):
         super().__init__(g.vertices, g.raw_edges)
@@ -714,7 +709,7 @@ class _ShuffledEdges(LabeledGraph):
 
 
 def test_forest_sweep_matches_forest_listing():
-    """The sweep over connectivity states against the listing of every
+    """The route by minimum spanning trees against the listing of every
     forest, over Q and GF(p) with the cases where p repeats roots, and with
     the edges and neighbours fed in a shuffled order."""
     rng = random.Random(113)
@@ -743,14 +738,6 @@ def test_forest_sweep_matches_forest_listing():
     assert checked >= 400 and min(seen.values()) > 0, (checked, seen)
 
 
-def _complete(n: int):
-    """K_n with label 2 and weights 1, 2, 3, 1, ..."""
-    names = [f"v{i}" for i in range(n)]
-    g = LabeledGraph(names, [(names[i], names[j], 2)
-                             for i in range(n) for j in range(i + 1, n)])
-    return g, Character(g, {v: 1 + i % 3 for i, v in enumerate(names)})
-
-
 def _cycle(n: int, label: int):
     """C_n with one label and weights 1, 2, 3, 1, ..."""
     names = [f"v{i}" for i in range(n)]
@@ -759,30 +746,28 @@ def _cycle(n: int, label: int):
     return g, Character(g, {v: 1 + i % 3 for i, v in enumerate(names)})
 
 
-@pytest.mark.parametrize("case, states", [(_complete(8), 5744),
-                                          (_cycle(30, 4), 1234)],
-                         ids=["K8", "C30"])
-def test_forest_budget_counts_states(case, states, monkeypatch):
-    """The budget caps the states the sweep visits: K_8 and C_30 each have
-    more than the default 200 000 spanning forests, but few states."""
-    g, chi = case
-    monkeypatch.setenv(FOREST_BUDGET_ENV, str(states))
-    assert forest_fitting_h1(g, chi, QQ)
-    monkeypatch.setenv(FOREST_BUDGET_ENV, str(states - 1))
-    with pytest.raises(ForestBudgetError, match=f"more than {states - 1} forest states"):
-        forest_fitting_h1(g, chi, QQ)
+def test_least_forest_costs_match_forest_listing():
+    """The greatest MST(lam) - lam s over the tie values against the listing
+    of every forest, each tree paying its least root cost, on random
+    connected graphs of 1 to 6 vertices with costs 0..9 that need not come
+    from a character."""
+    rng = random.Random(131)
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        # a random spanning tree keeps the graph connected
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}
+        pairs |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+        edges = [(u, v, rng.randint(0, 9)) for u, v in sorted(pairs)]
+        root_costs = [rng.randint(0, 9) for _ in range(n)]
+        assert (least_forest_costs(n, edges, root_costs)
+                == least_forest_costs_listed(n, edges, root_costs)), (edges, root_costs)
 
 
-
-def test_forest_sweep_cost_ignores_declaration_order(monkeypatch):
-    """The sweep takes the edges in breadth-first order, so C_30 declared
-    in a shuffled vertex order visits about as few states as in cycle
-    order; in declaration order such a sweep can keep half the cycle on
-    the frontier and visit hundreds of thousands."""
+def test_forest_route_ignores_declaration_order():
+    """C_30 declared in a shuffled vertex order gives the same factors as in
+    cycle order."""
     g, chi = _cycle(30, 4)
-    monkeypatch.setenv(FOREST_BUDGET_ENV, "1234")
     want = forest_fitting_h1(g, chi, QQ)
-    monkeypatch.setenv(FOREST_BUDGET_ENV, "1500")
     rng = random.Random(7)
     for _ in range(3):
         shuffled = LabeledGraph(rng.sample(g.vertices, len(g.vertices)), g.raw_edges)
