@@ -19,7 +19,7 @@ from .laurent import (CyclotomicField, Factor, LaurentPoly, ZeroPolynomialError,
                       laurent_gcd, normalize_unit, q_poly, residue_eval)
 from .resonant import (QuotientComplex, ReducedGraph, build_f2, build_gamma1,
                        h1_free_rank, h2_free_rank)
-from .scalars import FieldSpec, PrimeField, Rationals
+from .scalars import QQ, PrimeField, Rationals
 from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
                     boundary_smith_form, cyclotomic_candidates,
                     cyclotomic_invariant_factors, homology_module,

@@ -31,7 +31,7 @@ from .graphs import (Character, LabeledGraph, ZeroCharacterError,
                      resonance_sets, torsion_support, validate_graph,
                      vertex_problem)
 from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
-from .scalars import FieldSpec
+from .scalars import QQ, Field, PrimeField, parse_field
 from .smith import boundary_smith_form, homology_modules, verify_shape
 from .spectral import (DisconnectedGraphError, NegativeMultiplicityError,
                        ResonantCharacterError, forest_fitting_h1, page_dims,
@@ -52,7 +52,7 @@ class InputError(ValueError):
 class ParsedInput:
     graph: LabeledGraph
     character: Character
-    field: FieldSpec | None
+    field: Field | None
 
 
 # weights and labels; int() alone also takes "1_0" and non-ASCII digits
@@ -64,7 +64,7 @@ def parse_input(text: str) -> ParsedInput:
     weights: dict = {}
     edges: list = []
     seen: set = set()
-    fspec: FieldSpec | None = None
+    field: Field | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,10 +72,10 @@ def parse_input(text: str) -> ParsedInput:
         parts = line.split()
         kw = parts[0].lower()
         if kw == "field":
-            if fspec is not None:
+            if field is not None:
                 raise InputError("duplicate field line", lineno)
             try:
-                fspec = FieldSpec.parse(" ".join(parts[1:]))
+                field = parse_field(" ".join(parts[1:]))
             except ValueError as exc:
                 raise InputError(str(exc), lineno)
         elif kw == "vertex":
@@ -106,18 +106,18 @@ def parse_input(text: str) -> ParsedInput:
     issues = validate_graph(graph)
     if issues:
         raise InputError("; ".join(issues))
-    return ParsedInput(graph, Character(graph, weights), fspec)
+    return ParsedInput(graph, Character(graph, weights), field)
 
 
-def serialize_input(g: LabeledGraph, c: Character, fspec: FieldSpec | None) -> str:
-    """The text `parse_input` reads back as g, c and fspec.  Raises ValueError
+def serialize_input(g: LabeledGraph, c: Character, field: Field | None) -> str:
+    """The text `parse_input` reads back as g, c and field.  Raises ValueError
     naming a vertex whose name is not a str, is empty or holds whitespace or #."""
     for v in g.vertices:
         if not isinstance(v, str) or not v or "#" in v or any(ch.isspace() for ch in v):
             raise ValueError(f"vertex name {v!r} does not survive the input format")
     lines = []
-    if fspec is not None:
-        lines.append("field q" if fspec.p is None else f"field p {fspec.p}")
+    if field is not None:
+        lines.append(f"field p {field.char}" if field.char else "field q")
     for v in g.vertices:
         lines.append(f"vertex {v} {c.m(v)}")
     for (u, v) in g.edge_list:
@@ -129,7 +129,7 @@ def serialize_input(g: LabeledGraph, c: Character, fspec: FieldSpec | None) -> s
 class JobConfig:
     input_path: str | None = None
     text: str | None = None
-    field: FieldSpec | None = None
+    field: Field | None = None
     k_max: int | None = None
     methods: tuple = ALL_METHODS
     cross_check: bool = True
@@ -216,7 +216,7 @@ def run(job: JobConfig) -> Report:
         raise InputError("no input given")
     parsed = parse_input(text)
     g = parsed.graph
-    fspec = job.field or parsed.field or FieldSpec()
+    field = job.field or parsed.field or QQ
     try:
         character, divisor = parsed.character.normalize()
     except ZeroCharacterError as exc:
@@ -224,9 +224,9 @@ def run(job: JobConfig) -> Report:
 
     fc = build_flag_complex(g)
     k_max = fc.dim if job.k_max is None else min(job.k_max, fc.dim)
-    imdims = image_dims(fc, fspec)
+    imdims = image_dims(fc, field)
     ranks = ranks_from_image_dims(fc, imdims)
-    res = resonance_sets(g, character, fspec)
+    res = resonance_sets(g, character, field)
     components = connected_components(g)
     connected = len(components) == 1
 
@@ -236,7 +236,7 @@ def run(job: JobConfig) -> Report:
         "schema": SCHEMA,
         "input": {
             "path": job.input_path,
-            "field": str(fspec),
+            "field": str(field),
             "vertices": [{"name": v, "weight": parsed.character.m(v)} for v in g.vertices],
             "edges": [{"u": u, "v": v, "label": g.ell(u, v)} for (u, v) in g.edge_list],
             "normalization_divisor": divisor,
@@ -266,7 +266,7 @@ def run(job: JobConfig) -> Report:
 
     # Smith normal form spine: one twisted complex, each boundary built
     # once when first asked for, diagonalized through degree k_max + 1
-    tc = BoundaryTables(fc, character, fspec)
+    tc = BoundaryTables(fc, character, field)
     snfs, decs = homology_modules(tc, range(k_max + 1))
     modules = []
     shape_failures = 0
@@ -305,7 +305,7 @@ def run(job: JobConfig) -> Report:
     # multiplicity spectral sequence (characteristic zero, non-resonant), on
     # the spine's twisted complex: it filters every degree through fc.dim
     want_ss = "ss" in job.methods
-    if want_ss and fspec.char == 0 and support is not None:
+    if want_ss and field.char == 0 and support is not None:
         rows, pages_out = {}, {}
         for d in support.values:
             pt = page_dims(weighted_complex(tc, d))
@@ -336,14 +336,14 @@ def run(job: JobConfig) -> Report:
                       f"snf={decs[k].free_rank} stable-page={ranks[k]}")
     elif want_ss:
         methods["ss"] = {"ran": False, "reason": (
-            "needs characteristic zero" if fspec.char != 0
+            "needs characteristic zero" if field.char != 0
             else "needs a non-resonant character")}
 
     # rooted spanning forests (degree 0 torsion); the route declines by its
     # own rules, the reason being its error's message
     if "forest" in job.methods:
         try:
-            factors = forest_fitting_h1(g, character, fspec)
+            factors = forest_fitting_h1(g, character, field)
         except (ResonantCharacterError, DisconnectedGraphError) as exc:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
@@ -355,10 +355,10 @@ def run(job: JobConfig) -> Report:
 
     # reduced-complex free ranks (valid resonant or not)
     if "resonant" in job.methods:
-        gamma1 = build_gamma1(g, character, fspec)
+        gamma1 = build_gamma1(g, character, field)
         h1 = h1_free_rank(gamma1)
-        qc = build_f2(fc, character, fspec)
-        h2 = h2_free_rank(qc, fspec)
+        qc = build_f2(fc, character, field)
+        h2 = h2_free_rank(qc, field)
         methods["resonant"] = {
             "ran": True,
             "h1_free_rank": h1,
@@ -387,7 +387,7 @@ def run(job: JobConfig) -> Report:
         pieces = []
         for comp in components:
             sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list if u in comp])
-            sub_tc = BoundaryTables(build_flag_complex(sub), character.restrict(sub), fspec)
+            sub_tc = BoundaryTables(build_flag_complex(sub), character.restrict(sub), field)
             pieces += _elementary_divisors(boundary_smith_form(sub_tc, 1))
         whole, pieces = _elementary_divisors(snfs[1]), sorted(pieces)
         check("H_1 torsion splits over components", "snf-per-component", whole == pieces,
@@ -406,11 +406,11 @@ def run(job: JobConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 SELF_CHECK = (
-    ("dihedral4", FieldSpec()), ("dihedral4", FieldSpec(2)),
-    ("square", FieldSpec()),
-    ("square_diagonal", FieldSpec(2)), ("square_diagonal", FieldSpec()),
-    ("square_diagonal_chi2", FieldSpec(2)),
-    ("two_edges", FieldSpec()), ("two_edges", FieldSpec(2)),
+    ("dihedral4", QQ), ("dihedral4", PrimeField(2)),
+    ("square", QQ),
+    ("square_diagonal", PrimeField(2)), ("square_diagonal", QQ),
+    ("square_diagonal_chi2", PrimeField(2)),
+    ("two_edges", QQ), ("two_edges", PrimeField(2)),
 )
 
 
@@ -421,8 +421,8 @@ def fixture_text(name: str) -> str:
 def self_check(out=sys.stdout) -> int:
     """Run every bundled fixture under its natural fields with all methods."""
     bad = 0
-    for name, fspec in SELF_CHECK:
-        job = JobConfig(text=fixture_text(name), field=fspec)
+    for name, field in SELF_CHECK:
+        job = JobConfig(text=fixture_text(name), field=field)
         rep = run(job)
         verdict = "ok" if rep.ok else "MISMATCH"
         summary = "; ".join(
@@ -430,7 +430,7 @@ def self_check(out=sys.stdout) -> int:
             + ("+" + "+".join(f"({f})" for f in m["invariant_factors"])
                if m["invariant_factors"] else "")
             for m in rep.data["homology"]["modules"])
-        print(f"[{verdict}] {name} over {fspec}: {summary}", file=out)
+        print(f"[{verdict}] {name} over {field}: {summary}", file=out)
         if not rep.ok:
             bad += 1
     return 0 if bad == 0 else 3
@@ -447,9 +447,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _field_arg(text: str) -> FieldSpec:
+def _field_arg(text: str) -> Field:
     try:
-        return FieldSpec.parse(text)
+        return parse_field(text)
     except ValueError as exc:  # argparse shows only this error type's text
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .graphs import LabeledGraph
-from .scalars import Field, FieldSpec
+from .scalars import Field
 
 
 def bits(m: int) -> list:
@@ -108,25 +108,23 @@ class IncidenceMatrix:
     field: Field
 
 
-def boundary_matrix(fc: FlagComplex, k: int, fspec: FieldSpec) -> IncidenceMatrix:
+def boundary_matrix(fc: FlagComplex, k: int, field: Field) -> IncidenceMatrix:
     """The boundary from k-simplices to (k-1)-simplices over K.
 
     Out-of-range k yields an empty matrix of the correct shape.  k = 0 is
     the augmentation: every vertex maps to the empty simplex with sign +1.
     """
-    field = fspec.scalars()
     signs = (field.one, field.neg(field.one))
     columns = [{f: signs[i % 2] for i, f in enumerate(fs)} for fs in fc.facets(k)]
     return IncidenceMatrix(fc.simplices_of(k - 1), fc.simplices_of(k), columns, field)
 
 
-def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
+def image_dims(fc: FlagComplex, field: Field) -> list[int]:
     """dim_K im(boundary_k) for k = 0 .. dim+1 (the last one is 0), from
     the top degree down, each skipping the lead rows of its own reduction
     one degree up: boundary_k kills the reduced column of boundary_(k+1)
     with lead row X, so column X adds no rank (clearing, see `linalg`).
     A column goes in as a pair (lead, build), built if a reduction reads it."""
-    field = fspec.scalars()
     signs = (field.one, field.neg(field.one))
     out, cleared = [0], frozenset()
     for k in range(fc.dim, -1, -1):
@@ -138,13 +136,13 @@ def image_dims(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
     return out[::-1]
 
 
-def reduced_homology_ranks(fc: FlagComplex, fspec: FieldSpec) -> list[int]:
+def reduced_homology_ranks(fc: FlagComplex, field: Field) -> list[int]:
     """Reduced homology dimensions r_k of the flag complex, k = 0 .. dim.
 
     Computed in the augmented complex, so r_k = dim ker d_k - dim im d_{k+1}
     with d_0 the augmentation.
     """
-    return ranks_from_image_dims(fc, image_dims(fc, fspec))
+    return ranks_from_image_dims(fc, image_dims(fc, field))
 
 
 def ranks_from_image_dims(fc: FlagComplex, ims: list[int]) -> list[int]:

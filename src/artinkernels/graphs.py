@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .scalars import FieldSpec, divisors
+from .scalars import Field, divisors
 
 
 class GraphError(ValueError):
@@ -193,21 +193,20 @@ def is_fc_type(g: LabeledGraph) -> bool:
 class ResonanceSets:
     resonant_vertices: frozenset
     resonant_edges: frozenset
-    fspec: FieldSpec
 
     @property
     def is_K_nonresonant(self) -> bool:
         return not self.resonant_vertices and not self.resonant_edges
 
 
-def resonance_sets(g: LabeledGraph, c: Character, fspec: FieldSpec) -> ResonanceSets:
+def resonance_sets(g: LabeledGraph, c: Character, field: Field) -> ResonanceSets:
     vr = frozenset(v for v in g.vertices if c.m(v) == 0)
-    p = fspec.char
+    p = field.char
     er = []
     for (u, v) in g.edge_list:
         if c.m_edge(u, v) == 0 and p != 0 and g.ell_tilde(u, v) % p == 0:
             er.append((u, v))
-    return ResonanceSets(vr, frozenset(er), fspec)
+    return ResonanceSets(vr, frozenset(er))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Field, FieldSpec, divisors, prime_factors
+from .scalars import Field, divisors, prime_factors
 
 
 class ZeroPolynomialError(ValueError):
@@ -470,10 +470,10 @@ def totient(d: int) -> int:
     return d
 
 
-def cyclotomic(d: int, fspec: FieldSpec) -> LaurentPoly:
+def cyclotomic(d: int, field: Field) -> LaurentPoly:
     """Phi_d over the prime field of K (mod-p reduction when char K = p)."""
     ints = cyclotomic_int(d)
-    return LaurentPoly.from_int_coeffs(fspec.scalars(), dict(enumerate(ints)))
+    return LaurentPoly.from_int_coeffs(field, dict(enumerate(ints)))
 
 
 def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
@@ -491,8 +491,8 @@ def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
     return dict.fromkeys(divisors(n), power)
 
 
-def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
-    """The product of Phi_d^k over the (d, k) in mults, over fspec: taken
+def cyclotomic_product(mults: dict, field: Field) -> LaurentPoly:
+    """The product of Phi_d^k over the (d, k) in mults, over field: taken
     over the integers, then mapped into the field once."""
     cs = [1]
     for d, k in sorted(mults.items()):
@@ -502,7 +502,7 @@ def cyclotomic_product(mults: dict, fspec: FieldSpec) -> LaurentPoly:
             for i, c in phi:
                 out[i:i + n] = [y + c * x for y, x in zip(out[i:i + n], cs)]
             cs = out
-    return LaurentPoly.from_int_coeffs(fspec.scalars(), dict(enumerate(cs)))
+    return LaurentPoly.from_int_coeffs(field, dict(enumerate(cs)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,7 @@ class Factor:
     cyclotomic_order: int | None  # None for a leftover that no Phi_d divides
 
 
-def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
+def factor_invariant(f: LaurentPoly, field: Field) -> list[Factor]:
     """Peel the cyclotomic factors off a nonzero invariant factor, made monic.
 
     For d = 1, 2, ... with phi(d) at most the degree left, Phi_d is
@@ -529,7 +529,6 @@ def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
     powers of a Phi_d already divided out.  A leftover that no Phi_d
     divides is returned with ``cyclotomic_order=None``.
     """
-    field = fspec.scalars()
     if f.is_zero():
         raise ZeroPolynomialError("cannot factor 0")
     rem = dense_monic(field, f.dense()[0])
@@ -538,7 +537,7 @@ def factor_invariant(f: LaurentPoly, fspec: FieldSpec) -> list[Factor]:
     guard = 2 * (len(rem) - 1) ** 2 + 4
     while len(rem) > 1 and d <= guard:
         d += 1
-        if totient(d) >= len(rem) or fspec.char and d % fspec.char == 0:
+        if totient(d) >= len(rem) or field.char and d % field.char == 0:
             continue
         phi = [field.from_int(c) for c in cyclotomic_int(d)]
         exp = 0

@@ -34,7 +34,7 @@ from . import linalg
 from .flag import FlagComplex
 from .graphs import (Character, LabeledGraph, ZeroCharacterError, components,
                      connected_components, resonance_sets)
-from .scalars import FieldSpec
+from .scalars import Field
 
 
 @dataclass
@@ -50,10 +50,10 @@ class ReducedGraph:
         return log
 
 
-def build_gamma1(g: LabeledGraph, c: Character, fspec: FieldSpec) -> ReducedGraph:
+def build_gamma1(g: LabeledGraph, c: Character, field: Field) -> ReducedGraph:
     if c.is_zero:
         raise ZeroCharacterError("free ranks need a nonzero character")
-    res = resonance_sets(g, c, fspec)
+    res = resonance_sets(g, c, field)
     vr = res.resonant_vertices
     removed_edges = []
     removed_vertices = []
@@ -93,11 +93,11 @@ class QuotientComplex:
     identifications: list = field(default_factory=list)
 
 
-def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex:
+def build_f2(fc: FlagComplex, c: Character, field: Field) -> QuotientComplex:
     if c.is_zero:
         raise ZeroCharacterError("free ranks need a nonzero character")
     g = fc.graph
-    res = resonance_sets(g, c, fspec)
+    res = resonance_sets(g, c, field)
     vr = res.resonant_vertices
     triangles = list(fc.simplices_of(2))
     edges = list(fc.simplices_of(1))
@@ -149,9 +149,14 @@ def build_f2(fc: FlagComplex, c: Character, fspec: FieldSpec) -> QuotientComplex
                            kept_tris, d1, d2, log, identifications)
 
 
-def h2_free_rank(qc: QuotientComplex, fspec: FieldSpec) -> int:
-    """dim of the first reduced homology of the quotient 2-complex over K."""
-    f = fspec.scalars()
-    r1, r2 = (linalg.rank(f, [{i: f.from_int(x) for i, x in col.items()} for col in d])
-              for d in (qc.d1, qc.d2))
+def h2_free_rank(qc: QuotientComplex, field: Field) -> int:
+    """dim of the first reduced homology of the quotient 2-complex over
+    `field`.  d1 d2 = 0, loops included, so d1 is ranked skipping the lead
+    rows of d2's reduction (clearing, see `linalg`)."""
+    def columns(d):
+        return [{i: field.from_int(x) for i, x in col.items()} for col in d]
+
+    leads = set()
+    r2 = linalg.rank(field, columns(qc.d2), leads=leads)
+    r1 = linalg.rank(field, columns(qc.d1), leads)
     return (len(qc.cells1) - r1) - r2

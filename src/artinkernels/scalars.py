@@ -10,15 +10,14 @@ element values:
 * :class:`PrimeField` works on ints reduced mod p,
 * ``laurent.CyclotomicField`` adds Q[z]/(Phi_d) with the same protocol.
 
-:class:`FieldSpec` is the user-facing selector ("q" or a prime p) that the
-rest of the package passes around; call :meth:`FieldSpec.scalars` to get
-the arithmetic object.
+The coefficient field K of a run is one of the first two, ``QQ`` or a
+``PrimeField(p)``, passed as is to every route; :func:`parse_field` reads
+it from the input's and the command line's spellings, and ``str`` gives
+its report name, "Q" or "F<p>".
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -158,13 +157,16 @@ class Rationals(Field):
     def __repr__(self):
         return "Rationals()"
 
+    def __str__(self):
+        return "Q"
+
 
 class PrimeField(Field):
     """GF(p) with elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"field characteristic {p} is not prime")
         self.p = p
         self.char = p
         self.zero = 0
@@ -199,44 +201,21 @@ class PrimeField(Field):
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-
-@functools.lru_cache(maxsize=None)
-def _field_for(p: int | None) -> Field:
-    return Rationals() if p is None else PrimeField(p)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Selects the coefficient field K: rationals (p=None) or GF(p)."""
-
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"field characteristic {self.p} is not prime")
-
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
-
-    def scalars(self) -> Field:
-        return _field_for(self.p)
-
-    @staticmethod
-    def parse(text: str) -> "FieldSpec":
-        """Accepts "q"/"Q" for the rationals and "p:7", "p 7" or "7" for GF(7),
-        the digits ASCII."""
-        t = text.strip().lower()
-        if t in ("q", "rationals", "0"):
-            return FieldSpec()
-        if t.startswith("p:") or t.startswith("p "):
-            t = t[2:]
-        if not (t.isascii() and t.isdecimal()):
-            raise ValueError(f"cannot parse field selector {text!r}")
-        return FieldSpec(int(t))
-
     def __str__(self):
-        return "Q" if self.p is None else f"F{self.p}"
+        return f"F{self.p}"
 
 
-QQ = FieldSpec()
+QQ = Rationals()
+
+
+def parse_field(text: str) -> Field:
+    """Accepts "q"/"Q", "rationals" or "0" for the rationals and "p:7",
+    "p 7" or "7" for GF(7), the digits ASCII."""
+    t = text.strip().lower()
+    if t in ("q", "rationals", "0"):
+        return QQ
+    if t.startswith("p:") or t.startswith("p "):
+        t = t[2:]
+    if not (t.isascii() and t.isdecimal()):
+        raise ValueError(f"cannot parse field selector {text!r}")
+    return PrimeField(int(t))

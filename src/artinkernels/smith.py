@@ -82,7 +82,7 @@ from .graphs import Character, ResonanceSets
 from .laurent import (cyclotomic_field, cyclotomic_product, dense_add, dense_divmod,
                       dense_monic, dense_mul, dense_sub, laurent_from_dense,
                       taylor_at_root, totient)
-from .scalars import FieldSpec, divisors
+from .scalars import Field, divisors
 # twisted_boundary is not called here; callers also reach it as smith.twisted_boundary
 from .twisted import BoundaryTables, PolyMatrix, twisted_boundary  # noqa: F401
 
@@ -110,10 +110,6 @@ class SmithForm:
     pivot_rows: dict | None = None
     # over Q: the lead rows of the rank check's reduction at t = 2
     point_pivots: set | None = None
-
-    @property
-    def nontrivial_factors(self) -> list:
-        return [f for f in self.invariant_factors if f.degree() > 0]
 
 
 def _clear_to_polys(m: PolyMatrix) -> list:
@@ -344,7 +340,7 @@ def _pivot_gaps(field, columns: list, row_w: tuple, col_w: tuple,
 
 
 def cyclotomic_invariant_factors(columns: list, row_weights: tuple, col_weights: tuple,
-                                 fspec: FieldSpec, cleared: dict | None = None) -> SmithForm:
+                                 field: Field, cleared: dict | None = None) -> SmithForm:
     """The Smith form of diag(W(Y))^-1 B diag(W(X)) over K[t^{+-1}], for a
     signed boundary B given as sparse columns and the weights of its rows Y
     and columns X as `BoundaryTables.weights` gives them: zero counts and
@@ -366,7 +362,6 @@ def cyclotomic_invariant_factors(columns: list, row_weights: tuple, col_weights:
         runs.setdefault(key, []).append(d)
     if not runs:
         runs[((0,) * len(row_zeros), (0,) * len(col_zeros))] = []
-    field = fspec.scalars()
     exponents, pivot_rows, minors = {}, {}, []
     for (row_w, col_w), orders in runs.items():
         if any(sum(map(col_w.__getitem__, cols)) == sum(map(row_w.__getitem__, rows))
@@ -383,7 +378,7 @@ def cyclotomic_invariant_factors(columns: list, row_weights: tuple, col_weights:
     rank = len(minors[0][0])    # every reduction pivots once per rank of B
     keys = [tuple((d, slots[i]) for d, slots in exponents.items() if slots[i])
             for i in range(rank)]
-    expanded = {key: cyclotomic_product(dict(key), fspec) for key in set(keys)}
+    expanded = {key: cyclotomic_product(dict(key), field) for key in set(keys)}
     factors = [expanded[key] for key in keys]
     return SmithForm(invariant_factors=factors, rank=rank, exponents=exponents,
                      pivot_rows=pivot_rows)
@@ -447,7 +442,7 @@ def boundary_smith_form(t: BoundaryTables, k: int, above: SmithForm | None = Non
     docstring), checked as the module docstring says."""
     cleared = (above and above.point_pivots) or frozenset()
     columns, at_point = signed_boundary(t, k, cleared)
-    snf = cyclotomic_invariant_factors(columns, t.weights(k - 1), t.weights(k), t.fspec,
+    snf = cyclotomic_invariant_factors(columns, t.weights(k - 1), t.weights(k), t.field,
                                        above and above.pivot_rows)
     if at_point is not None:
         snf.point_pivots = set()
@@ -467,12 +462,12 @@ class ModuleDecomposition:
     """H_{k+1} of the kernel subgroup as free rank + invariant factors.
 
     `exponents` maps each order d to the ascending Phi_d-exponents of the
-    nontrivial invariant factors (slot i belongs to factor i); it holds the
+    invariant factors (slot i belongs to factor i); it holds the
     orders that occur, and everything else is read from it.
     """
 
     k: int
-    fspec: FieldSpec
+    field: Field
     free_rank: int
     invariant_factors: list
     exponents: dict
@@ -490,7 +485,7 @@ class ModuleDecomposition:
     def primary_parts(self) -> dict | None:
         """The cyclotomic parts in characteristic zero, where each Phi_d is
         irreducible; None mod p, where Phi_d splits into several primes."""
-        return self.cyclotomic_parts if self.fspec.char == 0 else None
+        return self.cyclotomic_parts if self.field.char == 0 else None
 
     def exponents_for(self, d: int) -> tuple:
         if self.primary_parts is None:
@@ -499,17 +494,17 @@ class ModuleDecomposition:
 
 
 def decompose_torsion(k: int, free_rank: int, snf: SmithForm,
-                      fspec: FieldSpec) -> ModuleDecomposition:
+                      field: Field) -> ModuleDecomposition:
     """The degree-k homology module, its torsion from the Smith form `snf`
-    of the degree-(k+1) boundary: the nontrivial invariant factors and the
-    tail of `snf.exponents` that belongs to them."""
+    of the degree-(k+1) boundary, whose invariant factors and exponents it
+    takes whole: every kept entry carries t^(m_v) - 1 with m_v != 0, so
+    every pivot gap at d = 1 is at least 1 and no invariant factor is
+    trivial."""
     if snf.exponents is None:
         raise ValueError("decomposing needs the Phi_d-exponents of boundary_smith_form")
-    invariant = snf.nontrivial_factors
-    first = snf.rank - len(invariant)
-    return ModuleDecomposition(
-        k=k, fspec=fspec, free_rank=free_rank, invariant_factors=invariant,
-        exponents={d: slots[first:] for d, slots in snf.exponents.items()})
+    return ModuleDecomposition(k=k, field=field, free_rank=free_rank,
+                               invariant_factors=snf.invariant_factors,
+                               exponents=snf.exponents)
 
 
 def homology_modules(t: BoundaryTables, degrees: range) -> tuple[dict, dict]:
@@ -523,16 +518,16 @@ def homology_modules(t: BoundaryTables, degrees: range) -> tuple[dict, dict]:
     for k in range(degrees.stop, degrees.start - 1, -1):
         snfs[k] = above = boundary_smith_form(t, k, above)
     decs = {k: decompose_torsion(k, len(t.fc.masks[k]) - snfs[k].rank - snfs[k + 1].rank,
-                                 snfs[k + 1], t.fspec)
+                                 snfs[k + 1], t.field)
             for k in degrees}
     return snfs, decs
 
 
-def homology_module(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int) -> ModuleDecomposition:
+def homology_module(fc: FlagComplex, c: Character, field: Field, k: int) -> ModuleDecomposition:
     """Free rank and torsion of the degree-k homology (H_{k+1} of the kernel)."""
     if not c.is_normalized:
         raise ValueError("homology modules are computed for normalized characters")
-    return homology_modules(BoundaryTables(fc, c, fspec), range(k, k + 1))[1][k]
+    return homology_modules(BoundaryTables(fc, c, field), range(k, k + 1))[1][k]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +561,7 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
         return ShapeReport(skipped="K-resonant character", checks=[])
     checks = []
     k = dec.k
-    p = dec.fspec.char
+    p = dec.field.char
 
     ok = True
     for f, g in zip(dec.invariant_factors, dec.invariant_factors[1:]):

@@ -96,7 +96,7 @@ from .graphs import Character, connected_components, resonance_sets
 from .laurent import (cyclotomic_field, cyclotomic_product, quotient_residue,
                       t_minus_one_multiplicities)
 from .linalg import staircase_leads
-from .scalars import FieldSpec
+from .scalars import Field
 from .twisted import BoundaryTables, twisted_boundary
 
 
@@ -366,7 +366,7 @@ def least_forest_costs(n: int, edges, root_costs) -> list:
     return [max(total - lam * s for total, lam in msts) for s in range(1, n + 1)]
 
 
-def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
+def forest_fitting_h1(g, c: Character, field: Field) -> list:
     """Invariant factors of the degree-1 twisted boundary from rooted
     spanning forests; the nontrivial ones are the torsion of H_1.
 
@@ -379,12 +379,12 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
     `least_forest_costs` per order gives it for every s, and a polynomial
     is expanded only once per s.
     """
-    res = resonance_sets(g, c, fspec)
+    res = resonance_sets(g, c, field)
     if not res.is_K_nonresonant:
         raise ResonantCharacterError("needs a K non-resonant character")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("needs a connected graph")
-    p = fspec.char
+    p = field.char
     n = len(g.vertices)
 
     def q_mults(u, v) -> dict:
@@ -417,12 +417,12 @@ def forest_fitting_h1(g, c: Character, fspec: FieldSpec) -> list:
         if any(k < 0 for k in drop.values()):
             raise NegativeMultiplicityError(f"forest gcds with {s} and {s + 1} trees "
                                             "do not form a divisibility chain")
-        fac = cyclotomic_product(drop, fspec)
+        fac = cyclotomic_product(drop, field)
         # p_e and q_e have simple roots in characteristic zero, so removing
         # a forest edge moves any multiplicity by at most 2 and Jordan
         # blocks of the degree-0 torsion have size at most 2; mod p the
         # roots can repeat (p | m_v or p | lt(e)) and larger blocks occur
-        if fspec.char == 0 and any(k > 2 for k in drop.values()):
+        if p == 0 and any(k > 2 for k in drop.values()):
             raise NegativeMultiplicityError(
                 f"forest invariant factor {fac} has a cube factor; "
                 "degree-0 Jordan blocks are bounded by 2")

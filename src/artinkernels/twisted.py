@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .flag import FlagComplex, bits
 from .graphs import Character
 from .laurent import LaurentPoly, q_poly, t_minus_one_multiplicities
-from .scalars import Field, FieldSpec
+from .scalars import Field
 
 
 @dataclass
@@ -105,9 +105,9 @@ class BoundaryTables:
     position, entry polynomials and the `boundaries` asked for, all read
     off fc's simplex masks.  A run keeps one."""
 
-    def __init__(self, fc: FlagComplex, c: Character, fspec: FieldSpec):
+    def __init__(self, fc: FlagComplex, c: Character, field: Field):
         g = fc.graph
-        self.fc, self.c, self.fspec, self.field = fc, c, fspec, fspec.scalars()
+        self.fc, self.c, self.field = fc, c, field
         self.boundaries = {}
         # by vertex index v: {w: (lt(vw), m_vw)} for lt(vw) > 1, and the mask of those w
         self._wide = [{g.index[w]: (g.ell_tilde(v, w), c.m_edge(v, w))
@@ -155,7 +155,7 @@ class BoundaryTables:
         v = m.bit_length() - 1
         key = (v, m & self._wide_mask[v])
         if key not in self._adds:
-            mults = [factor_multiplicities(f, self.fspec.char) for f in self.facet_factors(*key)]
+            mults = [factor_multiplicities(f, self.field.char) for f in self.facet_factors(*key)]
             added = Counter()
             for mult in mults:
                 added.update(dict(mult or ()))

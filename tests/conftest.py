@@ -7,11 +7,10 @@ import random
 import pytest
 
 from artinkernels import Character, LabeledGraph, connected_components, is_fc_type
-from artinkernels.scalars import FieldSpec
+from artinkernels.scalars import QQ, PrimeField
 
-QQ = FieldSpec()
-F2 = FieldSpec(2)
-F3 = FieldSpec(3)
+F2 = PrimeField(2)
+F3 = PrimeField(3)
 
 
 def dihedral_graph():

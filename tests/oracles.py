@@ -22,14 +22,12 @@ from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError, cyclotomic,
                                   dense_mul, dense_sub,
                                   t_minus_one_multiplicities)
 from artinkernels.linalg import rank as field_rank, staircase_leads
-from artinkernels.scalars import Field, FieldSpec, Rationals
+from artinkernels.scalars import QQ, Field, Rationals
 from artinkernels.smith import _clear_to_polys, taylor_block
 from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityError,
                                    PageTable, ResonantCharacterError,
                                    WeightedComplex, edge_weight, vertex_weight)
 from artinkernels.twisted import BoundaryTables, PolyMatrix, factor_poly, twisted_boundary
-
-QQ = FieldSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +317,12 @@ class SimplexWeights:
     q: LaurentPoly
 
 
-def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> SimplexWeights:
+def simplex_weights(fc: FlagComplex, c: Character, field: Field, X) -> SimplexWeights:
     """p_X and q_X; resonant vertices and edges are excluded, so p_X q_X != 0."""
-    field = fspec.scalars()
     g = fc.graph
     X = tuple(sorted(X, key=g.index.__getitem__))
     assert X in fc, f"{X} is not a simplex of the complex"
-    res = resonance_sets(g, c, fspec)
+    res = resonance_sets(g, c, field)
     p = LaurentPoly.one(field)
     for v in X:
         if v not in res.resonant_vertices:
@@ -338,19 +335,18 @@ def simplex_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, X) -> Simpl
     return SimplexWeights(p, q)
 
 
-def list_weights(fc: FlagComplex, c: Character, fspec: FieldSpec, simplices) -> SimplexWeights:
+def list_weights(fc: FlagComplex, c: Character, field: Field, simplices) -> SimplexWeights:
     """Products p_{Xbar}, q_{Xbar} over a list of simplices."""
-    field = fspec.scalars()
     p = LaurentPoly.one(field)
     q = LaurentPoly.one(field)
     for X in simplices:
-        w = simplex_weights(fc, c, fspec, X)
+        w = simplex_weights(fc, c, field, X)
         p = p * w.p
         q = q * w.q
     return SimplexWeights(p, q)
 
 
-def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
+def minor(fc: FlagComplex, c: Character, field: Field, k: int,
           xbar, ybar) -> LaurentPoly:
     """Determinant of the square submatrix of the degree-k twisted boundary
     on columns xbar (k-simplices) and rows ybar ((k-1)-simplices)."""
@@ -358,7 +354,7 @@ def minor(fc: FlagComplex, c: Character, fspec: FieldSpec, k: int,
     ybar = [tuple(sorted(y, key=fc.graph.index.__getitem__)) for y in ybar]
     if len(xbar) != len(ybar):
         raise ValueError("minor needs equally many rows and columns")
-    m = twisted_boundary(BoundaryTables(fc, c, fspec), k)
+    m = twisted_boundary(BoundaryTables(fc, c, field), k)
     return det(submatrix(m, ybar, xbar))
 
 
@@ -376,7 +372,7 @@ def simplex_weight(g, c: Character, X, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 def exponents_every_vector(columns: list, row_weights: tuple, col_weights: tuple,
-                           fspec: FieldSpec, cleared: dict | None = None) -> tuple:
+                           field: Field, cleared: dict | None = None) -> tuple:
     """`smith.cyclotomic_invariant_factors` as it was before its pivot-minor
     certificate: one reduction for every distinct weight vector, none
     skipped, on `NormalizedEchelon`.  The weights are as
@@ -384,7 +380,6 @@ def exponents_every_vector(columns: list, row_weights: tuple, col_weights: tuple
     gaps of the orders d with a nonzero gap, and the pivot rows per row
     weight tuple, for the degree below to clear with; each reduction skips
     the columns `cleared` holds under its column weight tuple."""
-    field = fspec.scalars()
     (row_zeros, row_arrays), (col_zeros, col_arrays) = row_weights, col_weights
     ranks, exponents, pivot_rows, gaps_of = set(), {}, {}, {}
     for d in sorted(set(row_arrays) | set(col_arrays)) or [None]:
@@ -432,11 +427,11 @@ def mult_d(f: LaurentPoly, d: int) -> int:
     return count
 
 
-def cyclotomic_exponent(f: LaurentPoly, d: int, fspec: FieldSpec) -> int:
-    """Largest a with Phi_d^a | f over fspec, by exact division: the
+def cyclotomic_exponent(f: LaurentPoly, d: int, field: Field) -> int:
+    """Largest a with Phi_d^a | f over field, by exact division: the
     Phi_d-exponent when char K does not divide d, as Phi_d is then
     squarefree over K."""
-    phi, a = cyclotomic(d, fspec), 0
+    phi, a = cyclotomic(d, field), 0
     while True:
         try:
             f = f.exact_div(phi)
@@ -654,13 +649,13 @@ def quotient_residue_unfolded(f: LaurentPoly, d: int, drop: int):
     return kd._reduce(terms, den)
 
 
-def cyclotomic_product_by_powers(mults: dict, fspec: FieldSpec) -> LaurentPoly:
+def cyclotomic_product_by_powers(mults: dict, field: Field) -> LaurentPoly:
     """The product of Phi_d^k over the (d, k) in mults, as products of
     `LaurentPoly` powers over the field (the former
     `laurent.cyclotomic_product`)."""
-    out = LaurentPoly.one(fspec.scalars())
+    out = LaurentPoly.one(field)
     for d, k in sorted(mults.items()):
-        out = out * cyclotomic(d, fspec) ** k
+        out = out * cyclotomic(d, field) ** k
     return out
 
 
@@ -710,7 +705,7 @@ class TooManyForests(RuntimeError):
     pass
 
 
-def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
+def forest_fitting_h1_enumerated(g, c: Character, field: Field,
                                  cap: int = 200_000) -> list:
     """Invariant factors of the degree-1 twisted boundary from rooted
     spanning forests; the nontrivial ones are the torsion of H_1.
@@ -723,13 +718,13 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
     over the forests with s trees is the elementwise minimum, and a
     polynomial is expanded only once per s.
     """
-    res = resonance_sets(g, c, fspec)
+    res = resonance_sets(g, c, field)
     if not res.is_K_nonresonant:
         raise ResonantCharacterError("forest Fitting ideals need a K non-resonant "
                                      "character")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("spanning forests need a connected graph")
-    p = fspec.char
+    p = field.char
     n = len(g.vertices)
     edges = g.edge_list
 
@@ -802,12 +797,12 @@ def forest_fitting_h1_enumerated(g, c: Character, fspec: FieldSpec,
         if any(k < 0 for k in drop.values()):
             raise ValueError(f"forest gcds with {s} and {s + 1} trees do not "
                              "form a divisibility chain")
-        fac = cyclotomic_product(drop, fspec)
+        fac = cyclotomic_product(drop, field)
         # p_e and q_e have simple roots in characteristic zero, so removing
         # a forest edge moves any multiplicity by at most 2 and Jordan
         # blocks of the degree-0 torsion have size at most 2; mod p the
         # roots can repeat (p | m_v or p | lt(e)) and larger blocks occur
-        if fspec.char == 0 and any(k > 2 for k in drop.values()):
+        if field.char == 0 and any(k > 2 for k in drop.values()):
             raise NegativeMultiplicityError(
                 f"forest invariant factor {fac} has a cube factor; "
                 "degree-0 Jordan blocks are bounded by 2")

@@ -34,9 +34,6 @@ from conftest import (QQ, F2, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
 from oracles import compose, compose_int_columns, dense, det, matmul, submatrix, wc_weights
 
-Q = QQ.scalars()
-GF2 = F2.scalars()
-
 
 def _report(criterion, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}"
@@ -44,11 +41,11 @@ def _report(criterion, ok, detail=""):
     return ok
 
 
-def L(coeffs, field=Q):
+def L(coeffs, field=QQ):
     return LaurentPoly(field, {e: field.from_int(c) for e, c in coeffs.items()})
 
 
-def _poly(text_coeffs, field=Q):
+def _poly(text_coeffs, field=QQ):
     return L(text_coeffs, field)
 
 
@@ -133,7 +130,7 @@ def test_acceptance_3_square_pages():
 def test_acceptance_4_resonant_fixture():
     g, chi, chi2 = square_diagonal_graph()
     fc = build_flag_complex(g)
-    tp1 = _poly({0: 1, 1: 1}, GF2)
+    tp1 = _poly({0: 1, 1: 1}, F2)
 
     h1 = homology_module(fc, chi, F2, 0)
     ok = h1.free_rank == 0 and h1.invariant_factors == [tp1, tp1, tp1]
@@ -178,7 +175,7 @@ def test_acceptance_4_chi_prime_h1_reference_value():
     """
     g, _, chi2 = square_diagonal_graph()
     fc = build_flag_complex(g)
-    tp1 = _poly({0: 1, 1: 1}, GF2)
+    tp1 = _poly({0: 1, 1: 1}, F2)
     h1 = homology_module(fc, chi2, F2, 0)
     stated = h1.free_rank == 1 and h1.invariant_factors == [tp1, tp1]
 
@@ -266,32 +263,31 @@ def _structural_cases():
 
 def test_acceptance_6_structural_invariants():
     failures = []
-    for idx, (g, chi, fspec) in enumerate(_structural_cases()):
-        field = fspec.scalars()
+    for idx, (g, chi, field) in enumerate(_structural_cases()):
         fc = build_flag_complex(g)
-        res = resonance_sets(g, chi, fspec)
-        ranks = reduced_homology_ranks(fc, fspec)
-        ims = image_dims(fc, fspec)
+        res = resonance_sets(g, chi, field)
+        ranks = reduced_homology_ranks(fc, field)
+        ims = image_dims(fc, field)
 
         # boundary-of-boundary vanishes: untwisted, twisted, quotient complex
         from artinkernels import boundary_matrix
-        t = BoundaryTables(fc, chi, fspec)
+        t = BoundaryTables(fc, chi, field)
         for k in range(0, fc.dim + 1):
-            a = boundary_matrix(fc, k, fspec)
-            b = boundary_matrix(fc, k + 1, fspec)
+            a = boundary_matrix(fc, k, field)
+            b = boundary_matrix(fc, k + 1, field)
             if any(not field.is_zero(x)
                    for row in matmul(field, dense(a), dense(b)) for x in row):
                 failures.append((idx, "untwisted dd", k))
             if not compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero():
                 failures.append((idx, "twisted dd", k))
-        qc = build_f2(fc, chi, fspec)
+        qc = build_f2(fc, chi, field)
         if any(x for col in compose_int_columns(qc.d1, qc.d2) for x in col.values()):
             failures.append((idx, "quotient dd"))
 
         # graded differential squares to zero, weights within bounds,
         # stable page recovers the flag homology (char 0, non-resonant)
         normalized = chi if chi.is_normalized else chi.normalize()[0]
-        nonres_q = fspec.char == 0 and all(normalized.m(v) != 0 for v in g.vertices)
+        nonres_q = field.char == 0 and all(normalized.m(v) != 0 for v in g.vertices)
         if nonres_q:
             support = torsion_support(g, normalized)
             tc = BoundaryTables(fc, normalized, QQ)
@@ -317,11 +313,11 @@ def test_acceptance_6_structural_invariants():
                         failures.append((idx, "stable page", d, k))
 
         # Smith forms: divisibility chain, reconstruction, shape checks
-        if fspec.char == 0:
+        if field.char == 0:
             support_k = torsion_support(g, normalized) \
                 if all(normalized.m(v) != 0 for v in g.vertices) else None
             for k in range(0, fc.dim + 1):
-                dec = homology_module(fc, normalized, fspec, k)
+                dec = homology_module(fc, normalized, field, k)
                 for f, h in zip(dec.invariant_factors, dec.invariant_factors[1:]):
                     try:
                         h.exact_div(f)
@@ -335,7 +331,7 @@ def test_acceptance_6_structural_invariants():
                 # U * cleared * V reconstruction over Q on the fixture cases,
                 # whose entry degrees keep Euclidean reduction well behaved
                 for k in (1, 2):
-                    m = twisted_boundary(BoundaryTables(fc, normalized, fspec), k)
+                    m = twisted_boundary(BoundaryTables(fc, normalized, field), k)
                     if not m.cols:
                         continue
                     s = smith_normal_form(m, keep_transforms=True)
@@ -349,7 +345,7 @@ def test_acceptance_6_structural_invariants():
                                 failures.append((idx, "umv-q", k))
         else:
             for k in range(0, fc.dim + 1):
-                m = twisted_boundary(BoundaryTables(fc, normalized, fspec), k + 1)
+                m = twisted_boundary(BoundaryTables(fc, normalized, field), k + 1)
                 s = smith_normal_form(m, keep_transforms=True)
                 for f, h in zip(s.invariant_factors, s.invariant_factors[1:]):
                     try:
@@ -403,8 +399,8 @@ def test_acceptance_7_fitting_bruteforce():
     for trial in range(12):
         g, chi = random_case(rng, max_vertices=4)
         fc = build_flag_complex(g)
-        fspec = QQ if trial % 3 else F2
-        t = BoundaryTables(fc, chi, fspec)
+        field = QQ if trial % 3 else F2
+        t = BoundaryTables(fc, chi, field)
         for k in (1, 2):
             m = twisted_boundary(t, k)
             if not m.rows or not m.cols:
@@ -416,7 +412,7 @@ def test_acceptance_7_fitting_bruteforce():
             signs, _ = signed_boundary(t, k)
             corner = [{i: x for i, x in col.items() if i < 4} for col in signs[:4]]
             snf = cyclotomic_invariant_factors(corner, _first(t.weights(k - 1), 4),
-                                               _first(t.weights(k), 4), fspec)
+                                               _first(t.weights(k), 4), field)
             field = m.field
             for size in range(1, min(len(rows), len(cols)) + 1):
                 gcd = LaurentPoly.zero(field)

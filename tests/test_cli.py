@@ -19,7 +19,7 @@ from artinkernels import (BoundaryTables, FlagComplex, LabeledGraph, boundary_sm
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
-from artinkernels.scalars import PRIME_LIMIT, FieldSpec
+from artinkernels.scalars import PRIME_LIMIT, PrimeField, parse_field
 
 from conftest import F2, F3, QQ, random_case
 
@@ -35,7 +35,7 @@ def test_parse_square_fixture():
     assert parsed.graph.vertices == ("v1", "v2", "v3", "v4")
     assert len(parsed.graph.edge_list) == 4
     assert parsed.character.values == (1, 2, 1, 2)
-    assert parsed.field == FieldSpec()
+    assert parsed.field == QQ
 
 
 def test_parse_errors_carry_line_numbers():
@@ -113,24 +113,24 @@ def graph_inputs(draw, unwritable=False):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     edges = [(u, v, 2 * draw(st.integers(1, 5))) for u, v in chosen]
     g = artinkernels.LabeledGraph(names, edges)
-    fspec = draw(st.sampled_from((None, FieldSpec(), FieldSpec(2), FieldSpec(7))))
-    return g, artinkernels.Character(g, weights), fspec
+    field = draw(st.sampled_from((None, QQ, PrimeField(2), PrimeField(7))))
+    return g, artinkernels.Character(g, weights), field
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_inputs(unwritable=True))
 def test_serialized_input_parses_back(case):
-    g, chi, fspec = case
+    g, chi, field = case
     bad = [v for v in g.vertices if v in UNWRITABLE]
     if bad:
         with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
-            serialize_input(g, chi, fspec)
+            serialize_input(g, chi, field)
         return
-    parsed = parse_input(serialize_input(g, chi, fspec))
+    parsed = parse_input(serialize_input(g, chi, field))
     assert parsed.graph.vertices == g.vertices
     assert parsed.graph.adjacency == g.adjacency
     assert parsed.character.weights == chi.weights
-    assert parsed.field == fspec
+    assert parsed.field == field
 
 
 def test_run_square_report():
@@ -190,7 +190,7 @@ def test_report_json_does_not_depend_on_the_hash_seed(fixture, tmp_path):
 
 
 def test_field_override_and_methods_subset():
-    rep = run(JobConfig(text=fixture_text("dihedral4"), field=FieldSpec(2),
+    rep = run(JobConfig(text=fixture_text("dihedral4"), field=PrimeField(2),
                         methods=("snf", "resonant")))
     mods = rep.data["homology"]["modules"]
     assert mods[0]["free_rank"] == 1 and mods[0]["invariant_factors"] == []
@@ -212,7 +212,7 @@ def test_components_check_compares_elementary_divisors():
     rng = random.Random(0xC0C0)
     weights = (-2, -1, 1, 2, 3, 4, 5, 6)
     differ = Counter()
-    for fspec in (QQ, F2, F3):
+    for field in (QQ, F2, F3):
         for _ in range(40):
             lines = []
             for comp in "uv":
@@ -220,9 +220,9 @@ def test_components_check_compares_elementary_divisors():
                 lines += [f"vertex {v} {rng.choice(weights)}" for v in names]
                 lines += [f"edge {a} {b} {rng.choice((2, 4, 6))}" for a, b in zip(names, names[1:])]
             text = "\n".join(lines) + "\n"
-            rep = run(JobConfig(text=text, field=fspec, methods=("snf",)))
+            rep = run(JobConfig(text=text, field=field, methods=("snf",)))
             chk, = [c for c in rep.data["cross_checks"] if "components" in c["subject"]]
-            assert chk["agree"] and rep.ok, (fspec, text, chk["detail"])
+            assert chk["agree"] and rep.ok, (field, text, chk["detail"])
             assert chk["detail"].startswith("(d, e) of Phi_d^e: whole=")
 
             parsed = parse_input(text)
@@ -231,10 +231,10 @@ def test_components_check_compares_elementary_divisors():
             for comp in connected_components(g):
                 sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list
                                           if u in comp])
-                t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), fspec)
-                pieces += [str(f) for f in boundary_smith_form(t, 1).nontrivial_factors]
+                t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), field)
+                pieces += [str(f) for f in boundary_smith_form(t, 1).invariant_factors]
             whole = rep.data["homology"]["modules"][0]["invariant_factors"]
-            differ[str(fspec)] += sorted(whole) != sorted(pieces)
+            differ[str(field)] += sorted(whole) != sorted(pieces)
     assert all(differ[str(f)] > 0 for f in (QQ, F2, F3)), differ
 
 
@@ -276,6 +276,56 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "characteristic 4 is not prime" in capsys.readouterr().err
     assert main([str(good), "--field", f"p:{PRIME_LIMIT}"]) == 1
     assert "too large" in capsys.readouterr().err
+
+
+DIHEDRAL = "vertex u 1\nvertex v -1\nedge u v 4\n"     # no field line
+FIELD_SPELLINGS = [("q", QQ), ("Q", QQ), ("rationals", QQ), ("0", QQ),
+                   ("p:7", PrimeField(7)), ("p 7", PrimeField(7)), ("7", PrimeField(7))]
+
+
+@pytest.mark.parametrize("text, field", FIELD_SPELLINGS, ids=[t for t, _ in FIELD_SPELLINGS])
+def test_every_field_spelling_reaches_the_report(tmp_path, capsys, text, field):
+    """`parse_field`, `--field` and a `field` line read each spelling as
+    the same field, and the report's `input.field` is its str, "Q" or "F7"."""
+    assert parse_field(text) == field
+    assert str(field) == ("Q" if field.char == 0 else "F7")
+    bare, lined = tmp_path / "bare.graph", tmp_path / "lined.graph"
+    bare.write_text(DIHEDRAL)
+    lined.write_text(f"field {text}\n{DIHEDRAL}")
+    for argv in ([str(bare), "--field", text], [str(lined)]):
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["field"] == str(field)
+    assert parse_input(lined.read_text()).field == field
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p:4", "field characteristic 4 is not prime"),
+    ("p:\u0663", "cannot parse field selector 'p:\u0663'"),
+    (f"p:{PRIME_LIMIT}", f"{PRIME_LIMIT} is too large: primality is certified only below"),
+], ids=["not-prime", "arabic-indic", "prime-limit"])
+def test_every_field_entry_refuses_what_names_no_field(tmp_path, capsys, text, error):
+    """The same message from `parse_field`, from `--field` (exit 1) and from
+    a `field` line (exit 2, with its line number)."""
+    with pytest.raises(ValueError, match=re.escape(error)):
+        parse_field(text)
+    path = tmp_path / "g.graph"
+    path.write_text(DIHEDRAL)
+    assert main([str(path), "--field", text]) == 1
+    assert f"error: argument --field: {error}" in capsys.readouterr().err
+    path.write_text(f"field {text}\n{DIHEDRAL}")
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: line 1: {error}")
+
+
+@pytest.mark.parametrize("field, line", [(QQ, "field q"), (F2, "field p 2"),
+                                         (PrimeField(7), "field p 7")])
+def test_serialize_input_writes_the_field_line_parse_input_reads(field, line):
+    parsed = parse_input(fixture_text("square_diagonal"))
+    text = serialize_input(parsed.graph, parsed.character, field)
+    assert text.splitlines()[0] == line
+    again = parse_input(text)
+    assert again.field == field and again.character.weights == parsed.character.weights
+    assert serialize_input(again.graph, again.character, again.field) == text
 
 
 def test_main_missing_file_is_input_error(tmp_path):
@@ -411,19 +461,19 @@ def test_self_check_passes():
 
 def test_run_modules_agree_with_homology_module():
     rng = random.Random(0xC13)
-    cases = [(fixture_text(name), fspec) for name, fspec in SELF_CHECK]
-    for fspec in (QQ, F3):
+    cases = [(fixture_text(name), field) for name, field in SELF_CHECK]
+    for field in (QQ, F3):
         g, chi = random_case(rng, max_vertices=5, require_connected=True)
-        cases.append((serialize_input(g, chi, None), fspec))
-    for text, fspec in cases:
+        cases.append((serialize_input(g, chi, None), field))
+    for text, field in cases:
         parsed = parse_input(text)
         chi, _ = parsed.character.normalize()
         fc = build_flag_complex(parsed.graph)
-        modules = run(JobConfig(text=text, field=fspec)).data["homology"]["modules"]
+        modules = run(JobConfig(text=text, field=field)).data["homology"]["modules"]
         assert len(modules) == fc.dim + 1
         for entry in modules:
-            dec = homology_module(fc, chi, fspec, entry["k"])
-            context = (text, str(fspec), entry["k"])
+            dec = homology_module(fc, chi, field, entry["k"])
+            context = (text, str(field), entry["k"])
             assert entry["free_rank"] == dec.free_rank, context
             assert entry["invariant_factors"] == [str(f) for f in dec.invariant_factors], context
             assert entry["t_minus_1_exponent"] == dec.t_minus_1_exponent, context

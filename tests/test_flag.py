@@ -44,7 +44,7 @@ def test_edge_boundary_signs():
     col = [dense(m)[i][0] for i in range(2)]
     # dropping the first vertex u gives +sigma_v, dropping v gives -sigma_u
     assert m.rows == [("u",), ("v",)]
-    assert col == [QQ.scalars().from_int(-1), QQ.scalars().from_int(1)]
+    assert col == [QQ.from_int(-1), QQ.from_int(1)]
 
 
 def test_augmentation_row():
@@ -52,13 +52,13 @@ def test_augmentation_row():
     fc = build_flag_complex(g)
     m = boundary_matrix(fc, 0, QQ)
     assert m.rows == [()]
-    assert all(e == QQ.scalars().one for e in dense(m)[0])
+    assert all(e == QQ.one for e in dense(m)[0])
 
 
 def test_boundary_squared_is_zero():
     g, _, _ = square_diagonal_graph()
     fc = build_flag_complex(g)
-    f = QQ.scalars()
+    f = QQ
     for k in range(0, fc.dim + 1):
         a = boundary_matrix(fc, k, QQ)
         b = boundary_matrix(fc, k + 1, QQ)

@@ -28,13 +28,12 @@ from artinkernels.smith import cyclotomic_candidates, taylor_block
 from conftest import QQ, random_case
 from oracles import evaluate, fraction_rank, horner_taylor, normalized_column_leads, sparse
 
-Q = QQ.scalars()
 ORDERS_D = (1, 2, 3, 4, 5, 6, 12)
 BLOCK_DEPTH_CAP = 64           # deepest truncation block_exponents builds
 
 
 def L(coeffs):
-    return LaurentPoly(Q, {e: Q.from_int(c) for e, c in coeffs.items()})
+    return LaurentPoly(QQ, {e: QQ.from_int(c) for e, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +143,8 @@ def random_matrix(rng, field, draw, nr, nc, inner, density):
 def test_sparse_rank_matches_dense_reference(field_name):
     rng = random.Random(field_name)
     if field_name == "Q":
-        field = Q
-        draw = lambda: Q.from_int(rng.randint(-2, 2))  # noqa: E731
+        field = QQ
+        draw = lambda: QQ.from_int(rng.randint(-2, 2))  # noqa: E731
     elif field_name == "GF(5)":
         field = PrimeField(5)
         draw = lambda: rng.randrange(5)  # noqa: E731
@@ -164,11 +163,11 @@ def test_sparse_rank_matches_dense_reference(field_name):
 
 
 def test_sparse_rank_edge_cases():
-    assert rank(Q, []) == 0
-    assert rank(Q, [{}]) == 0
-    assert rank(Q, sparse([[Q.zero] * 3 for _ in range(4)])) == 0
-    one = Q.one
-    assert rank(Q, sparse([[one, one], [one, one], [Q.zero, one]])) == 2
+    assert rank(QQ, []) == 0
+    assert rank(QQ, [{}]) == 0
+    assert rank(QQ, sparse([[QQ.zero] * 3 for _ in range(4)])) == 0
+    one = QQ.one
+    assert rank(QQ, sparse([[one, one], [one, one], [QQ.zero, one]])) == 2
     f5 = PrimeField(5)
     assert rank(f5, sparse([[1, 2], [2, 4]])) == 1
 
@@ -180,9 +179,9 @@ def test_sparse_rank_of_boundaries_matches_dense_reference():
         t = BoundaryTables(build_flag_complex(g), chi, QQ)
         for k in range(0, t.fc.dim + 2):
             m = twisted_boundary(t, k)
-            rows = evaluate(m, Q.from_int(2))
+            rows = evaluate(m, QQ.from_int(2))
             before = copy.deepcopy(rows)
-            assert rank(Q, rows) == dense_rank(Q, [[e.evaluate(Q.from_int(2)) for e in row]
+            assert rank(QQ, rows) == dense_rank(QQ, [[e.evaluate(QQ.from_int(2)) for e in row]
                                                    for row in m.entries])
             assert rows == before
 
@@ -199,7 +198,7 @@ def field_and_draw(field_name: str, rng: random.Random):
         return field, lambda: field.root_combination(
             {rng.randrange(field.d): Fraction(rng.randint(-2, 2), rng.randint(1, 3))
              for _ in range(2)})
-    field = Q if field_name == "Q" else PrimeField(int(field_name[3:-1]))
+    field = QQ if field_name == "Q" else PrimeField(int(field_name[3:-1]))
     return field, lambda: field.from_int(rng.randint(-2, 2))
 
 
@@ -360,7 +359,7 @@ def test_a_stored_pair_is_checked_when_a_reduction_builds_it(field_name, fault):
     row, or built with a zero entry, raises ArithmeticError as soon as a
     reduction reads it, and not before: the kernel trusts a pair's lead
     only until it builds the pair."""
-    field = Q if field_name == "Q" else PrimeField(int(field_name[3]))
+    field = QQ if field_name == "Q" else PrimeField(int(field_name[3]))
     one = field.one
     col = {0: one, 2: one}
     doctored = ((3, lambda: dict(col)) if fault == "lead off by one"
@@ -415,7 +414,7 @@ def test_staircase_leads_snapshots_count_the_staircase_ranks(field_name):
     combinations of the columns before them, so skipping them changes no
     snapshot."""
     rng = random.Random(f"staircase {field_name}")
-    field = Q if field_name == "Q" else PrimeField(int(field_name[3]))
+    field = QQ if field_name == "Q" else PrimeField(int(field_name[3]))
     seen = set()
     for _ in range(25):
         nr, nc = rng.randint(1, 7), rng.randint(0, 9)
@@ -465,8 +464,8 @@ def test_int_and_fraction_elimination_agree(case):
     leads = []
     for cs in copies:
         rows = [[col.get(i, 0) for col in cs] for i in range(nr)]
-        assert rank(Q, sparse(rows)) == fraction_rank(rows)
-        ech = BottomEchelon(Q)
+        assert rank(QQ, sparse(rows)) == fraction_rank(rows)
+        ech = BottomEchelon(QQ)
         leads.append([ech.insert(dict(col)) for col in cs])
         assert all(type(x) in (int, Fraction) for v in ech.basis.values() for x in v.values())
         for r in range(nr + 1):

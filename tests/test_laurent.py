@@ -16,23 +16,20 @@ from artinkernels import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cli
 from artinkernels.laurent import (_int_divmod_poly, cyclotomic_int, cyclotomic_product,
                                   dense_divmod, dense_mul, dense_trim, quotient_residue,
                                   t_minus_one_multiplicities, totient)
-from artinkernels.scalars import FieldSpec
+from artinkernels.scalars import PrimeField
 
 from conftest import QQ, F2, F3
 from oracles import (cyclotomic_by_division, cyclotomic_product_by_powers,
                      evaluate_by_multiplication, horner_taylor, kd_coordinates, kd_reduce,
                      mult_d, quotient_residue_unfolded)
 
-Q = QQ.scalars()
-GF2 = F2.scalars()
 
-
-def L(coeffs, field=Q):
+def L(coeffs, field=QQ):
     return LaurentPoly(field, {e: field.from_int(c) if isinstance(c, int) else c
                                for e, c in coeffs.items()})
 
 
-def lpoly_strategy(field=Q, max_terms=4, exp_range=(-4, 6), coeff_range=(-5, 5)):
+def lpoly_strategy(field=QQ, max_terms=4, exp_range=(-4, 6), coeff_range=(-5, 5)):
     term = st.tuples(st.integers(*exp_range), st.integers(*coeff_range))
     return st.lists(term, max_size=max_terms).map(
         lambda ts: LaurentPoly(field, {}) + sum(
@@ -43,20 +40,20 @@ def lpoly_strategy(field=Q, max_terms=4, exp_range=(-4, 6), coeff_range=(-5, 5))
 
 def test_q_poly_is_one_for_k1():
     for m in (-3, 0, 5):
-        assert q_poly(1, m, Q) == L({0: 1})
+        assert q_poly(1, m, QQ) == L({0: 1})
 
 
 def test_q_poly_basic():
-    assert q_poly(2, 3, Q) == L({0: 1, 3: 1})
+    assert q_poly(2, 3, QQ) == L({0: 1, 3: 1})
 
 
 def test_q_poly_vanishes_in_char_dividing_k():
-    assert q_poly(2, 0, GF2).is_zero()
-    assert q_poly(3, 0, GF2) == L({0: 1}, GF2)
+    assert q_poly(2, 0, F2).is_zero()
+    assert q_poly(3, 0, F2) == L({0: 1}, F2)
 
 
 def test_q_poly_negative_exponent():
-    assert q_poly(3, -2, Q) == L({0: 1, -2: 1, -4: 1})
+    assert q_poly(3, -2, QQ) == L({0: 1, -2: 1, -4: 1})
 
 
 # -- cyclotomics ------------------------------------------------------------
@@ -65,18 +62,17 @@ def test_cyclotomic_small():
     assert cyclotomic(1, QQ) == L({0: -1, 1: 1})
     assert cyclotomic(2, QQ) == L({0: 1, 1: 1})
     assert cyclotomic(6, QQ) == L({0: 1, 1: -1, 2: 1})
-    assert cyclotomic(2, F2) == L({0: 1, 1: 1}, GF2)
+    assert cyclotomic(2, F2) == L({0: 1, 1: 1}, F2)
 
 
 def test_cyclotomic_product_identity_up_to_100():
-    for fspec in (QQ, F2, F3):
-        field = fspec.scalars()
+    for field in (QQ, F2, F3):
         for n in range(1, 101):
             prod = LaurentPoly.one(field)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = prod * cyclotomic(d, fspec)
-            assert prod == L({0: -1, n: 1}, field), f"n={n} over {fspec}"
+                    prod = prod * cyclotomic(d, field)
+            assert prod == L({0: -1, n: 1}, field), f"n={n} over {field}"
 
 
 # -- multiplicities ---------------------------------------------------------
@@ -90,7 +86,7 @@ def test_mult_d_examples():
 
 def test_mult_d_zero_errors():
     with pytest.raises(ZeroPolynomialError):
-        mult_d(LaurentPoly.zero(Q), 2)
+        mult_d(LaurentPoly.zero(QQ), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +137,7 @@ def test_laurent_gcd_on_ints_matches_fractions(f, g, h):
     their Fraction copies, and give the same gcd."""
     import artinkernels.laurent as lmod
     a, b = f * h, g * h
-    frac = lambda p: LaurentPoly(Q, {e: Fraction(c) for e, c in p.coeffs.items()})  # noqa: E731
+    frac = lambda p: LaurentPoly(QQ, {e: Fraction(c) for e, c in p.coeffs.items()})  # noqa: E731
     scale, seen = lmod.dense_content_scale, []
 
     def recording(cs):
@@ -172,7 +168,7 @@ def test_factor_invariant_cyclotomic_product_over_q():
 
 
 def test_factor_invariant_cube_over_f2():
-    tp1 = L({0: 1, 1: 1}, GF2)
+    tp1 = L({0: 1, 1: 1}, F2)
     facs = factor_invariant(tp1 * tp1 * tp1, F2)
     assert len(facs) == 1
     assert facs[0].poly == tp1 and facs[0].exponent == 3
@@ -184,16 +180,15 @@ def test_factor_invariant_unit_is_empty():
 
 def test_factor_invariant_reports_phi_d_mod_p_whole():
     # (t^3+t+1)(t^3+t^2+1) is Phi_7 mod 2: two irreducible cubics, one order
-    a = L({0: 1, 1: 1, 3: 1}, GF2)       # t^3 + t + 1
-    b = L({0: 1, 2: 1, 3: 1}, GF2)       # t^3 + t^2 + 1
+    a = L({0: 1, 1: 1, 3: 1}, F2)       # t^3 + t + 1
+    b = L({0: 1, 2: 1, 3: 1}, F2)       # t^3 + t^2 + 1
     facs = factor_invariant(a * b, F2)
     assert [(f.poly, f.exponent, f.cyclotomic_order) for f in facs] == \
         [(cyclotomic(7, F2), 1, 7)]
     # over GF(3), (t^2+1)^2 (t^2+t+2): Phi_4^2 and a leftover no Phi_d divides
     # (t^2+t+2 is one of the two factors of Phi_8 mod 3)
-    GF3 = F3.scalars()
-    c = LaurentPoly(GF3, {0: 1, 2: 1})               # t^2 + 1
-    d = LaurentPoly(GF3, {0: 2, 1: 1, 2: 1})         # t^2 + t + 2
+    c = LaurentPoly(F3, {0: 1, 2: 1})               # t^2 + 1
+    d = LaurentPoly(F3, {0: 2, 1: 1, 2: 1})         # t^2 + t + 2
     facs3 = factor_invariant(c * c * d, F3)
     assert [(f.poly, f.exponent, f.cyclotomic_order) for f in facs3] == \
         [(cyclotomic(4, F3), 2, 4), (d, 1, None)]
@@ -206,26 +201,25 @@ def test_factor_invariant_folds_orders_divisible_by_p():
     exponent, Phi_(p^a d) = Phi_d^phi(p^a) mod p."""
     rng = random.Random(0xF01D)
     for p in (0, 2, 3, 5):
-        fspec = FieldSpec(p) if p else QQ
-        field = fspec.scalars()
+        field = PrimeField(p) if p else QQ
         for _ in range(25):
             orders = [rng.randint(1, 36) for _ in range(rng.randint(0, 3))]
             if p:
                 orders.append(p * rng.randint(1, 12))
             f, want = LaurentPoly.one(field), {}
             for e in orders:
-                f = f * cyclotomic(e, fspec)
+                f = f * cyclotomic(e, field)
                 d, pa = e, 1
                 while p and d % p == 0:
                     d, pa = d // p, pa * p
                 want[d] = want.get(d, 0) + totient(pa)
             # a unit multiple: the factors are those of the monic associate
-            facs = factor_invariant(f.shift(-2).scale(field.from_int(-1)), fspec)
+            facs = factor_invariant(f.shift(-2).scale(field.from_int(-1)), field)
             assert {fac.cyclotomic_order: fac.exponent for fac in facs} == want, (p, orders)
             assert len(facs) == len(want)
             prod = LaurentPoly.one(field)
             for fac in facs:
-                assert fac.poly == cyclotomic(fac.cyclotomic_order, fspec)
+                assert fac.poly == cyclotomic(fac.cyclotomic_order, field)
                 prod = prod * fac.poly ** fac.exponent
             assert prod == normalize_unit(f)
 
@@ -243,8 +237,8 @@ def test_importing_the_package_loads_no_random():
 
 def test_factor_invariant_gf2_mixed():
     # (t+1)^2 (t^2+t+1) over GF(2)
-    tp1 = L({0: 1, 1: 1}, GF2)
-    t2t1 = L({0: 1, 1: 1, 2: 1}, GF2)
+    tp1 = L({0: 1, 1: 1}, F2)
+    t2t1 = L({0: 1, 1: 1, 2: 1}, F2)
     facs = factor_invariant(tp1 * tp1 * t2t1, F2)
     assert {(str(f.poly), f.exponent) for f in facs} == {("1 + t", 2), ("1 + t + t^2", 1)}
 
@@ -252,13 +246,12 @@ def test_factor_invariant_gf2_mixed():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=4))
 def test_factor_invariant_multiplies_back(orders):
-    for fspec in (QQ, F3):
-        field = fspec.scalars()
+    for field in (QQ, F3):
         f = LaurentPoly.one(field)
         for d in orders:
-            f = f * cyclotomic(d, fspec)
+            f = f * cyclotomic(d, field)
         prod = LaurentPoly.one(field)
-        for fac in factor_invariant(f, fspec):
+        for fac in factor_invariant(f, field):
             prod = prod * fac.poly ** fac.exponent
         assert prod == normalize_unit(f)
 
@@ -323,13 +316,13 @@ def test_cyclotomic_field_matches_the_dense_reference(d, data):
     for got, want in ((kd.add(a, b), [x + y for x, y in zip(ra, rb)]),
                       (kd.sub(a, b), [x - y for x, y in zip(ra, rb)]),
                       (kd.neg(a), [-x for x in ra]),
-                      (kd.mul(a, b), kd_reduce(kd, dense_mul(Q, ra, rb)))):
+                      (kd.mul(a, b), kd_reduce(kd, dense_mul(QQ, ra, rb)))):
         assert_canonical(kd, got)
         assert kd_coordinates(kd, got) == want
     if not kd.is_zero(a):
         inv = kd.inv(a)
         assert_canonical(kd, inv)
-        assert kd_reduce(kd, dense_mul(Q, ra, kd_coordinates(kd, inv))) == \
+        assert kd_reduce(kd, dense_mul(QQ, ra, kd_coordinates(kd, inv))) == \
             kd_coordinates(kd, kd.one)
 
 
@@ -453,9 +446,9 @@ def test_int_divmod_poly_matches_dense_division():
             a = [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(0, 3 * len(b)))]
             a = [0] * rng.randint(0, 2) + a + [0] * rng.randint(0, 3)
             q, r = _int_divmod_poly(a, b)
-            want_q, want_r = dense_divmod(Q, [Fraction(x) for x in a], [Fraction(x) for x in b])
+            want_q, want_r = dense_divmod(QQ, [Fraction(x) for x in a], [Fraction(x) for x in b])
             assert (len(q), len(r)) == (max(0, len(a) - len(b) + 1), min(len(a), len(b) - 1))
-            assert dense_trim(Q, q) == want_q and dense_trim(Q, r) == dense_trim(Q, want_r), (a, b)
+            assert dense_trim(QQ, q) == want_q and dense_trim(QQ, r) == dense_trim(QQ, want_r), (a, b)
 
 
 def test_evaluate_matches_the_sum_of_powers():
@@ -464,7 +457,7 @@ def test_evaluate_matches_the_sum_of_powers():
     (`oracles.evaluate_by_multiplication`), negative exponents included."""
     rng = random.Random(5)
     for p in (None, 2, 3, 5, 7):
-        field = FieldSpec(p).scalars()
+        field = PrimeField(p) if p else QQ
         for _ in range(40):
             coeffs = {rng.randint(-40, 40): Fraction(rng.randint(-9, 9), 1 if p else rng.randint(1, 4))
                       for _ in range(rng.randint(0, 5))}
@@ -495,14 +488,14 @@ def test_ring_axioms_sample(f, g, h):
 
 
 def test_display_format():
-    f = LaurentPoly(Q, {-1: Fraction(-1), 0: Fraction(1, 2), 2: Fraction(3)})
+    f = LaurentPoly(QQ, {-1: Fraction(-1), 0: Fraction(1, 2), 2: Fraction(3)})
     assert str(f) == "-t^-1 + 1/2 + 3*t^2"
-    assert str(LaurentPoly.zero(Q)) == "0"
+    assert str(LaurentPoly.zero(QQ)) == "0"
     assert str(L({0: -1, 1: 1})) == "-1 + t"
 
 
 def test_dense_divmod_reconstructs():
-    field = Q
+    field = QQ
     a = [field.from_int(c) for c in (3, 0, -2, 1, 5)]
     b = [field.from_int(c) for c in (1, 2, 1)]
     q, r = dense_divmod(field, a, b)
@@ -518,34 +511,33 @@ def test_cyclotomic_int_degree_is_totient():
 
 # -- cyclotomic multiplicities of t^N - 1 ----------------------------------
 
-FIELDS = (QQ, F2, F3, FieldSpec(5))
+FIELDS = (QQ, F2, F3, PrimeField(5))
 
 
 def test_t_minus_one_multiplicities_expand_to_t_power_minus_one():
-    for fspec in FIELDS:
-        field = fspec.scalars()
+    for field in FIELDS:
         for n in [*range(-60, 0), *range(1, 61)]:
-            mults = t_minus_one_multiplicities(n, fspec.char)
+            mults = t_minus_one_multiplicities(n, field.char)
             want = normalize_unit(L({n: 1, 0: -1}, field))
-            assert cyclotomic_product(mults, fspec) == want, (n, fspec)
+            assert cyclotomic_product(mults, field) == want, (n, field)
         with pytest.raises(ZeroPolynomialError):
-            t_minus_one_multiplicities(0, fspec.char)
+            t_minus_one_multiplicities(0, field.char)
 
 
 def test_q_factor_multiplicities_by_difference():
     # q_k(t^m) = (t^(km) - 1)/(t^m - 1), so its exponents are differences,
     # including mod p where p | k makes them larger than one
-    for fspec in FIELDS:
-        field = fspec.scalars()
+    for field in FIELDS:
         for k, m in ((3, -4), (2, 3), (6, 5), (5, 2)):
-            top = t_minus_one_multiplicities(k * m, fspec.char)
-            bottom = t_minus_one_multiplicities(m, fspec.char)
+            top = t_minus_one_multiplicities(k * m, field.char)
+            bottom = t_minus_one_multiplicities(m, field.char)
             mults = {d: e - bottom.get(d, 0) for d, e in top.items()}
             assert min(mults.values()) >= 0
-            assert (cyclotomic_product(mults, fspec)
-                    == normalize_unit(q_poly(k, m, field))), (k, m, fspec)
+            assert (cyclotomic_product(mults, field)
+                    == normalize_unit(q_poly(k, m, field))), (k, m, field)
 
 
+# the argument keeps the name that the test ids carry, fspec0 .. fspec3
 @pytest.mark.parametrize("fspec", FIELDS)
 def test_cyclotomic_product_matches_products_of_powers(fspec):
     """`cyclotomic_product`, an integer product mapped into the field once,
@@ -588,9 +580,9 @@ def test_cyclotomic_field_rows_on_demand_match_an_eager_table(d):
         elements.append(a)
     for a, b in zip(elements, elements[1:]):
         ra, rb = kd_coordinates(kd, a), kd_coordinates(kd, b)
-        assert kd_coordinates(kd, kd.mul(a, b)) == kd_reduce(kd, dense_mul(Q, ra, rb))
+        assert kd_coordinates(kd, kd.mul(a, b)) == kd_reduce(kd, dense_mul(QQ, ra, rb))
         if not kd.is_zero(a):
-            assert kd_reduce(kd, dense_mul(Q, ra, kd_coordinates(kd, kd.inv(a)))) == \
+            assert kd_reduce(kd, dense_mul(QQ, ra, kd_coordinates(kd, kd.inv(a)))) == \
                 kd_coordinates(kd, kd.one)
 
 

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from artinkernels import cli
-from artinkernels.scalars import FieldSpec
+from artinkernels.scalars import QQ, Field
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "report_golden.json")
 
@@ -39,33 +39,33 @@ K7_MATCHING = "".join(
 
 # (case id, input, field, k_max): every self-check entry, then k_max below
 # the clique dimension, where the dump stops at k_max + 1, then a large weight
-CASES = [(f"{name} over {fspec}", cli.fixture_text(name), fspec, None)
-         for name, fspec in cli.SELF_CHECK] + [
-    ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), FieldSpec(), 0),
-    ("triangle over Q, k_max=0", TRIANGLE, FieldSpec(), 0),
-    ("path m_u=210 over Q", PATH_M210, FieldSpec(), None),
-    ("K7 label-4 matching over Q", K7_MATCHING, FieldSpec(), None),
+CASES = [(f"{name} over {field}", cli.fixture_text(name), field, None)
+         for name, field in cli.SELF_CHECK] + [
+    ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), QQ, 0),
+    ("triangle over Q, k_max=0", TRIANGLE, QQ, 0),
+    ("path m_u=210 over Q", PATH_M210, QQ, None),
+    ("K7 label-4 matching over Q", K7_MATCHING, QQ, None),
 ]
 
 
-def report_digest(text: str, fspec: FieldSpec, k_max: int | None) -> str:
-    job = cli.JobConfig(text=text, field=fspec, k_max=k_max,
+def report_digest(text: str, field: Field, k_max: int | None) -> str:
+    job = cli.JobConfig(text=text, field=field, k_max=k_max,
                         dump_pages=True, dump_matrices=True)
     payload = json.loads(cli.run(job).to_json())
     del payload["timing"]
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case, text, fspec, k_max", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_golden_digest(case, text, fspec, k_max):
+@pytest.mark.parametrize("case, text, field, k_max", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden_digest(case, text, field, k_max):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert report_digest(text, fspec, k_max) == golden[case]
+    assert report_digest(text, field, k_max) == golden[case]
 
 
 @pytest.mark.parametrize("text", [cli.fixture_text("square_diagonal"), TRIANGLE])
 def test_dump_stops_at_k_max_plus_one(text):
-    job = cli.JobConfig(text=text, field=FieldSpec(), k_max=0, dump_matrices=True)
+    job = cli.JobConfig(text=text, field=QQ, k_max=0, dump_matrices=True)
     data = cli.run(job).data
     assert data["classification"]["clique_dimension"] == 2
     assert data["methods"]["ss"]["ran"] and data["status"]["ok"]

@@ -4,12 +4,12 @@ import pytest
 
 from artinkernels import (Character, LabeledGraph, ZeroCharacterError,
                           build_f2, build_flag_complex, build_gamma1,
-                          h1_free_rank, h2_free_rank, homology_module)
+                          h1_free_rank, h2_free_rank, homology_module, linalg)
 
 from artinkernels.cli import main
 
-from conftest import (QQ, F2, F3, dihedral_graph, random_character,
-                      random_even_graph, square_diagonal_graph, square_graph)
+from conftest import (QQ, F2, F3, dihedral_graph, random_character, random_even_graph,
+                      random_matching_graph, square_diagonal_graph, square_graph)
 from oracles import compose_int_columns
 
 
@@ -108,8 +108,8 @@ def test_f2_boundary_composition_vanishes():
         gg = random_even_graph(rng, max_vertices=5)
         cc = random_character(rng, gg, allow_zero=True)
         cases.append((gg, cc, F2))
-    for gg, cc, fspec in cases:
-        qc = build_f2(build_flag_complex(gg), cc, fspec)
+    for gg, cc, field in cases:
+        qc = build_f2(build_flag_complex(gg), cc, field)
         assert len(qc.d1) == len(qc.cells1) and len(qc.d2) == len(qc.cells2)
         # zero over Z, so over every field, and the signs are checked too
         prod = compose_int_columns(qc.d1, qc.d2)
@@ -125,6 +125,28 @@ def test_loop_cell_from_identified_resonant_edge():
     assert h2_free_rank(qc, F2) == 1
 
 
+def test_h2_free_rank_clears_d1_with_the_leads_of_d2():
+    """`h2_free_rank` ranks d1 skipping the lead rows of d2's reduction,
+    since d1 d2 = 0 on the quotient complex, loops included.  On seeded
+    quotient complexes with identifications, that gives the free rank of
+    d1 and d2 each reduced whole."""
+    rng = random.Random(0xC1EA)
+    identified = cleared = 0
+    for _ in range(150):
+        g = random_matching_graph(rng)
+        chi = random_character(rng, g, max_weight=1, allow_zero=True)
+        fc = build_flag_complex(g)
+        for field in (QQ, F2, F3):
+            qc = build_f2(fc, chi, field)
+            r1, r2 = (linalg.rank(field, [{i: field.from_int(x) for i, x in col.items()}
+                                          for col in d]) for d in (qc.d1, qc.d2))
+            assert h2_free_rank(qc, field) == len(qc.cells1) - r1 - r2, \
+                (g.raw_edges, chi.values, str(field))
+            identified += bool(qc.identifications)
+            cleared += bool(qc.identifications) and r1 > 0 and r2 > 0
+    assert identified and cleared, (identified, cleared)
+
+
 def test_free_ranks_agree_with_smith_on_fixtures_and_random_cases():
     cases = []
     g, chi, chi2 = square_diagonal_graph()
@@ -135,37 +157,37 @@ def test_free_ranks_agree_with_smith_on_fixtures_and_random_cases():
     for _ in range(10):
         gg = random_even_graph(rng, max_vertices=5)
         cc = random_character(rng, gg, allow_zero=True)
-        fspec = (QQ, F2, F3)[rng.randrange(3)]
-        cases.append((gg, cc, fspec))
-    for gg, cc, fspec in cases:
+        field = (QQ, F2, F3)[rng.randrange(3)]
+        cases.append((gg, cc, field))
+    for gg, cc, field in cases:
         fc = build_flag_complex(gg)
-        h1 = homology_module(fc, cc, fspec, 0).free_rank
-        assert h1 == h1_free_rank(build_gamma1(gg, cc, fspec)), \
-            (gg.raw_edges, cc.values, str(fspec))
+        h1 = homology_module(fc, cc, field, 0).free_rank
+        assert h1 == h1_free_rank(build_gamma1(gg, cc, field)), \
+            (gg.raw_edges, cc.values, str(field))
         if fc.dim >= 1:
-            h2 = homology_module(fc, cc, fspec, 1).free_rank
-            assert h2 == h2_free_rank(build_f2(fc, cc, fspec), fspec), \
-                (gg.raw_edges, cc.values, str(fspec))
+            h2 = homology_module(fc, cc, field, 1).free_rank
+            assert h2 == h2_free_rank(build_f2(fc, cc, field), field), \
+                (gg.raw_edges, cc.values, str(field))
 
 
 @pytest.mark.xfail(strict=True, reason="known defect (README; ROADMAP item 5): the quotient "
                    "complex gives H_2 free rank 0 where snf gives 1")
-@pytest.mark.parametrize("field", ["q", "p:2", "p:3"])
-def test_h2_free_rank_of_a_path_through_a_zero_weight_vertex(tmp_path, field):
+@pytest.mark.parametrize("selector", ["q", "p:2", "p:3"])
+def test_h2_free_rank_of_a_path_through_a_zero_weight_vertex(tmp_path, selector):
     """The path a0 - a2 - a1 with labels 4 and m = 1, -3, 0.  Its twisted
     complex has ranks 1, 3, 2, so the Euler characteristic over K(t) is 0,
     and with H_1 free rank 1 (snf and the reduced graph agree) it forces
     H_2 free rank 1: the run must agree and exit 0."""
     g = LabeledGraph(["a0", "a1", "a2"], [("a0", "a2", 4), ("a2", "a1", 4)])
     chi = Character(g, {"a0": 1, "a1": -3, "a2": 0})
-    fspec = {"q": QQ, "p:2": F2, "p:3": F3}[field]
+    field = {"q": QQ, "p:2": F2, "p:3": F3}[selector]
     fc = build_flag_complex(g)
-    assert homology_module(fc, chi, fspec, 1).free_rank == 1
-    assert h2_free_rank(build_f2(fc, chi, fspec), fspec) == 1
+    assert homology_module(fc, chi, field, 1).free_rank == 1
+    assert h2_free_rank(build_f2(fc, chi, field), field) == 1
     path = tmp_path / "path.graph"
     path.write_text("vertex a0 1\nvertex a1 -3\nvertex a2 0\n"
                     "edge a0 a2 4\nedge a2 a1 4\n")
-    assert main([str(path), "--field", field]) == 0
+    assert main([str(path), "--field", selector]) == 0
 
 
 def test_removal_log_mentions_reasons():

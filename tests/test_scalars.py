@@ -11,8 +11,8 @@ from artinkernels import Character, LabeledGraph, torsion_support
 from artinkernels.laurent import t_minus_one_multiplicities, totient
 import pytest
 
-from artinkernels.scalars import (PRIME_LIMIT, FieldSpec, Rationals, divisors,
-                                  is_prime, prime_factors)
+from artinkernels.scalars import (PRIME_LIMIT, PrimeField, Rationals, divisors,
+                                  is_prime, parse_field, prime_factors)
 from artinkernels.smith import cyclotomic_candidates
 
 Q = Rationals()
@@ -120,7 +120,7 @@ def test_is_prime_on_pseudoprimes_and_large_primes():
     assert is_prime(mersenne61)
     assert not is_prime(mersenne61 * (2 ** 13 - 1))
     assert is_prime(10 ** 16 + 61)
-    assert FieldSpec.parse(f"p:{mersenne61}").scalars().p == mersenne61
+    assert parse_field(f"p:{mersenne61}").p == mersenne61
 
 
 def test_is_prime_refuses_what_it_cannot_certify():
@@ -129,7 +129,7 @@ def test_is_prime_refuses_what_it_cannot_certify():
         with pytest.raises(ValueError):
             is_prime(n)
         with pytest.raises(ValueError):
-            FieldSpec(n)
+            PrimeField(n)
 
 
 @pytest.mark.parametrize("text", ["p ²", "²", "p:7²", "p:", "", "p -3", "GF(3)"])
@@ -137,4 +137,4 @@ def test_field_selector_parse_refuses_what_names_no_field(text):
     """Each selector fails with the parser's own message.  Superscripts are
     digits but not decimal, so `int` would refuse them with its message."""
     with pytest.raises(ValueError, match="cannot parse field selector"):
-        FieldSpec.parse(text)
+        parse_field(text)

@@ -4,12 +4,20 @@ A bounded-exhaustive sweep: every labeled FC-type graph on 1 to 3 vertices
 with labels in {2, 4, 6}, every nonzero character in [-2, 2]^n up to sign,
 over Q, GF(2) and GF(3).  Seeded random tests sample such inputs; this
 lists them all, so a check that fails on any small input shows here.
+
+Run as a script, it sweeps the next size: every labeled FC-type graph on 4
+vertices, every nonzero character in [-1, 1]^4 up to sign, over Q, GF(2),
+GF(3) and GF(5) (207 360 runs, a few minutes), and exits 1 unless it sees
+exactly the known failure groups in exactly that many runs:
+
+    PYTHONPATH=src python tests/test_small_inputs.py
 """
 
 import itertools
+import sys
 from collections import Counter
 
-from artinkernels import Character, LabeledGraph, is_fc_type
+from artinkernels import Character, LabeledGraph, PrimeField, is_fc_type
 from artinkernels.cli import JobConfig, run, serialize_input
 
 from conftest import F2, F3, QQ
@@ -21,8 +29,8 @@ from conftest import F2, F3, QQ
 KNOWN_FAILURES = {"H_2 free rank (snf vs resonant)"}
 
 
-def _small_inputs():
-    for n in (1, 2, 3):
+def _small_inputs(sizes=(1, 2, 3), bound=2):
+    for n in sizes:
         names = [f"a{i}" for i in range(n)]
         pairs = list(itertools.combinations(names, 2))
         for labels in itertools.product((None, 2, 4, 6), repeat=len(pairs)):
@@ -30,34 +38,62 @@ def _small_inputs():
                                      if label])
             if not is_fc_type(g):
                 continue
-            for weights in itertools.product(range(-2, 3), repeat=n):
+            for weights in itertools.product(range(-bound, bound + 1), repeat=n):
                 # chi and -chi once each: the first nonzero weight positive
                 if next((m for m in weights if m), 0) > 0:
                     yield g, Character(g, dict(zip(names, weights)))
 
 
+def sweep(inputs, fields) -> tuple:
+    """Runs every input over every field with all methods.  Returns the
+    number of runs, the non-ok reports and the exceptions grouped by the
+    check that failed, the first input text of each group, and the number
+    of runs in which the forest route agreed with snf."""
+    groups, witnesses = Counter(), {}
+    runs = forest_agreed = 0
+    for g, chi in inputs:
+        for field in fields:
+            runs += 1
+            text = serialize_input(g, chi, field)
+            try:
+                rep = run(JobConfig(text=text))
+            except Exception as exc:
+                failed = [f"{type(exc).__name__}: {exc}"]
+            else:
+                failed = [f"{c['subject']} ({' vs '.join(c['methods'])})"
+                          for c in rep.data["cross_checks"] if not c["agree"]]
+                failed += [f"shape: {c['name']}" for m in rep.data["homology"]["modules"]
+                           for c in m.get("shape", {}).get("checks", [])
+                           if c["status"] == "fail"]
+                if not rep.ok and not failed:
+                    failed = ["status not ok with no failing check"]
+                forest_agreed += any(c["methods"] == ["snf", "forest"] and c["agree"]
+                                     for c in rep.data["cross_checks"])
+            groups.update(failed)
+            for group in failed:
+                witnesses.setdefault(group, text)
+    return runs, groups, witnesses, forest_agreed
+
+
 def test_every_small_input_fails_only_the_known_checks():
     """Groups the non-ok reports and the exceptions of the sweep by the check
     that failed: the known groups, and no other, must come out."""
-    groups = Counter()
-    runs = forest_agreed = 0
-    for g, chi in _small_inputs():
-        for fspec in (QQ, F2, F3):
-            runs += 1
-            try:
-                rep = run(JobConfig(text=serialize_input(g, chi, fspec)))
-            except Exception as exc:
-                groups[f"{type(exc).__name__}: {exc}"] += 1
-                continue
-            failed = [f"{c['subject']} ({' vs '.join(c['methods'])})"
-                      for c in rep.data["cross_checks"] if not c["agree"]]
-            failed += [f"shape: {c['name']}" for m in rep.data["homology"]["modules"]
-                       for c in m.get("shape", {}).get("checks", []) if c["status"] == "fail"]
-            if not rep.ok and not failed:
-                failed = ["status not ok with no failing check"]
-            groups.update(failed)
-            forest_agreed += any(c["methods"] == ["snf", "forest"] and c["agree"]
-                                 for c in rep.data["cross_checks"])
+    runs, groups, _, forest_agreed = sweep(_small_inputs(), (QQ, F2, F3))
     assert runs == 8334
     assert set(groups) == KNOWN_FAILURES, groups
     assert forest_agreed >= 3000, forest_agreed
+
+
+def main() -> int:
+    runs, groups, witnesses, forest_agreed = sweep(_small_inputs((4,), 1),
+                                                   (QQ, F2, F3, PrimeField(5)))
+    print(f"{runs} runs, forest agreed with snf in {forest_agreed}")
+    for group, count in groups.most_common():
+        known = "known" if group in KNOWN_FAILURES else "NEW"
+        print(f"[{known}] {group}: {count} runs; first input:")
+        print("    " + witnesses[group].rstrip("\n").replace("\n", "\n    "))
+    return 0 if runs == 207360 and set(groups) == KNOWN_FAILURES else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

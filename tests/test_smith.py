@@ -16,7 +16,7 @@ from artinkernels import boundary_matrix, linalg, smith
 from artinkernels.cli import JobConfig, run, serialize_input
 from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, totient
 from artinkernels.linalg import BottomEchelon
-from artinkernels.scalars import FieldSpec
+from artinkernels.scalars import PrimeField
 from artinkernels.smith import (cyclotomic_invariant_factors, decompose_torsion,
                                 signed_boundary)
 
@@ -26,14 +26,12 @@ from conftest import (QQ, F2, F3, dihedral_graph, random_case,
 from oracles import (det, evaluate, exponents_every_vector, mult_d, poly_det_dense,
                      poly_matrix, submatrix)
 
-Q = QQ.scalars()
 
-
-def L(coeffs, field=Q):
+def L(coeffs, field=QQ):
     return LaurentPoly(field, {e: field.from_int(c) for e, c in coeffs.items()})
 
 
-def pm(rows, field=Q):
+def pm(rows, field=QQ):
     """PolyMatrix from integer-coefficient dicts."""
     entries = [[L(e, field) if isinstance(e, dict) else e for e in row] for row in rows]
     rlab = [(f"r{i}",) for i in range(len(rows))]
@@ -85,8 +83,7 @@ def _random_poly_matrix(rng, field, nr, nc, deg=2):
 def test_snf_transform_reconstruction_and_divisibility():
     rng = random.Random(3)
     for trial in range(12):
-        fspec = QQ if trial % 2 == 0 else F2
-        field = fspec.scalars()
+        field = QQ if trial % 2 == 0 else F2
         m = _random_poly_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
         s = smith_normal_form(m, keep_transforms=True)
         tr = s.transforms
@@ -127,8 +124,7 @@ def test_fitting_gcd_of_minors_matches_snf_products():
     rng = random.Random(9)
     checked = 0
     for trial in range(14):
-        fspec = QQ if trial % 3 else F2
-        field = fspec.scalars()
+        field = QQ if trial % 3 else F2
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = _random_poly_matrix(rng, field, nr, nc, deg=2)
         s = smith_normal_form(m)
@@ -176,7 +172,7 @@ def test_homology_square_over_q():
 def test_homology_square_diagonal_resonant_f2():
     g, chi, chi2 = square_diagonal_graph()
     fc = build_flag_complex(g)
-    tp1 = L({0: 1, 1: 1}, F2.scalars())
+    tp1 = L({0: 1, 1: 1}, F2)
     h1 = homology_module(fc, chi, F2, 0)
     assert h1.free_rank == 0 and h1.invariant_factors == [tp1] * 3
     h2 = homology_module(fc, chi, F2, 1)
@@ -240,11 +236,11 @@ def test_free_rank_agrees_with_random_specialization():
             dec = homology_module(fc, chi, QQ, k)
             # specialize t to a value that is not a root of any torsion
             # factor or of t; a large prime argument is safely generic
-            x = Q.from_int(9973)
+            x = QQ.from_int(9973)
             mk = evaluate(twisted_boundary(t, k), x)
             mk1 = evaluate(twisted_boundary(t, k + 1), x)
             from artinkernels.linalg import rank as frank
-            dim = len(fc.simplices_of(k)) - frank(Q, mk) - frank(Q, mk1)
+            dim = len(fc.simplices_of(k)) - frank(QQ, mk) - frank(QQ, mk1)
             assert dim == dec.free_rank
 
 
@@ -260,20 +256,20 @@ def test_cyclotomic_engine_agrees_with_euclidean_on_small_cases():
     """The persistence engine and the Euclidean reference give the same
     invariant factors over Q, GF(2), GF(3) and GF(5), resonant characters
     and characteristic-p folding included."""
-    fields = (QQ, F2, F3, FieldSpec(5))
+    fields = (QQ, F2, F3, PrimeField(5))
     rng = random.Random(61)
     cases = [dihedral_graph(), square_graph()] + list(_seeded_cases(rng, 150))
     seen = set()
     compared = 0
     for g, chi in cases:
         fc = build_flag_complex(g)
-        for fspec in fields:
-            p = fspec.char
-            t = BoundaryTables(fc, chi, fspec)
+        for field in fields:
+            p = field.char
+            t = BoundaryTables(fc, chi, field)
             for k in range(fc.dim + 2):
                 a = boundary_smith_form(t, k)
                 b = smith_normal_form(twisted_boundary(t, k))
-                context = (g.raw_edges, chi.values, fspec.char, k)
+                context = (g.raw_edges, chi.values, field.char, k)
                 assert a.rank == b.rank, context
                 assert a.invariant_factors == b.invariant_factors, context
                 compared += 1
@@ -290,9 +286,9 @@ def test_cyclotomic_engine_agrees_with_euclidean_on_small_cases():
     assert compared > 100
 
 
-def _modules(g, chi, fspec):
+def _modules(g, chi, field):
     fc = build_flag_complex(g)
-    decs = homology_modules(BoundaryTables(fc, chi, fspec), range(fc.dim + 1))[1]
+    decs = homology_modules(BoundaryTables(fc, chi, field), range(fc.dim + 1))[1]
     return {k: (dec.free_rank, [str(f) for f in dec.invariant_factors])
             for k, dec in decs.items()}
 
@@ -305,13 +301,13 @@ def test_decomposition_invariant_under_vertex_permutation():
     k8 = LabeledGraph(names, [(u, v, 4 if (u, v) in matching else 2)
                               for i, u in enumerate(names) for v in names[i + 1:]])
     k8_chi = Character(k8, dict(zip(names, (2, 5, 1, 3, 1, 4, 4, 4))))
-    for g, chi, fspec, shuffles in ((g, chi2, F2, 4), (k8, k8_chi, F3, 3)):
-        base = _modules(g, chi, fspec)
+    for g, chi, field, shuffles in ((g, chi2, F2, 4), (k8, k8_chi, F3, 3)):
+        base = _modules(g, chi, field)
         for _ in range(shuffles):
             order = list(g.vertices)
             rng.shuffle(order)
             pg = LabeledGraph(order, [(u, v, g.ell(u, v)) for u, v in g.edge_list])
-            assert _modules(pg, Character(pg, {v: chi.m(v) for v in order}), fspec) == base
+            assert _modules(pg, Character(pg, {v: chi.m(v) for v in order}), field) == base
 
 
 def test_dihedral_label_six_characteristic_split():
@@ -342,7 +338,8 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
                                   if u in comp and v in comp])
         sub_t = BoundaryTables(build_flag_complex(sub), chi.restrict(sub), QQ)
         sub_snf = smith_normal_form(twisted_boundary(sub_t, 1))
-        pieces += [(f.cyclotomic_order, f.exponent) for inv in sub_snf.nontrivial_factors
+        # a unit factor of the Euclidean form peels to no factor at all
+        pieces += [(f.cyclotomic_order, f.exponent) for inv in sub_snf.invariant_factors
                    for f in factor_invariant(inv, QQ)]
     # the elementary divisors Phi_d^e of a direct sum are the union of its
     # parts'; its invariant factors in general are not
@@ -350,16 +347,16 @@ def test_disconnected_torsion_is_componentwise_direct_sum():
         == sorted(pieces)
 
 
-def _refactored_reference(snf, fspec):
+def _refactored_reference(snf, field):
     """Primary parts, (t-1)-exponent and each factor's {order: exponent} as
     found by factoring the multiplied-out invariant factors back into
     cyclotomics."""
-    terms = [factor_invariant(f, fspec) for f in snf.nontrivial_factors]
+    terms = [factor_invariant(f, field) for f in snf.invariant_factors]
     primary, t1 = {}, 0
     for fl in terms:
         for fac in fl:
             assert fac.cyclotomic_order is not None
-            assert fac.poly == cyclotomic(fac.cyclotomic_order, fspec)
+            assert fac.poly == cyclotomic(fac.cyclotomic_order, field)
             if fac.cyclotomic_order == 1:
                 t1 += fac.exponent
             else:
@@ -390,16 +387,16 @@ def test_decompose_torsion_reads_exponents_as_factoring_would():
     for g, chi in cases:
         fc = build_flag_complex(g)
         q_orders = {}
-        for fspec in (QQ, F2, F3, FieldSpec(5)):
-            p = fspec.char
-            t = BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F2, F3, PrimeField(5)):
+            p = field.char
+            t = BoundaryTables(fc, chi, field)
             for k in range(t.fc.dim + 1):
                 snf = boundary_smith_form(t, k + 1)
                 assert all(slots[-1] for slots in snf.exponents.values())
                 if snf.rank == 0:
                     assert snf.exponents == {}
-                dec = decompose_torsion(k, 0, snf, fspec)
-                primary, t1, per_factor = _refactored_reference(snf, fspec)
+                dec = decompose_torsion(k, 0, snf, field)
+                primary, t1, per_factor = _refactored_reference(snf, field)
                 context = (g.raw_edges, chi.values, k, p)
                 if p == 0:
                     assert dec.primary_parts == primary, context
@@ -446,7 +443,7 @@ def test_verify_shape_divisibility_chain_verdicts(monkeypatch):
     phi1, phi2 = cyclotomic(1, QQ), cyclotomic(2, QQ)
     assert chain([phi1, phi2], {1: [1, 0], 2: [0, 1]}) == ("fail", 1)
     assert chain([phi1, phi1], {1: [1, 1]}) == ("pass", 0)
-    assert chain([phi1, phi1 * LaurentPoly.one(Q)], {1: [1, 1]}) == ("pass", 1)
+    assert chain([phi1, phi1 * LaurentPoly.one(QQ)], {1: [1, 1]}) == ("pass", 1)
 
 
 def test_verify_shape_fails_each_doctored_decomposition():
@@ -491,16 +488,16 @@ def test_invariant_factors_are_one_object_per_exponent_vector():
         g, chi = random_case(rng, max_vertices=6, labels=(2, 4), edge_prob=0.8,
                              allow_zero=True)
         fc = build_flag_complex(g)
-        for fspec in (QQ, F3):
-            t = BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F3):
+            t = BoundaryTables(fc, chi, field)
             for k in range(fc.dim + 2):
                 snf = cyclotomic_invariant_factors(signed_boundary(t, k)[0], t.weights(k - 1),
-                                                   t.weights(k), fspec)
+                                                   t.weights(k), field)
                 by_vector = {}
                 for i, f in enumerate(snf.invariant_factors):
                     vector = {d: slots[i] for d, slots in snf.exponents.items() if slots[i]}
                     assert by_vector.setdefault(tuple(vector.items()), f) is f
-                    assert f == cyclotomic_product(vector, fspec), (g.raw_edges, fspec, k)
+                    assert f == cyclotomic_product(vector, field), (g.raw_edges, field, k)
                 assert len({id(f) for f in snf.invariant_factors}) == len(by_vector)
                 shared += snf.rank - len(by_vector)
     assert shared > 0
@@ -520,33 +517,50 @@ def test_decomposition_slots_rebuild_the_module_in_every_characteristic():
     p_divides = dict.fromkeys((2, 3), 0)
     for g, chi in cases:
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2, F3):
-            _, decs = homology_modules(BoundaryTables(fc, chi, fspec), range(fc.dim + 1))
+        for field in (QQ, F2, F3):
+            _, decs = homology_modules(BoundaryTables(fc, chi, field), range(fc.dim + 1))
             for k, dec in decs.items():
-                context = (g.raw_edges, chi.values, str(fspec), k)
+                context = (g.raw_edges, chi.values, str(field), k)
                 slots = _slots(dec)
                 assert all(len(s) == len(slots) for s in dec.exponents.values()), context
                 assert all(slots), context          # each factor is nontrivial
-                assert dec.invariant_factors == [cyclotomic_product(s, fspec)
+                assert dec.invariant_factors == [cyclotomic_product(s, field)
                                                  for s in slots], context
                 assert dec.t_minus_1_exponent == sum(s.get(1, 0) for s in slots), context
                 assert dec.cyclotomic_parts == {
                     d: [s[d] for s in slots if d in s]
                     for d in sorted({d for s in slots for d in s}) if d >= 2}, context
-                torsion[fspec.char] += len(slots)
-                if fspec.char and any(chi.m(v) % fspec.char == 0 for v in g.vertices):
-                    p_divides[fspec.char] += len(slots)
+                torsion[field.char] += len(slots)
+                if field.char and any(chi.m(v) % field.char == 0 for v in g.vertices):
+                    p_divides[field.char] += len(slots)
     assert all(torsion.values()) and all(p_divides.values()), (torsion, p_divides)
 
-    # every pivot of a twisted boundary carries t - 1, so no invariant
-    # factor above is trivial; a bare signed boundary whose first pivot
-    # has no gap gives one, and its slot stays out of the module
-    snf = cyclotomic_invariant_factors([{0: 1}, {1: 1}], ([0, 0], {}),
-                                       ([0, 0], {2: [0, 1]}), QQ)
-    dec = decompose_torsion(0, 0, snf, QQ)
-    assert snf.exponents == {2: [0, 1]} and dec.exponents == {2: [1]}
-    assert dec.invariant_factors == [cyclotomic(2, QQ)]
-    assert dec.cyclotomic_parts == {2: [1]} and dec.t_minus_1_exponent == 0
+
+def test_every_reported_invariant_factor_carries_t_minus_1():
+    """`decompose_torsion` takes the Smith form whole, which is sound only
+    because no invariant factor a run reports is trivial: a kept cell's
+    entry carries t^(m_v) - 1 with m_v != 0, so every pivot gap at d = 1 is
+    at least 1.  Checked on seeded runs over Q, GF(2), GF(3) and GF(5),
+    with zero weights and resonant edges among them."""
+    rng = random.Random(0x7F11)
+    cases = [random_case(rng, max_vertices=5, max_weight=6, allow_zero=i % 2 == 1)
+             for i in range(30)]
+    cases.append(square_diagonal_graph()[::2])
+    factors = dict.fromkeys((0, 2, 3, 5), 0)
+    resonant = dict.fromkeys((0, 2, 3, 5), 0)
+    for g, chi in cases:
+        fc = build_flag_complex(g)
+        for field in (QQ, F2, F3, F5):
+            t = BoundaryTables(fc, chi, field)
+            _, decs = homology_modules(t, range(fc.dim + 1))
+            res = resonance_sets(g, chi, field)
+            for k, dec in decs.items():
+                ones = dec.exponents.get(1, [])
+                assert len(ones) == len(dec.invariant_factors), (g.raw_edges, chi.values, k)
+                assert all(e >= 1 for e in ones), (g.raw_edges, chi.values, str(field), k)
+                factors[field.char] += len(ones)
+                resonant[field.char] += len(ones) * (not res.is_K_nonresonant)
+    assert all(factors.values()) and all(resonant.values()), (factors, resonant)
 
 
 # the top simplex's column holds a masked cell at i = 0 and a kept one at
@@ -561,14 +575,14 @@ FAULT_CASES = {
 
 
 @pytest.mark.parametrize("fault", ["moved into a masked cell", "zeroed", "times t - 1"])
-@pytest.mark.parametrize("field", list(FAULT_CASES))
-def test_the_walk_rejects_a_doctored_entry(monkeypatch, field, fault):
+@pytest.mark.parametrize("case", list(FAULT_CASES))
+def test_the_walk_rejects_a_doctored_entry(monkeypatch, case, fault):
     """One entry of the top boundary doctored through `BoundaryTables.entry`
     makes `boundary_smith_form` raise at the doctored cell: moved from its
     cell into a masked one (met first, so the masked cell must raise), set
     to zero, or multiplied by t - 1 so that its span is one too many."""
-    fspec, g, weights = FAULT_CASES[field]
-    t = BoundaryTables(build_flag_complex(g), Character(g, weights), fspec)
+    field, g, weights = FAULT_CASES[case]
+    t = BoundaryTables(build_flag_complex(g), Character(g, weights), field)
     k = t.fc.dim
     X, fs = t.fc.masks[k][0], t.fc.facets(k)[0]
     top = X.bit_length() - 1
@@ -591,7 +605,7 @@ def test_the_walk_rejects_a_doctored_entry(monkeypatch, field, fault):
     monkeypatch.setattr(BoundaryTables, "entry", doctored)
     cell = t.fc.simplices_of(k - 1)[fs[0] if fault.startswith("moved") else fs[k]]
     with pytest.raises(ArithmeticError, match=re.escape(f"do not match the entry at {cell}")):
-        boundary_smith_form(BoundaryTables(t.fc, t.c, fspec), k)
+        boundary_smith_form(BoundaryTables(t.fc, t.c, field), k)
 
 
 def test_decompose_torsion_over_q_needs_exponents():
@@ -607,7 +621,7 @@ def test_decompose_torsion_over_q_needs_exponents():
 # clearing
 # ---------------------------------------------------------------------------
 
-F5 = FieldSpec(5)
+F5 = PrimeField(5)
 
 
 def _clearing_cases(rng, count):
@@ -625,7 +639,7 @@ def _smith_without_clearing(t, degrees):
     """`homology_modules` with every column reduced: each boundary alone."""
     snfs = {k: boundary_smith_form(t, k) for k in range(degrees.start, degrees.stop + 1)}
     decs = {k: decompose_torsion(k, len(t.fc.simplices_of(k)) - snfs[k].rank - snfs[k + 1].rank,
-                                 snfs[k + 1], t.fspec)
+                                 snfs[k + 1], t.field)
             for k in degrees}
     return snfs, decs
 
@@ -647,9 +661,9 @@ def test_clearing_leaves_smith_forms_and_modules_unchanged(monkeypatch):
     seen = set()
     for g, chi in _clearing_cases(rng, 60):
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2, F3, F5):
-            p = fspec.char
-            t = BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F2, F3, F5):
+            p = field.char
+            t = BoundaryTables(fc, chi, field)
             for k_max in sorted({fc.dim, rng.randint(0, fc.dim)}):
                 degrees = range(k_max + 1)
                 clearing[0] = True
@@ -678,7 +692,7 @@ def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
     skipped = {"image_dims": 0, "t = 2": 0}
     real_rank, real_point_rank = linalg.rank, smith.specialized_rank
     point_ranks = []
-    two = Q.from_int(2)
+    two = QQ.from_int(2)
 
     def rank_spy(field, rows, skip=frozenset(), leads=None):
         skipped["image_dims"] += len(skip)
@@ -694,19 +708,18 @@ def _check_clearing_against_full_eliminations(mp, rng, count) -> dict:
         g, chi = random_case(rng, max_vertices=6, labels=(2, 2, 4, 6), edge_prob=0.8,
                              allow_zero=True)
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2, F3):
-            field = fspec.scalars()
+        for field in (QQ, F2, F3):
             with mp.context() as spy:
                 spy.setattr(linalg, "rank", rank_spy)
-                got = image_dims(fc, fspec)
-            assert got == [real_rank(field, boundary_matrix(fc, k, fspec).columns)
-                           for k in range(fc.dim + 2)], (g.raw_edges, fspec)
+                got = image_dims(fc, field)
+            assert got == [real_rank(field, boundary_matrix(fc, k, field).columns)
+                           for k in range(fc.dim + 2)], (g.raw_edges, field)
         t = BoundaryTables(fc, chi, QQ)
         point_ranks.clear()
         with mp.context() as spy:
             spy.setattr(smith, "specialized_rank", point_rank_spy)
             homology_modules(t, range(fc.dim + 1))
-        assert point_ranks == [real_rank(Q, evaluate(twisted_boundary(t, k), two))
+        assert point_ranks == [real_rank(QQ, evaluate(twisted_boundary(t, k), two))
                                for k in range(fc.dim + 1, -1, -1)], (g.raw_edges, point_ranks)
     return skipped
 
@@ -759,18 +772,18 @@ def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatc
         if chi.is_zero:
             continue
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2, F3, F5):
-            t = BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F2, F3, F5):
+            t = BoundaryTables(fc, chi, field)
             above, ref_above = None, None
             for k in range(fc.dim + 1, -1, -1):
                 columns, _ = signed_boundary(t, k)
                 row_weights, col_weights = t.weights(k - 1), t.weights(k)
                 kept.clear()
-                snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, fspec,
+                snf = cyclotomic_invariant_factors(columns, row_weights, col_weights, field,
                                                    above and above.pivot_rows)
                 rank, exponents, ref_above = exponents_every_vector(
-                    columns, row_weights, col_weights, fspec, ref_above)
-                context = (g.raw_edges, chi.values, str(fspec), k)
+                    columns, row_weights, col_weights, field, ref_above)
+                context = (g.raw_edges, chi.values, str(field), k)
                 assert (snf.rank, snf.exponents) == (rank, exponents), context
                 above = snf
                 vectors = {}
@@ -792,7 +805,7 @@ def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatc
                                     if sum(col_w[j] - row_w[i] for j, i in pivots) == 0]
                     assert certificates, context
                     pivots = certificates[0]
-                    if fspec.char == 0 and len(pivots) <= 5:
+                    if field.char == 0 and len(pivots) <= 5:
                         m = twisted_boundary(t, k)
                         minor_det = det(submatrix(m, [m.rows[i] for _, i in pivots],
                                                   [m.cols[j] for j, _ in pivots]))
@@ -802,10 +815,10 @@ def test_pivot_minor_certificate_matches_reducing_every_weight_vector(monkeypatc
     assert seen["skipped"] > seen["degrees"], seen
 
 
-def _module_report(g, chi, fspec):
+def _module_report(g, chi, field):
     """The modules, ss multiplicities and forest factors a run reports,
     which name no vertex."""
-    rep = run(JobConfig(text=serialize_input(g, chi, fspec),
+    rep = run(JobConfig(text=serialize_input(g, chi, field),
                         methods=("snf", "ss", "forest")))
     assert rep.ok
     methods = rep.data["methods"]
@@ -817,8 +830,8 @@ def test_modules_unchanged_under_vertex_relabelling_and_reordering():
     rng = random.Random(79)
     fields = (QQ, F2, F3, F5)
     for trial, (g, chi) in enumerate(_clearing_cases(rng, 16)):
-        fspec = fields[trial % 4]
-        base = _module_report(g, chi, fspec)
+        field = fields[trial % 4]
+        base = _module_report(g, chi, field)
         for _ in range(2):
             order = list(g.vertices)
             rng.shuffle(order)
@@ -827,7 +840,7 @@ def test_modules_unchanged_under_vertex_relabelling_and_reordering():
             pg = LabeledGraph([new[v] for v in order],
                               [(new[u], new[v], g.ell(u, v)) for u, v in g.edge_list])
             pchi = Character(pg, {new[v]: chi.m(v) for v in order})
-            assert _module_report(pg, pchi, fspec) == base, (g.raw_edges, chi.values, order)
+            assert _module_report(pg, pchi, field) == base, (g.raw_edges, chi.values, order)
 
 
 def test_negated_character_gives_the_same_report_blocks():
@@ -838,14 +851,14 @@ def test_negated_character_gives_the_same_report_blocks():
     seen = set()
     for g, chi in _clearing_cases(rng, 40):
         neg = Character(g, {v: -chi.m(v) for v in g.vertices})
-        for fspec in (QQ, F2, F3):
+        for field in (QQ, F2, F3):
             blocks = []
             for c in (chi, neg):
-                rep = run(JobConfig(text=serialize_input(g, c, fspec),
+                rep = run(JobConfig(text=serialize_input(g, c, field),
                                     methods=("snf", "ss", "forest")))
                 assert rep.ok
                 blocks.append([rep.data[k] for k in ("homology", "methods", "cross_checks")])
-            assert blocks[0] == blocks[1], (g.raw_edges, chi.values, fspec)
+            assert blocks[0] == blocks[1], (g.raw_edges, chi.values, field)
             seen.add("non-resonant" if rep.data["resonance"]["k_nonresonant"] else "resonant")
             if any(m["invariant_factors"] for m in rep.data["homology"]["modules"]):
                 seen.add("torsion")

@@ -19,7 +19,7 @@ from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
                           normalize_unit, q_poly, resonance_sets)
 from artinkernels import smith, spectral
 from artinkernels.linalg import staircase_leads
-from artinkernels.scalars import FieldSpec
+from artinkernels.scalars import PrimeField
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_character, random_even_graph, random_matching_graph,
@@ -29,9 +29,7 @@ from oracles import (forest_fitting_h1_enumerated, least_forest_costs_listed, mu
                      simplex_weight, simplex_weights, sparse,
                      truncated_homology_dims, wc_basis, wc_weights)
 
-F5 = FieldSpec(5)
-
-Q = QQ.scalars()
+F5 = PrimeField(5)
 
 
 def test_square_weights_match_annotations():
@@ -345,7 +343,7 @@ def _tampered_boundaries(kind):
     if kind == "heavier row":
         col[tb.rows.index(("a",))] = entry
     else:
-        col[tb.rows.index(("b",))] = entry * LaurentPoly(Q, {0: 1, 1: 1})
+        col[tb.rows.index(("b",))] = entry * LaurentPoly(QQ, {0: 1, 1: 1})
     columns = list(tb.columns)
     columns[j] = col
     tc.boundaries[1] = dataclasses.replace(tb, columns=columns)
@@ -583,13 +581,13 @@ def test_forest_route_works_in_prime_characteristic():
     for _ in range(6):
         gg, cc = rc(rng, max_vertices=4, require_connected=True)
         from artinkernels import resonance_sets
-        for fspec in (F2, F3):
-            if not resonance_sets(gg, cc, fspec).is_K_nonresonant:
+        for field in (F2, F3):
+            if not resonance_sets(gg, cc, field).is_K_nonresonant:
                 continue
-            got = forest_fitting_h1(gg, cc, fspec)
+            got = forest_fitting_h1(gg, cc, field)
             want = smith_normal_form(
-                twisted_boundary(BoundaryTables(build_flag_complex(gg), cc, fspec), 1))
-            assert got == want.invariant_factors, (gg.raw_edges, cc.values, fspec)
+                twisted_boundary(BoundaryTables(build_flag_complex(gg), cc, field), 1))
+            assert got == want.invariant_factors, (gg.raw_edges, cc.values, field)
 
 
 def test_forest_guards():
@@ -602,11 +600,10 @@ def test_forest_guards():
         forest_fitting_h1(g2, chi2, QQ)
 
 
-def _forest_contribution(g, c, fspec, chosen) -> LaurentPoly:
+def _forest_contribution(g, c, field, chosen) -> LaurentPoly:
     """Weight polynomial of one spanning forest, already divided by the full
     vertex product and gcd-ed over root choices tree by tree: the
     polynomial reference for the forest route."""
-    field = fspec.scalars()
     comp = {v: v for v in g.vertices}
 
     def find(x):
@@ -645,7 +642,7 @@ def _forest_contribution(g, c, fspec, chosen) -> LaurentPoly:
     return total
 
 
-def _forest_chain_reference(g, c, fspec) -> list:
+def _forest_chain_reference(g, c, field) -> list:
     """Invariant factors as quotients of per-forest polynomial gcds, the
     forests enumerated as the acyclic edge subsets."""
     n = len(g.vertices)
@@ -662,7 +659,7 @@ def _forest_chain_reference(g, c, fspec) -> list:
                     break
                 comp[u] = v
             else:
-                w = normalize_unit(_forest_contribution(g, c, fspec, chosen))
+                w = normalize_unit(_forest_contribution(g, c, field, chosen))
                 gcds[n - r] = laurent_gcd(gcds[n - r], w) if n - r in gcds else w
     return [normalize_unit(gcds[s].exact_div(gcds[s + 1]))
             for s in range(n - 1, 0, -1)]
@@ -676,10 +673,10 @@ def test_forest_route_matches_per_forest_polynomial_gcds():
     checked = 0
     for _ in range(40):
         g, chi = random_case(rng, max_vertices=5, require_connected=True)
-        for fspec in (QQ, F2, F3, F5):
-            if not resonance_sets(g, chi, fspec).is_K_nonresonant:
+        for field in (QQ, F2, F3, F5):
+            if not resonance_sets(g, chi, field).is_K_nonresonant:
                 continue
-            p = fspec.char
+            p = field.char
             if p and any(chi.m(v) % p == 0 for v in g.vertices):
                 seen["p | m_v"] += 1
             for (u, v) in g.edge_list:
@@ -689,9 +686,9 @@ def test_forest_route_matches_per_forest_polynomial_gcds():
                 # off resonance p does not divide lt here
                 if p and me == 0 and lt > 1:
                     seen["m_e = 0, lt > 1"] += 1
-            want = _forest_chain_reference(g, chi, fspec)
-            assert forest_fitting_h1(g, chi, fspec) == want, (
-                g.raw_edges, chi.values, fspec)
+            want = _forest_chain_reference(g, chi, field)
+            assert forest_fitting_h1(g, chi, field) == want, (
+                g.raw_edges, chi.values, field)
             checked += 1
     assert checked >= 100 and min(seen.values()) > 0, (checked, seen)
 
@@ -722,18 +719,18 @@ def test_forest_sweep_matches_forest_listing():
         chi_shuffled = Character(shuffled, chi.weights)
         seen["neighbours reordered"] += any(list(shuffled.adjacency[v]) != list(g.adjacency[v])
                                             for v in g.vertices)
-        for fspec in (QQ, F2, F3, F5):
-            if not resonance_sets(g, chi, fspec).is_K_nonresonant:
+        for field in (QQ, F2, F3, F5):
+            if not resonance_sets(g, chi, field).is_K_nonresonant:
                 continue
-            p = fspec.char
+            p = field.char
             seen["p | m_v"] += bool(p) and any(chi.m(v) % p == 0 for v in g.vertices)
             seen["p | lt"] += bool(p) and any(g.ell_tilde(u, v) % p == 0
                                               for (u, v) in g.edge_list)
-            want = forest_fitting_h1_enumerated(g, chi, fspec)
-            assert forest_fitting_h1(g, chi, fspec) == want, (
-                g.raw_edges, chi.values, fspec)
-            assert forest_fitting_h1(shuffled, chi_shuffled, fspec) == want, (
-                shuffled.edge_list, chi.values, fspec)
+            want = forest_fitting_h1_enumerated(g, chi, field)
+            assert forest_fitting_h1(g, chi, field) == want, (
+                g.raw_edges, chi.values, field)
+            assert forest_fitting_h1(shuffled, chi_shuffled, field) == want, (
+                shuffled.edge_list, chi.values, field)
             checked += 1
     assert checked >= 400 and min(seen.values()) > 0, (checked, seen)
 

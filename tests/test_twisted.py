@@ -14,11 +14,8 @@ from conftest import (QQ, F2, F3, dihedral_graph, random_case,
 from oracles import (compose, cyclotomic_exponent, dense, evaluate, list_weights, minor,
                      poly_matrix_rank, simplex_weights)
 
-Q = QQ.scalars()
-GF2 = F2.scalars()
 
-
-def L(coeffs, field=Q):
+def L(coeffs, field=QQ):
     return LaurentPoly(field, {e: field.from_int(c) for e, c in coeffs.items()})
 
 
@@ -55,12 +52,12 @@ def test_square_diagonal_matches_published_complex_over_f2():
         return {m1.rows[i]: m1.entries[i][j] for i in range(len(m1.rows))
                 if not m1.entries[i][j].is_zero()}
 
-    tp1 = L({0: 1, 1: 1}, GF2)
+    tp1 = L({0: 1, 1: 1}, F2)
     assert col(("v0", "v2")) == {}
     assert col(("v1", "v2")) == {("v1",): tp1, ("v2",): tp1}
     assert col(("v2", "v3")) == {("v2",): tp1, ("v3",): tp1}
-    assert col(("v0", "v1")) == {("v0",): tp1, ("v1",): L({-1: 1, 0: 1}, GF2)}
-    assert col(("v0", "v3")) == {("v0",): tp1, ("v3",): L({-1: 1, 0: 1}, GF2)}
+    assert col(("v0", "v1")) == {("v0",): tp1, ("v1",): L({-1: 1, 0: 1}, F2)}
+    assert col(("v0", "v3")) == {("v0",): tp1, ("v3",): L({-1: 1, 0: 1}, F2)}
 
     m2 = twisted_boundary(t, 2)
     for j, tri in enumerate(m2.cols):
@@ -76,8 +73,8 @@ def test_twisted_boundary_squares_to_zero():
         cases.append(random_case(rng, max_vertices=5))
     for g, chi in cases:
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2):
-            t = BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F2):
+            t = BoundaryTables(fc, chi, field)
             for k in range(0, fc.dim + 1):
                 assert compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero()
 
@@ -89,7 +86,7 @@ def test_every_entry_vanishes_at_t_equal_one():
         m = twisted_boundary(t, k)
         for row in m.entries:
             for e in row:
-                assert Q.is_zero(e.evaluate(Q.one))
+                assert QQ.is_zero(e.evaluate(QQ.one))
 
 
 def test_simplex_weights_examples():
@@ -106,7 +103,7 @@ def test_simplex_weights_exclude_resonant_edge():
     g, chi, _ = square_diagonal_graph()
     fc = build_flag_complex(g)
     w = simplex_weights(fc, chi, F2, ("v0", "v2"))
-    assert w.q == LaurentPoly.one(GF2)  # the resonant diagonal contributes nothing
+    assert w.q == LaurentPoly.one(F2)  # the resonant diagonal contributes nothing
     assert not w.p.is_zero()
 
 
@@ -137,8 +134,8 @@ def test_minor_matches_weight_ratio_on_spanning_tree():
     rows = [untwisted.rows.index(y) for y in ybar]
     plain = dense(untwisted)
     sub = [[plain[i][j] for j in cols] for i in rows]
-    det_plain = _det(Q, sub)
-    assert det_plain != Q.zero
+    det_plain = _det(QQ, sub)
+    assert det_plain != QQ.zero
     wx = list_weights(fc, chi, QQ, xbar)
     wy = list_weights(fc, chi, QQ, ybar)
     lhs = twisted * wy.p * wy.q
@@ -166,12 +163,12 @@ def test_minor_ratio_identity_on_random_small_minors():
                     tw = minor(fc, chi, QQ, 1, list(xbar), list(ybar))
                     rows = [verts.index(y) for y in ybar]
                     cols = [edges.index(x) for x in xbar]
-                    plain = _det(Q, [[ub[i][j] for j in cols] for i in rows])
+                    plain = _det(QQ, [[ub[i][j] for j in cols] for i in rows])
                     wx = list_weights(fc, chi, QQ, xbar)
                     wy = list_weights(fc, chi, QQ, ybar)
                     assert tw * wy.p * wy.q == (wx.p * wx.q).scale(plain)
                     # nonzero twisted minor iff nonzero untwisted minor
-                    assert tw.is_zero() == (plain == Q.zero)
+                    assert tw.is_zero() == (plain == QQ.zero)
 
 
 def test_rank_matches_untwisted_rank_when_nonresonant():
@@ -185,7 +182,7 @@ def test_rank_matches_untwisted_rank_when_nonresonant():
         for k in range(0, fc.dim + 2):
             tw = twisted_boundary(t, k)
             un = boundary_matrix(fc, k, QQ)
-            assert poly_matrix_rank(tw) == field_rank(Q, un.columns)
+            assert poly_matrix_rank(tw) == field_rank(QQ, un.columns)
 
 
 def _det(field, rows):
@@ -212,8 +209,8 @@ def _random_tables(rng, count):
         g, chi = random_case(rng, max_vertices=6, labels=(2, 2, 4, 6), edge_prob=0.8,
                              allow_zero=True)
         fc = build_flag_complex(g)
-        for fspec in (QQ, F2, F3):
-            yield fc, chi, fspec, BoundaryTables(fc, chi, fspec)
+        for field in (QQ, F2, F3):
+            yield fc, chi, field, BoundaryTables(fc, chi, field)
 
 
 def test_facet_table_lists_the_facet_positions():
@@ -231,8 +228,7 @@ def test_every_entry_is_the_product_of_its_facet_factors():
     included: leaving their q_1 = 1 out of `facet_factors` changes no entry."""
     rng = random.Random(89)
     seen = set()
-    for fc, chi, fspec, t in _random_tables(rng, 12):
-        field = fspec.scalars()
+    for fc, chi, field, t in _random_tables(rng, 12):
         g = fc.graph
         for k in range(0, fc.dim + 1):
             m = twisted_boundary(t, k)
@@ -255,8 +251,8 @@ def test_label_two_complete_graph_has_two_entries_per_vertex_weight():
     g = LabeledGraph(names, [(u, v, 2) for i, u in enumerate(names) for v in names[i + 1:]])
     chi = Character(g, dict(zip(names, (1, 1, 2, 3, 3, -2))))
     fc = build_flag_complex(g)
-    for fspec in (QQ, F3):
-        t = BoundaryTables(fc, chi, fspec)
+    for field in (QQ, F3):
+        t = BoundaryTables(fc, chi, field)
         objects = {id(e) for k in range(fc.dim + 1)
                    for col in twisted_boundary(t, k).columns for e in col.values()}
         assert len(objects) == 2 * len({chi.m(v) for v in names})
@@ -278,9 +274,9 @@ def test_the_smith_walk_matches_reference_weights_masks_and_values():
     so the memos keyed by the neighbours present must tell them apart."""
     rng = random.Random(0x3A1C)
     seen = Counter()
-    for fc, chi, fspec, t in _random_tables(rng, 16):
-        g, p = fc.graph, fspec.char
-        res = resonance_sets(g, chi, fspec)
+    for fc, chi, field, t in _random_tables(rng, 16):
+        g, p = fc.graph, field.char
+        res = resonance_sets(g, chi, field)
         orders = sorted({d for n in [chi.m(v) for v in g.vertices]
                          + [g.ell_tilde(u, v) * chi.m_edge(u, v) for u, v in g.edge_list]
                          if n for d in divisors(abs(n)) if not p or d % p})
@@ -290,16 +286,16 @@ def test_the_smith_walk_matches_reference_weights_masks_and_values():
                     + sum((u, v) in res.resonant_edges for i, u in enumerate(X) for v in X[i + 1:]))
 
         for k in range(-1, fc.dim + 2):
-            context = (g.raw_edges, chi.values, str(fspec), k)
+            context = (g.raw_edges, chi.values, str(field), k)
             simplices = fc.simplices_of(k)
-            products = [w.p * w.q for w in (list_weights(fc, chi, fspec, [X]) for X in simplices)]
+            products = [w.p * w.q for w in (list_weights(fc, chi, field, [X]) for X in simplices)]
             arrays = {d: ws for d in orders
-                      if any(ws := [cyclotomic_exponent(w, d, fspec) for w in products])}
+                      if any(ws := [cyclotomic_exponent(w, d, field) for w in products])}
             assert t.weights(k) == ([zeros(X) for X in simplices], arrays), context
             if k < 0:
                 continue
             faces = fc.simplices_of(k - 1)
-            full = boundary_matrix(fc, k, fspec).columns
+            full = boundary_matrix(fc, k, field).columns
             columns, at_point = signed_boundary(t, k)
             assert columns == [{f: sign for f, sign in col.items() if zeros(faces[f]) == zeros(X)}
                                for X, col in zip(simplices, full)], context
@@ -307,7 +303,7 @@ def test_the_smith_walk_matches_reference_weights_masks_and_values():
             if p:
                 assert at_point is None
             else:
-                assert at_point == evaluate(twisted_boundary(t, k), Q.from_int(2)), context
+                assert at_point == evaluate(twisted_boundary(t, k), QQ.from_int(2)), context
                 seen["values"] += sum(map(len, at_point))
         if p:
             continue
