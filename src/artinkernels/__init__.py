@@ -27,7 +27,7 @@ from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
                     verify_shape)
 from .spectral import (DisconnectedGraphError, NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, WeightedComplex,
-                       forest_fitting_h1, page_dims,
+                       forest_fitting_h1, page_dims, shared_page_tables,
                        solve_torsion, weighted_complex)
 from .twisted import BoundaryTables, PolyMatrix, twisted_boundary
 

@@ -34,8 +34,8 @@ from .resonant import build_f2, build_gamma1, h1_free_rank, h2_free_rank
 from .scalars import QQ, Field, PrimeField, parse_field
 from .smith import boundary_smith_form, homology_modules, verify_shape
 from .spectral import (DisconnectedGraphError, NegativeMultiplicityError,
-                       ResonantCharacterError, forest_fitting_h1, page_dims,
-                       solve_torsion, weighted_complex)
+                       ResonantCharacterError, forest_fitting_h1,
+                       shared_page_tables, solve_torsion)
 from .twisted import BoundaryTables, twisted_boundary
 
 SCHEMA = "artinkernels-report/1"
@@ -306,25 +306,26 @@ def run(job: JobConfig) -> Report:
     # the spine's twisted complex: it filters every degree through fc.dim
     want_ss = "ss" in job.methods
     if want_ss and field.char == 0 and support is not None:
+        # orders with equal weights share one page table (spectral docstring)
         rows, pages_out = {}, {}
-        for d in support.values:
-            pt = page_dims(weighted_complex(tc, d))
-            rows.update(((k, d), row) for k, row in solve_torsion(pt, ranks, k_max).items())
+        for pt in shared_page_tables(tc, support.values):
+            ns = solve_torsion(pt, ranks, k_max)
+            rows.update(((k, d), row) for d in pt.orders for k, row in ns.items())
             if job.dump_pages:
-                pages_out[str(d)] = {
+                pages_out.update(dict.fromkeys(pt.orders, {
                     "max_weight": pt.max_weight,
                     "dims": {f"s={s} p={p} q={q}": v
                              for (s, p, q), v in pt.nonzero().items()},
                     "stable": {f"p={p} q={q}": v
                                for (p, q), v in sorted(pt.stable.items())},
-                }
+                }))
         methods["ss"] = {
             "ran": True,
             "jordan_bound_ok": True,
             "multiplicities": {f"k={k} d={d}": row for (k, d), row in sorted(rows.items())},
         }
         if job.dump_pages:
-            methods["ss"]["pages"] = pages_out
+            methods["ss"]["pages"] = {str(d): pages_out[d] for d in support.values}
         if job.cross_check:
             for k in range(0, k_max + 1):
                 for d in support.values:

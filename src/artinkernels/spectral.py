@@ -39,6 +39,16 @@ from the top degree down and skips those columns.  Almost every column
 left becomes a new pivot, so `BottomEchelon` inverts a lead in K_d only
 when its vector reduces another column.
 
+Orders with equal weights share their pages (`shared_page_tables`).  E
+is diagonal and nonzero, so a staircase rank over K_d is that of the
+same submatrix of the integer S_n over Q: orders whose weights agree
+simplex by simplex have equal leads, pages and multiplicities, and each
+group is swept once, at its least order, where K_d is cheapest.  This
+needs every unit of every order to exist and be nonzero, so each other
+order still reads at its own root the unit of each (entry, drop) the
+sweep read, a remainder or a zero raising as there; equal weights give
+equal drops, so these are the pairs its own pass would read.
+
 The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
 degree-k homology then satisfies, with r_q the reduced flag homology,
 
@@ -140,19 +150,18 @@ class WeightedComplex:
     weights: dict                     # n -> the weights of order[n], ascending
     columns: dict                     # n -> sparse boundary columns
     max_weight: int
+    orders: tuple                     # d, then the orders whose units were also checked
 
 
-def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
-    """The filtration for order d, read off the twisted boundaries of t over
-    Q in chain degrees 0 .. t.fc.dim."""
+def position_weights(t: BoundaryTables, d: int) -> dict:
+    """n -> the weights w(X) for order d of the simplices of degree n by
+    position, for n = -1 .. t.fc.dim."""
     if d < 2:
         raise ValueError("the multiplicity filtration needs d >= 2")
     fc, c, g = t.fc, t.c, t.fc.graph
     if any(c.m(v) == 0 for v in g.vertices):
         raise ResonantCharacterError("the multiplicity filtration needs a "
                                      "non-resonant character")
-    kd = cyclotomic_field(d)
-
     # w(X) summed from tables by position: a simplex adds its last vertex
     # and the edges to it onto its prefix, the last entry of its facets.
     # Only an edge of label >= 4 can weigh 1 (a label-2 edge has q = 1), so
@@ -166,6 +175,16 @@ def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
         by_position[n] = [ws[fs[-1]] + vertex_w[v := m.bit_length() - 1]
                           + (m & heavy[v]).bit_count()
                           for m, fs in zip(fc.masks[n], fc.facets(n))]
+    return by_position
+
+
+def weighted_complex(t: BoundaryTables, d: int, shared=()) -> WeightedComplex:
+    """The filtration for order d, read off the twisted boundaries of t over
+    Q in chain degrees 0 .. t.fc.dim.  Each order in `shared`, whose
+    weights must equal d's, has every unit that d reads read and checked
+    at its own root too (module docstring)."""
+    by_position = position_weights(t, d)
+    kd = cyclotomic_field(d)
     # each degree in (weight, position) order: a stable sort of the positions;
     # slot[n] is the inverse permutation, position -> index in order[n]
     order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}
@@ -174,7 +193,8 @@ def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
     # entries with equal factors and sign are one shared object, so each
     # (entry, drop) has its leading unit read, and checked, once: a unit is a
     # nonempty tuple, so `or` calls new_unit on a miss only, and a negative
-    # drop is never stored, so every entry that has one is checked
+    # drop is never stored, so every entry that has one is checked, at d and
+    # at each shared order
     units = {}
 
     def new_unit(entry, drop, tb, i, j):
@@ -182,19 +202,32 @@ def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
             raise ArithmeticError(f"weights must not increase along faces: "
                                   f"{tb.rows[i]}, {tb.cols[j]}")
         unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
-        if kd.is_zero(unit):
+        if kd.is_zero(unit) or any(cyclotomic_field(e).is_zero(quotient_residue(entry, e, drop))
+                                   for e in shared):
             raise ArithmeticError(f"leading unit vanished at {tb.rows[i]}, {tb.cols[j]}")
         return unit
 
     columns = {-1: [{}]}
-    for n in range(0, fc.dim + 1):
+    for n in range(0, t.fc.dim + 1):
         tb, col_w, row_w, row_slot = (twisted_boundary(t, n), by_position[n],
                                       by_position[n - 1], slot[n - 1])
         columns[n] = [{row_slot[i]: units.get((id(entry), col_w[j] - row_w[i]))
                        or new_unit(entry, col_w[j] - row_w[i], tb, i, j)
                        for i, entry in tb.columns[j].items()} for j in order[n]]
     weights = {n: [by_position[n][j] for j in js] for n, js in order.items()}
-    return WeightedComplex(t, d, kd, order, weights, columns, max(w[-1] for w in weights.values()))
+    return WeightedComplex(t, d, kd, order, weights, columns,
+                           max(w[-1] for w in weights.values()), (d, *shared))
+
+
+def shared_page_tables(t: BoundaryTables, orders):
+    """One PageTable per distinct filtration among the orders, in the order
+    of its least order d, where K_d is cheapest; `pt.orders` lists the
+    orders that share it (module docstring)."""
+    groups = {}
+    for d in sorted(orders):
+        groups.setdefault(tuple(map(tuple, position_weights(t, d).values())), []).append(d)
+    for d, *shared in groups.values():
+        yield page_dims(weighted_complex(t, d, shared))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +236,20 @@ def weighted_complex(t: BoundaryTables, d: int) -> WeightedComplex:
 
 @dataclass
 class PageTable:
-    d: int
+    orders: tuple                    # the orders d whose filtration this is
     s_max: int
     pages: list                      # pages[s]: (p, q) -> dim, nonzero only; s > last reads last
     max_weight: int
     top_degree: int
+
+    def __post_init__(self):
+        # rows[s]: k -> the sum over p of page s in row k = p + q; the label
+        # names every order in the check errors
+        self.rows = [{} for _ in self.pages]
+        for row, page in zip(self.rows, self.pages):
+            for (p, q), v in page.items():
+                row[p + q] = row.get(p + q, 0) + v
+        self.label = "d=" + ",".join(map(str, self.orders))
 
     @property
     def stable(self) -> dict:
@@ -220,7 +262,7 @@ class PageTable:
         return self.page(s).get((p, q), 0)
 
     def h_row(self, s: int, k: int) -> int:
-        return sum(v for (p, q), v in self.page(s).items() if p + q == k)
+        return self.rows[min(s, len(self.rows) - 1)].get(k, 0)
 
     def stable_row(self, k: int) -> int:
         return self.h_row(self.s_max, k)
@@ -281,10 +323,11 @@ def page_dims(wc: WeightedComplex) -> PageTable:
         return out
 
     pages = [page(s) for s in range(wmax + 2)]
+    pt = PageTable(wc.orders, s_hi, pages, wmax, top)
     if page(s_hi + 1) != pages[-1]:
         raise NegativeMultiplicityError(
-            f"pages {wmax + 1} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    return PageTable(wc.d, s_hi, pages, wmax, top)
+            f"pages {wmax + 1} and {s_hi + 1} differ for {pt.label}: not stabilized")
+    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +359,19 @@ def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
         r_k = r_list[k] if k < len(r_list) else 0
         if pt.stable_row(k) != r_k:
             raise NegativeMultiplicityError(
-                f"stable page row {k} is {pt.stable_row(k)}, expected r_{k}={r_k}")
+                f"stable page row {k} is {pt.stable_row(k)} for {pt.label}, expected r_{k}={r_k}")
     chi = chi_rel(pt, r_list, k_max)
     out = {}
     for k in range(0, k_max + 1):
         vals = [chi[s, k] for s in range(1, k + 4)]
         if vals[k + 2] != 0:
             raise NegativeMultiplicityError(
-                f"chi_rel at page {k + 3} for k={k}, d={pt.d} is {vals[k + 2]}, "
+                f"chi_rel at page {k + 3} for k={k}, {pt.label} is {vals[k + 2]}, "
                 "violating the Jordan bound")
         ns = [vals[j - 1] - vals[j] for j in range(1, k + 2)] + [vals[k + 1]]
         if any(n < 0 for n in ns):
             raise NegativeMultiplicityError(
-                f"negative multiplicity for k={k}, d={pt.d}: {ns}")
+                f"negative multiplicity for k={k}, {pt.label}: {ns}")
         out[k] = ns
     return out
 

@@ -535,7 +535,7 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     if pages[s_hi] != pages[s_hi + 1]:
         raise NegativeMultiplicityError(
             f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    return PageTable(wc.d, s_hi, pages[:s_hi + 1], wmax, top)
+    return PageTable(wc.orders, s_hi, pages[:s_hi + 1], wmax, top)
 
 
 # ---------------------------------------------------------------------------

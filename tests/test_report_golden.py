@@ -29,6 +29,11 @@ TRIANGLE = "vertex a 2\nvertex b 2\nvertex c 2\nedge a b 2\nedge b c 2\nedge a c
 # up to phi(210) = 48, with entries of degree 210
 PATH_M210 = "vertex u 210\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
 
+# the 3-vertex path with m_u = 105: its torsion support interleaves two
+# filtrations, {3, 5, 7, ..., 105} and {4, 212}, so the dump pins the
+# support order of the pages
+PATH_M105 = "vertex u 105\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
+
 # K_7 with a label-4 matching {01, 23, 45}: its d = 2 filtration reaches
 # weight 5 in clique dimension 6, so pages 7 .. s_max repeat page 6 and the
 # dump pins those repeated pages too
@@ -44,6 +49,7 @@ CASES = [(f"{name} over {field}", cli.fixture_text(name), field, None)
     ("square_diagonal over Q, k_max=0", cli.fixture_text("square_diagonal"), QQ, 0),
     ("triangle over Q, k_max=0", TRIANGLE, QQ, 0),
     ("path m_u=210 over Q", PATH_M210, QQ, None),
+    ("path m_u=105 over Q", PATH_M105, QQ, None),
     ("K7 label-4 matching over Q", K7_MATCHING, QQ, None),
 ]
 

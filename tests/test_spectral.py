@@ -3,18 +3,20 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from artinkernels import (BoundaryTables, build_flag_complex, forest_fitting_h1,
-                          homology_module, page_dims,
+from artinkernels import (BoundaryTables, build_flag_complex, cli, forest_fitting_h1,
+                          homology_module, page_dims, shared_page_tables,
                           reduced_homology_ranks, smith_normal_form,
                           solve_torsion, torsion_support, twisted_boundary,
                           weighted_complex)
-from artinkernels.spectral import (DisconnectedGraphError, ResonantCharacterError,
-                                   chi_rel, least_forest_costs)
+from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityError,
+                                   ResonantCharacterError, chi_rel, least_forest_costs,
+                                   position_weights)
 from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
                           normalize_unit, q_poly, resonance_sets)
 from artinkernels import smith, spectral
@@ -236,9 +238,9 @@ def test_truncated_coefficient_oracle_matches_page_rows():
 def test_ss_reads_nothing_of_the_smith_route(monkeypatch):
     """ss is the Smith route's independent check, so it must not read the
     Smith route's weights (`BoundaryTables.weights`), its signed boundaries
-    or any Smith form: with all of them raising, `weighted_complex`,
-    `page_dims` and `solve_torsion` still run, and still agree with the
-    Smith route's exponents computed beforehand."""
+    or any Smith form: with all of them raising, `shared_page_tables`, the
+    entry point of `cli.run`, and `solve_torsion` still run, and still
+    agree with the Smith route's exponents computed beforehand."""
     rng = random.Random(53)
     cases = [square_graph()] + [random_case(rng, max_vertices=5) for _ in range(8)]
     want = []
@@ -264,9 +266,10 @@ def test_ss_reads_nothing_of_the_smith_route(monkeypatch):
         r = reduced_homology_ranks(fc, QQ)
         tc = BoundaryTables(fc, chi, QQ)
         got = {}
-        for d in torsion_support(g, chi).values:
-            for k, row in solve_torsion(page_dims(weighted_complex(tc, d)), r).items():
-                got[k, d] = tuple(j for j, n in enumerate(row, start=1) for _ in range(n))
+        for pt in shared_page_tables(tc, torsion_support(g, chi).values):
+            for k, row in solve_torsion(pt, r).items():
+                got.update(((k, d), tuple(j for j, n in enumerate(row, start=1)
+                                          for _ in range(n))) for d in pt.orders)
         assert got == exps, (g.raw_edges, chi.values)
     assert sum(map(len, want)) > 20
 
@@ -385,6 +388,144 @@ def test_weighted_complex_checks_survive_python_O():
     assert out[0] == "optimize 1" and len(out) == 1 + len(TAMPERED)
     for kind, line in zip(sorted(TAMPERED), out[1:]):
         assert line.startswith(f"{kind} raised {TAMPERED[kind]}"), line
+
+
+def _weighted_path(m):
+    """The 3-vertex path u - v - w with labels 4, 2 and m = (m, 1, 1), whose
+    torsion support holds many orders with equal weights."""
+    g = LabeledGraph(["u", "v", "w"], [("u", "v", 4), ("v", "w", 2)])
+    return g, Character(g, {"u": m, "v": 1, "w": 1})
+
+
+def _path_text(m):
+    return f"vertex u {m}\nvertex v 1\nvertex w 1\nedge u v 4\nedge v w 2\n"
+
+
+def test_shared_page_tables_match_each_orders_own_sweep():
+    """Orders grouped by equal weights share one page table; each order's
+    own sweep at its own root gives the same pages and multiplicities."""
+    rng = random.Random(61)
+    cases = ([random_case(rng, max_vertices=6, max_weight=12) for _ in range(10)]
+             + [_weighted_path(m) for m in (60, 105, 210)])
+    tables = []
+    for g, chi in cases:
+        fc = build_flag_complex(g)
+        r = reduced_homology_ranks(fc, QQ)
+        tc = BoundaryTables(fc, chi, QQ)
+        support = torsion_support(g, chi).values
+        shared = list(shared_page_tables(tc, support))
+        assert sorted(d for pt in shared for d in pt.orders) == sorted(support)
+        keys = [position_weights(tc, pt.orders[0]) for pt in shared]
+        assert all(a != b for a, b in itertools.combinations(keys, 2))
+        for pt, key in zip(shared, keys):
+            assert pt.orders[0] == min(pt.orders)
+            rows = solve_torsion(pt, r)
+            for d in pt.orders:
+                assert position_weights(tc, d) == key
+                own = page_dims(weighted_complex(tc, d))
+                assert own.orders == (d,)
+                assert (own.pages, own.s_max, own.max_weight) == \
+                    (pt.pages, pt.s_max, pt.max_weight), (d, pt.orders)
+                assert solve_torsion(own, r) == rows, (d, pt.orders)
+        tables.append([pt.orders for pt in shared])
+    # the m = 60 path: 3 sweeps for 12 orders
+    assert tables[-3] == [(2,), (3, 4, 5, 6, 10, 12, 15, 20, 30, 60), (122,)]
+    assert sum(len(orders) > 1 for case in tables[:-3] for orders in case) > 3
+
+
+def test_m60_path_sweeps_once_per_filtration_and_reads_every_orders_units(monkeypatch):
+    """On the m = 60 path, `cli.run` computes 3 page tables for its 12
+    orders, and still reads leading units at every one of them."""
+    swept, read_at = [], set()
+    real_pages, real_residue = spectral.page_dims, spectral.quotient_residue
+
+    def counted_pages(wc):
+        swept.append(wc.orders)
+        return real_pages(wc)
+
+    def counted_residue(f, d, drop):
+        read_at.add(d)
+        return real_residue(f, d, drop)
+
+    monkeypatch.setattr(spectral, "page_dims", counted_pages)
+    monkeypatch.setattr(spectral, "quotient_residue", counted_residue)
+    data = cli.run(cli.JobConfig(text=_path_text(60), field=QQ,
+                                 methods=("snf", "ss"))).data
+    support = data["torsion_support"]["values"]
+    assert data["status"]["ok"] and len(support) == 12
+    assert len(swept) == 3 and sorted(d for orders in swept for d in orders) == support
+    assert read_at == set(support)
+
+
+def _vanishing_at(victim):
+    """`quotient_residue` with every unit at order `victim` zero."""
+    from artinkernels.laurent import cyclotomic_field
+    real = spectral.quotient_residue
+
+    def residue(f, d, drop):
+        return cyclotomic_field(d).zero if d == victim else real(f, d, drop)
+    return residue
+
+
+# orders of the m = 60 path that share the sweep at d = 3
+M60_SHARED = (4, 5, 6, 10, 12, 15, 20, 30, 60)
+
+
+@pytest.mark.parametrize("victim", [4, 20, 60])
+def test_a_unit_vanishing_only_at_a_shared_order_stops_the_run(monkeypatch, victim):
+    """A unit that vanishes at one order of a group, not at the order the
+    group is swept at, stops the run as it would if that order were swept."""
+    assert victim in M60_SHARED
+    monkeypatch.setattr(spectral, "quotient_residue", _vanishing_at(victim))
+    with pytest.raises(ArithmeticError, match="leading unit vanished at "):
+        cli.run(cli.JobConfig(text=_path_text(60), field=QQ, methods=("snf", "ss")))
+
+
+def test_shared_order_check_survives_python_O():
+    """The unit check at a shared order is a raise, not an assert, so a
+    run under `python -O` still stops on a unit that vanishes only there."""
+    script = "\n".join([
+        "import sys",
+        "from artinkernels import QQ, cli, spectral",
+        "from test_spectral import _path_text, _vanishing_at",
+        "print('optimize', sys.flags.optimize)",
+        "spectral.quotient_residue = _vanishing_at(20)",
+        "try:",
+        "    cli.run(cli.JobConfig(text=_path_text(60), field=QQ, methods=('snf', 'ss')))",
+        "except ArithmeticError as exc:",
+        "    print('raised', exc)",
+        "else:",
+        "    print('accepted')"])
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=here,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1].startswith("raised leading unit vanished at "), out
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("rank", "stable page row 0 is 0 for d=3,4,5,6,10,12,15,20,30,60, expected r_0=1"),
+    ("page", "negative multiplicity for k=1, d=3,4,5,6,10,12,15,20,30,60: "),
+], ids=["rank", "page"])
+def test_multiplicity_errors_name_every_order_sharing_the_table(fault, message):
+    """A failed check on a shared page table names all of its orders: a
+    wrong reduced rank, or a page 1 with an extra class in row 0, which
+    makes a degree-2 multiplicity negative."""
+    g, chi = _weighted_path(60)
+    fc = build_flag_complex(g)
+    r = reduced_homology_ranks(fc, QQ)
+    pt = next(pt for pt in shared_page_tables(BoundaryTables(fc, chi, QQ),
+                                              torsion_support(g, chi).values)
+              if 3 in pt.orders)
+    assert pt.orders == (3, *M60_SHARED)
+    if fault == "rank":
+        r = [r[0] + 1, *r[1:]]
+    else:
+        pt = dataclasses.replace(pt, pages=[pt.pages[0], {(0, 0): 1}, *pt.pages[2:]])
+    with pytest.raises(NegativeMultiplicityError, match=re.escape(message)):
+        solve_torsion(pt, r)
 
 
 def _brute_page_dims(wc):
