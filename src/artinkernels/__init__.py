@@ -8,23 +8,19 @@ normal form, the multiplicity spectral sequence, and rooted spanning
 forests), plus the reduced-complex free ranks in the resonant case.
 """
 
-from .flag import (FlagComplex, IncidenceMatrix, boundary_matrix,
-                   build_flag_complex, image_dims, reduced_homology_ranks)
+from .flag import FlagComplex, build_flag_complex, image_dims
 from .graphs import (Character, GraphError, LabeledGraph, ResonanceSets,
                      ResonantVertexError, TorsionSupport, ZeroCharacterError,
                      connected_components, is_fc_type, resonance_sets,
                      torsion_support, validate_graph)
-from .laurent import (CyclotomicField, Factor, LaurentPoly, ZeroPolynomialError,
-                      cyclotomic, cyclotomic_field, factor_invariant,
-                      laurent_gcd, normalize_unit, q_poly, residue_eval)
+from .laurent import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cyclotomic,
+                      cyclotomic_field, q_poly)
 from .resonant import (QuotientComplex, ReducedGraph, build_f2, build_gamma1,
                        h1_free_rank, h2_free_rank)
 from .scalars import QQ, PrimeField, Rationals
-from .smith import (ModuleDecomposition, ShapeReport, SmithForm,
-                    boundary_smith_form, cyclotomic_candidates,
-                    cyclotomic_invariant_factors, homology_module,
-                    homology_modules, smith_normal_form, specialized_rank,
-                    verify_shape)
+from .smith import (ModuleDecomposition, ShapeReport, SmithForm, boundary_smith_form,
+                    cyclotomic_invariant_factors, homology_module, homology_modules,
+                    specialized_rank, verify_shape)
 from .spectral import (DisconnectedGraphError, NegativeMultiplicityError, PageTable,
                        ResonantCharacterError, WeightedComplex,
                        forest_fitting_h1, page_dims, shared_page_tables,

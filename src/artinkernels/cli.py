@@ -132,7 +132,6 @@ class JobConfig:
     field: Field | None = None
     k_max: int | None = None
     methods: tuple = ALL_METHODS
-    cross_check: bool = True
     dump_pages: bool = False
     dump_matrices: bool = False
 
@@ -282,7 +281,7 @@ def run(job: JobConfig) -> Report:
             entry["primary_parts"] = {str(d): list(v)
                                       for d, v in sorted(dec.primary_parts.items())}
         if support is not None:
-            shape = verify_shape(dec, support, imdims, ranks, res, g, character)
+            shape = verify_shape(dec, support, imdims, ranks, res, character)
             entry["shape"] = {
                 "skipped": shape.skipped,
                 "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
@@ -326,15 +325,14 @@ def run(job: JobConfig) -> Report:
         }
         if job.dump_pages:
             methods["ss"]["pages"] = {str(d): pages_out[d] for d in support.values}
-        if job.cross_check:
-            for k in range(0, k_max + 1):
-                for d in support.values:
-                    got = [j for j, n in enumerate(rows[k, d], start=1) for _ in range(n)]
-                    want = list(decs[k].exponents_for(d))
-                    check(f"Phi_{d} exponents in degree {k + 1}", "ss", got == want,
-                          f"ss={got} snf={want}")
-                check(f"free rank in degree {k + 1}", "ss", decs[k].free_rank == ranks[k],
-                      f"snf={decs[k].free_rank} stable-page={ranks[k]}")
+        for k in range(0, k_max + 1):
+            for d in support.values:
+                got = [j for j, n in enumerate(rows[k, d], start=1) for _ in range(n)]
+                want = list(decs[k].exponents_for(d))
+                check(f"Phi_{d} exponents in degree {k + 1}", "ss", got == want,
+                      f"ss={got} snf={want}")
+            check(f"free rank in degree {k + 1}", "ss", decs[k].free_rank == ranks[k],
+                  f"snf={decs[k].free_rank} stable-page={ranks[k]}")
     elif want_ss:
         methods["ss"] = {"ran": False, "reason": (
             "needs characteristic zero" if field.char != 0
@@ -349,16 +347,15 @@ def run(job: JobConfig) -> Report:
             methods["forest"] = {"ran": False, "reason": str(exc)}
         else:
             methods["forest"] = {"ran": True, "invariant_factors": _poly_list(factors)}
-            if job.cross_check:
-                snf_facts = snfs[1].invariant_factors
-                check("H_1 invariant factors", "forest", factors == snf_facts,
-                      f"forest={_poly_list(factors)} snf={_poly_list(snf_facts)}")
+            snf_facts = snfs[1].invariant_factors
+            check("H_1 invariant factors", "forest", factors == snf_facts,
+                  f"forest={_poly_list(factors)} snf={_poly_list(snf_facts)}")
 
     # reduced-complex free ranks (valid resonant or not)
     if "resonant" in job.methods:
-        gamma1 = build_gamma1(g, character, field)
+        gamma1 = build_gamma1(g, res)
         h1 = h1_free_rank(gamma1)
-        qc = build_f2(fc, character, field)
+        qc = build_f2(fc, res)
         h2 = h2_free_rank(qc, field)
         methods["resonant"] = {
             "ran": True,
@@ -375,16 +372,15 @@ def run(job: JobConfig) -> Report:
                 "removal_log": list(qc.removal_log),
             },
         }
-        if job.cross_check:
-            check("H_1 free rank", "resonant", decs[0].free_rank == h1,
-                  f"snf={decs[0].free_rank} reduced-graph={h1}")
-            if k_max >= 1:
-                check("H_2 free rank", "resonant", decs[1].free_rank == h2,
-                      f"snf={decs[1].free_rank} quotient-complex={h2}")
+        check("H_1 free rank", "resonant", decs[0].free_rank == h1,
+              f"snf={decs[0].free_rank} reduced-graph={h1}")
+        if k_max >= 1:
+            check("H_2 free rank", "resonant", decs[1].free_rank == h2,
+                  f"snf={decs[1].free_rank} quotient-complex={h2}")
 
     # disconnected graphs: degree-0 torsion splits over the components, and
     # so do its elementary divisors; its invariant factors in general do not
-    if job.cross_check and not connected:
+    if not connected:
         pieces = []
         for comp in components:
             sub = LabeledGraph(comp, [(u, v, g.ell(u, v)) for (u, v) in g.edge_list if u in comp])
@@ -468,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(ALL_METHODS),
                    help="comma separated subset of snf,ss,forest,resonant")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    p.add_argument("--no-cross-check", action="store_true",
-                   help="skip method-agreement checks (exit code 3 disabled)")
     p.add_argument("--dump-pages", action="store_true",
                    help="include spectral page tables in the report")
     p.add_argument("--dump-matrices", action="store_true",
@@ -494,9 +488,7 @@ def main(argv=None) -> int:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
         try:
             job = JobConfig(input_path=args.input, field=args.field, k_max=args.kmax,
-                            methods=methods,
-                            cross_check=not args.no_cross_check,
-                            dump_pages=args.dump_pages,
+                            methods=methods, dump_pages=args.dump_pages,
                             dump_matrices=args.dump_matrices)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -515,9 +507,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
     print(report.to_json() if args.fmt == "json" else report.to_text())
-    if job.cross_check and not report.ok:
-        return 3
-    return 0
+    return 0 if report.ok else 3
 
 
 if __name__ == "__main__":

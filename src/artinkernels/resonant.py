@@ -21,9 +21,10 @@ complex and
   which may create loops and parallel cells, so the result is a CW
   complex with integer boundary matrices rather than a simplicial one.
 
-`build_f2` works on the flag complex the caller already built, and the
-free rank of H_2 is the first reduced Betti number of the complex it
-returns, which `h2_free_rank` takes.
+Both builders read the run's `ResonanceSets`, the dead vertices and edges
+the report prints; `build_f2` works on the flag complex the caller already
+built, and the free rank of H_2 is the first reduced Betti number of the
+complex it returns, which `h2_free_rank` takes.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .flag import FlagComplex
-from .graphs import (Character, LabeledGraph, ZeroCharacterError, components,
-                     connected_components, resonance_sets)
+from .graphs import (LabeledGraph, ResonanceSets, ZeroCharacterError, components,
+                     connected_components)
 from .scalars import Field
 
 
 @dataclass
 class ReducedGraph:
     graph: LabeledGraph          # the reduced graph
-    character: Character         # restriction of the input character
     removed_edges: list          # (edge, reason)
     removed_vertices: list       # (vertex, reason)
 
@@ -50,10 +50,9 @@ class ReducedGraph:
         return log
 
 
-def build_gamma1(g: LabeledGraph, c: Character, field: Field) -> ReducedGraph:
-    if c.is_zero:
+def build_gamma1(g: LabeledGraph, res: ResonanceSets) -> ReducedGraph:
+    if len(res.resonant_vertices) == len(g.vertices):   # every weight is zero
         raise ZeroCharacterError("free ranks need a nonzero character")
-    res = resonance_sets(g, c, field)
     vr = res.resonant_vertices
     removed_edges = []
     removed_vertices = []
@@ -73,8 +72,7 @@ def build_gamma1(g: LabeledGraph, c: Character, field: Field) -> ReducedGraph:
             gone_edges.add((u, v))
     vertices = [v for v in g.vertices if v not in gone_vertices]
     edges = [(u, v, g.ell(u, v)) for (u, v) in g.edge_list if (u, v) not in gone_edges]
-    reduced = LabeledGraph(vertices, edges)
-    return ReducedGraph(reduced, c.restrict(reduced), removed_edges, removed_vertices)
+    return ReducedGraph(LabeledGraph(vertices, edges), removed_edges, removed_vertices)
 
 
 def h1_free_rank(reduced: ReducedGraph) -> int:
@@ -83,7 +81,6 @@ def h1_free_rank(reduced: ReducedGraph) -> int:
 
 @dataclass
 class QuotientComplex:
-    vertex_class: dict                 # vertex -> class id
     cells0: list                       # class ids
     cells1: list                       # surviving edges (u, v)
     cells2: list                       # surviving triangles (a, b, c)
@@ -93,11 +90,10 @@ class QuotientComplex:
     identifications: list = field(default_factory=list)
 
 
-def build_f2(fc: FlagComplex, c: Character, field: Field) -> QuotientComplex:
-    if c.is_zero:
-        raise ZeroCharacterError("free ranks need a nonzero character")
+def build_f2(fc: FlagComplex, res: ResonanceSets) -> QuotientComplex:
     g = fc.graph
-    res = resonance_sets(g, c, field)
+    if len(res.resonant_vertices) == len(g.vertices):   # every weight is zero
+        raise ZeroCharacterError("free ranks need a nonzero character")
     vr = res.resonant_vertices
     triangles = list(fc.simplices_of(2))
     edges = list(fc.simplices_of(1))
@@ -145,8 +141,8 @@ def build_f2(fc: FlagComplex, c: Character, field: Field) -> QuotientComplex:
     d1 = [{} if a == b else {a: -1, b: 1} for a, b in ends]     # a loop's column is empty
     edge_pos = {e: j for j, e in enumerate(kept_edges)}
     d2 = [{edge_pos[tri[:i] + tri[i + 1:]]: (-1) ** i for i in range(3)} for tri in kept_tris]
-    return QuotientComplex(vertex_class, list(range(len(classes))), kept_edges,
-                           kept_tris, d1, d2, log, identifications)
+    return QuotientComplex(list(range(len(classes))), kept_edges, kept_tris, d1, d2,
+                           log, identifications)
 
 
 def h2_free_rank(qc: QuotientComplex, field: Field) -> int:

@@ -552,7 +552,7 @@ class ShapeReport:
 
 
 def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
-                 resonance: ResonanceSets, graph, character) -> ShapeReport:
+                 resonance: ResonanceSets, character: Character) -> ShapeReport:
     """Check the structural shape of a decomposition against the theory:
     chain divisibility, free rank = reduced flag homology, a semisimple
     (t-1)-part of exponent dim im d_{k+1}, and torsion supported on the
@@ -579,6 +579,7 @@ def verify_shape(dec: ModuleDecomposition, support, image_dims_list, r_list,
 
     # the (t-1) clause needs every p_v, q_e to vanish simply at t = 1,
     # which fails in characteristic p when p | m_v or p | lt(e)
+    graph = character.graph
     tm1_applies = p == 0 or (
         all(character.m(v) % p != 0 for v in graph.vertices)
         and all(graph.ell_tilde(u, v) % p != 0 for (u, v) in graph.edge_list))

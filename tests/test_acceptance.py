@@ -24,11 +24,12 @@ from artinkernels import (BoundaryTables, LaurentPoly, boundary_smith_form, buil
                           build_flag_complex, build_gamma1,
                           forest_fitting_h1, h1_free_rank,
                           h2_free_rank, homology_module, image_dims,
-                          laurent_gcd, normalize_unit,
-                          page_dims, reduced_homology_ranks, resonance_sets,
-                          smith_normal_form, solve_torsion, torsion_support,
+                          page_dims, resonance_sets, solve_torsion, torsion_support,
                           twisted_boundary, verify_shape, weighted_complex)
-from artinkernels.smith import cyclotomic_invariant_factors, signed_boundary
+from artinkernels.flag import reduced_homology_ranks
+from artinkernels.laurent import laurent_gcd, normalize_unit
+from artinkernels.smith import (cyclotomic_invariant_factors, signed_boundary,
+                                smith_normal_form)
 
 from conftest import (QQ, F2, dihedral_graph, random_case,
                       square_diagonal_graph, square_graph)
@@ -141,11 +142,12 @@ def test_acceptance_4_resonant_fixture():
     ok = ok and h2b.free_rank == 3 and h2b.invariant_factors == []
 
     # reduced-complex free ranks agree with the Smith engine, both characters
-    ok = ok and h1_free_rank(build_gamma1(g, chi, F2)) == h1.free_rank
-    ok = ok and h2_free_rank(build_f2(fc, chi, F2), F2) == h2.free_rank
+    res, res2 = resonance_sets(g, chi, F2), resonance_sets(g, chi2, F2)
+    ok = ok and h1_free_rank(build_gamma1(g, res)) == h1.free_rank
+    ok = ok and h2_free_rank(build_f2(fc, res), F2) == h2.free_rank
     h1b = homology_module(fc, chi2, F2, 0)
-    ok = ok and h1_free_rank(build_gamma1(g, chi2, F2)) == h1b.free_rank
-    ok = ok and h2_free_rank(build_f2(fc, chi2, F2), F2) == h2b.free_rank
+    ok = ok and h1_free_rank(build_gamma1(g, res2)) == h1b.free_rank
+    ok = ok and h2_free_rank(build_f2(fc, res2), F2) == h2b.free_rank
     assert _report(4, ok, "chi: H_1 = (t+1)^3, H_2 = (t+1) + free; "
                           "chi': H_2 = free^3; free ranks match the reduced complexes")
 
@@ -270,7 +272,7 @@ def test_acceptance_6_structural_invariants():
         ims = image_dims(fc, field)
 
         # boundary-of-boundary vanishes: untwisted, twisted, quotient complex
-        from artinkernels import boundary_matrix
+        from artinkernels.flag import boundary_matrix
         t = BoundaryTables(fc, chi, field)
         for k in range(0, fc.dim + 1):
             a = boundary_matrix(fc, k, field)
@@ -280,7 +282,7 @@ def test_acceptance_6_structural_invariants():
                 failures.append((idx, "untwisted dd", k))
             if not compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero():
                 failures.append((idx, "twisted dd", k))
-        qc = build_f2(fc, chi, field)
+        qc = build_f2(fc, res)
         if any(x for col in compose_int_columns(qc.d1, qc.d2) for x in col.values()):
             failures.append((idx, "quotient dd"))
 
@@ -324,7 +326,7 @@ def test_acceptance_6_structural_invariants():
                     except ValueError:
                         failures.append((idx, "chain", k))
                 if support_k is not None:
-                    rep = verify_shape(dec, support_k, ims, ranks, res, g, normalized)
+                    rep = verify_shape(dec, support_k, ims, ranks, res, normalized)
                     if not rep.ok:
                         failures.append((idx, "shape", k, rep.checks))
             if idx < 6:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import artinkernels
-from artinkernels import (BoundaryTables, FlagComplex, LabeledGraph, boundary_smith_form,
-                          build_flag_complex, cli, connected_components, homology_module,
-                          twisted)
+from artinkernels import (BoundaryTables, Character, FlagComplex, LabeledGraph,
+                          boundary_smith_form, build_flag_complex, cli, connected_components,
+                          graphs, homology_module, twisted)
 from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
                               ParsedInput, fixture_text, main, parse_input, run,
                               self_check, serialize_input)
@@ -584,6 +584,54 @@ def test_run_builds_each_artefact_once(monkeypatch):
     assert counts == Counter({"BoundaryTables": 1})
 
 
+def test_run_states_the_resonance_sets_once_for_the_reduced_complexes(monkeypatch):
+    """`cli.run` computes V_R and E_R once and hands them to `build_gamma1`
+    and `build_f2`; `forest_fitting_h1` keeps its own guard, so an
+    all-methods run of the square fixture calls `resonance_sets` twice."""
+    calls = Counter()
+    real = graphs.resonance_sets
+
+    def counted(*args):
+        calls["resonance_sets"] += 1
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "artinkernels":
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    for methods, want in ((ALL_METHODS, 2), (("snf", "resonant"), 1), (("snf",), 1)):
+        calls.clear()
+        rep = run(JobConfig(text=SQUARE, methods=methods))
+        assert rep.ok and all(rep.data["methods"][m]["ran"] for m in methods)
+        assert calls["resonance_sets"] == want, methods
+
+
+def test_scaled_character_gives_the_same_report_but_the_input():
+    """chi and n chi have one kernel, since `run` normalizes first: the
+    reports agree apart from `input`, whose normalization divisor is n
+    times chi's, over Q, GF(2) and GF(3)."""
+    rng = random.Random(0x5CA1E)
+    seen = set()
+    for trial in range(12):
+        g, chi = random_case(rng, max_vertices=4, allow_zero=trial % 2 == 1)
+        for field in (QQ, F2, F3):
+            base = run(JobConfig(text=serialize_input(g, chi, field))).data
+            base_input = base.pop("input")
+            for n in (2, 3, 5):
+                scaled = Character(g, {v: n * chi.m(v) for v in g.vertices})
+                data = run(JobConfig(text=serialize_input(g, scaled, field))).data
+                got = data.pop("input")
+                context = (g.raw_edges, chi.values, str(field), n)
+                assert got["normalization_divisor"] == n * base_input["normalization_divisor"]
+                assert got["normalized_weights"] == base_input["normalized_weights"], context
+                assert data == base, context
+            seen.add("resonant" if base["resonance"]["vertices"] else "non-resonant")
+            if any(m["invariant_factors"] for m in base["homology"]["modules"]):
+                seen.add("torsion")
+    assert seen == {"resonant", "non-resonant", "torsion"}, seen
+
+
 def test_kmax_flag_caps_degrees():
     rep = run(JobConfig(text=fixture_text("square_diagonal"), k_max=0))
     assert [m["k"] for m in rep.data["homology"]["modules"]] == [0]
@@ -708,9 +756,51 @@ def test_main_exit_code_3_on_mismatch(tmp_path, monkeypatch, capsys):
     path.write_text(SQUARE)
     assert cli.main([str(path)]) == 3
     assert "MISMATCH" in capsys.readouterr().out
-    # ... but not when cross-checking is switched off
-    monkeypatch.setattr(cli, "run", fake_run)
-    assert cli.main([str(path), "--no-cross-check"]) == 0
+
+
+@pytest.mark.parametrize("name, field", SELF_CHECK, ids=[f"{n}-{f}" for n, f in SELF_CHECK])
+def test_main_exits_0_on_every_self_check_fixture(tmp_path, capsys, name, field):
+    """Every run builds its checks, and `main` exits 0 exactly when the
+    printed report says `status: ok`."""
+    path = tmp_path / f"{name}.graph"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    selector = f"p:{field.char}" if field.char else "q"
+    assert main([str(path), "--field", selector]) == 0
+    assert capsys.readouterr().out.endswith("status: ok\n")
+
+
+def test_main_exit_rule_has_no_switch(tmp_path, monkeypatch, capsys):
+    """A doctored free rank sets `status.ok` false and `main` exits 3 on
+    the printed report; no option turns the checks or the exit code off."""
+    path = tmp_path / "square.graph"
+    path.write_text(SQUARE, encoding="utf-8")
+    assert main([str(path), "--no-cross-check"]) == 1
+    assert "unrecognized arguments: --no-cross-check" in capsys.readouterr().err
+    assert [f.name for f in dataclasses.fields(JobConfig)] == [
+        "input_path", "text", "field", "k_max", "methods", "dump_pages", "dump_matrices"]
+
+    real = cli.homology_modules
+
+    def doctored(tc, degrees):
+        snfs, decs = real(tc, degrees)
+        decs[1] = dataclasses.replace(decs[1], free_rank=decs[1].free_rank + 1)
+        return snfs, decs
+
+    monkeypatch.setattr(cli, "homology_modules", doctored)
+    assert run(JobConfig(text=SQUARE)).data["status"]["ok"] is False
+    assert main([str(path), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["status"]["ok"] is False
+
+
+def test_readme_cli_synopsis_lists_every_long_option():
+    """The README's CLI synopsis names exactly the long options of
+    `build_parser()`, besides --help."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    listed = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    options = {opt for action in cli.build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert listed == options - {"--help"}
 
 
 def test_main_exit_code_4_when_memory_runs_out(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 import random
 from itertools import combinations
 
-from artinkernels import (LabeledGraph, boundary_matrix, is_fc_type,
-                          build_flag_complex, image_dims, reduced_homology_ranks)
+from artinkernels import LabeledGraph, build_flag_complex, image_dims, is_fc_type
+from artinkernels.flag import boundary_matrix, reduced_homology_ranks
 
 from conftest import (QQ, F2, dihedral_graph, random_even_graph, square_diagonal_graph,
                       square_graph)

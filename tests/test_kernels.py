@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
                           boundary_smith_form, build_flag_complex,
                           cyclotomic_field, homology_modules, page_dims,
-                          residue_eval, torsion_support, twisted_boundary,
-                          weighted_complex)
+                          torsion_support, twisted_boundary, weighted_complex)
 from artinkernels import smith, spectral
+from artinkernels.laurent import residue_eval
 from artinkernels.laurent import CyclotomicField, taylor_at_root
 from artinkernels.linalg import BottomEchelon, column_leads, rank, staircase_leads
 from artinkernels.scalars import PrimeField

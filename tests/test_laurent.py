@@ -11,8 +11,8 @@ import math
 
 import artinkernels
 from artinkernels import (CyclotomicField, LaurentPoly, ZeroPolynomialError, cli,
-                          cyclotomic, cyclotomic_field, factor_invariant, laurent,
-                          laurent_gcd, normalize_unit, q_poly, residue_eval, spectral)
+                          cyclotomic, cyclotomic_field, laurent, q_poly, spectral)
+from artinkernels.laurent import factor_invariant, laurent_gcd, normalize_unit, residue_eval
 from artinkernels.laurent import (_int_divmod_poly, cyclotomic_int, cyclotomic_product,
                                   dense_divmod, dense_mul, dense_trim, quotient_residue,
                                   t_minus_one_multiplicities, totient)

@@ -7,18 +7,18 @@ import pytest
 
 from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
                           ModuleDecomposition, boundary_smith_form, build_flag_complex,
-                          factor_invariant, homology_module, homology_modules,
-                          image_dims, laurent_gcd, normalize_unit,
-                          reduced_homology_ranks,
-                          resonance_sets, smith_normal_form, torsion_support,
-                          twisted_boundary, verify_shape)
-from artinkernels import boundary_matrix, linalg, smith
+                          homology_module, homology_modules, image_dims,
+                          resonance_sets, torsion_support, twisted_boundary,
+                          verify_shape)
+from artinkernels import linalg, smith
 from artinkernels.cli import JobConfig, run, serialize_input
-from artinkernels.laurent import cyclotomic, cyclotomic_product, dense_mul, totient
+from artinkernels.flag import boundary_matrix, reduced_homology_ranks
+from artinkernels.laurent import (cyclotomic, cyclotomic_product, dense_mul,
+                                  factor_invariant, laurent_gcd, normalize_unit, totient)
 from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import (cyclotomic_invariant_factors, decompose_torsion,
-                                signed_boundary)
+                                signed_boundary, smith_normal_form)
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
@@ -192,10 +192,10 @@ def test_verify_shape_on_fixtures():
     ims = image_dims(fc, QQ)
     for k in (0, 1):
         dec = homology_module(fc, chi, QQ, k)
-        rep = verify_shape(dec, support, ims, ranks, res, g, chi)
+        rep = verify_shape(dec, support, ims, ranks, res, chi)
         assert rep.skipped is None and rep.ok, [c for c in rep.checks]
     tcheck = {c.name: c for c in verify_shape(
-        homology_module(fc, chi, QQ, 0), support, ims, ranks, res, g, chi).checks}
+        homology_module(fc, chi, QQ, 0), support, ims, ranks, res, chi).checks}
     assert "exponent=3" in tcheck["t-minus-1-part"].detail
 
 
@@ -204,7 +204,7 @@ def test_verify_shape_skips_resonant():
     fc = build_flag_complex(g)
     res = resonance_sets(g, chi, F2)
     dec = homology_module(fc, chi, F2, 0)
-    rep = verify_shape(dec, None, [], [], res, g, chi)
+    rep = verify_shape(dec, None, [], [], res, chi)
     assert rep.skipped == "K-resonant character"
 
 
@@ -219,7 +219,7 @@ def test_verify_shape_skips_t_part_when_char_divides_half_label():
     support = torsion_support(g, chi)
     dec = homology_module(fc, chi, F2, 0)
     rep = verify_shape(dec, support, image_dims(fc, F2),
-                       reduced_homology_ranks(fc, F2), res, g, chi)
+                       reduced_homology_ranks(fc, F2), res, chi)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["t-minus-1-part"].status == "skip"
     assert by_name["torsion-in-support"].status == "pass"
@@ -437,7 +437,7 @@ def test_verify_shape_divisibility_chain_verdicts(monkeypatch):
     def chain(factors, exponents):
         divisions.clear()
         dec = ModuleDecomposition(0, QQ, ranks[0], factors, exponents)
-        checks = verify_shape(dec, support, ims, ranks, res, g, chi).checks
+        checks = verify_shape(dec, support, ims, ranks, res, chi).checks
         return {c.name: c.status for c in checks}["divisibility-chain"], len(divisions)
 
     phi1, phi2 = cyclotomic(1, QQ), cyclotomic(2, QQ)
@@ -462,7 +462,7 @@ def test_verify_shape_fails_each_doctored_decomposition():
     assert outside not in support.values
 
     def verdicts(doctored):
-        rep = verify_shape(doctored, support, ims, ranks, res, g, chi)
+        rep = verify_shape(doctored, support, ims, ranks, res, chi)
         return {c.name: (c.status, c.detail) for c in rep.checks}
 
     assert {name: v[0] for name, v in verdicts(dec).items()} == dict.fromkeys(

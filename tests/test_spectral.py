@@ -11,14 +11,15 @@ import pytest
 
 from artinkernels import (BoundaryTables, build_flag_complex, cli, forest_fitting_h1,
                           homology_module, page_dims, shared_page_tables,
-                          reduced_homology_ranks, smith_normal_form,
                           solve_torsion, torsion_support, twisted_boundary,
                           weighted_complex)
+from artinkernels.flag import reduced_homology_ranks
+from artinkernels.smith import smith_normal_form
 from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityError,
                                    ResonantCharacterError, chi_rel, least_forest_costs,
                                    position_weights)
-from artinkernels import (Character, LabeledGraph, LaurentPoly, laurent_gcd,
-                          normalize_unit, q_poly, resonance_sets)
+from artinkernels import Character, LabeledGraph, LaurentPoly, q_poly, resonance_sets
+from artinkernels.laurent import laurent_gcd, normalize_unit
 from artinkernels import smith, spectral
 from artinkernels.linalg import staircase_leads
 from artinkernels.scalars import PrimeField
@@ -713,7 +714,7 @@ def test_forest_route_works_in_prime_characteristic():
     forest = forest_fitting_h1(g, chi, F2)
     assert forest == snf.invariant_factors
     # (t+1)^4 (t^2+t+1)^3 over GF(2): a single size-4 block at t+1
-    from artinkernels import factor_invariant
+    from artinkernels.laurent import factor_invariant
     exps = sorted(fac.exponent for fac in factor_invariant(forest[0], F2))
     assert exps == [3, 4]
 

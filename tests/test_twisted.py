@@ -2,8 +2,8 @@ import random
 from collections import Counter
 
 from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
-                          build_flag_complex, boundary_matrix, resonance_sets,
-                          twisted_boundary)
+                          build_flag_complex, resonance_sets, twisted_boundary)
+from artinkernels.flag import boundary_matrix
 from artinkernels.linalg import rank as field_rank
 from artinkernels.laurent import q_poly
 from artinkernels.scalars import divisors
