@@ -7,9 +7,11 @@ Everything is exact, and there is one elimination kernel.
 form: each stored vector has a distinct bottom-most nonzero row, and
 those lead rows never move once created.  Feeding columns left to right
 therefore yields, for every prefix of columns and every row cut r, the
-rank of the submatrix on rows >= r -- the "staircase ranks" that drive
-the filtered-complex page dimension formulas.  Leads, ranks and
-snapshots depend only on spans, so a new vector is stored unscaled.
+rank of the submatrix on rows >= r, and pairs each column that adds a
+lead with its lead row: with rows and columns in filtration order, these
+are the persistence pairs from which `spectral` reads its pages.  Leads,
+ranks and snapshots depend only on spans, so a new vector is stored
+unscaled.
 
 A column is a dict or a pair (lead, build): its bottom-most row and a
 function returning it as a new dict with no zero entry.  A column that
@@ -22,8 +24,9 @@ computed and cached the first time its vector reduces one.
 
 :func:`column_leads` feeds columns in order to one `BottomEchelon` and
 returns the lead row each adds.  :func:`rank` counts those leads (fed
-rows give the same count), :func:`staircase_leads` takes prefix snapshots
-of them, and the Smith route reads its pivot gaps from them.  The `skip`
+rows give the same count), `spectral` pairs columns by them, the Smith
+route reads its pivot gaps from them, and :func:`staircase_leads` takes
+prefix snapshots of them for the tests' reference page formula.  The `skip`
 columns are ones the caller knows to be combinations of the columns
 before them, so they add no lead: each caller (`flag.image_dims`, the
 Smith route and its t = 2 check, `spectral`) skips the leads of its own

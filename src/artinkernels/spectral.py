@@ -10,17 +10,19 @@ along faces, so "weight <= p" filters the flag complex.  Working over the
 residue field K_d = Q[z]/(Phi_d), each facet coefficient of the twisted
 boundary factors as (leading unit) * Phi_d^(weight drop); the associated
 graded differential keeps the unit and records the drop in the filtration.
-The spectral sequence of that filtered complex has page dimensions
+The spectral sequence of that filtered complex is fixed by its
+persistence pairs (Zomorodian and Carlsson, "Computing persistent
+homology", 2005).  With rows and columns in (weight, position) order, one
+bottom-echelon sweep of the unit columns of each chain degree pairs each
+column X that adds a lead with its lead row Y, at gap w(X) - w(Y), and
+d^s cancels exactly the pairs of gap s.  So the page dimension
 
-    h^s_(p,q) = dim Z^s_(p,q) - dim Z^(s-1)_(p-1,q+1)
-              - dim Z^(s-1)_(p+s-1,q-s+2) + dim Z^s_(p+s-1,q-s+2),
+    h^s_(p,q) = the number of simplices of weight p and degree p + q that
+                are unpaired or whose pair has gap >= s,
 
-with Z^s_(p,q) = F_p C_(p+q) fed through the boundary into F_(p-s); all
-of these reduce to ranks of staircase submatrices of the boundary with
-rows/columns sorted by weight, which one bottom-echelon sweep per chain
-degree provides.  Weights lie in 0..w_max, so F_(p-s) is 0 once s > p and
-F_(p+s-1) is the whole complex once s > w_max - p: every term is constant
-in s from s = w_max + 1 on, and the sequence degenerates at that page.
+and page s + 1 is page s less both simplices of each pair of gap s.
+Gaps lie in 0..w_max, so the sequence degenerates at page w_max + 1,
+which holds the unpaired simplices only.
 
 `weighted_complex` reads the facet coefficients off the boundaries of the
 run's twisted complex over Q (`twisted_boundary`, built once for every d)
@@ -35,27 +37,27 @@ prime to Phi_d, so the unit matrices are E^-1 S_n E for the signed
 boundaries S_n and compose to zero.  A lead row sigma of the sweep of
 degree n+1 thus makes column sigma of degree n a combination of the
 columns before it in `order[n]`, which orders both: `page_dims` sweeps
-from the top degree down and skips those columns.  Almost every column
-left becomes a new pivot, so `BottomEchelon` inverts a lead in K_d only
-when its vector reduces another column.
+from the top degree down and skips those columns, which are paired as
+rows already.  Almost every column left becomes a new pivot, so
+`BottomEchelon` inverts a lead in K_d only when its vector reduces
+another column.
 
 Orders with equal weights share their pages (`shared_page_tables`).  E
-is diagonal and nonzero, so a staircase rank over K_d is that of the
-same submatrix of the integer S_n over Q: orders whose weights agree
-simplex by simplex have equal leads, pages and multiplicities, and each
-group is swept once, at its least order, where K_d is cheapest.  This
-needs every unit of every order to exist and be nonzero, so each other
-order still reads at its own root the unit of each (entry, drop) the
-sweep read, a remainder or a zero raising as there; equal weights give
-equal drops, so these are the pairs its own pass would read.
+is diagonal and nonzero, so the rank of any submatrix of the unit matrix
+over K_d is that of the same submatrix of the integer S_n over Q, and
+the pairs depend on those ranks only: orders whose weights agree simplex
+by simplex have equal pairs, pages and multiplicities, and each group is
+swept once, at its least order, where K_d is cheapest.  This needs every
+unit of every order to exist and be nonzero, so each other order still
+reads at its own root the unit of each (entry, drop) the sweep read, a
+remainder or a zero raising as there; equal weights give equal drops, so
+these are the pairs its own pass would read.
 
-The number n_(k,j) of torsion summands K[t^{+-1}]/(Phi_d^j) in the
-degree-k homology then satisfies, with r_q the reduced flag homology,
-
-    sum over j >= s of n_(k,j) = sum over q <= k of (-1)^(k-q) (h^s_q - r_q),
-
-and Jordan blocks are bounded by j <= k+2, so differencing consecutive
-pages determines every n_(k,j).
+A pair of gap j between a k-simplex and a (k+1)-simplex is a torsion
+summand K[t^{+-1}]/(Phi_d^j) of the degree-k homology, so the number
+n_(k,j) of those summands is the number of (k, k+1) pairs of gap j.  The
+unpaired simplices of degree k number r_k, the reduced flag homology,
+and Jordan blocks are bounded by j <= k+2.
 
 An independent route to the degree-0 torsion uses rooted spanning
 forests: the gcd of the forest weight polynomials with s trees is the
@@ -98,14 +100,13 @@ and 8 root edges.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .graphs import Character, connected_components, resonance_sets
 from .laurent import (cyclotomic_field, cyclotomic_product, quotient_residue,
                       t_minus_one_multiplicities)
-from .linalg import staircase_leads
+from .linalg import column_leads
 from .scalars import Field
 from .twisted import BoundaryTables, twisted_boundary
 
@@ -241,14 +242,10 @@ class PageTable:
     pages: list                      # pages[s]: (p, q) -> dim, nonzero only; s > last reads last
     max_weight: int
     top_degree: int
+    gaps: dict                       # (k, j) -> the pairs of a k-row and a (k+1)-column at gap j
 
     def __post_init__(self):
-        # rows[s]: k -> the sum over p of page s in row k = p + q; the label
-        # names every order in the check errors
-        self.rows = [{} for _ in self.pages]
-        for row, page in zip(self.rows, self.pages):
-            for (p, q), v in page.items():
-                row[p + q] = row.get(p + q, 0) + v
+        # the label names every order in the check errors
         self.label = "d=" + ",".join(map(str, self.orders))
 
     @property
@@ -262,7 +259,7 @@ class PageTable:
         return self.page(s).get((p, q), 0)
 
     def h_row(self, s: int, k: int) -> int:
-        return self.rows[min(s, len(self.rows) - 1)].get(k, 0)
+        return sum(v for (p, q), v in self.page(s).items() if p + q == k)
 
     def stable_row(self, k: int) -> int:
         return self.h_row(self.s_max, k)
@@ -273,106 +270,60 @@ class PageTable:
 
 
 def page_dims(wc: WeightedComplex) -> PageTable:
-    """Dimensions of every page position, by staircase ranks.
+    """Dimensions of every page position, and the gap counts, from the
+    persistence pairs (module docstring).
 
-    The table runs through page s_max = max(dim + 3, max_weight + 2).  The
-    sequence degenerates at page max_weight + 1 (module docstring), so
-    pages 0 .. max_weight + 1 are computed, the last is the stable page,
-    and the formula's own page s_max + 1 must equal it.  The sweeps run
-    from the top degree down, each clearing the columns that lead the sweep
-    above (module docstring).
+    The table runs through page s_max = max(dim + 3, max_weight + 2).  No
+    gap exceeds max_weight, so pages 0 .. max_weight + 1 are computed and
+    the last is the stable page.  The sweeps run from the top degree down,
+    each clearing the columns that lead the sweep above (module docstring).
     """
-    kd = wc.field
-    wmax = wc.max_weight
-    top = wc.t.fc.dim
-    s_hi = max(top + 3, wmax + 2)
-
-    # n -> cumulative column counts per weight 0..wmax
-    counts = {n: [bisect_right(ws, p) for p in range(wmax + 1)] for n, ws in wc.weights.items()}
-    # z[n][p + 1][a + 1] = dim Z_(p, n - p) with its boundary in rows of
-    # weight <= a, for p = -1 .. wmax and a = -1 .. wmax: the columns of
-    # weight <= p less the leads of the snapshot p in rows of weight > a.
-    # Row p = -1 and degree top + 1 are zero.
-    zero = [0] * (wmax + 2)
-    z = {top + 1: [zero] * (wmax + 2)}
+    wmax, top, ws = wc.max_weight, wc.t.fc.dim, wc.weights
+    # page 0 counts the simplices at (p, q); drops[s] the two simplices of
+    # each pair of gap s, which page s + 1 loses
+    pages = [Counter((w, n - w) for n in ws for w in ws[n])]
+    drops = [Counter() for _ in range(wmax + 1)]
+    gaps = Counter()
     cleared = frozenset()
-    for n in range(top, -2, -1):
-        lead_snaps = staircase_leads(kd, wc.columns[n], counts[n], cleared)
-        row_ws = wc.weights.get(n - 1, [])
-        z[n] = [zero]
-        for count, leads in zip(counts[n], lead_snaps):
-            per_weight = [0] * (wmax + 2)
-            for i in leads:
-                per_weight[row_ws[i]] += 1
-            z[n].append([count - r for r in list(accumulate(reversed(per_weight)))[::-1]])
-        cleared = frozenset(lead_snaps[-1])
-
-    def page(s: int) -> dict:
-        # the four terms of h^s_(p, n - p): Z^s_p and Z^(s-1)_(p-1) in degree
-        # n, Z^(s-1) and Z^s at column weight p + s - 1 in degree n + 1; at
-        # s = 0 they give F_p C_n / F_(p-1) C_n, as no face has more weight
-        out = {}
-        for n in range(-1, top + 1):
-            zn, up = z[n], z[n + 1]
-            for p in range(wmax + 1):
-                a = max(p - s + 1, 0)
-                col = up[min(p + s, wmax + 1)]
-                val = zn[p + 1][a] - zn[p][a] - col[p + 1] + col[p]
-                if val:
-                    out[p, n - p] = val
-        return out
-
-    pages = [page(s) for s in range(wmax + 2)]
-    pt = PageTable(wc.orders, s_hi, pages, wmax, top)
-    if page(s_hi + 1) != pages[-1]:
-        raise NegativeMultiplicityError(
-            f"pages {wmax + 1} and {s_hi + 1} differ for {pt.label}: not stabilized")
-    return pt
+    for n in range(top, -1, -1):
+        leads = column_leads(wc.field, wc.columns[n], cleared)
+        for x, y in enumerate(leads):
+            if y is not None:
+                p, r = ws[n][x], ws[n - 1][y]
+                drops[p - r].update(((p, n - p), (r, n - 1 - r)))
+                gaps[n - 1, p - r] += 1
+        cleared = frozenset(leads) - {None}
+    for drop in drops:
+        pages.append(pages[-1] - drop)
+    return PageTable(wc.orders, max(top + 3, wmax + 2), list(map(dict, pages)), wmax, top,
+                     dict(gaps))
 
 
 # ---------------------------------------------------------------------------
 # solving for the torsion multiplicities
 # ---------------------------------------------------------------------------
 
-def chi_rel(pt: PageTable, r_list, k_max: int) -> dict:
-    """(s, k) -> the relative Euler characteristic of page s through row k,
-    for s <= k_max + 3 and k <= k_max, by one running sum per page."""
-    out = {}
-    for s in range(1, k_max + 4):
-        prev = 0
-        for k in range(0, k_max + 1):
-            r_k = r_list[k] if k < len(r_list) else 0
-            out[s, k] = prev = pt.h_row(s, k) - r_k - prev
-    return out
-
-
 def solve_torsion(pt: PageTable, r_list, k_max: int | None = None) -> dict:
-    """n_(k,j) for j = 1..k+2 from first differences of chi_rel across pages.
+    """n_(k,j) for j = 1..k+2: the pairs of a k-row and a (k+1)-column at gap j.
 
-    Verifies that the stable page recovers the reduced flag homology, that
-    chi_rel vanishes beyond the Jordan bound, and that every multiplicity
-    is nonnegative.
+    Verifies that the unpaired simplices of each degree k, the stable
+    page's row k, number r_k, and that no pair of degree k has a gap above
+    the Jordan bound k + 2.
     """
     if k_max is None:
         k_max = pt.top_degree
+    out = {}
     for k in range(0, k_max + 1):
         r_k = r_list[k] if k < len(r_list) else 0
         if pt.stable_row(k) != r_k:
             raise NegativeMultiplicityError(
                 f"stable page row {k} is {pt.stable_row(k)} for {pt.label}, expected r_{k}={r_k}")
-    chi = chi_rel(pt, r_list, k_max)
-    out = {}
-    for k in range(0, k_max + 1):
-        vals = [chi[s, k] for s in range(1, k + 4)]
-        if vals[k + 2] != 0:
+        gap = max((j for i, j in pt.gaps if i == k), default=0)
+        if gap > k + 2:
             raise NegativeMultiplicityError(
-                f"chi_rel at page {k + 3} for k={k}, {pt.label} is {vals[k + 2]}, "
+                f"a pair of degree {k} for {pt.label} has gap {gap}, "
                 "violating the Jordan bound")
-        ns = [vals[j - 1] - vals[j] for j in range(1, k + 2)] + [vals[k + 1]]
-        if any(n < 0 for n in ns):
-            raise NegativeMultiplicityError(
-                f"negative multiplicity for k={k}, {pt.label}: {ns}")
-        out[k] = ns
+        out[k] = [pt.gaps.get((k, j), 0) for j in range(1, k + 3)]
     return out
 
 

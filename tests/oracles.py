@@ -473,18 +473,23 @@ def wc_weights(wc: WeightedComplex) -> dict:
     return {X: w for n in wc.order for X, w in zip(wc_basis(wc, n), wc.weights[n])}
 
 
-# The reference for `spectral.page_dims`, which computes pages only up to
-# max_weight + 1, where the sequence degenerates, and keeps no later page.
+# The reference for `spectral.page_dims`, which counts persistence pairs and
+# computes pages only up to max_weight + 1, where the sequence degenerates.
 
 def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     """Dimensions of every page position, by staircase ranks, with the page
-    formula evaluated on every page through s_max + 1.
+    formula evaluated on every page through s_max + 1:
 
+        h^s_(p,q) = dim Z^s_(p,q) - dim Z^(s-1)_(p-1,q+1)
+                  - dim Z^(s-1)_(p+s-1,q-s+2) + dim Z^s_(p+s-1,q-s+2),
+
+    with Z^s_(p,q) = F_p C_(p+q) fed through the boundary into F_(p-s).
     Pages are computed through max(dim + 3, max_weight + 2); the last two
     agree entrywise (the sequence has degenerated), and the table keeps
-    every page through s_max, the last of them the stable one.  The sweeps
-    run from the top degree down, each clearing the columns that lead the
-    sweep above (`spectral` module docstring).
+    every page through s_max, the last of them the stable one, with the
+    gap counts differenced from the pages.  The sweeps run from the top
+    degree down, each clearing the columns that lead the sweep above
+    (`spectral` module docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
@@ -535,7 +540,17 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     if pages[s_hi] != pages[s_hi + 1]:
         raise NegativeMultiplicityError(
             f"pages {s_hi} and {s_hi + 1} differ for d={wc.d}: not stabilized")
-    return PageTable(wc.orders, s_hi, pages[:s_hi + 1], wmax, top)
+
+    # the gap counts by differencing the pages: from page j to j + 1, row k
+    # loses the simplices of its (k-1, k) and (k, k+1) pairs of gap j, and
+    # row -1 has no pairs below it
+    def row(s, k):
+        return sum(v for (p, q), v in pages[s].items() if p + q == k)
+    gaps, below = {}, [0] * (s_hi + 1)
+    for k in range(-1, top):
+        below = [row(j, k) - row(j + 1, k) - below[j] for j in range(s_hi + 1)]
+        gaps.update(((k, j), v) for j, v in enumerate(below) if v)
+    return PageTable(wc.orders, s_hi, pages[:s_hi + 1], wmax, top, gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -385,15 +385,15 @@ def test_ss_sweeps_invert_only_the_leads_that_reduce(monkeypatch):
     wcs = [weighted_complex(tc, d) for d in torsion_support(g, chi)]
     sweeps, inverted = [], []
 
-    def spy(field, columns, snapshot_after, cleared=frozenset()):
+    def spy(field, columns, cleared=frozenset()):
         sweeps.append((field, columns, cleared))
-        return staircase_leads(field, columns, snapshot_after, cleared)
+        return column_leads(field, columns, cleared)
 
     def counted_inv(self, a, _inv=CyclotomicField.inv):
         inverted.append(self.d)
         return _inv(self, a)
 
-    monkeypatch.setattr(spectral, "staircase_leads", spy)
+    monkeypatch.setattr(spectral, "column_leads", spy)
     monkeypatch.setattr(CyclotomicField, "inv", counted_inv)
     for wc in wcs:
         page_dims(wc)

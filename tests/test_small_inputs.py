@@ -47,10 +47,11 @@ def _small_inputs(sizes=(1, 2, 3), bound=2):
 def sweep(inputs, fields) -> tuple:
     """Runs every input over every field with all methods.  Returns the
     number of runs, the non-ok reports and the exceptions grouped by the
-    check that failed, the first input text of each group, and the number
-    of runs in which the forest route agreed with snf."""
+    check that failed, the first input text of each group, the number of
+    runs in which the forest route agreed with snf, and the number in which
+    ss ran and every one of its cross-checks agreed."""
     groups, witnesses = Counter(), {}
-    runs = forest_agreed = 0
+    runs = forest_agreed = ss_agreed = 0
     for g, chi in inputs:
         for field in fields:
             runs += 1
@@ -69,25 +70,29 @@ def sweep(inputs, fields) -> tuple:
                     failed = ["status not ok with no failing check"]
                 forest_agreed += any(c["methods"] == ["snf", "forest"] and c["agree"]
                                      for c in rep.data["cross_checks"])
+                ss_agreed += rep.data["methods"]["ss"]["ran"] and all(
+                    c["agree"] for c in rep.data["cross_checks"] if c["methods"] == ["snf", "ss"])
             groups.update(failed)
             for group in failed:
                 witnesses.setdefault(group, text)
-    return runs, groups, witnesses, forest_agreed
+    return runs, groups, witnesses, forest_agreed, ss_agreed
 
 
 def test_every_small_input_fails_only_the_known_checks():
     """Groups the non-ok reports and the exceptions of the sweep by the check
     that failed: the known groups, and no other, must come out."""
-    runs, groups, _, forest_agreed = sweep(_small_inputs(), (QQ, F2, F3))
+    runs, groups, _, forest_agreed, ss_agreed = sweep(_small_inputs(), (QQ, F2, F3))
     assert runs == 8334
     assert set(groups) == KNOWN_FAILURES, groups
     assert forest_agreed >= 3000, forest_agreed
+    assert ss_agreed >= 1400, ss_agreed
 
 
 def main() -> int:
-    runs, groups, witnesses, forest_agreed = sweep(_small_inputs((4,), 1),
-                                                   (QQ, F2, F3, PrimeField(5)))
-    print(f"{runs} runs, forest agreed with snf in {forest_agreed}")
+    runs, groups, witnesses, forest_agreed, ss_agreed = sweep(_small_inputs((4,), 1),
+                                                              (QQ, F2, F3, PrimeField(5)))
+    print(f"{runs} runs, forest agreed with snf in {forest_agreed}, "
+          f"ss ran and agreed with snf in {ss_agreed}")
     for group, count in groups.most_common():
         known = "known" if group in KNOWN_FAILURES else "NEW"
         print(f"[{known}] {group}: {count} runs; first input:")

@@ -16,12 +16,12 @@ from artinkernels import (BoundaryTables, build_flag_complex, cli, forest_fittin
 from artinkernels.flag import reduced_homology_ranks
 from artinkernels.smith import smith_normal_form
 from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityError,
-                                   ResonantCharacterError, chi_rel, least_forest_costs,
+                                   ResonantCharacterError, least_forest_costs,
                                    position_weights)
 from artinkernels import Character, LabeledGraph, LaurentPoly, q_poly, resonance_sets
 from artinkernels.laurent import laurent_gcd, normalize_unit
 from artinkernels import smith, spectral
-from artinkernels.linalg import staircase_leads
+from artinkernels.linalg import column_leads
 from artinkernels.scalars import PrimeField
 
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
@@ -192,20 +192,6 @@ def test_solve_torsion_square():
     assert solve_torsion(pt2, r) == {0: [1, 1], 1: [0, 0, 0]}
     pt6 = page_dims(weighted_complex(BoundaryTables(fc, chi, QQ), 6))
     assert solve_torsion(pt6, r) == {0: [2, 0], 1: [0, 0, 0]}
-
-
-def test_chi_rel_matches_published_values():
-    g, chi = square_graph()
-    fc = build_flag_complex(g)
-    r = reduced_homology_ranks(fc, QQ)
-    tc = BoundaryTables(fc, chi, QQ)
-    chi2 = chi_rel(page_dims(weighted_complex(tc, 2)), r, 1)
-    assert chi2[1, 0] == 2
-    assert chi2[2, 0] == 1
-    assert chi2[1, 1] == 0
-    chi6 = chi_rel(page_dims(weighted_complex(tc, 6)), r, 1)
-    assert chi6[1, 0] == 2
-    assert chi6[2, 0] == 0
 
 
 def test_path_graph_multiplicities_match_smith():
@@ -508,12 +494,13 @@ def test_shared_order_check_survives_python_O():
 
 @pytest.mark.parametrize("fault, message", [
     ("rank", "stable page row 0 is 0 for d=3,4,5,6,10,12,15,20,30,60, expected r_0=1"),
-    ("page", "negative multiplicity for k=1, d=3,4,5,6,10,12,15,20,30,60: "),
-], ids=["rank", "page"])
+    ("jordan", "a pair of degree 1 for d=3,4,5,6,10,12,15,20,30,60 has gap 4, "
+               "violating the Jordan bound"),
+], ids=["rank", "jordan"])
 def test_multiplicity_errors_name_every_order_sharing_the_table(fault, message):
     """A failed check on a shared page table names all of its orders: a
-    wrong reduced rank, or a page 1 with an extra class in row 0, which
-    makes a degree-2 multiplicity negative."""
+    wrong reduced rank, or a pair of degree 1 whose gap 4 exceeds the
+    Jordan bound 1 + 2."""
     g, chi = _weighted_path(60)
     fc = build_flag_complex(g)
     r = reduced_homology_ranks(fc, QQ)
@@ -524,7 +511,8 @@ def test_multiplicity_errors_name_every_order_sharing_the_table(fault, message):
     if fault == "rank":
         r = [r[0] + 1, *r[1:]]
     else:
-        pt = dataclasses.replace(pt, pages=[pt.pages[0], {(0, 0): 1}, *pt.pages[2:]])
+        assert (1, 4) not in pt.gaps
+        pt = dataclasses.replace(pt, gaps={**pt.gaps, (1, 4): 1})
     with pytest.raises(NegativeMultiplicityError, match=re.escape(message)):
         solve_torsion(pt, r)
 
@@ -949,12 +937,12 @@ def test_clearing_leaves_page_tables_unchanged(monkeypatch):
     above; sweeping every column must give equal page tables."""
     skipped = []
 
-    def spy(field, columns, snapshot_after, cleared=frozenset()):
+    def spy(field, columns, cleared=frozenset()):
         skipped.append(len(cleared))
-        return staircase_leads(field, columns, snapshot_after, cleared)
+        return column_leads(field, columns, cleared)
 
-    def full(field, columns, snapshot_after, cleared=frozenset()):
-        return staircase_leads(field, columns, snapshot_after)
+    def full(field, columns, cleared=frozenset()):
+        return column_leads(field, columns)
 
     rng = random.Random(73)
     tables = 0
@@ -965,35 +953,49 @@ def test_clearing_leaves_page_tables_unchanged(monkeypatch):
         tc = BoundaryTables(fc, chi, QQ)
         for d in torsion_support(g, chi).values:
             wc = weighted_complex(tc, d)
-            monkeypatch.setattr(spectral, "staircase_leads", full)
+            monkeypatch.setattr(spectral, "column_leads", full)
             want = page_dims(wc)
-            monkeypatch.setattr(spectral, "staircase_leads", spy)
+            monkeypatch.setattr(spectral, "column_leads", spy)
             assert page_dims(wc) == want, (g.raw_edges, chi.values, d)
             tables += 1
     assert tables > 50 and sum(skipped) > 0
 
 
 def test_pages_up_to_degeneration_match_every_page():
-    """`page_dims` keeps pages 0 .. max_weight + 1, and a later page reads
-    the last; the reference evaluates the page formula on every page
-    through s_max + 1.  The cases include weights of 3 and more, and tables
-    whose pages past the kept ones run past max_weight + 2."""
+    """`page_dims` counts persistence pairs and keeps pages 0 .. max_weight
+    + 1, a later page reading the last; the reference evaluates the page
+    formula on every page through s_max + 1 and differences its pages into
+    gap counts, and `_brute_page_dims` builds pages 1 .. max_weight + 3
+    from explicit subspaces where the complex is small.  The cases include
+    weights up to 12, the m = 60 and m = 105 paths, tables whose pages
+    past the kept ones run past max_weight + 2, and pairs of gap 2 and
+    more, so that later pages differ."""
     rng = random.Random(29)
-    deep = long = 0
+    cases = []
     for i in range(60):
         if i % 2:
             g = random_matching_graph(rng, max_vertices=6, heavy=(4, 6))
         else:
             g = random_even_graph(rng, max_vertices=6, labels=(2, 4, 6), edge_prob=0.7)
-        chi = random_character(rng, g, max_weight=6)
+        cases.append((g, random_character(rng, g, max_weight=6)))
+    cases += [random_case(rng, max_vertices=6, max_weight=12) for _ in range(20)]
+    cases += [_weighted_path(60), _weighted_path(105)]
+    deep = long = wide = brute = 0
+    for g, chi in cases:
         fc = build_flag_complex(g)
         tc = BoundaryTables(fc, chi, QQ)
         for d in torsion_support(g, chi).values:
             wc = weighted_complex(tc, d)
             got, want = page_dims(wc), page_dims_every_page(wc)
-            assert (got.nonzero(), got.stable, got.s_max) == \
-                (want.nonzero(), want.stable, want.s_max), \
+            assert (got.nonzero(), got.stable, got.s_max, got.gaps) == \
+                (want.nonzero(), want.stable, want.s_max, want.gaps), \
                 (g.raw_edges, chi.weights, d)
+            if sum(map(len, wc.order.values())) <= 16:
+                assert {(s, p, q): v for s in range(1, wc.max_weight + 4)
+                        for (p, q), v in got.page(s).items()} == _brute_page_dims(wc), \
+                    (g.raw_edges, chi.weights, d)
+                brute += 1
             deep += wc.max_weight >= 3
             long += got.s_max >= wc.max_weight + 3
-    assert deep and long
+            wide += any(j >= 2 for _, j in got.gaps)
+    assert deep and long and wide >= 5 and brute > 50, (deep, long, wide, brute)
