@@ -155,9 +155,10 @@ class Report:
         return self.data["status"]["ok"]
 
     def to_json(self) -> str:
+        """The report as one line of compact JSON (`python -m json.tool` indents it)."""
         payload = dict(self.data)
         payload["timing"] = self.timing
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, separators=(",", ":"))
 
     def to_text(self) -> str:
         d = self.data
@@ -497,6 +498,7 @@ def main(argv=None) -> int:
         if job is None:
             return self_check()
         report = run(job)
+        out = report.to_json() if args.fmt == "json" else report.to_text()
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -506,7 +508,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, NegativeMultiplicityError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3
-    print(report.to_json() if args.fmt == "json" else report.to_text())
+    print(out)
     return 0 if report.ok else 3
 
 

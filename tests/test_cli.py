@@ -22,6 +22,7 @@ from artinkernels.cli import (ALL_METHODS, SELF_CHECK, InputError, JobConfig,
 from artinkernels.scalars import PRIME_LIMIT, PrimeField, parse_field
 
 from conftest import F2, F3, QQ, random_case
+from test_report_golden import CASES
 
 
 SQUARE = fixture_text("square")
@@ -187,6 +188,34 @@ def test_report_json_does_not_depend_on_the_hash_seed(fixture, tmp_path):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert "matrices" in reports[0]
+
+
+def test_report_json_is_one_compact_line_in_the_order_of_data():
+    rep = run(JobConfig(text=SQUARE))
+    text = rep.to_json()
+    payload = json.loads(text)
+    assert "\n" not in text
+    assert text == json.dumps(payload, separators=(",", ":"))
+    assert list(payload) == [*rep.data, "timing"]
+
+
+@pytest.mark.parametrize("case, text, field, k_max", CASES, ids=[c[0] for c in CASES])
+def test_report_json_reindents_to_what_the_digests_hash(case, text, field, k_max):
+    """The golden and bench digests hash `json.dumps(json.loads(report),
+    indent=2)`; for the compact report that is the indented payload itself."""
+    rep = run(JobConfig(text=text, field=field, k_max=k_max, dump_pages=True,
+                        dump_matrices=True))
+    payload = {**rep.data, "timing": rep.timing}
+    assert json.dumps(json.loads(rep.to_json()), indent=2) == json.dumps(payload, indent=2)
+
+
+def test_main_prints_the_json_report_on_one_line(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert main([str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["status"]["ok"]
 
 
 def test_field_override_and_methods_subset():
@@ -816,6 +845,21 @@ def test_main_exit_code_4_when_memory_runs_out(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("resource error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt, method", [("json", "to_json"), ("text", "to_text")])
+def test_main_exit_code_4_when_memory_runs_out_writing_the_report(tmp_path, monkeypatch,
+                                                                   capsys, fmt, method):
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.Report, method, exhausted)
+    path = tmp_path / "g.graph"
+    path.write_text(SQUARE)
+    assert main([str(path), "--format", fmt]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "resource error: out of memory\n"
 
 
 @pytest.mark.parametrize("selfcheck", [False, True])

@@ -88,6 +88,25 @@ def test_every_small_input_fails_only_the_known_checks():
     assert ss_agreed >= 1400, ss_agreed
 
 
+def test_negated_character_gives_the_same_modules():
+    """chi and -chi give kernels exchanged by t -> t^-1, and unit-normalized
+    invariant factors do not see that: every 8th small input, over Q, GF(2)
+    and GF(3), with snf alone, gives the same modules and verdict for both."""
+    runs = with_torsion = 0
+    for g, chi in itertools.islice(_small_inputs(), 0, None, 8):
+        neg = Character(g, {v: -m for v, m in chi.weights.items()})
+        for field in (QQ, F2, F3):
+            rep, rep_neg = (run(JobConfig(text=serialize_input(g, c, field), methods=("snf",)))
+                            for c in (chi, neg))
+            modules = rep.data["homology"]["modules"]
+            assert modules == rep_neg.data["homology"]["modules"], serialize_input(g, chi, field)
+            assert rep.ok == rep_neg.ok
+            runs += 1
+            with_torsion += any(m["invariant_factors"] for m in modules)
+    assert runs == 1044
+    assert with_torsion >= 1000, with_torsion
+
+
 def main() -> int:
     runs, groups, witnesses, forest_agreed, ss_agreed = sweep(_small_inputs((4,), 1),
                                                               (QQ, F2, F3, PrimeField(5)))
