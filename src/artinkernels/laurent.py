@@ -495,7 +495,7 @@ def cyclotomic_product(mults: dict, field: Field) -> LaurentPoly:
     """The product of Phi_d^k over the (d, k) in mults, over field: taken
     over the integers, then mapped into the field once."""
     cs = [1]
-    for d, k in sorted(mults.items()):
+    for d, k in sorted((d, k) for d, k in mults.items() if k):
         phi = [(i, c) for i, c in enumerate(cyclotomic_int(d)) if c]
         for _ in range(k):
             out, n = [0] * (len(cs) + phi[-1][0]), len(cs)
@@ -570,7 +570,10 @@ class CyclotomicField(Field):
     combination of powers of z) is made by one rule, `_reduce`: fold the
     exponents mod d, since z^d = 1, then take the remainder by the monic
     Phi_d, which keeps the coordinates integral, and normalize by one
-    math.gcd.  No power of z is tabulated.
+    math.gcd.  No power of z is tabulated.  Each instance memoises the
+    inverses and products it computes, keyed by the canonical elements, so
+    an ss sweep builds its own K_d and the memos die with it; the shared
+    `cyclotomic_field(d)` is for reductions and zero tests.
     """
 
     char = 0
@@ -582,6 +585,7 @@ class CyclotomicField(Field):
         self.modulus = ints
         self.zero = ((0,) * n, 1)
         self.one = ((1,) + (0,) * (n - 1), 1)
+        self._inverses, self._products = {}, {}
 
     @staticmethod
     def _normal(nums: list, den: int):
@@ -636,20 +640,28 @@ class CyclotomicField(Field):
         return self._normal([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
 
     def mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        prod = [0] * (2 * self.deg - 1)
-        bterms = [(j, y) for j, y in enumerate(bn) if y]
-        for i, x in enumerate(an):
-            if x:
-                for j, y in bterms:
-                    prod[i + j] += x * y
-        return self._reduce(enumerate(prod), ad * bd)
+        out = self._products.get((a, b))
+        if out is None:
+            (an, ad), (bn, bd) = a, b
+            prod = [0] * (2 * self.deg - 1)
+            bterms = [(j, y) for j, y in enumerate(bn) if y]
+            for i, x in enumerate(an):
+                if x:
+                    for j, y in bterms:
+                        prod[i + j] += x * y
+            out = self._products[a, b] = self._reduce(enumerate(prod), ad * bd)
+        return out
 
     def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of 0 in K_d")
-        s, c = _int_inverse_mod(list(a[0]), self.modulus)
-        return self._normal([a[1] * x for x in s] + [0] * (self.deg - len(s)), c)
+        # 0 raises before the memo is written, so it is never in it
+        out = self._inverses.get(a)
+        if out is None:
+            if self.is_zero(a):
+                raise ZeroDivisionError("inverse of 0 in K_d")
+            s, c = _int_inverse_mod(list(a[0]), self.modulus)
+            out = self._inverses[a] = self._normal(
+                [a[1] * x for x in s] + [0] * (self.deg - len(s)), c)
+        return out
 
     def from_int(self, n):
         return (n,) + (0,) * (self.deg - 1), 1

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: the coefficient fields behind every computation.
 
 Everything in this package is computed exactly, so floating point never
-appears.  A *field* here is a small stateless object exposing a uniform
-protocol (``zero``, ``one``, ``add``, ``mul``, ``inv``, ...) over opaque
-element values:
+appears.  A *field* here is a small object exposing a uniform protocol
+(``zero``, ``one``, ``add``, ``mul``, ``inv``, ...) over opaque element
+values; only an ss sweep's own K_d keeps state, its memos of inverses and
+products, and no value depends on them:
 
 * :class:`Rationals` works on exact rationals: Python ints while a value
   is integral, :class:`fractions.Fraction` once a non-unit is inverted,

@@ -29,7 +29,10 @@ run's twisted complex over Q (`twisted_boundary`, built once for every d)
 and its weights from the rule above, not from the Smith route's tables:
 the leading unit of an entry is its quotient by Phi_d^(weight drop) at
 zeta_d (`quotient_residue`), and the elimination runs on K_d elements of
-integer numerators over one denominator.
+integer numerators over one denominator.  Each sweep builds its own
+`CyclotomicField(d)`, whose memos of inverses and products die with the
+sweep, and takes its weights from the grouping in `shared_page_tables`,
+so each order's weights are computed once.
 
 Clearing (Chen and Kerber, "Persistent homology computation with a twist",
 2011): the unit at (Y, X) is +-W'(X)/W'(Y) at zeta_d, W' the part of W
@@ -104,8 +107,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Character, connected_components, resonance_sets
-from .laurent import (cyclotomic_field, cyclotomic_product, quotient_residue,
-                      t_minus_one_multiplicities)
+from .laurent import (CyclotomicField, cyclotomic_field, cyclotomic_product,
+                      quotient_residue, t_minus_one_multiplicities)
 from .linalg import column_leads
 from .scalars import Field
 from .twisted import BoundaryTables, twisted_boundary
@@ -146,7 +149,7 @@ class WeightedComplex:
 
     t: BoundaryTables
     d: int
-    field: object                     # CyclotomicField(d)
+    field: object                     # CyclotomicField(d), this sweep's own
     order: dict                       # n -> positions sorted by (weight, position)
     weights: dict                     # n -> the weights of order[n], ascending
     columns: dict                     # n -> sparse boundary columns
@@ -154,9 +157,9 @@ class WeightedComplex:
     orders: tuple                     # d, then the orders whose units were also checked
 
 
-def position_weights(t: BoundaryTables, d: int) -> dict:
-    """n -> the weights w(X) for order d of the simplices of degree n by
-    position, for n = -1 .. t.fc.dim."""
+def position_weights(t: BoundaryTables, d: int) -> tuple:
+    """The weights w(X) for order d of the simplices of degree n by
+    position, one tuple per degree n = -1 .. t.fc.dim."""
     if d < 2:
         raise ValueError("the multiplicity filtration needs d >= 2")
     fc, c, g = t.fc, t.c, t.fc.graph
@@ -170,22 +173,24 @@ def position_weights(t: BoundaryTables, d: int) -> dict:
     vertex_w = [vertex_weight(c, v, d) for v in g.vertices]
     heavy = [sum(1 << g.index[w] for w, label in g.adjacency[v].items()
                  if label > 2 and edge_weight(g, c, v, w, d)) for v in g.vertices]
-    by_position = {-1: [0]}
+    by_position = [(0,)]
     for n in range(0, fc.dim + 1):
-        ws = by_position[n - 1]
-        by_position[n] = [ws[fs[-1]] + vertex_w[v := m.bit_length() - 1]
-                          + (m & heavy[v]).bit_count()
-                          for m, fs in zip(fc.masks[n], fc.facets(n))]
-    return by_position
+        ws = by_position[-1]
+        by_position.append(tuple([ws[fs[-1]] + vertex_w[v := m.bit_length() - 1]
+                                  + (m & heavy[v]).bit_count()
+                                  for m, fs in zip(fc.masks[n], fc.facets(n))]))
+    return tuple(by_position)
 
 
-def weighted_complex(t: BoundaryTables, d: int, shared=()) -> WeightedComplex:
+def weighted_complex(t: BoundaryTables, d: int, shared=(), weights=None) -> WeightedComplex:
     """The filtration for order d, read off the twisted boundaries of t over
-    Q in chain degrees 0 .. t.fc.dim.  Each order in `shared`, whose
-    weights must equal d's, has every unit that d reads read and checked
-    at its own root too (module docstring)."""
-    by_position = position_weights(t, d)
-    kd = cyclotomic_field(d)
+    Q in chain degrees 0 .. t.fc.dim, with `weights` as
+    `position_weights(t, d)` gives them, computed when not given.  Each
+    order in `shared`, whose weights must equal d's, has every unit that d
+    reads read and checked at its own root too (module docstring)."""
+    by_position = dict(zip(range(-1, t.fc.dim + 1), weights or position_weights(t, d)))
+    # the sweep's own K_d, whose memos of inverses and products die with it
+    kd = CyclotomicField(d)
     # each degree in (weight, position) order: a stable sort of the positions;
     # slot[n] is the inverse permutation, position -> index in order[n]
     order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}
@@ -215,7 +220,7 @@ def weighted_complex(t: BoundaryTables, d: int, shared=()) -> WeightedComplex:
         columns[n] = [{row_slot[i]: units.get((id(entry), col_w[j] - row_w[i]))
                        or new_unit(entry, col_w[j] - row_w[i], tb, i, j)
                        for i, entry in tb.columns[j].items()} for j in order[n]]
-    weights = {n: [by_position[n][j] for j in js] for n, js in order.items()}
+    weights = {n: sorted(ws) for n, ws in by_position.items()}
     return WeightedComplex(t, d, kd, order, weights, columns,
                            max(w[-1] for w in weights.values()), (d, *shared))
 
@@ -223,12 +228,13 @@ def weighted_complex(t: BoundaryTables, d: int, shared=()) -> WeightedComplex:
 def shared_page_tables(t: BoundaryTables, orders):
     """One PageTable per distinct filtration among the orders, in the order
     of its least order d, where K_d is cheapest; `pt.orders` lists the
-    orders that share it (module docstring)."""
+    orders that share it (module docstring).  The weights that group the
+    orders are the ones the sweep reads, computed once per order."""
     groups = {}
     for d in sorted(orders):
-        groups.setdefault(tuple(map(tuple, position_weights(t, d).values())), []).append(d)
-    for d, *shared in groups.values():
-        yield page_dims(weighted_complex(t, d, shared))
+        groups.setdefault(position_weights(t, d), []).append(d)
+    for weights, (d, *shared) in groups.items():
+        yield page_dims(weighted_complex(t, d, shared, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,9 @@ def page_dims(wc: WeightedComplex) -> PageTable:
         for x, y in enumerate(leads):
             if y is not None:
                 p, r = ws[n][x], ws[n - 1][y]
-                drops[p - r].update(((p, n - p), (r, n - 1 - r)))
+                lost = drops[p - r]
+                lost[p, n - p] += 1
+                lost[r, n - 1 - r] += 1
                 gaps[n - 1, p - r] += 1
         cleared = frozenset(leads) - {None}
     for drop in drops:

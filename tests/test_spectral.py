@@ -20,7 +20,7 @@ from artinkernels.spectral import (DisconnectedGraphError, NegativeMultiplicityE
                                    position_weights)
 from artinkernels import Character, LabeledGraph, LaurentPoly, q_poly, resonance_sets
 from artinkernels.laurent import laurent_gcd, normalize_unit
-from artinkernels import smith, spectral
+from artinkernels import laurent, smith, spectral
 from artinkernels.linalg import column_leads
 from artinkernels.scalars import PrimeField
 
@@ -452,6 +452,86 @@ def _vanishing_at(victim):
     def residue(f, d, drop):
         return cyclotomic_field(d).zero if d == victim else real(f, d, drop)
     return residue
+
+
+def _matching_clique(weights):
+    """K_n, n = len(weights), with label 4 on the pairs 01, 23, ... and
+    label 2 elsewhere."""
+    names = [f"v{i}" for i in range(len(weights))]
+    g = LabeledGraph(names, [(names[i], names[j], 4 if j == i + 1 and i % 2 == 0 else 2)
+                             for i, j in itertools.combinations(range(len(names)), 2)])
+    return g, Character(g, dict(zip(names, weights)))
+
+
+def _cycle(n, label, weights):
+    """C_n with every edge labelled `label`, the weights repeated around it."""
+    names = [f"c{i}" for i in range(n)]
+    g = LabeledGraph(names, [(names[i], names[(i + 1) % n], label) for i in range(n)])
+    return g, Character(g, {v: weights[i % len(weights)] for i, v in enumerate(names)})
+
+
+K7_MATCHING = _matching_clique((2, 5, 1, 3, 1, 4, 6))
+
+
+@pytest.mark.parametrize("case, inversions", [
+    (K7_MATCHING, 1),
+    (_cycle(11, 4, (1, 2, 3)), 18),
+], ids=["K_7", "C_11"])
+def test_a_pass_inverts_each_value_once_per_sweep_and_weighs_each_order_once(
+        monkeypatch, case, inversions):
+    """Each sweep's K_d memoises its inverses, so a `shared_page_tables`
+    pass inverts each lead value once per sweep: once on K_7 with a label-4
+    matching, whose 16 inverted leads are one K_14 value, and 18 times for
+    C_11's 50.  The weights that group the orders are the ones swept, so
+    `position_weights` runs once per order of the support."""
+    g, chi = case
+    tc = BoundaryTables(build_flag_complex(g), chi, QQ)
+    support = torsion_support(g, chi).values
+    inverted, weighed = [], []
+    real_inverse, real_weights = laurent._int_inverse_mod, spectral.position_weights
+
+    def counted_inverse(a, m):
+        inverted.append(m)
+        return real_inverse(a, m)
+
+    def counted_weights(t, d):
+        weighed.append(d)
+        return real_weights(t, d)
+
+    monkeypatch.setattr(laurent, "_int_inverse_mod", counted_inverse)
+    monkeypatch.setattr(spectral, "position_weights", counted_weights)
+    tables = list(shared_page_tables(tc, support))
+    assert sorted(d for pt in tables for d in pt.orders) == sorted(support)
+    assert len(inverted) == inversions
+    assert sorted(weighed) == sorted(support)
+
+
+def test_no_k_d_memo_outlives_its_sweep():
+    """The memos of inverses and products live on each sweep's own K_d:
+    after `cli.run`, no process-wide `cyclotomic_field(d)` holds an entry,
+    and the K_d of a sweep that has inverted still raises on 0, which it
+    never stores."""
+    laurent.cyclotomic_field.cache_clear()
+    g, chi = K7_MATCHING
+    data = cli.run(cli.JobConfig(text=cli.serialize_input(g, chi, QQ),
+                                 methods=("snf", "ss"))).data
+    support = data["torsion_support"]["values"]
+    assert data["status"]["ok"] and data["methods"]["ss"]["ran"]
+    assert laurent.cyclotomic_field.cache_info().currsize >= len(support)
+    for d in support:
+        kd = laurent.cyclotomic_field(d)
+        assert not kd._inverses and not kd._products, d
+
+    wc = weighted_complex(BoundaryTables(build_flag_complex(g), chi, QQ), 14)
+    kd = wc.field
+    assert kd == laurent.cyclotomic_field(14) and kd is not laurent.cyclotomic_field(14)
+    page_dims(wc)
+    assert kd._inverses and kd._products
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            kd.inv(kd.zero)
+    assert kd.zero not in kd._inverses
+    assert all(kd.mul(a, b) == kd.one for a, b in kd._inverses.items())
 
 
 # orders of the m = 60 path that share the sweep at d = 3
