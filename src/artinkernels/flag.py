@@ -13,6 +13,7 @@ Every boundary reads the facets of a simplex by position (`facets`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import linalg
@@ -70,6 +71,23 @@ class FlagComplex:
 
     def __repr__(self):
         return f"FlagComplex({self.counts()})"
+
+
+class SimplexNames(Sequence):
+    """A sequence equal to `fc.simplices_of(k)` that calls it only when an
+    item is read, so the axes of a matrix that no one names decode nothing."""
+
+    def __init__(self, fc: FlagComplex, k: int):
+        self.fc, self.k = fc, k
+
+    def __len__(self) -> int:
+        return len(self.fc.masks.get(self.k, ()))
+
+    def __getitem__(self, i):
+        return self.fc.simplices_of(self.k)[i]
+
+    def __eq__(self, other) -> bool:
+        return self.fc.simplices_of(self.k) == other
 
 
 def build_flag_complex(g: LabeledGraph) -> FlagComplex:

@@ -565,15 +565,16 @@ class CyclotomicField(Field):
     its numerator in the basis 1, z, ..., z^(phi(d) - 1) and one positive
     common denominator, in lowest terms (den and the nums have gcd 1, and
     zero is ((0, ..., 0), 1)).  The form is canonical, so == and hash mean
-    equality in K_d.  Sums and differences work coordinatewise and `inv`
-    by an integer extended Euclid; every other element (a product, z, a
-    combination of powers of z) is made by one rule, `_reduce`: fold the
-    exponents mod d, since z^d = 1, then take the remainder by the monic
-    Phi_d, which keeps the coordinates integral, and normalize by one
-    math.gcd.  No power of z is tabulated.  Each instance memoises the
-    inverses and products it computes, keyed by the canonical elements, so
-    an ss sweep builds its own K_d and the memos die with it; the shared
-    `cyclotomic_field(d)` is for reductions and zero tests.
+    equality in K_d, and `is_zero` is zero's own tuple ==, a C callable.
+    Sums and differences work coordinatewise and `inv` by an integer
+    extended Euclid; every other element (a product, z, a combination of
+    powers of z) is made by one rule, `_reduce`: fold the exponents mod d,
+    since z^d = 1, then take the remainder by the monic Phi_d, which keeps
+    the coordinates integral, and normalize by one math.gcd.  No power of
+    z is tabulated.  Each instance memoises the inverses and products it
+    computes, keyed by the canonical elements, so an ss sweep builds its
+    own K_d and the memos die with it; the shared `cyclotomic_field(d)` is
+    for reductions and zero tests.
     """
 
     char = 0
@@ -585,6 +586,7 @@ class CyclotomicField(Field):
         self.modulus = ints
         self.zero = ((0,) * n, 1)
         self.one = ((1,) + (0,) * (n - 1), 1)
+        self.is_zero = self.zero.__eq__
         self._inverses, self._products = {}, {}
 
     @staticmethod
@@ -669,9 +671,6 @@ class CyclotomicField(Field):
     def embed(self, q: Fraction):
         q = Fraction(q)
         return (q.numerator,) + (0,) * (self.deg - 1), q.denominator
-
-    def is_zero(self, a):
-        return not any(a[0])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.d == self.d

@@ -19,6 +19,7 @@ its report name, "Q" or "F<p>".
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -82,35 +83,16 @@ def divisors(n: int) -> list[int]:
 
 
 class Field:
-    """Protocol base for exact fields; see the module docstring."""
+    """Protocol base for exact fields (module docstring): each field gives
+    zero, one, add, neg, sub, mul, inv, from_int and is_zero, and shares
+    div and to_str."""
 
     char = 0
     zero = None
     one = None
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def to_str(self, a) -> str:
         return str(a)
@@ -120,34 +102,23 @@ class Rationals(Field):
     """Q.  An element is an int or a Fraction; the two are both exact
     rationals and compare and hash alike, so 3 and Fraction(3) are one
     element.  zero, one and from_int give ints, and add, sub, mul and neg
-    are the native operators, so integral matrices are eliminated on ints.
-    inv and div never produce a float: inv(a) is a itself for a = +-1 and
+    are the native operators and is_zero `not`, the C callables of
+    `operator` (a builtin binds no self), so integral matrices are
+    eliminated on ints without a Python-level call per entry.  inv and div
+    never produce a float: inv(a) is a itself for a = +-1 and
     Fraction(1, a) otherwise, and div(a, b) is a * inv(b)."""
 
     char = 0
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    add, neg, sub, mul = operator.add, operator.neg, operator.sub, operator.mul
+    is_zero = operator.not_
 
     def inv(self, a):
         return a if a == 1 or a == -1 else Fraction(1, a)
 
     def from_int(self, n):
         return n
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -163,7 +134,9 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    """GF(p) with elements stored as ints in [0, p)."""
+    """GF(p) with elements stored as ints in [0, p), so is_zero is `not`."""
+
+    is_zero = operator.not_
 
     def __init__(self, p: int):
         if not is_prime(p):

@@ -22,7 +22,8 @@ d^s cancels exactly the pairs of gap s.  So the page dimension
 
 and page s + 1 is page s less both simplices of each pair of gap s.
 Gaps lie in 0..w_max, so the sequence degenerates at page w_max + 1,
-which holds the unpaired simplices only.
+which holds the unpaired simplices only.  `page_dims` keeps what
+`solve_torsion` reads; its `PageTable` builds the pages on first read.
 
 `weighted_complex` reads the facet coefficients off the boundaries of the
 run's twisted complex over Q (`twisted_boundary`, built once for every d)
@@ -30,9 +31,9 @@ and its weights from the rule above, not from the Smith route's tables:
 the leading unit of an entry is its quotient by Phi_d^(weight drop) at
 zeta_d (`quotient_residue`), and the elimination runs on K_d elements of
 integer numerators over one denominator.  Each sweep builds its own
-`CyclotomicField(d)`, whose memos of inverses and products die with the
-sweep, and takes its weights from the grouping in `shared_page_tables`,
-so each order's weights are computed once.
+`CyclotomicField(d)`, with memos of inverses and products, and a memo of
+units by drop per entry object, all dying with the sweep, and takes its
+weights from the grouping in `shared_page_tables`, computed once per d.
 
 Clearing (Chen and Kerber, "Persistent homology computation with a twist",
 2011): the unit at (Y, X) is +-W'(X)/W'(Y) at zeta_d, W' the part of W
@@ -103,8 +104,10 @@ and 8 root edges.
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graphs import Character, connected_components, resonance_sets
 from .laurent import (CyclotomicField, cyclotomic_field, cyclotomic_product,
@@ -196,18 +199,17 @@ def weighted_complex(t: BoundaryTables, d: int, shared=(), weights=None) -> Weig
     order = {n: sorted(range(len(ws)), key=ws.__getitem__) for n, ws in by_position.items()}
     slot = {n: sorted(range(len(js)), key=js.__getitem__) for n, js in order.items()}
 
-    # entries with equal factors and sign are one shared object, so each
-    # (entry, drop) has its leading unit read, and checked, once: a unit is a
-    # nonempty tuple, so `or` calls new_unit on a miss only, and a negative
-    # drop is never stored, so every entry that has one is checked, at d and
-    # at each shared order
-    units = {}
+    # entries with equal factors and sign are one shared object, with one memo
+    # of units by drop: each (entry, drop) has its unit read and checked once,
+    # at d and at each shared order, as `or` calls new_unit on a miss only (a
+    # unit is a nonempty tuple) and a failed check ends the sweep
+    units = defaultdict(dict)
 
     def new_unit(entry, drop, tb, i, j):
         if drop < 0:
             raise ArithmeticError(f"weights must not increase along faces: "
                                   f"{tb.rows[i]}, {tb.cols[j]}")
-        unit = units[id(entry), drop] = quotient_residue(entry, d, drop)
+        unit = units[id(entry)][drop] = quotient_residue(entry, d, drop)
         if kd.is_zero(unit) or any(cyclotomic_field(e).is_zero(quotient_residue(entry, e, drop))
                                    for e in shared):
             raise ArithmeticError(f"leading unit vanished at {tb.rows[i]}, {tb.cols[j]}")
@@ -217,7 +219,7 @@ def weighted_complex(t: BoundaryTables, d: int, shared=(), weights=None) -> Weig
     for n in range(0, t.fc.dim + 1):
         tb, col_w, row_w, row_slot = (twisted_boundary(t, n), by_position[n],
                                       by_position[n - 1], slot[n - 1])
-        columns[n] = [{row_slot[i]: units.get((id(entry), col_w[j] - row_w[i]))
+        columns[n] = [{row_slot[i]: units[id(entry)].get(col_w[j] - row_w[i])
                        or new_unit(entry, col_w[j] - row_w[i], tb, i, j)
                        for i, entry in tb.columns[j].items()} for j in order[n]]
     weights = {n: sorted(ws) for n, ws in by_position.items()}
@@ -245,14 +247,30 @@ def shared_page_tables(t: BoundaryTables, orders):
 class PageTable:
     orders: tuple                    # the orders d whose filtration this is
     s_max: int
-    pages: list                      # pages[s]: (p, q) -> dim, nonzero only; s > last reads last
     max_weight: int
     top_degree: int
     gaps: dict                       # (k, j) -> the pairs of a k-row and a (k+1)-column at gap j
+    unpaired: dict                   # k -> the unpaired k-simplices, the stable page's row k
+    weights: dict                    # n -> the weights of the n-simplices, ascending
+    pairs: dict                      # n -> per n-column in weight order, its lead row or None
 
     def __post_init__(self):
         # the label names every order in the check errors
         self.label = "d=" + ",".join(map(str, self.orders))
+
+    @functools.cached_property
+    def pages(self) -> list:
+        """pages[s]: (p, q) -> dim, nonzero only, for s = 0 .. max_weight + 1,
+        built from the pairs (module docstring) on the first read."""
+        ws = self.weights
+        drops = [Counter() for _ in range(self.max_weight + 1)]
+        for n, leads in self.pairs.items():
+            for x, y in enumerate(leads):
+                if y is not None:
+                    p, r = ws[n][x], ws[n - 1][y]
+                    drops[p - r].update(((p, n - p), (r, n - 1 - r)))
+        first = Counter((w, n - w) for n in ws for w in ws[n])
+        return list(map(dict, accumulate(drops, Counter.__sub__, initial=first)))
 
     @property
     def stable(self) -> dict:
@@ -268,7 +286,7 @@ class PageTable:
         return sum(v for (p, q), v in self.page(s).items() if p + q == k)
 
     def stable_row(self, k: int) -> int:
-        return self.h_row(self.s_max, k)
+        return self.unpaired.get(k, 0)
 
     def nonzero(self) -> dict:
         return {(s, p, q): v for s in range(self.s_max + 1)
@@ -276,35 +294,26 @@ class PageTable:
 
 
 def page_dims(wc: WeightedComplex) -> PageTable:
-    """Dimensions of every page position, and the gap counts, from the
-    persistence pairs (module docstring).
+    """The persistence pairs of wc, their gap counts and each degree's
+    unpaired simplices (module docstring); the pages follow on request.
 
     The table runs through page s_max = max(dim + 3, max_weight + 2).  No
-    gap exceeds max_weight, so pages 0 .. max_weight + 1 are computed and
-    the last is the stable page.  The sweeps run from the top degree down,
+    gap exceeds max_weight, so pages 0 .. max_weight + 1 are kept and the
+    last is the stable page.  The sweeps run from the top degree down,
     each clearing the columns that lead the sweep above (module docstring).
     """
     wmax, top, ws = wc.max_weight, wc.t.fc.dim, wc.weights
-    # page 0 counts the simplices at (p, q); drops[s] the two simplices of
-    # each pair of gap s, which page s + 1 loses
-    pages = [Counter((w, n - w) for n in ws for w in ws[n])]
-    drops = [Counter() for _ in range(wmax + 1)]
-    gaps = Counter()
+    gaps, pairs, unpaired = {}, {}, {n: len(w) for n, w in ws.items()}
     cleared = frozenset()
     for n in range(top, -1, -1):
-        leads = column_leads(wc.field, wc.columns[n], cleared)
-        for x, y in enumerate(leads):
-            if y is not None:
-                p, r = ws[n][x], ws[n - 1][y]
-                lost = drops[p - r]
-                lost[p, n - p] += 1
-                lost[r, n - 1 - r] += 1
-                gaps[n - 1, p - r] += 1
+        leads = pairs[n] = column_leads(wc.field, wc.columns[n], cleared)
+        col_w, row_w = ws[n], ws[n - 1]
+        found = Counter([col_w[x] - row_w[y] for x, y in enumerate(leads) if y is not None])
+        gaps.update(((n - 1, j), count) for j, count in found.items())
         cleared = frozenset(leads) - {None}
-    for drop in drops:
-        pages.append(pages[-1] - drop)
-    return PageTable(wc.orders, max(top + 3, wmax + 2), list(map(dict, pages)), wmax, top,
-                     dict(gaps))
+        unpaired[n] -= len(cleared)
+        unpaired[n - 1] -= len(cleared)
+    return PageTable(wc.orders, max(top + 3, wmax + 2), wmax, top, gaps, unpaired, ws, pairs)
 
 
 # ---------------------------------------------------------------------------

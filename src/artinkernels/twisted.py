@@ -34,7 +34,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .flag import FlagComplex, bits
+from .flag import FlagComplex, SimplexNames, bits
 from .graphs import Character
 from .laurent import LaurentPoly, q_poly, t_minus_one_multiplicities
 from .scalars import Field
@@ -42,8 +42,9 @@ from .scalars import Field
 
 @dataclass
 class PolyMatrix:
-    """Sparse matrix of Laurent polynomials with simplex-labeled axes:
-    columns[j] maps a row index to the nonzero entry there."""
+    """Sparse matrix of Laurent polynomials with simplex-labeled axes (on a
+    twisted boundary, `flag.SimplexNames`): columns[j] maps a row index to
+    the nonzero entry there."""
 
     rows: list
     cols: list
@@ -58,7 +59,7 @@ class PolyMatrix:
     @property
     def entries(self) -> tuple:
         """The dense view: a tuple of row tuples, zeros filled in."""
-        grid = [[LaurentPoly.zero(self.field)] * len(self.cols) for _ in self.rows]
+        grid = [[LaurentPoly.zero(self.field)] * len(self.cols) for _ in range(len(self.rows))]
         for j, col in enumerate(self.columns):
             for i, e in col.items():
                 grid[i][j] = e
@@ -203,7 +204,7 @@ def twisted_boundary(t: BoundaryTables, k: int) -> PolyMatrix:
     if k not in t.boundaries:
         columns = [{f: e for i, (f, v) in enumerate(zip(fs, bits(m))) if (e := t.entry(m, i, v))}
                    for m, fs in zip(t.fc.masks.get(k, ()), t.fc.facets(k))]
-        t.boundaries[k] = PolyMatrix(t.fc.simplices_of(k - 1), t.fc.simplices_of(k),
+        t.boundaries[k] = PolyMatrix(SimplexNames(t.fc, k - 1), SimplexNames(t.fc, k),
                                      columns, t.field, k)
     return t.boundaries[k]
 

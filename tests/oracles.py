@@ -487,9 +487,10 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     Pages are computed through max(dim + 3, max_weight + 2); the last two
     agree entrywise (the sequence has degenerated), and the table keeps
     every page through s_max, the last of them the stable one, with the
-    gap counts differenced from the pages.  The sweeps run from the top
-    degree down, each clearing the columns that lead the sweep above
-    (`spectral` module docstring).
+    gap counts differenced from the pages and the unpaired counts read off
+    the stable page.  The sweeps run from the top degree down, each
+    clearing the columns that lead the sweep above (`spectral` module
+    docstring).
     """
     kd = wc.field
     wmax = wc.max_weight
@@ -550,7 +551,12 @@ def page_dims_every_page(wc: WeightedComplex) -> PageTable:
     for k in range(-1, top):
         below = [row(j, k) - row(j + 1, k) - below[j] for j in range(s_hi + 1)]
         gaps.update(((k, j), v) for j, v in enumerate(below) if v)
-    return PageTable(wc.orders, s_hi, pages[:s_hi + 1], wmax, top, gaps)
+    # the unpaired counts are the stable page's rows, and the table holds
+    # these pages as given: with no pairs, it builds none
+    pt = PageTable(wc.orders, s_hi, wmax, top, gaps,
+                   {k: row(s_hi, k) for k in range(-1, top + 1)}, wc.weights, None)
+    pt.pages = pages[:s_hi + 1]
+    return pt
 
 
 # ---------------------------------------------------------------------------

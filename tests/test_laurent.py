@@ -551,6 +551,49 @@ def test_cyclotomic_product_matches_products_of_powers(fspec):
         assert cyclotomic_product(mults, fspec) == cyclotomic_product_by_powers(mults, fspec), mults
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 12, 14, 60])
+def test_zero_in_k_d_is_canonical(d):
+    """`CyclotomicField.is_zero` is zero's own ==, which is exact because
+    every K_d element is canonical: each result of add, sub, neg, mul, inv,
+    from_int, embed, root_combination and quotient_residue is zero to
+    `is_zero` exactly when its numerator is, and a zero is `kd.zero`
+    itself.  Zeros come from cancelling sums, products by zero and residues
+    of multiples of Phi_d, many over a denominator above 1."""
+    rng = random.Random(d)
+    kd = CyclotomicField(d)
+    zeros = 0
+
+    def check(x):
+        nonlocal zeros
+        assert kd.is_zero(x) == (not any(x[0])), (d, x)
+        if not any(x[0]):
+            assert x == kd.zero and x[1] == 1, (d, x)
+            zeros += 1
+        return x
+
+    elements = [check(kd.from_int(n)) for n in (0, 1, -3)]
+    elements += [check(kd.embed(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                 for _ in range(3)]
+    # every d-th root of unity once sums to 0, here over the denominator 3
+    elements.append(check(kd.root_combination({e: Fraction(1, 3) for e in range(d)})))
+    elements += [check(kd.root_combination({rng.randrange(-2 * d, 2 * d): Fraction(
+        rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))}))
+        for _ in range(6)]
+    phi = cyclotomic(d, QQ)
+    for drop in range(3):
+        f = L({e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for e in range(-2, 3)})
+        for g in (f, f * phi):
+            elements.append(check(quotient_residue(g * phi ** drop, d, drop)))
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        for x in (kd.add(a, b), kd.sub(a, b), kd.sub(a, a), kd.add(a, kd.neg(a)), kd.neg(a),
+                  kd.mul(a, b), kd.mul(a, kd.zero)):
+            check(x)
+        if not kd.is_zero(a):
+            check(kd.inv(a))
+            check(kd.mul(a, kd.inv(a)))
+    assert zeros > len(elements)
+
+
 @pytest.mark.parametrize("d", [*range(1, 41), 105, 122, 212])
 def test_cyclotomic_field_rows_on_demand_match_an_eager_table(d):
     """`CyclotomicField` reduces each power of z as a term reaches it

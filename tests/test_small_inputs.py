@@ -107,6 +107,30 @@ def test_negated_character_gives_the_same_modules():
     assert with_torsion >= 1000, with_torsion
 
 
+def test_scaled_character_gives_the_same_modules():
+    """chi and n chi have the same kernel, so a run normalizes chi by the
+    gcd of its weights: every 8th small input, over Q, GF(2) and GF(3),
+    with snf alone, gives for n = 2 and n = 3 the same modules and verdict,
+    with the normalization divisor multiplied by n."""
+    runs = with_torsion = 0
+    for g, chi in itertools.islice(_small_inputs(), 0, None, 8):
+        for field in (QQ, F2, F3):
+            rep = run(JobConfig(text=serialize_input(g, chi, field), methods=("snf",)))
+            modules = rep.data["homology"]["modules"]
+            divisor = rep.data["input"]["normalization_divisor"]
+            for n in (2, 3):
+                scaled = Character(g, {v: n * m for v, m in chi.weights.items()})
+                rep_n = run(JobConfig(text=serialize_input(g, scaled, field), methods=("snf",)))
+                assert modules == rep_n.data["homology"]["modules"], \
+                    (n, serialize_input(g, chi, field))
+                assert rep.ok == rep_n.ok
+                assert rep_n.data["input"]["normalization_divisor"] == n * divisor
+                runs += 1
+            with_torsion += any(m["invariant_factors"] for m in modules)
+    assert runs == 2088
+    assert with_torsion >= 1000, with_torsion
+
+
 def test_reversed_vertex_order_gives_the_same_modules():
     """The order in which the vertices are declared names no module: every
     8th small input, over Q, GF(2) and GF(3), with snf alone, gives the

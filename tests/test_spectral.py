@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -6,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -531,6 +533,103 @@ def test_no_k_d_memo_outlives_its_sweep():
             kd.inv(kd.zero)
     assert kd.zero not in kd._inverses
     assert all(kd.mul(a, b) == kd.one for a, b in kd._inverses.items())
+
+
+K4_MATCHING = _matching_clique((1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("case, d", [(square_graph(), 2), (square_graph(), 6), (K4_MATCHING, 2)],
+                         ids=["square d=2", "square d=6", "K_4 d=2"])
+def test_weighted_complex_checks_every_cell(monkeypatch, case, d):
+    """Every cell's (entry, drop) is read and checked, not only an entry's
+    first cell: with the weight of any one simplex X raised by 1, every
+    cell at X is one drop off, which leaves a remainder, a negative drop
+    or a unit that vanishes, and `weighted_complex` raises.  Some X have
+    only cells whose entry a cell before them has read, so a memo keyed by
+    the entry alone, ignoring the drop, would let them through."""
+    g, chi = case
+    t = BoundaryTables(build_flag_complex(g), chi, QQ)
+    real = spectral.position_weights(t, d)
+    wc = weighted_complex(t, d, weights=real)
+    # per (degree, position), whether each cell at it repeats an entry the
+    # sweep read at an earlier cell
+    seen, repeats = set(), {}
+    for n in range(0, t.fc.dim + 1):
+        tb = twisted_boundary(t, n)
+        for j in wc.order[n]:
+            for i, entry in tb.columns[j].items():
+                for cell in ((n, j), (n - 1, i)):
+                    repeats[cell] = repeats.get(cell, True) and id(entry) in seen
+                seen.add(id(entry))
+    assert any(repeats.values())
+    raised = 0
+    for n, layer in enumerate(real, start=-1):
+        for x in range(len(layer)):
+            weights = list(real)
+            weights[n + 1] = layer[:x] + (layer[x] + 1,) + layer[x + 1:]
+            monkeypatch.setattr(spectral, "position_weights", lambda t, d, w=tuple(weights): w)
+            with pytest.raises(ArithmeticError):
+                weighted_complex(t, d)
+            raised += 1
+    assert raised == sum(map(len, real))
+
+
+@pytest.mark.parametrize("case", [K7_MATCHING, _weighted_path(60)], ids=["K_7", "m=60 path"])
+def test_a_default_ss_run_reads_each_unit_once_and_names_nothing(monkeypatch, case):
+    """An `snf,ss` run reads the unit of each distinct (entry, drop) of a
+    sweep once at each order of the sweep's group (the m = 60 path sweeps
+    12 orders in 3 groups), decodes no simplex name and builds no page;
+    with both dump flags it builds both."""
+    from artinkernels.flag import FlagComplex
+    from artinkernels.spectral import PageTable
+    g, chi = case
+    text = cli.serialize_input(g, chi, QQ)
+    reads, names, built, sweeps = Counter(), Counter(), Counter(), []
+    real_residue, real_pages = spectral.quotient_residue, spectral.page_dims
+    real_names, real_build = FlagComplex.simplices_of, PageTable.pages.func
+
+    def counted_residue(f, d, drop):
+        reads[id(f), drop, d] += 1
+        return real_residue(f, d, drop)
+
+    def counted_pages(wc):
+        sweeps.append(wc)
+        return real_pages(wc)
+
+    def counted_names(fc, k):
+        names[k] += 1
+        return real_names(fc, k)
+
+    def counted_build(pt):
+        built[pt.orders] += 1
+        return real_build(pt)
+
+    pages = functools.cached_property(counted_build)
+    pages.__set_name__(PageTable, "pages")
+    monkeypatch.setattr(spectral, "quotient_residue", counted_residue)
+    monkeypatch.setattr(spectral, "page_dims", counted_pages)
+    monkeypatch.setattr(FlagComplex, "simplices_of", counted_names)
+    monkeypatch.setattr(PageTable, "pages", pages)
+    data = cli.run(cli.JobConfig(text=text, methods=("snf", "ss"))).data
+    assert data["status"]["ok"] and data["methods"]["ss"]["ran"]
+    want = Counter()
+    for wc in sweeps:
+        ws = dict(zip(range(-1, wc.t.fc.dim + 1), position_weights(wc.t, wc.d)))
+        cells = {(id(entry), ws[n][j] - ws[n - 1][i]) for n in range(0, wc.t.fc.dim + 1)
+                 for j, col in enumerate(twisted_boundary(wc.t, n).columns)
+                 for i, entry in col.items()}
+        want.update((key, drop, d) for key, drop in cells for d in wc.orders)
+    assert reads == want and set(want.values()) == {1}
+    assert sorted(d for wc in sweeps for d in wc.orders) == data["torsion_support"]["values"]
+    assert max(len(wc.orders) for wc in sweeps) == (1 if case is K7_MATCHING else 10)
+    assert len(sweeps) > 1 and not names and not built
+
+    sweeps.clear()
+    data = cli.run(cli.JobConfig(text=text, methods=("snf", "ss"), dump_pages=True,
+                                 dump_matrices=True)).data
+    assert data["status"]["ok"] and data["methods"]["ss"]["pages"] and data["matrices"]
+    assert set(built) == {wc.orders for wc in sweeps} and set(built.values()) == {1}
+    assert set(names) >= set(range(-1, sweeps[0].t.fc.dim + 1))
 
 
 # orders of the m = 60 path that share the sweep at d = 3
