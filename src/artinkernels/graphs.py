@@ -214,9 +214,6 @@ class TorsionSupport:
     values: tuple[int, ...]
     provenance: dict = field(compare=False, default_factory=dict)
 
-    def __contains__(self, d):
-        return d in self.values
-
     def __iter__(self):
         return iter(self.values)
 

@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import Field, divisors, prime_factors
 
@@ -167,16 +166,8 @@ class LaurentPoly:
         return cls(field, {0: field.one})
 
     @classmethod
-    def from_int(cls, field, n: int):
-        return cls(field, {0: field.from_int(n)})
-
-    @classmethod
     def t_power(cls, field, e: int):
         return cls(field, {e: field.one})
-
-    @classmethod
-    def from_int_coeffs(cls, field, coeffs: dict[int, int]):
-        return cls(field, {e: field.from_int(c) for e, c in coeffs.items()})
 
     # -- structure ----------------------------------------------------
     def __bool__(self):
@@ -246,10 +237,6 @@ class LaurentPoly:
                 base = base * base
         return out
 
-    def scale(self, c):
-        f = self.field
-        return LaurentPoly(f, {e: f.mul(v, c) for e, v in self.coeffs.items()})
-
     def shift(self, e: int):
         """Multiply by the unit t^e."""
         return LaurentPoly(self.field, {k + e: v for k, v in self.coeffs.items()})
@@ -307,7 +294,7 @@ class LaurentPoly:
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             if e == 0:
-                body = f.to_str(c)
+                body = str(c)
             else:
                 tpart = "t" if e == 1 else f"t^{e}"
                 if c == f.one:
@@ -315,7 +302,7 @@ class LaurentPoly:
                 elif c == f.neg(f.one):
                     body = "-" + tpart
                 else:
-                    body = f"{f.to_str(c)}*{tpart}"
+                    body = f"{c}*{tpart}"
             parts.append(body)
         text = parts[0]
         for body in parts[1:]:
@@ -472,8 +459,7 @@ def totient(d: int) -> int:
 
 def cyclotomic(d: int, field: Field) -> LaurentPoly:
     """Phi_d over the prime field of K (mod-p reduction when char K = p)."""
-    ints = cyclotomic_int(d)
-    return LaurentPoly.from_int_coeffs(field, dict(enumerate(ints)))
+    return LaurentPoly(field, {e: field.from_int(c) for e, c in enumerate(cyclotomic_int(d))})
 
 
 def t_minus_one_multiplicities(n: int, char: int) -> dict[int, int]:
@@ -502,7 +488,7 @@ def cyclotomic_product(mults: dict, field: Field) -> LaurentPoly:
             for i, c in phi:
                 out[i:i + n] = [y + c * x for y, x in zip(out[i:i + n], cs)]
             cs = out
-    return LaurentPoly.from_int_coeffs(field, dict(enumerate(cs)))
+    return LaurentPoly(field, {e: field.from_int(c) for e, c in enumerate(cs)})
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +553,10 @@ class CyclotomicField(Field):
     zero is ((0, ..., 0), 1)).  The form is canonical, so == and hash mean
     equality in K_d, and `is_zero` is zero's own tuple ==, a C callable.
     Sums and differences work coordinatewise and `inv` by an integer
-    extended Euclid; every other element (a product, z, a combination of
-    powers of z) is made by one rule, `_reduce`: fold the exponents mod d,
+    extended Euclid; every other element (a product, or a combination of
+    powers of z, which `root_combination` builds: z itself is
+    root_combination({1: 1}) and a rational q is root_combination({0: q}))
+    is made by one rule, `_reduce`: fold the exponents mod d,
     since z^d = 1, then take the remainder by the monic Phi_d, which keeps
     the coordinates integral, and normalize by one math.gcd.  No power of
     z is tabulated.  Each instance memoises the inverses and products it
@@ -621,11 +609,6 @@ class CyclotomicField(Field):
         return self._reduce(
             ((e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()), den)
 
-    @property
-    def gen(self):
-        """The residue class of z, a primitive d-th root of unity."""
-        return self._reduce(((1, 1),), 1)
-
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
         if ad == bd:
@@ -667,10 +650,6 @@ class CyclotomicField(Field):
 
     def from_int(self, n):
         return (n,) + (0,) * (self.deg - 1), 1
-
-    def embed(self, q: Fraction):
-        q = Fraction(q)
-        return (q.numerator,) + (0,) * (self.deg - 1), q.denominator
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.d == self.d

@@ -2,14 +2,16 @@
 
 Everything in this package is computed exactly, so floating point never
 appears.  A *field* here is a small object exposing a uniform protocol
-(``zero``, ``one``, ``add``, ``mul``, ``inv``, ...) over opaque element
-values; only an ss sweep's own K_d keeps state, its memos of inverses and
-products, and no value depends on them:
+(``zero``, ``one``, ``add``, ``neg``, ``sub``, ``mul``, ``inv``,
+``from_int`` and ``is_zero``) over opaque element values; only an ss
+sweep's own K_d keeps state, its memos of inverses and products, and no
+value depends on them:
 
 * :class:`Rationals` works on exact rationals: Python ints while a value
   is integral, :class:`fractions.Fraction` once a non-unit is inverted,
 * :class:`PrimeField` works on ints reduced mod p,
-* ``laurent.CyclotomicField`` adds Q[z]/(Phi_d) with the same protocol.
+* ``laurent.CyclotomicField`` adds Q[z]/(Phi_d) with the same protocol;
+  its ``root_combination`` builds an element from powers of zeta_d.
 
 The coefficient field K of a run is one of the first two, ``QQ`` or a
 ``PrimeField(p)``, passed as is to every route; :func:`parse_field` reads
@@ -84,18 +86,12 @@ def divisors(n: int) -> list[int]:
 
 class Field:
     """Protocol base for exact fields (module docstring): each field gives
-    zero, one, add, neg, sub, mul, inv, from_int and is_zero, and shares
-    div and to_str."""
+    zero, one, add, neg, sub, mul, inv, from_int and is_zero; a quotient
+    a / b is mul(a, inv(b))."""
 
     char = 0
     zero = None
     one = None
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 class Rationals(Field):
@@ -104,9 +100,9 @@ class Rationals(Field):
     element.  zero, one and from_int give ints, and add, sub, mul and neg
     are the native operators and is_zero `not`, the C callables of
     `operator` (a builtin binds no self), so integral matrices are
-    eliminated on ints without a Python-level call per entry.  inv and div
-    never produce a float: inv(a) is a itself for a = +-1 and
-    Fraction(1, a) otherwise, and div(a, b) is a * inv(b)."""
+    eliminated on ints without a Python-level call per entry.  inv never
+    produces a float: inv(a) is a itself for a = +-1 and Fraction(1, a)
+    otherwise."""
 
     char = 0
     zero = 0

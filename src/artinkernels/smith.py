@@ -88,20 +88,9 @@ from .twisted import BoundaryTables, PolyMatrix, twisted_boundary  # noqa: F401
 
 
 @dataclass
-class SmithTransforms:
-    """U, V with U * cleared * V = diag; kept only on request, for audits."""
-
-    u: list
-    v: list
-    cleared: list
-    diagonal: list
-
-
-@dataclass
 class SmithForm:
     invariant_factors: list  # unit-normalized, chain-divisible, len == rank
     rank: int
-    transforms: SmithTransforms | None = None
     # d -> ascending Phi_d-exponents of the `rank` invariant factors, for
     # the d that occur; None when the engine does not see them (Euclidean)
     exponents: dict | None = None
@@ -126,48 +115,29 @@ def _clear_to_polys(m: PolyMatrix) -> list:
     return dense
 
 
-def smith_normal_form(m: PolyMatrix, keep_transforms: bool = False) -> SmithForm:
+def smith_normal_form(m: PolyMatrix) -> SmithForm:
     field = m.field
     a = _clear_to_polys(m)
     nr, nc = m.shape
-    cleared = [[list(e) for e in row] for row in a] if keep_transforms else None
-    u = v = None
-    if keep_transforms:
-        u = [[[field.one] if i == j else [] for j in range(nr)] for i in range(nr)]
-        v = [[[field.one] if i == j else [] for j in range(nc)] for i in range(nc)]
 
     def row_sub(i, t, q):
         for jj in range(nc):
             a[i][jj] = dense_sub(field, a[i][jj], dense_mul(field, q, a[t][jj]))
-        if u is not None:
-            for jj in range(nr):
-                u[i][jj] = dense_sub(field, u[i][jj], dense_mul(field, q, u[t][jj]))
 
     def col_sub(j, t, q):
         for ii in range(nr):
             a[ii][j] = dense_sub(field, a[ii][j], dense_mul(field, q, a[ii][t]))
-        if v is not None:
-            for ii in range(nc):
-                v[ii][j] = dense_sub(field, v[ii][j], dense_mul(field, q, v[ii][t]))
 
     def row_swap(i, t):
         a[i], a[t] = a[t], a[i]
-        if u is not None:
-            u[i], u[t] = u[t], u[i]
 
     def col_swap(j, t):
         for ii in range(nr):
             a[ii][j], a[ii][t] = a[ii][t], a[ii][j]
-        if v is not None:
-            for ii in range(nc):
-                v[ii][j], v[ii][t] = v[ii][t], v[ii][j]
 
     def row_add(t, i):
         for jj in range(nc):
             a[t][jj] = dense_add(field, a[t][jj], a[i][jj])
-        if u is not None:
-            for jj in range(nr):
-                u[t][jj] = dense_add(field, u[t][jj], u[i][jj])
 
     # rescaling a row or column by a nonzero scalar is unimodular; keeping
     # every line primitive over Q is what tames the coefficient growth
@@ -188,8 +158,6 @@ def smith_normal_form(m: PolyMatrix, keep_transforms: bool = False) -> SmithForm
         if s is None or s == 1:
             return
         a[i] = [[cf * s for cf in p] for p in a[i]]
-        if u is not None:
-            u[i] = [[cf * s for cf in p] for p in u[i]]
 
     def prim_col(j):
         if not rational:
@@ -199,9 +167,6 @@ def smith_normal_form(m: PolyMatrix, keep_transforms: bool = False) -> SmithForm
             return
         for ii in range(nr):
             a[ii][j] = [cf * s for cf in a[ii][j]]
-        if v is not None:
-            for ii in range(nc):
-                v[ii][j] = [cf * s for cf in v[ii][j]]
 
     t = 0
     limit = min(nr, nc)
@@ -259,11 +224,7 @@ def smith_normal_form(m: PolyMatrix, keep_transforms: bool = False) -> SmithForm
     diagonal = [a[i][i] for i in range(limit)]
     rank = sum(1 for d in diagonal if d)
     factors = [laurent_from_dense(field, _strip_t(field, d)) for d in diagonal if d]
-    transforms = None
-    if keep_transforms:
-        transforms = SmithTransforms(u=u, v=v, cleared=cleared,
-                                     diagonal=[list(d) for d in diagonal])
-    return SmithForm(invariant_factors=factors, rank=rank, transforms=transforms)
+    return SmithForm(invariant_factors=factors, rank=rank)
 
 
 def _strip_t(field, cs: list) -> list:

@@ -65,9 +65,6 @@ class PolyMatrix:
                 grid[i][j] = e
         return tuple(map(tuple, grid))
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
     def dump(self) -> str:
         """Deterministic text dump for debugging and matrix dumps."""
         lines = [f"degree {self.k}: {len(self.rows)} x {len(self.cols)}"]

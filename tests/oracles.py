@@ -18,7 +18,7 @@ from artinkernels.graphs import (Character, LabeledGraph, connected_components,
                                  resonance_sets)
 from artinkernels.laurent import (LaurentPoly, ZeroPolynomialError, cyclotomic,
                                   cyclotomic_field, cyclotomic_int,
-                                  cyclotomic_product, dense_add, dense_divmod,
+                                  cyclotomic_product, dense_divmod,
                                   dense_mul, dense_sub,
                                   t_minus_one_multiplicities)
 from artinkernels.linalg import rank as field_rank, staircase_leads
@@ -245,24 +245,6 @@ def _det_cofactor(field, entries, rows, cols) -> LaurentPoly:
         minor_det = _det_cofactor(field, entries, rest, cols[:idx] + cols[idx + 1:])
         term = e * minor_det
         acc = acc + term if idx % 2 == 0 else acc - term
-    return acc
-
-
-def poly_det_dense(field, rows: list) -> list:
-    """Determinant of a dense polynomial matrix (cofactor; audit sizes only)."""
-    n = len(rows)
-    if n == 0:
-        return [field.one]
-    if n == 1:
-        return list(rows[0][0])
-    acc = []
-    for j in range(n):
-        e = rows[0][j]
-        if not e:
-            continue
-        rest = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
-        term = dense_mul(field, e, poly_det_dense(field, rest))
-        acc = dense_sub(field, acc, term) if j % 2 else dense_add(field, acc, term)
     return acc
 
 
@@ -700,12 +682,12 @@ def horner_taylor(f, d, order):
     kd = cyclotomic_field(d)
     if f.is_zero():
         return [kd.zero] * order
-    lin = ([kd.gen, kd.one] + [kd.zero] * max(0, order - 2))[:order]
+    lin = ([kd.root_combination({1: 1}), kd.one] + [kd.zero] * max(0, order - 2))[:order]
     cs, val = f.dense()
     acc = [kd.zero] * order
     for coeff in reversed(cs):
         acc = trunc_mul(kd, acc, lin, order)
-        acc[0] = kd.add(acc[0], kd.embed(coeff))
+        acc[0] = kd.add(acc[0], kd.root_combination({0: coeff}))
     step = lin if val > 0 else trunc_inv(kd, lin, order)
     for _ in range(abs(val)):
         acc = trunc_mul(kd, acc, step, order)

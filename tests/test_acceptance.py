@@ -280,7 +280,7 @@ def test_acceptance_6_structural_invariants():
             if any(not field.is_zero(x)
                    for row in matmul(field, dense(a), dense(b)) for x in row):
                 failures.append((idx, "untwisted dd", k))
-            if not compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero():
+            if any(compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).columns):
                 failures.append((idx, "twisted dd", k))
         qc = build_f2(fc, res)
         if any(x for col in compose_int_columns(qc.d1, qc.d2) for x in col.values()):
@@ -314,7 +314,7 @@ def test_acceptance_6_structural_invariants():
                     if pt.stable_row(k) != ranks[k]:
                         failures.append((idx, "stable page", d, k))
 
-        # Smith forms: divisibility chain, reconstruction, shape checks
+        # Smith forms: divisibility chain, the reference against the engine, shape checks
         if field.char == 0:
             support_k = torsion_support(g, normalized) \
                 if all(normalized.m(v) != 0 for v in g.vertices) else None
@@ -330,57 +330,32 @@ def test_acceptance_6_structural_invariants():
                     if not rep.ok:
                         failures.append((idx, "shape", k, rep.checks))
             if idx < 6:
-                # U * cleared * V reconstruction over Q on the fixture cases,
-                # whose entry degrees keep Euclidean reduction well behaved
+                # the Euclidean reference gives the engine's invariant factors
+                # over Q on the fixture cases, whose entry degrees keep
+                # Euclidean reduction well behaved
+                t = BoundaryTables(fc, normalized, field)
                 for k in (1, 2):
-                    m = twisted_boundary(BoundaryTables(fc, normalized, field), k)
+                    m = twisted_boundary(t, k)
                     if not m.cols:
                         continue
-                    s = smith_normal_form(m, keep_transforms=True)
-                    tr = s.transforms
-                    prod = _poly_matmul(field, tr.u, tr.cleared)
-                    prod = _poly_matmul(field, prod, tr.v)
-                    for i in range(len(tr.u)):
-                        for j in range(len(tr.v)):
-                            want = tr.diagonal[i] if i == j and i < len(tr.diagonal) else []
-                            if prod[i][j] != want:
-                                failures.append((idx, "umv-q", k))
+                    if (smith_normal_form(m).invariant_factors
+                            != boundary_smith_form(t, k).invariant_factors):
+                        failures.append((idx, "reference-q", k))
         else:
+            t = BoundaryTables(fc, normalized, field)
             for k in range(0, fc.dim + 1):
-                m = twisted_boundary(BoundaryTables(fc, normalized, field), k + 1)
-                s = smith_normal_form(m, keep_transforms=True)
+                s = smith_normal_form(twisted_boundary(t, k + 1))
                 for f, h in zip(s.invariant_factors, s.invariant_factors[1:]):
                     try:
                         h.exact_div(f)
                     except ValueError:
                         failures.append((idx, "chain-p", k))
-                # U * cleared * V reconstructs the diagonal
-                tr = s.transforms
-                prod = _poly_matmul(field, tr.u, tr.cleared)
-                prod = _poly_matmul(field, prod, tr.v)
-                for i in range(len(tr.u)):
-                    for j in range(len(tr.v)):
-                        want = tr.diagonal[i] if i == j and i < len(tr.diagonal) else []
-                        if prod[i][j] != want:
-                            failures.append((idx, "umv", k))
+                # the reference gives the engine's invariant factors
+                if s.invariant_factors != boundary_smith_form(t, k + 1).invariant_factors:
+                    failures.append((idx, "reference", k))
 
     assert _report(6, not failures, f"structural suite ({len(failures)} failures)"), \
         failures[:10]
-
-
-def _poly_matmul(field, a, b):
-    from artinkernels.laurent import dense_add, dense_mul
-    n, kk, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[[] for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(kk):
-            if not a[i][k]:
-                continue
-            for j in range(m):
-                if b[k][j]:
-                    out[i][j] = dense_add(field, out[i][j],
-                                          dense_mul(field, a[i][k], b[k][j]))
-    return out
 
 
 # ---------------------------------------------------------------------------

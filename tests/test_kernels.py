@@ -150,8 +150,8 @@ def test_sparse_rank_matches_dense_reference(field_name):
         draw = lambda: rng.randrange(5)  # noqa: E731
     else:
         field = cyclotomic_field(int(field_name[2:]))
-        draw = lambda: field.add(field.from_int(rng.randint(-1, 1)),  # noqa: E731
-                                 field.mul(field.gen, field.from_int(rng.randint(-1, 1))))
+        draw = lambda: field.root_combination(  # noqa: E731
+            {0: rng.randint(-1, 1), 1: rng.randint(-1, 1)})
     for _ in range(12):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, field, draw, nr, nc, rng.randint(0, 5),

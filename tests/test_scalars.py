@@ -36,7 +36,7 @@ def test_rational_ops_on_mixed_operands_stay_exact(a, b):
         assert exact(got) and got == want
     assert Q.is_zero(a) == (fa == 0)
     if b:
-        for got, want in ((Q.inv(b), 1 / fb), (Q.div(a, b), fa / fb)):
+        for got, want in ((Q.inv(b), 1 / fb), (Q.mul(a, Q.inv(b)), fa / fb)):
             assert exact(got) and got == want
 
 
@@ -44,7 +44,8 @@ def test_rational_ops_on_mixed_operands_stay_exact(a, b):
 @given(st.integers(-60, 60), st.integers(-60, 60))
 def test_integral_values_stay_ints(a, b):
     for x in (Q.add(a, b), Q.sub(a, b), Q.mul(a, b), Q.neg(a), Q.from_int(a),
-              Q.zero, Q.one, Q.inv(1), Q.inv(-1), Q.div(a, 1), Q.div(a, -1)):
+              Q.zero, Q.one, Q.inv(1), Q.inv(-1), Q.mul(a, Q.inv(1)),
+              Q.mul(a, Q.inv(-1))):
         assert type(x) is int
     assert Q.inv(Fraction(-1)) == -1 and exact(Q.inv(Fraction(-1)))
 

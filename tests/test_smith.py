@@ -11,10 +11,11 @@ from artinkernels import (BoundaryTables, Character, LabeledGraph, LaurentPoly,
                           resonance_sets, torsion_support, twisted_boundary,
                           verify_shape)
 from artinkernels import linalg, smith
-from artinkernels.cli import JobConfig, run, serialize_input
+from artinkernels.cli import (SELF_CHECK, JobConfig, fixture_text, parse_input, run,
+                              serialize_input)
 from artinkernels.flag import boundary_matrix, reduced_homology_ranks
-from artinkernels.laurent import (cyclotomic, cyclotomic_product, dense_mul,
-                                  factor_invariant, laurent_gcd, normalize_unit, totient)
+from artinkernels.laurent import (cyclotomic, cyclotomic_product, factor_invariant,
+                                  laurent_gcd, normalize_unit, totient)
 from artinkernels.linalg import BottomEchelon
 from artinkernels.scalars import PrimeField
 from artinkernels.smith import (cyclotomic_invariant_factors, decompose_torsion,
@@ -23,8 +24,8 @@ from artinkernels.smith import (cyclotomic_invariant_factors, decompose_torsion,
 from conftest import (QQ, F2, F3, dihedral_graph, random_case,
                       random_even_graph, random_matching_graph,
                       square_diagonal_graph, square_graph)
-from oracles import (det, evaluate, exponents_every_vector, mult_d, poly_det_dense,
-                     poly_matrix, submatrix)
+from oracles import (det, evaluate, exponents_every_vector, mult_d, poly_matrix,
+                     submatrix)
 
 
 def L(coeffs, field=QQ):
@@ -80,43 +81,29 @@ def _random_poly_matrix(rng, field, nr, nc, deg=2):
     return poly_matrix(rlab, clab, rows, field)
 
 
-def test_snf_transform_reconstruction_and_divisibility():
+def test_snf_reference_matches_the_engine_on_fixtures_and_divides():
+    """The Euclidean reference gives the engine's invariant factors on every
+    nonempty boundary of the bundled fixtures over Q, GF(2) and GF(3), and
+    a divisibility chain on random matrices."""
+    checked = 0
+    for name in dict.fromkeys(name for name, _field in SELF_CHECK):
+        parsed = parse_input(fixture_text(name))
+        fc = build_flag_complex(parsed.graph)
+        for field in (QQ, F2, F3):
+            t = BoundaryTables(fc, parsed.character, field)
+            for k in range(fc.dim + 1):
+                want = boundary_smith_form(t, k).invariant_factors
+                assert smith_normal_form(twisted_boundary(t, k)).invariant_factors == want, \
+                    (name, str(field), k)
+                checked += 1
+    assert checked == 36
     rng = random.Random(3)
     for trial in range(12):
         field = QQ if trial % 2 == 0 else F2
         m = _random_poly_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-        s = smith_normal_form(m, keep_transforms=True)
-        tr = s.transforms
-        # U * cleared * V == diagonal matrix of the raw diagonal entries
-        prod = _dense_matmul(field, tr.u, tr.cleared)
-        prod = _dense_matmul(field, prod, tr.v)
-        nr, nc = m.shape
-        for i in range(nr):
-            for j in range(nc):
-                want = tr.diagonal[i] if i == j and i < len(tr.diagonal) else []
-                assert prod[i][j] == want
-        # transforms are unimodular: constant nonzero determinant
-        for t in (tr.u, tr.v):
-            det = poly_det_dense(field, t)
-            assert len(det) == 1 and not field.is_zero(det[0])
-        # divisibility chain
+        s = smith_normal_form(m)
         for f, g in zip(s.invariant_factors, s.invariant_factors[1:]):
             assert g.exact_div(f) is not None
-
-
-def _dense_matmul(field, a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[[] for _ in range(m)] for _ in range(n)]
-    from artinkernels.laurent import dense_add
-    for i in range(n):
-        for kk in range(k):
-            if not a[i][kk]:
-                continue
-            for j in range(m):
-                if b[kk][j]:
-                    out[i][j] = dense_add(field, out[i][j],
-                                          dense_mul(field, a[i][kk], b[kk][j]))
-    return out
 
 
 def test_fitting_gcd_of_minors_matches_snf_products():

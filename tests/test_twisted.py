@@ -39,7 +39,7 @@ def test_dihedral_edge_column():
     assert by_row[("u",)] == L({-1: -2, 0: 2})
     # ... and the whole column dies over GF(2)
     m1_2 = twisted_boundary(BoundaryTables(fc, chi, F2), 1)
-    assert m1_2.is_zero()
+    assert not any(m1_2.columns)
 
 
 def test_square_diagonal_matches_published_complex_over_f2():
@@ -76,7 +76,7 @@ def test_twisted_boundary_squares_to_zero():
         for field in (QQ, F2):
             t = BoundaryTables(fc, chi, field)
             for k in range(0, fc.dim + 1):
-                assert compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).is_zero()
+                assert not any(compose(twisted_boundary(t, k), twisted_boundary(t, k + 1)).columns)
 
 
 def test_every_entry_vanishes_at_t_equal_one():
@@ -139,7 +139,7 @@ def test_minor_matches_weight_ratio_on_spanning_tree():
     wx = list_weights(fc, chi, QQ, xbar)
     wy = list_weights(fc, chi, QQ, ybar)
     lhs = twisted * wy.p * wy.q
-    rhs = (wx.p * wx.q).scale(det_plain)
+    rhs = wx.p * wx.q * LaurentPoly(QQ, {0: det_plain})
     assert lhs == rhs
 
 
@@ -166,7 +166,7 @@ def test_minor_ratio_identity_on_random_small_minors():
                     plain = _det(QQ, [[ub[i][j] for j in cols] for i in rows])
                     wx = list_weights(fc, chi, QQ, xbar)
                     wy = list_weights(fc, chi, QQ, ybar)
-                    assert tw * wy.p * wy.q == (wx.p * wx.q).scale(plain)
+                    assert tw * wy.p * wy.q == wx.p * wx.q * LaurentPoly(QQ, {0: plain})
                     # nonzero twisted minor iff nonzero untwisted minor
                     assert tw.is_zero() == (plain == QQ.zero)
 
